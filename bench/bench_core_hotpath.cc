@@ -1,24 +1,23 @@
 // Profiles the simulator itself (not the paper's attack): rounds/sec on
-// representative campaign workloads under the legacy event-queue hot
-// path and the optimized inline-storage pool, per-subsystem wall time
-// from ScenarioConfig::wall_profile, and raw event-queue throughput.
-// Seeds the bench trajectory's BENCH_core_hotpath.json artifact:
+// representative campaign workloads, per-subsystem wall time from
+// ScenarioConfig::wall_profile, and raw event-queue throughput. Writes
+// the BENCH_core_hotpath.json artifact:
 //
 //   ./bench_core_hotpath [output.json]
 //
 // Defaults to BENCH_core_hotpath.json in the working directory; round
-// counts scale with TOCTTOU_ROUNDS (default 200 per workload). Both
-// implementations run the identical deterministic campaigns, and the
-// bench CHECKs their statistics match before reporting speedups.
+// counts scale with TOCTTOU_ROUNDS (default 200 per workload). The
+// figures from before the event-queue hot-path work are recorded in
+// DESIGN.md §7.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "tocttou/common/error.h"
 #include "tocttou/common/strings.h"
 #include "tocttou/core/harness.h"
 #include "tocttou/metrics/profile.h"
@@ -51,31 +50,21 @@ struct Workload {
 struct WorkloadReport {
   std::string name;
   int rounds = 0;
-  double before_rps = 0.0;  // legacy event queue (pre-optimization path)
-  double after_rps = 0.0;   // pooled event queue
-  double speedup = 0.0;
+  double rps = 0.0;
 };
 
-/// One timed serial campaign under the given event-queue implementation.
-/// Returns rounds/sec; `stats_out` receives the campaign stats so the
-/// caller can check both implementations simulate identically.
-double timed_campaign(const Workload& w, sim::EventQueue::Impl impl,
-                      core::CampaignStats* stats_out) {
-  sim::EventQueue::set_default_impl(impl);
+/// One timed serial campaign; returns rounds/sec.
+double timed_campaign(const Workload& w) {
   const auto t0 = Clock::now();
-  core::CampaignStats stats =
-      core::run_campaign(w.cfg, w.rounds, w.measure_ld, /*jobs=*/1);
-  const double secs = seconds_since(t0);
-  if (stats_out != nullptr) *stats_out = stats;
-  return static_cast<double>(w.rounds) / secs;
+  core::run_campaign(w.cfg, w.rounds, w.measure_ld, /*jobs=*/1);
+  return static_cast<double>(w.rounds) / seconds_since(t0);
 }
 
 std::vector<Workload> workloads() {
   std::vector<Workload> out;
   {
     // The bench_model_sweep shape: SMP vi with the journal on (L/D
-    // measurement) at the sweep's 4KB point — the workload the ≥10%
-    // acceptance bar is measured on.
+    // measurement) at the sweep's 4KB point.
     Workload w;
     w.name = "smp_vi_measure_ld";
     w.cfg.profile = programs::testbed_smp_dual_xeon();
@@ -113,8 +102,7 @@ std::vector<Workload> workloads() {
 
 /// Raw queue throughput: push/pop churn with a live heap, mimicking the
 /// kernel's schedule-then-fire pattern.
-double queue_ops_per_sec(sim::EventQueue::Impl impl) {
-  sim::EventQueue::set_default_impl(impl);
+double queue_ops_per_sec() {
   constexpr int kEvents = 2'000'000;
   sim::EventQueue q;
   long long fired = 0;
@@ -147,10 +135,10 @@ double queue_ops_per_sec(sim::EventQueue::Impl impl) {
 
 int main(int argc, char** argv) {
   using namespace tocttou;
-  using sim::EventQueue;
 
   const char* out_path =
       argc > 1 ? argv[1] : "BENCH_core_hotpath.json";
+  const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
 
   std::vector<WorkloadReport> reports;
   metrics::WallProfile wall;
@@ -158,57 +146,35 @@ int main(int argc, char** argv) {
     WorkloadReport r;
     r.name = w.name;
     r.rounds = w.rounds;
-    core::CampaignStats before_stats, after_stats;
-    // Warm-up pass (allocator + page cache), then timed passes.
-    timed_campaign({w.name, w.cfg, std::max(8, w.rounds / 8), w.measure_ld},
-                   EventQueue::Impl::pooled, nullptr);
-    r.before_rps =
-        timed_campaign(w, EventQueue::Impl::legacy, &before_stats);
-    r.after_rps = timed_campaign(w, EventQueue::Impl::pooled, &after_stats);
-    r.speedup = r.after_rps / r.before_rps;
-    TOCTTOU_CHECK(
-        before_stats.success.successes() == after_stats.success.successes() &&
-            before_stats.total_events == after_stats.total_events,
-        "legacy and pooled event queues must simulate identically");
-    // Per-subsystem wall time, accumulated across workloads (pooled path).
+    // Warm-up pass (allocator + page cache), then the timed pass.
+    timed_campaign({w.name, w.cfg, std::max(8, w.rounds / 8), w.measure_ld});
+    r.rps = timed_campaign(w);
+    // Per-subsystem wall time, accumulated across workloads.
     Workload prof = w;
     prof.rounds = std::max(8, w.rounds / 8);
     prof.cfg.wall_profile = &wall;
-    timed_campaign(prof, EventQueue::Impl::pooled, nullptr);
-    std::printf("%-20s %6d rounds   before %9.1f r/s   after %9.1f r/s   "
-                "speedup %.2fx\n",
-                r.name.c_str(), r.rounds, r.before_rps, r.after_rps,
-                r.speedup);
+    timed_campaign(prof);
+    std::printf("%-20s %6d rounds   %9.1f r/s\n", r.name.c_str(), r.rounds,
+                r.rps);
     reports.push_back(r);
   }
 
-  const double q_before = queue_ops_per_sec(EventQueue::Impl::legacy);
-  const double q_after = queue_ops_per_sec(EventQueue::Impl::pooled);
-  EventQueue::set_default_impl(EventQueue::Impl::pooled);
-  std::printf("event_queue raw       before %.2fM ev/s   after %.2fM ev/s   "
-              "speedup %.2fx\n",
-              q_before / 1e6, q_after / 1e6, q_after / q_before);
+  const double q_ops = queue_ops_per_sec();
+  std::printf("event_queue raw       %.2fM ev/s\n", q_ops / 1e6);
 
   std::string json = "{\n";
   json += "  \"bench\": \"core_hotpath\",\n";
-  json +=
-      "  \"optimization\": \"event-queue inline-storage heap "
-      "(placement now always uses the scratch-vector path)\",\n";
+  json += strfmt("  \"hardware_threads\": %u,\n", hw_threads);
   json += "  \"workloads\": [\n";
   for (std::size_t i = 0; i < reports.size(); ++i) {
     const WorkloadReport& r = reports[i];
     json += strfmt(
         "    {\"name\": \"%s\", \"rounds\": %d, "
-        "\"rounds_per_sec_before\": %.2f, \"rounds_per_sec_after\": %.2f, "
-        "\"speedup\": %.4f}%s\n",
-        r.name.c_str(), r.rounds, r.before_rps, r.after_rps, r.speedup,
-        i + 1 < reports.size() ? "," : "");
+        "\"rounds_per_sec\": %.2f}%s\n",
+        r.name.c_str(), r.rounds, r.rps, i + 1 < reports.size() ? "," : "");
   }
   json += "  ],\n";
-  json += strfmt(
-      "  \"event_queue_ops_per_sec\": {\"before\": %.0f, \"after\": %.0f, "
-      "\"speedup\": %.4f},\n",
-      q_before, q_after, q_after / q_before);
+  json += strfmt("  \"event_queue_ops_per_sec\": %.0f,\n", q_ops);
   const double total = static_cast<double>(wall.total_ns);
   json += strfmt(
       "  \"subsystem_wall\": {\"rounds\": %llu, \"setup_ns\": %llu, "

@@ -7,7 +7,7 @@
 // the same policy. Each simulation component implements a
 // `hash_state(StateHasher&)` visitor that feeds its fields in a fixed
 // canonical order; components that cannot promise completeness (unknown
-// Program subclasses, legacy event queues, rounds with fault injectors)
+// Program subclasses, untagged pending events, rounds with fault injectors)
 // call mark_unhashable() and the explorer simply never merges them —
 // unhashable is always safe, a wrong hash never is.
 //

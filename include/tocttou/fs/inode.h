@@ -14,7 +14,6 @@
 #include <string_view>
 #include <unordered_map>
 
-#include "tocttou/common/legacy.h"
 #include "tocttou/fs/types.h"
 #include "tocttou/sim/semaphore.h"
 
@@ -65,14 +64,7 @@ class Inode {
   const EntryMap& entries() const { return entries_; }
 
   /// O(1) child lookup through the hashed index (kNoIno when absent).
-  /// Under the bench-only legacy shim (common/legacy.h) this reverts to
-  /// the ordered map's O(log n) string-compare walk; same answer either
-  /// way.
   Ino lookup(std::string_view name) const {
-    if (legacy_structures_enabled()) {
-      const auto it = entries_.find(name);
-      return it == entries_.end() ? kNoIno : it->second;
-    }
     const auto it = index_.find(name);
     return it == index_.end() ? kNoIno : it->second;
   }

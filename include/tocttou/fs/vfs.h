@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -233,11 +232,10 @@ class Vfs {
 
   /// Per-process descriptor table. `touched` distinguishes a pid that
   /// once had a table (even if every fd closed since) from one that
-  /// never did — the distinction the old std::map-of-maps representation
-  /// encoded by the table's existence, and which the canonical state
-  /// digest must keep making. Slot index == fd; a slot with ino ==
-  /// kNoIno is free. reset() keeps the slot vectors' capacity, so a
-  /// RoundContext re-runs rounds without reallocating any fd table.
+  /// never did, a distinction the canonical state digest makes. Slot
+  /// index == fd; a slot with ino == kNoIno is free. reset() keeps the
+  /// slot vectors' capacity, so a RoundContext re-runs rounds without
+  /// reallocating any fd table.
   struct FdTable {
     bool touched = false;
     int open_count = 0;
@@ -251,7 +249,7 @@ class Vfs {
   SyscallCosts costs_;
   /// Inode table, index == ino - 1. Inos are dense (allocated 1, 2, ...)
   /// and never erased within a round (tombstones are modeled behaviour),
-  /// so a vector replaces the old std::map with O(1) inode() lookup.
+  /// so a vector gives O(1) inode() lookup.
   std::vector<std::unique_ptr<Inode>> inodes_;
   Ino root_ = kNoIno;
   std::vector<FdTable> fd_tables_;  // index = pid - 1
@@ -265,14 +263,6 @@ class Vfs {
   std::vector<std::unique_ptr<Inode>> arena_;
   std::uint64_t arena_reuses_ = 0;
   static constexpr std::size_t kMaxArena = 131072;
-  /// Bench-only legacy shim (common/legacy.h), captured at
-  /// construct/reset:
-  /// when set, inode()/inode_mut() resolve through this shadow
-  /// std::map (the pre-optimization representation's O(log n) walk) and
-  /// alloc_inode() bypasses the arena. The dense vector stays the owner
-  /// either way, so every other code path is untouched.
-  bool legacy_ = false;
-  std::map<Ino, Inode*> legacy_index_;
 };
 
 }  // namespace tocttou::fs

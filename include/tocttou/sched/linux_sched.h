@@ -13,24 +13,17 @@
 //  * Time slices: fixed quantum; on expiry the task yields only if
 //    someone of equal or higher priority is queued on that CPU.
 //
-// Two run-queue implementations back the identical policy (the policy
-// layer is proven byte-identical across them by the differential ctest
-// and the golden campaign outputs):
-//  * `bitmap` (the default): a 512-level priority bitmap per CPU with an
-//    intrusive pid-linked FIFO per level. enqueue/pick/take/remove are
-//    O(1) (pick is O(words) over 8 bitmap words), so a run queue holding
-//    thousands of tenant processes costs the same per event as one
-//    holding three. Links are stored as Pids, which are stable across
-//    checkpoint clones — only the cached Process* needs remapping.
-//  * `legacy_map`: the original std::map<int, std::deque<Process*>>
-//    structure, retained as the differential baseline and as the
-//    "before" leg of bench_scale_tenancy.
+// Run queues: a 512-level priority bitmap per CPU with an intrusive
+// pid-linked FIFO per level. enqueue/pick/take/remove are O(1) (pick is
+// O(words) over 8 bitmap words), so a run queue holding thousands of
+// tenant processes costs the same per event as one holding three. Links
+// are stored as Pids, which are stable across checkpoint clones — only
+// the cached Process* needs remapping. tests/sched/ checks the queue
+// against a plain reference queue on randomized operation traces.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <vector>
 
 #include "tocttou/common/time.h"
@@ -51,19 +44,7 @@ struct LinuxSchedParams {
 
 class LinuxLikeScheduler final : public sim::Scheduler {
  public:
-  /// Which run-queue structure backs the policy (see file comment).
-  enum class RunQueueImpl { bitmap, legacy_map };
-
-  /// Default structure for schedulers constructed without an explicit
-  /// impl (read once at construction, like EventQueue::set_default_impl;
-  /// benches flip it to time the before/after legs).
-  static void set_default_impl(RunQueueImpl impl);
-  static RunQueueImpl default_impl();
-
   explicit LinuxLikeScheduler(LinuxSchedParams params = {});
-  LinuxLikeScheduler(LinuxSchedParams params, RunQueueImpl impl);
-
-  RunQueueImpl impl() const { return impl_; }
 
   void init(int n_cpus) override;
   sim::CpuId place(const sim::Process& p,
@@ -100,17 +81,6 @@ class LinuxLikeScheduler final : public sim::Scheduler {
   LinuxLikeScheduler(const LinuxLikeScheduler& o, sim::CloneMap& m);
 
  private:
-  // --- legacy_map structure (the original implementation) ---
-  struct RunQueue {
-    // priority -> FIFO of runnable tasks (greater priority first).
-    std::map<int, std::deque<sim::Process*>, std::greater<>> by_prio;
-    std::size_t size = 0;
-  };
-
-  RunQueue& rq(sim::CpuId cpu);
-  const RunQueue& rq(sim::CpuId cpu) const;
-
-  // --- bitmap structure ---
   // Priorities are mapped to levels [0, kLevels) with level = prio +
   // kPrioBias; level 0 is the LOWEST priority. The per-CPU bitmap has a
   // set bit for every level whose FIFO is non-empty.
@@ -146,13 +116,9 @@ class LinuxLikeScheduler final : public sim::Scheduler {
   /// Highest set level with a non-empty FIFO, or -1.
   static int highest_level(const BitmapQueue& q);
 
-  std::size_t depth_of(sim::CpuId cpu) const;
-
   LinuxSchedParams params_;
-  RunQueueImpl impl_;
-  std::vector<RunQueue> queues_;     // legacy_map
-  std::vector<BitmapQueue> bqueues_; // bitmap
-  std::vector<Node> nodes_;          // bitmap, index = pid - 1
+  std::vector<BitmapQueue> bqueues_;
+  std::vector<Node> nodes_;  // index = pid - 1
 };
 
 }  // namespace tocttou::sched

@@ -3,25 +3,19 @@
 // Events with equal timestamps fire in scheduling order (a monotonically
 // increasing sequence number breaks ties), which keeps runs deterministic.
 //
-// Hot path: profiling (bench_core_hotpath) showed the simulator spending
-// a sizable slice of wall time in std::function heap allocation — every
-// kernel callback captures ~20-24 bytes, just past libstdc++'s 16-byte
-// small-object buffer, so the old std::priority_queue<std::function>
-// implementation paid one heap allocation per scheduled event plus a
-// copy (allocation + memcpy) per pop, at millions of events per second.
-// EventFn stores the callable inline (callers' captures are small and
-// trivially copyable, enforced at compile time), and the queue is a
-// hand-rolled binary heap over trivially copyable entries: zero heap
-// traffic per event. The old implementation is kept selectable at
-// runtime (set_default_impl) so the bench can measure before/after in
-// one binary; simulation order and results are identical under both.
+// Hot path: the queue runs millions of events per second, so scheduling
+// and firing an event must not touch the allocator. Kernel callbacks
+// capture ~20-24 bytes, just past libstdc++'s 16-byte std::function
+// small-object buffer, so EventFn stores the callable inline instead
+// (captures are small and trivially copyable, enforced at compile time),
+// and the queue is a hand-rolled binary heap over trivially copyable
+// entries: zero heap traffic per event (bench_core_hotpath measures it).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <new>
-#include <queue>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -93,24 +87,13 @@ class EventQueue {
  public:
   using Callback = EventFn;
 
-  /// Implementation selector, read once at construction. `pooled` is the
-  /// allocation-free inline-storage heap; `legacy` is the original
-  /// std::priority_queue<std::function> implementation, kept so
-  /// bench_core_hotpath can report honest before/after numbers from one
-  /// binary. Event ordering — and therefore every simulation result —
-  /// is identical under both.
-  enum class Impl { pooled, legacy };
-  static void set_default_impl(Impl impl);
-  static Impl default_impl();
-
   EventQueue();
 
   /// Returns the queue to its just-constructed state — empty, at time
   /// origin, sequence and executed counters zeroed — while KEEPING the
   /// heap storage's capacity. A reused queue never re-grows its vector
   /// through the first rounds of a RoundContext round; this is the core
-  /// of the context-reuse setup win. The Impl selected at construction
-  /// is retained (it is const for the queue's lifetime).
+  /// of the context-reuse setup win.
   void reset();
 
   /// Schedules `cb` to run at absolute time `t` (must be >= now()).
@@ -133,21 +116,17 @@ class EventQueue {
   /// Timestamp of the earliest pending event (never() if empty).
   SimTime peek_time() const;
 
-  /// The implementation this queue was constructed with (reset() keeps
-  /// it — impl_ is const for the queue's lifetime).
-  Impl impl() const { return impl_; }
-
   SimTime now() const { return now_; }
-  bool empty() const { return heap_.empty() && legacy_.empty(); }
-  std::size_t pending() const { return heap_.size() + legacy_.size(); }
+  bool empty() const { return heap_.empty(); }
+  std::size_t pending() const { return heap_.size(); }
   std::uint64_t executed() const { return executed_; }
 
   /// Canonical state digest (DESIGN.md §10): now(), then every pending
   /// entry's (time, tag) in (t, seq) order. Sequence numbers themselves
   /// are NOT hashed — they are an artifact of scheduling history, but
   /// their relative order at equal timestamps determines firing order,
-  /// which sorting by (t, seq) captures positionally. Legacy-impl queues
-  /// and any untagged entry mark the state unhashable.
+  /// which sorting by (t, seq) captures positionally. Any untagged entry
+  /// marks the state unhashable.
   void hash_state(StateHasher& h) const;
 
   /// Variant with a per-entry canonicalizer (used by Kernel::hash_state).
@@ -175,21 +154,7 @@ class EventQueue {
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
 
-  struct LegacyEntry {
-    SimTime t;
-    std::uint64_t seq;
-    std::function<void(void*)> cb;
-  };
-  struct Later {
-    bool operator()(const LegacyEntry& a, const LegacyEntry& b) const {
-      if (a.t != b.t) return a.t > b.t;
-      return a.seq > b.seq;
-    }
-  };
-
-  const Impl impl_;
   std::vector<Entry> heap_;  // binary min-heap ordered by earlier()
-  std::priority_queue<LegacyEntry, std::vector<LegacyEntry>, Later> legacy_;
   SimTime now_ = SimTime::origin();
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

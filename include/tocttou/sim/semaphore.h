@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "tocttou/common/legacy.h"
 #include "tocttou/common/state_hash.h"
 #include "tocttou/sim/ids.h"
 
@@ -21,22 +20,13 @@ class CloneMap;
 class Kernel;
 
 /// FIFO of waiting pids. A plain vector with a consumed-prefix offset:
-/// an idle queue owns NO heap allocation (unlike std::deque, whose
-/// eagerly-allocated map block dominates the per-inode footprint once a
-/// round stages 10^5 inodes, each embedding a Semaphore). The offset
+/// an idle queue owns NO heap allocation, which matters because every
+/// inode embeds a Semaphore and a machine-scale round stages 10^5
+/// inodes (a std::deque would allocate a 512-byte chunk each). The offset
 /// resets whenever the queue drains, which every waiter queue does —
 /// wakeups always drain the FIFO — so the buffer never creeps.
 class PidQueue {
  public:
-  /// Under the bench-only legacy shim (common/legacy.h) an empty queue
-  /// eagerly grabs a 512-byte buffer, reproducing the std::deque it
-  /// replaced (libstdc++ deques allocate one 512-byte chunk on default
-  /// construction — a heap hit per inode once a round stages 10^5 of
-  /// them). No observable state changes either way.
-  PidQueue() {
-    if (legacy_structures_enabled()) buf_.reserve(512 / sizeof(Pid));
-  }
-
   bool empty() const { return head_ == buf_.size(); }
   std::size_t size() const { return buf_.size() - head_; }
   Pid front() const { return buf_[head_]; }

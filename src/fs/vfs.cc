@@ -2,7 +2,6 @@
 
 #include <new>
 
-#include "tocttou/common/legacy.h"
 #include "tocttou/common/strings.h"
 #include "tocttou/sim/clone.h"
 
@@ -20,10 +19,7 @@ const char* to_string(FileType t) {
   return "?";
 }
 
-Vfs::Vfs(SyscallCosts costs)
-    : costs_(costs), legacy_(legacy_structures_enabled()) {
-  init_root();
-}
+Vfs::Vfs(SyscallCosts costs) : costs_(costs) { init_root(); }
 
 Vfs::Vfs(const Vfs& o, sim::CloneMap& m)
     : next_ino_(o.next_ino_),
@@ -33,14 +29,12 @@ Vfs::Vfs(const Vfs& o, sim::CloneMap& m)
       touched_tables_(o.touched_tables_),
       faults_(m.remap(o.faults_)),
       metrics_(m.remap(o.metrics_)),
-      arena_reuses_(o.arena_reuses_),
-      legacy_(o.legacy_) {
+      arena_reuses_(o.arena_reuses_) {
   m.add_range(&o, this, sizeof(Vfs));
   inodes_.reserve(o.inodes_.size());
   for (const auto& node : o.inodes_) {
     auto copy = std::make_unique<Inode>(*node, m);
     m.add_range(node.get(), copy.get(), sizeof(Inode));
-    if (legacy_) legacy_index_.emplace(copy->ino(), copy.get());
     inodes_.push_back(std::move(copy));
   }
 }
@@ -55,14 +49,10 @@ void Vfs::init_root() {
 }
 
 void Vfs::reset(SyscallCosts costs) {
-  legacy_ = legacy_structures_enabled();
-  legacy_index_.clear();
   // Recycle the round's inode allocations into the arena before wiping
-  // the table; alloc_inode() reinits them in place next round. The
-  // legacy shim frees instead: the old structures re-malloced the world
-  // every round, and the bench's before-leg must pay that.
+  // the table; alloc_inode() reinits them in place next round.
   for (auto& node : inodes_) {
-    if (legacy_ || arena_.size() >= kMaxArena) break;
+    if (arena_.size() >= kMaxArena) break;
     arena_.push_back(std::move(node));
   }
   costs_ = costs;
@@ -87,7 +77,7 @@ Inode& Vfs::alloc_inode(FileType type, sim::Uid uid, sim::Gid gid,
   std::unique_ptr<Inode> node;
   std::string sem_name =
       strfmt("i_sem:%llu", static_cast<unsigned long long>(ino));
-  if (!arena_.empty() && !legacy_) {
+  if (!arena_.empty()) {
     // Reinit a recycled allocation in place: destroy the stale inode,
     // then construct the new one into the same storage. The unique_ptr
     // is released around the destructor call so a throwing constructor
@@ -105,27 +95,16 @@ Inode& Vfs::alloc_inode(FileType type, sim::Uid uid, sim::Gid gid,
   }
   Inode& ref = *node;
   TOCTTOU_CHECK(ino == inodes_.size() + 1, "non-dense inode allocation");
-  if (legacy_) legacy_index_.emplace(ino, node.get());
   inodes_.push_back(std::move(node));
   return ref;
 }
 
 const Inode& Vfs::inode(Ino ino) const {
-  if (legacy_) {
-    const auto it = legacy_index_.find(ino);
-    TOCTTOU_CHECK(it != legacy_index_.end(), "unknown inode");
-    return *it->second;
-  }
   TOCTTOU_CHECK(ino != kNoIno && ino <= inodes_.size(), "unknown inode");
   return *inodes_[ino - 1];
 }
 
 Inode& Vfs::inode_mut(Ino ino) {
-  if (legacy_) {
-    const auto it = legacy_index_.find(ino);
-    TOCTTOU_CHECK(it != legacy_index_.end(), "unknown inode");
-    return *it->second;
-  }
   TOCTTOU_CHECK(ino != kNoIno && ino <= inodes_.size(), "unknown inode");
   return *inodes_[ino - 1];
 }
@@ -429,8 +408,8 @@ std::vector<std::string> Vfs::audit() const {
   };
 
   // Reference counts observed by walking every structure. Inos are dense,
-  // so flat arrays sized once up front replace the old std::map counters
-  // — a 10^5-inode round audits without a single mid-walk allocation.
+  // so the counters are flat arrays sized once up front — a 10^5-inode
+  // round audits without a single mid-walk allocation.
   const auto known = [this](Ino ino) {
     return ino != kNoIno && ino <= inodes_.size();
   };

@@ -12,53 +12,17 @@ using sim::CpuId;
 using sim::Pid;
 using sim::Process;
 
-namespace {
-LinuxLikeScheduler::RunQueueImpl g_default_impl =
-    LinuxLikeScheduler::RunQueueImpl::bitmap;
-}  // namespace
-
-void LinuxLikeScheduler::set_default_impl(RunQueueImpl impl) {
-  g_default_impl = impl;
-}
-
-LinuxLikeScheduler::RunQueueImpl LinuxLikeScheduler::default_impl() {
-  return g_default_impl;
-}
-
 LinuxLikeScheduler::LinuxLikeScheduler(LinuxSchedParams params)
-    : LinuxLikeScheduler(params, g_default_impl) {}
-
-LinuxLikeScheduler::LinuxLikeScheduler(LinuxSchedParams params,
-                                       RunQueueImpl impl)
-    : params_(params), impl_(impl) {}
+    : params_(params) {}
 
 void LinuxLikeScheduler::init(int n_cpus) {
-  if (impl_ == RunQueueImpl::legacy_map) {
-    queues_.assign(static_cast<std::size_t>(n_cpus), RunQueue{});
-  } else {
-    bqueues_.assign(static_cast<std::size_t>(n_cpus), BitmapQueue{});
-    nodes_.clear();
-  }
+  bqueues_.assign(static_cast<std::size_t>(n_cpus), BitmapQueue{});
+  nodes_.clear();
 }
 
 LinuxLikeScheduler::LinuxLikeScheduler(const LinuxLikeScheduler& o,
                                        sim::CloneMap& m)
-    : params_(o.params_), impl_(o.impl_) {
-  if (impl_ == RunQueueImpl::legacy_map) {
-    queues_.reserve(o.queues_.size());
-    for (const RunQueue& src : o.queues_) {
-      RunQueue q;
-      q.size = src.size;
-      for (const auto& [prio, fifo] : src.by_prio) {
-        auto& dst = q.by_prio[prio];
-        for (Process* p : fifo) dst.push_back(m.remap(p));
-      }
-      queues_.push_back(std::move(q));
-    }
-    return;
-  }
-  bqueues_ = o.bqueues_;
-  nodes_ = o.nodes_;
+    : params_(o.params_), bqueues_(o.bqueues_), nodes_(o.nodes_) {
   // Links are Pids — stable across the clone (the process table is copied
   // index-for-index); only the cached Process* of queued nodes remaps.
   for (Node& n : nodes_) {
@@ -69,22 +33,6 @@ LinuxLikeScheduler::LinuxLikeScheduler(const LinuxLikeScheduler& o,
 std::unique_ptr<sim::Scheduler> LinuxLikeScheduler::clone(
     sim::CloneMap& m) const {
   return std::unique_ptr<sim::Scheduler>(new LinuxLikeScheduler(*this, m));
-}
-
-// ---------------------------------------------------------------------------
-// legacy_map structure helpers
-// ---------------------------------------------------------------------------
-
-LinuxLikeScheduler::RunQueue& LinuxLikeScheduler::rq(CpuId cpu) {
-  TOCTTOU_CHECK(cpu >= 0 && static_cast<std::size_t>(cpu) < queues_.size(),
-                "bad cpu id in scheduler");
-  return queues_[static_cast<std::size_t>(cpu)];
-}
-
-const LinuxLikeScheduler::RunQueue& LinuxLikeScheduler::rq(CpuId cpu) const {
-  TOCTTOU_CHECK(cpu >= 0 && static_cast<std::size_t>(cpu) < queues_.size(),
-                "bad cpu id in scheduler");
-  return queues_[static_cast<std::size_t>(cpu)];
 }
 
 // ---------------------------------------------------------------------------
@@ -175,10 +123,6 @@ int LinuxLikeScheduler::highest_level(const BitmapQueue& q) {
   return -1;
 }
 
-std::size_t LinuxLikeScheduler::depth_of(CpuId cpu) const {
-  return impl_ == RunQueueImpl::legacy_map ? rq(cpu).size : bq(cpu).size;
-}
-
 // ---------------------------------------------------------------------------
 // policy
 // ---------------------------------------------------------------------------
@@ -201,52 +145,23 @@ CpuId LinuxLikeScheduler::place(const Process& p,
     return p.last_cpu();
   }
   CpuId best = allowed_cpus.front();
-  std::size_t best_depth = depth_of(best);
+  std::size_t best_depth = bq(best).size;
   for (CpuId c : allowed_cpus) {
-    if (depth_of(c) < best_depth) {
+    if (bq(c).size < best_depth) {
       best = c;
-      best_depth = depth_of(c);
+      best_depth = bq(c).size;
     }
   }
   return best;
 }
 
 void LinuxLikeScheduler::enqueue(Process& p, CpuId cpu, bool front) {
-  if (impl_ == RunQueueImpl::legacy_map) {
-    auto& q = rq(cpu);
-    auto& fifo = q.by_prio[p.priority()];
-    if (front) {
-      fifo.push_front(&p);
-    } else {
-      fifo.push_back(&p);
-    }
-    ++q.size;
-    return;
-  }
   BitmapQueue& q = bq(cpu);
   bq_link(q, p, front);
   node(p.pid()).cpu = cpu;
 }
 
 Process* LinuxLikeScheduler::pick_next(CpuId cpu) {
-  if (impl_ == RunQueueImpl::legacy_map) {
-    auto& q = rq(cpu);
-    while (!q.by_prio.empty()) {
-      auto it = q.by_prio.begin();
-      auto& fifo = it->second;
-      if (fifo.empty()) {
-        q.by_prio.erase(it);
-        continue;
-      }
-      Process* p = fifo.front();
-      fifo.pop_front();
-      --q.size;
-      if (fifo.empty()) q.by_prio.erase(it);
-      if (p->state() == sim::ProcState::ready) return p;
-      // Stale entry (e.g. removed process); skip it.
-    }
-    return nullptr;
-  }
   BitmapQueue& q = bq(cpu);
   int level;
   while ((level = highest_level(q)) >= 0) {
@@ -263,35 +178,18 @@ Process* LinuxLikeScheduler::steal(CpuId thief) {
   // Pull from the most loaded queue; take the TAIL of its lowest
   // priority level (the task that would otherwise wait longest), if its
   // affinity allows the thief CPU.
-  const std::size_t n_cpus =
-      impl_ == RunQueueImpl::legacy_map ? queues_.size() : bqueues_.size();
+  const std::size_t n_cpus = bqueues_.size();
   CpuId victim_cpu = sim::kNoCpu;
   std::size_t best = 0;
   for (std::size_t c = 0; c < n_cpus; ++c) {
     if (static_cast<CpuId>(c) == thief) continue;
-    const std::size_t depth = depth_of(static_cast<CpuId>(c));
+    const std::size_t depth = bqueues_[c].size;
     if (depth > best) {
       best = depth;
       victim_cpu = static_cast<CpuId>(c);
     }
   }
   if (victim_cpu == sim::kNoCpu) return nullptr;
-  if (impl_ == RunQueueImpl::legacy_map) {
-    auto& q = rq(victim_cpu);
-    for (auto it = q.by_prio.rbegin(); it != q.by_prio.rend(); ++it) {
-      auto& fifo = it->second;
-      for (auto pit = fifo.rbegin(); pit != fifo.rend(); ++pit) {
-        Process* p = *pit;
-        if (p->state() == sim::ProcState::ready &&
-            (p->affinity_mask() & (1ull << thief))) {
-          fifo.erase(std::next(pit).base());
-          --q.size;
-          return p;
-        }
-      }
-    }
-    return nullptr;
-  }
   BitmapQueue& q = bq(victim_cpu);
   for (int w = 0; w < kWords; ++w) {
     std::uint64_t word = q.words[static_cast<std::size_t>(w)];
@@ -317,16 +215,6 @@ Process* LinuxLikeScheduler::steal(CpuId thief) {
 
 std::vector<Process*> LinuxLikeScheduler::pick_candidates(CpuId cpu) const {
   std::vector<Process*> out;
-  if (impl_ == RunQueueImpl::legacy_map) {
-    const auto& q = rq(cpu);
-    for (const auto& [prio, fifo] : q.by_prio) {
-      for (Process* p : fifo) {
-        if (p->state() == sim::ProcState::ready) out.push_back(p);
-      }
-      if (!out.empty()) return out;  // highest level with a ready task
-    }
-    return out;
-  }
   const BitmapQueue& q = bq(cpu);
   for (int w = kWords - 1; w >= 0; --w) {
     std::uint64_t word = q.words[static_cast<std::size_t>(w)];
@@ -345,18 +233,6 @@ std::vector<Process*> LinuxLikeScheduler::pick_candidates(CpuId cpu) const {
 }
 
 bool LinuxLikeScheduler::take(Process& p, CpuId cpu) {
-  if (impl_ == RunQueueImpl::legacy_map) {
-    auto& q = rq(cpu);
-    const auto it = q.by_prio.find(p.priority());
-    if (it == q.by_prio.end()) return false;
-    auto& fifo = it->second;
-    const auto pit = std::find(fifo.begin(), fifo.end(), &p);
-    if (pit == fifo.end()) return false;
-    fifo.erase(pit);
-    --q.size;
-    if (fifo.empty()) q.by_prio.erase(it);
-    return true;
-  }
   if (p.pid() == sim::kNoPid || nodes_.size() < p.pid()) return false;
   Node& n = nodes_[p.pid() - 1];
   if (n.cpu != cpu) return false;
@@ -365,19 +241,6 @@ bool LinuxLikeScheduler::take(Process& p, CpuId cpu) {
 }
 
 void LinuxLikeScheduler::remove(const Process& p) {
-  if (impl_ == RunQueueImpl::legacy_map) {
-    for (auto& q : queues_) {
-      for (auto& [prio, fifo] : q.by_prio) {
-        auto it = std::find(fifo.begin(), fifo.end(), &p);
-        if (it != fifo.end()) {
-          fifo.erase(it);
-          --q.size;
-          return;
-        }
-      }
-    }
-    return;
-  }
   if (p.pid() == sim::kNoPid || nodes_.size() < p.pid()) return;
   Node& n = nodes_[p.pid() - 1];
   if (n.cpu == sim::kNoCpu) return;
@@ -396,16 +259,6 @@ bool LinuxLikeScheduler::should_preempt(const Process& woken,
 
 bool LinuxLikeScheduler::should_yield_on_expiry(const Process& running,
                                                 CpuId cpu) const {
-  if (impl_ == RunQueueImpl::legacy_map) {
-    const auto& q = rq(cpu);
-    for (const auto& [prio, fifo] : q.by_prio) {
-      if (prio < running.priority()) break;  // map is sorted descending
-      for (const Process* p : fifo) {
-        if (p->state() == sim::ProcState::ready) return true;
-      }
-    }
-    return false;
-  }
   const BitmapQueue& q = bq(cpu);
   const int floor = running.priority() + kPrioBias;
   for (int w = kWords - 1; w >= floor / 64; --w) {
@@ -433,27 +286,13 @@ Duration LinuxLikeScheduler::fresh_slice(const Process& p) const {
 }
 
 std::size_t LinuxLikeScheduler::queue_depth(CpuId cpu) const {
-  return depth_of(cpu);
+  return bq(cpu).size;
 }
 
 void LinuxLikeScheduler::hash_state(StateHasher& h) const {
-  if (impl_ == RunQueueImpl::legacy_map) {
-    h.u64(queues_.size());
-    for (const RunQueue& q : queues_) {
-      h.u64(q.size);
-      h.u64(q.by_prio.size());
-      for (const auto& [prio, fifo] : q.by_prio) {
-        h.i64(prio);
-        h.u64(fifo.size());
-        for (const sim::Process* p : fifo) h.u64(p->pid());
-      }
-    }
-    return;
-  }
-  // Same logical content as the legacy digest: per CPU, the levels that
-  // hold entries, in descending priority, each with its FIFO of pids.
-  // (The bitmap never retains a drained level, so level count == set-bit
-  // count.)
+  // Per CPU: the depth, then the levels that hold entries, in descending
+  // priority, each with its priority and its FIFO of pids. (The bitmap
+  // never retains a drained level, so level count == set-bit count.)
   h.u64(bqueues_.size());
   for (const BitmapQueue& q : bqueues_) {
     h.u64(q.size);

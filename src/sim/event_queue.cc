@@ -1,37 +1,16 @@
 #include "tocttou/sim/event_queue.h"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "tocttou/common/error.h"
 
 namespace tocttou::sim {
 
-namespace {
-
-// Process-wide default, set before campaigns start (bench_core_hotpath
-// toggles it between serial measurement passes); atomic so concurrent
-// campaign workers constructing kernels read it race-free.
-std::atomic<int> g_default_impl{static_cast<int>(EventQueue::Impl::pooled)};
-
-}  // namespace
-
-void EventQueue::set_default_impl(Impl impl) {
-  g_default_impl.store(static_cast<int>(impl), std::memory_order_relaxed);
-}
-
-EventQueue::Impl EventQueue::default_impl() {
-  return static_cast<Impl>(g_default_impl.load(std::memory_order_relaxed));
-}
-
-EventQueue::EventQueue() : impl_(default_impl()) {
-  if (impl_ == Impl::pooled) heap_.reserve(64);
-}
+EventQueue::EventQueue() { heap_.reserve(64); }
 
 void EventQueue::reset() {
   heap_.clear();  // keeps capacity — the point of reusing the queue
-  while (!legacy_.empty()) legacy_.pop();
   now_ = SimTime::origin();
   next_seq_ = 0;
   executed_ = 0;
@@ -65,12 +44,6 @@ void EventQueue::schedule_at(SimTime t, Callback cb) {
 
 void EventQueue::schedule_at(SimTime t, Callback cb, EventTag tag) {
   TOCTTOU_CHECK(t >= now_, "cannot schedule an event in the past");
-  if (impl_ == Impl::legacy) {
-    legacy_.push(LegacyEntry{
-        t, next_seq_++,
-        std::function<void(void*)>([cb](void* ctx) mutable { cb(ctx); })});
-    return;
-  }
   heap_.push_back(Entry{t, next_seq_++, tag, cb});
   sift_up(heap_.size() - 1);
 }
@@ -88,12 +61,6 @@ void EventQueue::hash_state(
     StateHasher& h,
     const std::function<bool(StateHasher&, const EventTag&)>& canon) const {
   h.time(now_);
-  if (impl_ == Impl::legacy) {
-    // Legacy entries carry no tag storage; hashing them would silently
-    // omit pending work.
-    if (!legacy_.empty()) h.mark_unhashable();
-    return;
-  }
   // Heap layout is scheduling-history-dependent; (t, seq) order is the
   // canonical firing order.
   std::vector<const Entry*> order;
@@ -118,20 +85,9 @@ void EventQueue::hash_state(
 }
 
 bool EventQueue::run_next(void* ctx) {
-  if (impl_ == Impl::legacy) {
-    if (legacy_.empty()) return false;
-    // priority_queue::top() is const; move out via const_cast is
-    // UB-adjacent, so copy the callback handle instead.
-    LegacyEntry e = legacy_.top();
-    legacy_.pop();
-    now_ = e.t;
-    ++executed_;
-    e.cb(ctx);
-    return true;
-  }
   if (heap_.empty()) return false;
   // Entry is trivially copyable: "moving" the root out is a small memcpy
-  // with no allocator traffic, unlike the legacy std::function copy.
+  // with no allocator traffic.
   Entry e = heap_.front();
   const Entry back = heap_.back();
   heap_.pop_back();
@@ -146,9 +102,6 @@ bool EventQueue::run_next(void* ctx) {
 }
 
 SimTime EventQueue::peek_time() const {
-  if (impl_ == Impl::legacy) {
-    return legacy_.empty() ? SimTime::never() : legacy_.top().t;
-  }
   return heap_.empty() ? SimTime::never() : heap_.front().t;
 }
 

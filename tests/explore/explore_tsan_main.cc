@@ -76,7 +76,7 @@ int main() {
   bool ok = check_pair(cfg, ex, "exhaustive-checkpoint-reduction-on");
   // Reduction off: the pre-reduction wave executor, for contrast — the
   // pair must still match each other (and the on legs match them via
-  // the dpor-smoke byte-diffs and the gtest equivalence harness).
+  // the cli_reduction_on_off ctest and the gtest equivalence harness).
   ex.state_hash = false;
   ex.dpor = false;
   ok = check_pair(cfg, ex, "exhaustive-checkpoint-reduction-off") && ok;

@@ -2,17 +2,14 @@
 //
 // The multi-tenant scale model stages O(10^4)-O(10^5) inode trees per
 // round, which is exactly where an accidental O(n log n) in the audit,
-// a broken hashed-directory index, or a divergence in the bench-only
-// legacy-structure shim would hide. These tests pin the auditor's
-// verdicts on a 10^4-inode tree and prove the legacy shim is
-// observationally identical to the indexed structures.
+// a broken hashed-directory index, or an inode arena that stops
+// recycling would hide. These tests pin the auditor's verdicts on a
+// 10^4-inode tree and check that reset() recycles inode allocations.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "tocttou/common/legacy.h"
-#include "tocttou/common/state_hash.h"
 #include "tocttou/common/strings.h"
 #include "tocttou/fs/vfs.h"
 #include "tocttou/programs/background.h"
@@ -61,52 +58,15 @@ TEST(VfsScaleTest, AuditFlagsPlantedCorruptionIn10kInodeTree) {
   EXPECT_TRUE(any_line_contains(v, "nlink mismatch")) << v.front();
 }
 
-TEST(VfsScaleTest, LegacyShimIsObservationallyIdentical) {
-  // The bench-only legacy shim (common/legacy.h) must change COSTS, not
-  // answers: same inos, same lookups, same audit verdict, same canonical
-  // state digest as the indexed structures, on the same staged tree.
-  Vfs indexed(SyscallCosts::xeon());
-  programs::stage_background_tree(indexed, scale_spec());
-
-  set_legacy_structures(true);
-  Vfs legacy(SyscallCosts::xeon());
-  programs::stage_background_tree(legacy, scale_spec());
-  set_legacy_structures(false);
-
-  ASSERT_EQ(indexed.inode_count(), legacy.inode_count());
-  for (const char* path :
-       {"/srv/www/f0", "/etc/crontab", "/srv/data/t0/s0/u0/v0/f0",
-        "/srv/data/t0/s7/u3/v1/f5", "/tmp/build", "/var/log"}) {
-    const auto a = indexed.lookup(path);
-    const auto b = legacy.lookup(path);
-    ASSERT_EQ(a.ok(), b.ok()) << path;
-    if (a.ok()) EXPECT_EQ(a.value(), b.value()) << path;
-  }
-  EXPECT_TRUE(legacy.audit().empty());
-
-  StateHasher ha, hb;
-  indexed.hash_state(ha);
-  legacy.hash_state(hb);
-  EXPECT_EQ(ha.digest(), hb.digest());
-}
-
-TEST(VfsScaleTest, LegacyShimResetSkipsArena) {
-  // The legacy leg of bench_scale_tenancy must re-pay the allocation of
-  // the world every round, like the structures it stands in for: reset()
-  // under the shim recycles nothing.
-  set_legacy_structures(true);
+TEST(VfsScaleTest, ResetRecyclesInodesThroughArena) {
+  // reset() parks the round's inode allocations in the arena, and the
+  // next round's creates reinit them in place instead of allocating.
   Vfs vfs(SyscallCosts::xeon());
   vfs.create_file("/a", 0, 0);
   vfs.reset(SyscallCosts::xeon());
+  const std::uint64_t before = vfs.arena_reuses();
   vfs.create_file("/a", 0, 0);
-  EXPECT_EQ(vfs.arena_reuses(), 0u);
-  set_legacy_structures(false);
-
-  Vfs indexed(SyscallCosts::xeon());
-  indexed.create_file("/a", 0, 0);
-  indexed.reset(SyscallCosts::xeon());
-  indexed.create_file("/a", 0, 0);
-  EXPECT_GT(indexed.arena_reuses(), 0u);
+  EXPECT_GT(vfs.arena_reuses(), before);
 }
 
 }  // namespace

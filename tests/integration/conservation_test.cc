@@ -19,6 +19,11 @@ struct RoundCase {
   std::uint64_t bytes;
 };
 
+// gtest lists each case with its printed parameter, and ctest takes that
+// as part of the test's name. The default printer dumps the struct's raw
+// bytes, pointers included, so the name would change with ASLR.
+void PrintTo(const RoundCase& c, std::ostream* os) { *os << c.name; }
+
 class ConservationTest : public ::testing::TestWithParam<RoundCase> {};
 
 RoundResult traced_round(const RoundCase& c, std::uint64_t seed) {

@@ -14,6 +14,10 @@ struct DefenseCase {
   AttackerKind attacker;
 };
 
+// Keeps the ctest name free of the default printer's pointer bytes, which
+// change with ASLR.
+void PrintTo(const DefenseCase& c, std::ostream* os) { *os << c.name; }
+
 class DefenseTest : public ::testing::TestWithParam<DefenseCase> {};
 
 TEST_P(DefenseTest, FdAttrRemedyStopsPrivilegeEscalation) {

@@ -210,6 +210,10 @@ struct TestbedCase {
   programs::TestbedProfile (*make)();
 };
 
+// Keeps the ctest name free of the default printer's pointer bytes, which
+// change with ASLR.
+void PrintTo(const TestbedCase& c, std::ostream* os) { *os << c.name; }
+
 class TestbedInvariantTest : public ::testing::TestWithParam<TestbedCase> {};
 
 TEST_P(TestbedInvariantTest, RoundAlwaysTerminatesCleanly) {

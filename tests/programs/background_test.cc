@@ -8,7 +8,6 @@
 
 #include <string>
 
-#include "tocttou/common/legacy.h"
 #include "tocttou/core/harness.h"
 #include "tocttou/fs/vfs.h"
 
@@ -143,20 +142,6 @@ TEST(BackgroundDeterminismTest, TenantRoundsSurviveContextReuse) {
   EXPECT_EQ(fresh.events, reused.events);
   EXPECT_EQ(fresh.end_time, reused.end_time);
   EXPECT_EQ(fresh.schedule_token, reused.schedule_token);
-}
-
-TEST(BackgroundDeterminismTest, LegacyShimSimulatesIdentically) {
-  // bench_scale_tenancy's before/after legs must be the SAME experiment:
-  // the legacy-structure shim may change costs only, never outcomes.
-  core::ScenarioConfig cfg = tenant_cfg();
-  const core::RoundResult indexed = core::run_round(cfg);
-  set_legacy_structures(true);
-  const core::RoundResult legacy = core::run_round(cfg);
-  set_legacy_structures(false);
-  EXPECT_EQ(indexed.success, legacy.success);
-  EXPECT_EQ(indexed.events, legacy.events);
-  EXPECT_EQ(indexed.end_time, legacy.end_time);
-  EXPECT_EQ(indexed.schedule_token, legacy.schedule_token);
 }
 
 }  // namespace

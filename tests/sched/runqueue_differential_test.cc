@@ -1,14 +1,14 @@
-// Differential and scale tests for the two run-queue implementations.
+// Differential and scale tests for the scheduler's run queues.
 //
 // The bitmap queue exists so a run queue holding a thousand tenant
-// processes costs the same per event as one holding three; the
-// legacy_map structure is retained as the baseline it must be
-// indistinguishable from. These tests drive both through identical
-// randomized operation traces and assert every observable — picked
-// pids, steal victims, candidate lists, per-CPU depths — agrees, plus
-// the conservation invariant (sum of queue depths == processes queued)
-// after every single operation. The scale tests then prove the policy
-// stays exactly work-conserving and balanced at O(10^3) processes.
+// processes costs the same per event as one holding three. The
+// differential test drives it and a plain reference queue
+// (reference_run_queue.h) through one randomized operation trace and
+// asserts every observable — picked pids, steal victims, candidate
+// lists, per-CPU depths — agrees, plus the conservation invariant (sum
+// of queue depths == processes queued) after every single operation.
+// The scale tests then prove the policy stays exactly work-conserving
+// and balanced at O(10^3) processes.
 #include "tocttou/sched/linux_sched.h"
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "../testing/programs.h"
+#include "reference_run_queue.h"
 #include "tocttou/common/rng.h"
 #include "tocttou/common/strings.h"
 #include "tocttou/sim/kernel.h"
@@ -73,12 +74,9 @@ TEST(RunQueueDifferentialTest, RandomizedTraceAgreesAcrossImpls) {
     mask_of[p] = mask;
   }
 
-  LinuxLikeScheduler bitmap(LinuxSchedParams{},
-                            LinuxLikeScheduler::RunQueueImpl::bitmap);
-  LinuxLikeScheduler legacy(LinuxSchedParams{},
-                            LinuxLikeScheduler::RunQueueImpl::legacy_map);
+  LinuxLikeScheduler bitmap(LinuxSchedParams{});
   bitmap.init(kCpus);
-  legacy.init(kCpus);
+  ReferenceRunQueue reference(kCpus);
 
   // Driver-side model: which pids are queued, and where. Enqueues
   // respect each process's affinity mask, exactly like the kernel.
@@ -98,12 +96,12 @@ TEST(RunQueueDifferentialTest, RandomizedTraceAgreesAcrossImpls) {
       } while (!(mask_of[p] >> cpu & 1));
       const bool front = rng.uniform_int(0, 1) == 1;
       bitmap.enqueue(k.process(p), cpu, front);
-      legacy.enqueue(k.process(p), cpu, front);
+      reference.enqueue(k.process(p), cpu, front);
       queued[p] = cpu;
     } else if (kind == 4 || kind == 5) {
       const auto cpu = static_cast<sim::CpuId>(rng.uniform_int(0, kCpus - 1));
       sim::Process* a = bitmap.pick_next(cpu);
-      sim::Process* b = legacy.pick_next(cpu);
+      sim::Process* b = reference.pick_next(cpu);
       ASSERT_EQ(a == nullptr, b == nullptr) << "op " << op;
       if (a != nullptr) {
         ASSERT_EQ(a->pid(), b->pid()) << "op " << op;
@@ -113,7 +111,7 @@ TEST(RunQueueDifferentialTest, RandomizedTraceAgreesAcrossImpls) {
     } else if (kind == 6) {
       const auto thief = static_cast<sim::CpuId>(rng.uniform_int(0, kCpus - 1));
       sim::Process* a = bitmap.steal(thief);
-      sim::Process* b = legacy.steal(thief);
+      sim::Process* b = reference.steal(thief);
       ASSERT_EQ(a == nullptr, b == nullptr) << "op " << op;
       if (a != nullptr) {
         ASSERT_EQ(a->pid(), b->pid()) << "op " << op;
@@ -126,7 +124,7 @@ TEST(RunQueueDifferentialTest, RandomizedTraceAgreesAcrossImpls) {
                            0, static_cast<std::int64_t>(queued.size()) - 1));
       const Pid p = it->first;
       bitmap.remove(k.process(p));
-      legacy.remove(k.process(p));
+      reference.remove(k.process(p));
       queued.erase(it);
       unqueued.push_back(p);
     } else if (kind == 8 && !queued.empty()) {
@@ -136,16 +134,16 @@ TEST(RunQueueDifferentialTest, RandomizedTraceAgreesAcrossImpls) {
       const Pid p = it->first;
       const sim::CpuId cpu = it->second;
       ASSERT_TRUE(bitmap.take(k.process(p), cpu)) << "op " << op;
-      ASSERT_TRUE(legacy.take(k.process(p), cpu)) << "op " << op;
+      ASSERT_TRUE(reference.take(k.process(p), cpu)) << "op " << op;
       // A second take of the same process must fail on both.
       ASSERT_FALSE(bitmap.take(k.process(p), cpu)) << "op " << op;
-      ASSERT_FALSE(legacy.take(k.process(p), cpu)) << "op " << op;
+      ASSERT_FALSE(reference.take(k.process(p), cpu)) << "op " << op;
       queued.erase(it);
       unqueued.push_back(p);
     } else {
       const auto cpu = static_cast<sim::CpuId>(rng.uniform_int(0, kCpus - 1));
       const auto ca = bitmap.pick_candidates(cpu);
-      const auto cb = legacy.pick_candidates(cpu);
+      const auto cb = reference.pick_candidates(cpu);
       ASSERT_EQ(ca.size(), cb.size()) << "op " << op;
       for (std::size_t i = 0; i < ca.size(); ++i) {
         ASSERT_EQ(ca[i]->pid(), cb[i]->pid()) << "op " << op << " cand " << i;
@@ -155,7 +153,7 @@ TEST(RunQueueDifferentialTest, RandomizedTraceAgreesAcrossImpls) {
     // the trace did may create or leak a queued process.
     std::size_t total = 0;
     for (int c = 0; c < kCpus; ++c) {
-      ASSERT_EQ(bitmap.queue_depth(c), legacy.queue_depth(c))
+      ASSERT_EQ(bitmap.queue_depth(c), reference.queue_depth(c))
           << "op " << op << " cpu " << c;
       total += bitmap.queue_depth(c);
     }

@@ -13,22 +13,7 @@ namespace {
 
 using namespace tocttou::literals;
 
-/// Runs each test body under both queue implementations (the pooled
-/// inline-storage heap and the legacy std::function priority queue kept
-/// for before/after benchmarking) — they must be indistinguishable.
-class EventQueueTest : public ::testing::TestWithParam<EventQueue::Impl> {
- protected:
-  void SetUp() override {
-    saved_ = EventQueue::default_impl();
-    EventQueue::set_default_impl(GetParam());
-  }
-  void TearDown() override { EventQueue::set_default_impl(saved_); }
-
- private:
-  EventQueue::Impl saved_ = EventQueue::Impl::pooled;
-};
-
-TEST_P(EventQueueTest, RunsInTimeOrder) {
+TEST(EventQueueTest, RunsInTimeOrder) {
   EventQueue q;
   std::vector<int> order;
   q.schedule_at(SimTime::origin() + 5_us, [&] { order.push_back(2); });
@@ -41,7 +26,7 @@ TEST_P(EventQueueTest, RunsInTimeOrder) {
   EXPECT_EQ(q.executed(), 3u);
 }
 
-TEST_P(EventQueueTest, TiesBreakInScheduleOrder) {
+TEST(EventQueueTest, TiesBreakInScheduleOrder) {
   EventQueue q;
   std::vector<int> order;
   for (int i = 0; i < 10; ++i) {
@@ -52,7 +37,7 @@ TEST_P(EventQueueTest, TiesBreakInScheduleOrder) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST_P(EventQueueTest, ScheduleAfterUsesNow) {
+TEST(EventQueueTest, ScheduleAfterUsesNow) {
   EventQueue q;
   SimTime seen;
   q.schedule_at(SimTime::origin() + 2_us, [&] {
@@ -63,7 +48,7 @@ TEST_P(EventQueueTest, ScheduleAfterUsesNow) {
   EXPECT_EQ(seen, SimTime::origin() + 5_us);
 }
 
-TEST_P(EventQueueTest, EventsCanScheduleEvents) {
+TEST(EventQueueTest, EventsCanScheduleEvents) {
   EventQueue q;
   int depth = 0;
   // Callbacks need trivially copyable captures, so the recursion closes
@@ -81,14 +66,14 @@ TEST_P(EventQueueTest, EventsCanScheduleEvents) {
   EXPECT_EQ(depth, 5);
 }
 
-TEST_P(EventQueueTest, RejectsPast) {
+TEST(EventQueueTest, RejectsPast) {
   EventQueue q;
   q.schedule_at(SimTime::origin() + 5_us, [] {});
   q.run_next();
   EXPECT_THROW(q.schedule_at(SimTime::origin() + 1_us, [] {}), SimError);
 }
 
-TEST_P(EventQueueTest, PeekTime) {
+TEST(EventQueueTest, PeekTime) {
   EventQueue q;
   EXPECT_EQ(q.peek_time(), SimTime::never());
   q.schedule_at(SimTime::origin() + 7_us, [] {});
@@ -96,12 +81,12 @@ TEST_P(EventQueueTest, PeekTime) {
   EXPECT_EQ(q.pending(), 1u);
 }
 
-TEST_P(EventQueueTest, EmptyRunReturnsFalse) {
+TEST(EventQueueTest, EmptyRunReturnsFalse) {
   EventQueue q;
   EXPECT_FALSE(q.run_next());
 }
 
-TEST_P(EventQueueTest, InterleavedPushPopKeepsHeapOrder) {
+TEST(EventQueueTest, InterleavedPushPopKeepsHeapOrder) {
   EventQueue q;
   std::vector<int> order;
   // Exercise sift_down paths: pop some events while later ones are still
@@ -119,7 +104,7 @@ TEST_P(EventQueueTest, InterleavedPushPopKeepsHeapOrder) {
   EXPECT_EQ(order, (std::vector<int>{2, 4, 6, 8, 10, 24}));
 }
 
-TEST_P(EventQueueTest, ManyEventsDrainSorted) {
+TEST(EventQueueTest, ManyEventsDrainSorted) {
   EventQueue q;
   std::vector<std::int64_t> order;
   // Deterministic pseudo-random insertion order.
@@ -138,12 +123,34 @@ TEST_P(EventQueueTest, ManyEventsDrainSorted) {
   EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    BothImpls, EventQueueTest,
-    ::testing::Values(EventQueue::Impl::pooled, EventQueue::Impl::legacy),
-    [](const ::testing::TestParamInfo<EventQueue::Impl>& info) {
-      return info.param == EventQueue::Impl::pooled ? "pooled" : "legacy";
-    });
+TEST(EventQueueTest, HashStateFollowsFiringOrderAndFlagsUntaggedEvents) {
+  // Pending entries digest in (time, seq) order whatever order they were
+  // scheduled in; the tags are part of the digest; an untagged entry
+  // makes the state unhashable.
+  const auto digest = [](const EventQueue& q) {
+    StateHasher h;
+    q.hash_state(h);
+    EXPECT_TRUE(h.hashable());
+    return h.digest();
+  };
+  const auto fill = [](EventQueue& q, std::vector<int> order, int a0) {
+    for (const int i : order) {
+      q.schedule_at(SimTime::origin() + Duration::micros(i), [] {},
+                    EventTag{static_cast<std::uint32_t>(i), a0 * i, 0});
+    }
+  };
+  EventQueue a, b, c;
+  fill(a, {1, 2, 3}, 10);
+  fill(b, {3, 2, 1}, 10);  // a different heap layout, same firing order
+  fill(c, {1, 2, 3}, 11);
+  EXPECT_EQ(digest(a), digest(b));
+  EXPECT_NE(digest(a), digest(c));
+
+  a.schedule_at(SimTime::origin() + 7_us, [] {});
+  StateHasher h;
+  a.hash_state(h);
+  EXPECT_FALSE(h.hashable());
+}
 
 }  // namespace
 }  // namespace tocttou::sim
