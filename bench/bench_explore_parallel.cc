@@ -121,10 +121,11 @@ ReuseReport bench_context_reuse(int rounds) {
 }
 
 /// Checkpoint/fork ablation: the up/vi exhaustive sweep run twice —
-/// checkpointing ON (fork leaves off mid-round parent clones, memoize
-/// across deepening iterations) vs OFF (re-simulate every leaf's full
-/// schedule prefix). Results are bit-identical by contract; only wall
-/// time and the checkpoint counters differ. leaves/sec uses the
+/// checkpointing ON (fork leaves off mid-round parent clones) vs OFF
+/// (re-simulate every leaf's full schedule prefix). Both modes reduce
+/// schedules re-enumerated by deeper iterations from the outcome store,
+/// so the ratio measures forking alone. Results are bit-identical by
+/// contract; only wall time and the checkpoint counters differ. leaves/sec uses the
 /// enumerated schedule count (the logical work, identical either way)
 /// so the speedup is the wall-clock ratio.
 struct AblationReport {
@@ -247,9 +248,9 @@ int main(int argc, char** argv) {
               reuse.fresh_rps, reuse.reuse_rps, reuse.speedup);
 
   // Checkpoint/fork ablation on the up/vi exhaustive sweep. The deep
-  // bound is where prefix re-simulation dominates (iterative deepening
-  // re-enumerates every shallower wave per iteration), so it is the
-  // honest shape for the headline speedup.
+  // bound is where prefix re-simulation dominates (each leaf shares a
+  // long prefix with its parent), so it is the honest shape for the
+  // headline speedup.
   const AblationReport abl =
       bench_checkpoint_ablation(buckets_or(64), /*bound=*/5);
   std::printf("checkpoint ablation   up/vi buckets=%d bound=%d   "

@@ -1,9 +1,9 @@
-// Profiles the explorer's reduction layer (DESIGN.md §10): DPOR
-// conflict classification + canonical state hashing. Two legs, both
-// with bit-identical-results CHECKs (reduction is an accounting and
-// throughput feature, never a semantic one):
+// Profiles the explorer's schedule reduction (DESIGN.md §10): canonical
+// state hashing with donor merging, on against off. Two legs, both with
+// bit-identical-results CHECKs (hashing is a throughput feature, never
+// a semantic one):
 //
-//   1. up/vi exhaustive at preemption bound 5 — reduction on vs off.
+//   1. up/vi exhaustive at preemption bound 5 — hashing on vs off.
 //      The acceptance ratio lives here: with checkpointing on, state
 //      merging executes at most HALF the enumerated schedules
 //      (schedules / leaves_executed >= 2), CHECKed, not just reported.
@@ -15,14 +15,15 @@
 //      per-leaf execution only clears by burning the merged leaves'
 //      wall time too.
 //
-//   ./bench_explore_dpor [output.json]
+//   ./bench_explore_reduction [output.json]
 //
-// Defaults to BENCH_explore_dpor.json in the working directory.
+// Defaults to BENCH_explore_reduction.json in the working directory.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "tocttou/common/error.h"
 #include "tocttou/common/state_hash.h"
@@ -51,9 +52,9 @@ core::ScenarioConfig up_vi() {
 }
 
 /// A coarse-grain compute-only bystander: spins in 100µs blocks and
-/// exits. No syscalls, so every ordering against it is independent by
-/// the journal-derived conflict relation, and its state machine is one
-/// counter, so merged states stay hashable. (LivelockProgram's 100ns
+/// exits. No syscalls, so orderings against it rarely change the file
+/// system's fate, and its state machine is one counter, so merged
+/// states stay hashable. (LivelockProgram's 100ns
 /// grain would blow the step budget here; this spinner exists to add
 /// scheduling choice, not load.)
 class CoarseSpinner : public sim::Program {
@@ -104,8 +105,6 @@ struct LegReport {
   double on_secs = 0.0;
   std::uint64_t leaves_executed = 0;
   std::uint64_t hash_merges = 0;
-  std::uint64_t backtrack_points = 0;
-  std::uint64_t dpor_pruned = 0;
   double execution_ratio = 0.0;  // schedules / leaves_executed
 };
 
@@ -121,25 +120,21 @@ LegReport run_leg(const core::ScenarioConfig& cfg, int bound) {
   LegReport r;
 
   ecfg.state_hash = false;
-  ecfg.dpor = false;
   const auto t_off = Clock::now();
   const explore::ExploreResult off = explore::explore(cfg, ecfg);
   r.off_secs = seconds_since(t_off);
 
   ecfg.state_hash = true;
-  ecfg.dpor = true;
   const auto t_on = Clock::now();
   const explore::ExploreResult on = explore::explore(cfg, ecfg);
   r.on_secs = seconds_since(t_on);
 
   TOCTTOU_CHECK(same_result(off, on),
-                "reduction must not change exploration results");
+                "state hashing must not change exploration results");
   r.schedules = on.schedules;
   r.complete = on.complete;
   r.leaves_executed = on.metrics.counter("explore.leaves_executed");
   r.hash_merges = on.metrics.counter("explore.hash_merges");
-  r.backtrack_points = on.metrics.counter("explore.backtrack_points");
-  r.dpor_pruned = on.metrics.counter("explore.dpor_pruned");
   TOCTTOU_CHECK(r.leaves_executed > 0, "some leaves must execute");
   r.execution_ratio =
       static_cast<double>(r.schedules) / static_cast<double>(r.leaves_executed);
@@ -155,12 +150,9 @@ std::string leg_json(const char* name, const LegReport& r) {
       r.schedules);
   json += strfmt(
       "    \"on\": {\"secs\": %.3f, \"leaves_executed\": %llu, "
-      "\"hash_merges\": %llu, \"backtrack_points\": %llu, "
-      "\"dpor_pruned\": %llu},\n",
+      "\"hash_merges\": %llu},\n",
       r.on_secs, static_cast<unsigned long long>(r.leaves_executed),
-      static_cast<unsigned long long>(r.hash_merges),
-      static_cast<unsigned long long>(r.backtrack_points),
-      static_cast<unsigned long long>(r.dpor_pruned));
+      static_cast<unsigned long long>(r.hash_merges));
   json += strfmt("    \"execution_ratio\": %.4f}", r.execution_ratio);
   return json;
 }
@@ -171,26 +163,23 @@ std::string leg_json(const char* name, const LegReport& r) {
 int main(int argc, char** argv) {
   using namespace tocttou;
 
-  const char* out_path = argc > 1 ? argv[1] : "BENCH_explore_dpor.json";
+  const char* out_path = argc > 1 ? argv[1] : "BENCH_explore_reduction.json";
 
-  // Leg 1: the acceptance scenario. up/vi bound 5, reduction on vs off.
+  // Leg 1: the acceptance scenario. up/vi bound 5, hashing on vs off.
   const LegReport up = run_leg(up_vi(), /*bound=*/5);
   std::printf("up/vi bound=5        %4d schedules   off %6.2fs   on %6.2fs\n",
               up.schedules, up.off_secs, up.on_secs);
-  std::printf("  executed %llu of %d leaves (%.2fx fewer)   merges=%llu "
-              "backtracks=%llu dpor_pruned=%llu\n",
+  std::printf("  executed %llu of %d leaves (%.2fx fewer)   merges=%llu\n",
               static_cast<unsigned long long>(up.leaves_executed),
               up.schedules, up.execution_ratio,
-              static_cast<unsigned long long>(up.hash_merges),
-              static_cast<unsigned long long>(up.backtrack_points),
-              static_cast<unsigned long long>(up.dpor_pruned));
+              static_cast<unsigned long long>(up.hash_merges));
   TOCTTOU_CHECK(up.execution_ratio >= 2.0,
-                "reduction must execute at most half the enumerated "
+                "state hashing must execute at most half the enumerated "
                 "schedules on up/vi at bound 5");
 
   // Leg 2: three processes. The bystander's compute blocks only add
   // scheduling choice sites, so the schedule space grows while the set
-  // of distinct states barely moves — the shape reduction exists for.
+  // of distinct states barely moves — the shape state hashing exists for.
   core::ScenarioConfig three = up_vi();
   three.extra_programs.push_back(
       {.name = "bystander",
@@ -202,23 +191,22 @@ int main(int argc, char** argv) {
   const LegReport tp = run_leg(three, /*bound=*/3);
   std::printf("3-proc bound=3       %4d schedules   off %6.2fs   on %6.2fs\n",
               tp.schedules, tp.off_secs, tp.on_secs);
-  std::printf("  executed %llu of %d leaves (%.2fx fewer)   merges=%llu "
-              "backtracks=%llu dpor_pruned=%llu\n",
+  std::printf("  executed %llu of %d leaves (%.2fx fewer)   merges=%llu\n",
               static_cast<unsigned long long>(tp.leaves_executed),
               tp.schedules, tp.execution_ratio,
-              static_cast<unsigned long long>(tp.hash_merges),
-              static_cast<unsigned long long>(tp.backtrack_points),
-              static_cast<unsigned long long>(tp.dpor_pruned));
+              static_cast<unsigned long long>(tp.hash_merges));
   TOCTTOU_CHECK(tp.complete,
                 "three-process sweep must complete within the budget");
   TOCTTOU_CHECK(tp.hash_merges > 0,
                 "the bystander's redundant interleavings must merge");
 
   std::string json = "{\n";
-  json += "  \"bench\": \"explore_dpor\",\n";
+  json += "  \"bench\": \"explore_reduction\",\n";
   json +=
-      "  \"optimization\": \"journal-derived DPOR conflict classification + "
-      "canonical state hashing with donor merging\",\n";
+      "  \"optimization\": \"canonical state hashing with donor "
+      "merging\",\n";
+  json += strfmt("  \"hardware_threads\": %u,\n",
+                 std::thread::hardware_concurrency());
   json += leg_json("up_vi_bound5", up) + ",\n";
   json += leg_json("three_process_bound3", tp) + ",\n";
   json += "  \"identical_results\": true\n";

@@ -17,7 +17,7 @@
 //    >= 1 / (n * k^(d-1)) per schedule.
 //
 // Sites are recorded with enough context (candidate pids, the policy
-// option, commutativity flags from an IndependenceOracle) for the DFS
+// option, commutativity flags from independent()) for the DFS
 // enumerator to expand siblings and apply sleep-set-style pruning.
 #pragma once
 
@@ -56,30 +56,14 @@ class ChoiceSource {
   virtual int choose(const ChoiceContext& ctx) = 0;
 };
 
-/// Declares which pairs of processes commute at a pick site: if the two
-/// front-runners are independent, running them in either order reaches
-/// the same outcome, so the enumerator explores only the policy order
-/// (sleep-set-style pruning). The default is deliberately conservative:
-/// only kernel threads — which never touch the VFS — commute with
-/// anything. Override to declare domain knowledge (e.g. processes known
-/// to operate on disjoint file trees).
-class IndependenceOracle {
- public:
-  virtual ~IndependenceOracle() = default;
-  virtual bool independent(const sim::Process& a,
-                           const sim::Process& b) const;
-
-  /// Called once per resolved choice site, after the commute bits were
-  /// computed, with the full site context and the chosen option. The
-  /// default is a no-op; a recording oracle (explore/dpor.h) overrides
-  /// it to classify per-site conflicts from the live process states
-  /// WITHOUT affecting the enumeration — the verdicts that shape sleep
-  /// sets still come from independent() alone.
-  virtual void observe_site(const ChoiceContext& ctx, int chosen) const {
-    (void)ctx;
-    (void)chosen;
-  }
-};
+/// The commute rule for pick sites: if the two front-runners are
+/// independent, running them in either order reaches the same outcome,
+/// so the enumerator explores only the policy order (sleep-set-style
+/// pruning). Deliberately conservative: only kernel threads — which
+/// never touch the VFS — commute with anything. A relation that lets a
+/// process between syscalls commute prunes the timing-only orders the
+/// paper's SMP attacks win by (DESIGN.md §10).
+bool independent(const sim::Process& a, const sim::Process& b);
 
 /// One resolved choice site, with the context the enumerator needs.
 struct SiteRecord {
@@ -87,8 +71,8 @@ struct SiteRecord {
   std::uint16_t policy = 0;  // the option the policy would have taken
   /// pick sites: candidate pid per option.
   std::vector<sim::Pid> options;
-  /// pick sites: option i commutes with the chosen option per the oracle
-  /// (never set for the chosen option itself).
+  /// pick sites: option i commutes with the chosen option per
+  /// independent() (never set for the chosen option itself).
   std::vector<std::uint8_t> commutes_with_chosen;
 
   bool operator==(const SiteRecord&) const = default;
@@ -97,9 +81,8 @@ struct SiteRecord {
 class GuidedSource final : public ChoiceSource {
  public:
   /// Follows `prefix` (validating kind/option-count at each site), then
-  /// the policy. `oracle` may be null (use the default oracle).
-  explicit GuidedSource(std::vector<Choice> prefix,
-                        const IndependenceOracle* oracle = nullptr);
+  /// the policy.
+  explicit GuidedSource(std::vector<Choice> prefix);
 
   /// Mid-stream form for checkpoint forks: the round being steered has
   /// ALREADY resolved `seeded_sites` (inherited from the parent state the
@@ -108,7 +91,7 @@ class GuidedSource final : public ChoiceSource {
   /// align with global site indices, exactly as if the whole round had
   /// been replayed under `prefix` from the start — sites(), consumed()
   /// and token_choices() all report from the round's beginning.
-  GuidedSource(std::vector<Choice> prefix, const IndependenceOracle* oracle,
+  GuidedSource(std::vector<Choice> prefix,
                std::vector<SiteRecord> seeded_sites);
 
   int choose(const ChoiceContext& ctx) override;
@@ -127,7 +110,6 @@ class GuidedSource final : public ChoiceSource {
 
  private:
   std::vector<Choice> prefix_;
-  const IndependenceOracle* oracle_;
   std::vector<SiteRecord> sites_;
   std::size_t consumed_ = 0;
   std::string error_;

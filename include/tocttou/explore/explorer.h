@@ -78,11 +78,9 @@ struct ExploreConfig {
   int max_schedules = 200000;
 
   /// Sleep-set-style pruning of alternatives that commute with the
-  /// policy pick (per `oracle`). Off = enumerate them anyway.
+  /// policy pick (per explore::independent(): only kernel threads
+  /// commute). Off = enumerate them anyway.
   bool use_sleep_sets = true;
-
-  /// Commutativity knowledge for the pruning; null = default oracle.
-  const IndependenceOracle* oracle = nullptr;
 
   /// PCT mode knobs: bug depth d, schedules to run, expected choice
   /// sites per schedule (the k the change points are drawn over).
@@ -101,11 +99,18 @@ struct ExploreConfig {
   /// Exhaustive mode: fork each leaf from a checkpoint of its parent at
   /// the divergence site (core::RoundRun's deep clone) instead of
   /// re-simulating the shared schedule prefix from scratch — the
-  /// default, and an order-of-magnitude leaves/sec win on deep waves.
-  /// Off = full prefix replay per leaf. Every ExploreResult field is
-  /// byte-identical either way; checkpointing additionally reports the
-  /// explore.checkpoints / explore.forks / explore.prefix_ns_saved
-  /// counters (jobs-invariant, on-only) in ExploreResult::metrics.
+  /// default, and about a 2x leaves/sec win on deep waves.
+  /// Off = full prefix replay per leaf. Either way every schedule
+  /// executes at most once: the explorer's outcome store hands deeper
+  /// deepening iterations (and resumed sweeps) the stored outcome.
+  /// Every ExploreResult field is byte-identical either way;
+  /// checkpointing additionally reports the explore.checkpoints /
+  /// explore.forks / explore.prefix_ns_saved / explore.cache_hits /
+  /// explore.degraded_groups counters in ExploreResult::metrics. At
+  /// most 512 checkpoints are live at once; a group whose checkpoint was
+  /// crowded out replays its parent's prefix instead
+  /// (explore.degraded_groups, which depends on timing) — wall time
+  /// changes, results never do.
   bool checkpoint = true;
 
   /// Canonical state hashing (DESIGN.md §10, exhaustive mode): every
@@ -122,21 +127,6 @@ struct ExploreConfig {
   /// and it disables itself under a leaf_observer (the observer expects
   /// every leaf to run to completion).
   bool state_hash = true;
-
-  /// Journal-derived conflict classification (explore/dpor.h): each
-  /// fresh leaf's pick sites are classified against the detector's
-  /// truth tables, feeding the explore.backtrack_points and
-  /// explore.dpor_pruned counters (on-only, jobs-invariant, counted
-  /// over fresh executions). Classification only — sleep sets still use
-  /// `oracle`, so enumeration is byte-identical on/off.
-  bool dpor = true;
-
-  /// Live mid-round checkpoints (full VFS/kernel/journal clones) the
-  /// fork path may retain at once; the cap bounds resident memory. A
-  /// group whose seed was crowded out falls back to replaying its
-  /// parent's prefix from the start of the round (counted as
-  /// explore.degraded_groups) — wall time changes, results never do.
-  int seed_budget = 512;
 
   /// Durable progress journal (see sweep_journal.h): every completed
   /// reduction batch is CRC-framed and flushed to this path. Empty = no
@@ -157,11 +147,12 @@ struct ExploreConfig {
 
   /// Test hook: called for every executed exhaustive leaf with a unique
   /// replay key (the leaf's serialized schedule token) and the leaf's
-  /// full RoundResult, BEFORE it is compacted into the reduction. May be
-  /// called concurrently from worker threads when jobs > 1 — the
-  /// callback must synchronize itself. The fork_equals_replay ctest uses
-  /// this to compare journals/metrics leaf-by-leaf across checkpoint
-  /// on/off and jobs values.
+  /// full RoundResult, BEFORE it is compacted into the reduction. Each
+  /// schedule executes once, so each key fires once, with checkpointing
+  /// on or off. May be called concurrently from worker threads when
+  /// jobs > 1 — the callback must synchronize itself. The
+  /// fork_equals_replay ctest uses this to compare journals/metrics
+  /// leaf-by-leaf across checkpoint on/off and jobs values.
   std::function<void(const std::string& leaf_key,
                      const core::RoundResult& r)>
       leaf_observer;

@@ -7,7 +7,7 @@
 // SIGTERM, OOM kill, power loss — loses at most the batch in flight.
 //
 // Resuming (--resume=FILE) replays the journal into the explorer's
-// cross-iteration memo before the sweep starts: every journaled schedule
+// outcome store before the sweep starts: every journaled schedule
 // reduces from its stored outcome instead of re-executing, in the same
 // canonical order, with the same arithmetic — the final ExploreResult
 // (and the CLI report printed from it) is byte-identical to an
@@ -123,9 +123,9 @@ class SweepJournal {
       std::string* err);
 
   /// Appends one completed batch and flushes it to disk. Keys are the
-  /// canonical schedule ids the explorer's memo uses. A write failure
-  /// (ENOSPC, EIO) latches error() and disables further writes — the
-  /// sweep itself carries on, it just stops being resumable past this
+  /// canonical schedule ids the explorer's outcome store uses. A write
+  /// failure (ENOSPC, EIO) latches error() and disables further writes —
+  /// the sweep itself carries on, it just stops being resumable past this
   /// point.
   void append_batch(
       const std::vector<std::pair<std::string, const LeafRecord*>>& leaves);

@@ -58,13 +58,6 @@ class Process {
   bool kernel_thread() const { return kernel_thread_; }
   Duration slice_left() const { return slice_left_; }
   Duration cpu_time() const { return cpu_time_; }
-  /// In-flight service op introspection (null / empty when the process
-  /// is between syscalls). The journal-derived conflict oracle
-  /// (explore/dpor.h) reads these at pick sites to classify whether two
-  /// candidate processes' pending operations commute.
-  const ServiceOp* op() const { return op_.get(); }
-  const std::string& op_path() const { return op_path_; }
-  const std::string& op_path2() const { return op_path2_; }
   /// Number of involuntary preemptions suffered so far.
   std::uint64_t preemptions() const { return preemptions_; }
 
@@ -101,7 +94,6 @@ class Process {
   // In-flight service op, if any.
   std::unique_ptr<ServiceOp> op_;
   SimTime op_enter_;           // syscall entry time (for the journal)
-  std::string op_path_, op_path2_;
   bool need_resched_ = false;  // preemption requested at next safe point
   // Semaphores currently held (sanity tracking + release-on-exit check).
   std::vector<Semaphore*> held_sems_;

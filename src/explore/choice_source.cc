@@ -8,13 +8,7 @@ namespace tocttou::explore {
 
 namespace {
 
-const IndependenceOracle& default_oracle() {
-  static const IndependenceOracle oracle;
-  return oracle;
-}
-
-SiteRecord make_record(const ChoiceContext& ctx, int chosen,
-                       const IndependenceOracle& oracle) {
+SiteRecord make_record(const ChoiceContext& ctx, int chosen) {
   SiteRecord rec;
   rec.choice.kind = ctx.kind;
   rec.choice.chosen = static_cast<std::uint16_t>(chosen);
@@ -26,20 +20,18 @@ SiteRecord make_record(const ChoiceContext& ctx, int chosen,
     for (std::size_t i = 0; i < ctx.procs.size(); ++i) {
       rec.options.push_back(ctx.procs[i]->pid());
       if (static_cast<int>(i) != chosen &&
-          oracle.independent(*ctx.procs[i],
-                            *ctx.procs[static_cast<std::size_t>(chosen)])) {
+          independent(*ctx.procs[i],
+                      *ctx.procs[static_cast<std::size_t>(chosen)])) {
         rec.commutes_with_chosen[i] = 1;
       }
     }
   }
-  oracle.observe_site(ctx, chosen);
   return rec;
 }
 
 }  // namespace
 
-bool IndependenceOracle::independent(const sim::Process& a,
-                                     const sim::Process& b) const {
+bool independent(const sim::Process& a, const sim::Process& b) {
   // Kernel threads (the background load generators) never touch the VFS;
   // either order of a kthread and anything else reaches the same
   // file-system outcome. This is an outcome-level approximation: the
@@ -48,16 +40,12 @@ bool IndependenceOracle::independent(const sim::Process& a,
   return a.kernel_thread() || b.kernel_thread();
 }
 
-GuidedSource::GuidedSource(std::vector<Choice> prefix,
-                           const IndependenceOracle* oracle)
-    : prefix_(std::move(prefix)),
-      oracle_(oracle != nullptr ? oracle : &default_oracle()) {}
+GuidedSource::GuidedSource(std::vector<Choice> prefix)
+    : prefix_(std::move(prefix)) {}
 
 GuidedSource::GuidedSource(std::vector<Choice> prefix,
-                           const IndependenceOracle* oracle,
                            std::vector<SiteRecord> seeded_sites)
     : prefix_(std::move(prefix)),
-      oracle_(oracle != nullptr ? oracle : &default_oracle()),
       sites_(std::move(seeded_sites)),
       consumed_(sites_.size()) {
   TOCTTOU_CHECK(consumed_ <= prefix_.size(),
@@ -84,7 +72,7 @@ int GuidedSource::choose(const ChoiceContext& ctx) {
     }
     ++consumed_;
   }
-  sites_.push_back(make_record(ctx, chosen, *oracle_));
+  sites_.push_back(make_record(ctx, chosen));
   return chosen;
 }
 
@@ -154,7 +142,7 @@ int PctSource::choose(const ChoiceContext& ctx) {
       chosen = ctx.policy;
       break;
   }
-  sites_.push_back(make_record(ctx, chosen, default_oracle()));
+  sites_.push_back(make_record(ctx, chosen));
   if (winner != sim::kNoPid) maybe_demote(winner);
   return chosen;
 }

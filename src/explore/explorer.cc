@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -16,7 +15,6 @@
 #include "tocttou/common/rng.h"
 #include "tocttou/common/state_hash.h"
 #include "tocttou/core/round_run.h"
-#include "tocttou/explore/dpor.h"
 #include "tocttou/explore/exploring_scheduler.h"
 #include "tocttou/explore/resilience.h"
 #include "tocttou/explore/sweep_journal.h"
@@ -58,15 +56,9 @@ using LeafOutcome = LeafRecord;
 /// Side data a fresh execution hands the serial reduction NEXT TO its
 /// LeafOutcome — never inside it, so the journal's on-disk LeafRecord
 /// format is untouched. Carries the state digests the leaf recorded
-/// (state-hash donor points), the per-site conflict rows the
-/// ClassifyingOracle observed (DPOR accounting), and whether the leaf
-/// merged into a donor instead of running to completion.
+/// (state-hash donor points) and whether the leaf merged into a donor
+/// instead of running to completion.
 struct LeafSide {
-  /// Sites seeded from the parent (fork path): conflict rows exist only
-  /// for sites the leaf itself resolved, i.e. indices >= first_site.
-  std::size_t first_site = 0;
-  /// Per-site conflict rows from dpor::ClassifyingOracle::take().
-  std::vector<std::vector<std::uint8_t>> conflicts;
   /// Candidate donor points: the full-state digest at (a) the event
   /// where the forced prefix was consumed and (b) every later event
   /// that resolved new sites, with the leaf's progress at each.
@@ -82,11 +74,12 @@ struct LeafSide {
   bool merged = false;
 };
 
-/// One entry of the donor table: a completed leaf (interned in the
-/// cross-iteration store, so the pointer is stable) plus where along
-/// its execution the digest was taken. A later leaf matching the digest
-/// copies the donor's tail — sites/choices/events past `sites_at`,
-/// success and window — instead of executing it.
+/// One entry of the donor table: a completed leaf (an outcome interned
+/// in the store, or an earlier sibling in the running group — either
+/// way the pointer is stable) plus where along its execution the digest
+/// was taken. A later leaf matching the digest copies the donor's tail
+/// — sites/choices/events past `sites_at`, success and window — instead
+/// of executing it.
 struct DonorPoint {
   const LeafOutcome* rec = nullptr;
   std::uint64_t total_events = 0;
@@ -119,6 +112,13 @@ std::string donor_key(int bucket, const StateHasher::Digest& d) {
 /// later leaves simply stop donating once the table is full.
 constexpr std::size_t kDonorCap = std::size_t{1} << 20;
 
+/// Live mid-round checkpoints (full VFS/kernel/journal clones) the fork
+/// path may retain at once; the cap bounds resident memory. A group
+/// whose checkpoint was crowded out replays its parent's prefix from
+/// the start of the round instead (explore.degraded_groups) — wall time
+/// changes, results never do.
+constexpr int kSeedBudget = 512;
+
 /// A retained mid-round checkpoint: the parent round advanced to (one of)
 /// its fork boundaries, kept so the group that later expands that leaf
 /// can resume from the boundary instead of replaying the whole prefix.
@@ -126,17 +126,96 @@ constexpr std::size_t kDonorCap = std::size_t{1} << 20;
 struct Seed {
   std::unique_ptr<core::RoundRun> run;
   std::size_t sites_at = 0;  // choice sites already resolved at this state
-  std::atomic<int>* slots = nullptr;
+  std::atomic<int>* slots;
 
   Seed(std::unique_ptr<core::RoundRun> r, std::size_t s, std::atomic<int>* c)
       : run(std::move(r)), sites_at(s), slots(c) {}
   Seed(const Seed&) = delete;
   Seed& operator=(const Seed&) = delete;
-  ~Seed() {
-    if (run != nullptr && slots != nullptr) {
-      slots->fetch_add(1, std::memory_order_relaxed);
+  ~Seed() { slots->fetch_add(1, std::memory_order_relaxed); }
+};
+
+/// Every outcome the explorer reuses, in one place. Each reduced leaf —
+/// executed, merged, reduced again by a deeper deepening iteration, or
+/// loaded from a resumed journal, in exhaustive and PCT mode alike — is
+/// interned once under its canonical schedule id, next to the leaf's
+/// retained checkpoint when it has one, and the state-hash donor index
+/// points into the same entries. So "has this schedule run?", "is a
+/// checkpoint of it kept?" and "has this state been reached before?"
+/// are each answered here.
+///
+/// Only the serial canonical reduction mutates the store; workers read
+/// it lock-free while a batch executes (it is frozen then), so which
+/// outcomes are reused and which merges happen never depend on worker
+/// count or timing. The one exception is the atomic checkpoint budget,
+/// which workers claim concurrently.
+class OutcomeStore {
+ public:
+  struct Entry {
+    LeafOutcome outcome;
+    /// The parent's run paused just before this leaf's divergence site
+    /// resolved: the leaf's own group resumes there instead of replaying
+    /// the shared prefix. Kept while a deeper iteration may still expand
+    /// the leaf.
+    std::unique_ptr<Seed> seed;
+  };
+
+  /// The schedule's interned entry, or null when it has not run.
+  Entry* find(const std::string& key) {
+    const auto f = entries_.find(key);
+    return f != entries_.end() ? &f->second : nullptr;
+  }
+  bool contains(const std::string& key) const {
+    return entries_.count(key) != 0;
+  }
+
+  /// Interns a leaf the store does not hold yet. Entry addresses are
+  /// stable, so the journal batch, parent groups and donor points can
+  /// all point here.
+  Entry& intern(const std::string& key, LeafOutcome&& o,
+                std::unique_ptr<Seed> seed = nullptr) {
+    const auto [f, inserted] =
+        entries_.try_emplace(key, Entry{std::move(o), std::move(seed)});
+    TOCTTOU_CHECK(inserted, "schedule interned twice");
+    return f->second;
+  }
+
+  /// The donor that reached `donor_key`'s state first, or null.
+  const DonorPoint* donor(const std::string& donor_key) const {
+    const auto f = donors_.find(donor_key);
+    return f != donors_.end() ? &f->second : nullptr;
+  }
+
+  /// Publishes a fresh leaf's recorded state digests. Called in
+  /// canonical reduction order, so the index is jobs-invariant; the
+  /// first donor of a state wins and kDonorCap bounds memory.
+  void donate(int bucket, const LeafSide& side, const LeafOutcome& o) {
+    for (const LeafSide::Point& pt : side.points) {
+      if (donors_.size() >= kDonorCap) break;
+      donors_.emplace(donor_key(bucket, pt.digest),
+                      DonorPoint{&o, side.total_events, pt.sites_at,
+                                 pt.event});
     }
   }
+
+  /// Clones `run` into a checkpoint that resumes after `sites_at`
+  /// resolved sites, or returns null when kSeedBudget checkpoints are
+  /// already live. Safe to call from concurrent workers.
+  std::unique_ptr<Seed> retain(const core::RoundRun& run,
+                               std::size_t sites_at) const {
+    if (seed_slots_.fetch_sub(1, std::memory_order_relaxed) <= 0) {
+      seed_slots_.fetch_add(1, std::memory_order_relaxed);
+      return nullptr;
+    }
+    return std::make_unique<Seed>(std::make_unique<core::RoundRun>(run),
+                                  sites_at, &seed_slots_);
+  }
+
+ private:
+  // Declared first so it outlives the seeds that return slots to it.
+  mutable std::atomic<int> seed_slots_{kSeedBudget};
+  std::unordered_map<std::string, Entry> entries_;
+  std::unordered_map<std::string, DonorPoint> donors_;
 };
 
 /// One parent schedule plus every child the expansion derived from it.
@@ -146,29 +225,22 @@ struct Seed {
 /// at its divergence site.
 struct ParentGroup {
   int bucket = 0;
-  /// Checkpoint mode: the interned parent outcome (stable address in the
-  /// explore-level store). Replay mode owns moved copies instead.
+  /// The parent's outcome, interned in the store (stable address).
   const LeafOutcome* parent = nullptr;
-  std::vector<Choice> parent_choices;
-  std::vector<SiteRecord> parent_sites;
-  std::vector<std::uint64_t> parent_events;
   /// Mid-round checkpoint of the parent, when one was retained.
   std::unique_ptr<Seed> seed;
   struct Child {
     std::size_t site = 0;   // divergence site (index into parent sites)
     std::uint16_t alt = 0;  // the forced alternative option
-    bool run = true;        // false: outcome already memoized, skip run
+    bool run = true;        // false: outcome already in the store
   };
   std::vector<Child> children;  // canonical (site, option) order
 
-  const std::vector<Choice>& choices() const {
-    return parent != nullptr ? parent->choices : parent_choices;
-  }
-  const std::vector<SiteRecord>& sites() const {
-    return parent != nullptr ? parent->sites : parent_sites;
-  }
-  const std::vector<std::uint64_t>& events() const {
-    return parent != nullptr ? parent->site_events : parent_events;
+  /// Children that execute (the rest reduce from the store).
+  int exec_count() const {
+    int n = 0;
+    for (const Child& c : children) n += c.run ? 1 : 0;
+    return n;
   }
 };
 
@@ -177,34 +249,12 @@ struct ParentGroup {
 struct GroupOutcome {
   std::vector<LeafOutcome> leaves;
   std::vector<std::unique_ptr<Seed>> seeds;
-  /// State-hash/DPOR side data, parallel to `leaves` (empty vectors in
-  /// replay mode, where leaves are never stepped).
+  /// State-hash side data, parallel to `leaves` (no points in replay
+  /// mode, where leaves are never stepped).
   std::vector<LeafSide> sides;
   std::uint64_t checkpoints = 0;    // distinct fork boundaries reached
   std::uint64_t forks = 0;          // children forked (vs full-replayed)
   std::uint64_t prefix_ns_saved = 0;  // Σ simulated prefix ns not re-run
-};
-
-/// Cross-iteration state for one exhaustive explore() call. Iterative
-/// deepening re-enumerates every shallower schedule each iteration; the
-/// memo keeps those re-enumerations from re-EXECUTING — a cached leaf
-/// reduces from its stored outcome (deterministically identical to
-/// re-running it), so iteration c only simulates the schedules at depth
-/// c. Outcomes live in a deque for stable addresses.
-struct ExploreState {
-  explicit ExploreState(int seed_budget) : seed_slots(seed_budget) {}
-
-  std::deque<LeafOutcome> store;
-  std::unordered_map<std::string, LeafOutcome*> memo;
-  std::unordered_map<std::string, std::unique_ptr<Seed>> seeds;
-  /// ExploreConfig::seed_budget slots for live mid-round clones.
-  std::atomic<int> seed_slots;
-  std::uint64_t cache_hits = 0;
-  /// State-hash donor table (ExploreConfig::state_hash). Mutated ONLY
-  /// during the serial canonical reduction between batches; workers read
-  /// it lock-free while a batch executes (the table is frozen then), so
-  /// which merges happen is independent of worker count and timing.
-  std::unordered_map<std::string, DonorPoint> donors;
 };
 
 /// Canonical schedule id: bucket plus the forced choice prefix (each
@@ -239,14 +289,8 @@ std::string schedule_key(int bucket, const std::vector<Choice>& choices,
 class Worker {
  public:
   Worker(const core::ScenarioConfig& base, const ExploreConfig& ecfg,
-         std::uint32_t fingerprint, std::atomic<int>* seed_slots,
-         const std::unordered_map<std::string, DonorPoint>* donors)
-      : cfg_(base),
-        ecfg_(&ecfg),
-        fingerprint_(fingerprint),
-        seed_slots_(seed_slots),
-        donors_(donors),
-        classifier_(ecfg.oracle) {
+         std::uint32_t fingerprint, const OutcomeStore* store)
+      : cfg_(base), ecfg_(&ecfg), fingerprint_(fingerprint), store_(store) {
     // Slot form: the scheduler — and every checkpoint clone of it —
     // reads the worker's CURRENT source at each decision, so a worker
     // can swap between a parent's source and a forked child's mid-round.
@@ -264,30 +308,14 @@ class Worker {
   bool hash_on() const {
     return ecfg_->state_hash && !ecfg_->leaf_observer;
   }
-  bool classify_on() const { return ecfg_->dpor; }
-
-  /// The choice source for a fresh leaf: the classifying wrapper when
-  /// DPOR accounting is on (delegating every independence verdict to the
-  /// configured oracle, so records stay byte-identical), the configured
-  /// oracle otherwise. Callers harvest classifier_.take() per leaf.
-  const IndependenceOracle* leaf_oracle(const IndependenceOracle* oracle,
-                                        bool classify) {
-    if (!classify) return oracle;
-    classifier_.take();  // drop sites a thrown-out leaf left behind
-    return &classifier_;
-  }
 
   /// Full-replay leaf: the checkpoint-off path (and the historical
   /// behavior the fork path must reproduce byte-for-byte). Never
-  /// classified: DPOR classification needs per-site resolution times,
-  /// which only the stepped path records — with checkpointing off the
-  /// DPOR counters honestly report zero, like the state-hash ones.
-  LeafOutcome run_guided(Duration think, std::vector<Choice> prefix,
-                         const IndependenceOracle* oracle,
-                         LeafSide* side) {
-    (void)side;
+  /// stepped, so it records no donor points: with checkpointing off the
+  /// state-hash counters honestly report zero merges.
+  LeafOutcome run_guided(Duration think, std::vector<Choice> prefix) {
     const std::size_t prefix_len = prefix.size();
-    GuidedSource src(std::move(prefix), oracle);
+    GuidedSource src(std::move(prefix));
     src_ = &src;
     cfg_.victim_think = think;
     const core::RoundResult r = core::run_round(cfg_, ctx());
@@ -303,39 +331,22 @@ class Worker {
   /// points and (when `allow_merge`) may stop at a donor match,
   /// synthesizing the outcome instead of finishing the run.
   LeafOutcome run_stepped(Duration think, std::vector<Choice> prefix,
-                          const IndependenceOracle* oracle, LeafSide* side,
-                          int bucket, bool allow_merge) {
+                          LeafSide* side, int bucket, bool allow_merge) {
     const std::size_t prefix_len = prefix.size();
-    const bool classify = classify_on() && side != nullptr;
-    GuidedSource src(std::move(prefix), leaf_oracle(oracle, classify));
+    GuidedSource src(std::move(prefix));
     src_ = &src;
     cfg_.victim_think = think;
     core::RoundRun run(cfg_, ctx());
     std::vector<std::uint64_t> site_events;
-    std::vector<SimTime> site_times;
-    std::optional<LeafOutcome> merged =
-        step_leaf(run, src, prefix_len, &site_events, &site_times, bucket,
-                  allow_merge, side);
+    std::optional<LeafOutcome> merged = step_leaf(
+        run, src, prefix_len, &site_events, bucket, allow_merge, side);
     if (merged) {
       src_ = nullptr;
-      if (classify) {
-        // Classify against the journal recorded so far: the merged
-        // leaf's own sites all resolved within the executed portion.
-        const trace::RoundTrace* tr = run.kernel().trace();
-        if (tr != nullptr) {
-          side->conflicts = dpor::classify_sites(classifier_.take(),
-                                                 site_times, 0, tr->journal);
-        }
-      }
       return std::move(*merged);
     }
     const core::RoundResult r = run.finish();
     if (side != nullptr) side->total_events = run.events_executed();
     src_ = nullptr;
-    if (classify) {
-      side->conflicts = dpor::classify_sites(classifier_.take(), site_times,
-                                             0, r.trace.journal);
-    }
     observe(think, src, r);
     return make_outcome(src, prefix_len, r, std::move(site_events));
   }
@@ -349,15 +360,14 @@ class Worker {
   /// sites (no expansion) and no mass. `attempts` lets the fork path
   /// charge an already-failed forked execution as the first try.
   LeafOutcome run_contained(Duration think, std::vector<Choice> prefix,
-                            const IndependenceOracle* oracle, bool stepped,
-                            LeafSide* side, int bucket = 0,
+                            bool stepped, LeafSide* side, int bucket = 0,
                             bool allow_merge = false, int attempts = 2) {
     for (;;) {
       std::vector<Choice> p = prefix;  // retries need the original
       try {
-        return stepped ? run_stepped(think, std::move(p), oracle, side,
-                                     bucket, allow_merge)
-                       : run_guided(think, std::move(p), oracle, side);
+        return stepped ? run_stepped(think, std::move(p), side, bucket,
+                                     allow_merge)
+                       : run_guided(think, std::move(p));
       } catch (const std::exception& e) {
         src_ = nullptr;  // the throwing run's GuidedSource is gone
         if (side != nullptr) *side = LeafSide{};  // drop partial records
@@ -379,31 +389,32 @@ class Worker {
   /// advance that replay to the event just before the child's divergence
   /// site resolves, deep-clone the whole mid-round state, and run only
   /// the suffix under the child's source. Children arrive in ascending
-  /// site order, so the parent replay only ever moves forward; memoized
-  /// children are skipped entirely. With `mint_seeds`, each executed
-  /// child also mints a budget-capped seed of the parent at its boundary,
-  /// so the child's OWN eventual group can resume there (the caller turns
-  /// this off in the final deepening iteration, whose seeds could never
-  /// be consumed). If the parent replay diverges
+  /// site order, so the parent replay only ever moves forward; children
+  /// already in the store are skipped entirely. With `mint_seeds`, each
+  /// executed child also mints a budget-capped seed of the parent at its
+  /// boundary, so the child's OWN eventual group can resume there (the
+  /// caller turns this off in the final deepening iteration, whose seeds
+  /// could never be consumed). If the parent replay diverges
   /// from its recorded sites (deterministic kernels never do), the
   /// remaining children fall back to full stepped replay — every result
   /// field, including divergence accounting, then matches
   /// checkpoint-off.
-  GroupOutcome run_group(Duration think, ParentGroup& g,
-                         const IndependenceOracle* oracle,
-                         bool mint_seeds) {
+  GroupOutcome run_group(Duration think, ParentGroup& g, bool mint_seeds) {
+    const std::vector<Choice>& choices = g.parent->choices;
+    const std::vector<SiteRecord>& sites = g.parent->sites;
+    const std::vector<std::uint64_t>& events = g.parent->site_events;
     GroupOutcome out;
+    // Every executed child appends exactly one leaf; reserving them all
+    // up front keeps the sibling overlay's pointers into `out.leaves`
+    // stable for the whole group.
+    out.leaves.reserve(static_cast<std::size_t>(g.exec_count()));
     // Arm the sibling overlay for this group; the guard disarms it even
     // if a child's containment fails to absorb a fault, so no stale
     // pointer into a destroyed leaves vector survives the group.
     group_donors_.clear();
-    group_leaves_ = &out.leaves;
     struct OverlayGuard {
       Worker* w;
-      ~OverlayGuard() {
-        w->group_leaves_ = nullptr;
-        w->group_donors_.clear();
-      }
+      ~OverlayGuard() { w->group_donors_.clear(); }
     } overlay_guard{this};
     // Publishes the just-pushed child's donor points to later siblings,
     // mirroring the reduction's conditions: fresh, on-prefix, fault-free
@@ -412,11 +423,10 @@ class Worker {
       if (!hash_on() || side.merged || out.leaves.empty()) return;
       const LeafOutcome& o = out.leaves.back();
       if (o.error != ErrorKind::none || !o.prefix_ok) return;
-      const std::size_t idx = out.leaves.size() - 1;
       for (const LeafSide::Point& pt : side.points) {
         group_donors_.emplace(
             donor_key(g.bucket, pt.digest),
-            SiblingDonor{idx, side.total_events, pt.sites_at, pt.event});
+            DonorPoint{&o, side.total_events, pt.sites_at, pt.event});
       }
     };
     cfg_.victim_think = think;
@@ -426,10 +436,10 @@ class Worker {
     // Fork boundaries are recorded per site; a parent loaded from a
     // checkpoint-off journal carries none, so its children degrade to
     // full prefix replay (byte-identical outcomes, just slower).
-    bool parent_ok = g.events().size() == g.sites().size();
+    bool parent_ok = events.size() == sites.size();
     if (parent_ok) {
       try {
-        if (g.seed != nullptr && g.seed->run != nullptr) {
+        if (g.seed != nullptr) {
           // Adopt the seed: it may have been minted by another worker,
           // whose scheduler clone still routes choices to that worker's
           // slot.
@@ -438,15 +448,15 @@ class Worker {
           TOCTTOU_CHECK(sched != nullptr,
                         "checkpoint seed lacks an exploring scheduler");
           sched->set_slot(&src_);
-          psrc.emplace(g.choices(), oracle,
+          psrc.emplace(choices,
                        std::vector<SiteRecord>(
-                           g.sites().begin(),
-                           g.sites().begin() +
+                           sites.begin(),
+                           sites.begin() +
                                static_cast<long>(g.seed->sites_at)));
           src_ = &*psrc;
           parent = g.seed->run.get();
         } else {
-          psrc.emplace(g.choices(), oracle);
+          psrc.emplace(choices);
           src_ = &*psrc;
           local_parent.emplace(cfg_, ctx());
           parent = &*local_parent;
@@ -463,15 +473,14 @@ class Worker {
     }
     std::optional<std::uint64_t> last_boundary;
     for (const ParentGroup::Child& c : g.children) {
-      if (!c.run) continue;  // memoized: the reduction reads the cache
+      if (!c.run) continue;  // the reduction reads the store
       std::vector<Choice> child_prefix(
-          g.choices().begin(),
-          g.choices().begin() + static_cast<long>(c.site) + 1);
+          choices.begin(), choices.begin() + static_cast<long>(c.site) + 1);
       child_prefix.back().chosen = c.alt;
       int attempts = 2;
       if (parent_ok) {
         try {
-          const std::uint64_t boundary = g.events()[c.site] - 1;
+          const std::uint64_t boundary = events[c.site] - 1;
           bool advanced = true;
           while (advanced && parent->events_executed() < boundary) {
             if (!parent->step() || !psrc->ok()) advanced = false;
@@ -480,10 +489,7 @@ class Worker {
           // sites [s, c.site] all resolve DURING it and re-resolve in
           // the child.
           std::size_t s = 0;
-          while (s < g.events().size() &&
-                 g.events()[s] < g.events()[c.site]) {
-            ++s;
-          }
+          while (s < events.size() && events[s] < events[c.site]) ++s;
           if (advanced && psrc->sites().size() != s) advanced = false;
           if (advanced) {
             if (!last_boundary || *last_boundary != boundary) {
@@ -493,42 +499,22 @@ class Worker {
             ++out.forks;
             out.prefix_ns_saved +=
                 static_cast<std::uint64_t>(parent->now().ns());
-            std::unique_ptr<Seed> seed;
-            if (mint_seeds && seed_slots_ != nullptr &&
-                seed_slots_->fetch_sub(1, std::memory_order_relaxed) > 0) {
-              seed = std::make_unique<Seed>(
-                  std::make_unique<core::RoundRun>(*parent), s, seed_slots_);
-            } else if (mint_seeds && seed_slots_ != nullptr) {
-              seed_slots_->fetch_add(1, std::memory_order_relaxed);
-            }
+            std::unique_ptr<Seed> seed =
+                mint_seeds ? store_->retain(*parent, s) : nullptr;
             core::RoundRun child(*parent);
-            const bool classify = classify_on();
             LeafSide cside;
-            cside.first_site = s;
-            GuidedSource csrc(child_prefix, leaf_oracle(oracle, classify),
+            GuidedSource csrc(child_prefix,
                               std::vector<SiteRecord>(
-                                  g.sites().begin(),
-                                  g.sites().begin() + static_cast<long>(s)));
+                                  sites.begin(),
+                                  sites.begin() + static_cast<long>(s)));
             src_ = &csrc;
             std::vector<std::uint64_t> cevents(
-                g.events().begin(),
-                g.events().begin() + static_cast<long>(s));
-            // Seeded sites resolved before the fork boundary; their
-            // times are unknown and unneeded (conflict rows only exist
-            // for sites the child resolves itself, indices >= s).
-            std::vector<SimTime> ctimes(s);
+                events.begin(), events.begin() + static_cast<long>(s));
             std::optional<LeafOutcome> hit =
-                step_leaf(child, csrc, c.site + 1, &cevents, &ctimes,
-                          g.bucket, /*allow_merge=*/true, &cside);
+                step_leaf(child, csrc, c.site + 1, &cevents, g.bucket,
+                          /*allow_merge=*/true, &cside);
             if (hit) {
               src_ = &*psrc;  // back to steering the parent replay
-              if (classify) {
-                const trace::RoundTrace* tr = child.kernel().trace();
-                if (tr != nullptr) {
-                  cside.conflicts = dpor::classify_sites(
-                      classifier_.take(), ctimes, s, tr->journal);
-                }
-              }
               out.leaves.push_back(std::move(*hit));
               out.seeds.push_back(std::move(seed));
               out.sides.push_back(std::move(cside));
@@ -537,10 +523,6 @@ class Worker {
             const core::RoundResult r = child.finish();
             cside.total_events = child.events_executed();
             src_ = &*psrc;  // back to steering the parent replay
-            if (classify) {
-              cside.conflicts = dpor::classify_sites(
-                  classifier_.take(), ctimes, s, r.trace.journal);
-            }
             observe(think, csrc, r);
             out.leaves.push_back(
                 make_outcome(csrc, c.site + 1, r, std::move(cevents)));
@@ -569,9 +551,8 @@ class Worker {
       }
       LeafSide fside;
       out.leaves.push_back(run_contained(think, std::move(child_prefix),
-                                         oracle, /*stepped=*/true, &fside,
-                                         g.bucket, /*allow_merge=*/true,
-                                         attempts));
+                                         /*stepped=*/true, &fside, g.bucket,
+                                         /*allow_merge=*/true, attempts));
       out.seeds.push_back(nullptr);
       donate_local(fside);
       out.sides.push_back(std::move(fside));
@@ -583,21 +564,19 @@ class Worker {
   /// Checkpoint-off execution of a group: every child is an independent
   /// full replay of its whole prefix — exactly the historical per-leaf
   /// behavior, just batched under the same work item.
-  GroupOutcome run_group_replay(Duration think, const ParentGroup& g,
-                                const IndependenceOracle* oracle) {
+  GroupOutcome run_group_replay(Duration think, const ParentGroup& g) {
+    const std::vector<Choice>& choices = g.parent->choices;
     GroupOutcome out;
-    out.leaves.reserve(g.children.size());
+    out.leaves.reserve(static_cast<std::size_t>(g.exec_count()));
     for (const ParentGroup::Child& c : g.children) {
       if (!c.run) continue;
       std::vector<Choice> child_prefix(
-          g.choices().begin(),
-          g.choices().begin() + static_cast<long>(c.site) + 1);
+          choices.begin(), choices.begin() + static_cast<long>(c.site) + 1);
       child_prefix.back().chosen = c.alt;
-      LeafSide side;
       out.leaves.push_back(run_contained(think, std::move(child_prefix),
-                                         oracle, /*stepped=*/false, &side));
+                                         /*stepped=*/false, nullptr));
       out.seeds.push_back(nullptr);
-      out.sides.push_back(std::move(side));
+      out.sides.emplace_back();
     }
     return out;
   }
@@ -664,11 +643,9 @@ class Worker {
   /// Stamp the current event count onto every site the last step
   /// resolved (several sites can resolve inside one event).
   static void note_sites(const GuidedSource& src, const core::RoundRun& run,
-                         std::vector<std::uint64_t>* events,
-                         std::vector<SimTime>* times) {
+                         std::vector<std::uint64_t>* events) {
     while (events->size() < src.sites().size()) {
       events->push_back(run.events_executed());
-      if (times != nullptr) times->push_back(run.now());
     }
   }
 
@@ -686,14 +663,13 @@ class Worker {
                                        GuidedSource& src,
                                        std::size_t prefix_len,
                                        std::vector<std::uint64_t>* events,
-                                       std::vector<SimTime>* times,
                                        int bucket, bool allow_merge,
                                        LeafSide* side) {
     const bool hashing = side != nullptr && hash_on();
     bool past = src.ok() && src.consumed() >= prefix_len;
     std::size_t seen = src.sites().size();
     while (run.step()) {
-      note_sites(src, run, events, times);
+      note_sites(src, run, events);
       if (!hashing || !src.ok()) continue;
       const bool now_past = src.consumed() >= prefix_len;
       const bool fresh_site = src.sites().size() > seen;
@@ -713,20 +689,13 @@ class Worker {
               run.events_executed() + (dp.total_events - dp.event);
           return synthesize_merge(src, run, dp, *events);
         };
-        if (donors_ != nullptr) {
-          const auto f = donors_->find(key);
-          if (f != donors_->end() && merge_fits_budget(run, f->second)) {
-            return merge_with(f->second);
-          }
+        const DonorPoint* dp = store_->donor(key);
+        if (dp != nullptr && merge_fits_budget(run, *dp)) {
+          return merge_with(*dp);
         }
-        if (group_leaves_ != nullptr) {
-          const auto f = group_donors_.find(key);
-          if (f != group_donors_.end()) {
-            const DonorPoint dp{&(*group_leaves_)[f->second.leaf],
-                                f->second.total_events, f->second.sites_at,
-                                f->second.event};
-            if (merge_fits_budget(run, dp)) return merge_with(dp);
-          }
+        const auto f = group_donors_.find(key);
+        if (f != group_donors_.end() && merge_fits_budget(run, f->second)) {
+          return merge_with(f->second);
         }
       }
       side->points.push_back(
@@ -803,29 +772,16 @@ class Worker {
   core::ScenarioConfig cfg_;
   const ExploreConfig* ecfg_;
   std::uint32_t fingerprint_;
-  std::atomic<int>* seed_slots_;
-  /// The explore-level donor table, read lock-free during batch
+  /// The explore-level outcome store, read lock-free during batch
   /// execution (frozen then; mutated only between batches).
-  const std::unordered_map<std::string, DonorPoint>* donors_;
+  const OutcomeStore* store_;
   /// Per-group sibling overlay: donor points of EARLIER children of the
   /// group this worker is currently running, visible to later children
-  /// before the serial reduction publishes them to the global table. A
-  /// group always runs whole in one worker in canonical child order, so
-  /// the overlay — like the frozen global table — is jobs-invariant.
-  /// Entries index the group's growing leaves vector (which reallocates
-  /// as children are appended); group_leaves_ resolves them to stable
-  /// addresses at probe time.
-  struct SiblingDonor {
-    std::size_t leaf = 0;
-    std::uint64_t total_events = 0;
-    std::size_t sites_at = 0;
-    std::uint64_t event = 0;
-  };
-  std::unordered_map<std::string, SiblingDonor> group_donors_;
-  const std::vector<LeafOutcome>* group_leaves_ = nullptr;
-  /// DPOR conflict recorder, wrapped around ecfg.oracle; cleared before
-  /// and harvested after each fresh leaf.
-  dpor::ClassifyingOracle classifier_;
+  /// before the serial reduction publishes them to the store. A group
+  /// always runs whole in one worker in canonical child order, so the
+  /// overlay — like the frozen store — is jobs-invariant. Entries point
+  /// into the group's leaves vector, reserved up front so they stay put.
+  std::unordered_map<std::string, DonorPoint> group_donors_;
   ChoiceSource* src_ = nullptr;
   std::optional<core::RoundContext> ctx_{std::in_place};
 };
@@ -839,14 +795,12 @@ class Worker {
 class WorkerPool {
  public:
   WorkerPool(const core::ScenarioConfig& base, const ExploreConfig& ecfg,
-             std::uint32_t fingerprint, std::atomic<int>* seed_slots,
-             const std::unordered_map<std::string, DonorPoint>* donors,
-             int jobs) {
+             std::uint32_t fingerprint, const OutcomeStore* store, int jobs) {
     TOCTTOU_CHECK(jobs >= 1, "worker pool needs at least one worker");
     workers_.reserve(static_cast<std::size_t>(jobs));
     for (int w = 0; w < jobs; ++w) {
-      workers_.push_back(std::make_unique<Worker>(base, ecfg, fingerprint,
-                                                  seed_slots, donors));
+      workers_.push_back(
+          std::make_unique<Worker>(base, ecfg, fingerprint, store));
     }
   }
 
@@ -926,10 +880,10 @@ std::string pct_key(int i) {
   return key;
 }
 
-ExploreResult explore_pct(
-    const core::ScenarioConfig& base, const ExploreConfig& ecfg,
-    std::uint32_t fingerprint, WorkerPool* pool, SweepJournal* journal,
-    const std::vector<std::pair<std::string, LeafRecord>>& loaded) {
+ExploreResult explore_pct(const core::ScenarioConfig& base,
+                          const ExploreConfig& ecfg, std::uint32_t fingerprint,
+                          WorkerPool* pool, SweepJournal* journal,
+                          OutcomeStore* store) {
   ExploreResult res;
   res.mode = ExploreMode::pct;
   const auto [lo, hi] = core::victim_think_range(base);
@@ -940,8 +894,6 @@ ExploreResult explore_pct(
     return base.victim_think ? *base.victim_think
                              : draw.uniform_duration(lo, hi);
   };
-  std::unordered_map<std::string, const LeafRecord*> cache;
-  for (const auto& [key, rec] : loaded) cache.emplace(key, &rec);
   std::vector<std::string> keys;
   std::vector<int> todo;
   std::vector<LeafOutcome> out;
@@ -956,7 +908,7 @@ ExploreResult explore_pct(
     todo.clear();
     for (int i = 0; i < count; ++i) {
       keys[static_cast<std::size_t>(i)] = pct_key(begin + i);
-      if (cache.count(keys[static_cast<std::size_t>(i)]) != 0) continue;
+      if (store->contains(keys[static_cast<std::size_t>(i)])) continue;
       todo.push_back(i);
     }
     out.assign(todo.size(), {});
@@ -974,15 +926,14 @@ ExploreResult explore_pct(
     // any worker count, fresh or resumed.
     std::size_t t = 0;
     for (int i = 0; i < count; ++i) {
+      const std::string& key = keys[static_cast<std::size_t>(i)];
       const LeafOutcome* o;
       if (t < todo.size() && todo[t] == i) {
-        o = &out[t];
-        if (journal != nullptr) {
-          fresh.emplace_back(keys[static_cast<std::size_t>(i)], o);
-        }
+        o = &store->intern(key, std::move(out[t])).outcome;
+        if (journal != nullptr) fresh.emplace_back(key, o);
         ++t;
       } else {
-        o = cache.at(keys[static_cast<std::size_t>(i)]);
+        o = &store->find(key)->outcome;
       }
       ++res.schedules;
       ++res.rounds_executed;
@@ -1055,11 +1006,8 @@ struct Iteration {
   // fresh completed executions (DESIGN.md §10).
   std::uint64_t hash_merges = 0;
   std::uint64_t leaves_executed = 0;
-  // DPOR accounting: enumerated alternatives whose processes truly
-  // conflict with the pick, and merges whose divergence the
-  // journal-derived relation classified independent.
-  std::uint64_t backtrack_points = 0;
-  std::uint64_t dpor_pruned = 0;
+  // Schedules reduced from the store instead of executing.
+  std::uint64_t cache_hits = 0;
   // Fault containment: schedules whose execution threw twice, with a
   // capped token list in canonical order (resilience.h).
   int quarantined = 0;
@@ -1085,16 +1033,16 @@ struct Iteration {
 /// and schedules_to_first_hit are all independent of worker count and
 /// completion order — and of the checkpoint flag.
 ///
-/// Checkpoint mode additionally memoizes every executed leaf in `state`:
-/// a schedule re-enumerated by a deeper iteration reduces from its
-/// stored outcome instead of re-running — arithmetic and order are
+/// Every reduced leaf is interned in `store`: a schedule re-enumerated
+/// by a deeper iteration (or loaded from a resumed journal) reduces from
+/// its stored outcome instead of re-running — arithmetic and order are
 /// untouched because a deterministic leaf re-run would reproduce the
 /// stored outcome exactly.
 void run_iteration(const core::ScenarioConfig& base,
                    const std::vector<ThinkBucket>& buckets,
                    const ExploreConfig& ecfg, int bound,
                    std::uint32_t fingerprint, WorkerPool* pool,
-                   bool memo_on, SweepJournal* journal, ExploreState* state,
+                   SweepJournal* journal, OutcomeStore* store,
                    Iteration* it) {
   const bool ckpt = ecfg.checkpoint;
   const auto stop = [&ecfg] {
@@ -1110,29 +1058,15 @@ void run_iteration(const core::ScenarioConfig& base,
       ckpt && (ecfg.preemption_bound < 0 || bound < ecfg.preemption_bound);
   std::vector<ParentGroup> next;
 
-  // Interns an executed outcome into the cross-iteration store. Only
-  // used in checkpoint mode (replay mode reduces outcomes in place).
-  const auto intern = [&](const std::string& key, LeafOutcome&& o) {
-    state->store.push_back(std::move(o));
-    LeafOutcome* p = &state->store.back();
-    state->memo.emplace(key, p);
-    return p;
-  };
-
   // Serial reduction + sibling expansion for one leaf, called strictly
   // in canonical leaf order. A leaf with children to explore becomes a
-  // ParentGroup of the next wave. `key` is the leaf's canonical id
-  // (empty in replay mode); `seed` is its retained checkpoint, if the
-  // executing worker minted one.
-  // `side` is the executing worker's side data (null for memoized /
-  // resumed leaves, which were accounted when first executed);
-  // `parent_opt` is the option the parent chose at this leaf's
-  // divergence site (-1 for wave-0 leaves, which have no parent).
+  // ParentGroup of the next wave. `e` is the leaf's store entry; `side`
+  // is the executing worker's side data (null for leaves reduced from
+  // the store, which were accounted when first executed).
   const auto reduce_leaf = [&](int level, int bucket,
-                               std::size_t prefix_len, LeafOutcome& o,
-                               const std::string& key,
-                               std::unique_ptr<Seed> seed, LeafSide* side,
-                               int parent_opt) {
+                               std::size_t prefix_len, OutcomeStore::Entry& e,
+                               LeafSide* side) {
+    const LeafOutcome& o = e.outcome;
     const ThinkBucket& bkt = buckets[static_cast<std::size_t>(bucket)];
     ++it->schedules;
     if (o.error != ErrorKind::none) {
@@ -1149,45 +1083,20 @@ void run_iteration(const core::ScenarioConfig& base,
         it->quarantine.push_back(
             QuarantineRecord{tok.serialize(), o.error, level});
       }
+      e.seed.reset();
       return;
     }
     if (!o.prefix_ok) {
       ++it->divergence_errors;
+      e.seed.reset();
       return;
     }
     if (side != nullptr) {
       if (side->merged) {
         ++it->hash_merges;
-        // dpor_pruned: the divergence site is the leaf's last forced
-        // choice (prefix_len - 1); row[parent_opt] == 0 means the
-        // journal-derived relation classified this leaf's alternative
-        // independent of the parent's pick — a redundant interleaving a
-        // DPOR sleep set would never have enumerated, which the state
-        // hash just proved redundant by merging it.
-        const std::size_t j = prefix_len - 1;
-        if (parent_opt >= 0 && prefix_len >= 1 && j >= side->first_site &&
-            j - side->first_site < side->conflicts.size()) {
-          const auto& row = side->conflicts[j - side->first_site];
-          if (static_cast<std::size_t>(parent_opt) < row.size() &&
-              row[static_cast<std::size_t>(parent_opt)] == 0) {
-            ++it->dpor_pruned;
-          }
-        }
       } else {
         ++it->leaves_executed;
-        // Donate this fresh leaf's recorded points. The outcome is
-        // interned (stable address) whenever stepped leaves run, and
-        // insertion order is the canonical reduction order, so the
-        // table — and every merge decision read from it — is
-        // jobs-invariant. First insertion wins; the cap bounds memory.
-        if (memo_on) {
-          for (const LeafSide::Point& pt : side->points) {
-            if (state->donors.size() >= kDonorCap) break;
-            state->donors.emplace(
-                donor_key(bucket, pt.digest),
-                DonorPoint{&o, side->total_events, pt.sites_at, pt.event});
-          }
-        }
+        store->donate(bucket, *side, o);
       }
     }
     if (level == 0) {
@@ -1232,23 +1141,6 @@ void run_iteration(const core::ScenarioConfig& base,
       const SiteRecord& site = o.sites[j];
       for (int opt = 0; opt < static_cast<int>(site.choice.n); ++opt) {
         if (opt == static_cast<int>(site.choice.chosen)) continue;
-        // backtrack_points: alternatives whose process truly conflicts
-        // with the pick per the journal-derived relation — the
-        // backtracks a DPOR enumerator must schedule. Counted when the
-        // leaf executes fresh (before the bound cutoff: deepening
-        // executes each leaf at the shallowest iteration, where its
-        // expansion is still bound-cut), so the count is jobs-invariant
-        // and scoped to fresh executions. A merged leaf's donor tail
-        // carries no conflict rows; the range guard skips those sites.
-        if (ecfg.dpor && side != nullptr && !side->merged &&
-            j >= side->first_site &&
-            j - side->first_site < side->conflicts.size()) {
-          const auto& row = side->conflicts[j - side->first_site];
-          if (static_cast<std::size_t>(opt) < row.size() &&
-              row[static_cast<std::size_t>(opt)] != 0) {
-            ++it->backtrack_points;
-          }
-        }
         if (level + 1 > bound) {
           ++it->cutoffs;
           continue;
@@ -1258,48 +1150,30 @@ void run_iteration(const core::ScenarioConfig& base,
           ++it->pruned;
           continue;
         }
-        ParentGroup::Child ch{j, static_cast<std::uint16_t>(opt), true};
-        if (memo_on) {
-          Choice alt = o.choices[j];
-          alt.chosen = static_cast<std::uint16_t>(opt);
-          ch.run = state->memo.find(schedule_key(bucket, o.choices, j,
-                                                 &alt)) ==
-                   state->memo.end();
-        }
-        any_run = any_run || ch.run;
-        g.children.push_back(ch);
+        Choice alt = o.choices[j];
+        alt.chosen = static_cast<std::uint16_t>(opt);
+        const bool run =
+            !store->contains(schedule_key(bucket, o.choices, j, &alt));
+        any_run = any_run || run;
+        g.children.push_back({j, static_cast<std::uint16_t>(opt), run});
       }
     }
     if (!g.children.empty()) {
-      if (memo_on) {
-        // The parent outcome lives in the cross-iteration store; the
-        // group holds the interned pointer (never a moved-out copy —
-        // journal-only runs share this path so the memo stays intact).
-        g.parent = &o;
-        if (ckpt && any_run) {
-          // Attach the parent's retained checkpoint — minted just now if
-          // the leaf executed this wave, or banked by an earlier
-          // iteration.
-          if (seed != nullptr) {
-            g.seed = std::move(seed);
-          } else {
-            const auto banked = state->seeds.find(key);
-            if (banked != state->seeds.end()) {
-              g.seed = std::move(banked->second);
-              state->seeds.erase(banked);
-            }
-          }
-        }
+      g.parent = &o;
+      // The leaf's retained checkpoint moves to the group that expands
+      // it. If every child is already in the store, no group will ever
+      // fork from it: release it.
+      if (any_run) {
+        g.seed = std::move(e.seed);
       } else {
-        g.parent_choices = std::move(o.choices);
-        g.parent_sites = std::move(o.sites);
-        g.parent_events = std::move(o.site_events);
+        e.seed.reset();
       }
       next.push_back(std::move(g));
-    } else if (ckpt && seed != nullptr && o.sites.size() > prefix_len) {
-      // Terminal only because of this iteration's bound: bank the seed
-      // for the deeper iteration that will expand this leaf.
-      state->seeds.emplace(key, std::move(seed));
+    } else if (o.sites.size() <= prefix_len) {
+      // Nothing past the forced prefix, so no deeper iteration expands
+      // this leaf. A leaf cut only by this iteration's bound keeps its
+      // checkpoint for the iteration that will.
+      e.seed.reset();
     }
   };
 
@@ -1323,13 +1197,9 @@ void run_iteration(const core::ScenarioConfig& base,
       keys.assign(static_cast<std::size_t>(count), {});
       todo.clear();
       for (int i = 0; i < count; ++i) {
-        if (memo_on) {
-          keys[static_cast<std::size_t>(i)] =
-              schedule_key(begin + i, {}, 0, nullptr);
-          if (state->memo.count(keys[static_cast<std::size_t>(i)]) != 0) {
-            continue;
-          }
-        }
+        keys[static_cast<std::size_t>(i)] =
+            schedule_key(begin + i, {}, 0, nullptr);
+        if (store->contains(keys[static_cast<std::size_t>(i)])) continue;
         todo.push_back(i);
       }
       out.assign(todo.size(), {});
@@ -1342,27 +1212,22 @@ void run_iteration(const core::ScenarioConfig& base,
         // (allow_merge off): the per-bucket policy schedules are the
         // baseline every child diverges from.
         out[static_cast<std::size_t>(t)] = w.run_contained(
-            think, {}, ecfg.oracle, /*stepped=*/ckpt,
-            &sides[static_cast<std::size_t>(t)], begin + i,
-            /*allow_merge=*/false);
+            think, {}, /*stepped=*/ckpt, &sides[static_cast<std::size_t>(t)],
+            begin + i, /*allow_merge=*/false);
       });
       std::size_t t = 0;
       for (int i = 0; i < count; ++i) {
         const std::string& key = keys[static_cast<std::size_t>(i)];
         if (t < todo.size() && todo[t] == i) {
-          LeafOutcome& o = memo_on ? *intern(key, std::move(out[t]))
-                                   : out[t];
-          LeafSide& side = sides[t];
+          OutcomeStore::Entry& e = store->intern(key, std::move(out[t]));
+          if (journal != nullptr) fresh.emplace_back(key, &e.outcome);
+          reduce_leaf(0, begin + i, 0, e, &sides[t]);
           ++t;
-          if (journal != nullptr) fresh.emplace_back(key, &o);
-          reduce_leaf(0, begin + i, 0, o, key, nullptr, &side, -1);
         } else {
-          // Skipped only when the memo is live and already holds this
-          // bucket's policy outcome (an earlier iteration ran it, or a
-          // resumed journal loaded it).
-          ++state->cache_hits;
-          reduce_leaf(0, begin + i, 0, *state->memo.at(key), key, nullptr,
-                      nullptr, -1);
+          // An earlier iteration ran this bucket's policy schedule, or a
+          // resumed journal loaded it.
+          ++it->cache_hits;
+          reduce_leaf(0, begin + i, 0, *store->find(key), nullptr);
         }
       }
       if (journal != nullptr) {
@@ -1392,14 +1257,9 @@ void run_iteration(const core::ScenarioConfig& base,
       }
       total += n;
     }
-    const auto exec_count = [](const ParentGroup& g) {
-      int n = 0;
-      for (const ParentGroup::Child& c : g.children) n += c.run ? 1 : 0;
-      return n;
-    };
     // Batch groups so at most ~kWaveBatch executed leaf outcomes are
-    // alive at once (a single oversized group still runs whole; fully
-    // memoized groups ride along for free).
+    // alive at once (a single oversized group still runs whole; groups
+    // whose children are all in the store ride along for free).
     std::vector<GroupOutcome> out;
     std::size_t gbegin = 0;
     while (gbegin < wave.size()) {
@@ -1410,7 +1270,7 @@ void run_iteration(const core::ScenarioConfig& base,
       std::size_t gend = gbegin;
       int batch_leaves = 0;
       while (gend < wave.size()) {
-        const int n = exec_count(wave[gend]);
+        const int n = wave[gend].exec_count();
         if (gend > gbegin && batch_leaves + n > kWaveBatch) break;
         batch_leaves += n;
         ++gend;
@@ -1423,8 +1283,8 @@ void run_iteration(const core::ScenarioConfig& base,
       if (ckpt) {
         for (std::size_t i = gbegin; i < gend; ++i) {
           const ParentGroup& g = wave[i];
-          if (exec_count(g) == 0) continue;
-          if (g.events().size() != g.sites().size() ||
+          if (g.exec_count() == 0) continue;
+          if (g.parent->site_events.size() != g.parent->sites.size() ||
               (level >= 2 && g.seed == nullptr)) {
             ++it->degraded;
           }
@@ -1434,12 +1294,12 @@ void run_iteration(const core::ScenarioConfig& base,
       out.resize(gend - gbegin);
       pool->run(static_cast<int>(gend - gbegin), [&](Worker& w, int i) {
         ParentGroup& g = wave[gbegin + static_cast<std::size_t>(i)];
-        if (exec_count(g) == 0) return;  // every child memoized
+        if (g.exec_count() == 0) return;  // every child is in the store
         const Duration think =
             buckets[static_cast<std::size_t>(g.bucket)].think;
         out[static_cast<std::size_t>(i)] =
-            ckpt ? w.run_group(think, g, ecfg.oracle, mint_seeds)
-                 : w.run_group_replay(think, g, ecfg.oracle);
+            ckpt ? w.run_group(think, g, mint_seeds)
+                 : w.run_group_replay(think, g);
       });
       for (std::size_t i = 0; i < gend - gbegin; ++i) {
         GroupOutcome& go = out[i];
@@ -1447,32 +1307,23 @@ void run_iteration(const core::ScenarioConfig& base,
         it->checkpoints += go.checkpoints;
         it->forks += go.forks;
         it->prefix_ns_saved += go.prefix_ns_saved;
-        std::size_t e = 0;
-        for (std::size_t ci = 0; ci < g.children.size(); ++ci) {
-          const ParentGroup::Child& c = g.children[ci];
-          std::string ckey;
-          if (memo_on) {
-            Choice alt = g.choices()[c.site];
-            alt.chosen = c.alt;
-            ckey = schedule_key(g.bucket, g.choices(), c.site, &alt);
-          }
+        std::size_t x = 0;  // next executed leaf of the group
+        for (const ParentGroup::Child& c : g.children) {
+          Choice alt = g.parent->choices[c.site];
+          alt.chosen = c.alt;
+          const std::string ckey =
+              schedule_key(g.bucket, g.parent->choices, c.site, &alt);
           if (!c.run) {
-            ++state->cache_hits;
-            reduce_leaf(level, g.bucket, c.site + 1,
-                        *state->memo.at(ckey), ckey, nullptr, nullptr, -1);
-          } else {
-            std::unique_ptr<Seed> seed = std::move(go.seeds[e]);
-            LeafOutcome& o = memo_on
-                                 ? *intern(ckey, std::move(go.leaves[e]))
-                                 : go.leaves[e];
-            LeafSide* side =
-                e < go.sides.size() ? &go.sides[e] : nullptr;
-            ++e;
-            if (journal != nullptr) fresh.emplace_back(ckey, &o);
-            reduce_leaf(level, g.bucket, c.site + 1, o, ckey,
-                        std::move(seed), side,
-                        static_cast<int>(g.choices()[c.site].chosen));
+            ++it->cache_hits;
+            reduce_leaf(level, g.bucket, c.site + 1, *store->find(ckey),
+                        nullptr);
+            continue;
           }
+          OutcomeStore::Entry& e = store->intern(
+              ckey, std::move(go.leaves[x]), std::move(go.seeds[x]));
+          if (journal != nullptr) fresh.emplace_back(ckey, &e.outcome);
+          reduce_leaf(level, g.bucket, c.site + 1, e, &go.sides[x]);
+          ++x;
         }
       }
       if (journal != nullptr) {
@@ -1519,9 +1370,8 @@ ExploreResult explore(const core::ScenarioConfig& cfg,
                  ? ecfg.jobs
                  : static_cast<int>(std::thread::hardware_concurrency());
   jobs = std::max(jobs, 1);
-  ExploreState state(std::max(ecfg.seed_budget, 0));
-  WorkerPool pool(base, ecfg, fingerprint, &state.seed_slots,
-                  &state.donors, jobs);
+  OutcomeStore store;
+  WorkerPool pool(base, ecfg, fingerprint, &store, jobs);
 
   // Durable progress: open (or resume) the sweep journal before any
   // round runs. The header pins everything that shapes the schedule
@@ -1557,9 +1407,17 @@ ExploreResult explore(const core::ScenarioConfig& cfg,
     }
   }
 
+  // Resume: intern the journal's leaves (the first record of a key
+  // wins), so every journaled schedule reduces from its stored outcome —
+  // in canonical order, with the same arithmetic — instead of
+  // re-executing.
+  for (auto& [key, rec] : loaded) {
+    if (!store.contains(key)) store.intern(key, std::move(rec));
+  }
+
   if (ecfg.mode == ExploreMode::pct) {
     ExploreResult res =
-        explore_pct(base, ecfg, fingerprint, &pool, journal.get(), loaded);
+        explore_pct(base, ecfg, fingerprint, &pool, journal.get(), &store);
     res.journal_leaves_loaded = static_cast<int>(loaded.size());
     if (res.interrupted && journal != nullptr && journal->ok()) {
       journal->append_stop(static_cast<std::uint64_t>(res.rounds_executed));
@@ -1583,16 +1441,7 @@ ExploreResult explore(const core::ScenarioConfig& cfg,
   const std::vector<ThinkBucket> buckets =
       make_buckets(base, ecfg.think_buckets);
 
-  // Resume: replay the journal into the cross-iteration memo, so every
-  // journaled schedule reduces from its stored outcome — in canonical
-  // order, with the same arithmetic — instead of re-executing.
-  const bool memo_on = ecfg.checkpoint || journal != nullptr;
   res.journal_leaves_loaded = static_cast<int>(loaded.size());
-  for (auto& [key, rec] : loaded) {
-    if (state.memo.count(key) != 0) continue;
-    state.store.push_back(std::move(rec));
-    state.memo.emplace(key, &state.store.back());
-  }
 
   // Iterative preemption bounding: enumerate with bound c = 0, 1, 2, ...
   // Each iteration subsumes the previous one, so the last iteration's
@@ -1604,20 +1453,18 @@ ExploreResult explore(const core::ScenarioConfig& cfg,
   std::uint64_t degraded = 0;
   std::uint64_t hash_merges = 0;
   std::uint64_t leaves_executed = 0;
-  std::uint64_t backtrack_points = 0;
-  std::uint64_t dpor_pruned = 0;
+  std::uint64_t cache_hits = 0;
   for (int c = 0;; ++c) {
     Iteration it;
-    run_iteration(base, buckets, ecfg, c, fingerprint, &pool, memo_on,
-                  journal.get(), &state, &it);
+    run_iteration(base, buckets, ecfg, c, fingerprint, &pool, journal.get(),
+                  &store, &it);
     checkpoints += it.checkpoints;
     forks += it.forks;
     prefix_ns_saved += it.prefix_ns_saved;
     degraded += it.degraded;
     hash_merges += it.hash_merges;
     leaves_executed += it.leaves_executed;
-    backtrack_points += it.backtrack_points;
-    dpor_pruned += it.dpor_pruned;
+    cache_hits += it.cache_hits;
     res.rounds_executed += it.schedules;
     res.schedules = it.schedules;
     res.policy_schedules = it.policy_schedules;
@@ -1676,21 +1523,17 @@ ExploreResult explore(const core::ScenarioConfig& cfg,
     res.metrics.count("explore.checkpoints", checkpoints);
     res.metrics.count("explore.forks", forks);
     res.metrics.count("explore.prefix_ns_saved", prefix_ns_saved);
-    res.metrics.count("explore.cache_hits", state.cache_hits);
+    res.metrics.count("explore.cache_hits", cache_hits);
     res.metrics.count("explore.degraded_groups", degraded);
   }
-  // State-hash and DPOR accounting: deterministic (jobs-invariant),
-  // scoped to fresh executions, and emitted only when the feature is on
-  // so the off-mode metrics stay byte-identical to a build without it.
-  // With checkpointing off no leaf is stepped, so the state-hash
-  // counters honestly report zero merges there.
+  // State-hash accounting: deterministic (jobs-invariant), scoped to
+  // fresh executions, and emitted only when the feature is on so the
+  // off-mode metrics stay byte-identical to a build without it. With
+  // checkpointing off no leaf is stepped, so the counters honestly
+  // report zero merges there.
   if (ecfg.state_hash) {
     res.metrics.count("explore.hash_merges", hash_merges);
     res.metrics.count("explore.leaves_executed", leaves_executed);
-  }
-  if (ecfg.dpor) {
-    res.metrics.count("explore.backtrack_points", backtrack_points);
-    res.metrics.count("explore.dpor_pruned", dpor_pruned);
   }
   return res;
 }

@@ -84,7 +84,7 @@ bool ExploringScheduler::should_preempt(const Process& woken,
   // happens on every real kernel — not a choice point. Equal-priority
   // wakeup preemption is the sub-tick timing artifact the paper's
   // attacks ride on, so branch it — but only between user tasks; kernel
-  // threads commute with everything (see IndependenceOracle).
+  // threads commute with everything (see independent()).
   if (woken.priority() != running.priority() || woken.kernel_thread() ||
       running.kernel_thread()) {
     return inner_.should_preempt(woken, running);

@@ -130,8 +130,6 @@ Kernel::Kernel(const Kernel& o, CloneMap& m)
     p.compute_left_ = q.compute_left_;
     p.compute_label_ = q.compute_label_;
     p.op_enter_ = q.op_enter_;
-    p.op_path_ = q.op_path_;
-    p.op_path2_ = q.op_path2_;
     p.need_resched_ = q.need_resched_;
     p.mapped_libc_pages_ = q.mapped_libc_pages_;
     p.seg_gen_ = q.seg_gen_;
@@ -487,14 +485,6 @@ void Kernel::start_next_action(Process& p) {
       }
       case Action::Kind::service: {
         p.op_ = std::move(a.op);
-        // Harvest the op's declared pathnames for the in-flight conflict
-        // relation (explore/dpor.h): fill_record only writes fields it
-        // has resolved, and at entry that is exactly the paths the op
-        // was constructed with.
-        trace::SyscallRecord probe;
-        p.op_->fill_record(probe);
-        p.op_path_ = std::move(probe.path);
-        p.op_path2_ = std::move(probe.path2);
         const int page = p.op_->libc_page();
         if (page != ServiceOp::kNoLibcPage &&
             !p.mapped_libc_pages_.contains(page)) {
@@ -660,8 +650,6 @@ void Kernel::complete_service(Process& p, Errno result) {
   }
   if (sync_ != nullptr) sync_->sc_exit(p.pid_);
   p.op_.reset();
-  p.op_path_.clear();
-  p.op_path2_.clear();
 }
 
 void Kernel::block_on_sem(Process& p, Semaphore& sem) {

@@ -28,7 +28,7 @@ void Process::hash_state(StateHasher& h) const {
   h.u64(pid_);
   // An exited process is inert: the kernel never dispatches it again and
   // no future scheduling or VFS behavior can read its residual fields
-  // (they are frozen mid-history — op paths, segment stamps, labels —
+  // (they are frozen mid-history — segment stamps, labels —
   // and two schedules that reach the same live state routinely disagree
   // on them). Hash only the fact of the exit.
   if (state_ == ProcState::exited) {
@@ -72,8 +72,6 @@ void Process::hash_state(StateHasher& h) const {
   }
   h.dur(compute_left_);
   h.str(compute_label_);
-  h.str(op_path_);
-  h.str(op_path2_);
   h.boolean(need_resched_);
   h.u64(mapped_libc_pages_.size());
   for (int page : mapped_libc_pages_) h.i64(page);

@@ -129,10 +129,9 @@ TEST(IndependenceOracleTest, OnlyKernelThreadsCommute) {
   const sim::Pid user2 = k.spawn(prog(), {.name = "u2"});
   const sim::Pid kthread = k.spawn(prog(), {.name = "kt", .kernel_thread = true});
 
-  IndependenceOracle oracle;
-  EXPECT_FALSE(oracle.independent(k.process(user1), k.process(user2)));
-  EXPECT_TRUE(oracle.independent(k.process(user1), k.process(kthread)));
-  EXPECT_TRUE(oracle.independent(k.process(kthread), k.process(user2)));
+  EXPECT_FALSE(independent(k.process(user1), k.process(user2)));
+  EXPECT_TRUE(independent(k.process(user1), k.process(kthread)));
+  EXPECT_TRUE(independent(k.process(kthread), k.process(user2)));
 }
 
 TEST(PctSourceTest, SameSeedSameChoices) {

@@ -68,20 +68,18 @@ int main() {
   ex.preemption_bound = 1;
   ex.max_schedules = 300;
   // Checkpoint mode first: mid-round clones minted by one worker may be
-  // adopted by another, the exact hand-off TSan needs to see. With the
-  // reduction flags at their defaults (on) this leg also covers the
-  // frozen donor table read concurrently by every worker plus the
-  // per-worker sibling overlays.
+  // adopted by another, the exact hand-off TSan needs to see. With state
+  // hashing at its default (on) this leg also covers the frozen outcome
+  // store read concurrently by every worker plus the per-worker sibling
+  // overlays.
   ex.checkpoint = true;
   bool ok = check_pair(cfg, ex, "exhaustive-checkpoint-reduction-on");
   // Reduction off: the pre-reduction wave executor, for contrast — the
   // pair must still match each other (and the on legs match them via
   // the cli_reduction_on_off ctest and the gtest equivalence harness).
   ex.state_hash = false;
-  ex.dpor = false;
   ok = check_pair(cfg, ex, "exhaustive-checkpoint-reduction-off") && ok;
   ex.state_hash = true;
-  ex.dpor = true;
   ex.checkpoint = false;
   ok = check_pair(cfg, ex, "exhaustive-replay") && ok;
 

@@ -1,10 +1,9 @@
-// Differential equivalence harness for the explorer's reduction layer
-// (DESIGN.md §10). DPOR classification and canonical state hashing are
-// accounting and throughput features: a schedule that merges into an
-// already-seen state must contribute EXACTLY the outcome it would have
-// produced by executing, so every determinism-contract field of
-// ExploreResult — exact probability, witness token, first-hit index,
-// quarantine list — is required to be bit-identical with the features
+// Differential equivalence harness for canonical state hashing
+// (DESIGN.md §10). Hashing is a throughput feature: a schedule that
+// merges into an already-seen state must contribute EXACTLY the outcome
+// it would have produced by executing, so every determinism-contract
+// field of ExploreResult — exact probability, witness token, first-hit
+// index, quarantine list — is required to be bit-identical with hashing
 // on and off, crossed over preemption bounds, worker counts, checkpoint
 // modes, and kill-and-resume.
 #include <gtest/gtest.h>
@@ -51,14 +50,13 @@ core::ScenarioConfig smp_vi() {
   return c;
 }
 
-ExploreConfig ecfg_with(int bound, int jobs, bool checkpoint, bool features) {
+ExploreConfig ecfg_with(int bound, int jobs, bool checkpoint, bool hashing) {
   ExploreConfig e;
   e.think_buckets = 2;
   e.preemption_bound = bound;
   e.jobs = jobs;
   e.checkpoint = checkpoint;
-  e.state_hash = features;
-  e.dpor = features;
+  e.state_hash = hashing;
   return e;
 }
 
@@ -105,7 +103,7 @@ struct Scenario {
 constexpr Scenario kScenarios[] = {{"up_vi", up_vi},
                                    {"mc_gedit", mc_gedit}};
 
-TEST(DporEquivalenceTest, OnOffBitIdenticalAcrossBoundsJobsCheckpoint) {
+TEST(StateHashEquivalenceTest, OnOffBitIdenticalAcrossBoundsJobsCheckpoint) {
   for (const Scenario& sc : kScenarios) {
     for (int bound : {3, 4, 5}) {
       for (int jobs : {1, 4}) {
@@ -126,7 +124,7 @@ TEST(DporEquivalenceTest, OnOffBitIdenticalAcrossBoundsJobsCheckpoint) {
   }
 }
 
-TEST(DporEquivalenceTest, WitnessAndFirstHitSurviveMerging) {
+TEST(StateHashEquivalenceTest, WitnessAndFirstHitSurviveMerging) {
   // smp/vi is the scenario whose bounded space actually contains
   // successes, so the witness token and first-hit index are live fields
   // here, not vacuously equal empties.
@@ -138,66 +136,59 @@ TEST(DporEquivalenceTest, WitnessAndFirstHitSurviveMerging) {
   expect_same_result(off, on);
 }
 
-TEST(DporEquivalenceTest, ReductionCountersReportRealWork) {
+TEST(StateHashEquivalenceTest, ReductionCountersReportRealWork) {
   // The counters are the feature's observable surface: with
   // checkpointing on, up/vi at bound 5 provably merges more than half
-  // its schedules (BENCH_explore_dpor.json pins the same ratio), the
-  // conflict classifier finds real backtrack points (up/vi's pick site
-  // IS a dependent race), and every counter is jobs-invariant.
+  // its schedules (BENCH_explore_reduction.json pins the same ratio),
+  // and every counter is jobs-invariant.
   const ExploreResult j1 = explore(up_vi(), ecfg_with(5, 1, true, true));
   const ExploreResult j4 = explore(up_vi(), ecfg_with(5, 4, true, true));
   const auto& c1 = j1.metrics.counters();
   ASSERT_TRUE(c1.contains("explore.hash_merges"));
   ASSERT_TRUE(c1.contains("explore.leaves_executed"));
-  ASSERT_TRUE(c1.contains("explore.backtrack_points"));
-  ASSERT_TRUE(c1.contains("explore.dpor_pruned"));
   const std::uint64_t merges = c1.at("explore.hash_merges");
   const std::uint64_t executed = c1.at("explore.leaves_executed");
   EXPECT_GT(merges, 0u);
-  EXPECT_GT(c1.at("explore.backtrack_points"), 0u);
   EXPECT_EQ(merges + executed,
             static_cast<std::uint64_t>(j1.schedules));
   // >= 2x fewer executions than enumerated schedules (the acceptance
   // ratio the bench records).
   EXPECT_LE(2 * executed, static_cast<std::uint64_t>(j1.schedules));
-  for (const char* key :
-       {"explore.hash_merges", "explore.leaves_executed",
-        "explore.backtrack_points", "explore.dpor_pruned"}) {
+  for (const char* key : {"explore.hash_merges", "explore.leaves_executed"}) {
     EXPECT_EQ(c1.at(key), j4.metrics.counters().at(key)) << key;
   }
 
-  // Off-mode metrics carry none of the reduction counters, so the
-  // metrics surface is byte-identical to the pre-feature explorer.
+  // Off-mode metrics carry none of the hashing counters, so the metrics
+  // surface is byte-identical to the pre-feature explorer.
   const ExploreResult off = explore(up_vi(), ecfg_with(5, 1, true, false));
-  for (const char* key :
-       {"explore.hash_merges", "explore.leaves_executed",
-        "explore.backtrack_points", "explore.dpor_pruned"}) {
+  for (const char* key : {"explore.hash_merges", "explore.leaves_executed"}) {
     EXPECT_FALSE(off.metrics.counters().contains(key)) << key;
   }
 
   // Replay mode executes every leaf from scratch — no checkpoints, no
-  // donor states, honestly zero merges (not a silently-disabled count),
-  // and every round the deepening loop ran was a real execution.
+  // donor states, honestly zero merges (not a silently-disabled count)
+  // — and, like checkpoint mode, runs each schedule once: deeper
+  // iterations reduce the shallower schedules from the outcome store.
   const ExploreResult replay = explore(up_vi(), ecfg_with(5, 1, false, true));
   EXPECT_EQ(replay.metrics.counters().at("explore.hash_merges"), 0u);
   EXPECT_EQ(replay.metrics.counters().at("explore.leaves_executed"),
-            static_cast<std::uint64_t>(replay.rounds_executed));
+            static_cast<std::uint64_t>(replay.schedules));
 }
 
-TEST(DporEquivalenceTest, KillAndResumeWithFeaturesOn) {
-  // An interrupted features-on sweep resumed (features on or off) must
-  // reduce to the same result as an uninterrupted features-OFF run: the
+TEST(StateHashEquivalenceTest, KillAndResumeWithFeaturesOn) {
+  // An interrupted hashing-on sweep resumed (hashing on or off) must
+  // reduce to the same result as an uninterrupted hashing-OFF run: the
   // journal never records whether a leaf's outcome was executed or
-  // merged, so resume composes with the reduction layer for free.
+  // merged, so resume composes with state hashing for free.
   const ExploreResult baseline =
       explore(up_vi(), ecfg_with(4, 1, true, false));
   for (int resume_jobs : {1, 4}) {
-    for (bool resume_features : {true, false}) {
+    for (bool resume_hashing : {true, false}) {
       SCOPED_TRACE("resume_jobs=" + std::to_string(resume_jobs) +
-                   " resume_features=" + std::to_string(resume_features));
+                   " resume_hashing=" + std::to_string(resume_hashing));
       const std::string path =
-          temp_path("dpor_resume_" + std::to_string(resume_jobs) +
-                    std::to_string(resume_features) + ".bin");
+          temp_path("hash_resume_" + std::to_string(resume_jobs) +
+                    std::to_string(resume_hashing) + ".bin");
       std::remove(path.c_str());
 
       ExploreConfig stop_cfg = ecfg_with(4, 4, true, true);
@@ -208,7 +199,7 @@ TEST(DporEquivalenceTest, KillAndResumeWithFeaturesOn) {
       EXPECT_TRUE(partial.journal_error.empty()) << partial.journal_error;
 
       ExploreConfig resume_cfg =
-          ecfg_with(4, resume_jobs, true, resume_features);
+          ecfg_with(4, resume_jobs, true, resume_hashing);
       resume_cfg.journal_path = path;
       resume_cfg.resume = true;
       const ExploreResult resumed = explore(up_vi(), resume_cfg);

@@ -62,7 +62,7 @@ struct Continuation {
 Continuation continue_under_policy(const core::RoundRun& at) {
   core::RoundRun run(at);  // deep clone; the held point stays reusable
   ChoiceSource* slot = nullptr;
-  GuidedSource cont({}, nullptr);
+  GuidedSource cont({});
   slot = &cont;
   auto* sched = dynamic_cast<ExploringScheduler*>(&run.kernel().sched());
   if (sched == nullptr) throw std::runtime_error("missing exploring sched");
@@ -130,7 +130,7 @@ TEST(StateHashSoundnessTest, EqualDigestImpliesIdenticalContinuation) {
     ++executed;
 
     ChoiceSource* slot = nullptr;
-    GuidedSource src(job.prefix, nullptr);
+    GuidedSource src(job.prefix);
     slot = &src;
     core::RoundRun run(up_vi(job.think, job.seed, &slot), nullptr);
     std::size_t sites_seen = 0;

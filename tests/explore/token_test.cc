@@ -125,6 +125,10 @@ struct NegativeParseCase {
   const char* token;
   const char* want_err;
 };
+// gtest lists each case with its printed parameter, and ctest takes that
+// as part of the test's name. The default printer dumps the struct's raw
+// bytes, pointers included, so the name would change with every relink.
+void PrintTo(const NegativeParseCase& c, std::ostream* os) { *os << c.name; }
 
 class TokenNegativeParseTest
     : public ::testing::TestWithParam<NegativeParseCase> {};

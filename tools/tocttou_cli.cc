@@ -95,12 +95,10 @@ void on_stop_signal(int) { g_stop = 1; }
       "                               any job count)\n"
       "  --explore-checkpoint=on|off  fork leaves from a checkpoint of\n"
       "                               their parent instead of replaying\n"
-      "                               the shared prefix (default on;\n"
+      "                               the shared prefix (default on; at\n"
+      "                               most 512 checkpoints live at once;\n"
       "                               results are bit-identical either\n"
       "                               way)\n"
-      "  --explore-seed-budget=N      live mid-round checkpoints retained\n"
-      "                               at once (default 512; exhausted\n"
-      "                               groups degrade to prefix replay)\n"
       "  --explore-state-hash=on|off  merge schedules whose canonical\n"
       "                               128-bit state digest was already\n"
       "                               reached instead of re-executing the\n"
@@ -108,13 +106,6 @@ void on_stop_signal(int) { g_stop = 1; }
       "                               results are bit-identical either\n"
       "                               way — only explore.hash_merges and\n"
       "                               throughput move; bad value exits 1)\n"
-      "  --explore-dpor=on|off        classify each choice site against\n"
-      "                               the journal-derived conflict\n"
-      "                               relation and report the DPOR\n"
-      "                               counters explore.backtrack_points /\n"
-      "                               explore.dpor_pruned (default on;\n"
-      "                               results are bit-identical either\n"
-      "                               way; bad value exits 1)\n"
       "  --progress=FILE              journal completed batches to FILE\n"
       "                               so a killed sweep can resume\n"
       "  --resume=FILE                resume a sweep from FILE (missing\n"
@@ -342,13 +333,6 @@ int main(int argc, char** argv) {
       if (v == "on") ecfg.state_hash = true;
       else if (v == "off") ecfg.state_hash = false;
       else bad_value("--explore-state-hash", v, "on or off");
-    } else if (take(argv[i], "--explore-dpor", &v)) {
-      if (v == "on") ecfg.dpor = true;
-      else if (v == "off") ecfg.dpor = false;
-      else bad_value("--explore-dpor", v, "on or off");
-    } else if (take(argv[i], "--explore-seed-budget", &v)) {
-      ecfg.seed_budget = static_cast<int>(
-          parse_int("--explore-seed-budget", v, 0, 100000000));
     } else if (take(argv[i], "--progress", &v)) {
       ecfg.journal_path = v;
       ecfg.resume = false;
