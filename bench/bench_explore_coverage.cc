@@ -1,8 +1,7 @@
 // Explorer throughput and coverage: schedules/sec for exhaustive DFS
-// (with and without sleep-set pruning) and PCT, plus schedules-to-first-
-// hit — how many interleavings each strategy burns before it first
-// witnesses the attack. Not a paper table; this tracks the cost of the
-// exploration subsystem itself.
+// and PCT, plus schedules-to-first-hit — how many interleavings each
+// strategy burns before it first witnesses the attack. Not a paper
+// table; this tracks the cost of the exploration subsystem itself.
 #include <chrono>
 
 #include "bench_common.h"
@@ -35,7 +34,6 @@ void BM_Exhaustive(benchmark::State& state) {
   ecfg.mode = explore::ExploreMode::exhaustive;
   ecfg.think_buckets = static_cast<int>(state.range(0));
   ecfg.preemption_bound = static_cast<int>(state.range(1));
-  ecfg.use_sleep_sets = state.range(2) != 0;
   explore::ExploreResult res;
   double secs = 0;
   for (auto _ : state) {
@@ -47,9 +45,8 @@ void BM_Exhaustive(benchmark::State& state) {
   }
   state.counters["schedules"] = res.schedules;
   state.counters["rounds"] = res.rounds_executed;
-  state.counters["pruned"] = static_cast<double>(res.pruned_by_sleep_set);
-  report(strfmt("exhaustive b=%d c=%d%s", ecfg.think_buckets,
-                ecfg.preemption_bound, ecfg.use_sleep_sets ? "" : " nosleep"),
+  report(strfmt("exhaustive b=%d c=%d", ecfg.think_buckets,
+                ecfg.preemption_bound),
          res, secs);
 }
 
@@ -73,9 +70,8 @@ void BM_Pct(benchmark::State& state) {
 }
 
 BENCHMARK(BM_Exhaustive)
-    ->Args({8, 1, 1})
-    ->Args({8, 1, 0})
-    ->Args({16, 2, 1})
+    ->Args({8, 1})
+    ->Args({16, 2})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 

@@ -1,41 +1,54 @@
 // Profiles the explorer's schedule reduction (DESIGN.md §10): canonical
-// state hashing with donor merging, on against off. Two legs, both with
-// bit-identical-results CHECKs (hashing is a throughput feature, never
-// a semantic one):
+// state hashing with donor merging, on against off, and the two
+// per-site costs behind it — one checkpoint fork and one state digest.
+// Every sweep pair CHECKs bit-identical results (hashing is a throughput
+// feature, never a semantic one).
 //
-//   1. up/vi exhaustive at preemption bound 5 — hashing on vs off.
-//      The acceptance ratio lives here: with checkpointing on, state
-//      merging executes at most HALF the enumerated schedules
-//      (schedules / leaves_executed >= 2), CHECKed, not just reported.
+//   1. up/vi exhaustive at preemption bound 5 — the acceptance ratio:
+//      with checkpointing on, state merging executes at most HALF the
+//      enumerated schedules (schedules / leaves_executed >= 2), CHECKed,
+//      not just reported.
 //   2. A three-process sweep (victim + attacker + a compute-bound
 //      bystander spawned through ScenarioConfig::extra_programs). The
 //      bystander multiplies scheduling choice sites without touching
 //      the filesystem, which is exactly the redundancy state hashing
-//      collapses: the sweep completes under a schedule budget that full
-//      per-leaf execution only clears by burning the merged leaves'
-//      wall time too.
+//      collapses; the sweep must complete, with merges.
+//   3. The timed sweep: up/vi 100 KB, 64 buckets, bound 3 (611
+//      schedules), hashing off and on, interleaved, kTimedReps runs
+//      each at 1 job. Legs 1 and 2 run in a fraction of a second, inside
+//      their own run-to-run spread, so only their counts are reported.
+//   4. Fork and digest cost: along the canonical up/vi 100 KB round and
+//      an smp/vi round with 256 tenants and 25,600 staged inodes, the
+//      wall time of one RoundRun copy (a checkpoint fork) and of one
+//      RoundRun::hash_state, at kSamples evenly spaced events.
 //
 //   ./bench_explore_reduction [output.json]
 //
 // Defaults to BENCH_explore_reduction.json in the working directory.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "tocttou/common/error.h"
 #include "tocttou/common/state_hash.h"
 #include "tocttou/common/strings.h"
 #include "tocttou/core/harness.h"
+#include "tocttou/core/round_run.h"
 #include "tocttou/explore/explorer.h"
-#include "tocttou/sim/program.h"
+#include "tocttou/sim/fields.h"
 
 namespace tocttou {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+constexpr int kTimedReps = 5;
+constexpr int kSamples = 25;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -51,32 +64,39 @@ core::ScenarioConfig up_vi() {
   return c;
 }
 
+core::ScenarioConfig up_vi_100k() {
+  core::ScenarioConfig c = up_vi();
+  c.file_bytes = 102400;
+  c.seed = 1;
+  return c;
+}
+
+core::ScenarioConfig smp_vi_machine() {
+  core::ScenarioConfig c = up_vi();
+  c.profile = programs::testbed_smp_dual_xeon();
+  std::string err;
+  TOCTTOU_CHECK(programs::BackgroundSpec::parse("procs=256,inodes=25600",
+                                                &c.background, &err),
+                err);
+  return c;
+}
+
 /// A coarse-grain compute-only bystander: spins in 100µs blocks and
 /// exits. No syscalls, so orderings against it rarely change the file
 /// system's fate, and its state machine is one counter, so merged
 /// states stay hashable. (LivelockProgram's 100ns
 /// grain would blow the step budget here; this spinner exists to add
 /// scheduling choice, not load.)
-class CoarseSpinner : public sim::Program {
+class CoarseSpinner : public sim::Listed<CoarseSpinner, sim::Program> {
  public:
   explicit CoarseSpinner(int blocks) : blocks_(blocks) {}
+
+  static auto fields(auto& self) { return std::tie(self.blocks_, self.done_); }
 
   sim::Action next(sim::ProgramContext&) override {
     if (done_ >= blocks_) return sim::Action::exit_proc();
     ++done_;
     return sim::Action::compute(Duration::micros(100), "spin");
-  }
-
-  std::unique_ptr<sim::Program> clone(sim::CloneMap&) const override {
-    auto p = std::make_unique<CoarseSpinner>(blocks_);
-    p->done_ = done_;
-    return p;
-  }
-
-  void hash_state(StateHasher& h) const override {
-    h.str("coarse_spinner");
-    h.u64(static_cast<std::uint64_t>(blocks_));
-    h.u64(static_cast<std::uint64_t>(done_));
   }
 
  private:
@@ -98,63 +118,148 @@ bool same_result(const explore::ExploreResult& a,
   return ok;
 }
 
+/// Median, lower and upper quartile of `v` (nearest rank).
+struct Spread {
+  double median = 0.0;
+  double p25 = 0.0;
+  double p75 = 0.0;
+};
+
+Spread spread_of(std::vector<double> v) {
+  TOCTTOU_CHECK(!v.empty(), "no samples");
+  std::sort(v.begin(), v.end());
+  const auto at = [&v](double q) {
+    return v[static_cast<std::size_t>(q * static_cast<double>(v.size() - 1) +
+                                      0.5)];
+  };
+  return Spread{at(0.5), at(0.25), at(0.75)};
+}
+
 struct LegReport {
   int schedules = 0;
   bool complete = false;
-  double off_secs = 0.0;
-  double on_secs = 0.0;
   std::uint64_t leaves_executed = 0;
   std::uint64_t hash_merges = 0;
   double execution_ratio = 0.0;  // schedules / leaves_executed
+  std::vector<double> off_secs;
+  std::vector<double> on_secs;
 };
 
-LegReport run_leg(const core::ScenarioConfig& cfg, int bound) {
+/// Runs the sweep with hashing off and on, alternating, `reps` times
+/// each; every pair must agree on every result field.
+LegReport run_leg(const core::ScenarioConfig& cfg, int buckets, int bound,
+                  int reps) {
   explore::ExploreConfig ecfg;
   ecfg.mode = explore::ExploreMode::exhaustive;
-  ecfg.think_buckets = 2;
+  ecfg.think_buckets = buckets;
   ecfg.preemption_bound = bound;
   ecfg.max_schedules = 200000;
   ecfg.jobs = 1;
   ecfg.checkpoint = true;
 
   LegReport r;
+  for (int rep = 0; rep < reps; ++rep) {
+    ecfg.state_hash = false;
+    const auto t_off = Clock::now();
+    const explore::ExploreResult off = explore::explore(cfg, ecfg);
+    r.off_secs.push_back(seconds_since(t_off));
 
-  ecfg.state_hash = false;
-  const auto t_off = Clock::now();
-  const explore::ExploreResult off = explore::explore(cfg, ecfg);
-  r.off_secs = seconds_since(t_off);
+    ecfg.state_hash = true;
+    const auto t_on = Clock::now();
+    const explore::ExploreResult on = explore::explore(cfg, ecfg);
+    r.on_secs.push_back(seconds_since(t_on));
 
-  ecfg.state_hash = true;
-  const auto t_on = Clock::now();
-  const explore::ExploreResult on = explore::explore(cfg, ecfg);
-  r.on_secs = seconds_since(t_on);
-
-  TOCTTOU_CHECK(same_result(off, on),
-                "state hashing must not change exploration results");
-  r.schedules = on.schedules;
-  r.complete = on.complete;
-  r.leaves_executed = on.metrics.counter("explore.leaves_executed");
-  r.hash_merges = on.metrics.counter("explore.hash_merges");
+    TOCTTOU_CHECK(same_result(off, on),
+                  "state hashing must not change exploration results");
+    r.schedules = on.schedules;
+    r.complete = on.complete;
+    r.leaves_executed = on.metrics.counter("explore.leaves_executed");
+    r.hash_merges = on.metrics.counter("explore.hash_merges");
+  }
   TOCTTOU_CHECK(r.leaves_executed > 0, "some leaves must execute");
   r.execution_ratio =
       static_cast<double>(r.schedules) / static_cast<double>(r.leaves_executed);
   return r;
 }
 
-std::string leg_json(const char* name, const LegReport& r) {
-  std::string json = strfmt("  \"%s\": {\n", name);
-  json += strfmt("    \"schedules\": %d, \"complete\": %s,\n", r.schedules,
-                 r.complete ? "true" : "false");
-  json += strfmt(
-      "    \"off\": {\"secs\": %.3f, \"leaves_executed\": %d},\n", r.off_secs,
-      r.schedules);
-  json += strfmt(
-      "    \"on\": {\"secs\": %.3f, \"leaves_executed\": %llu, "
-      "\"hash_merges\": %llu},\n",
-      r.on_secs, static_cast<unsigned long long>(r.leaves_executed),
-      static_cast<unsigned long long>(r.hash_merges));
-  json += strfmt("    \"execution_ratio\": %.4f}", r.execution_ratio);
-  return json;
+struct ForkHashReport {
+  std::uint64_t events = 0;
+  int samples = 0;
+  Spread fork_ms;
+  Spread hash_ms;
+};
+
+/// Times one checkpoint fork (the RoundRun copy, not its destruction)
+/// and one state digest at kSamples evenly spaced events of the round
+/// an explorer leaf would run for `cfg`.
+ForkHashReport sample_fork_and_hash(core::ScenarioConfig cfg) {
+  cfg = explore::canonical_explore_config(cfg);
+  cfg.record_journal = true;
+  ForkHashReport r;
+  r.events = core::RoundRun(cfg).finish().events;
+  const std::uint64_t every = std::max<std::uint64_t>(1, r.events / kSamples);
+  std::vector<double> fork_ms;
+  std::vector<double> hash_ms;
+  std::uint64_t sink = 0;
+  core::RoundRun run(cfg);
+  while (run.step()) {
+    if (run.events_executed() % every != 0) continue;
+    auto t0 = Clock::now();
+    auto fork = std::make_unique<core::RoundRun>(run);
+    fork_ms.push_back(seconds_since(t0) * 1e3);
+    fork.reset();
+    StateHasher h;
+    t0 = Clock::now();
+    run.hash_state(h);
+    hash_ms.push_back(seconds_since(t0) * 1e3);
+    sink ^= h.digest().lo;
+  }
+  TOCTTOU_CHECK(sink != 1, "digest sink");  // keeps the digests observed
+  r.samples = static_cast<int>(fork_ms.size());
+  r.fork_ms = spread_of(fork_ms);
+  r.hash_ms = spread_of(hash_ms);
+  return r;
+}
+
+std::string spread_json(const Spread& s, const char* unit) {
+  return strfmt("{\"median_%s\": %.4f, \"p25_%s\": %.4f, \"p75_%s\": %.4f}",
+                unit, s.median, unit, s.p25, unit, s.p75);
+}
+
+std::string counts_json(const char* name, const LegReport& r) {
+  return strfmt(
+      "    \"%s\": {\"schedules\": %d, \"complete\": %s, "
+      "\"leaves_executed\": %llu, \"hash_merges\": %llu, "
+      "\"execution_ratio\": %.4f}",
+      name, r.schedules, r.complete ? "true" : "false",
+      static_cast<unsigned long long>(r.leaves_executed),
+      static_cast<unsigned long long>(r.hash_merges), r.execution_ratio);
+}
+
+std::string fork_hash_json(const char* round, const ForkHashReport& r) {
+  return strfmt(
+      "    {\"round\": \"%s\", \"events\": %llu, \"samples\": %d,\n"
+      "     \"fork\": %s,\n     \"hash\": %s}",
+      round, static_cast<unsigned long long>(r.events), r.samples,
+      spread_json(r.fork_ms, "ms").c_str(),
+      spread_json(r.hash_ms, "ms").c_str());
+}
+
+void print_counts(const char* label, const LegReport& r) {
+  std::printf("%-22s %4d schedules   executed %llu (%.2fx fewer)   "
+              "merges=%llu\n",
+              label, r.schedules,
+              static_cast<unsigned long long>(r.leaves_executed),
+              r.execution_ratio,
+              static_cast<unsigned long long>(r.hash_merges));
+}
+
+void print_fork_hash(const char* label, const ForkHashReport& r) {
+  std::printf("%-22s %6llu events  fork median %.3f ms (p25 %.3f, p75 %.3f)"
+              "   hash median %.3f ms (p25 %.3f, p75 %.3f)\n",
+              label, static_cast<unsigned long long>(r.events),
+              r.fork_ms.median, r.fork_ms.p25, r.fork_ms.p75,
+              r.hash_ms.median, r.hash_ms.p25, r.hash_ms.p75);
 }
 
 }  // namespace
@@ -165,14 +270,9 @@ int main(int argc, char** argv) {
 
   const char* out_path = argc > 1 ? argv[1] : "BENCH_explore_reduction.json";
 
-  // Leg 1: the acceptance scenario. up/vi bound 5, hashing on vs off.
-  const LegReport up = run_leg(up_vi(), /*bound=*/5);
-  std::printf("up/vi bound=5        %4d schedules   off %6.2fs   on %6.2fs\n",
-              up.schedules, up.off_secs, up.on_secs);
-  std::printf("  executed %llu of %d leaves (%.2fx fewer)   merges=%llu\n",
-              static_cast<unsigned long long>(up.leaves_executed),
-              up.schedules, up.execution_ratio,
-              static_cast<unsigned long long>(up.hash_merges));
+  // Leg 1: the acceptance ratio. up/vi bound 5.
+  const LegReport up = run_leg(up_vi(), /*buckets=*/2, /*bound=*/5, 1);
+  print_counts("up/vi bound=5", up);
   TOCTTOU_CHECK(up.execution_ratio >= 2.0,
                 "state hashing must execute at most half the enumerated "
                 "schedules on up/vi at bound 5");
@@ -188,27 +288,54 @@ int main(int argc, char** argv) {
        .make = [](fs::Vfs&) -> std::unique_ptr<sim::Program> {
          return std::make_unique<CoarseSpinner>(/*blocks=*/8);
        }});
-  const LegReport tp = run_leg(three, /*bound=*/3);
-  std::printf("3-proc bound=3       %4d schedules   off %6.2fs   on %6.2fs\n",
-              tp.schedules, tp.off_secs, tp.on_secs);
-  std::printf("  executed %llu of %d leaves (%.2fx fewer)   merges=%llu\n",
-              static_cast<unsigned long long>(tp.leaves_executed),
-              tp.schedules, tp.execution_ratio,
-              static_cast<unsigned long long>(tp.hash_merges));
+  const LegReport tp = run_leg(three, /*buckets=*/2, /*bound=*/3, 1);
+  print_counts("3-proc bound=3", tp);
   TOCTTOU_CHECK(tp.complete,
                 "three-process sweep must complete within the budget");
   TOCTTOU_CHECK(tp.hash_merges > 0,
                 "the bystander's redundant interleavings must merge");
 
+  // Leg 3: the timed sweep.
+  const LegReport timed =
+      run_leg(up_vi_100k(), /*buckets=*/64, /*bound=*/3, kTimedReps);
+  print_counts("up/vi 100KB bound=3", timed);
+  const Spread off = spread_of(timed.off_secs);
+  const Spread on = spread_of(timed.on_secs);
+  std::printf("  hashing off %.3fs (p25 %.3f, p75 %.3f)   on %.3fs (p25 %.3f, "
+              "p75 %.3f)\n",
+              off.median, off.p25, off.p75, on.median, on.p25, on.p75);
+
+  // Leg 4: what one fork and one digest cost along a round.
+  const ForkHashReport up_round = sample_fork_and_hash(up_vi_100k());
+  print_fork_hash("up/vi 100KB round", up_round);
+  const ForkHashReport machine = sample_fork_and_hash(smp_vi_machine());
+  print_fork_hash("smp/vi 256 tenants", machine);
+
   std::string json = "{\n";
   json += "  \"bench\": \"explore_reduction\",\n";
-  json +=
-      "  \"optimization\": \"canonical state hashing with donor "
-      "merging\",\n";
   json += strfmt("  \"hardware_threads\": %u,\n",
                  std::thread::hardware_concurrency());
-  json += leg_json("up_vi_bound5", up) + ",\n";
-  json += leg_json("three_process_bound3", tp) + ",\n";
+  json += "  \"check_legs\": {\n";
+  json += counts_json("up_vi_4k_b2_bound5", up) + ",\n";
+  json += counts_json("three_process_4k_b2_bound3", tp) + "\n";
+  json += "  },\n";
+  json += "  \"timed_sweep\": {\n";
+  json +=
+      "    \"config\": \"up/vi 100KB, 64 buckets, bound 3, seed 1, 1 job, "
+      "checkpoint on\",\n";
+  json += strfmt("    \"reps\": %d,\n", kTimedReps);
+  json += counts_json("counts", timed) + ",\n";
+  json += "    \"hashing_off\": " + spread_json(off, "s") + ",\n";
+  json += "    \"hashing_on\": " + spread_json(on, "s") + "\n";
+  json += "  },\n";
+  json += "  \"fork_and_hash\": [\n";
+  json += fork_hash_json("up/vi 100KB, canonical explore config", up_round) +
+          ",\n";
+  json += fork_hash_json(
+              "smp/vi 4KB, procs=256,inodes=25600, canonical explore config",
+              machine) +
+          "\n";
+  json += "  ],\n";
   json += "  \"identical_results\": true\n";
   json += "}\n";
 

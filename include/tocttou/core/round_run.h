@@ -11,7 +11,9 @@
 // mid-round simulation — VFS inode arena and fd tables, kernel run
 // queues and in-flight syscall state machines, pending events, program
 // state, fault injector, journal and metrics streams — rebinding every
-// cross-object pointer through a CloneMap. The clone is fully
+// cross-object pointer through a CloneMap (ops and programs through
+// their field lists, sim/fields.h; inodes and semaphores hold none and
+// are copied as they are). The clone is fully
 // self-owning (never tied to a RoundContext) and stepping it is
 // byte-identical to re-running the prefix that produced the original.
 // The explore subsystem forks thousands of children off shared schedule

@@ -17,8 +17,9 @@
 //    >= 1 / (n * k^(d-1)) per schedule.
 //
 // Sites are recorded with enough context (candidate pids, the policy
-// option, commutativity flags from independent()) for the DFS
-// enumerator to expand siblings and apply sleep-set-style pruning.
+// option) for the DFS enumerator to expand siblings. Every sibling is
+// expanded: no ordering of two processes is assumed to commute, because
+// the paper's races are won or lost on timing alone (DESIGN.md §10.1).
 #pragma once
 
 #include <cstdint>
@@ -56,24 +57,12 @@ class ChoiceSource {
   virtual int choose(const ChoiceContext& ctx) = 0;
 };
 
-/// The commute rule for pick sites: if the two front-runners are
-/// independent, running them in either order reaches the same outcome,
-/// so the enumerator explores only the policy order (sleep-set-style
-/// pruning). Deliberately conservative: only kernel threads — which
-/// never touch the VFS — commute with anything. A relation that lets a
-/// process between syscalls commute prunes the timing-only orders the
-/// paper's SMP attacks win by (DESIGN.md §10).
-bool independent(const sim::Process& a, const sim::Process& b);
-
 /// One resolved choice site, with the context the enumerator needs.
 struct SiteRecord {
   Choice choice;             // kind, chosen option, option count
   std::uint16_t policy = 0;  // the option the policy would have taken
   /// pick sites: candidate pid per option.
   std::vector<sim::Pid> options;
-  /// pick sites: option i commutes with the chosen option per
-  /// independent() (never set for the chosen option itself).
-  std::vector<std::uint8_t> commutes_with_chosen;
 
   bool operator==(const SiteRecord&) const = default;
 };

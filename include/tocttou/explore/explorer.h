@@ -9,8 +9,7 @@
 //    harness draws, is quantized into `think_buckets` midpoint-quadrature
 //    buckets of mass 1/K over victim_think_range(); per bucket, a DFS
 //    with iterative preemption bounding (c = 0, 1, 2, ...) enumerates
-//    every schedule reachable with at most c non-policy choices,
-//    sleep-set-pruning alternatives that commute with the policy pick.
+//    every schedule reachable with at most c non-policy choices.
 //    The policy schedule of each bucket carries the bucket's mass, so
 //    summing mass * success over buckets yields the EXACT attack success
 //    probability under the calibrated think distribution — the number a
@@ -76,11 +75,6 @@ struct ExploreConfig {
   /// executed across iterations (the deepening stops once the running
   /// total crosses it).
   int max_schedules = 200000;
-
-  /// Sleep-set-style pruning of alternatives that commute with the
-  /// policy pick (per explore::independent(): only kernel threads
-  /// commute). Off = enumerate them anyway.
-  bool use_sleep_sets = true;
 
   /// PCT mode knobs: bug depth d, schedules to run, expected choice
   /// sites per schedule (the k the change points are drawn over).
@@ -178,6 +172,8 @@ struct ExploreResult {
   bool complete = false;
   /// Final preemption bound the deepening reached.
   int bound_reached = 0;
+  /// Always 0: the explorer prunes no sibling as commuting (DESIGN.md
+  /// §10.1). Kept because the report prints it ("0 sleep-set-pruned").
   std::uint64_t pruned_by_sleep_set = 0;
   std::uint64_t bound_cutoffs = 0;
 

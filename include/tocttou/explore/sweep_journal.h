@@ -86,7 +86,6 @@ class SweepJournal {
     std::int32_t think_buckets = 0;
     std::int32_t preemption_bound = 0;
     std::int32_t max_schedules = 0;
-    std::uint8_t use_sleep_sets = 0;
     /// Pinned victim think (ns), INT64_MIN when drawn per bucket.
     std::int64_t think_ns = INT64_MIN;
     std::uint64_t step_budget = 0;

@@ -26,20 +26,19 @@ class Inode {
       : ino_(ino), type_(type), uid_(uid), gid_(gid), mode_(mode),
         sem_(std::move(sem_name)) {}
 
-  /// Checkpoint rebind: deep-copies the inode (including its embedded
-  /// semaphore) for a cloned Vfs. Registration of the old->new range is
-  /// the caller's job (Vfs::Vfs(const Vfs&, CloneMap&) registers every
-  /// inode so `Semaphore*` held by in-flight walkers can remap).
-  Inode(const Inode& o, sim::CloneMap& m)
+  /// Checkpoint copy: the inode and its embedded semaphore, as they
+  /// are. Nothing outside the Vfs points into an inode (ops and
+  /// processes name it by number), so a cloned Vfs registers no range
+  /// per inode.
+  Inode(const Inode& o)
       : ino_(o.ino_), type_(o.type_), uid_(o.uid_), gid_(o.gid_),
         mode_(o.mode_), size_bytes_(o.size_bytes_), nlink_(o.nlink_),
         open_refs_(o.open_refs_), symlink_target_(o.symlink_target_),
-        entries_(o.entries_), sem_(o.sem_, m),
+        entries_(o.entries_), sem_(o.sem_),
         rename_in_progress_(o.rename_in_progress_) {
     rebuild_index();  // the index views must point into OUR entry keys
   }
 
-  Inode(const Inode&) = delete;
   Inode& operator=(const Inode&) = delete;
 
   Ino ino() const { return ino_; }

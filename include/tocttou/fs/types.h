@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 
 #include "tocttou/common/error.h"
 #include "tocttou/sim/ids.h"
@@ -36,6 +37,11 @@ struct StatBuf {
 
   bool is_symlink() const { return type == FileType::symlink; }
   bool owned_by_root() const { return uid == 0 && gid == 0; }
+
+  /// Field list (sim/fields.h).
+  static auto fields(auto& s) {
+    return std::tie(s.ino, s.type, s.uid, s.gid, s.mode, s.size_bytes);
+  }
 };
 
 /// Open flags (subset).
@@ -47,12 +53,18 @@ struct OpenFlags {
 
   static OpenFlags read_only() { return {}; }
   static OpenFlags write_create_trunc() { return {true, true, true, false}; }
+
+  static auto fields(auto& s) {
+    return std::tie(s.write, s.create, s.truncate, s.excl);
+  }
 };
 
 /// Output slot for open(): the file descriptor (-1 until success).
 struct OpenResult {
   int fd = -1;
   Errno err = Errno::ok;
+
+  static auto fields(auto& s) { return std::tie(s.fd, s.err); }
 };
 
 }  // namespace tocttou::fs

@@ -51,12 +51,13 @@ class Vfs {
   ~Vfs();
 
   /// Checkpoint clone: deep-copies the whole filesystem (inode table,
-  /// fd tables, root, counters) and registers the Vfs object plus every
-  /// inode with `m` so interior pointers — notably `Semaphore*` held by
-  /// in-flight path walkers — remap to the clone. The injector and
-  /// metrics sinks are remapped through `m` too (they are cloned by the
-  /// owning RoundRun before the Vfs). The recycling arena starts empty:
-  /// it is a pure allocation cache with no observable state.
+  /// fd tables, root, counters) and registers the Vfs object — one
+  /// range — with `m`, so the `Vfs*` held by programs and in-flight ops
+  /// remap to the clone. Nothing points into an inode: ops reach a
+  /// semaphore through its inode's number. The injector and metrics
+  /// sinks are remapped through `m` too (they are cloned by the owning
+  /// RoundRun before the Vfs). The recycling arena starts empty: it is a
+  /// pure allocation cache with no observable state.
   Vfs(const Vfs& o, sim::CloneMap& m);
 
   Vfs(const Vfs&) = delete;

@@ -21,7 +21,7 @@
 
 #include "tocttou/fs/vfs.h"
 #include "tocttou/programs/timings.h"
-#include "tocttou/sim/program.h"
+#include "tocttou/sim/fields.h"
 #include "tocttou/sim/semaphore.h"
 
 namespace tocttou::programs {
@@ -31,6 +31,11 @@ struct AttackTarget {
   std::string watched_path;           // wfname / real_filename
   std::string evil_target = "/etc/passwd";
   std::string dummy_path;             // v2 only; in an attacker-owned dir
+
+  /// Field list (sim/fields.h).
+  static auto fields(auto& t) {
+    return std::tie(t.watched_path, t.evil_target, t.dummy_path);
+  }
 };
 
 /// Common observable state, for tests and the harness.
@@ -41,31 +46,15 @@ struct AttackerStatus {
   int retries = 0;          // bounded EINTR retries (fault injection only)
   Errno unlink_err = Errno::ok;
   Errno symlink_err = Errno::ok;
+
+  static auto fields(auto& s) {
+    return std::tie(s.detected, s.attack_done, s.iterations, s.retries,
+                    s.unlink_err, s.symlink_err);
+  }
 };
 
-/// Canonical-hash helpers shared by the attacker models (DESIGN.md §10).
-inline void hash_attacker_stat(StateHasher& h, const fs::StatBuf& st,
-                               Errno err) {
-  h.u64(st.ino);
-  h.u32(static_cast<std::uint32_t>(st.type));
-  h.u64(st.uid);
-  h.u64(st.gid);
-  h.u64(st.mode);
-  h.u64(st.size_bytes);
-  h.u32(static_cast<std::uint32_t>(err));
-}
-
-inline void hash_attacker_status(StateHasher& h, const AttackerStatus& s) {
-  h.boolean(s.detected);
-  h.boolean(s.attack_done);
-  h.i64(s.iterations);
-  h.i64(s.retries);
-  h.u32(static_cast<std::uint32_t>(s.unlink_err));
-  h.u32(static_cast<std::uint32_t>(s.symlink_err));
-}
-
 /// Figure 2 / Figure 4: the straightforward detection loop.
-class NaiveAttacker final : public sim::Program {
+class NaiveAttacker final : public sim::Listed<NaiveAttacker, sim::Program> {
  public:
   /// `loop_comp` is the per-iteration computation (scenario-dependent);
   /// `post_detect_comp` the computation between the positive stat and
@@ -74,32 +63,23 @@ class NaiveAttacker final : public sim::Program {
                 Duration post_detect_comp, RetryPolicy retry = {});
 
   sim::Action next(sim::ProgramContext& ctx) override;
-  std::unique_ptr<sim::Program> clone(sim::CloneMap& m) const override;
   const AttackerStatus& status() const { return status_; }
 
-  void hash_state(StateHasher& h) const override {
-    h.str("naive_attacker");
-    h.str(target_.watched_path);
-    h.str(target_.evil_target);
-    h.str(target_.dummy_path);
-    h.dur(loop_comp_);
-    h.dur(post_detect_comp_);
-    h.u32(static_cast<std::uint32_t>(phase_));
-    hash_attacker_stat(h, stat_out_, stat_err_);
-    hash_attacker_status(h, status_);
-    h.i64(attempt_);
+  static auto fields(auto& self) {
+    return std::tie(self.vfs_, self.target_, self.loop_comp_,
+                    self.post_detect_comp_, self.retry_, self.phase_,
+                    self.stat_out_, self.stat_err_, self.status_,
+                    self.attempt_);
   }
 
  private:
-  NaiveAttacker(const NaiveAttacker& o, sim::CloneMap& m);
-
   enum class Phase { stat, judge, post_detect, unlink, symlink, done };
 
   /// EINTR retry with busy-wait backoff (attackers spin, they never
   /// yield the CPU inside the window).
   std::optional<sim::Action> retry_eintr(Errno e, Phase redo);
 
-  fs::Vfs& vfs_;
+  fs::Vfs* vfs_;
   AttackTarget target_;
   Duration loop_comp_;
   Duration post_detect_comp_;
@@ -113,37 +93,28 @@ class NaiveAttacker final : public sim::Program {
 
 /// Figure 9: unlink/symlink run every iteration (on a dummy when the
 /// window is closed), removing the in-window page-fault trap.
-class PrefaultedAttacker final : public sim::Program {
+class PrefaultedAttacker final
+    : public sim::Listed<PrefaultedAttacker, sim::Program> {
  public:
   PrefaultedAttacker(fs::Vfs& vfs, AttackTarget target, Duration select_comp,
                      RetryPolicy retry = {});
 
   sim::Action next(sim::ProgramContext& ctx) override;
-  std::unique_ptr<sim::Program> clone(sim::CloneMap& m) const override;
   const AttackerStatus& status() const { return status_; }
 
-  void hash_state(StateHasher& h) const override {
-    h.str("prefaulted_attacker");
-    h.str(target_.watched_path);
-    h.str(target_.evil_target);
-    h.str(target_.dummy_path);
-    h.dur(select_comp_);
-    h.u32(static_cast<std::uint32_t>(phase_));
-    h.boolean(window_now_);
-    h.str(fname_);
-    hash_attacker_stat(h, stat_out_, stat_err_);
-    hash_attacker_status(h, status_);
-    h.i64(attempt_);
+  static auto fields(auto& self) {
+    return std::tie(self.vfs_, self.target_, self.select_comp_, self.retry_,
+                    self.phase_, self.window_now_, self.fname_,
+                    self.stat_out_, self.stat_err_, self.status_,
+                    self.attempt_);
   }
 
  private:
-  PrefaultedAttacker(const PrefaultedAttacker& o, sim::CloneMap& m);
-
   enum class Phase { stat, select, unlink, symlink, maybe_exit, done };
 
   std::optional<sim::Action> retry_eintr(Errno e, Phase redo);
 
-  fs::Vfs& vfs_;
+  fs::Vfs* vfs_;
   AttackTarget target_;
   Duration select_comp_;
   RetryPolicy retry_;
@@ -157,12 +128,9 @@ class PrefaultedAttacker final : public sim::Program {
 };
 
 /// Section 7: shared state of the two pipelined attack threads.
+/// A checkpoint copies it as it is (the flag's wait queue carries pids
+/// only); RoundRun registers its range, since both threads point at it.
 struct PipelinedAttackState {
-  PipelinedAttackState() = default;
-  /// Checkpoint-fork rebind (the flag's wait queue carries pids only).
-  PipelinedAttackState(const PipelinedAttackState& o, sim::CloneMap& m)
-      : window_found(o.window_found, m), status(o.status) {}
-
   sim::EventFlag window_found{"window_found"};
   AttackerStatus status;
 };
@@ -171,36 +139,29 @@ struct PipelinedAttackState {
 /// detection it sets the flag (waking thread 2) *before* unlinking, so
 /// the symlink request races into the semaphore queue right behind the
 /// unlink and completes during unlink's truncate phase (Figure 11).
-class PipelinedAttackerMain final : public sim::Program {
+class PipelinedAttackerMain final
+    : public sim::Listed<PipelinedAttackerMain, sim::Program> {
  public:
   PipelinedAttackerMain(fs::Vfs& vfs, AttackTarget target, Duration loop_comp,
                         Duration handoff_comp, PipelinedAttackState* state,
                         RetryPolicy retry = {});
 
   sim::Action next(sim::ProgramContext& ctx) override;
-  std::unique_ptr<sim::Program> clone(sim::CloneMap& m) const override;
 
-  /// The shared PipelinedAttackState (flag + status) is hashed once at
-  /// the RoundRun level; here we hash only this thread's private state.
-  void hash_state(StateHasher& h) const override {
-    h.str("pipelined_attacker_main");
-    h.str(target_.watched_path);
-    h.str(target_.evil_target);
-    h.dur(loop_comp_);
-    h.dur(handoff_comp_);
-    h.u32(static_cast<std::uint32_t>(phase_));
-    hash_attacker_stat(h, stat_out_, stat_err_);
-    h.i64(attempt_);
+  /// `state_` is a pointer, so the digest skips the shared
+  /// PipelinedAttackState (flag + status); RoundRun hashes it once.
+  static auto fields(auto& self) {
+    return std::tie(self.vfs_, self.target_, self.loop_comp_,
+                    self.handoff_comp_, self.state_, self.retry_, self.phase_,
+                    self.stat_out_, self.stat_err_, self.attempt_);
   }
 
  private:
-  PipelinedAttackerMain(const PipelinedAttackerMain& o, sim::CloneMap& m);
-
   enum class Phase { stat, judge, signal, unlink, done };
 
   std::optional<sim::Action> retry_eintr(Errno e, Phase redo);
 
-  fs::Vfs& vfs_;
+  fs::Vfs* vfs_;
   AttackTarget target_;
   Duration loop_comp_;
   Duration handoff_comp_;
@@ -214,31 +175,23 @@ class PipelinedAttackerMain final : public sim::Program {
 
 /// Thread 2: waits for the flag, then issues the symlink, retrying on
 /// EEXIST (it may beat the unlink into the directory).
-class PipelinedAttackerSymlinker final : public sim::Program {
+class PipelinedAttackerSymlinker final
+    : public sim::Listed<PipelinedAttackerSymlinker, sim::Program> {
  public:
   PipelinedAttackerSymlinker(fs::Vfs& vfs, AttackTarget target,
                              Duration retry_comp, PipelinedAttackState* state);
 
   sim::Action next(sim::ProgramContext& ctx) override;
-  std::unique_ptr<sim::Program> clone(sim::CloneMap& m) const override;
 
-  /// Shared state hashed at the RoundRun level (see PipelinedAttackerMain).
-  void hash_state(StateHasher& h) const override {
-    h.str("pipelined_attacker_symlinker");
-    h.str(target_.watched_path);
-    h.str(target_.evil_target);
-    h.dur(retry_comp_);
-    h.u32(static_cast<std::uint32_t>(phase_));
-    h.u32(static_cast<std::uint32_t>(symlink_err_));
-    h.i64(attempts_);
+  /// Shared state hashed by RoundRun (see PipelinedAttackerMain).
+  static auto fields(auto& self) {
+    return std::tie(self.vfs_, self.target_, self.retry_comp_, self.state_,
+                    self.phase_, self.symlink_err_, self.attempts_);
   }
 
  private:
-  PipelinedAttackerSymlinker(const PipelinedAttackerSymlinker& o,
-                             sim::CloneMap& m);
-
   enum class Phase { wait, symlink, judge, retry, done };
-  fs::Vfs& vfs_;
+  fs::Vfs* vfs_;
   AttackTarget target_;
   Duration retry_comp_;
   PipelinedAttackState* state_;

@@ -22,7 +22,7 @@
 #include "tocttou/common/time.h"
 #include "tocttou/fs/types.h"
 #include "tocttou/fs/vfs.h"
-#include "tocttou/sim/program.h"
+#include "tocttou/sim/fields.h"
 
 namespace tocttou::sim {
 class Kernel;
@@ -83,23 +83,26 @@ void spawn_background_tenants(sim::Kernel& kernel, fs::Vfs& vfs,
 /// Web server tenant: think, then serve one request — stat a docroot
 /// file, open, read, close, parse (compute). Request targets and think
 /// times come from the kernel Rng.
-class WebServerTenant final : public sim::Program {
+class WebServerTenant final
+    : public sim::Listed<WebServerTenant, sim::Program> {
  public:
   WebServerTenant(fs::Vfs& vfs, int docroot_files, int intensity);
-  WebServerTenant(const WebServerTenant& o, sim::CloneMap& m);
 
   sim::Action next(sim::ProgramContext& ctx) override;
-  std::unique_ptr<sim::Program> clone(sim::CloneMap& m) const override;
-  void hash_state(StateHasher& h) const override;
+
+  static auto fields(auto& self) {
+    return std::tie(self.vfs_, self.docroot_files_, self.intensity_,
+                    self.phase_, self.target_, self.stat_out_, self.stat_err_,
+                    self.open_out_, self.io_err_);
+  }
 
  private:
   enum class Phase { think, stat, open, read, close, parse };
-  fs::Vfs& vfs_;
+  fs::Vfs* vfs_;
   int docroot_files_;
   int intensity_;
   Phase phase_ = Phase::think;
   int target_ = 0;
-  std::uint64_t requests_ = 0;
   fs::StatBuf stat_out_;
   Errno stat_err_ = Errno::ok;
   fs::OpenResult open_out_;
@@ -108,21 +111,22 @@ class WebServerTenant final : public sim::Program {
 
 /// Cron daemon: sleep a fixed period, read /etc/crontab, then run an
 /// intensity-scaled compute burst (the "job").
-class CronDaemon final : public sim::Program {
+class CronDaemon final : public sim::Listed<CronDaemon, sim::Program> {
  public:
   CronDaemon(fs::Vfs& vfs, int intensity);
-  CronDaemon(const CronDaemon& o, sim::CloneMap& m);
 
   sim::Action next(sim::ProgramContext& ctx) override;
-  std::unique_ptr<sim::Program> clone(sim::CloneMap& m) const override;
-  void hash_state(StateHasher& h) const override;
+
+  static auto fields(auto& self) {
+    return std::tie(self.vfs_, self.intensity_, self.phase_, self.stat_out_,
+                    self.stat_err_, self.open_out_, self.io_err_);
+  }
 
  private:
   enum class Phase { sleep, stat, open, read, close, job };
-  fs::Vfs& vfs_;
+  fs::Vfs* vfs_;
   int intensity_;
   Phase phase_ = Phase::sleep;
-  std::uint64_t runs_ = 0;
   fs::StatBuf stat_out_;
   Errno stat_err_ = Errno::ok;
   fs::OpenResult open_out_;
@@ -132,46 +136,48 @@ class CronDaemon final : public sim::Program {
 /// Build job: compile (compute), emit an object file under /tmp/build
 /// (open O_CREAT, write, close), unlink it, repeat — fan-out churn on a
 /// shared directory's entries and i_sem.
-class BuildJob final : public sim::Program {
+class BuildJob final : public sim::Listed<BuildJob, sim::Program> {
  public:
   BuildJob(fs::Vfs& vfs, int slot, int intensity);
-  BuildJob(const BuildJob& o, sim::CloneMap& m);
 
   sim::Action next(sim::ProgramContext& ctx) override;
-  std::unique_ptr<sim::Program> clone(sim::CloneMap& m) const override;
-  void hash_state(StateHasher& h) const override;
+
+  static auto fields(auto& self) {
+    return std::tie(self.vfs_, self.slot_, self.intensity_, self.phase_,
+                    self.open_out_, self.io_err_);
+  }
 
  private:
   enum class Phase { compile, open, write, close, unlink, idle };
   std::string object_path() const;
-  fs::Vfs& vfs_;
+  fs::Vfs* vfs_;
   int slot_;
   int intensity_;
   Phase phase_ = Phase::compile;
-  std::uint64_t builds_ = 0;
   fs::OpenResult open_out_;
   Errno io_err_ = Errno::ok;
 };
 
 /// Log writer: sleep an interval, append an intensity-scaled record to
 /// its /var/log file, repeat.
-class LogWriter final : public sim::Program {
+class LogWriter final : public sim::Listed<LogWriter, sim::Program> {
  public:
   LogWriter(fs::Vfs& vfs, int slot, int intensity);
-  LogWriter(const LogWriter& o, sim::CloneMap& m);
 
   sim::Action next(sim::ProgramContext& ctx) override;
-  std::unique_ptr<sim::Program> clone(sim::CloneMap& m) const override;
-  void hash_state(StateHasher& h) const override;
+
+  static auto fields(auto& self) {
+    return std::tie(self.vfs_, self.slot_, self.intensity_, self.phase_,
+                    self.open_out_, self.io_err_);
+  }
 
  private:
   enum class Phase { sleep, open, write, close };
   std::string log_path() const;
-  fs::Vfs& vfs_;
+  fs::Vfs* vfs_;
   int slot_;
   int intensity_;
   Phase phase_ = Phase::sleep;
-  std::uint64_t writes_ = 0;
   fs::OpenResult open_out_;
   Errno io_err_ = Errno::ok;
 };

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <tuple>
 
 #include "tocttou/common/time.h"
 
@@ -30,6 +31,11 @@ struct RetryPolicy {
     Duration d = initial_backoff;
     for (int i = 1; i < attempt; ++i) d = d * backoff_mult;
     return d;
+  }
+
+  /// Field list (sim/fields.h).
+  static auto fields(auto& s) {
+    return std::tie(s.max_attempts, s.initial_backoff, s.backoff_mult);
   }
 };
 
@@ -68,6 +74,17 @@ struct ProgramTimings {
 
   /// EINTR retry policy shared by the hardened victims and attackers.
   RetryPolicy retry;
+
+  static auto fields(auto& s) {
+    return std::tie(s.vi_pre_open, s.vi_prep_write, s.vi_write_chunk_bytes,
+                    s.vi_between_chunks, s.vi_pre_close, s.vi_pre_chown,
+                    s.gedit_prep, s.gedit_write_chunk_bytes,
+                    s.gedit_between_chunks, s.gedit_pre_backup,
+                    s.gedit_pre_rename, s.gedit_comp_gap,
+                    s.gedit_chmod_chown_gap, s.atk_loop_comp_vi,
+                    s.atk_loop_comp_gedit, s.atk_post_detect_comp,
+                    s.atk_v2_comp, s.atk_thread_handoff, s.retry);
+  }
 
   static ProgramTimings xeon();
   static ProgramTimings pentium_d();

@@ -12,7 +12,7 @@
 
 #include "tocttou/fs/vfs.h"
 #include "tocttou/programs/timings.h"
-#include "tocttou/sim/program.h"
+#include "tocttou/sim/fields.h"
 
 namespace tocttou::programs {
 
@@ -39,37 +39,29 @@ struct ViVictimConfig {
   /// the inode created by this open() and cannot be redirected.
   bool fd_attr_remedy = false;
   ProgramTimings t;
+
+  /// Field list (sim/fields.h).
+  static auto fields(auto& c) {
+    return std::tie(c.wfname, c.backup_name, c.file_bytes, c.owner_uid,
+                    c.owner_gid, c.think_time, c.fd_attr_remedy, c.t);
+  }
 };
 
-class ViVictim final : public sim::Program {
+class ViVictim final : public sim::Listed<ViVictim, sim::Program> {
  public:
   ViVictim(fs::Vfs& vfs, ViVictimConfig cfg);
   sim::Action next(sim::ProgramContext& ctx) override;
-  std::unique_ptr<sim::Program> clone(sim::CloneMap& m) const override;
+
+  static auto fields(auto& self) {
+    return std::tie(self.vfs_, self.cfg_, self.phase_, self.written_,
+                    self.pending_chunk_, self.open_out_, self.load_out_,
+                    self.err_, self.attempt_, self.retries_);
+  }
 
   /// Bounded EINTR retries performed so far (cfg.t.retry policy).
   int retries() const { return retries_; }
 
-  void hash_state(StateHasher& h) const override {
-    h.str("vi_victim");
-    h.str(cfg_.wfname);
-    h.dur(cfg_.think_time);
-    h.boolean(cfg_.fd_attr_remedy);
-    h.u32(static_cast<std::uint32_t>(phase_));
-    h.u64(written_);
-    h.u64(pending_chunk_);
-    h.i64(open_out_.fd);
-    h.u32(static_cast<std::uint32_t>(open_out_.err));
-    h.i64(load_out_.fd);
-    h.u32(static_cast<std::uint32_t>(load_out_.err));
-    h.u32(static_cast<std::uint32_t>(err_));
-    h.i64(attempt_);
-    h.i64(retries_);
-  }
-
  private:
-  ViVictim(const ViVictim& o, sim::CloneMap& m);
-
   enum class Phase {
     load_open, load_read, load_close,  // startup: read the file into the
                                        // buffer (pre-faults libc pages)
@@ -82,7 +74,7 @@ class ViVictim final : public sim::Program {
   /// the caller proceed (success, hard error, or budget exhausted).
   std::optional<sim::Action> retry_eintr(Errno e, Phase redo);
 
-  fs::Vfs& vfs_;
+  fs::Vfs* vfs_;
   ViVictimConfig cfg_;
   Phase phase_ = Phase::load_open;
   std::uint64_t written_ = 0;
@@ -118,37 +110,29 @@ struct GeditVictimConfig {
   /// name and there is nothing to detect.
   bool fd_attr_remedy = false;
   ProgramTimings t;
+
+  static auto fields(auto& c) {
+    return std::tie(c.real_filename, c.temp_filename, c.backup_name,
+                    c.file_bytes, c.owner_uid, c.owner_gid, c.owner_mode,
+                    c.think_time, c.fd_attr_remedy, c.t);
+  }
 };
 
-class GeditVictim final : public sim::Program {
+class GeditVictim final : public sim::Listed<GeditVictim, sim::Program> {
  public:
   GeditVictim(fs::Vfs& vfs, GeditVictimConfig cfg);
   sim::Action next(sim::ProgramContext& ctx) override;
-  std::unique_ptr<sim::Program> clone(sim::CloneMap& m) const override;
+
+  static auto fields(auto& self) {
+    return std::tie(self.vfs_, self.cfg_, self.phase_, self.written_,
+                    self.pending_chunk_, self.open_out_, self.load_out_,
+                    self.err_, self.attempt_, self.retries_);
+  }
 
   /// Bounded EINTR retries performed so far (cfg.t.retry policy).
   int retries() const { return retries_; }
 
-  void hash_state(StateHasher& h) const override {
-    h.str("gedit_victim");
-    h.str(cfg_.real_filename);
-    h.dur(cfg_.think_time);
-    h.boolean(cfg_.fd_attr_remedy);
-    h.u32(static_cast<std::uint32_t>(phase_));
-    h.u64(written_);
-    h.u64(pending_chunk_);
-    h.i64(open_out_.fd);
-    h.u32(static_cast<std::uint32_t>(open_out_.err));
-    h.i64(load_out_.fd);
-    h.u32(static_cast<std::uint32_t>(load_out_.err));
-    h.u32(static_cast<std::uint32_t>(err_));
-    h.i64(attempt_);
-    h.i64(retries_);
-  }
-
  private:
-  GeditVictim(const GeditVictim& o, sim::CloneMap& m);
-
   enum class Phase {
     load_open, load_read, load_close,  // startup: read the file
     think, prep, open_temp, open_ret, write_chunk, between_chunks,
@@ -160,7 +144,7 @@ class GeditVictim final : public sim::Program {
   /// Same contract as ViVictim::retry_eintr.
   std::optional<sim::Action> retry_eintr(Errno e, Phase redo);
 
-  fs::Vfs& vfs_;
+  fs::Vfs* vfs_;
   GeditVictimConfig cfg_;
   Phase phase_ = Phase::load_open;
   std::uint64_t written_ = 0;
@@ -188,29 +172,27 @@ struct SuspendingVictimConfig {
   sim::Gid owner_gid = 500;
   Duration io_time = Duration::millis(5);
   Duration think_time = Duration::zero();
+
+  static auto fields(auto& c) {
+    return std::tie(c.path, c.owner_uid, c.owner_gid, c.io_time,
+                    c.think_time);
+  }
 };
 
-class SuspendingVictim final : public sim::Program {
+class SuspendingVictim final
+    : public sim::Listed<SuspendingVictim, sim::Program> {
  public:
   SuspendingVictim(fs::Vfs& vfs, SuspendingVictimConfig cfg);
   sim::Action next(sim::ProgramContext& ctx) override;
-  std::unique_ptr<sim::Program> clone(sim::CloneMap& m) const override;
 
-  void hash_state(StateHasher& h) const override {
-    h.str("suspending_victim");
-    h.str(cfg_.path);
-    h.dur(cfg_.think_time);
-    h.u32(static_cast<std::uint32_t>(phase_));
-    h.i64(open_out_.fd);
-    h.u32(static_cast<std::uint32_t>(open_out_.err));
-    h.u32(static_cast<std::uint32_t>(err_));
+  static auto fields(auto& self) {
+    return std::tie(self.vfs_, self.cfg_, self.phase_, self.open_out_,
+                    self.err_);
   }
 
  private:
-  SuspendingVictim(const SuspendingVictim& o, sim::CloneMap& m);
-
   enum class Phase { think, rename_away, check, io, close, use, done };
-  fs::Vfs& vfs_;
+  fs::Vfs* vfs_;
   SuspendingVictimConfig cfg_;
   Phase phase_ = Phase::think;
   fs::OpenResult open_out_;
@@ -230,39 +212,29 @@ struct SendmailVictimConfig {
   std::uint64_t message_bytes = 2 * 1024;
   Duration check_use_gap = Duration::micros(60);
   Duration think_time = Duration::zero();
+
+  static auto fields(auto& c) {
+    return std::tie(c.mailbox, c.message_bytes, c.check_use_gap,
+                    c.think_time);
+  }
 };
 
-class SendmailVictim final : public sim::Program {
+class SendmailVictim final : public sim::Listed<SendmailVictim, sim::Program> {
  public:
   SendmailVictim(fs::Vfs& vfs, SendmailVictimConfig cfg);
   sim::Action next(sim::ProgramContext& ctx) override;
-  std::unique_ptr<sim::Program> clone(sim::CloneMap& m) const override;
+
+  static auto fields(auto& self) {
+    return std::tie(self.vfs_, self.cfg_, self.phase_, self.stat_out_,
+                    self.open_out_, self.err_, self.rejected_);
+  }
 
   /// True if the check step rejected the mailbox (symlink found in time).
   bool rejected() const { return rejected_; }
 
-  void hash_state(StateHasher& h) const override {
-    h.str("sendmail_victim");
-    h.str(cfg_.mailbox);
-    h.dur(cfg_.think_time);
-    h.u32(static_cast<std::uint32_t>(phase_));
-    h.u64(stat_out_.ino);
-    h.u32(static_cast<std::uint32_t>(stat_out_.type));
-    h.u64(stat_out_.uid);
-    h.u64(stat_out_.gid);
-    h.u64(stat_out_.mode);
-    h.u64(stat_out_.size_bytes);
-    h.i64(open_out_.fd);
-    h.u32(static_cast<std::uint32_t>(open_out_.err));
-    h.u32(static_cast<std::uint32_t>(err_));
-    h.boolean(rejected_);
-  }
-
  private:
-  SendmailVictim(const SendmailVictim& o, sim::CloneMap& m);
-
   enum class Phase { think, check, gap, open, write, close, done };
-  fs::Vfs& vfs_;
+  fs::Vfs* vfs_;
   SendmailVictimConfig cfg_;
   Phase phase_ = Phase::think;
   fs::StatBuf stat_out_;

@@ -3,14 +3,16 @@
 // A RoundRun checkpoint deep-copies the whole simulation graph — Vfs,
 // Kernel, processes, programs, service ops, fault injector, trace and
 // metrics sinks. Those objects hold raw pointers into each other
-// (syscall output slots, `Semaphore*` held by walkers, `Process*` in
-// run queues, observer pointers into programs). CloneMap translates
+// (syscall output slots into programs, the `Vfs*` of programs and ops,
+// `Process*` in run queues, observer pointers into programs); nothing
+// points into an inode, which ops name by number. CloneMap translates
 // old-graph pointers to their new-graph equivalents: each cloned object
 // registers the byte range it replaces, and interior pointers resolve
-// by offset within a registered range. An unmapped non-null pointer is
-// a hard error — it means a clone path forgot to register state, which
-// would silently couple the fork to its parent and break the
-// fork==replay determinism contract (DESIGN.md §6).
+// by offset within a registered range. Ops and programs rebind their
+// pointers through their field lists (sim/fields.h). An unmapped
+// non-null pointer is a hard error — it means a clone path forgot to
+// register state, which would silently couple the fork to its parent
+// and break the fork==replay determinism contract (DESIGN.md §6).
 #pragma once
 
 #include <cstddef>
@@ -37,8 +39,9 @@ class CloneMap {
   void* remap_raw(const void* old_ptr) const {
     if (old_ptr == nullptr) return nullptr;
     const auto p = reinterpret_cast<std::uintptr_t>(old_ptr);
-    // Linear scan: a round clones a few dozen ranges, and most remaps
-    // hit the recently added ones — search newest-first.
+    // Linear scan: a round registers one range per process and per
+    // program plus a few sinks, and most remaps hit the recently added
+    // ones — search newest-first.
     for (auto it = ranges_.rbegin(); it != ranges_.rend(); ++it) {
       if (p >= it->old_base && p < it->old_base + it->bytes) {
         return reinterpret_cast<void*>(it->new_base + (p - it->old_base));

@@ -42,7 +42,7 @@ class Kernel {
   Kernel& operator=(const Kernel&) = delete;
 
   /// Checkpoint support: deep-copies a mid-round kernel. The caller must
-  /// have registered the surrounding round state (Vfs and its inodes,
+  /// have registered the surrounding round state (the Vfs,
   /// trace/metrics/fault sinks, shared attack state) in `m` first; this
   /// ctor registers the process table, then clones the scheduler,
   /// programs, and in-flight service ops against the new addresses.

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 
 #include "tocttou/common/rng.h"
 #include "tocttou/common/time.h"
@@ -45,6 +46,12 @@ struct BackgroundLoad {
   Duration burst_mean = Duration::micros(400);
   Duration burst_stdev = Duration::micros(200);
   int priority = 10;  // higher than the default user priority 0
+
+  /// Field list (sim/fields.h).
+  static auto fields(auto& s) {
+    return std::tie(s.enabled, s.mean_interval, s.burst_mean, s.burst_stdev,
+                    s.priority);
+  }
 };
 
 struct MachineSpec {

@@ -9,7 +9,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "tocttou/common/time.h"
 #include "tocttou/sim/ids.h"
@@ -18,7 +17,6 @@
 namespace tocttou::sim {
 
 class Kernel;
-class Semaphore;
 
 enum class ProcState {
   ready,        // runnable, waiting for a CPU
@@ -63,8 +61,7 @@ class Process {
 
   /// Canonical state digest (DESIGN.md §10): every field the kernel's
   /// clone ctor copies — identity, scheduling state, the in-flight
-  /// action, and the owned program/op state machines. Defined in
-  /// process.cc (needs Semaphore's definition).
+  /// action, and the owned program/op state machines.
   void hash_state(StateHasher& h) const;
 
  private:
@@ -95,8 +92,9 @@ class Process {
   std::unique_ptr<ServiceOp> op_;
   SimTime op_enter_;           // syscall entry time (for the journal)
   bool need_resched_ = false;  // preemption requested at next safe point
-  // Semaphores currently held (sanity tracking + release-on-exit check).
-  std::vector<Semaphore*> held_sems_;
+  // Number of semaphores held (release-on-exit check). Which ones is
+  // each semaphore's owner, so a checkpoint copies no pointer here.
+  std::uint32_t sems_held_ = 0;
   // libc pages already mapped into this process (first-touch fault model).
   std::set<int> mapped_libc_pages_;
   // Generation counter to invalidate stale scheduled segment events.

@@ -97,11 +97,13 @@ class Program {
   virtual Action next(ProgramContext& ctx) = 0;
 
   /// Checkpoint support: deep-copies the program's state machine for a
-  /// cloned round, remapping any pointers into simulation state (output
-  /// slots, Vfs, EventFlags) through `m`. The default fails hard rather
-  /// than being pure so programs that never run under the checkpointing
-  /// explorer (test doubles, one-off experiment programs) need not
-  /// implement it.
+  /// cloned round, remapping any pointers into simulation state (the
+  /// Vfs, shared attack state) through `m`, and registers the copy's
+  /// range so that in-flight ops' output slots resolve. Programs derive
+  /// it, with hash_state, from their field list (sim::Listed,
+  /// sim/fields.h). The default fails hard rather than being pure so
+  /// programs that never run under the checkpointing explorer (test
+  /// doubles, one-off experiment programs) need not implement it.
   virtual std::unique_ptr<Program> clone(CloneMap& m) const {
     (void)m;
     TOCTTOU_CHECK(false, "program does not support checkpoint clone");

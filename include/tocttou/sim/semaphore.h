@@ -16,7 +16,6 @@
 
 namespace tocttou::sim {
 
-class CloneMap;
 class Kernel;
 
 /// FIFO of waiting pids. A plain vector with a consumed-prefix offset:
@@ -55,14 +54,12 @@ class Semaphore {
  public:
   explicit Semaphore(std::string name) : name_(std::move(name)) {}
 
-  /// Checkpoint rebind: duplicates the semaphore for a cloned round.
-  /// Owner/waiter Pids are stable across a clone (the process table is
-  /// copied index-for-index), so no remapping is needed; the CloneMap
-  /// parameter marks this as a deliberate clone-path copy.
-  Semaphore(const Semaphore& o, CloneMap&)
-      : name_(o.name_), owner_(o.owner_), waiters_(o.waiters_) {}
-
-  Semaphore(const Semaphore&) = delete;
+  /// A checkpoint copies a semaphore as it is: its owner and waiters are
+  /// Pids, stable across a clone (the process table is copied
+  /// index-for-index), and nothing stores a pointer to it — processes
+  /// count what they hold, and ops reach their semaphores through inode
+  /// numbers.
+  Semaphore(const Semaphore&) = default;
   Semaphore& operator=(const Semaphore&) = delete;
 
   const std::string& name() const { return name_; }
@@ -94,11 +91,9 @@ class EventFlag {
  public:
   explicit EventFlag(std::string name) : name_(std::move(name)) {}
 
-  /// Checkpoint rebind (see Semaphore): Pids are clone-stable.
-  EventFlag(const EventFlag& o, CloneMap&)
-      : name_(o.name_), set_(o.set_), waiters_(o.waiters_) {}
-
-  EventFlag(const EventFlag&) = delete;
+  /// Copied as it is by a checkpoint (see Semaphore): Pids are
+  /// clone-stable.
+  EventFlag(const EventFlag&) = default;
   EventFlag& operator=(const EventFlag&) = delete;
 
   const std::string& name() const { return name_; }

@@ -92,8 +92,9 @@ class ServiceOp {
   virtual void fill_record(trace::SyscallRecord& rec) const { (void)rec; }
 
   /// Checkpoint support: deep-copies the in-flight syscall state machine
-  /// for a cloned round, remapping its Vfs reference, output slots, and
-  /// any held `Semaphore*` through `m`. Fails hard by default (see
+  /// for a cloned round, remapping its `Vfs*` and output slots through
+  /// `m`. Ops derive it, with hash_state, from their field list
+  /// (sim::Listed, sim/fields.h). Fails hard by default (see
   /// Program::clone).
   virtual std::unique_ptr<ServiceOp> clone(CloneMap& m) const {
     (void)m;

@@ -44,6 +44,20 @@ struct SyscallRecord {
 
 class SyscallJournal {
  public:
+  SyscallJournal() = default;
+  /// A copy keeps the source's capacity. The copies made are checkpoint
+  /// forks (core::RoundRun), which keep appending: an exact-size copy
+  /// would reallocate the whole prefix at the fork's first syscall — a
+  /// transient that fragments the heap with journal-sized blocks and
+  /// raises the peak RSS of a sweep.
+  SyscallJournal(const SyscallJournal& o) {
+    records_.reserve(o.records_.capacity());
+    records_.insert(records_.end(), o.records_.begin(), o.records_.end());
+  }
+  SyscallJournal& operator=(const SyscallJournal&) = default;
+  SyscallJournal(SyscallJournal&&) = default;
+  SyscallJournal& operator=(SyscallJournal&&) = default;
+
   void add(SyscallRecord rec) { records_.push_back(std::move(rec)); }
   const std::vector<SyscallRecord>& records() const { return records_; }
   bool empty() const { return records_.empty(); }

@@ -16,6 +16,7 @@
 #include "tocttou/programs/victims.h"
 #include "tocttou/sched/linux_sched.h"
 #include "tocttou/sim/clone.h"
+#include "tocttou/sim/fields.h"
 #include "tocttou/sim/kernel.h"
 
 namespace tocttou::core {
@@ -396,9 +397,9 @@ RoundRun::RoundRun(const RoundRun& o)
       drain_limit_(o.drain_limit_) {
   sim::CloneMap m;
   // Registration order matters: sinks the kernel/vfs point into (result
-  // streams, injector, shared attack state) first, then the VFS (which
-  // registers itself and every inode), then the kernel (process table,
-  // scheduler queues, programs, in-flight ops), then the observer
+  // streams, injector, shared attack state) first, then the VFS (one
+  // range: nothing points into an inode), then the kernel (process
+  // table, scheduler queues, programs, in-flight ops), then the observer
   // pointers into the now-registered programs.
   m.add_range(&o.res_, &res_, sizeof(RoundResult));
   if (o.injector_) {
@@ -407,7 +408,7 @@ RoundRun::RoundRun(const RoundRun& o)
   }
   if (o.pipeline_state_ != nullptr) {
     pipeline_state_ = std::make_unique<programs::PipelinedAttackState>(
-        *o.pipeline_state_, m);
+        *o.pipeline_state_);
     m.add_range(o.pipeline_state_.get(), pipeline_state_.get(),
                 sizeof(programs::PipelinedAttackState));
   }
@@ -506,7 +507,7 @@ void RoundRun::hash_state(StateHasher& h) const {
   h.boolean(pipeline_state_ != nullptr);
   if (pipeline_state_ != nullptr) {
     pipeline_state_->window_found.hash_state(h);
-    programs::hash_attacker_status(h, pipeline_state_->status);
+    sim::hash_field(h, pipeline_state_->status);
   }
 }
 

@@ -16,29 +16,12 @@ SiteRecord make_record(const ChoiceContext& ctx, int chosen) {
   rec.policy = static_cast<std::uint16_t>(ctx.policy);
   if (ctx.kind == ChoiceKind::pick) {
     rec.options.reserve(ctx.procs.size());
-    rec.commutes_with_chosen.assign(ctx.procs.size(), 0);
-    for (std::size_t i = 0; i < ctx.procs.size(); ++i) {
-      rec.options.push_back(ctx.procs[i]->pid());
-      if (static_cast<int>(i) != chosen &&
-          independent(*ctx.procs[i],
-                      *ctx.procs[static_cast<std::size_t>(chosen)])) {
-        rec.commutes_with_chosen[i] = 1;
-      }
-    }
+    for (const sim::Process* p : ctx.procs) rec.options.push_back(p->pid());
   }
   return rec;
 }
 
 }  // namespace
-
-bool independent(const sim::Process& a, const sim::Process& b) {
-  // Kernel threads (the background load generators) never touch the VFS;
-  // either order of a kthread and anything else reaches the same
-  // file-system outcome. This is an outcome-level approximation: the
-  // orders differ in timing, which the enumerator deliberately treats as
-  // equivalent (timing-only divergence carries no probability mass).
-  return a.kernel_thread() || b.kernel_thread();
-}
 
 GuidedSource::GuidedSource(std::vector<Choice> prefix)
     : prefix_(std::move(prefix)) {}

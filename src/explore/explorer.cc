@@ -991,7 +991,6 @@ struct Iteration {
   int divergence_errors = 0;
   double exact = 0.0;
   double mass = 0.0;
-  std::uint64_t pruned = 0;
   std::uint64_t cutoffs = 0;
   bool capped = false;
   std::optional<ScheduleToken> witness;
@@ -1143,11 +1142,6 @@ void run_iteration(const core::ScenarioConfig& base,
         if (opt == static_cast<int>(site.choice.chosen)) continue;
         if (level + 1 > bound) {
           ++it->cutoffs;
-          continue;
-        }
-        if (ecfg.use_sleep_sets && site.choice.kind == ChoiceKind::pick &&
-            site.commutes_with_chosen[static_cast<std::size_t>(opt)] != 0) {
-          ++it->pruned;
           continue;
         }
         Choice alt = o.choices[j];
@@ -1387,7 +1381,6 @@ ExploreResult explore(const core::ScenarioConfig& cfg,
     meta.think_buckets = ecfg.think_buckets;
     meta.preemption_bound = ecfg.preemption_bound;
     meta.max_schedules = ecfg.max_schedules;
-    meta.use_sleep_sets = ecfg.use_sleep_sets ? 1 : 0;
     meta.think_ns = base.victim_think ? base.victim_think->ns() : INT64_MIN;
     meta.step_budget = base.step_budget;
     meta.pct_depth = ecfg.pct_depth;
@@ -1473,7 +1466,6 @@ ExploreResult explore(const core::ScenarioConfig& cfg,
     res.divergence_errors += it.divergence_errors;
     res.exact_success = it.exact;
     res.total_mass = it.mass;
-    res.pruned_by_sleep_set = it.pruned;
     res.bound_cutoffs = it.cutoffs;
     res.witness = it.witness;
     res.witness_divergences = it.witness_divergences;

@@ -83,8 +83,9 @@ bool ExploringScheduler::should_preempt(const Process& woken,
   // Strict-priority preemption (e.g. a kernel thread over a user task)
   // happens on every real kernel — not a choice point. Equal-priority
   // wakeup preemption is the sub-tick timing artifact the paper's
-  // attacks ride on, so branch it — but only between user tasks; kernel
-  // threads commute with everything (see independent()).
+  // attacks ride on, so branch it — but only between user tasks; a
+  // kernel thread's wakeup follows the policy (canonical explore configs
+  // run no kernel threads).
   if (woken.priority() != running.priority() || woken.kernel_thread() ||
       running.kernel_thread()) {
     return inner_.should_preempt(woken, running);

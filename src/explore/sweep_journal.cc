@@ -27,7 +27,7 @@ void put_meta(ByteWriter* w, const SweepJournal::Meta& m) {
   w->u32(static_cast<std::uint32_t>(m.think_buckets));
   w->u32(static_cast<std::uint32_t>(m.preemption_bound));
   w->u32(static_cast<std::uint32_t>(m.max_schedules));
-  w->u8(m.use_sleep_sets);
+  w->u8(1);  // retired sleep-set flag: always 1, discarded on read
   w->i64(m.think_ns);
   w->u64(m.step_budget);
   w->u32(static_cast<std::uint32_t>(m.pct_depth));
@@ -44,7 +44,7 @@ SweepJournal::Meta get_meta(ByteReader* r) {
   m.think_buckets = static_cast<std::int32_t>(r->u32());
   m.preemption_bound = static_cast<std::int32_t>(r->u32());
   m.max_schedules = static_cast<std::int32_t>(r->u32());
-  m.use_sleep_sets = r->u8();
+  r->u8();  // retired sleep-set flag
   m.think_ns = r->i64();
   m.step_budget = r->u64();
   m.pct_depth = static_cast<std::int32_t>(r->u32());
@@ -83,8 +83,10 @@ void put_leaf(ByteWriter* w, const LeafRecord& o) {
     w->u16(s.policy);
     w->u32(static_cast<std::uint32_t>(s.options.size()));
     for (sim::Pid p : s.options) w->u32(p);
-    w->u32(static_cast<std::uint32_t>(s.commutes_with_chosen.size()));
-    for (std::uint8_t b : s.commutes_with_chosen) w->u8(b);
+    // Retired per-option commute flags: one zero byte per option, so
+    // version-1 journals keep their layout. Readers discard them.
+    w->u32(static_cast<std::uint32_t>(s.options.size()));
+    for (std::size_t j = 0; j < s.options.size(); ++j) w->u8(0);
   }
   w->u32(static_cast<std::uint32_t>(o.site_events.size()));
   for (std::uint64_t e : o.site_events) w->u64(e);
@@ -113,9 +115,7 @@ LeafRecord get_leaf(ByteReader* r) {
       s.options.push_back(r->u32());
     }
     const std::uint32_t n_comm = r->u32();
-    for (std::uint32_t j = 0; j < n_comm && r->ok(); ++j) {
-      s.commutes_with_chosen.push_back(r->u8());
-    }
+    for (std::uint32_t j = 0; j < n_comm && r->ok(); ++j) r->u8();
     o.sites.push_back(std::move(s));
   }
   const std::uint32_t n_events = r->u32();

@@ -2,7 +2,9 @@
 //
 // Each op is a small state machine driven by Kernel::advance_service; see
 // include/tocttou/sim/service.h for the step protocol and DESIGN.md §4
-// for which operation holds which semaphore.
+// for which operation holds which semaphore. Every op, and the walker
+// inside it, names its members once in a field list (sim/fields.h); the
+// checkpoint clone and the state digest are derived from it.
 #include <optional>
 
 #include "tocttou/common/strings.h"
@@ -10,6 +12,7 @@
 #include "tocttou/metrics/metrics.h"
 #include "tocttou/sim/clone.h"
 #include "tocttou/sim/faults.h"
+#include "tocttou/sim/fields.h"
 #include "tocttou/sim/kernel.h"
 #include "tocttou/trace/journal.h"
 
@@ -17,6 +20,7 @@ namespace tocttou::fs {
 
 namespace {
 
+using sim::Listed;
 using sim::ServiceContext;
 using sim::ServiceOp;
 using sim::Step;
@@ -39,20 +43,6 @@ Creds creds_of(const ServiceContext& ctx) {
   return Creds{ctx.proc.uid(), ctx.proc.gid()};
 }
 
-void hash_stat(tocttou::StateHasher& h, const StatBuf& s) {
-  h.u64(s.ino);
-  h.u32(static_cast<std::uint32_t>(s.type));
-  h.u64(s.uid);
-  h.u64(s.gid);
-  h.u64(s.mode);
-  h.u64(s.size_bytes);
-}
-
-void hash_sem_ptr(tocttou::StateHasher& h, const sim::Semaphore* s) {
-  h.boolean(s != nullptr);
-  if (s != nullptr) h.str(s->name());
-}
-
 /// Path resolution driver shared by all ops.
 ///
 /// Policy `hold`: the final directory's semaphore is acquired and LEFT
@@ -68,37 +58,17 @@ class Walker {
   enum class Follow { yes, no };
 
   Walker(Vfs& vfs, std::string path, SemPolicy policy, Follow follow)
-      : vfs_(vfs), path_(std::move(path)), policy_(policy), follow_(follow) {}
+      : vfs_(&vfs), path_(std::move(path)), policy_(policy), follow_(follow) {}
 
-  /// Checkpoint rebind: mid-walk state carries a Vfs reference and
-  /// possibly a held `Semaphore*` into an inode — both remap to the
-  /// cloned filesystem (the Vfs clone registered every inode range).
-  Walker(const Walker& o, sim::CloneMap& m)
-      : vfs_(*m.remap(&o.vfs_)), path_(o.path_), policy_(o.policy_),
-        follow_(o.follow_), st_(o.st_), depth_(o.depth_), err_(o.err_),
-        parent_(o.parent_), final_name_(o.final_name_), target_(o.target_),
-        snapshot_(o.snapshot_), held_(m.remap(o.held_)),
-        slow_path_(o.slow_path_) {}
+  static auto fields(auto& self) {
+    return std::tie(self.vfs_, self.path_, self.policy_, self.follow_,
+                    self.st_, self.depth_, self.err_, self.parent_,
+                    self.final_name_, self.target_, self.snapshot_,
+                    self.held_, self.slow_path_);
+  }
 
   /// Returns the next step to execute, or nullopt when resolution is done.
   std::optional<Step> advance(ServiceContext& ctx);
-
-  /// Canonical state digest (DESIGN.md §10): mirrors the rebind ctor's
-  /// field list. The held Semaphore* is hashed by name (stable identity).
-  void hash_state(tocttou::StateHasher& h) const {
-    h.str(path_);
-    h.u32(static_cast<std::uint32_t>(policy_));
-    h.u32(static_cast<std::uint32_t>(follow_));
-    h.u32(static_cast<std::uint32_t>(st_));
-    h.i64(depth_);
-    h.u32(static_cast<std::uint32_t>(err_));
-    h.u64(parent_);
-    h.str(final_name_);
-    h.u64(target_);
-    hash_stat(h, snapshot_);
-    hash_sem_ptr(h, held_);
-    h.boolean(slow_path_);
-  }
 
   Errno error() const { return err_; }  // prefix/symlink errors; ok otherwise
   Ino parent() const { return parent_; }
@@ -106,7 +76,12 @@ class Walker {
   Ino target() const { return target_; }
   bool target_exists() const { return target_ != kNoIno; }
   const StatBuf& snapshot() const { return snapshot_; }
-  sim::Semaphore* held_dir_sem() const { return held_; }
+  /// The final directory's semaphore once a `hold` walk has left it
+  /// held for the op; null before that. Reached through the directory's
+  /// inode number, so a checkpoint copies no pointer into an inode.
+  sim::Semaphore* held_dir_sem() const {
+    return held_ ? &vfs_->inode_mut(parent_).sem() : nullptr;
+  }
   bool took_slow_path() const { return slow_path_; }
 
  private:
@@ -123,7 +98,7 @@ class Walker {
   // walk must restart through a symlink.
   bool lookup_final();
 
-  Vfs& vfs_;
+  Vfs* vfs_;
   std::string path_;
   SemPolicy policy_;
   Follow follow_;
@@ -134,14 +109,14 @@ class Walker {
   std::string final_name_;
   Ino target_ = kNoIno;
   StatBuf snapshot_;
-  sim::Semaphore* held_ = nullptr;
+  bool held_ = false;  // a hold walk left parent_'s semaphore to the op
   bool slow_path_ = false;
 };
 
 bool Walker::lookup_final() {
-  target_ = vfs_.lookup_in(parent_, final_name_);
+  target_ = vfs_->lookup_in(parent_, final_name_);
   if (target_ != kNoIno) {
-    const Inode& t = vfs_.inode(target_);
+    const Inode& t = vfs_->inode(target_);
     snapshot_ = t.to_stat();
     if (t.is_symlink() && follow_ == Follow::yes) {
       path_ = t.symlink_target();
@@ -174,18 +149,18 @@ std::optional<Step> Walker::advance(ServiceContext& ctx) {
           st_ = St::done;
           return std::nullopt;
         }
-        if (metrics::Registry* m = vfs_.metrics()) {
+        if (metrics::Registry* m = vfs_->metrics()) {
           // One observation per resolution leg; symlink restarts show up
           // as extra legs, which is exactly the work the walk performs.
           m->observe("fs.path_walk_components",
                      static_cast<std::int64_t>(n));
           if (depth_ > 0) m->count("fs.symlink_restarts");
         }
-        return Step::work(vfs_.costs().path_component *
+        return Step::work(vfs_->costs().path_component *
                           static_cast<std::int64_t>(n));
       }
       case St::prefix_done: {
-        const auto walk = vfs_.walk_prefix(path_);
+        const auto walk = vfs_->walk_prefix(path_);
         if (walk.err != Errno::ok) {
           err_ = walk.err;
           st_ = St::done;
@@ -193,7 +168,7 @@ std::optional<Step> Walker::advance(ServiceContext& ctx) {
         }
         parent_ = walk.parent;
         final_name_ = walk.final_name;
-        Inode& parent_inode = vfs_.inode_mut(parent_);
+        Inode& parent_inode = vfs_->inode_mut(parent_);
         sim::Semaphore& sem = parent_inode.sem();
         if (policy_ == SemPolicy::hold) {
           st_ = St::locked;
@@ -219,34 +194,34 @@ std::optional<Step> Walker::advance(ServiceContext& ctx) {
           return std::nullopt;
         }
         slow_path_ = true;
-        if (metrics::Registry* m = vfs_.metrics()) {
+        if (metrics::Registry* m = vfs_->metrics()) {
           m->count("fs.lockless_slow_paths");
         }
         st_ = St::locked;
         return Step::acquire(&sem);
       }
       case St::locked: {
-        sim::Semaphore& sem = vfs_.inode_mut(parent_).sem();
+        sim::Semaphore& sem = vfs_->inode_mut(parent_).sem();
         const bool restart = lookup_final();
         if (policy_ == SemPolicy::lockless_if_free) {
           st_ = restart ? St::release_then_restart : St::locked_tail;
-          return Step::work(vfs_.costs().stat_locked_tail);
+          return Step::work(vfs_->costs().stat_locked_tail);
         }
         if (restart) {
           st_ = St::init;
           return Step::release(&sem);
         }
-        held_ = &sem;  // caller releases
+        held_ = true;  // caller releases
         st_ = St::done;
         return std::nullopt;
       }
       case St::locked_tail: {
         st_ = St::done;
-        return Step::release(&vfs_.inode_mut(parent_).sem());
+        return Step::release(&vfs_->inode_mut(parent_).sem());
       }
       case St::release_then_restart: {
         st_ = St::init;
-        return Step::release(&vfs_.inode_mut(parent_).sem());
+        return Step::release(&vfs_->inode_mut(parent_).sem());
       }
       case St::done:
         return std::nullopt;
@@ -254,58 +229,82 @@ std::optional<Step> Walker::advance(ServiceContext& ctx) {
   }
 }
 
-/// Base with shared journaling plumbing.
+/// Base of the path-taking ops: the path, its walker, the errno slot
+/// and the phase counter every such op steps through.
 class FsOp : public ServiceOp {
  public:
   FsOp(Vfs& vfs, std::string path, Errno* err_out)
-      : vfs_(vfs), path_(std::move(path)), err_out_(err_out) {}
+      : vfs_(&vfs), path_(std::move(path)), err_out_(err_out) {}
+
+  /// Output slots (err_out_ and friends) are pointers, so they are
+  /// rebound but never hashed: the program that owns a slot hashes its
+  /// value.
+  static auto fields(auto& self) {
+    return std::tie(self.vfs_, self.path_, self.err_out_, self.walker_,
+                    self.phase_);
+  }
 
   void fill_record(trace::SyscallRecord& rec) const override {
     rec.path = path_;
   }
 
  protected:
-  /// Checkpoint rebind: the Vfs reference and the program-owned errno
-  /// slot both live in cloned state and remap through `m` (programs are
-  /// cloned before their in-flight ops, so the slot range is known).
-  FsOp(const FsOp& o, sim::CloneMap& m)
-      : vfs_(*m.remap(&o.vfs_)), path_(o.path_),
-        err_out_(m.remap(o.err_out_)) {}
-
   Step finish(Errno e) {
     if (err_out_ != nullptr) *err_out_ = e;
     return Step::done(e);
   }
 
-  /// Shared digest prefix: op name (type discriminator) + path. Output
-  /// slots (err_out_ and friends) are hashed as values by the program
-  /// that owns them, never as pointers.
-  void hash_base(tocttou::StateHasher& h) const {
-    h.str(name());
-    h.str(path_);
+  /// Starts (on first call) and advances the walk of path_; nullopt once
+  /// the walk is done.
+  std::optional<Step> walk(ServiceContext& ctx, Walker::SemPolicy policy,
+                           Walker::Follow follow) {
+    if (!walker_) walker_.emplace(*vfs_, path_, policy, follow);
+    return walker_->advance(ctx);
   }
 
-  static void hash_walker(tocttou::StateHasher& h,
-                          const std::optional<Walker>& w) {
-    h.boolean(w.has_value());
-    if (w) w->hash_state(h);
-  }
-
-  Vfs& vfs_;
+  Vfs* vfs_;
   std::string path_;
   Errno* err_out_;
+  std::optional<Walker> walker_;
+  int phase_ = 0;
+};
+
+/// Base of the fd-based ops (no path resolution: immune to name
+/// redirection).
+class FdOp : public ServiceOp {
+ public:
+  FdOp(Vfs& vfs, int fd, Errno* err_out)
+      : vfs_(&vfs), fd_(fd), err_out_(err_out) {}
+
+  static auto fields(auto& self) {
+    return std::tie(self.vfs_, self.fd_, self.err_out_, self.phase_);
+  }
+
+ protected:
+  Step finish(Errno e) {
+    if (err_out_ != nullptr) *err_out_ = e;
+    return Step::done(e);
+  }
+
+  Vfs* vfs_;
+  int fd_;
+  Errno* err_out_;
+  int phase_ = 0;
 };
 
 // ---------------------------------------------------------------------------
 // stat / lstat / access
 // ---------------------------------------------------------------------------
 
-class StatOp final : public FsOp {
+class StatOp final : public Listed<StatOp, FsOp> {
  public:
   StatOp(Vfs& vfs, std::string path, bool follow, StatBuf* out, Errno* err_out)
-      : FsOp(vfs, std::move(path), err_out),
-        follow_(follow),
-        out_(out) {}
+      : Listed(vfs, std::move(path), err_out), follow_(follow), out_(out) {}
+
+  static auto fields(auto& self) {
+    return std::tuple_cat(FsOp::fields(self),
+                          std::tie(self.follow_, self.out_, self.ok_));
+  }
 
   std::string_view name() const override { return follow_ ? "stat" : "lstat"; }
   int libc_page() const override { return kPageStat; }
@@ -313,14 +312,12 @@ class StatOp final : public FsOp {
   Step advance(ServiceContext& ctx) override {
     switch (phase_) {
       case 0: {
-        if (!walker_) {
-          walker_.emplace(vfs_, path_,
-                          Walker::SemPolicy::lockless_if_free,
-                          follow_ ? Walker::Follow::yes : Walker::Follow::no);
+        if (auto s = walk(ctx, Walker::SemPolicy::lockless_if_free,
+                          follow_ ? Walker::Follow::yes : Walker::Follow::no)) {
+          return *s;
         }
-        if (auto s = walker_->advance(ctx)) return *s;
         phase_ = 1;
-        return Step::work(vfs_.costs().stat_base);
+        return Step::work(vfs_->costs().stat_base);
       }
       default: {
         if (walker_->error() != Errno::ok) return finish(walker_->error());
@@ -342,36 +339,17 @@ class StatOp final : public FsOp {
     }
   }
 
-  std::unique_ptr<ServiceOp> clone(sim::CloneMap& m) const override {
-    return std::unique_ptr<ServiceOp>(new StatOp(*this, m));
-  }
-
-  void hash_state(tocttou::StateHasher& h) const override {
-    hash_base(h);
-    h.boolean(follow_);
-    hash_walker(h, walker_);
-    h.i64(phase_);
-    h.boolean(ok_);
-  }
-
  private:
-  StatOp(const StatOp& o, sim::CloneMap& m)
-      : FsOp(o, m), follow_(o.follow_), out_(m.remap(o.out_)),
-        phase_(o.phase_), ok_(o.ok_) {
-    if (o.walker_) walker_.emplace(*o.walker_, m);
-  }
-
   bool follow_;
   StatBuf* out_;
-  std::optional<Walker> walker_;
-  int phase_ = 0;
   bool ok_ = false;
 };
 
-class AccessOp final : public FsOp {
+class AccessOp final : public Listed<AccessOp, FsOp> {
  public:
-  AccessOp(Vfs& vfs, std::string path, Errno* err_out)
-      : FsOp(vfs, std::move(path), err_out) {}
+  using Listed::Listed;
+
+  static auto fields(auto& self) { return FsOp::fields(self); }
 
   std::string_view name() const override { return "access"; }
   int libc_page() const override { return kPageStat; }
@@ -379,56 +357,42 @@ class AccessOp final : public FsOp {
   Step advance(ServiceContext& ctx) override {
     switch (phase_) {
       case 0: {
-        if (!walker_) {
-          walker_.emplace(vfs_, path_, Walker::SemPolicy::lockless_if_free,
-                          Walker::Follow::yes);
+        if (auto s = walk(ctx, Walker::SemPolicy::lockless_if_free,
+                          Walker::Follow::yes)) {
+          return *s;
         }
-        if (auto s = walker_->advance(ctx)) return *s;
         phase_ = 1;
-        return Step::work(vfs_.costs().access_base);
+        return Step::work(vfs_->costs().access_base);
       }
       default: {
         if (walker_->error() != Errno::ok) return finish(walker_->error());
         if (!walker_->target_exists()) return finish(Errno::enoent);
-        const Inode& t = vfs_.inode(walker_->target());
+        const Inode& t = vfs_->inode(walker_->target());
         return finish(Vfs::may_read(t, creds_of(ctx)) ? Errno::ok
                                                       : Errno::eacces);
       }
     }
   }
-
-  std::unique_ptr<ServiceOp> clone(sim::CloneMap& m) const override {
-    return std::unique_ptr<ServiceOp>(new AccessOp(*this, m));
-  }
-
-  void hash_state(tocttou::StateHasher& h) const override {
-    hash_base(h);
-    hash_walker(h, walker_);
-    h.i64(phase_);
-  }
-
- private:
-  AccessOp(const AccessOp& o, sim::CloneMap& m)
-      : FsOp(o, m), phase_(o.phase_) {
-    if (o.walker_) walker_.emplace(*o.walker_, m);
-  }
-
-  std::optional<Walker> walker_;
-  int phase_ = 0;
 };
 
 // ---------------------------------------------------------------------------
 // open / close / read / write
 // ---------------------------------------------------------------------------
 
-class OpenOp final : public FsOp {
+class OpenOp final : public Listed<OpenOp, FsOp> {
  public:
   OpenOp(Vfs& vfs, std::string path, OpenFlags flags, Mode mode,
          OpenResult* out)
-      : FsOp(vfs, std::move(path), nullptr),
+      : Listed(vfs, std::move(path), nullptr),
         flags_(flags),
         mode_(mode),
         out_(out) {}
+
+  static auto fields(auto& self) {
+    return std::tuple_cat(FsOp::fields(self),
+                          std::tie(self.flags_, self.mode_, self.out_,
+                                   self.ino_, self.pending_err_));
+  }
 
   std::string_view name() const override { return "open"; }
   int libc_page() const override { return kPageOpenClose; }
@@ -436,15 +400,12 @@ class OpenOp final : public FsOp {
   Step advance(ServiceContext& ctx) override {
     switch (phase_) {
       case 0: {  // resolve, holding the directory semaphore
-        if (!walker_) {
-          walker_.emplace(vfs_, path_, Walker::SemPolicy::hold,
-                          Walker::Follow::yes);
+        if (auto s = walk(ctx, Walker::SemPolicy::hold, Walker::Follow::yes)) {
+          return *s;
         }
-        if (auto s = walker_->advance(ctx)) return *s;
         if (walker_->error() != Errno::ok) return done_err(walker_->error());
-        sem_ = walker_->held_dir_sem();
         if (walker_->target_exists()) {
-          const Inode& t = vfs_.inode(walker_->target());
+          const Inode& t = vfs_->inode(walker_->target());
           if (flags_.create && flags_.excl) return fail(Errno::eexist);
           if (t.is_dir() && flags_.write) return fail(Errno::eisdir);
           const auto creds = creds_of(ctx);
@@ -453,32 +414,32 @@ class OpenOp final : public FsOp {
           if (!perm) return fail(Errno::eacces);
           ino_ = walker_->target();
           if (flags_.truncate && flags_.write) {
-            vfs_.inode_mut(ino_).set_size_bytes(0);
+            vfs_->inode_mut(ino_).set_size_bytes(0);
           }
           phase_ = 2;
-          return Step::release(sem_);
+          return Step::release(walker_->held_dir_sem());
         }
         if (!flags_.create) return fail(Errno::enoent);
-        if (!Vfs::may_write(vfs_.inode(walker_->parent()), creds_of(ctx))) {
+        if (!Vfs::may_write(vfs_->inode(walker_->parent()), creds_of(ctx))) {
           return fail(Errno::eacces);
         }
         phase_ = 1;
-        return Step::work(vfs_.costs().create_extra);
+        return Step::work(vfs_->costs().create_extra);
       }
       case 1: {  // commit the newly created inode (still under the sem)
-        Inode& n = vfs_.alloc_inode(FileType::regular, ctx.proc.uid(),
-                                    ctx.proc.gid(), mode_);
+        Inode& n = vfs_->alloc_inode(FileType::regular, ctx.proc.uid(),
+                                     ctx.proc.gid(), mode_);
         ino_ = n.ino();
-        vfs_.link_entry(walker_->parent(), walker_->final_name(), ino_);
+        vfs_->link_entry(walker_->parent(), walker_->final_name(), ino_);
         phase_ = 2;
-        return Step::release(sem_);
+        return Step::release(walker_->held_dir_sem());
       }
       case 2: {  // fd setup after releasing the namespace lock
         phase_ = 3;
-        return Step::work(vfs_.costs().open_base);
+        return Step::work(vfs_->costs().open_base);
       }
       case 3: {
-        const int fd = vfs_.fd_alloc(ctx.proc.pid(), ino_, flags_);
+        const int fd = vfs_->fd_alloc(ctx.proc.pid(), ino_, flags_);
         if (out_ != nullptr) {
           out_->fd = fd;
           out_->err = Errno::ok;
@@ -496,32 +457,7 @@ class OpenOp final : public FsOp {
     if (ino_ != kNoIno) rec.applied_ino = ino_;
   }
 
-  std::unique_ptr<ServiceOp> clone(sim::CloneMap& m) const override {
-    return std::unique_ptr<ServiceOp>(new OpenOp(*this, m));
-  }
-
-  void hash_state(tocttou::StateHasher& h) const override {
-    hash_base(h);
-    h.boolean(flags_.write);
-    h.boolean(flags_.create);
-    h.boolean(flags_.truncate);
-    h.boolean(flags_.excl);
-    h.u64(mode_);
-    hash_walker(h, walker_);
-    hash_sem_ptr(h, sem_);
-    h.u64(ino_);
-    h.i64(phase_);
-    h.u32(static_cast<std::uint32_t>(pending_err_));
-  }
-
  private:
-  OpenOp(const OpenOp& o, sim::CloneMap& m)
-      : FsOp(o, m), flags_(o.flags_), mode_(o.mode_), out_(m.remap(o.out_)),
-        sem_(m.remap(o.sem_)), ino_(o.ino_), phase_(o.phase_),
-        pending_err_(o.pending_err_) {
-    if (o.walker_) walker_.emplace(*o.walker_, m);
-  }
-
   Step done_err(Errno e) {
     if (out_ != nullptr) {
       out_->fd = -1;
@@ -533,23 +469,21 @@ class OpenOp final : public FsOp {
   Step fail(Errno e) {
     pending_err_ = e;
     phase_ = 9;
-    return Step::release(sem_);
+    return Step::release(walker_->held_dir_sem());
   }
 
   OpenFlags flags_;
   Mode mode_;
   OpenResult* out_;
-  std::optional<Walker> walker_;
-  sim::Semaphore* sem_ = nullptr;
   Ino ino_ = kNoIno;
-  int phase_ = 0;
   Errno pending_err_ = Errno::ok;
 };
 
-class CloseOp final : public ServiceOp {
+class CloseOp final : public Listed<CloseOp, FdOp> {
  public:
-  CloseOp(Vfs& vfs, int fd, Errno* err_out)
-      : vfs_(vfs), fd_(fd), err_out_(err_out) {}
+  using Listed::Listed;
+
+  static auto fields(auto& self) { return FdOp::fields(self); }
 
   std::string_view name() const override { return "close"; }
   int libc_page() const override { return kPageOpenClose; }
@@ -557,38 +491,20 @@ class CloseOp final : public ServiceOp {
   Step advance(ServiceContext& ctx) override {
     if (phase_ == 0) {
       phase_ = 1;
-      return Step::work(vfs_.costs().close_base);
+      return Step::work(vfs_->costs().close_base);
     }
-    const Errno e = vfs_.fd_close(ctx.proc.pid(), fd_);
-    if (err_out_ != nullptr) *err_out_ = e;
-    return Step::done(e);
+    return finish(vfs_->fd_close(ctx.proc.pid(), fd_));
   }
-
-  std::unique_ptr<ServiceOp> clone(sim::CloneMap& m) const override {
-    return std::unique_ptr<ServiceOp>(new CloseOp(*this, m));
-  }
-
-  void hash_state(tocttou::StateHasher& h) const override {
-    h.str(name());
-    h.i64(fd_);
-    h.i64(phase_);
-  }
-
- private:
-  CloseOp(const CloseOp& o, sim::CloneMap& m)
-      : vfs_(*m.remap(&o.vfs_)), fd_(o.fd_),
-        err_out_(m.remap(o.err_out_)), phase_(o.phase_) {}
-
-  Vfs& vfs_;
-  int fd_;
-  Errno* err_out_;
-  int phase_ = 0;
 };
 
-class WriteOp final : public ServiceOp {
+class WriteOp final : public Listed<WriteOp, FdOp> {
  public:
   WriteOp(Vfs& vfs, int fd, std::uint64_t bytes, Errno* err_out)
-      : vfs_(vfs), fd_(fd), bytes_(bytes), err_out_(err_out) {}
+      : Listed(vfs, fd, err_out), bytes_(bytes) {}
+
+  static auto fields(auto& self) {
+    return std::tuple_cat(FdOp::fields(self), std::tie(self.bytes_, self.ino_));
+  }
 
   std::string_view name() const override { return "write"; }
   int libc_page() const override { return kPageReadWrite; }
@@ -596,31 +512,31 @@ class WriteOp final : public ServiceOp {
   Step advance(ServiceContext& ctx) override {
     switch (phase_) {
       case 0: {
-        const auto f = vfs_.fd_get(ctx.proc.pid(), fd_);
+        const auto f = vfs_->fd_get(ctx.proc.pid(), fd_);
         if (!f.ok() || !f.value().flags.write) return finish(Errno::ebadf);
         ino_ = f.value().ino;
         phase_ = 1;
-        return Step::acquire(&vfs_.inode_mut(ino_).sem());
+        return Step::acquire(&vfs_->inode_mut(ino_).sem());
       }
       case 1: {
         phase_ = 2;
         const double kb = static_cast<double>(bytes_) / 1024.0;
-        return Step::work(vfs_.costs().write_base +
-                          vfs_.costs().write_per_kb * kb);
+        return Step::work(vfs_->costs().write_base +
+                          vfs_->costs().write_per_kb * kb);
       }
       case 2: {
-        vfs_.inode_mut(ino_).add_size_bytes(bytes_);
+        vfs_->inode_mut(ino_).add_size_bytes(bytes_);
         phase_ = 3;
-        return Step::release(&vfs_.inode_mut(ino_).sem());
+        return Step::release(&vfs_->inode_mut(ino_).sem());
       }
       case 3: {
         phase_ = 4;
         // Page-cache writeback throttling: occasionally the writer is put
         // to sleep on the device — a uniprocessor suspension source.
-        if (ctx.rng.bernoulli(vfs_.costs().writeback_stall_prob)) {
+        if (ctx.rng.bernoulli(vfs_->costs().writeback_stall_prob)) {
           return Step::block_io(ctx.rng.normal_duration(
-              vfs_.costs().writeback_stall_mean,
-              vfs_.costs().writeback_stall_stdev, Duration::micros(200)));
+              vfs_->costs().writeback_stall_mean,
+              vfs_->costs().writeback_stall_stdev, Duration::micros(200)));
         }
         return finish(Errno::ok);
       }
@@ -633,96 +549,54 @@ class WriteOp final : public ServiceOp {
     if (ino_ != kNoIno) rec.applied_ino = ino_;
   }
 
-  std::unique_ptr<ServiceOp> clone(sim::CloneMap& m) const override {
-    return std::unique_ptr<ServiceOp>(new WriteOp(*this, m));
-  }
-
-  void hash_state(tocttou::StateHasher& h) const override {
-    h.str(name());
-    h.i64(fd_);
-    h.u64(bytes_);
-    h.u64(ino_);
-    h.i64(phase_);
-  }
-
  private:
-  WriteOp(const WriteOp& o, sim::CloneMap& m)
-      : vfs_(*m.remap(&o.vfs_)), fd_(o.fd_), bytes_(o.bytes_),
-        err_out_(m.remap(o.err_out_)), ino_(o.ino_), phase_(o.phase_) {}
-
-  Step finish(Errno e) {
-    if (err_out_ != nullptr) *err_out_ = e;
-    return Step::done(e);
-  }
-
-  Vfs& vfs_;
-  int fd_;
   std::uint64_t bytes_;
-  Errno* err_out_;
   Ino ino_ = kNoIno;
-  int phase_ = 0;
 };
 
-class ReadOp final : public ServiceOp {
+class ReadOp final : public Listed<ReadOp, FdOp> {
  public:
   ReadOp(Vfs& vfs, int fd, std::uint64_t bytes, Errno* err_out)
-      : vfs_(vfs), fd_(fd), bytes_(bytes), err_out_(err_out) {}
+      : Listed(vfs, fd, err_out), bytes_(bytes) {}
+
+  static auto fields(auto& self) {
+    return std::tuple_cat(FdOp::fields(self), std::tie(self.bytes_));
+  }
 
   std::string_view name() const override { return "read"; }
   int libc_page() const override { return kPageReadWrite; }
 
   Step advance(ServiceContext& ctx) override {
-    switch (phase_) {
-      case 0: {
-        const auto f = vfs_.fd_get(ctx.proc.pid(), fd_);
-        if (!f.ok()) return finish(Errno::ebadf);
-        phase_ = 1;
-        const double kb = static_cast<double>(bytes_) / 1024.0;
-        return Step::work(vfs_.costs().read_base +
-                          vfs_.costs().read_per_kb * kb);
-      }
-      default:
-        return finish(Errno::ok);
+    if (phase_ == 0) {
+      const auto f = vfs_->fd_get(ctx.proc.pid(), fd_);
+      if (!f.ok()) return finish(Errno::ebadf);
+      phase_ = 1;
+      const double kb = static_cast<double>(bytes_) / 1024.0;
+      return Step::work(vfs_->costs().read_base +
+                        vfs_->costs().read_per_kb * kb);
     }
-  }
-
-  std::unique_ptr<ServiceOp> clone(sim::CloneMap& m) const override {
-    return std::unique_ptr<ServiceOp>(new ReadOp(*this, m));
-  }
-
-  void hash_state(tocttou::StateHasher& h) const override {
-    h.str(name());
-    h.i64(fd_);
-    h.u64(bytes_);
-    h.i64(phase_);
+    return finish(Errno::ok);
   }
 
  private:
-  ReadOp(const ReadOp& o, sim::CloneMap& m)
-      : vfs_(*m.remap(&o.vfs_)), fd_(o.fd_), bytes_(o.bytes_),
-        err_out_(m.remap(o.err_out_)), phase_(o.phase_) {}
-
-  Step finish(Errno e) {
-    if (err_out_ != nullptr) *err_out_ = e;
-    return Step::done(e);
-  }
-
-  Vfs& vfs_;
-  int fd_;
   std::uint64_t bytes_;
-  Errno* err_out_;
-  int phase_ = 0;
 };
 
 // ---------------------------------------------------------------------------
 // rename / unlink / symlink / mkdir / readlink
 // ---------------------------------------------------------------------------
 
-class RenameOp final : public FsOp {
+class RenameOp final : public Listed<RenameOp, FsOp> {
  public:
   RenameOp(Vfs& vfs, std::string oldpath, std::string newpath, Errno* err_out)
-      : FsOp(vfs, std::move(oldpath), err_out),
+      : Listed(vfs, std::move(oldpath), err_out),
         newpath_(std::move(newpath)) {}
+
+  static auto fields(auto& self) {
+    return std::tuple_cat(FsOp::fields(self),
+                          std::tie(self.newpath_, self.new_final_,
+                                   self.applied_, self.pending_err_));
+  }
 
   std::string_view name() const override { return "rename"; }
   int libc_page() const override { return kPageRename; }
@@ -730,48 +604,44 @@ class RenameOp final : public FsOp {
   Step advance(ServiceContext& ctx) override {
     switch (phase_) {
       case 0: {
-        if (!walker_) {
-          walker_.emplace(vfs_, path_, Walker::SemPolicy::hold,
-                          Walker::Follow::no);
+        if (auto s = walk(ctx, Walker::SemPolicy::hold, Walker::Follow::no)) {
+          return *s;
         }
-        if (auto s = walker_->advance(ctx)) return *s;
         if (walker_->error() != Errno::ok) return finish(walker_->error());
-        sem_ = walker_->held_dir_sem();
         if (!walker_->target_exists()) return fail(Errno::enoent);
-        const auto nw = vfs_.walk_prefix(newpath_);
+        const auto nw = vfs_->walk_prefix(newpath_);
         if (nw.err != Errno::ok) return fail(nw.err);
         if (nw.parent != walker_->parent()) return fail(Errno::exdev);
         new_final_ = nw.final_name;
         if (new_final_ == walker_->final_name()) return fail(Errno::einval);
-        if (!Vfs::may_write(vfs_.inode(walker_->parent()), creds_of(ctx))) {
+        if (!Vfs::may_write(vfs_->inode(walker_->parent()), creds_of(ctx))) {
           return fail(Errno::eacces);
         }
         // Models the rename seqlock: lockless lookups in this directory
         // take the slow path until the commit.
-        vfs_.inode_mut(walker_->parent()).set_rename_in_progress(true);
+        vfs_->inode_mut(walker_->parent()).set_rename_in_progress(true);
         phase_ = 1;
-        return Step::work(vfs_.costs().rename_work);
+        return Step::work(vfs_->costs().rename_work);
       }
       case 1: {  // commit point, still under the directory semaphore
         const Ino dir = walker_->parent();
         const Ino tgt = walker_->target();
-        vfs_.unlink_entry(dir, walker_->final_name());
-        if (vfs_.lookup_in(dir, new_final_) != kNoIno) {
-          vfs_.unlink_entry(dir, new_final_);
+        vfs_->unlink_entry(dir, walker_->final_name());
+        if (vfs_->lookup_in(dir, new_final_) != kNoIno) {
+          vfs_->unlink_entry(dir, new_final_);
         }
-        vfs_.link_entry(dir, new_final_, tgt);
+        vfs_->link_entry(dir, new_final_, tgt);
         applied_ = tgt;
-        vfs_.inode_mut(dir).set_rename_in_progress(false);
+        vfs_->inode_mut(dir).set_rename_in_progress(false);
         phase_ = 2;
-        return Step::release(sem_);
+        return Step::release(walker_->held_dir_sem());
       }
       case 2: {
         phase_ = 3;
-        return Step::work(vfs_.costs().rename_tail);
+        return Step::work(vfs_->costs().rename_tail);
       }
       default:
-        if (pending_err_ != Errno::ok) return finish(pending_err_);
-        return finish(Errno::ok);
+        return finish(pending_err_);
     }
   }
 
@@ -781,48 +651,28 @@ class RenameOp final : public FsOp {
     if (applied_ != kNoIno) rec.applied_ino = applied_;
   }
 
-  std::unique_ptr<ServiceOp> clone(sim::CloneMap& m) const override {
-    return std::unique_ptr<ServiceOp>(new RenameOp(*this, m));
-  }
-
-  void hash_state(tocttou::StateHasher& h) const override {
-    hash_base(h);
-    h.str(newpath_);
-    h.str(new_final_);
-    hash_walker(h, walker_);
-    hash_sem_ptr(h, sem_);
-    h.u64(applied_);
-    h.u32(static_cast<std::uint32_t>(pending_err_));
-    h.i64(phase_);
-  }
-
  private:
-  RenameOp(const RenameOp& o, sim::CloneMap& m)
-      : FsOp(o, m), newpath_(o.newpath_), new_final_(o.new_final_),
-        sem_(m.remap(o.sem_)), applied_(o.applied_),
-        pending_err_(o.pending_err_), phase_(o.phase_) {
-    if (o.walker_) walker_.emplace(*o.walker_, m);
-  }
-
   Step fail(Errno e) {
     pending_err_ = e;
     phase_ = 3;
-    return Step::release(sem_);
+    return Step::release(walker_->held_dir_sem());
   }
 
   std::string newpath_;
   std::string new_final_;
-  std::optional<Walker> walker_;
-  sim::Semaphore* sem_ = nullptr;
   Ino applied_ = kNoIno;
   Errno pending_err_ = Errno::ok;
-  int phase_ = 0;
 };
 
-class UnlinkOp final : public FsOp {
+class UnlinkOp final : public Listed<UnlinkOp, FsOp> {
  public:
-  UnlinkOp(Vfs& vfs, std::string path, Errno* err_out)
-      : FsOp(vfs, std::move(path), err_out) {}
+  using Listed::Listed;
+
+  static auto fields(auto& self) {
+    return std::tuple_cat(
+        FsOp::fields(self),
+        std::tie(self.ino_, self.pending_err_, self.truncating_));
+  }
 
   std::string_view name() const override { return "unlink"; }
   int libc_page() const override { return kPageUnlinkSymlink; }
@@ -830,36 +680,33 @@ class UnlinkOp final : public FsOp {
   Step advance(ServiceContext& ctx) override {
     switch (phase_) {
       case 0: {
-        if (!walker_) {
-          walker_.emplace(vfs_, path_, Walker::SemPolicy::hold,
-                          Walker::Follow::no);
+        if (auto s = walk(ctx, Walker::SemPolicy::hold, Walker::Follow::no)) {
+          return *s;
         }
-        if (auto s = walker_->advance(ctx)) return *s;
         if (walker_->error() != Errno::ok) return finish(walker_->error());
-        dir_sem_ = walker_->held_dir_sem();
         if (!walker_->target_exists()) return fail(Errno::enoent);
         ino_ = walker_->target();
-        if (vfs_.inode(ino_).is_dir()) return fail(Errno::eisdir);
-        if (!Vfs::may_write(vfs_.inode(walker_->parent()), creds_of(ctx))) {
+        if (vfs_->inode(ino_).is_dir()) return fail(Errno::eisdir);
+        if (!Vfs::may_write(vfs_->inode(walker_->parent()), creds_of(ctx))) {
           return fail(Errno::eacces);
         }
         phase_ = 1;
         // Lock order everywhere: directory sem, then target inode sem.
-        return Step::acquire(&vfs_.inode_mut(ino_).sem());
+        return Step::acquire(&vfs_->inode_mut(ino_).sem());
       }
       case 1: {
         phase_ = 2;
-        return Step::work(vfs_.costs().unlink_detach);
+        return Step::work(vfs_->costs().unlink_detach);
       }
       case 2: {  // detach commit: the name disappears from the directory
-        vfs_.unlink_entry(walker_->parent(), walker_->final_name());
+        vfs_->unlink_entry(walker_->parent(), walker_->final_name());
         phase_ = 3;
-        return Step::release(dir_sem_);
+        return Step::release(walker_->held_dir_sem());
       }
       case 3: {  // physical truncate happens after the dir sem is free —
                  // this is what lets a parallel symlink overlap (Sec. 7).
         phase_ = 4;
-        const Inode& n = vfs_.inode(ino_);
+        const Inode& n = vfs_->inode(ino_);
         // Orphans with open fds keep their data (vi keeps writing through
         // its fd after the attacker's unlink); truncate only when fully
         // unreferenced.
@@ -867,18 +714,17 @@ class UnlinkOp final : public FsOp {
             n.nlink() == 0 && n.open_refs() == 0 && n.size_bytes() > 0;
         if (truncating_) {
           const double kb = static_cast<double>(n.size_bytes()) / 1024.0;
-          return Step::work(vfs_.costs().truncate_per_kb * kb);
+          return Step::work(vfs_->costs().truncate_per_kb * kb);
         }
         return advance(ctx);
       }
       case 4: {
-        if (truncating_) vfs_.inode_mut(ino_).set_size_bytes(0);
+        if (truncating_) vfs_->inode_mut(ino_).set_size_bytes(0);
         phase_ = 5;
-        return Step::release(&vfs_.inode_mut(ino_).sem());
+        return Step::release(&vfs_->inode_mut(ino_).sem());
       }
       default:
-        if (pending_err_ != Errno::ok) return finish(pending_err_);
-        return finish(Errno::ok);
+        return finish(pending_err_);
     }
   }
 
@@ -887,47 +733,29 @@ class UnlinkOp final : public FsOp {
     if (ino_ != kNoIno) rec.applied_ino = ino_;
   }
 
-  std::unique_ptr<ServiceOp> clone(sim::CloneMap& m) const override {
-    return std::unique_ptr<ServiceOp>(new UnlinkOp(*this, m));
-  }
-
-  void hash_state(tocttou::StateHasher& h) const override {
-    hash_base(h);
-    hash_walker(h, walker_);
-    hash_sem_ptr(h, dir_sem_);
-    h.u64(ino_);
-    h.u32(static_cast<std::uint32_t>(pending_err_));
-    h.boolean(truncating_);
-    h.i64(phase_);
-  }
-
  private:
-  UnlinkOp(const UnlinkOp& o, sim::CloneMap& m)
-      : FsOp(o, m), dir_sem_(m.remap(o.dir_sem_)), ino_(o.ino_),
-        pending_err_(o.pending_err_), truncating_(o.truncating_),
-        phase_(o.phase_) {
-    if (o.walker_) walker_.emplace(*o.walker_, m);
-  }
-
   Step fail(Errno e) {
     pending_err_ = e;
     phase_ = 5;
-    return Step::release(dir_sem_);
+    return Step::release(walker_->held_dir_sem());
   }
 
-  std::optional<Walker> walker_;
-  sim::Semaphore* dir_sem_ = nullptr;
   Ino ino_ = kNoIno;
   Errno pending_err_ = Errno::ok;
   bool truncating_ = false;
-  int phase_ = 0;
 };
 
-class SymlinkOp final : public FsOp {
+class SymlinkOp final : public Listed<SymlinkOp, FsOp> {
  public:
   SymlinkOp(Vfs& vfs, std::string target, std::string linkpath,
             Errno* err_out)
-      : FsOp(vfs, std::move(linkpath), err_out), target_(std::move(target)) {}
+      : Listed(vfs, std::move(linkpath), err_out), target_(std::move(target)) {}
+
+  static auto fields(auto& self) {
+    return std::tuple_cat(
+        FsOp::fields(self),
+        std::tie(self.target_, self.applied_, self.pending_err_));
+  }
 
   std::string_view name() const override { return "symlink"; }
   int libc_page() const override { return kPageUnlinkSymlink; }
@@ -935,32 +763,28 @@ class SymlinkOp final : public FsOp {
   Step advance(ServiceContext& ctx) override {
     switch (phase_) {
       case 0: {
-        if (!walker_) {
-          walker_.emplace(vfs_, path_, Walker::SemPolicy::hold,
-                          Walker::Follow::no);
+        if (auto s = walk(ctx, Walker::SemPolicy::hold, Walker::Follow::no)) {
+          return *s;
         }
-        if (auto s = walker_->advance(ctx)) return *s;
         if (walker_->error() != Errno::ok) return finish(walker_->error());
-        sem_ = walker_->held_dir_sem();
         if (walker_->target_exists()) return fail(Errno::eexist);
-        if (!Vfs::may_write(vfs_.inode(walker_->parent()), creds_of(ctx))) {
+        if (!Vfs::may_write(vfs_->inode(walker_->parent()), creds_of(ctx))) {
           return fail(Errno::eacces);
         }
         phase_ = 1;
-        return Step::work(vfs_.costs().symlink_base);
+        return Step::work(vfs_->costs().symlink_base);
       }
       case 1: {  // commit
-        Inode& n = vfs_.alloc_inode(FileType::symlink, ctx.proc.uid(),
-                                    ctx.proc.gid(), 0777);
+        Inode& n = vfs_->alloc_inode(FileType::symlink, ctx.proc.uid(),
+                                     ctx.proc.gid(), 0777);
         n.set_symlink_target(target_);
-        vfs_.link_entry(walker_->parent(), walker_->final_name(), n.ino());
+        vfs_->link_entry(walker_->parent(), walker_->final_name(), n.ino());
         applied_ = n.ino();
         phase_ = 2;
-        return Step::release(sem_);
+        return Step::release(walker_->held_dir_sem());
       }
       default:
-        if (pending_err_ != Errno::ok) return finish(pending_err_);
-        return finish(Errno::ok);
+        return finish(pending_err_);
     }
   }
 
@@ -970,46 +794,27 @@ class SymlinkOp final : public FsOp {
     if (applied_ != kNoIno) rec.applied_ino = applied_;
   }
 
-  std::unique_ptr<ServiceOp> clone(sim::CloneMap& m) const override {
-    return std::unique_ptr<ServiceOp>(new SymlinkOp(*this, m));
-  }
-
-  void hash_state(tocttou::StateHasher& h) const override {
-    hash_base(h);
-    h.str(target_);
-    hash_walker(h, walker_);
-    hash_sem_ptr(h, sem_);
-    h.u64(applied_);
-    h.u32(static_cast<std::uint32_t>(pending_err_));
-    h.i64(phase_);
-  }
-
  private:
-  SymlinkOp(const SymlinkOp& o, sim::CloneMap& m)
-      : FsOp(o, m), target_(o.target_), sem_(m.remap(o.sem_)),
-        applied_(o.applied_), pending_err_(o.pending_err_),
-        phase_(o.phase_) {
-    if (o.walker_) walker_.emplace(*o.walker_, m);
-  }
-
   Step fail(Errno e) {
     pending_err_ = e;
     phase_ = 2;
-    return Step::release(sem_);
+    return Step::release(walker_->held_dir_sem());
   }
 
   std::string target_;
-  std::optional<Walker> walker_;
-  sim::Semaphore* sem_ = nullptr;
   Ino applied_ = kNoIno;
   Errno pending_err_ = Errno::ok;
-  int phase_ = 0;
 };
 
-class MkdirOp final : public FsOp {
+class MkdirOp final : public Listed<MkdirOp, FsOp> {
  public:
   MkdirOp(Vfs& vfs, std::string path, Mode mode, Errno* err_out)
-      : FsOp(vfs, std::move(path), err_out), mode_(mode) {}
+      : Listed(vfs, std::move(path), err_out), mode_(mode) {}
+
+  static auto fields(auto& self) {
+    return std::tuple_cat(FsOp::fields(self),
+                          std::tie(self.mode_, self.pending_err_));
+  }
 
   std::string_view name() const override { return "mkdir"; }
   int libc_page() const override { return kPageMisc; }
@@ -1017,70 +822,48 @@ class MkdirOp final : public FsOp {
   Step advance(ServiceContext& ctx) override {
     switch (phase_) {
       case 0: {
-        if (!walker_) {
-          walker_.emplace(vfs_, path_, Walker::SemPolicy::hold,
-                          Walker::Follow::no);
+        if (auto s = walk(ctx, Walker::SemPolicy::hold, Walker::Follow::no)) {
+          return *s;
         }
-        if (auto s = walker_->advance(ctx)) return *s;
         if (walker_->error() != Errno::ok) return finish(walker_->error());
-        sem_ = walker_->held_dir_sem();
         if (walker_->target_exists()) return fail(Errno::eexist);
-        if (!Vfs::may_write(vfs_.inode(walker_->parent()), creds_of(ctx))) {
+        if (!Vfs::may_write(vfs_->inode(walker_->parent()), creds_of(ctx))) {
           return fail(Errno::eacces);
         }
         phase_ = 1;
-        return Step::work(vfs_.costs().mkdir_base);
+        return Step::work(vfs_->costs().mkdir_base);
       }
       case 1: {
-        Inode& n = vfs_.alloc_inode(FileType::directory, ctx.proc.uid(),
-                                    ctx.proc.gid(), mode_);
-        vfs_.link_entry(walker_->parent(), walker_->final_name(), n.ino());
+        Inode& n = vfs_->alloc_inode(FileType::directory, ctx.proc.uid(),
+                                     ctx.proc.gid(), mode_);
+        vfs_->link_entry(walker_->parent(), walker_->final_name(), n.ino());
         phase_ = 2;
-        return Step::release(sem_);
+        return Step::release(walker_->held_dir_sem());
       }
       default:
-        if (pending_err_ != Errno::ok) return finish(pending_err_);
-        return finish(Errno::ok);
+        return finish(pending_err_);
     }
   }
 
-  std::unique_ptr<ServiceOp> clone(sim::CloneMap& m) const override {
-    return std::unique_ptr<ServiceOp>(new MkdirOp(*this, m));
-  }
-
-  void hash_state(tocttou::StateHasher& h) const override {
-    hash_base(h);
-    h.u64(mode_);
-    hash_walker(h, walker_);
-    hash_sem_ptr(h, sem_);
-    h.u32(static_cast<std::uint32_t>(pending_err_));
-    h.i64(phase_);
-  }
-
  private:
-  MkdirOp(const MkdirOp& o, sim::CloneMap& m)
-      : FsOp(o, m), mode_(o.mode_), sem_(m.remap(o.sem_)),
-        pending_err_(o.pending_err_), phase_(o.phase_) {
-    if (o.walker_) walker_.emplace(*o.walker_, m);
-  }
-
   Step fail(Errno e) {
     pending_err_ = e;
     phase_ = 2;
-    return Step::release(sem_);
+    return Step::release(walker_->held_dir_sem());
   }
 
   Mode mode_;
-  std::optional<Walker> walker_;
-  sim::Semaphore* sem_ = nullptr;
   Errno pending_err_ = Errno::ok;
-  int phase_ = 0;
 };
 
-class ReadlinkOp final : public FsOp {
+class ReadlinkOp final : public Listed<ReadlinkOp, FsOp> {
  public:
   ReadlinkOp(Vfs& vfs, std::string path, std::string* out, Errno* err_out)
-      : FsOp(vfs, std::move(path), err_out), out_(out) {}
+      : Listed(vfs, std::move(path), err_out), out_(out) {}
+
+  static auto fields(auto& self) {
+    return std::tuple_cat(FsOp::fields(self), std::tie(self.out_));
+  }
 
   std::string_view name() const override { return "readlink"; }
   int libc_page() const override { return kPageMisc; }
@@ -1088,18 +871,17 @@ class ReadlinkOp final : public FsOp {
   Step advance(ServiceContext& ctx) override {
     switch (phase_) {
       case 0: {
-        if (!walker_) {
-          walker_.emplace(vfs_, path_, Walker::SemPolicy::lockless_if_free,
-                          Walker::Follow::no);
+        if (auto s = walk(ctx, Walker::SemPolicy::lockless_if_free,
+                          Walker::Follow::no)) {
+          return *s;
         }
-        if (auto s = walker_->advance(ctx)) return *s;
         phase_ = 1;
-        return Step::work(vfs_.costs().readlink_base);
+        return Step::work(vfs_->costs().readlink_base);
       }
       default: {
         if (walker_->error() != Errno::ok) return finish(walker_->error());
         if (!walker_->target_exists()) return finish(Errno::enoent);
-        const Inode& t = vfs_.inode(walker_->target());
+        const Inode& t = vfs_->inode(walker_->target());
         if (!t.is_symlink()) return finish(Errno::einval);
         if (out_ != nullptr) *out_ = t.symlink_target();
         return finish(Errno::ok);
@@ -1107,31 +889,21 @@ class ReadlinkOp final : public FsOp {
     }
   }
 
-  std::unique_ptr<ServiceOp> clone(sim::CloneMap& m) const override {
-    return std::unique_ptr<ServiceOp>(new ReadlinkOp(*this, m));
-  }
-
-  void hash_state(tocttou::StateHasher& h) const override {
-    hash_base(h);
-    hash_walker(h, walker_);
-    h.i64(phase_);
-  }
-
  private:
-  ReadlinkOp(const ReadlinkOp& o, sim::CloneMap& m)
-      : FsOp(o, m), out_(m.remap(o.out_)), phase_(o.phase_) {
-    if (o.walker_) walker_.emplace(*o.walker_, m);
-  }
-
   std::string* out_;
-  std::optional<Walker> walker_;
-  int phase_ = 0;
 };
 
-class LinkOp final : public FsOp {
+class LinkOp final : public Listed<LinkOp, FsOp> {
  public:
   LinkOp(Vfs& vfs, std::string oldpath, std::string newpath, Errno* err_out)
-      : FsOp(vfs, std::move(oldpath), err_out), newpath_(std::move(newpath)) {}
+      : Listed(vfs, std::move(oldpath), err_out),
+        newpath_(std::move(newpath)) {}
+
+  static auto fields(auto& self) {
+    return std::tuple_cat(FsOp::fields(self),
+                          std::tie(self.newpath_, self.new_walker_,
+                                   self.target_ino_, self.pending_err_));
+  }
 
   std::string_view name() const override { return "link"; }
   int libc_page() const override { return kPageUnlinkSymlink; }
@@ -1139,19 +911,18 @@ class LinkOp final : public FsOp {
   Step advance(ServiceContext& ctx) override {
     switch (phase_) {
       case 0: {  // resolve the existing file (no symlink follow, as link(2))
-        if (!walker_) {
-          walker_.emplace(vfs_, path_, Walker::SemPolicy::lockless_if_free,
-                          Walker::Follow::no);
+        if (auto s = walk(ctx, Walker::SemPolicy::lockless_if_free,
+                          Walker::Follow::no)) {
+          return *s;
         }
-        if (auto s = walker_->advance(ctx)) return *s;
         if (walker_->error() != Errno::ok) return finish(walker_->error());
         if (!walker_->target_exists()) return finish(Errno::enoent);
-        if (vfs_.inode(walker_->target()).is_dir()) {
+        if (vfs_->inode(walker_->target()).is_dir()) {
           return finish(Errno::eisdir);
         }
         target_ino_ = walker_->target();
         phase_ = 1;
-        new_walker_.emplace(vfs_, newpath_, Walker::SemPolicy::hold,
+        new_walker_.emplace(*vfs_, newpath_, Walker::SemPolicy::hold,
                             Walker::Follow::no);
         return advance(ctx);
       }
@@ -1160,24 +931,22 @@ class LinkOp final : public FsOp {
         if (new_walker_->error() != Errno::ok) {
           return finish(new_walker_->error());
         }
-        sem_ = new_walker_->held_dir_sem();
         if (new_walker_->target_exists()) return fail(Errno::eexist);
-        if (!Vfs::may_write(vfs_.inode(new_walker_->parent()),
+        if (!Vfs::may_write(vfs_->inode(new_walker_->parent()),
                             creds_of(ctx))) {
           return fail(Errno::eacces);
         }
         phase_ = 2;
-        return Step::work(vfs_.costs().link_base);
+        return Step::work(vfs_->costs().link_base);
       }
       case 2: {  // commit
-        vfs_.link_entry(new_walker_->parent(), new_walker_->final_name(),
-                        target_ino_);
+        vfs_->link_entry(new_walker_->parent(), new_walker_->final_name(),
+                         target_ino_);
         phase_ = 3;
-        return Step::release(sem_);
+        return Step::release(new_walker_->held_dir_sem());
       }
       default:
-        if (pending_err_ != Errno::ok) return finish(pending_err_);
-        return finish(Errno::ok);
+        return finish(pending_err_);
     }
   }
 
@@ -1187,53 +956,31 @@ class LinkOp final : public FsOp {
     if (target_ino_ != kNoIno) rec.applied_ino = target_ino_;
   }
 
-  std::unique_ptr<ServiceOp> clone(sim::CloneMap& m) const override {
-    return std::unique_ptr<ServiceOp>(new LinkOp(*this, m));
-  }
-
-  void hash_state(tocttou::StateHasher& h) const override {
-    hash_base(h);
-    h.str(newpath_);
-    hash_walker(h, walker_);
-    hash_walker(h, new_walker_);
-    hash_sem_ptr(h, sem_);
-    h.u64(target_ino_);
-    h.u32(static_cast<std::uint32_t>(pending_err_));
-    h.i64(phase_);
-  }
-
  private:
-  LinkOp(const LinkOp& o, sim::CloneMap& m)
-      : FsOp(o, m), newpath_(o.newpath_), sem_(m.remap(o.sem_)),
-        target_ino_(o.target_ino_), pending_err_(o.pending_err_),
-        phase_(o.phase_) {
-    if (o.walker_) walker_.emplace(*o.walker_, m);
-    if (o.new_walker_) new_walker_.emplace(*o.new_walker_, m);
-  }
-
   Step fail(Errno e) {
     pending_err_ = e;
     phase_ = 3;
-    return Step::release(sem_);
+    return Step::release(new_walker_->held_dir_sem());
   }
 
   std::string newpath_;
-  std::optional<Walker> walker_;
   std::optional<Walker> new_walker_;
-  sim::Semaphore* sem_ = nullptr;
   Ino target_ino_ = kNoIno;
   Errno pending_err_ = Errno::ok;
-  int phase_ = 0;
 };
 
 // ---------------------------------------------------------------------------
-// fd-based operations (no path resolution: immune to name redirection)
+// fd-based operations
 // ---------------------------------------------------------------------------
 
-class FstatOp final : public ServiceOp {
+class FstatOp final : public Listed<FstatOp, FdOp> {
  public:
   FstatOp(Vfs& vfs, int fd, StatBuf* out, Errno* err_out)
-      : vfs_(vfs), fd_(fd), out_(out), err_out_(err_out) {}
+      : Listed(vfs, fd, err_out), out_(out) {}
+
+  static auto fields(auto& self) {
+    return std::tuple_cat(FdOp::fields(self), std::tie(self.out_, self.ino_));
+  }
 
   std::string_view name() const override { return "fstat"; }
   int libc_page() const override { return kPageStat; }
@@ -1241,12 +988,12 @@ class FstatOp final : public ServiceOp {
   Step advance(ServiceContext& ctx) override {
     if (phase_ == 0) {
       phase_ = 1;
-      return Step::work(vfs_.costs().stat_base);
+      return Step::work(vfs_->costs().stat_base);
     }
-    const auto f = vfs_.fd_get(ctx.proc.pid(), fd_);
+    const auto f = vfs_->fd_get(ctx.proc.pid(), fd_);
     if (!f.ok()) return finish(Errno::ebadf);
     ino_ = f.value().ino;
-    if (out_ != nullptr) *out_ = vfs_.inode(ino_).to_stat();
+    if (out_ != nullptr) *out_ = vfs_->inode(ino_).to_stat();
     return finish(Errno::ok);
   }
 
@@ -1254,65 +1001,44 @@ class FstatOp final : public ServiceOp {
     if (ino_ != kNoIno) rec.applied_ino = ino_;
   }
 
-  std::unique_ptr<ServiceOp> clone(sim::CloneMap& m) const override {
-    return std::unique_ptr<ServiceOp>(new FstatOp(*this, m));
-  }
-
-  void hash_state(tocttou::StateHasher& h) const override {
-    h.str(name());
-    h.i64(fd_);
-    h.u64(ino_);
-    h.i64(phase_);
-  }
-
  private:
-  FstatOp(const FstatOp& o, sim::CloneMap& m)
-      : vfs_(*m.remap(&o.vfs_)), fd_(o.fd_), out_(m.remap(o.out_)),
-        err_out_(m.remap(o.err_out_)), ino_(o.ino_), phase_(o.phase_) {}
-
-  Step finish(Errno e) {
-    if (err_out_ != nullptr) *err_out_ = e;
-    return Step::done(e);
-  }
-
-  Vfs& vfs_;
-  int fd_;
   StatBuf* out_;
-  Errno* err_out_;
   Ino ino_ = kNoIno;
-  int phase_ = 0;
 };
 
 /// fchmod/fchown: acquire the open inode's semaphore, apply, release.
 /// The inode was fixed at open() time — the attacker's rename/symlink
 /// games after that are irrelevant.
-class FSetAttrOp : public ServiceOp {
+class FSetAttrOp : public FdOp {
  public:
-  FSetAttrOp(Vfs& vfs, int fd, Errno* err_out)
-      : vfs_(vfs), fd_(fd), err_out_(err_out) {}
+  using FdOp::FdOp;
+
+  static auto fields(auto& self) {
+    return std::tuple_cat(FdOp::fields(self), std::tie(self.ino_));
+  }
 
   int libc_page() const override { return kPageChmodChown; }
 
   Step advance(ServiceContext& ctx) override {
     switch (phase_) {
       case 0: {
-        const auto f = vfs_.fd_get(ctx.proc.pid(), fd_);
+        const auto f = vfs_->fd_get(ctx.proc.pid(), fd_);
         if (!f.ok()) return finish(Errno::ebadf);
         ino_ = f.value().ino;
-        if (!permitted(vfs_.inode(ino_), creds_of(ctx))) {
+        if (!permitted(vfs_->inode(ino_), creds_of(ctx))) {
           return finish(Errno::eperm);
         }
         phase_ = 1;
-        return Step::acquire(&vfs_.inode_mut(ino_).sem());
+        return Step::acquire(&vfs_->inode_mut(ino_).sem());
       }
       case 1: {
         phase_ = 2;
         return Step::work(work_cost());
       }
       case 2: {
-        apply(vfs_.inode_mut(ino_));
+        apply(vfs_->inode_mut(ino_));
         phase_ = 3;
-        return Step::release(&vfs_.inode_mut(ino_).sem());
+        return Step::release(&vfs_->inode_mut(ino_).sem());
       }
       default:
         return finish(Errno::ok);
@@ -1324,94 +1050,57 @@ class FSetAttrOp : public ServiceOp {
   }
 
  protected:
-  FSetAttrOp(const FSetAttrOp& o, sim::CloneMap& m)
-      : vfs_(*m.remap(&o.vfs_)), fd_(o.fd_),
-        err_out_(m.remap(o.err_out_)), ino_(o.ino_), phase_(o.phase_) {}
-
-  void hash_fsetattr(tocttou::StateHasher& h) const {
-    h.str(name());
-    h.i64(fd_);
-    h.u64(ino_);
-    h.i64(phase_);
-  }
-
   virtual bool permitted(const Inode& target, const Creds& c) const = 0;
   virtual Duration work_cost() const = 0;
   virtual void apply(Inode& target) = 0;
 
-  Vfs& vfs_;
-
  private:
-  Step finish(Errno e) {
-    if (err_out_ != nullptr) *err_out_ = e;
-    return Step::done(e);
-  }
-
-  int fd_;
-  Errno* err_out_;
   Ino ino_ = kNoIno;
-  int phase_ = 0;
 };
 
-class FchmodOp final : public FSetAttrOp {
+class FchmodOp final : public Listed<FchmodOp, FSetAttrOp> {
  public:
   FchmodOp(Vfs& vfs, int fd, Mode mode, Errno* err_out)
-      : FSetAttrOp(vfs, fd, err_out), mode_(mode) {}
+      : Listed(vfs, fd, err_out), mode_(mode) {}
+
+  static auto fields(auto& self) {
+    return std::tuple_cat(FSetAttrOp::fields(self), std::tie(self.mode_));
+  }
 
   std::string_view name() const override { return "fchmod"; }
-
-  std::unique_ptr<ServiceOp> clone(sim::CloneMap& m) const override {
-    return std::unique_ptr<ServiceOp>(new FchmodOp(*this, m));
-  }
-
-  void hash_state(tocttou::StateHasher& h) const override {
-    hash_fsetattr(h);
-    h.u64(mode_);
-  }
 
  protected:
   bool permitted(const Inode& t, const Creds& c) const override {
     return c.is_root() || t.uid() == c.uid;
   }
-  Duration work_cost() const override { return vfs_.costs().chmod_base; }
+  Duration work_cost() const override { return vfs_->costs().chmod_base; }
   void apply(Inode& t) override { t.set_mode(mode_); }
 
  private:
-  FchmodOp(const FchmodOp& o, sim::CloneMap& m)
-      : FSetAttrOp(o, m), mode_(o.mode_) {}
-
   Mode mode_;
 };
 
-class FchownOp final : public FSetAttrOp {
+class FchownOp final : public Listed<FchownOp, FSetAttrOp> {
  public:
   FchownOp(Vfs& vfs, int fd, sim::Uid uid, sim::Gid gid, Errno* err_out)
-      : FSetAttrOp(vfs, fd, err_out), uid_(uid), gid_(gid) {}
+      : Listed(vfs, fd, err_out), uid_(uid), gid_(gid) {}
+
+  static auto fields(auto& self) {
+    return std::tuple_cat(FSetAttrOp::fields(self),
+                          std::tie(self.uid_, self.gid_));
+  }
 
   std::string_view name() const override { return "fchown"; }
-
-  std::unique_ptr<ServiceOp> clone(sim::CloneMap& m) const override {
-    return std::unique_ptr<ServiceOp>(new FchownOp(*this, m));
-  }
-
-  void hash_state(tocttou::StateHasher& h) const override {
-    hash_fsetattr(h);
-    h.u64(uid_);
-    h.u64(gid_);
-  }
 
  protected:
   bool permitted(const Inode& t, const Creds& c) const override {
     (void)t;
     return c.is_root();
   }
-  Duration work_cost() const override { return vfs_.costs().chown_base; }
+  Duration work_cost() const override { return vfs_->costs().chown_base; }
   void apply(Inode& t) override { t.set_owner(uid_, gid_); }
 
  private:
-  FchownOp(const FchownOp& o, sim::CloneMap& m)
-      : FSetAttrOp(o, m), uid_(o.uid_), gid_(o.gid_) {}
-
   sim::Uid uid_;
   sim::Gid gid_;
 };
@@ -1430,36 +1119,38 @@ class FchownOp final : public FSetAttrOp {
 /// lookup time even if the name is unlinked while waiting.
 class SetAttrOp : public FsOp {
  public:
-  SetAttrOp(Vfs& vfs, std::string path, Errno* err_out)
-      : FsOp(vfs, std::move(path), err_out) {}
+  using FsOp::FsOp;
+
+  static auto fields(auto& self) {
+    return std::tuple_cat(FsOp::fields(self), std::tie(self.ino_));
+  }
 
   int libc_page() const override { return kPageChmodChown; }
 
   Step advance(ServiceContext& ctx) override {
     switch (phase_) {
       case 0: {
-        if (!walker_) {
-          walker_.emplace(vfs_, path_, Walker::SemPolicy::lockless_if_free,
-                          Walker::Follow::yes);
+        if (auto s = walk(ctx, Walker::SemPolicy::lockless_if_free,
+                          Walker::Follow::yes)) {
+          return *s;
         }
-        if (auto s = walker_->advance(ctx)) return *s;
         if (walker_->error() != Errno::ok) return finish(walker_->error());
         if (!walker_->target_exists()) return finish(Errno::enoent);
         ino_ = walker_->target();
-        if (!permitted(vfs_.inode(ino_), creds_of(ctx))) {
+        if (!permitted(vfs_->inode(ino_), creds_of(ctx))) {
           return finish(Errno::eperm);
         }
         phase_ = 1;
-        return Step::acquire(&vfs_.inode_mut(ino_).sem());
+        return Step::acquire(&vfs_->inode_mut(ino_).sem());
       }
       case 1: {
         phase_ = 2;
         return Step::work(work_cost());
       }
       case 2: {  // commit
-        apply(vfs_.inode_mut(ino_));
+        apply(vfs_->inode_mut(ino_));
         phase_ = 3;
-        return Step::release(&vfs_.inode_mut(ino_).sem());
+        return Step::release(&vfs_->inode_mut(ino_).sem());
       }
       default:
         return finish(Errno::ok);
@@ -1472,90 +1163,58 @@ class SetAttrOp : public FsOp {
   }
 
  protected:
-  SetAttrOp(const SetAttrOp& o, sim::CloneMap& m)
-      : FsOp(o, m), ino_(o.ino_), phase_(o.phase_) {
-    if (o.walker_) walker_.emplace(*o.walker_, m);
-  }
-
-  void hash_setattr(tocttou::StateHasher& h) const {
-    hash_base(h);
-    hash_walker(h, walker_);
-    h.u64(ino_);
-    h.i64(phase_);
-  }
-
   virtual bool permitted(const Inode& target, const Creds& c) const = 0;
   virtual Duration work_cost() const = 0;
   virtual void apply(Inode& target) = 0;
 
  private:
-  std::optional<Walker> walker_;
   Ino ino_ = kNoIno;
-  int phase_ = 0;
 };
 
-class ChmodOp final : public SetAttrOp {
+class ChmodOp final : public Listed<ChmodOp, SetAttrOp> {
  public:
   ChmodOp(Vfs& vfs, std::string path, Mode mode, Errno* err_out)
-      : SetAttrOp(vfs, std::move(path), err_out), mode_(mode) {}
+      : Listed(vfs, std::move(path), err_out), mode_(mode) {}
+
+  static auto fields(auto& self) {
+    return std::tuple_cat(SetAttrOp::fields(self), std::tie(self.mode_));
+  }
 
   std::string_view name() const override { return "chmod"; }
-
-  std::unique_ptr<ServiceOp> clone(sim::CloneMap& m) const override {
-    return std::unique_ptr<ServiceOp>(new ChmodOp(*this, m));
-  }
-
-  void hash_state(tocttou::StateHasher& h) const override {
-    hash_setattr(h);
-    h.u64(mode_);
-  }
 
  protected:
   bool permitted(const Inode& t, const Creds& c) const override {
     return c.is_root() || t.uid() == c.uid;
   }
-  Duration work_cost() const override { return vfs_.costs().chmod_base; }
+  Duration work_cost() const override { return vfs_->costs().chmod_base; }
   void apply(Inode& t) override { t.set_mode(mode_); }
 
  private:
-  ChmodOp(const ChmodOp& o, sim::CloneMap& m)
-      : SetAttrOp(o, m), mode_(o.mode_) {}
-
   Mode mode_;
 };
 
-class ChownOp final : public SetAttrOp {
+class ChownOp final : public Listed<ChownOp, SetAttrOp> {
  public:
   ChownOp(Vfs& vfs, std::string path, sim::Uid uid, sim::Gid gid,
           Errno* err_out)
-      : SetAttrOp(vfs, std::move(path), err_out), uid_(uid), gid_(gid) {}
+      : Listed(vfs, std::move(path), err_out), uid_(uid), gid_(gid) {}
+
+  static auto fields(auto& self) {
+    return std::tuple_cat(SetAttrOp::fields(self),
+                          std::tie(self.uid_, self.gid_));
+  }
 
   std::string_view name() const override { return "chown"; }
-
-  std::unique_ptr<ServiceOp> clone(sim::CloneMap& m) const override {
-    return std::unique_ptr<ServiceOp>(new ChownOp(*this, m));
-  }
-
-  void hash_state(tocttou::StateHasher& h) const override {
-    hash_setattr(h);
-    h.u64(uid_);
-    h.u64(gid_);
-  }
 
  protected:
   bool permitted(const Inode& t, const Creds& c) const override {
     (void)t;
     return c.is_root();  // only root may give files away
   }
-  Duration work_cost() const override { return vfs_.costs().chown_base; }
-  void apply(Inode& t) override {
-    t.set_owner(uid_, gid_);
-  }
+  Duration work_cost() const override { return vfs_->costs().chown_base; }
+  void apply(Inode& t) override { t.set_owner(uid_, gid_); }
 
  private:
-  ChownOp(const ChownOp& o, sim::CloneMap& m)
-      : SetAttrOp(o, m), uid_(o.uid_), gid_(o.gid_) {}
-
   sim::Uid uid_;
   sim::Gid gid_;
 };
@@ -1567,7 +1226,9 @@ class ChownOp final : public SetAttrOp {
 /// Consults the round's FaultInjector on first advance; on injection the
 /// syscall fails at entry (out-slots written, Step::done) and the inner
 /// op never runs — no semaphores were touched, so nothing needs undoing.
-/// Otherwise delegates to the inner op entirely.
+/// Otherwise delegates to the inner op entirely. Owns the inner op, so it
+/// keeps a hand-written clone; rounds with an injector are unhashable, so
+/// it needs no digest.
 class FaultableOp final : public ServiceOp {
  public:
   FaultableOp(sim::FaultInjector* faults, std::unique_ptr<ServiceOp> inner,

@@ -33,9 +33,7 @@ Vfs::Vfs(const Vfs& o, sim::CloneMap& m)
   m.add_range(&o, this, sizeof(Vfs));
   inodes_.reserve(o.inodes_.size());
   for (const auto& node : o.inodes_) {
-    auto copy = std::make_unique<Inode>(*node, m);
-    m.add_range(node.get(), copy.get(), sizeof(Inode));
-    inodes_.push_back(std::move(copy));
+    inodes_.push_back(std::make_unique<Inode>(*node));
   }
 }
 

@@ -1,7 +1,5 @@
 #include "tocttou/programs/attackers.h"
 
-#include "tocttou/sim/clone.h"
-
 namespace tocttou::programs {
 
 using sim::Action;
@@ -20,23 +18,11 @@ bool window_open(Errno err, const fs::StatBuf& s) {
 NaiveAttacker::NaiveAttacker(fs::Vfs& vfs, AttackTarget target,
                              Duration loop_comp, Duration post_detect_comp,
                              RetryPolicy retry)
-    : vfs_(vfs),
+    : vfs_(&vfs),
       target_(std::move(target)),
       loop_comp_(loop_comp),
       post_detect_comp_(post_detect_comp),
       retry_(retry) {}
-
-NaiveAttacker::NaiveAttacker(const NaiveAttacker& o, sim::CloneMap& m)
-    : vfs_(*m.remap(&o.vfs_)), target_(o.target_), loop_comp_(o.loop_comp_),
-      post_detect_comp_(o.post_detect_comp_), retry_(o.retry_),
-      phase_(o.phase_), stat_out_(o.stat_out_), stat_err_(o.stat_err_),
-      status_(o.status_), attempt_(o.attempt_) {}
-
-std::unique_ptr<sim::Program> NaiveAttacker::clone(sim::CloneMap& m) const {
-  auto* raw = new NaiveAttacker(*this, m);
-  m.add_range(this, raw, sizeof(NaiveAttacker));
-  return std::unique_ptr<sim::Program>(raw);
-}
 
 std::optional<Action> NaiveAttacker::retry_eintr(Errno e, Phase redo) {
   if (e != Errno::eintr || attempt_ + 1 >= retry_.max_attempts) {
@@ -56,7 +42,7 @@ Action NaiveAttacker::next(ProgramContext& ctx) {
       phase_ = Phase::judge;
       ++status_.iterations;
       return Action::service(
-          vfs_.stat_op(target_.watched_path, &stat_out_, &stat_err_));
+          vfs_->stat_op(target_.watched_path, &stat_out_, &stat_err_));
     case Phase::judge:
       if (window_open(stat_err_, stat_out_)) {
         status_.detected = true;
@@ -74,13 +60,13 @@ Action NaiveAttacker::next(ProgramContext& ctx) {
     case Phase::unlink:
       phase_ = Phase::symlink;
       return Action::service(
-          vfs_.unlink_op(target_.watched_path, &status_.unlink_err));
+          vfs_->unlink_op(target_.watched_path, &status_.unlink_err));
     case Phase::symlink:
       // The window is fleeting: an interrupted unlink is retried
       // immediately (busy-wait backoff, no yield).
       if (auto a = retry_eintr(status_.unlink_err, Phase::unlink)) return std::move(*a);
       phase_ = Phase::done;
-      return Action::service(vfs_.symlink_op(
+      return Action::service(vfs_->symlink_op(
           target_.evil_target, target_.watched_path, &status_.symlink_err));
     case Phase::done:
       if (auto a = retry_eintr(status_.symlink_err, Phase::symlink)) {
@@ -98,24 +84,10 @@ Action NaiveAttacker::next(ProgramContext& ctx) {
 
 PrefaultedAttacker::PrefaultedAttacker(fs::Vfs& vfs, AttackTarget target,
                                        Duration select_comp, RetryPolicy retry)
-    : vfs_(vfs),
+    : vfs_(&vfs),
       target_(std::move(target)),
       select_comp_(select_comp),
       retry_(retry) {}
-
-PrefaultedAttacker::PrefaultedAttacker(const PrefaultedAttacker& o,
-                                       sim::CloneMap& m)
-    : vfs_(*m.remap(&o.vfs_)), target_(o.target_),
-      select_comp_(o.select_comp_), retry_(o.retry_), phase_(o.phase_),
-      window_now_(o.window_now_), fname_(o.fname_), stat_out_(o.stat_out_),
-      stat_err_(o.stat_err_), status_(o.status_), attempt_(o.attempt_) {}
-
-std::unique_ptr<sim::Program> PrefaultedAttacker::clone(
-    sim::CloneMap& m) const {
-  auto* raw = new PrefaultedAttacker(*this, m);
-  m.add_range(this, raw, sizeof(PrefaultedAttacker));
-  return std::unique_ptr<sim::Program>(raw);
-}
 
 std::optional<Action> PrefaultedAttacker::retry_eintr(Errno e, Phase redo) {
   if (e != Errno::eintr || attempt_ + 1 >= retry_.max_attempts) {
@@ -135,7 +107,7 @@ Action PrefaultedAttacker::next(ProgramContext& ctx) {
       phase_ = Phase::select;
       ++status_.iterations;
       return Action::service(
-          vfs_.stat_op(target_.watched_path, &stat_out_, &stat_err_));
+          vfs_->stat_op(target_.watched_path, &stat_out_, &stat_err_));
     case Phase::select:
       // Figure 9 lines 3-9: pick the real name inside the window, the
       // dummy otherwise — but ALWAYS fall through to unlink+symlink, so
@@ -147,7 +119,7 @@ Action PrefaultedAttacker::next(ProgramContext& ctx) {
       return Action::compute(select_comp_, "comp");
     case Phase::unlink:
       phase_ = Phase::symlink;
-      return Action::service(vfs_.unlink_op(fname_, &status_.unlink_err));
+      return Action::service(vfs_->unlink_op(fname_, &status_.unlink_err));
     case Phase::symlink:
       // Retry only inside the window; an interrupted dummy-cycle call
       // self-heals on the next iteration anyway.
@@ -158,7 +130,7 @@ Action PrefaultedAttacker::next(ProgramContext& ctx) {
       }
       phase_ = Phase::maybe_exit;
       return Action::service(
-          vfs_.symlink_op(target_.evil_target, fname_, &status_.symlink_err));
+          vfs_->symlink_op(target_.evil_target, fname_, &status_.symlink_err));
     case Phase::maybe_exit:
       if (window_now_) {
         if (auto a = retry_eintr(status_.symlink_err, Phase::symlink)) {
@@ -185,26 +157,12 @@ PipelinedAttackerMain::PipelinedAttackerMain(fs::Vfs& vfs, AttackTarget target,
                                              Duration handoff_comp,
                                              PipelinedAttackState* state,
                                              RetryPolicy retry)
-    : vfs_(vfs),
+    : vfs_(&vfs),
       target_(std::move(target)),
       loop_comp_(loop_comp),
       handoff_comp_(handoff_comp),
       state_(state),
       retry_(retry) {}
-
-PipelinedAttackerMain::PipelinedAttackerMain(const PipelinedAttackerMain& o,
-                                             sim::CloneMap& m)
-    : vfs_(*m.remap(&o.vfs_)), target_(o.target_), loop_comp_(o.loop_comp_),
-      handoff_comp_(o.handoff_comp_), state_(m.remap(o.state_)),
-      retry_(o.retry_), phase_(o.phase_), stat_out_(o.stat_out_),
-      stat_err_(o.stat_err_), attempt_(o.attempt_) {}
-
-std::unique_ptr<sim::Program> PipelinedAttackerMain::clone(
-    sim::CloneMap& m) const {
-  auto* raw = new PipelinedAttackerMain(*this, m);
-  m.add_range(this, raw, sizeof(PipelinedAttackerMain));
-  return std::unique_ptr<sim::Program>(raw);
-}
 
 std::optional<Action> PipelinedAttackerMain::retry_eintr(Errno e, Phase redo) {
   if (e != Errno::eintr || attempt_ + 1 >= retry_.max_attempts) {
@@ -224,7 +182,7 @@ Action PipelinedAttackerMain::next(ProgramContext& ctx) {
       phase_ = Phase::judge;
       ++state_->status.iterations;
       return Action::service(
-          vfs_.stat_op(target_.watched_path, &stat_out_, &stat_err_));
+          vfs_->stat_op(target_.watched_path, &stat_out_, &stat_err_));
     case Phase::judge:
       if (window_open(stat_err_, stat_out_)) {
         state_->status.detected = true;
@@ -242,7 +200,7 @@ Action PipelinedAttackerMain::next(ProgramContext& ctx) {
     case Phase::unlink:
       phase_ = Phase::done;
       return Action::service(
-          vfs_.unlink_op(target_.watched_path, &state_->status.unlink_err));
+          vfs_->unlink_op(target_.watched_path, &state_->status.unlink_err));
     case Phase::done:
       if (auto a = retry_eintr(state_->status.unlink_err, Phase::unlink)) {
         return std::move(*a);
@@ -255,24 +213,10 @@ Action PipelinedAttackerMain::next(ProgramContext& ctx) {
 PipelinedAttackerSymlinker::PipelinedAttackerSymlinker(
     fs::Vfs& vfs, AttackTarget target, Duration retry_comp,
     PipelinedAttackState* state)
-    : vfs_(vfs),
+    : vfs_(&vfs),
       target_(std::move(target)),
       retry_comp_(retry_comp),
       state_(state) {}
-
-PipelinedAttackerSymlinker::PipelinedAttackerSymlinker(
-    const PipelinedAttackerSymlinker& o, sim::CloneMap& m)
-    : vfs_(*m.remap(&o.vfs_)), target_(o.target_),
-      retry_comp_(o.retry_comp_), state_(m.remap(o.state_)),
-      phase_(o.phase_), symlink_err_(o.symlink_err_),
-      attempts_(o.attempts_) {}
-
-std::unique_ptr<sim::Program> PipelinedAttackerSymlinker::clone(
-    sim::CloneMap& m) const {
-  auto* raw = new PipelinedAttackerSymlinker(*this, m);
-  m.add_range(this, raw, sizeof(PipelinedAttackerSymlinker));
-  return std::unique_ptr<sim::Program>(raw);
-}
 
 Action PipelinedAttackerSymlinker::next(ProgramContext& ctx) {
   (void)ctx;
@@ -283,7 +227,7 @@ Action PipelinedAttackerSymlinker::next(ProgramContext& ctx) {
     case Phase::symlink:
       phase_ = Phase::judge;
       ++attempts_;
-      return Action::service(vfs_.symlink_op(
+      return Action::service(vfs_->symlink_op(
           target_.evil_target, target_.watched_path, &symlink_err_));
     case Phase::judge:
       if ((symlink_err_ == Errno::eexist || symlink_err_ == Errno::eintr) &&

@@ -3,7 +3,6 @@
 #include <cstdlib>
 
 #include "tocttou/common/strings.h"
-#include "tocttou/sim/clone.h"
 #include "tocttou/sim/kernel.h"
 #include "tocttou/sim/process.h"
 
@@ -187,45 +186,13 @@ void spawn_background_tenants(sim::Kernel& kernel, fs::Vfs& vfs,
   }
 }
 
-namespace {
-
-void hash_stat(StateHasher& h, const fs::StatBuf& st, Errno err) {
-  h.u64(st.ino);
-  h.u32(static_cast<std::uint32_t>(st.type));
-  h.u64(st.uid);
-  h.u64(st.gid);
-  h.u64(st.mode);
-  h.u64(st.size_bytes);
-  h.u32(static_cast<std::uint32_t>(err));
-}
-
-void hash_open(StateHasher& h, const fs::OpenResult& r, Errno io_err) {
-  h.i64(r.fd);
-  h.u32(static_cast<std::uint32_t>(r.err));
-  h.u32(static_cast<std::uint32_t>(io_err));
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // WebServerTenant
 // ---------------------------------------------------------------------------
 
 WebServerTenant::WebServerTenant(fs::Vfs& vfs, int docroot_files,
                                  int intensity)
-    : vfs_(vfs), docroot_files_(docroot_files), intensity_(intensity) {}
-
-WebServerTenant::WebServerTenant(const WebServerTenant& o, sim::CloneMap& m)
-    : vfs_(*m.remap(&o.vfs_)), docroot_files_(o.docroot_files_),
-      intensity_(o.intensity_), phase_(o.phase_), target_(o.target_),
-      requests_(o.requests_), stat_out_(o.stat_out_), stat_err_(o.stat_err_),
-      open_out_(o.open_out_), io_err_(o.io_err_) {}
-
-std::unique_ptr<sim::Program> WebServerTenant::clone(sim::CloneMap& m) const {
-  auto* raw = new WebServerTenant(*this, m);
-  m.add_range(this, raw, sizeof(WebServerTenant));
-  return std::unique_ptr<sim::Program>(raw);
-}
+    : vfs_(&vfs), docroot_files_(docroot_files), intensity_(intensity) {}
 
 Action WebServerTenant::next(ProgramContext& ctx) {
   switch (phase_) {
@@ -241,29 +208,27 @@ Action WebServerTenant::next(ProgramContext& ctx) {
     case Phase::stat:
       phase_ = Phase::open;
       return Action::service(
-          vfs_.stat_op(docroot_file(target_), &stat_out_, &stat_err_));
+          vfs_->stat_op(docroot_file(target_), &stat_out_, &stat_err_));
     case Phase::open:
       phase_ = Phase::read;
-      return Action::service(vfs_.open_op(docroot_file(target_),
-                                          fs::OpenFlags::read_only(),
-                                          fs::kModeDefaultFile, &open_out_));
+      return Action::service(vfs_->open_op(docroot_file(target_),
+                                           fs::OpenFlags::read_only(),
+                                           fs::kModeDefaultFile, &open_out_));
     case Phase::read:
       if (open_out_.err != Errno::ok) {
-        // Request failed (e.g. an injected fault); account it and move on.
+        // Request failed (e.g. an injected fault); move on.
         phase_ = Phase::think;
-        ++requests_;
         return next(ctx);
       }
       phase_ = Phase::close;
-      return Action::service(vfs_.read_op(
+      return Action::service(vfs_->read_op(
           open_out_.fd, 4096ull * static_cast<std::uint64_t>(intensity_),
           &io_err_));
     case Phase::close:
       phase_ = Phase::parse;
-      return Action::service(vfs_.close_op(open_out_.fd, &io_err_));
+      return Action::service(vfs_->close_op(open_out_.fd, &io_err_));
     case Phase::parse:
       phase_ = Phase::think;
-      ++requests_;
       return Action::compute(
           ctx.rng.normal_duration(Duration::micros(20) * intensity_,
                                   Duration::micros(5),
@@ -273,34 +238,12 @@ Action WebServerTenant::next(ProgramContext& ctx) {
   return Action::exit_proc();
 }
 
-void WebServerTenant::hash_state(StateHasher& h) const {
-  h.str("bg_web");
-  h.i64(docroot_files_);
-  h.i64(intensity_);
-  h.u32(static_cast<std::uint32_t>(phase_));
-  h.i64(target_);
-  h.u64(requests_);
-  hash_stat(h, stat_out_, stat_err_);
-  hash_open(h, open_out_, io_err_);
-}
-
 // ---------------------------------------------------------------------------
 // CronDaemon
 // ---------------------------------------------------------------------------
 
 CronDaemon::CronDaemon(fs::Vfs& vfs, int intensity)
-    : vfs_(vfs), intensity_(intensity) {}
-
-CronDaemon::CronDaemon(const CronDaemon& o, sim::CloneMap& m)
-    : vfs_(*m.remap(&o.vfs_)), intensity_(o.intensity_), phase_(o.phase_),
-      runs_(o.runs_), stat_out_(o.stat_out_), stat_err_(o.stat_err_),
-      open_out_(o.open_out_), io_err_(o.io_err_) {}
-
-std::unique_ptr<sim::Program> CronDaemon::clone(sim::CloneMap& m) const {
-  auto* raw = new CronDaemon(*this, m);
-  m.add_range(this, raw, sizeof(CronDaemon));
-  return std::unique_ptr<sim::Program>(raw);
-}
+    : vfs_(&vfs), intensity_(intensity) {}
 
 Action CronDaemon::next(ProgramContext& ctx) {
   switch (phase_) {
@@ -312,39 +255,28 @@ Action CronDaemon::next(ProgramContext& ctx) {
                                                         Duration::millis(10)));
     case Phase::stat:
       phase_ = Phase::open;
-      return Action::service(vfs_.stat_op(kCrontab, &stat_out_, &stat_err_));
+      return Action::service(vfs_->stat_op(kCrontab, &stat_out_, &stat_err_));
     case Phase::open:
       phase_ = Phase::read;
-      return Action::service(vfs_.open_op(kCrontab,
-                                          fs::OpenFlags::read_only(),
-                                          fs::kModeDefaultFile, &open_out_));
+      return Action::service(vfs_->open_op(kCrontab,
+                                           fs::OpenFlags::read_only(),
+                                           fs::kModeDefaultFile, &open_out_));
     case Phase::read:
       if (open_out_.err != Errno::ok) {
         phase_ = Phase::sleep;
-        ++runs_;
         return next(ctx);
       }
       phase_ = Phase::close;
-      return Action::service(vfs_.read_op(open_out_.fd, 512, &io_err_));
+      return Action::service(vfs_->read_op(open_out_.fd, 512, &io_err_));
     case Phase::close:
       phase_ = Phase::job;
-      return Action::service(vfs_.close_op(open_out_.fd, &io_err_));
+      return Action::service(vfs_->close_op(open_out_.fd, &io_err_));
     case Phase::job:
       phase_ = Phase::sleep;
-      ++runs_;
       // The burst: crontab fired, run the job's computation.
       return Action::compute(Duration::micros(100) * intensity_, "cronjob");
   }
   return Action::exit_proc();
-}
-
-void CronDaemon::hash_state(StateHasher& h) const {
-  h.str("bg_cron");
-  h.i64(intensity_);
-  h.u32(static_cast<std::uint32_t>(phase_));
-  h.u64(runs_);
-  hash_stat(h, stat_out_, stat_err_);
-  hash_open(h, open_out_, io_err_);
 }
 
 // ---------------------------------------------------------------------------
@@ -352,18 +284,7 @@ void CronDaemon::hash_state(StateHasher& h) const {
 // ---------------------------------------------------------------------------
 
 BuildJob::BuildJob(fs::Vfs& vfs, int slot, int intensity)
-    : vfs_(vfs), slot_(slot), intensity_(intensity) {}
-
-BuildJob::BuildJob(const BuildJob& o, sim::CloneMap& m)
-    : vfs_(*m.remap(&o.vfs_)), slot_(o.slot_), intensity_(o.intensity_),
-      phase_(o.phase_), builds_(o.builds_), open_out_(o.open_out_),
-      io_err_(o.io_err_) {}
-
-std::unique_ptr<sim::Program> BuildJob::clone(sim::CloneMap& m) const {
-  auto* raw = new BuildJob(*this, m);
-  m.add_range(this, raw, sizeof(BuildJob));
-  return std::unique_ptr<sim::Program>(raw);
-}
+    : vfs_(&vfs), slot_(slot), intensity_(intensity) {}
 
 std::string BuildJob::object_path() const {
   return strfmt("/tmp/build/obj_%d.o", slot_);
@@ -380,28 +301,26 @@ Action BuildJob::next(ProgramContext& ctx) {
           "compile");
     case Phase::open:
       phase_ = Phase::write;
-      return Action::service(vfs_.open_op(object_path(),
-                                          fs::OpenFlags::write_create_trunc(),
-                                          fs::kModeDefaultFile, &open_out_));
+      return Action::service(vfs_->open_op(object_path(),
+                                           fs::OpenFlags::write_create_trunc(),
+                                           fs::kModeDefaultFile, &open_out_));
     case Phase::write:
       if (open_out_.err != Errno::ok) {
         phase_ = Phase::compile;
-        ++builds_;
         return next(ctx);
       }
       phase_ = Phase::close;
-      return Action::service(vfs_.write_op(
+      return Action::service(vfs_->write_op(
           open_out_.fd, 8192ull * static_cast<std::uint64_t>(intensity_),
           &io_err_));
     case Phase::close:
       phase_ = Phase::unlink;
-      return Action::service(vfs_.close_op(open_out_.fd, &io_err_));
+      return Action::service(vfs_->close_op(open_out_.fd, &io_err_));
     case Phase::unlink:
       // Clean the object away so the next build re-creates it: sustained
       // create/unlink churn on the shared directory's i_sem.
       phase_ = Phase::idle;
-      ++builds_;
-      return Action::service(vfs_.unlink_op(object_path(), &io_err_));
+      return Action::service(vfs_->unlink_op(object_path(), &io_err_));
     case Phase::idle:
       // Between compilation units: blocked on the (unmodeled) source
       // fetch. Keeps a fleet of build jobs bursty instead of CPU-bound.
@@ -412,32 +331,12 @@ Action BuildJob::next(ProgramContext& ctx) {
   return Action::exit_proc();
 }
 
-void BuildJob::hash_state(StateHasher& h) const {
-  h.str("bg_build");
-  h.i64(slot_);
-  h.i64(intensity_);
-  h.u32(static_cast<std::uint32_t>(phase_));
-  h.u64(builds_);
-  hash_open(h, open_out_, io_err_);
-}
-
 // ---------------------------------------------------------------------------
 // LogWriter
 // ---------------------------------------------------------------------------
 
 LogWriter::LogWriter(fs::Vfs& vfs, int slot, int intensity)
-    : vfs_(vfs), slot_(slot), intensity_(intensity) {}
-
-LogWriter::LogWriter(const LogWriter& o, sim::CloneMap& m)
-    : vfs_(*m.remap(&o.vfs_)), slot_(o.slot_), intensity_(o.intensity_),
-      phase_(o.phase_), writes_(o.writes_), open_out_(o.open_out_),
-      io_err_(o.io_err_) {}
-
-std::unique_ptr<sim::Program> LogWriter::clone(sim::CloneMap& m) const {
-  auto* raw = new LogWriter(*this, m);
-  m.add_range(this, raw, sizeof(LogWriter));
-  return std::unique_ptr<sim::Program>(raw);
-}
+    : vfs_(&vfs), slot_(slot), intensity_(intensity) {}
 
 std::string LogWriter::log_path() const {
   return strfmt("/var/log/app%d.log", slot_);
@@ -454,33 +353,22 @@ Action LogWriter::next(ProgramContext& ctx) {
       fs::OpenFlags flags;  // append-style: write, no create/trunc needed
       flags.write = true;
       return Action::service(
-          vfs_.open_op(log_path(), flags, fs::kModeDefaultFile, &open_out_));
+          vfs_->open_op(log_path(), flags, fs::kModeDefaultFile, &open_out_));
     }
     case Phase::write:
       if (open_out_.err != Errno::ok) {
         phase_ = Phase::sleep;
-        ++writes_;
         return next(ctx);
       }
       phase_ = Phase::close;
-      return Action::service(vfs_.write_op(
+      return Action::service(vfs_->write_op(
           open_out_.fd, 256ull * static_cast<std::uint64_t>(intensity_),
           &io_err_));
     case Phase::close:
       phase_ = Phase::sleep;
-      ++writes_;
-      return Action::service(vfs_.close_op(open_out_.fd, &io_err_));
+      return Action::service(vfs_->close_op(open_out_.fd, &io_err_));
   }
   return Action::exit_proc();
-}
-
-void LogWriter::hash_state(StateHasher& h) const {
-  h.str("bg_log");
-  h.i64(slot_);
-  h.i64(intensity_);
-  h.u32(static_cast<std::uint32_t>(phase_));
-  h.u64(writes_);
-  hash_open(h, open_out_, io_err_);
 }
 
 }  // namespace tocttou::programs

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "tocttou/sim/clone.h"
-
 namespace tocttou::programs {
 
 using sim::Action;
@@ -14,19 +12,7 @@ using sim::ProgramContext;
 // ---------------------------------------------------------------------------
 
 ViVictim::ViVictim(fs::Vfs& vfs, ViVictimConfig cfg)
-    : vfs_(vfs), cfg_(std::move(cfg)) {}
-
-ViVictim::ViVictim(const ViVictim& o, sim::CloneMap& m)
-    : vfs_(*m.remap(&o.vfs_)), cfg_(o.cfg_), phase_(o.phase_),
-      written_(o.written_), pending_chunk_(o.pending_chunk_),
-      open_out_(o.open_out_), load_out_(o.load_out_), err_(o.err_),
-      attempt_(o.attempt_), retries_(o.retries_) {}
-
-std::unique_ptr<sim::Program> ViVictim::clone(sim::CloneMap& m) const {
-  auto* raw = new ViVictim(*this, m);
-  m.add_range(this, raw, sizeof(ViVictim));
-  return std::unique_ptr<sim::Program>(raw);
-}
+    : vfs_(&vfs), cfg_(std::move(cfg)) {}
 
 std::optional<Action> ViVictim::retry_eintr(Errno e, Phase redo) {
   if (e != Errno::eintr || attempt_ + 1 >= cfg_.t.retry.max_attempts) {
@@ -45,17 +31,17 @@ Action ViVictim::next(ProgramContext& ctx) {
     case Phase::load_open:
       phase_ = Phase::load_read;
       return Action::service(
-          vfs_.open_op(cfg_.wfname, fs::OpenFlags::read_only(), 0,
-                       &load_out_));
+          vfs_->open_op(cfg_.wfname, fs::OpenFlags::read_only(), 0,
+                        &load_out_));
     case Phase::load_read:
       phase_ = Phase::load_close;
       if (load_out_.fd < 0) return next(ctx);
       return Action::service(
-          vfs_.read_op(load_out_.fd, cfg_.file_bytes, &err_));
+          vfs_->read_op(load_out_.fd, cfg_.file_bytes, &err_));
     case Phase::load_close:
       phase_ = Phase::think;
       if (load_out_.fd >= 0) {
-        return Action::service(vfs_.close_op(load_out_.fd, &err_));
+        return Action::service(vfs_->close_op(load_out_.fd, &err_));
       }
       return next(ctx);
     case Phase::think:
@@ -67,7 +53,7 @@ Action ViVictim::next(ProgramContext& ctx) {
     case Phase::rename:
       phase_ = Phase::pre_open;
       return Action::service(
-          vfs_.rename_op(cfg_.wfname, cfg_.backup_name, &err_));
+          vfs_->rename_op(cfg_.wfname, cfg_.backup_name, &err_));
     case Phase::pre_open:
       // A real editor retries an interrupted rename before giving up.
       if (auto a = retry_eintr(err_, Phase::rename)) return std::move(*a);
@@ -75,7 +61,7 @@ Action ViVictim::next(ProgramContext& ctx) {
       return Action::compute(cfg_.t.vi_pre_open, "comp");
     case Phase::open:
       phase_ = Phase::prep_write;
-      return Action::service(vfs_.open_op(
+      return Action::service(vfs_->open_op(
           cfg_.wfname, fs::OpenFlags::write_create_trunc(), 0644, &open_out_));
     case Phase::prep_write:
       if (auto a = retry_eintr(open_out_.err, Phase::open)) return std::move(*a);
@@ -96,8 +82,8 @@ Action ViVictim::next(ProgramContext& ctx) {
           std::min<std::uint64_t>(cfg_.t.vi_write_chunk_bytes,
                                   cfg_.file_bytes - written_);
       phase_ = Phase::between_chunks;
-      return Action::service(vfs_.write_op(open_out_.fd, pending_chunk_,
-                                           &err_));
+      return Action::service(vfs_->write_op(open_out_.fd, pending_chunk_,
+                                            &err_));
     }
     case Phase::between_chunks:
       if (auto a = retry_eintr(err_, Phase::write_chunk)) return std::move(*a);
@@ -115,8 +101,8 @@ Action ViVictim::next(ProgramContext& ctx) {
     case Phase::fchown_fd:
       // Defended variant: bind the ownership change to the fd's inode.
       phase_ = Phase::close;
-      return Action::service(vfs_.fchown_op(open_out_.fd, cfg_.owner_uid,
-                                            cfg_.owner_gid, &err_));
+      return Action::service(vfs_->fchown_op(open_out_.fd, cfg_.owner_uid,
+                                             cfg_.owner_gid, &err_));
     case Phase::close:
       if (cfg_.fd_attr_remedy) {
         if (auto a = retry_eintr(err_, Phase::fchown_fd)) return std::move(*a);
@@ -124,14 +110,14 @@ Action ViVictim::next(ProgramContext& ctx) {
       // close(2) is never retried on EINTR: the fd state is unspecified
       // and a retry could close an unrelated descriptor (POSIX).
       phase_ = cfg_.fd_attr_remedy ? Phase::done : Phase::pre_chown;
-      return Action::service(vfs_.close_op(open_out_.fd, &err_));
+      return Action::service(vfs_->close_op(open_out_.fd, &err_));
     case Phase::pre_chown:
       phase_ = Phase::chown;
       return Action::compute(cfg_.t.vi_pre_chown, "comp");
     case Phase::chown:
       phase_ = Phase::chown_ret;
       return Action::service(
-          vfs_.chown_op(cfg_.wfname, cfg_.owner_uid, cfg_.owner_gid, &err_));
+          vfs_->chown_op(cfg_.wfname, cfg_.owner_uid, cfg_.owner_gid, &err_));
     case Phase::chown_ret:
       if (auto a = retry_eintr(err_, Phase::chown)) return std::move(*a);
       phase_ = Phase::done;
@@ -147,19 +133,7 @@ Action ViVictim::next(ProgramContext& ctx) {
 // ---------------------------------------------------------------------------
 
 GeditVictim::GeditVictim(fs::Vfs& vfs, GeditVictimConfig cfg)
-    : vfs_(vfs), cfg_(std::move(cfg)) {}
-
-GeditVictim::GeditVictim(const GeditVictim& o, sim::CloneMap& m)
-    : vfs_(*m.remap(&o.vfs_)), cfg_(o.cfg_), phase_(o.phase_),
-      written_(o.written_), pending_chunk_(o.pending_chunk_),
-      open_out_(o.open_out_), load_out_(o.load_out_), err_(o.err_),
-      attempt_(o.attempt_), retries_(o.retries_) {}
-
-std::unique_ptr<sim::Program> GeditVictim::clone(sim::CloneMap& m) const {
-  auto* raw = new GeditVictim(*this, m);
-  m.add_range(this, raw, sizeof(GeditVictim));
-  return std::unique_ptr<sim::Program>(raw);
-}
+    : vfs_(&vfs), cfg_(std::move(cfg)) {}
 
 std::optional<Action> GeditVictim::retry_eintr(Errno e, Phase redo) {
   if (e != Errno::eintr || attempt_ + 1 >= cfg_.t.retry.max_attempts) {
@@ -178,17 +152,17 @@ Action GeditVictim::next(ProgramContext& ctx) {
     case Phase::load_open:
       phase_ = Phase::load_read;
       return Action::service(
-          vfs_.open_op(cfg_.real_filename, fs::OpenFlags::read_only(), 0,
-                       &load_out_));
+          vfs_->open_op(cfg_.real_filename, fs::OpenFlags::read_only(), 0,
+                        &load_out_));
     case Phase::load_read:
       phase_ = Phase::load_close;
       if (load_out_.fd < 0) return next(ctx);
       return Action::service(
-          vfs_.read_op(load_out_.fd, cfg_.file_bytes, &err_));
+          vfs_->read_op(load_out_.fd, cfg_.file_bytes, &err_));
     case Phase::load_close:
       phase_ = Phase::think;
       if (load_out_.fd >= 0) {
-        return Action::service(vfs_.close_op(load_out_.fd, &err_));
+        return Action::service(vfs_->close_op(load_out_.fd, &err_));
       }
       return next(ctx);
     case Phase::think:
@@ -205,7 +179,7 @@ Action GeditVictim::next(ProgramContext& ctx) {
       fs::OpenFlags flags = fs::OpenFlags::write_create_trunc();
       flags.excl = true;  // mkstemp-style: the scratch name is fresh
       return Action::service(
-          vfs_.open_op(cfg_.temp_filename, flags, 0600, &open_out_));
+          vfs_->open_op(cfg_.temp_filename, flags, 0600, &open_out_));
     }
     case Phase::open_ret:
       if (auto a = retry_eintr(open_out_.err, Phase::open_temp)) return std::move(*a);
@@ -225,8 +199,8 @@ Action GeditVictim::next(ProgramContext& ctx) {
           std::min<std::uint64_t>(cfg_.t.gedit_write_chunk_bytes,
                                   cfg_.file_bytes - written_);
       phase_ = Phase::between_chunks;
-      return Action::service(vfs_.write_op(open_out_.fd, pending_chunk_,
-                                           &err_));
+      return Action::service(vfs_->write_op(open_out_.fd, pending_chunk_,
+                                            &err_));
     }
     case Phase::between_chunks:
       if (auto a = retry_eintr(err_, Phase::write_chunk)) return std::move(*a);
@@ -241,26 +215,26 @@ Action GeditVictim::next(ProgramContext& ctx) {
     case Phase::fchmod_fd:
       phase_ = Phase::fchown_fd;
       return Action::service(
-          vfs_.fchmod_op(open_out_.fd, cfg_.owner_mode, &err_));
+          vfs_->fchmod_op(open_out_.fd, cfg_.owner_mode, &err_));
     case Phase::fchown_fd:
       if (auto a = retry_eintr(err_, Phase::fchmod_fd)) return std::move(*a);
       phase_ = Phase::close_temp;
-      return Action::service(vfs_.fchown_op(open_out_.fd, cfg_.owner_uid,
-                                            cfg_.owner_gid, &err_));
+      return Action::service(vfs_->fchown_op(open_out_.fd, cfg_.owner_uid,
+                                             cfg_.owner_gid, &err_));
     case Phase::close_temp:
       if (cfg_.fd_attr_remedy) {
         if (auto a = retry_eintr(err_, Phase::fchown_fd)) return std::move(*a);
       }
       // close(2) is never retried on EINTR (fd state unspecified).
       phase_ = Phase::pre_backup;
-      return Action::service(vfs_.close_op(open_out_.fd, &err_));
+      return Action::service(vfs_->close_op(open_out_.fd, &err_));
     case Phase::pre_backup:
       phase_ = Phase::backup;
       return Action::compute(cfg_.t.gedit_pre_backup, "comp");
     case Phase::backup:
       phase_ = Phase::pre_rename;
       return Action::service(
-          vfs_.rename_op(cfg_.real_filename, cfg_.backup_name, &err_));
+          vfs_->rename_op(cfg_.real_filename, cfg_.backup_name, &err_));
     case Phase::pre_rename:
       if (auto a = retry_eintr(err_, Phase::backup)) return std::move(*a);
       phase_ = Phase::rename;
@@ -268,7 +242,7 @@ Action GeditVictim::next(ProgramContext& ctx) {
     case Phase::rename:
       phase_ = Phase::rename_ret;
       return Action::service(
-          vfs_.rename_op(cfg_.temp_filename, cfg_.real_filename, &err_));
+          vfs_->rename_op(cfg_.temp_filename, cfg_.real_filename, &err_));
     case Phase::rename_ret:
       if (auto a = retry_eintr(err_, Phase::rename)) return std::move(*a);
       phase_ = cfg_.fd_attr_remedy ? Phase::done : Phase::comp_gap;
@@ -280,7 +254,7 @@ Action GeditVictim::next(ProgramContext& ctx) {
     case Phase::chmod:
       phase_ = Phase::chmod_chown_gap;
       return Action::service(
-          vfs_.chmod_op(cfg_.real_filename, cfg_.owner_mode, &err_));
+          vfs_->chmod_op(cfg_.real_filename, cfg_.owner_mode, &err_));
     case Phase::chmod_chown_gap:
       if (auto a = retry_eintr(err_, Phase::chmod)) return std::move(*a);
       phase_ = Phase::chown;
@@ -290,8 +264,8 @@ Action GeditVictim::next(ProgramContext& ctx) {
       return next(ctx);
     case Phase::chown:
       phase_ = Phase::chown_ret;
-      return Action::service(vfs_.chown_op(cfg_.real_filename, cfg_.owner_uid,
-                                           cfg_.owner_gid, &err_));
+      return Action::service(vfs_->chown_op(cfg_.real_filename, cfg_.owner_uid,
+                                            cfg_.owner_gid, &err_));
     case Phase::chown_ret:
       if (auto a = retry_eintr(err_, Phase::chown)) return std::move(*a);
       phase_ = Phase::done;
@@ -307,17 +281,7 @@ Action GeditVictim::next(ProgramContext& ctx) {
 // ---------------------------------------------------------------------------
 
 SuspendingVictim::SuspendingVictim(fs::Vfs& vfs, SuspendingVictimConfig cfg)
-    : vfs_(vfs), cfg_(std::move(cfg)) {}
-
-SuspendingVictim::SuspendingVictim(const SuspendingVictim& o, sim::CloneMap& m)
-    : vfs_(*m.remap(&o.vfs_)), cfg_(o.cfg_), phase_(o.phase_),
-      open_out_(o.open_out_), err_(o.err_) {}
-
-std::unique_ptr<sim::Program> SuspendingVictim::clone(sim::CloneMap& m) const {
-  auto* raw = new SuspendingVictim(*this, m);
-  m.add_range(this, raw, sizeof(SuspendingVictim));
-  return std::unique_ptr<sim::Program>(raw);
-}
+    : vfs_(&vfs), cfg_(std::move(cfg)) {}
 
 Action SuspendingVictim::next(ProgramContext& ctx) {
   (void)ctx;
@@ -333,10 +297,10 @@ Action SuspendingVictim::next(ProgramContext& ctx) {
       // fresh (root-owned) inode under the watched name.
       phase_ = Phase::check;
       return Action::service(
-          vfs_.rename_op(cfg_.path, cfg_.path + ".bak", &err_));
+          vfs_->rename_op(cfg_.path, cfg_.path + ".bak", &err_));
     case Phase::check:
       phase_ = Phase::io;
-      return Action::service(vfs_.open_op(
+      return Action::service(vfs_->open_op(
           cfg_.path, fs::OpenFlags::write_create_trunc(), 0644, &open_out_));
     case Phase::io:
       // The window contains blocking I/O: on a uniprocessor the attacker
@@ -349,11 +313,11 @@ Action SuspendingVictim::next(ProgramContext& ctx) {
         return Action::exit_proc();
       }
       phase_ = Phase::use;
-      return Action::service(vfs_.close_op(open_out_.fd, &err_));
+      return Action::service(vfs_->close_op(open_out_.fd, &err_));
     case Phase::use:
       phase_ = Phase::done;
       return Action::service(
-          vfs_.chown_op(cfg_.path, cfg_.owner_uid, cfg_.owner_gid, &err_));
+          vfs_->chown_op(cfg_.path, cfg_.owner_uid, cfg_.owner_gid, &err_));
     case Phase::done:
       return Action::exit_proc();
   }
@@ -365,18 +329,7 @@ Action SuspendingVictim::next(ProgramContext& ctx) {
 // ---------------------------------------------------------------------------
 
 SendmailVictim::SendmailVictim(fs::Vfs& vfs, SendmailVictimConfig cfg)
-    : vfs_(vfs), cfg_(std::move(cfg)) {}
-
-SendmailVictim::SendmailVictim(const SendmailVictim& o, sim::CloneMap& m)
-    : vfs_(*m.remap(&o.vfs_)), cfg_(o.cfg_), phase_(o.phase_),
-      stat_out_(o.stat_out_), open_out_(o.open_out_), err_(o.err_),
-      rejected_(o.rejected_) {}
-
-std::unique_ptr<sim::Program> SendmailVictim::clone(sim::CloneMap& m) const {
-  auto* raw = new SendmailVictim(*this, m);
-  m.add_range(this, raw, sizeof(SendmailVictim));
-  return std::unique_ptr<sim::Program>(raw);
-}
+    : vfs_(&vfs), cfg_(std::move(cfg)) {}
 
 Action SendmailVictim::next(ProgramContext& ctx) {
   (void)ctx;
@@ -389,7 +342,7 @@ Action SendmailVictim::next(ProgramContext& ctx) {
       [[fallthrough]];
     case Phase::check:
       phase_ = Phase::gap;
-      return Action::service(vfs_.lstat_op(cfg_.mailbox, &stat_out_, &err_));
+      return Action::service(vfs_->lstat_op(cfg_.mailbox, &stat_out_, &err_));
     case Phase::gap:
       if (err_ != Errno::ok || stat_out_.is_symlink()) {
         rejected_ = true;  // the check did its job
@@ -402,7 +355,7 @@ Action SendmailVictim::next(ProgramContext& ctx) {
       phase_ = Phase::write;
       fs::OpenFlags flags;
       flags.write = true;  // append; follows a symlink if one appeared
-      return Action::service(vfs_.open_op(cfg_.mailbox, flags, 0, &open_out_));
+      return Action::service(vfs_->open_op(cfg_.mailbox, flags, 0, &open_out_));
     }
     case Phase::write:
       if (open_out_.fd < 0) {
@@ -411,10 +364,10 @@ Action SendmailVictim::next(ProgramContext& ctx) {
       }
       phase_ = Phase::close;
       return Action::service(
-          vfs_.write_op(open_out_.fd, cfg_.message_bytes, &err_));
+          vfs_->write_op(open_out_.fd, cfg_.message_bytes, &err_));
     case Phase::close:
       phase_ = Phase::done;
-      return Action::service(vfs_.close_op(open_out_.fd, &err_));
+      return Action::service(vfs_->close_op(open_out_.fd, &err_));
     case Phase::done:
       return Action::exit_proc();
   }

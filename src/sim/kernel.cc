@@ -1,13 +1,12 @@
 #include "tocttou/sim/kernel.h"
 
-#include <algorithm>
-
 #include "tocttou/common/error.h"
 #include "tocttou/common/strings.h"
 #include "tocttou/detect/sync.h"
 #include "tocttou/metrics/metrics.h"
 #include "tocttou/sim/clone.h"
 #include "tocttou/sim/faults.h"
+#include "tocttou/sim/fields.h"
 
 namespace tocttou::sim {
 
@@ -17,9 +16,13 @@ namespace {
 /// then burn a short high-priority burst (DESIGN.md: the source of the
 /// "some other process prevents the attacker from being scheduled" failures
 /// in the paper's 1-byte vi experiments).
-class BackgroundDaemon : public Program {
+class BackgroundDaemon : public Listed<BackgroundDaemon, Program> {
  public:
   explicit BackgroundDaemon(BackgroundLoad cfg) : cfg_(cfg) {}
+
+  static auto fields(auto& self) {
+    return std::tie(self.cfg_, self.sleeping_next_);
+  }
 
   Action next(ProgramContext& ctx) override {
     if (sleeping_next_) {
@@ -33,20 +36,6 @@ class BackgroundDaemon : public Program {
         ctx.rng.normal_duration(cfg_.burst_mean, cfg_.burst_stdev,
                                 Duration::micros(10)),
         "kthread");
-  }
-
-  std::unique_ptr<Program> clone(CloneMap& m) const override {
-    auto* raw = new BackgroundDaemon(*this);
-    m.add_range(this, raw, sizeof(BackgroundDaemon));
-    return std::unique_ptr<Program>(raw);
-  }
-
-  void hash_state(StateHasher& h) const override {
-    h.str("bg_daemon");
-    h.dur(cfg_.mean_interval);
-    h.dur(cfg_.burst_mean);
-    h.dur(cfg_.burst_stdev);
-    h.boolean(sleeping_next_);
   }
 
  private:
@@ -106,8 +95,8 @@ Kernel::Kernel(const Kernel& o, CloneMap& m)
       background_started_(o.background_started_) {
   m.add_range(&o, this, sizeof(Kernel));
   // Pass 1: build the process table and register every Process range, so
-  // scheduler queues, held semaphores, and program/op internals can remap
-  // Process* (and pointers into programs) afterwards.
+  // scheduler queues and program/op internals can remap Process* (and
+  // pointers into programs) afterwards.
   procs_.reserve(o.procs_.size());
   for (const auto& src : o.procs_) {
     const Process& q = *src;
@@ -131,6 +120,7 @@ Kernel::Kernel(const Kernel& o, CloneMap& m)
     p.compute_label_ = q.compute_label_;
     p.op_enter_ = q.op_enter_;
     p.need_resched_ = q.need_resched_;
+    p.sems_held_ = q.sems_held_;
     p.mapped_libc_pages_ = q.mapped_libc_pages_;
     p.seg_gen_ = q.seg_gen_;
     p.pending_result_ = q.pending_result_;
@@ -146,7 +136,7 @@ Kernel::Kernel(const Kernel& o, CloneMap& m)
   sched_ = o.sched_->clone(m);
   // Pass 2: clone every program first (each registers its own range, so
   // service-op output slots pointing into ANY program resolve), then the
-  // in-flight ops and held-semaphore lists.
+  // in-flight ops.
   for (std::size_t i = 0; i < procs_.size(); ++i) {
     const Process& q = *o.procs_[i];
     if (q.program_) procs_[i]->program_ = q.program_->clone(m);
@@ -155,8 +145,6 @@ Kernel::Kernel(const Kernel& o, CloneMap& m)
     const Process& q = *o.procs_[i];
     Process& p = *procs_[i];
     if (q.op_) p.op_ = q.op_->clone(m);
-    p.held_sems_.reserve(q.held_sems_.size());
-    for (Semaphore* s : q.held_sems_) p.held_sems_.push_back(m.remap(s));
   }
 }
 
@@ -574,7 +562,7 @@ void Kernel::advance_service(Process& p) {
         Semaphore& sem = *step.sem;
         if (sem.owner_ == kNoPid) {
           sem.owner_ = p.pid_;
-          p.held_sems_.push_back(&sem);
+          ++p.sems_held_;
           if (sync_ != nullptr) sync_->sem_acquire(p.pid_, sem.name_);
           continue;  // acquired without blocking
         }
@@ -663,9 +651,7 @@ void Kernel::block_on_sem(Process& p, Semaphore& sem) {
 
 void Kernel::release_sem(Process& p, Semaphore& sem) {
   TOCTTOU_CHECK(sem.owner_ == p.pid_, "releasing a semaphore not held");
-  auto it = std::find(p.held_sems_.begin(), p.held_sems_.end(), &sem);
-  TOCTTOU_CHECK(it != p.held_sems_.end(), "held-semaphore bookkeeping broken");
-  p.held_sems_.erase(it);
+  --p.sems_held_;
   if (sync_ != nullptr) sync_->sem_release(p.pid_, sem.name_);
   if (sem.waiters_.empty()) {
     sem.owner_ = kNoPid;
@@ -677,8 +663,7 @@ void Kernel::release_sem(Process& p, Semaphore& sem) {
   const Pid next = sem.waiters_.front();
   sem.waiters_.pop_front();
   sem.owner_ = next;
-  Process& w = process(next);
-  w.held_sems_.push_back(&sem);
+  ++process(next).sems_held_;
   // The handoff is the happens-before edge: next owns the semaphore
   // from this instant, so its acquire is ordered here, not at wakeup.
   if (sync_ != nullptr) sync_->sem_acquire(next, sem.name_);
@@ -770,7 +755,7 @@ void Kernel::wake(Pid pid, bool from_io, bool faultable) {
 }
 
 void Kernel::handle_exit(Process& p) {
-  TOCTTOU_CHECK(p.held_sems_.empty(),
+  TOCTTOU_CHECK(p.sems_held_ == 0,
                 "process exited while holding a semaphore");
   if (sync_ != nullptr) sync_->proc_exit(p.pid_);
   p.state_ = ProcState::exited;

@@ -1,7 +1,5 @@
 #include "tocttou/sim/process.h"
 
-#include "tocttou/sim/semaphore.h"
-
 namespace tocttou::sim {
 
 const char* to_string(ProcState s) {
@@ -77,10 +75,9 @@ void Process::hash_state(StateHasher& h) const {
   for (int page : mapped_libc_pages_) h.i64(page);
   h.u32(static_cast<std::uint32_t>(pending_result_));
   h.boolean(wake_pending_);
-  // Held semaphores by name — inode-semaphore names embed the raw ino,
-  // matching the Vfs's raw-ino canonical order.
-  h.u64(held_sems_.size());
-  for (const Semaphore* s : held_sems_) h.str(s->name());
+  // Which semaphores are held is each inode semaphore's owner, which
+  // the Vfs digest covers.
+  h.u64(sems_held_);
   h.boolean(op_ != nullptr);
   if (op_) {
     h.time(op_enter_);

@@ -111,29 +111,6 @@ TEST(ExploringSchedulerTest, MatchingPrefixIsConsumedVerbatim) {
   EXPECT_EQ(src.token_choices(), probe.token_choices());
 }
 
-TEST(IndependenceOracleTest, OnlyKernelThreadsCommute) {
-  sim::MachineSpec m;
-  m.n_cpus = 1;
-  m.noise = sim::NoiseModel::none();
-  m.background.enabled = false;
-  sim::Kernel k(m,
-                std::make_unique<sched::LinuxLikeScheduler>(
-                    sched::LinuxSchedParams{}),
-                1);
-  auto prog = [] {
-    std::vector<sim::Action> a;
-    a.push_back(sim::Action::compute(1_us));
-    return std::make_unique<testing::ScriptProgram>(std::move(a));
-  };
-  const sim::Pid user1 = k.spawn(prog(), {.name = "u1"});
-  const sim::Pid user2 = k.spawn(prog(), {.name = "u2"});
-  const sim::Pid kthread = k.spawn(prog(), {.name = "kt", .kernel_thread = true});
-
-  EXPECT_FALSE(independent(k.process(user1), k.process(user2)));
-  EXPECT_TRUE(independent(k.process(user1), k.process(kthread)));
-  EXPECT_TRUE(independent(k.process(kthread), k.process(user2)));
-}
-
 TEST(PctSourceTest, SameSeedSameChoices) {
   sim::MachineSpec m;
   m.n_cpus = 1;

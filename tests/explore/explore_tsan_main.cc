@@ -4,9 +4,13 @@
 // each run with 1 and 4 workers, and every deterministic result field
 // must match — proving the work-stealing wave executor AND the
 // checkpoint seed hand-off between workers race-free without
-// instrumenting the gtest/benchmark binaries. Exits non-zero on
-// divergence.
+// instrumenting the gtest/benchmark binaries. Two more checkpointed
+// sweeps fork every program kind: the pipelined attacker's two threads
+// and their shared state, and a round with 16 tenant processes — a fork
+// that kept a pointer into a checkpoint another worker adopts races
+// there. Exits non-zero on divergence.
 #include <cstdio>
+#include <string>
 
 #include "tocttou/explore/explorer.h"
 
@@ -82,6 +86,29 @@ int main() {
   ex.state_hash = true;
   ex.checkpoint = false;
   ok = check_pair(cfg, ex, "exhaustive-replay") && ok;
+
+  // The divergent-witness sweep (smp/gedit/pipelined) and a sweep with
+  // tenants, both checkpointed with state hashing on.
+  ex.checkpoint = true;
+  core::ScenarioConfig pipelined = cfg;
+  pipelined.victim = core::VictimKind::gedit;
+  pipelined.attacker = core::AttackerKind::pipelined;
+  explore::ExploreConfig wide = ex;
+  wide.think_buckets = 16;
+  wide.preemption_bound = 2;
+  wide.max_schedules = 200000;
+  ok = check_pair(pipelined, wide, "exhaustive-checkpoint-pipelined") && ok;
+  core::ScenarioConfig tenants = cfg;
+  std::string err;
+  if (!programs::BackgroundSpec::parse("procs=16", &tenants.background,
+                                       &err)) {
+    std::printf("FAIL: %s\n", err.c_str());
+    return 1;
+  }
+  explore::ExploreConfig tenant_ex = ex;
+  tenant_ex.think_buckets = 4;
+  tenant_ex.max_schedules = 200000;
+  ok = check_pair(tenants, tenant_ex, "exhaustive-checkpoint-tenants") && ok;
 
   explore::ExploreConfig pct;
   pct.mode = explore::ExploreMode::pct;

@@ -7,7 +7,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -28,7 +30,6 @@ SweepJournal::Meta test_meta() {
   m.think_buckets = 16;
   m.preemption_bound = 2;
   m.max_schedules = 200000;
-  m.use_sleep_sets = 1;
   m.step_budget = 100'000'000;
   return m;
 }
@@ -44,7 +45,6 @@ LeafRecord sample_leaf(int salt) {
   s.choice = Choice{ChoiceKind::preempt, 1, 2};
   s.policy = 0;
   s.options = {10, 20, 30};
-  s.commutes_with_chosen = {0, 1, 0};
   o.sites.push_back(std::move(s));
   o.site_events = {40 + static_cast<std::uint64_t>(salt), 90};
   return o;
@@ -53,6 +53,56 @@ LeafRecord sample_leaf(int salt) {
 std::uint64_t file_size(const std::string& p) {
   return static_cast<std::uint64_t>(std::filesystem::file_size(p));
 }
+
+std::string read_file(const std::string& p) {
+  std::ifstream in(p, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+std::string from_hex(std::string_view hex) {
+  std::string out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return out;
+}
+
+/// The leaf of the two version-1 journals below.
+LeafRecord v1_leaf() {
+  LeafRecord o;
+  o.prefix_ok = true;
+  o.success = true;
+  o.window_us = 12.5;
+  o.choices.push_back(Choice{ChoiceKind::pick, 0, 3});
+  SiteRecord s;
+  s.choice = Choice{ChoiceKind::pick, 1, 3};
+  s.policy = 0;
+  s.options = {10, 20, 30};
+  o.sites.push_back(std::move(s));
+  o.site_events = {40, 90};
+  return o;
+}
+
+// Version-1 journals written before the sleep-set layer was removed:
+// magic, the test_meta() header with its sleep-set flag byte set to 1,
+// and one batch holding v1_leaf() under key "k", whose pick site carried
+// one commute flag byte per option — {0, 0, 0} in the first journal,
+// {0, 1, 0} in the second.
+constexpr std::string_view kV1ZeroFlags =
+    "545357504a524e31430000002faad9b14801000000cefaedfe07000000000000000010"
+    "00000002000000400d030001000000000000008000e1f5050000000000000000000000"
+    "000000000000000000000000005b000000bcdcaf364201000000010000006b07000000"
+    "0000000029400100000070000003000100000070010003000000030000000a00000014"
+    "0000001e000000030000000000000200000028000000000000005a0000000000000000"
+    "00000000000000";
+constexpr std::string_view kV1OneFlag =
+    "545357504a524e31430000002faad9b14801000000cefaedfe07000000000000000010"
+    "00000002000000400d030001000000000000008000e1f5050000000000000000000000"
+    "000000000000000000000000005b000000b43fcf0a4201000000010000006b07000000"
+    "0000000029400100000070000003000100000070010003000000030000000a00000014"
+    "0000001e000000030000000001000200000028000000000000005a0000000000000000"
+    "00000000000000";
 
 TEST(SweepJournalTest, CreateAppendResumeRoundTrips) {
   const std::string path = temp_path("journal_roundtrip.bin");
@@ -89,6 +139,37 @@ TEST(SweepJournalTest, CreateAppendResumeRoundTrips) {
   auto j2 = SweepJournal::resume(path, test_meta(), &again, &err);
   ASSERT_NE(j2, nullptr) << err;
   EXPECT_EQ(again.size(), 4u);
+}
+
+TEST(SweepJournalTest, WritesTheVersion1Layout) {
+  // The retired sleep-set bytes are still written — the header flag as 1,
+  // one zero commute byte per pick option — so a journal written here is
+  // byte-identical to what the version-1 writer produced.
+  const std::string path = temp_path("journal_v1_layout.bin");
+  std::remove(path.c_str());
+  std::string err;
+  {
+    auto j = SweepJournal::create(path, test_meta(), &err);
+    ASSERT_NE(j, nullptr) << err;
+    const LeafRecord a = v1_leaf();
+    j->append_batch({{"k", &a}});
+  }
+  EXPECT_EQ(read_file(path), from_hex(kV1ZeroFlags));
+}
+
+TEST(SweepJournalTest, ResumesAVersion1JournalDiscardingCommuteFlags) {
+  const std::string path = temp_path("journal_v1_resume.bin");
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    f << from_hex(kV1OneFlag);
+  }
+  std::string err;
+  Loaded out;
+  auto j = SweepJournal::resume(path, test_meta(), &out, &err);
+  ASSERT_NE(j, nullptr) << err;
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].first, "k");
+  EXPECT_EQ(out[0].second, v1_leaf());
 }
 
 TEST(SweepJournalTest, QuarantinedLeafSurvivesTheRoundTrip) {

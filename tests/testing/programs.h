@@ -5,7 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "tocttou/sim/program.h"
+#include "tocttou/sim/fields.h"
 
 namespace tocttou::testing {
 
@@ -42,23 +42,18 @@ class LambdaProgram final : public sim::Program {
 /// scenario — the livelock the step-budget watchdog exists to catch.
 /// Spinning must go through compute actions (each one a kernel event);
 /// an instantaneous action like mark would loop inside a single kernel
-/// step and never reach the budget check. Stateless, so checkpoint
-/// cloning is trivial.
-class LivelockProgram final : public sim::Program {
+/// step and never reach the budget check. Stateless: its field list is
+/// empty, so the type tag is the whole canonical digest — this is what
+/// makes bystander-heavy sweeps merge well under state hashing.
+class LivelockProgram final
+    : public sim::Listed<LivelockProgram, sim::Program> {
  public:
+  static auto fields(auto&) { return std::tie(); }
+
   sim::Action next(sim::ProgramContext& ctx) override {
     (void)ctx;
     return sim::Action::compute(Duration::nanos(100), "spin");
   }
-
-  std::unique_ptr<sim::Program> clone(sim::CloneMap& m) const override {
-    (void)m;
-    return std::make_unique<LivelockProgram>();
-  }
-
-  /// Stateless, so a type tag is the whole canonical digest — this is
-  /// what makes bystander-heavy sweeps merge well under state hashing.
-  void hash_state(StateHasher& h) const override { h.str("livelock"); }
 };
 
 /// A ServiceOp replaying a fixed step sequence (must end with done).
