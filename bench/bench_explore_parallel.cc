@@ -1,6 +1,7 @@
 // Profiles the parallel schedule-space explorer (not the paper's
 // attack): exhaustive-exploration leaves/sec at 1/2/4/8 worker threads,
-// plus the per-round setup win from RoundContext arena reuse. Seeds the
+// plus the per-round setup win from RoundContext reuse (a staged
+// template tree and a recycled kernel). Seeds the
 // bench trajectory's BENCH_explore_parallel.json artifact:
 //
 //   ./bench_explore_parallel [output.json]
@@ -271,7 +272,7 @@ int main(int argc, char** argv) {
   json += "  \"bench\": \"explore_parallel\",\n";
   json +=
       "  \"optimization\": \"canonical wave-front enumeration on a "
-      "work-stealing pool + RoundContext arena reuse\",\n";
+      "work-stealing pool + RoundContext template and kernel reuse\",\n";
   json += strfmt("  \"hardware_threads\": %u,\n", hw_threads);
   json += strfmt("  \"think_buckets\": %d,\n", ecfg.think_buckets);
   json += "  \"jobs\": [\n";

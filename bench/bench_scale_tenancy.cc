@@ -1,9 +1,10 @@
 // Production-scale multi-tenant machine simulation: sweeps tenant
 // process count x cores x load intensity, recording how background load
 // moves attack success and detector efficacy, and profiling the
-// simulator's own scaling — the indexed run queue, vectorized inode/fd
-// tables, and arena-backed staging must keep per-event cost flat while
-// the machine grows 10x (O(10^3) processes, O(10^5) inodes).
+// simulator's own scaling — the indexed run queue and vectorized inode/fd
+// tables must keep per-event cost flat while the machine grows 10x
+// (O(10^3) processes, O(10^5) inodes), and each campaign worker stages
+// the tree once and starts every round from a copy-on-write copy.
 //
 //   ./bench_scale_tenancy [output.json]
 //
@@ -13,8 +14,10 @@
 //                        bench job runs the reduced 256 sweep)
 //
 // Every cell runs serially with a metrics::WallProfile attached, so its
-// per-event cost is event-loop time over events, and per-round staging
+// per-event cost is event-loop time over events, and per-round set-up
 // and audit time are reported beside it rather than folded into it.
+// Set-up is amortised over the cell's rounds: the first round stages
+// the template tree, every round copies it.
 //
 // Hard CHECK: per-event event-loop cost at SCALE procs <= 2.5x the cost
 // at SCALE/10 (flat within cache noise; an O(P) structure on the hot

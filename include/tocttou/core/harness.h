@@ -205,12 +205,20 @@ struct RoundResult {
 
 RoundResult run_round(const ScenarioConfig& cfg);
 
-/// Reusable round infrastructure: one Vfs and one Kernel that survive
-/// across rounds, recycling their arenas (inode allocations, the event
-/// queue's heap storage, the process table's capacity) instead of
-/// re-allocating the world per round. One context per thread — a context
-/// must never be shared across concurrent rounds. The explorer gives
-/// each worker its own context and runs thousands of leaves through it.
+/// Reusable round infrastructure, one per thread — a context must never
+/// be shared across concurrent rounds. The campaign engine gives each
+/// worker its own context, and so does the explorer, which runs
+/// thousands of leaves through it.
+///
+/// * The staged file tree is a TEMPLATE: staging draws no randomness, so
+///   the context stages the tree once and every round starts from a
+///   copy-on-write copy of it (fs::Vfs's copy shares every inode until
+///   the round writes one). The template is keyed by the exact staging
+///   inputs — the cost model, the three staged paths, the file size,
+///   the attacker's uid and gid and the tenant spec, compared field by
+///   field — and is restaged whenever a round's inputs differ.
+/// * One Kernel survives across rounds, recycling the event queue's
+///   heap storage and the process table's capacity (Kernel::reset).
 ///
 /// A round run in a reused context is observationally identical to one
 /// run fresh: same RoundResult, same journal/event trace, same schedule
@@ -224,14 +232,17 @@ class RoundContext {
   RoundContext(const RoundContext&) = delete;
   RoundContext& operator=(const RoundContext&) = delete;
 
-  /// Rounds that reused this context's arenas (the first round in a
-  /// fresh context builds them and counts zero).
+  /// Rounds that reused this context's kernel (the first round in a
+  /// fresh context builds it and counts zero).
   std::uint64_t reuses() const { return reuses_; }
 
  private:
   friend RoundResult run_round(const ScenarioConfig& cfg, RoundContext* ctx);
   friend class RoundRun;
 
+  struct Template;  // the staged tree and its key (harness.cc)
+  std::unique_ptr<const Template> template_;
+  /// The current round's copy of the template, reassigned every round.
   std::unique_ptr<fs::Vfs> vfs_;
   std::unique_ptr<sim::Kernel> kernel_;
   std::uint64_t reuses_ = 0;

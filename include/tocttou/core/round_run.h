@@ -7,14 +7,18 @@
 // a RoundRun to completion is byte-identical to run_round() on the same
 // config: same result fields, same journal, same metrics, same token.
 //
-// The copy constructor is a CHECKPOINT FORK: it deep-copies the entire
-// mid-round simulation — VFS inode arena and fd tables, kernel run
+// Constructed in a RoundContext, a round starts from a copy-on-write copy
+// of the context's staged template tree instead of staging its own; with
+// no context it stages the tree itself.
+//
+// The copy constructor is a CHECKPOINT FORK: it copies the entire
+// mid-round simulation — the VFS's inode table (pointers to inodes it
+// shares copy-on-write with the parent) and fd tables, kernel run
 // queues and in-flight syscall state machines, pending events, program
 // state, fault injector, journal and metrics streams — rebinding every
 // cross-object pointer through a CloneMap (ops and programs through
-// their field lists, sim/fields.h; inodes and semaphores hold none and
-// are copied as they are). The clone is fully
-// self-owning (never tied to a RoundContext) and stepping it is
+// their field lists, sim/fields.h; inodes and semaphores hold none). The
+// clone is self-owning (never tied to a RoundContext) and stepping it is
 // byte-identical to re-running the prefix that produced the original.
 // The explore subsystem forks thousands of children off shared schedule
 // prefixes this way instead of re-simulating each prefix from scratch;
@@ -41,9 +45,10 @@ namespace tocttou::core {
 
 class RoundRun {
  public:
-  /// Stages the round exactly like run_round(): builds the file tree,
-  /// attaches injector/metrics, spawns attacker(s) and victim. `ctx`
-  /// may be nullptr (fresh arenas) — same contract as run_round.
+  /// Stages the round exactly like run_round(): takes the file tree
+  /// (a copy of `ctx`'s template, or staged here when `ctx` is nullptr),
+  /// attaches injector/metrics, spawns attacker(s) and victim — same
+  /// contract as run_round.
   explicit RoundRun(const ScenarioConfig& cfg, RoundContext* ctx = nullptr);
 
   /// Checkpoint fork (see file comment). The clone detaches from any
@@ -131,7 +136,7 @@ class RoundRun {
   PhaseTimer timer_;
 
   // Simulation state. The vfs_/kernel_ pointers target either the
-  // RoundContext's reusable arenas or the local_* members (fresh rounds
+  // RoundContext's reusable objects or the local_* members (fresh rounds
   // and every clone).
   std::optional<fs::Vfs> local_vfs_;
   fs::Vfs* vfs_ = nullptr;

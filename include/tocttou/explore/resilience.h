@@ -5,7 +5,7 @@
 // failed-round anomaly; before this layer existed, the SAME throw inside
 // the explorer's wave executor took the whole sweep down. The explorer
 // now retries a throwing leaf once in a fresh RoundContext (to rule out
-// a poisoned reused arena) and, if it throws again, QUARANTINES the
+// a poisoned reused context) and, if it throws again, QUARANTINES the
 // schedule: the leaf is counted, excluded from probability mass, and
 // surfaced as a replay token tagged with an ErrorKind — deterministic
 // data, not a crash. DESIGN.md §8 states the contract.

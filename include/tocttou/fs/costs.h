@@ -51,6 +51,8 @@ struct SyscallCosts {
 
   static SyscallCosts xeon();
   static SyscallCosts pentium_d();
+
+  bool operator==(const SyscallCosts&) const = default;
 };
 
 }  // namespace tocttou::fs

@@ -5,14 +5,21 @@
 // attribute operations hold the target's. The FIFO hand-off of these
 // semaphores is what arbitrates the paper's races (Section 3.4: "the race
 // is reduced to the competition for the semaphore").
+//
+// Inodes are shared copy-on-write between Vfs copies: a RoundContext's
+// staged template, the rounds cloned from it and every checkpoint fork
+// hold InodeRef handles to the same objects, and Vfs::inode_mut copies
+// an inode only when another Vfs still references it.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 
 #include "tocttou/fs/types.h"
 #include "tocttou/sim/semaphore.h"
@@ -26,10 +33,10 @@ class Inode {
       : ino_(ino), type_(type), uid_(uid), gid_(gid), mode_(mode),
         sem_(std::move(sem_name)) {}
 
-  /// Checkpoint copy: the inode and its embedded semaphore, as they
-  /// are. Nothing outside the Vfs points into an inode (ops and
-  /// processes name it by number), so a cloned Vfs registers no range
-  /// per inode.
+  /// Copy-on-write copy: the inode and its embedded semaphore, as they
+  /// are, unshared (no handle references it yet). Nothing outside the
+  /// Vfs points into an inode (ops and processes name it by number), so
+  /// a Vfs may swap a shared inode for its private copy at any time.
   Inode(const Inode& o)
       : ino_(o.ino_), type_(o.type_), uid_(o.uid_), gid_(o.gid_),
         mode_(o.mode_), size_bytes_(o.size_bytes_), nlink_(o.nlink_),
@@ -126,6 +133,7 @@ class Inode {
 
  private:
   friend class Vfs;
+  friend class InodeRef;
 
   /// Entry mutators keeping `index_` in lockstep. The index keys are
   /// string_views into the EntryMap's keys — node-stable, so only the
@@ -159,6 +167,49 @@ class Inode {
   std::unordered_map<std::string_view, Ino> index_;
   sim::Semaphore sem_;
   bool rename_in_progress_ = false;
+  /// InodeRef handles sharing this inode. Kept inside the inode, so an
+  /// inode stays one allocation; never copied with it.
+  std::atomic<std::uint32_t> refs_{0};
+};
+
+/// Shared, reference-counted handle to an inode (an intrusive pointer
+/// over Inode::refs_). Copying a handle shares the inode; Vfs::inode_mut
+/// replaces a shared one with a private copy before writing. Handles of
+/// one inode may live in different threads — a checkpoint minted by one
+/// explorer worker is forked by another — so the count is atomic, in
+/// the default sequentially consistent order: unique() must at least
+/// acquire, pairing with a former co-owner's decrement so that owner's
+/// reads of the inode happen before our writes.
+class InodeRef {
+ public:
+  /// Takes the first reference to a freshly allocated, unshared inode.
+  explicit InodeRef(Inode* n) : n_(n) { ++n_->refs_; }
+  InodeRef(const InodeRef& o) : n_(o.n_) { ++n_->refs_; }
+  InodeRef(InodeRef&& o) noexcept : n_(std::exchange(o.n_, nullptr)) {}
+  InodeRef& operator=(const InodeRef& o) {
+    if (n_ != o.n_) *this = InodeRef(o);
+    return *this;
+  }
+  InodeRef& operator=(InodeRef&& o) noexcept {
+    std::swap(n_, o.n_);  // `o` releases our old inode
+    return *this;
+  }
+  /// The last handle deletes the inode.
+  ~InodeRef() {
+    if (n_ != nullptr && --n_->refs_ == 0) delete n_;
+  }
+
+  const Inode& operator*() const { return *n_; }
+  const Inode* operator->() const { return n_; }
+
+  /// True when no other handle shares the inode, so writing through
+  /// mut() is invisible to every other Vfs.
+  bool unique() const { return n_->refs_.load() == 1; }
+  /// Write access; the caller (Vfs::inode_mut) has checked unique().
+  Inode& mut() const { return *n_; }
+
+ private:
+  Inode* n_;
 };
 
 }  // namespace tocttou::fs

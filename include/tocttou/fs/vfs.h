@@ -6,6 +6,12 @@
 // section; the cost model (SyscallCosts) spreads CPU time around those
 // commit points so the races play out exactly as in DESIGN.md §4.
 //
+// The inode table holds shared handles (InodeRef): copying a Vfs copies
+// the table of pointers, not the inodes, and the copies share every
+// inode until one of them writes it (inode_mut). This is how a round
+// starts from a RoundContext's staged template and how a checkpoint
+// fork copies a machine-scale tree in O(inodes) pointer copies.
+//
 // Setup methods (mkdir_p, create_file, ...) are instantaneous and meant
 // for arranging the experiment's initial tree; they bypass permissions.
 #pragma once
@@ -50,33 +56,28 @@ class Vfs {
   explicit Vfs(SyscallCosts costs);
   ~Vfs();
 
-  /// Checkpoint clone: deep-copies the whole filesystem (inode table,
-  /// fd tables, root, counters) and registers the Vfs object — one
-  /// range — with `m`, so the `Vfs*` held by programs and in-flight ops
-  /// remap to the clone. Nothing points into an inode: ops reach a
-  /// semaphore through its inode's number. The injector and metrics
-  /// sinks are remapped through `m` too (they are cloned by the owning
-  /// RoundRun before the Vfs). The recycling arena starts empty: it is a
-  /// pure allocation cache with no observable state.
-  Vfs(const Vfs& o, sim::CloneMap& m);
+  /// Copy-on-write copy: the same tree, fd tables, root and counters,
+  /// sharing every inode with `o` (one pointer copy per inode). The
+  /// copy starts detached from any fault injector or metrics registry.
+  Vfs(const Vfs& o);
+  /// The same copy into an existing Vfs, reusing its table's capacity:
+  /// a RoundContext copies its template into one Vfs every round.
+  Vfs& operator=(const Vfs& o);
 
-  Vfs(const Vfs&) = delete;
-  Vfs& operator=(const Vfs&) = delete;
+  /// Checkpoint clone: the copy above, plus registering the Vfs object —
+  /// one range — with `m`, so the `Vfs*` held by programs and in-flight
+  /// ops remap to the clone, and remapping the injector and metrics
+  /// sinks through `m` (the owning RoundRun clones them before the Vfs).
+  /// Nothing points into an inode: ops reach a semaphore through its
+  /// inode's number.
+  Vfs(const Vfs& o, sim::CloneMap& m);
 
   const SyscallCosts& costs() const { return costs_; }
 
-  /// Returns the Vfs to its just-constructed state (fresh root, empty fd
-  /// tables, detached injector/metrics, new cost model) while RECYCLING
-  /// the inode allocations of the previous round into an arena pool that
-  /// alloc_inode() draws from. This is what lets a RoundContext run
-  /// thousands of explorer leaves without re-allocating the world; a
-  /// reset Vfs is observationally identical to a fresh one (locked down
-  /// by the context-reuse ctest).
+  /// Returns the Vfs to its just-constructed state: a fresh root, empty
+  /// fd tables, detached injector/metrics and the new cost model. A
+  /// reset Vfs hashes like a fresh one.
   void reset(SyscallCosts costs);
-
-  /// Inode allocations served from the recycled arena instead of the
-  /// heap since construction (throughput counter for explore metrics).
-  std::uint64_t arena_reuses() const { return arena_reuses_; }
 
   // ---- instantaneous setup / inspection (no simulation cost) ----
 
@@ -98,7 +99,12 @@ class Vfs {
   /// follow: resolve a final symlink to its target.
   Result<Ino> lookup(const std::string& path, bool follow = true) const;
 
+  /// Reads an inode, which may be shared with other Vfs copies.
   const Inode& inode(Ino ino) const;
+  /// Write access: first replaces the inode with a private copy if
+  /// another Vfs still references it. Call it only to write (a commit,
+  /// or a semaphore acquire or release); read through inode(). It may
+  /// move the inode, so never keep an Inode& of `ino` across it.
   Inode& inode_mut(Ino ino);
   bool exists(const std::string& path) const { return lookup(path, false).ok(); }
 
@@ -216,7 +222,7 @@ class Vfs {
 
   /// Canonical state digest contribution (DESIGN.md §10): the inode
   /// table in ino order, the fd tables in (pid, fd) order, the next-ino
-  /// counter, and the root. The arena, metrics, and fault-injector
+  /// counter, and the root. Sharing, metrics, and fault-injector
   /// observers are excluded (a fault injector makes the surrounding
   /// round unhashable at the Kernel/RoundRun level, not here).
   void hash_state(StateHasher& h) const;
@@ -234,9 +240,7 @@ class Vfs {
   /// Per-process descriptor table. `touched` distinguishes a pid that
   /// once had a table (even if every fd closed since) from one that
   /// never did, a distinction the canonical state digest makes. Slot
-  /// index == fd; a slot with ino == kNoIno is free. reset() keeps the
-  /// slot vectors' capacity, so a RoundContext re-runs rounds without
-  /// reallocating any fd table.
+  /// index == fd; a slot with ino == kNoIno is free.
   struct FdTable {
     bool touched = false;
     int open_count = 0;
@@ -250,20 +254,14 @@ class Vfs {
   SyscallCosts costs_;
   /// Inode table, index == ino - 1. Inos are dense (allocated 1, 2, ...)
   /// and never erased within a round (tombstones are modeled behaviour),
-  /// so a vector gives O(1) inode() lookup.
-  std::vector<std::unique_ptr<Inode>> inodes_;
+  /// so a vector gives O(1) inode() lookup. Entries are shared with
+  /// every copy of this Vfs until written.
+  std::vector<InodeRef> inodes_;
   Ino root_ = kNoIno;
   std::vector<FdTable> fd_tables_;  // index = pid - 1
   std::size_t touched_tables_ = 0;  // fd_tables_ entries with touched set
   sim::FaultInjector* faults_ = nullptr;
   metrics::Registry* metrics_ = nullptr;
-  /// Recycled Inode allocations (see reset()). alloc_inode() reinits one
-  /// in place instead of hitting the heap; bounded so a pathological
-  /// round cannot pin memory forever. The cap accommodates the
-  /// multi-tenant scale model's O(10^5)-inode rounds.
-  std::vector<std::unique_ptr<Inode>> arena_;
-  std::uint64_t arena_reuses_ = 0;
-  static constexpr std::size_t kMaxArena = 131072;
 };
 
 }  // namespace tocttou::fs

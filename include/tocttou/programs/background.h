@@ -51,6 +51,7 @@ struct BackgroundSpec {
   int total_processes() const {
     return web_servers + cron_daemons + build_jobs + log_writers;
   }
+  bool operator==(const BackgroundSpec&) const = default;
   bool empty() const { return total_processes() == 0 && prestage_inodes == 0; }
 
   /// Canonical one-line form, e.g. "web=8,cron=2,build=4,log=4,

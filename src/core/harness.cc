@@ -165,6 +165,60 @@ std::uint32_t scenario_fingerprint(const ScenarioConfig& cfg) {
   return f.h;
 }
 
+namespace {
+
+/// What a round's file tree is staged from, and nothing else: stage()
+/// reads only these fields, so equal inputs stage identical trees. This
+/// is the key of a RoundContext's template.
+struct TreeInputs {
+  explicit TreeInputs(const ScenarioConfig& cfg)
+      : costs(cfg.profile.costs),
+        evil_target(cfg.evil_target),
+        watched_path(cfg.watched_path),
+        dummy_path(cfg.dummy_path),
+        file_bytes(cfg.file_bytes),
+        attacker_uid(cfg.attacker_uid),
+        attacker_gid(cfg.attacker_gid),
+        background(cfg.background) {}
+
+  bool operator==(const TreeInputs&) const = default;
+
+  /// Stages the tree into `vfs` (constructed with `costs`); returns the
+  /// inode of evil_target, which judging the round reads.
+  fs::Ino stage(fs::Vfs& vfs) const {
+    vfs.mkdir_p("/etc", 0, 0, 0755);
+    const fs::Ino passwd = vfs.create_file(evil_target, 0, 0, 0644, 1536);
+    vfs.mkdir_p("/home/alice", attacker_uid, attacker_gid, 0755);
+    vfs.mkdir_p("/tmp", 0, 0, 0777);
+    vfs.create_file(watched_path, attacker_uid, attacker_gid, 0644,
+                    file_bytes);
+    vfs.create_file(dummy_path, attacker_uid, attacker_gid, 0644, 0);
+    programs::stage_background_tree(vfs, background);
+    return passwd;
+  }
+
+  fs::SyscallCosts costs;
+  std::string evil_target;
+  std::string watched_path;
+  std::string dummy_path;
+  std::uint64_t file_bytes;
+  sim::Uid attacker_uid;
+  sim::Gid attacker_gid;
+  programs::BackgroundSpec background;
+};
+
+}  // namespace
+
+/// A staged tree no round writes: rounds start from copies of `vfs`.
+struct RoundContext::Template {
+  explicit Template(TreeInputs in)
+      : inputs(std::move(in)), vfs(inputs.costs), passwd(inputs.stage(vfs)) {}
+
+  TreeInputs inputs;
+  fs::Vfs vfs;
+  fs::Ino passwd;
+};
+
 RoundContext::RoundContext() = default;
 RoundContext::~RoundContext() = default;
 
@@ -177,28 +231,32 @@ RoundRun::RoundRun(const ScenarioConfig& cfg, RoundContext* ctx)
   RoundResult& res = res_;
   Rng setup_rng(mix_seed(cfg.seed, 0xA11CE));
 
-  // --- file system tree (context-owned and reset, or a fresh local) ---
+  // --- file system tree: a copy of the context's template (staged on
+  // first use, restaged when the inputs change), or staged here ---
+  TreeInputs tree(cfg);
   if (ctx != nullptr) {
+    if (ctx->template_ == nullptr || !(ctx->template_->inputs == tree)) {
+      // Drop the old tree and the round copy sharing it first, so that
+      // the context never holds two full trees.
+      ctx->vfs_.reset();
+      ctx->template_.reset();
+      ctx->template_ =
+          std::make_unique<const RoundContext::Template>(std::move(tree));
+    }
     if (ctx->vfs_ == nullptr) {
-      ctx->vfs_ = std::make_unique<fs::Vfs>(cfg.profile.costs);
+      ctx->vfs_ = std::make_unique<fs::Vfs>(ctx->template_->vfs);
     } else {
-      ctx->vfs_->reset(cfg.profile.costs);
+      *ctx->vfs_ = ctx->template_->vfs;
     }
     vfs_ = ctx->vfs_.get();
+    passwd_ = ctx->template_->passwd;
   } else {
-    local_vfs_.emplace(cfg.profile.costs);
+    local_vfs_.emplace(tree.costs);
     vfs_ = &*local_vfs_;
+    passwd_ = tree.stage(*vfs_);
   }
   fs::Vfs& vfs = *vfs_;
   if (cfg.collect_metrics) vfs.set_metrics(&res.metrics);
-  vfs.mkdir_p("/etc", 0, 0, 0755);
-  passwd_ = vfs.create_file(cfg.evil_target, 0, 0, 0644, 1536);
-  vfs.mkdir_p("/home/alice", cfg.attacker_uid, cfg.attacker_gid, 0755);
-  vfs.mkdir_p("/tmp", 0, 0, 0777);
-  vfs.create_file(cfg.watched_path, cfg.attacker_uid, cfg.attacker_gid, 0644,
-                  cfg.file_bytes);
-  vfs.create_file(cfg.dummy_path, cfg.attacker_uid, cfg.attacker_gid, 0644, 0);
-  programs::stage_background_tree(vfs, cfg.background);
 
   // --- fault injector (its own Rng stream; kernel noise untouched) ---
   std::optional<sim::FaultInjector>& injector = injector_;
@@ -398,7 +456,8 @@ RoundRun::RoundRun(const RoundRun& o)
   sim::CloneMap m;
   // Registration order matters: sinks the kernel/vfs point into (result
   // streams, injector, shared attack state) first, then the VFS (one
-  // range: nothing points into an inode), then the kernel (process
+  // range: nothing points into an inode, which the clone shares
+  // copy-on-write), then the kernel (process
   // table, scheduler queues, programs, in-flight ops), then the observer
   // pointers into the now-registered programs.
   m.add_range(&o.res_, &res_, sizeof(RoundResult));
@@ -715,8 +774,8 @@ CampaignStats run_campaign(const ScenarioConfig& cfg, int rounds,
   std::vector<CampaignStats> blocks(static_cast<std::size_t>(n_blocks));
   std::atomic<int> next_block{0};
   const auto work = [&] {
-    // One reusable context per worker: rounds recycle the Vfs/Kernel
-    // arenas instead of re-allocating the world. run_round in a reused
+    // One reusable context per worker: its rounds start from one staged
+    // template tree and recycle one Kernel. run_round in a reused
     // context is byte-identical to a fresh one (round_context ctest), so
     // the campaign's determinism contract is untouched.
     RoundContext ctx;

@@ -284,8 +284,9 @@ std::string schedule_key(int bucket, const std::vector<Choice>& choices,
 /// One exploration worker: a ScenarioConfig copied ONCE (the per-leaf
 /// cost is an optional<Duration> write and a ChoiceSource pointer swap —
 /// not a full config copy with its strings and fault plan) plus a
-/// RoundContext recycling the Vfs/Kernel arenas across leaves. Pinned in
-/// memory: the scheduler factory captures `this`.
+/// RoundContext whose staged template tree and recycled Kernel every
+/// leaf starts from. Pinned in memory: the scheduler factory captures
+/// `this`.
 class Worker {
  public:
   Worker(const core::ScenarioConfig& base, const ExploreConfig& ecfg,
@@ -353,7 +354,7 @@ class Worker {
 
   /// Leaf fault containment (DESIGN.md §8): runs the leaf and, if it
   /// throws, discards the worker's reused RoundContext (a fault mid-round
-  /// may leave recycled arenas inconsistent) and retries ONCE in a fresh
+  /// may leave the recycled Kernel inconsistent) and retries ONCE in a fresh
   /// one; a second throw quarantines the schedule — the stand-in outcome
   /// carries the ErrorKind and the forced prefix (the schedule's
   /// identity, from which a reproducing replay token is minted), with no
@@ -762,11 +763,11 @@ class Worker {
 
   core::RoundContext* ctx() { return &*ctx_; }
 
-  /// Discards the reusable arenas after a leaf threw out of a round: a
-  /// fault mid-simulation can leave the recycled Vfs/Kernel in a state
-  /// no later leaf should inherit. The next round rebuilds from scratch
-  /// (the reuse counter restarts — a throughput metric outside the
-  /// determinism contract).
+  /// Discards the reusable context after a leaf threw out of a round: a
+  /// fault mid-simulation can leave the recycled Kernel in a state no
+  /// later leaf should inherit. The next round restages the template
+  /// and rebuilds the kernel (the reuse counter restarts — a throughput
+  /// metric outside the determinism contract).
   void reset_context() { ctx_.emplace(); }
 
   core::ScenarioConfig cfg_;

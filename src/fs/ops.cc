@@ -77,8 +77,9 @@ class Walker {
   bool target_exists() const { return target_ != kNoIno; }
   const StatBuf& snapshot() const { return snapshot_; }
   /// The final directory's semaphore once a `hold` walk has left it
-  /// held for the op; null before that. Reached through the directory's
-  /// inode number, so a checkpoint copies no pointer into an inode.
+  /// held for the op, for the op to release; null before that. Reached
+  /// through the directory's inode number, so a checkpoint copies no
+  /// pointer into an inode.
   sim::Semaphore* held_dir_sem() const {
     return held_ ? &vfs_->inode_mut(parent_).sem() : nullptr;
   }
@@ -168,11 +169,9 @@ std::optional<Step> Walker::advance(ServiceContext& ctx) {
         }
         parent_ = walk.parent;
         final_name_ = walk.final_name;
-        Inode& parent_inode = vfs_->inode_mut(parent_);
-        sim::Semaphore& sem = parent_inode.sem();
         if (policy_ == SemPolicy::hold) {
           st_ = St::locked;
-          return Step::acquire(&sem);
+          return Step::acquire(&vfs_->inode_mut(parent_).sem());
         }
         // dcache semantics for lockless (RCU-style) lookups:
         //  * a directory being renamed-into forces the slow path (the
@@ -182,9 +181,11 @@ std::optional<Step> Walker::advance(ServiceContext& ctx) {
         //    writer's commit point);
         //  * a negative result is only trustworthy when no writer holds
         //    the semaphore — otherwise take the slow path and wait.
+        // Read-only: a lockless walk leaves a shared directory shared.
+        const Inode& parent_inode = vfs_->inode(parent_);
         const bool must_block =
             parent_inode.rename_in_progress() ||
-            (sem.held() && walk.target == kNoIno);
+            (parent_inode.sem().held() && walk.target == kNoIno);
         if (!must_block) {
           if (lookup_final()) {
             st_ = St::init;
@@ -198,10 +199,9 @@ std::optional<Step> Walker::advance(ServiceContext& ctx) {
           m->count("fs.lockless_slow_paths");
         }
         st_ = St::locked;
-        return Step::acquire(&sem);
+        return Step::acquire(&vfs_->inode_mut(parent_).sem());
       }
       case St::locked: {
-        sim::Semaphore& sem = vfs_->inode_mut(parent_).sem();
         const bool restart = lookup_final();
         if (policy_ == SemPolicy::lockless_if_free) {
           st_ = restart ? St::release_then_restart : St::locked_tail;
@@ -209,7 +209,7 @@ std::optional<Step> Walker::advance(ServiceContext& ctx) {
         }
         if (restart) {
           st_ = St::init;
-          return Step::release(&sem);
+          return Step::release(&vfs_->inode_mut(parent_).sem());
         }
         held_ = true;  // caller releases
         st_ = St::done;

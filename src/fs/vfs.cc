@@ -1,7 +1,5 @@
 #include "tocttou/fs/vfs.h"
 
-#include <new>
-
 #include "tocttou/common/strings.h"
 #include "tocttou/sim/clone.h"
 
@@ -21,20 +19,27 @@ const char* to_string(FileType t) {
 
 Vfs::Vfs(SyscallCosts costs) : costs_(costs) { init_root(); }
 
-Vfs::Vfs(const Vfs& o, sim::CloneMap& m)
-    : next_ino_(o.next_ino_),
-      costs_(o.costs_),
-      root_(o.root_),
-      fd_tables_(o.fd_tables_),
-      touched_tables_(o.touched_tables_),
-      faults_(m.remap(o.faults_)),
-      metrics_(m.remap(o.metrics_)),
-      arena_reuses_(o.arena_reuses_) {
+Vfs::Vfs(const Vfs& o) : costs_(o.costs_) { *this = o; }
+
+Vfs& Vfs::operator=(const Vfs& o) {
+  next_ino_ = o.next_ino_;
+  costs_ = o.costs_;
+  // Keep the source's spare capacity, so that the first inode a round or
+  // fork creates does not reallocate (and double) a machine-scale table.
+  inodes_.reserve(o.inodes_.capacity());
+  inodes_ = o.inodes_;
+  root_ = o.root_;
+  fd_tables_ = o.fd_tables_;
+  touched_tables_ = o.touched_tables_;
+  faults_ = nullptr;
+  metrics_ = nullptr;
+  return *this;
+}
+
+Vfs::Vfs(const Vfs& o, sim::CloneMap& m) : Vfs(o) {
   m.add_range(&o, this, sizeof(Vfs));
-  inodes_.reserve(o.inodes_.size());
-  for (const auto& node : o.inodes_) {
-    inodes_.push_back(std::make_unique<Inode>(*node));
-  }
+  faults_ = m.remap(o.faults_);
+  metrics_ = m.remap(o.metrics_);
 }
 
 Vfs::~Vfs() = default;
@@ -46,55 +51,16 @@ void Vfs::init_root() {
   root_ = r.ino();
 }
 
-void Vfs::reset(SyscallCosts costs) {
-  // Recycle the round's inode allocations into the arena before wiping
-  // the table; alloc_inode() reinits them in place next round.
-  for (auto& node : inodes_) {
-    if (arena_.size() >= kMaxArena) break;
-    arena_.push_back(std::move(node));
-  }
-  costs_ = costs;
-  inodes_.clear();
-  // The fd tables are arena-backed too: wipe contents, keep both the
-  // outer table vector and every inner slot vector's capacity.
-  for (FdTable& t : fd_tables_) {
-    t.touched = false;
-    t.open_count = 0;
-    t.slots.clear();
-  }
-  touched_tables_ = 0;
-  next_ino_ = 1;
-  faults_ = nullptr;
-  metrics_ = nullptr;
-  init_root();
-}
+void Vfs::reset(SyscallCosts costs) { *this = Vfs(costs); }
 
 Inode& Vfs::alloc_inode(FileType type, sim::Uid uid, sim::Gid gid,
                         Mode mode) {
   const Ino ino = next_ino_++;
-  std::unique_ptr<Inode> node;
-  std::string sem_name =
-      strfmt("i_sem:%llu", static_cast<unsigned long long>(ino));
-  if (!arena_.empty()) {
-    // Reinit a recycled allocation in place: destroy the stale inode,
-    // then construct the new one into the same storage. The unique_ptr
-    // is released around the destructor call so a throwing constructor
-    // cannot lead to a double-destroy.
-    node = std::move(arena_.back());
-    arena_.pop_back();
-    Inode* raw = node.release();
-    raw->~Inode();
-    ::new (raw) Inode(ino, type, uid, gid, mode, std::move(sem_name));
-    node.reset(raw);
-    ++arena_reuses_;
-  } else {
-    node = std::make_unique<Inode>(ino, type, uid, gid, mode,
-                                   std::move(sem_name));
-  }
-  Inode& ref = *node;
   TOCTTOU_CHECK(ino == inodes_.size() + 1, "non-dense inode allocation");
-  inodes_.push_back(std::move(node));
-  return ref;
+  inodes_.emplace_back(
+      new Inode(ino, type, uid, gid, mode,
+                strfmt("i_sem:%llu", static_cast<unsigned long long>(ino))));
+  return inodes_.back().mut();
 }
 
 const Inode& Vfs::inode(Ino ino) const {
@@ -104,7 +70,9 @@ const Inode& Vfs::inode(Ino ino) const {
 
 Inode& Vfs::inode_mut(Ino ino) {
   TOCTTOU_CHECK(ino != kNoIno && ino <= inodes_.size(), "unknown inode");
-  return *inodes_[ino - 1];
+  InodeRef& slot = inodes_[ino - 1];
+  if (!slot.unique()) slot = InodeRef(new Inode(*slot));
+  return slot.mut();
 }
 
 Ino Vfs::lookup_in(Ino parent, std::string_view name) const {

@@ -1,8 +1,10 @@
 // Standalone (gtest-free) determinism check for the parallel campaign
 // engine. CI builds exactly this binary under -fsanitize=thread: a
 // vi/SMP campaign runs serially and with 4 workers — once without
-// faults and once with an active fault plan (per-round FaultInjectors
-// are the newest shared-nothing state worth proving race-free) — and
+// faults, once with an active fault plan (per-round FaultInjectors are
+// shared-nothing state worth proving race-free), once with the
+// detector, and once with 16 tenants over a 2,000-inode tree (each
+// worker stages its own template tree and copies it every round) — and
 // each pair of results must be identical. Exits non-zero on divergence.
 #include <cstdio>
 #include <string>
@@ -73,6 +75,17 @@ int main() {
                 parallel.detect.summary().c_str());
     ok = ok && same;
   }
+
+  // Tenant campaign: every worker's rounds start from copies of its own
+  // RoundContext's template and write shared inodes copy-on-write.
+  cfg.detect = false;
+  if (!programs::BackgroundSpec::parse("procs=16,inodes=2000",
+                                       &cfg.background, &err)) {
+    std::fprintf(stderr, "FAIL: tenant spec did not parse: %s\n",
+                 err.c_str());
+    return 1;
+  }
+  ok = check_pair(cfg, "tenants") && ok;
 
   if (!ok) {
     std::fprintf(stderr, "FAIL: parallel campaign diverged from serial\n");

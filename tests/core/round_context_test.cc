@@ -6,8 +6,13 @@
 // state of any kind would show up as a diff.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "tocttou/common/error.h"
+#include "tocttou/common/state_hash.h"
 #include "tocttou/core/harness.h"
 #include "tocttou/core/round_run.h"
 
@@ -174,6 +179,88 @@ TEST(RoundContextTest, FaultPlanRoundsAreIdenticalUnderReuse) {
   (void)run_round(smp_vi(6), &ctx);  // dirty
   const RoundResult reused = run_round(cfg, &ctx);
   expect_identical(fresh, reused);
+}
+
+// A context stages its file tree once and starts every round from a
+// copy-on-write copy of that template. The tests below pin the two ways
+// that could leak state: a round that ends abnormally, and a template
+// reused for a round it was not staged for.
+
+StateHasher::Digest digest_of(const RoundRun& run) {
+  StateHasher h;
+  run.hash_state(h);
+  return h.digest();
+}
+
+TEST(RoundContextTest, CleanRoundAfterKilledAndThrowingRoundsMatchesFresh) {
+  // The same staging inputs throughout, so all three rounds start from
+  // one template. The killed victim and the round thrown out of step()
+  // by its step budget leave their copies dirty — never the template.
+  RoundContext ctx;
+  ScenarioConfig killed = smp_vi(3);
+  std::string err;
+  ASSERT_TRUE(sim::FaultPlan::parse("kill:0:nth=4:role=victim",
+                                    &killed.faults, &err))
+      << err;
+  EXPECT_EQ(run_round(killed, &ctx).faults.kills, 1u);
+  ScenarioConfig livelocked = smp_vi(4);
+  livelocked.step_budget = 60;
+  EXPECT_THROW(run_round(livelocked, &ctx), StepBudgetError);
+
+  ScenarioConfig clean = smp_vi(5);
+  clean.record_journal = true;
+  clean.record_events = true;
+  clean.collect_metrics = true;
+  expect_identical(run_round(clean), run_round(clean, &ctx));
+}
+
+TEST(RoundContextTest, TemplateIsRestagedWhenAnyStagingInputChanges) {
+  // Each round differs from the one before it in exactly one staging
+  // input, so a template key that missed that input would start the
+  // round from the previous round's tree. The staged state (digest
+  // before the first event) and the whole result must match a fresh run.
+  const auto tenants = [](const char* spec) {
+    programs::BackgroundSpec b;
+    std::string err;
+    EXPECT_TRUE(programs::BackgroundSpec::parse(spec, &b, &err)) << err;
+    return b;
+  };
+  const std::vector<std::pair<const char*, std::function<void(ScenarioConfig&)>>>
+      changes = {
+          {"costs",
+           [](ScenarioConfig& c) {
+             c.profile.costs = fs::SyscallCosts::pentium_d();
+           }},
+          {"evil_target",
+           [](ScenarioConfig& c) { c.evil_target = "/etc/shadow"; }},
+          {"watched_path",
+           [](ScenarioConfig& c) { c.watched_path = "/home/alice/notes.txt"; }},
+          {"dummy_path", [](ScenarioConfig& c) { c.dummy_path = "/tmp/decoy"; }},
+          {"file_bytes", [](ScenarioConfig& c) { c.file_bytes = 30 * 1024; }},
+          {"attacker_uid", [](ScenarioConfig& c) { c.attacker_uid = 501; }},
+          {"attacker_gid", [](ScenarioConfig& c) { c.attacker_gid = 502; }},
+          {"background",
+           [&](ScenarioConfig& c) {
+             c.background = tenants("procs=8,inodes=96");
+           }},
+      };
+  ScenarioConfig cfg = smp_vi(17);
+  cfg.background = tenants("procs=8,inodes=64");
+  cfg.record_journal = true;
+  cfg.collect_metrics = true;
+  RoundContext ctx;
+  const auto expect_matches_fresh = [&ctx](const ScenarioConfig& c) {
+    RoundRun fresh(c);
+    RoundRun reused(c, &ctx);
+    EXPECT_EQ(digest_of(fresh), digest_of(reused));
+    expect_identical(fresh.finish(), reused.finish());
+  };
+  expect_matches_fresh(cfg);
+  for (const auto& [input, change] : changes) {
+    SCOPED_TRACE(input);
+    change(cfg);
+    expect_matches_fresh(cfg);
+  }
 }
 
 }  // namespace

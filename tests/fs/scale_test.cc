@@ -1,10 +1,10 @@
 // Machine-scale VFS regression tests (DESIGN.md §11).
 //
-// The multi-tenant scale model stages O(10^4)-O(10^5) inode trees per
-// round, which is exactly where an accidental O(n log n) in the audit,
-// a broken hashed-directory index, or an inode arena that stops
-// recycling would hide. These tests pin the auditor's verdicts on a
-// 10^4-inode tree and check that reset() recycles inode allocations.
+// The multi-tenant scale model stages O(10^4)-O(10^5) inode trees,
+// which is exactly where an accidental O(n log n) in the audit or a
+// broken hashed-directory index would hide. These tests pin the
+// auditor's verdicts on a 10^4-inode tree and check that reset()
+// returns a staged tree to a fresh one.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -58,15 +58,27 @@ TEST(VfsScaleTest, AuditFlagsPlantedCorruptionIn10kInodeTree) {
   EXPECT_TRUE(any_line_contains(v, "nlink mismatch")) << v.front();
 }
 
-TEST(VfsScaleTest, ResetRecyclesInodesThroughArena) {
-  // reset() parks the round's inode allocations in the arena, and the
-  // next round's creates reinit them in place instead of allocating.
+StateHasher::Digest digest_of(const Vfs& vfs) {
+  StateHasher h;
+  vfs.hash_state(h);
+  return h.digest();
+}
+
+TEST(VfsScaleTest, ResetTreeHashesLikeAFreshOne) {
+  // A staged machine-scale tree with open fds, reset, is an empty tree:
+  // no inode, fd table or counter of the old tree reaches the digest.
   Vfs vfs(SyscallCosts::xeon());
-  vfs.create_file("/a", 0, 0);
-  vfs.reset(SyscallCosts::xeon());
-  const std::uint64_t before = vfs.arena_reuses();
-  vfs.create_file("/a", 0, 0);
-  EXPECT_GT(vfs.arena_reuses(), before);
+  programs::stage_background_tree(vfs, scale_spec());
+  const auto f = vfs.lookup("/srv/data/t0/s0/u0/v0/f0");
+  ASSERT_TRUE(f.ok());
+  vfs.fd_alloc(3, f.value(), OpenFlags::read_only());
+  vfs.reset(SyscallCosts::pentium_d());
+  const Vfs fresh(SyscallCosts::pentium_d());
+  EXPECT_EQ(digest_of(vfs), digest_of(fresh));
+  EXPECT_EQ(vfs.inode_count(), fresh.inode_count());
+  EXPECT_EQ(vfs.open_fd_count(3), 0u);
+  EXPECT_TRUE(vfs.costs() == fresh.costs());
+  EXPECT_TRUE(vfs.audit().empty());
 }
 
 }  // namespace

@@ -130,12 +130,13 @@ TEST(BackgroundDeterminismTest, CampaignIsByteIdenticalAcrossJobs) {
 
 TEST(BackgroundDeterminismTest, TenantRoundsSurviveContextReuse) {
   // A tenant-heavy round run through a recycled RoundContext must be
-  // observationally identical to a fresh-world run (the arena is a pure
-  // allocation cache even with 10^2-10^3 extra processes and inodes).
+  // observationally identical to a fresh-world run: the round before
+  // wrote its copy of the template tree, never the template itself,
+  // even with 10^2-10^3 extra processes and inodes.
   core::ScenarioConfig cfg = tenant_cfg();
   const core::RoundResult fresh = core::run_round(cfg, nullptr);
   core::RoundContext ctx;
-  core::run_round(cfg, &ctx);  // prime the arenas
+  core::run_round(cfg, &ctx);  // stage the template, write a copy
   const core::RoundResult reused = core::run_round(cfg, &ctx);
   EXPECT_GT(ctx.reuses(), 0u);
   EXPECT_EQ(fresh.success, reused.success);
