@@ -1,8 +1,8 @@
 // Profiles the parallel schedule-space explorer (not the paper's
 // attack): exhaustive-exploration leaves/sec at 1/2/4/8 worker threads,
 // plus the per-round setup win from RoundContext reuse (a staged
-// template tree and a recycled kernel). Seeds the
-// bench trajectory's BENCH_explore_parallel.json artifact:
+// template tree each round copies). Seeds the bench trajectory's
+// BENCH_explore_parallel.json artifact:
 //
 //   ./bench_explore_parallel [output.json]
 //
@@ -117,7 +117,7 @@ ReuseReport bench_context_reuse(int rounds) {
   r.reuse_rps = run_all(&ctx);
   r.speedup = r.reuse_rps / r.fresh_rps;
   TOCTTOU_CHECK(ctx.reuses() == static_cast<std::uint64_t>(rounds) - 1,
-                "every round after the first must recycle the context");
+                "every round after the first must reuse the template");
   return r;
 }
 
@@ -272,7 +272,7 @@ int main(int argc, char** argv) {
   json += "  \"bench\": \"explore_parallel\",\n";
   json +=
       "  \"optimization\": \"canonical wave-front enumeration on a "
-      "work-stealing pool + RoundContext template and kernel reuse\",\n";
+      "work-stealing pool + RoundContext template reuse\",\n";
   json += strfmt("  \"hardware_threads\": %u,\n", hw_threads);
   json += strfmt("  \"think_buckets\": %d,\n", ecfg.think_buckets);
   json += "  \"jobs\": [\n";

@@ -29,7 +29,6 @@ class Vfs;
 }
 
 namespace tocttou::sim {
-class Kernel;
 class Program;
 class Scheduler;
 }
@@ -41,6 +40,16 @@ enum class AttackerKind { naive, prefaulted, pipelined, none };
 
 const char* to_string(VictimKind v);
 const char* to_string(AttackerKind a);
+
+/// Every scenario stages the same names and attacker: the file the
+/// victim saves (owned by the attacker), the file the attack redirects
+/// the victim's chown to, the attacker-owned decoy the pre-faulting
+/// attacker exercises, and the attacker's uid and gid.
+inline constexpr char kWatchedPath[] = "/home/alice/report.txt";
+inline constexpr char kEvilTarget[] = "/etc/passwd";
+inline constexpr char kDummyPath[] = "/tmp/dummy";
+inline constexpr sim::Uid kAttackerUid = 500;
+inline constexpr sim::Gid kAttackerGid = 500;
 
 struct ScenarioConfig {
   programs::TestbedProfile profile;
@@ -74,14 +83,6 @@ struct ScenarioConfig {
   /// uniprocessor (randomizes the slice phase, as real editing does),
   /// ~U(0.2ms, 1ms) on multiprocessors (the phase is irrelevant there).
   std::optional<Duration> victim_think;
-
-  /// Paths staged in the VFS (defaults are fine for all experiments).
-  std::string watched_path = "/home/alice/report.txt";
-  std::string evil_target = "/etc/passwd";
-  std::string dummy_path = "/tmp/dummy";
-
-  sim::Uid attacker_uid = 500;
-  sim::Gid attacker_gid = 500;
 
   /// Hard stop for one round of simulated time.
   Duration round_limit = Duration::seconds(30);
@@ -210,15 +211,16 @@ RoundResult run_round(const ScenarioConfig& cfg);
 /// worker its own context, and so does the explorer, which runs
 /// thousands of leaves through it.
 ///
-/// * The staged file tree is a TEMPLATE: staging draws no randomness, so
-///   the context stages the tree once and every round starts from a
-///   copy-on-write copy of it (fs::Vfs's copy shares every inode until
-///   the round writes one). The template is keyed by the exact staging
-///   inputs — the cost model, the three staged paths, the file size,
-///   the attacker's uid and gid and the tenant spec, compared field by
-///   field — and is restaged whenever a round's inputs differ.
-/// * One Kernel survives across rounds, recycling the event queue's
-///   heap storage and the process table's capacity (Kernel::reset).
+/// The staged file tree is a TEMPLATE: staging draws no randomness, so
+/// the context stages the tree once and every round starts from a
+/// copy-on-write copy of it (fs::Vfs's copy shares every inode until the
+/// round writes one), copy-assigned over the context's one round Vfs.
+/// The template is keyed by the exact staging inputs — the cost model,
+/// the file size and the tenant spec, compared field by field — and is
+/// restaged whenever a round's inputs differ. Every round builds its own
+/// kernel, so a round that ends abnormally (killed, or thrown out of
+/// step()) leaves nothing behind that the next round's copy does not
+/// overwrite.
 ///
 /// A round run in a reused context is observationally identical to one
 /// run fresh: same RoundResult, same journal/event trace, same schedule
@@ -232,8 +234,8 @@ class RoundContext {
   RoundContext(const RoundContext&) = delete;
   RoundContext& operator=(const RoundContext&) = delete;
 
-  /// Rounds that reused this context's kernel (the first round in a
-  /// fresh context builds it and counts zero).
+  /// Rounds that started from an already-staged template (a round that
+  /// stages or restages it counts zero).
   std::uint64_t reuses() const { return reuses_; }
 
  private:
@@ -244,7 +246,6 @@ class RoundContext {
   std::unique_ptr<const Template> template_;
   /// The current round's copy of the template, reassigned every round.
   std::unique_ptr<fs::Vfs> vfs_;
-  std::unique_ptr<sim::Kernel> kernel_;
   std::uint64_t reuses_ = 0;
 };
 
@@ -325,7 +326,9 @@ std::pair<Duration, Duration> victim_think_range(const ScenarioConfig& cfg);
 
 /// FNV-1a fingerprint over the scenario fields that shape the schedule
 /// space: testbed, machine/noise/background parameters, victim,
-/// attacker, file size, defenses, paths, fault plan, round limit.
+/// attacker, file size, defenses, the staged paths and attacker ids (the
+/// constants above, still hashed so that existing tokens keep their
+/// fingerprints), fault plan, round limit.
 /// Excludes seed, victim_think, the record flags, collect_metrics,
 /// detect, wall_profile, scheduler_factory, step_budget, and
 /// extra_programs —

@@ -9,7 +9,8 @@
 //
 // Constructed in a RoundContext, a round starts from a copy-on-write copy
 // of the context's staged template tree instead of staging its own; with
-// no context it stages the tree itself.
+// no context it stages the tree itself. Either way it builds and owns its
+// kernel.
 //
 // The copy constructor is a CHECKPOINT FORK: it copies the entire
 // mid-round simulation — the VFS's inode table (pointers to inodes it
@@ -47,8 +48,9 @@ class RoundRun {
  public:
   /// Stages the round exactly like run_round(): takes the file tree
   /// (a copy of `ctx`'s template, or staged here when `ctx` is nullptr),
-  /// attaches injector/metrics, spawns attacker(s) and victim — same
-  /// contract as run_round.
+  /// builds the kernel with the injector, metrics and sync sinks
+  /// attached, spawns attacker(s) and victim — same contract as
+  /// run_round.
   explicit RoundRun(const ScenarioConfig& cfg, RoundContext* ctx = nullptr);
 
   /// Checkpoint fork (see file comment). The clone detaches from any
@@ -135,15 +137,14 @@ class RoundRun {
   RoundResult res_;
   PhaseTimer timer_;
 
-  // Simulation state. The vfs_/kernel_ pointers target either the
-  // RoundContext's reusable objects or the local_* members (fresh rounds
-  // and every clone).
+  // Simulation state. vfs_ targets either the RoundContext's round Vfs
+  // or local_vfs_ (fresh rounds and every clone). The kernel, declared
+  // last, is destroyed first: its programs hold pointers into the rest.
   std::optional<fs::Vfs> local_vfs_;
   fs::Vfs* vfs_ = nullptr;
   std::optional<sim::FaultInjector> injector_;
   std::unique_ptr<programs::PipelinedAttackState> pipeline_state_;
-  std::optional<sim::Kernel> local_kernel_;
-  sim::Kernel* kernel_ = nullptr;
+  std::optional<sim::Kernel> kernel_;
 
   // Staged handles the judge/audit phase reads.
   fs::Ino passwd_ = 0;

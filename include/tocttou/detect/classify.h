@@ -1,16 +1,18 @@
 // Syscall classification for race detection, at the trace layer.
 //
 // The detector rediscovers <check, use> pairs from raw journals, so the
-// taxonomy of which calls check, use, establish, or mutate a pathname
-// lives HERE (below core) and core/pairs delegates to it — one truth
-// table, two consumers. The per-record helpers resolve the secondary
-// path argument correctly per call: rename acts on oldpath AND newpath,
-// link acts on oldpath AND creates newpath, while symlink's path2 is
-// the TARGET string the new link will point at — creating
+// taxonomy of which calls check, use, establish, or mutate a pathname,
+// and the one walk that finds a process's <check, use> windows, live
+// HERE (below core) and core/pairs delegates to them — one truth table,
+// one window finder, two consumers. The per-record helpers resolve the
+// secondary path argument correctly per call: rename acts on oldpath AND
+// newpath, link acts on oldpath AND creates newpath, while symlink's
+// path2 is the TARGET string the new link will point at — creating
 // `evil -> /etc/passwd` touches neither /etc/passwd's name binding nor
 // its inode, so path2 is never an acted-on name for symlink.
 #pragma once
 
+#include <cstddef>
 #include <string_view>
 #include <vector>
 
@@ -50,5 +52,25 @@ void established_names(const trace::SyscallRecord& r,
 /// chown/chmod/unlink/symlink/mkdir: the primary path).
 void mutated_names(const trace::SyscallRecord& r,
                    std::vector<std::string_view>* out);
+
+/// One <check, use> window of a process: the indices into the journal's
+/// records of the check and the use, and the name both act on (a view
+/// into the use record).
+struct CheckUse {
+  std::size_t check = 0;
+  std::size_t use = 0;
+  std::string_view name;
+};
+
+/// Finds one process's <check, use> windows. `order` lists the indices
+/// of its records in program order (journal order: a process's calls
+/// complete in the order they enter). A use pairs with the latest
+/// still-valid check of each name it acts on, when it enters after that
+/// check exits; a re-check replaces the entry (the window restarts), and
+/// the process's own successful unlink or rename retires the name's
+/// invariant. Windows come out in use order, then acted-name order.
+std::vector<CheckUse> check_use_windows(
+    const std::vector<trace::SyscallRecord>& records,
+    const std::vector<std::size_t>& order);
 
 }  // namespace tocttou::detect

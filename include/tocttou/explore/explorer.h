@@ -232,7 +232,8 @@ struct ExploreResult {
 
   /// Exploration throughput counters: explore.leaves (leaf rounds
   /// executed — deterministic), explore.steals (work-stealing events)
-  /// and explore.ctx_reuses (rounds recycling a worker's RoundContext).
+  /// and explore.ctx_reuses (rounds starting from a worker's
+  /// already-staged template, RoundContext::reuses()).
   /// The latter two depend on thread timing and worker count and are
   /// deliberately OUTSIDE the jobs-invariance contract.
   metrics::Registry metrics;

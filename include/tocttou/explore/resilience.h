@@ -4,9 +4,10 @@
 // A campaign round that throws is caught by run_block and reported as a
 // failed-round anomaly; before this layer existed, the SAME throw inside
 // the explorer's wave executor took the whole sweep down. The explorer
-// now retries a throwing leaf once in a fresh RoundContext (to rule out
-// a poisoned reused context) and, if it throws again, QUARANTINES the
-// schedule: the leaf is counted, excluded from probability mass, and
+// now retries a throwing leaf once (from a fresh kernel and a fresh copy
+// of the staged template, as every round starts) and, if it throws
+// again, QUARANTINES the schedule: the leaf is counted, excluded from
+// probability mass, and
 // surfaced as a replay token tagged with an ErrorKind — deterministic
 // data, not a crash. DESIGN.md §8 states the contract.
 #pragma once

@@ -12,6 +12,10 @@
 // starts from a RoundContext's staged template and how a checkpoint
 // fork copies a machine-scale tree in O(inodes) pointer copies.
 //
+// The Vfs is file-system state only: the round's fault injector and
+// metrics registry attach to the kernel, which decides syscall-entry
+// faults and which the path walker reports its metrics to.
+//
 // Setup methods (mkdir_p, create_file, ...) are instantaneous and meant
 // for arranging the experiment's initial tree; they bypass permissions.
 #pragma once
@@ -28,14 +32,6 @@
 #include "tocttou/fs/types.h"
 #include "tocttou/sim/ids.h"
 #include "tocttou/sim/service.h"
-
-namespace tocttou::sim {
-class FaultInjector;
-}  // namespace tocttou::sim
-
-namespace tocttou::metrics {
-class Registry;
-}  // namespace tocttou::metrics
 
 namespace tocttou::fs {
 
@@ -57,8 +53,7 @@ class Vfs {
   ~Vfs();
 
   /// Copy-on-write copy: the same tree, fd tables, root and counters,
-  /// sharing every inode with `o` (one pointer copy per inode). The
-  /// copy starts detached from any fault injector or metrics registry.
+  /// sharing every inode with `o` (one pointer copy per inode).
   Vfs(const Vfs& o);
   /// The same copy into an existing Vfs, reusing its table's capacity:
   /// a RoundContext copies its template into one Vfs every round.
@@ -66,17 +61,15 @@ class Vfs {
 
   /// Checkpoint clone: the copy above, plus registering the Vfs object —
   /// one range — with `m`, so the `Vfs*` held by programs and in-flight
-  /// ops remap to the clone, and remapping the injector and metrics
-  /// sinks through `m` (the owning RoundRun clones them before the Vfs).
-  /// Nothing points into an inode: ops reach a semaphore through its
-  /// inode's number.
+  /// ops remap to the clone. Nothing points into an inode: ops reach a
+  /// semaphore through its inode's number.
   Vfs(const Vfs& o, sim::CloneMap& m);
 
   const SyscallCosts& costs() const { return costs_; }
 
   /// Returns the Vfs to its just-constructed state: a fresh root, empty
-  /// fd tables, detached injector/metrics and the new cost model. A
-  /// reset Vfs hashes like a fresh one.
+  /// fd tables and the new cost model. A reset Vfs hashes like a fresh
+  /// one.
   void reset(SyscallCosts costs);
 
   // ---- instantaneous setup / inspection (no simulation cost) ----
@@ -208,23 +201,9 @@ class Vfs {
   /// Symlink-follow limit, as in Linux.
   static constexpr int kMaxSymlinkDepth = 8;
 
-  /// Attaches the round's fault injector (nullptr = none). Consulted by
-  /// the op factories to decide whether syscalls should fail at entry;
-  /// must outlive the Vfs.
-  void set_fault_injector(sim::FaultInjector* faults) { faults_ = faults; }
-  sim::FaultInjector* fault_injector() const { return faults_; }
-
-  /// Attaches a metrics registry (nullptr = none; the default). The path
-  /// walker records walk depth, symlink restarts, and slow-path lookups.
-  /// Must outlive the Vfs. Zero overhead when unset.
-  void set_metrics(metrics::Registry* metrics) { metrics_ = metrics; }
-  metrics::Registry* metrics() const { return metrics_; }
-
   /// Canonical state digest contribution (DESIGN.md §10): the inode
   /// table in ino order, the fd tables in (pid, fd) order, the next-ino
-  /// counter, and the root. Sharing, metrics, and fault-injector
-  /// observers are excluded (a fault injector makes the surrounding
-  /// round unhashable at the Kernel/RoundRun level, not here).
+  /// counter, and the root. Inode sharing is excluded.
   void hash_state(StateHasher& h) const;
 
   /// Post-round invariant auditor. Cross-checks every inode's nlink
@@ -260,8 +239,6 @@ class Vfs {
   Ino root_ = kNoIno;
   std::vector<FdTable> fd_tables_;  // index = pid - 1
   std::size_t touched_tables_ = 0;  // fd_tables_ entries with touched set
-  sim::FaultInjector* faults_ = nullptr;
-  metrics::Registry* metrics_ = nullptr;
 };
 
 }  // namespace tocttou::fs

@@ -89,13 +89,6 @@ class EventQueue {
 
   EventQueue();
 
-  /// Returns the queue to its just-constructed state — empty, at time
-  /// origin, sequence and executed counters zeroed — while KEEPING the
-  /// heap storage's capacity. A reused queue never re-grows its vector
-  /// through the first rounds of a RoundContext round; this is the core
-  /// of the context-reuse setup win.
-  void reset();
-
   /// Schedules `cb` to run at absolute time `t` (must be >= now()).
   void schedule_at(SimTime t, Callback cb);
 

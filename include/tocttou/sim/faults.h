@@ -3,7 +3,7 @@
 // A FaultPlan is a declarative list of FaultSpecs describing adversarial
 // conditions to impose on a round: syscall errors (EINTR/ENOSPC/EIO),
 // latency spikes at service completion, delayed or lost wakeups, and
-// mid-round process kills. The Kernel and Vfs consult a per-round
+// mid-round process kills. The Kernel, alone, consults a per-round
 // FaultInjector at well-defined points; every stochastic decision draws
 // from the injector's OWN Rng stream (seeded from the round seed), so the
 // kernel's noise stream is untouched and campaigns remain byte-identical
@@ -124,9 +124,11 @@ class FaultInjector {
   /// Registers a process's role (harness calls this right after spawn).
   void set_role(Pid pid, FaultRole role);
 
-  /// Vfs op factories: should this syscall fail at entry?
+  /// Kernel, at a syscall's first advance (after its libc trap and any
+  /// deferred preemption): should this syscall fail at entry? `path` is
+  /// ServiceOp::path() ("" for fd-based calls).
   std::optional<Errno> syscall_error(std::string_view op,
-                                     const std::string& path, Pid pid);
+                                     std::string_view path, Pid pid);
 
   /// Kernel, at Step::done: extra latency before the syscall returns
   /// (zero = none).
@@ -143,8 +145,9 @@ class FaultInjector {
   /// to keep killed victims out of the survived-the-fault accounting).
   bool was_killed(Pid pid) const;
 
-  /// True when the plan contains syscall_error specs — used by the op
-  /// factories to skip wrapping entirely otherwise.
+  /// True when the plan contains syscall_error specs that can fire —
+  /// the kernel skips the entry check entirely otherwise, so a plan
+  /// without them queries syscall_error never.
   bool wants_syscall_errors() const { return has_errors_; }
 
   const FaultStats& stats() const { return stats_; }

@@ -1,6 +1,9 @@
 // The simulated kernel: event loop, CPUs, dispatching, blocking,
 // semaphores, traps, and tracing. This is the substrate every experiment
-// runs on; see DESIGN.md §4 for the architecture.
+// runs on; see DESIGN.md §4 for the architecture. A round's observers
+// and fault injector attach here and nowhere else: the kernel makes
+// every fault decision and produces every simulation-time metric (ops
+// report theirs through metrics()).
 #pragma once
 
 #include <functional>
@@ -49,16 +52,6 @@ class Kernel {
   /// Pending events carry only stable pids, so the copied queue replays
   /// identically against the clone (see EventQueue).
   Kernel(const Kernel& o, CloneMap& m);
-
-  /// Re-arms the kernel for a fresh round — new machine spec, scheduler,
-  /// seed, and trace sink — while RECYCLING the arenas a construction
-  /// would reallocate: the event queue's heap storage, the process
-  /// table's vector capacity, and the placement scratch vectors. The
-  /// fault injector and metrics registry detach (re-attach per round).
-  /// A reset kernel is observationally identical to a fresh one; the
-  /// RoundContext ctest locks that down byte-for-byte.
-  void reset(MachineSpec spec, std::unique_ptr<Scheduler> sched,
-             std::uint64_t seed, trace::RoundTrace* trace = nullptr);
 
   /// Creates a process; it becomes runnable immediately (dispatch happens
   /// when the event loop next runs).
@@ -110,18 +103,25 @@ class Kernel {
   void start_background_load();
 
   /// Attaches a fault injector for this round (nullptr = none). The
-  /// injector is consulted at service completion, wakeup delivery, and
-  /// syscall return; it must outlive the kernel. The no-fault fast path
-  /// is a single null check at each site.
+  /// kernel makes every fault decision: it asks the injector whether a
+  /// syscall fails at entry (at the op's first advance, after its libc
+  /// trap and any deferred preemption — the injector's single Rng stream
+  /// makes the order of its queries visible), and consults it at service
+  /// completion, wakeup delivery, and syscall return. It must outlive
+  /// the kernel. The no-fault fast path is a single null check at each
+  /// site, and a plan that cannot fail a syscall skips the entry check.
   void set_fault_injector(FaultInjector* faults) { faults_ = faults; }
 
   /// Attaches a metrics registry for this round (nullptr = none; the
   /// default). With a registry attached the kernel counts syscalls by
   /// op, context switches, steals, and preemptions, and observes
   /// run-queue depth, wakeup latency, syscall service time, and blocked
-  /// waits. Every site is a single null check when disabled, keeping
-  /// the no-metrics path byte-identical. Must outlive the kernel.
+  /// waits; service ops report through metrics() (the path walker's
+  /// depth, symlink restarts, and slow-path lookups). Every site is a
+  /// single null check when disabled, keeping the no-metrics path
+  /// byte-identical. Must outlive the kernel.
   void set_metrics(metrics::Registry* metrics) { metrics_ = metrics; }
+  metrics::Registry* metrics() const { return metrics_; }
 
   /// Canonical state digest contribution (DESIGN.md §10): event queue,
   /// rng, process table (including program/op state machines), CPU
@@ -152,6 +152,9 @@ class Kernel {
   void continue_process(Process& p);
   void start_next_action(Process& p);
   void advance_service(Process& p);
+  /// An op's first advance in a round that injects syscall errors: the
+  /// injector's verdict, or the op's own first step.
+  Step first_advance(Process& p, ServiceContext& ctx);
   void begin_segment(Process& p, Process::SegKind kind, Duration effective,
                      std::string label);
   void on_segment_end(Pid pid, std::uint64_t gen);

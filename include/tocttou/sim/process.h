@@ -101,6 +101,11 @@ class Process {
   std::uint64_t seg_gen_ = 0;
   // Syscall result held across an injected completion latency spike.
   Errno pending_result_ = Errno::ok;
+  // False from the installation of an op to its first advance, and only
+  // in rounds whose fault injector can fail a syscall at entry: the
+  // kernel asks the injector at that first advance. Rounds with an
+  // injector are unhashable, so the digest leaves it out.
+  bool entry_checked_ = true;
   // Segment bookkeeping while running.
   SimTime seg_start_;
   enum class SegKind { none, user_compute, kernel_work, trap, ctxsw,

@@ -3,7 +3,9 @@
 // A `ServiceOp` is the simulated analogue of a syscall implementation.
 // The process's program constructs one (the VFS provides factories for
 // every file-system call) and yields it as an Action; the kernel then
-// repeatedly calls advance(), honoring each returned Step:
+// repeatedly calls advance(), honoring each returned Step (in a round
+// that injects syscall errors, the kernel may instead end the call at
+// its first advance through fail_at_entry()):
 //
 //   work(d)        consume d of CPU time in kernel mode (non-preemptible;
 //                  the time is still charged against the time slice)
@@ -61,7 +63,8 @@ struct Step {
   }
 };
 
-/// Execution context handed to ServiceOp::advance.
+/// Execution context handed to ServiceOp::advance. Ops reach the
+/// round's metrics registry through `kernel` (Kernel::metrics()).
 struct ServiceContext {
   Kernel& kernel;
   Process& proc;
@@ -76,9 +79,19 @@ class ServiceOp {
   /// Trace label, e.g. "stat", "unlink".
   virtual std::string_view name() const = 0;
 
+  /// The path the call resolves first, which a fault plan's path-prefix
+  /// filter matches; "" for calls that take no path (fd-based calls).
+  virtual std::string_view path() const { return {}; }
+
   /// Advances the state machine; called once at syscall entry and again
   /// after each non-done step completes.
   virtual Step advance(ServiceContext& ctx) = 0;
+
+  /// Fails the call at entry with `e`, in place of its first advance()
+  /// (the kernel's syscall-error injection, sim/faults.h): writes the
+  /// call's output slots as a failed call would and returns done(e).
+  /// Nothing has run yet, so there is nothing to undo.
+  virtual Step fail_at_entry(Errno e) { return Step::done(e); }
 
   /// Identifier of the libc page holding this call's user-space wrapper.
   /// The kernel injects a page-fault trap the first time a process issues

@@ -59,25 +59,25 @@ DConvention d_convention_for(VictimKind v) {
 WindowSpec window_spec_for(const ScenarioConfig& cfg) {
   switch (cfg.victim) {
     case VictimKind::gedit:
-      return WindowSpec::gedit(cfg.watched_path);
+      return WindowSpec::gedit(kWatchedPath);
     case VictimKind::vi:
-      return WindowSpec::vi(cfg.watched_path);
+      return WindowSpec::vi(kWatchedPath);
     case VictimKind::suspending: {
       WindowSpec s;
       s.check_call = "open";
       s.use_call = "chown";
-      s.path = cfg.watched_path;
+      s.path = kWatchedPath;
       return s;
     }
     case VictimKind::sendmail: {
       WindowSpec s;
       s.check_call = "lstat";
       s.use_call = "open";
-      s.path = cfg.watched_path;
+      s.path = kWatchedPath;
       return s;
     }
   }
-  return WindowSpec::vi(cfg.watched_path);
+  return WindowSpec::vi(kWatchedPath);
 }
 
 std::pair<Duration, Duration> victim_think_range(const ScenarioConfig& cfg) {
@@ -113,7 +113,7 @@ struct Fnv32 {
       h *= 16777619u;
     }
   }
-  void str(const std::string& s) {
+  void str(std::string_view s) {
     bytes(s.data(), s.size());
     const char nul = '\0';  // keep ("ab","c") distinct from ("a","bc")
     bytes(&nul, 1);
@@ -151,11 +151,11 @@ std::uint32_t scenario_fingerprint(const ScenarioConfig& cfg) {
   f.i64(static_cast<std::int64_t>(cfg.file_bytes));
   f.i64(cfg.background_load ? 1 : 0);
   f.i64(cfg.defended_victim ? 1 : 0);
-  f.str(cfg.watched_path);
-  f.str(cfg.evil_target);
-  f.str(cfg.dummy_path);
-  f.i64(cfg.attacker_uid);
-  f.i64(cfg.attacker_gid);
+  f.str(kWatchedPath);
+  f.str(kEvilTarget);
+  f.str(kDummyPath);
+  f.i64(kAttackerUid);
+  f.i64(kAttackerGid);
   f.i64(cfg.round_limit.ns());
   f.str(cfg.faults.describe());
   // Multi-tenant spec: folded in only when non-empty, so fingerprints
@@ -173,37 +173,27 @@ namespace {
 struct TreeInputs {
   explicit TreeInputs(const ScenarioConfig& cfg)
       : costs(cfg.profile.costs),
-        evil_target(cfg.evil_target),
-        watched_path(cfg.watched_path),
-        dummy_path(cfg.dummy_path),
         file_bytes(cfg.file_bytes),
-        attacker_uid(cfg.attacker_uid),
-        attacker_gid(cfg.attacker_gid),
         background(cfg.background) {}
 
   bool operator==(const TreeInputs&) const = default;
 
   /// Stages the tree into `vfs` (constructed with `costs`); returns the
-  /// inode of evil_target, which judging the round reads.
+  /// inode of kEvilTarget, which judging the round reads.
   fs::Ino stage(fs::Vfs& vfs) const {
     vfs.mkdir_p("/etc", 0, 0, 0755);
-    const fs::Ino passwd = vfs.create_file(evil_target, 0, 0, 0644, 1536);
-    vfs.mkdir_p("/home/alice", attacker_uid, attacker_gid, 0755);
+    const fs::Ino passwd = vfs.create_file(kEvilTarget, 0, 0, 0644, 1536);
+    vfs.mkdir_p("/home/alice", kAttackerUid, kAttackerGid, 0755);
     vfs.mkdir_p("/tmp", 0, 0, 0777);
-    vfs.create_file(watched_path, attacker_uid, attacker_gid, 0644,
+    vfs.create_file(kWatchedPath, kAttackerUid, kAttackerGid, 0644,
                     file_bytes);
-    vfs.create_file(dummy_path, attacker_uid, attacker_gid, 0644, 0);
+    vfs.create_file(kDummyPath, kAttackerUid, kAttackerGid, 0644, 0);
     programs::stage_background_tree(vfs, background);
     return passwd;
   }
 
   fs::SyscallCosts costs;
-  std::string evil_target;
-  std::string watched_path;
-  std::string dummy_path;
   std::uint64_t file_bytes;
-  sim::Uid attacker_uid;
-  sim::Gid attacker_gid;
   programs::BackgroundSpec background;
 };
 
@@ -235,7 +225,9 @@ RoundRun::RoundRun(const ScenarioConfig& cfg, RoundContext* ctx)
   // first use, restaged when the inputs change), or staged here ---
   TreeInputs tree(cfg);
   if (ctx != nullptr) {
-    if (ctx->template_ == nullptr || !(ctx->template_->inputs == tree)) {
+    if (ctx->template_ != nullptr && ctx->template_->inputs == tree) {
+      ++ctx->reuses_;
+    } else {
       // Drop the old tree and the round copy sharing it first, so that
       // the context never holds two full trees.
       ctx->vfs_.reset();
@@ -256,13 +248,11 @@ RoundRun::RoundRun(const ScenarioConfig& cfg, RoundContext* ctx)
     passwd_ = tree.stage(*vfs_);
   }
   fs::Vfs& vfs = *vfs_;
-  if (cfg.collect_metrics) vfs.set_metrics(&res.metrics);
 
   // --- fault injector (its own Rng stream; kernel noise untouched) ---
   std::optional<sim::FaultInjector>& injector = injector_;
   if (!cfg.faults.empty()) {
     injector.emplace(cfg.faults, mix_seed(cfg.seed, 0xFA017));
-    vfs.set_fault_injector(&*injector);
   }
 
   // --- kernel ---
@@ -278,24 +268,8 @@ RoundRun::RoundRun(const ScenarioConfig& cfg, RoundContext* ctx)
     sched =
         std::make_unique<sched::LinuxLikeScheduler>(default_sched_params(cfg));
   }
-  if (ctx != nullptr) {
-    if (ctx->kernel_ == nullptr) {
-      ctx->kernel_ = std::make_unique<sim::Kernel>(
-          cfg.profile.machine, std::move(sched), mix_seed(cfg.seed, 0x5EED),
-          tracing ? &res.trace : nullptr);
-    } else {
-      ctx->kernel_->reset(cfg.profile.machine, std::move(sched),
-                          mix_seed(cfg.seed, 0x5EED),
-                          tracing ? &res.trace : nullptr);
-      ++ctx->reuses_;
-    }
-    kernel_ = ctx->kernel_.get();
-  } else {
-    local_kernel_.emplace(cfg.profile.machine, std::move(sched),
-                          mix_seed(cfg.seed, 0x5EED),
-                          tracing ? &res.trace : nullptr);
-    kernel_ = &*local_kernel_;
-  }
+  kernel_.emplace(cfg.profile.machine, std::move(sched),
+                  mix_seed(cfg.seed, 0x5EED), tracing ? &res.trace : nullptr);
   sim::Kernel& kernel = *kernel_;
   if (cfg.collect_metrics) kernel.set_metrics(&res.metrics);
   if (cfg.detect) kernel.set_sync_log(&res.sync);
@@ -304,14 +278,14 @@ RoundRun::RoundRun(const ScenarioConfig& cfg, RoundContext* ctx)
 
   // --- attacker(s): spawned first — they are waiting for the admin ---
   const auto& t = cfg.profile.timings;
-  AttackTarget target{cfg.watched_path, cfg.evil_target, cfg.dummy_path};
+  AttackTarget target{kWatchedPath, kEvilTarget, kDummyPath};
   const Duration loop_comp = (cfg.victim == VictimKind::vi)
                                  ? t.atk_loop_comp_vi
                                  : t.atk_loop_comp_gedit;
   sim::SpawnOptions aopts;
   aopts.name = "attacker";
-  aopts.uid = cfg.attacker_uid;
-  aopts.gid = cfg.attacker_gid;
+  aopts.uid = kAttackerUid;
+  aopts.gid = kAttackerGid;
 
   pipeline_state_ = std::make_unique<programs::PipelinedAttackState>();
   switch (cfg.attacker) {
@@ -373,11 +347,11 @@ RoundRun::RoundRun(const ScenarioConfig& cfg, RoundContext* ctx)
   switch (cfg.victim) {
     case VictimKind::vi: {
       programs::ViVictimConfig vc;
-      vc.wfname = cfg.watched_path;
-      vc.backup_name = cfg.watched_path + "~";
+      vc.wfname = kWatchedPath;
+      vc.backup_name = std::string(kWatchedPath) + "~";
       vc.file_bytes = cfg.file_bytes;
-      vc.owner_uid = cfg.attacker_uid;
-      vc.owner_gid = cfg.attacker_gid;
+      vc.owner_uid = kAttackerUid;
+      vc.owner_gid = kAttackerGid;
       vc.think_time = think;
       vc.fd_attr_remedy = cfg.defended_victim;
       vc.t = t;
@@ -388,12 +362,12 @@ RoundRun::RoundRun(const ScenarioConfig& cfg, RoundContext* ctx)
     }
     case VictimKind::gedit: {
       programs::GeditVictimConfig gc;
-      gc.real_filename = cfg.watched_path;
+      gc.real_filename = kWatchedPath;
       gc.temp_filename = "/home/alice/.goutputstream-sim";
-      gc.backup_name = cfg.watched_path + "~";
+      gc.backup_name = std::string(kWatchedPath) + "~";
       gc.file_bytes = cfg.file_bytes;
-      gc.owner_uid = cfg.attacker_uid;
-      gc.owner_gid = cfg.attacker_gid;
+      gc.owner_uid = kAttackerUid;
+      gc.owner_gid = kAttackerGid;
       gc.think_time = think;
       gc.fd_attr_remedy = cfg.defended_victim;
       gc.t = t;
@@ -404,16 +378,16 @@ RoundRun::RoundRun(const ScenarioConfig& cfg, RoundContext* ctx)
     }
     case VictimKind::suspending: {
       programs::SuspendingVictimConfig sc;
-      sc.path = cfg.watched_path;
-      sc.owner_uid = cfg.attacker_uid;
-      sc.owner_gid = cfg.attacker_gid;
+      sc.path = kWatchedPath;
+      sc.owner_uid = kAttackerUid;
+      sc.owner_gid = kAttackerGid;
       sc.think_time = think;
       vic = std::make_unique<programs::SuspendingVictim>(vfs, sc);
       break;
     }
     case VictimKind::sendmail: {
       programs::SendmailVictimConfig mc;
-      mc.mailbox = cfg.watched_path;
+      mc.mailbox = kWatchedPath;
       mc.think_time = think;
       vic = std::make_unique<programs::SendmailVictim>(vfs, mc);
       break;
@@ -454,12 +428,12 @@ RoundRun::RoundRun(const RoundRun& o)
       limit_(o.limit_),
       drain_limit_(o.drain_limit_) {
   sim::CloneMap m;
-  // Registration order matters: sinks the kernel/vfs point into (result
-  // streams, injector, shared attack state) first, then the VFS (one
-  // range: nothing points into an inode, which the clone shares
-  // copy-on-write), then the kernel (process
-  // table, scheduler queues, programs, in-flight ops), then the observer
-  // pointers into the now-registered programs.
+  // Registration order matters: sinks the kernel and programs point
+  // into (result streams, injector, shared attack state) first, then the
+  // VFS (one range: nothing points into an inode, which the clone shares
+  // copy-on-write), then the kernel (process table, scheduler queues,
+  // programs, in-flight ops), then the observer pointers into the
+  // now-registered programs.
   m.add_range(&o.res_, &res_, sizeof(RoundResult));
   if (o.injector_) {
     injector_.emplace(*o.injector_);
@@ -473,8 +447,7 @@ RoundRun::RoundRun(const RoundRun& o)
   }
   local_vfs_.emplace(*o.vfs_, m);
   vfs_ = &*local_vfs_;
-  local_kernel_.emplace(*o.kernel_, m);
-  kernel_ = &*local_kernel_;
+  kernel_.emplace(*o.kernel_, m);
   naive_ = m.remap(o.naive_);
   prefaulted_ = m.remap(o.prefaulted_);
   vi_vic_ = m.remap(o.vi_vic_);
@@ -578,7 +551,7 @@ RoundResult RoundRun::finish() {
 
   // --- judge ---
   const fs::Inode& pw = vfs_->inode(passwd_);
-  res.success = (pw.uid() == cfg.attacker_uid);
+  res.success = (pw.uid() == kAttackerUid);
   if (cfg.victim == VictimKind::sendmail) {
     // sendmail success = the message bytes were appended to /etc/passwd.
     res.success = (pw.size_bytes() > 1536);
@@ -775,9 +748,9 @@ CampaignStats run_campaign(const ScenarioConfig& cfg, int rounds,
   std::atomic<int> next_block{0};
   const auto work = [&] {
     // One reusable context per worker: its rounds start from one staged
-    // template tree and recycle one Kernel. run_round in a reused
-    // context is byte-identical to a fresh one (round_context ctest), so
-    // the campaign's determinism contract is untouched.
+    // template tree. run_round in a reused context is byte-identical to
+    // a fresh one (round_context ctest), so the campaign's determinism
+    // contract is untouched.
     RoundContext ctx;
     for (int b = next_block.fetch_add(1, std::memory_order_relaxed);
          b < n_blocks;

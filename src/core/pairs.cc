@@ -1,16 +1,15 @@
 #include "tocttou/core/pairs.h"
 
 #include <algorithm>
-#include <map>
 
 #include "tocttou/detect/classify.h"
 
 namespace tocttou::core {
 
-// The check/use/mutator truth tables live in detect/classify.h — the
-// happens-before detector rediscovers pairs from raw traces and must
-// agree with the post-mortem scanner on what counts as one, so both
-// layers share the single taxonomy.
+// The check/use/mutator truth tables and the window finder live in
+// detect/classify.h — the happens-before detector rediscovers pairs from
+// raw traces and must agree with the post-mortem scanner on what counts
+// as one, so both layers share them.
 
 CallClass classify_call(std::string_view name) {
   const bool c = detect::is_check_name(name);
@@ -50,53 +49,17 @@ const std::vector<PairShape>& known_pair_shapes() {
 
 std::vector<DetectedPair> find_pairs(const trace::SyscallJournal& journal,
                                      trace::Pid pid) {
-  std::vector<const trace::SyscallRecord*> recs;
-  for (const auto& r : journal.records()) {
-    if (r.pid == pid && !r.path.empty()) recs.push_back(&r);
+  const auto& recs = journal.records();
+  std::vector<std::size_t> order;
+  for (std::size_t r = 0; r < recs.size(); ++r) {
+    if (recs[r].pid == pid) order.push_back(r);
   }
-  std::sort(recs.begin(), recs.end(),
-            [](const trace::SyscallRecord* a, const trace::SyscallRecord* b) {
-              return a->enter < b->enter;
-            });
-
-  struct Pending {
-    std::string call;
-    SimTime exit;
-  };
-  std::map<std::string, Pending, std::less<>> last_check;
   std::vector<DetectedPair> out;
-  std::vector<std::string_view> names;
-
-  for (const auto* r : recs) {
-    // The name(s) this call acts on: path always; rename acts on (and
-    // then establishes) its new name path2; link dereferences oldpath
-    // AND creates newpath, so a use on either name pairs. symlink's
-    // path2 is the target STRING, not a resolved name — excluded by
-    // acted_names().
-    if (detect::is_use_name(r->name)) {
-      detect::acted_names(*r, &names);
-      for (std::string_view n : names) {
-        auto it = last_check.find(n);
-        if (it != last_check.end() && r->enter > it->second.exit) {
-          out.push_back(DetectedPair{it->second.call, r->name, std::string(n),
-                                     it->second.exit, r->enter});
-        }
-      }
-    }
-    if (r->result == Errno::ok) {
-      // rename retires its old name before establishing the new one; a
-      // failed check establishes nothing.
-      if (r->name == "rename") last_check.erase(r->path);
-      if (detect::is_check_name(r->name)) {
-        detect::established_names(*r, &names);
-        for (std::string_view n : names) {
-          last_check[std::string(n)] = Pending{r->name, r->exit};
-        }
-      }
-      if (r->name == "unlink") {
-        last_check.erase(r->path);  // invariant destroyed with the name
-      }
-    }
+  for (const detect::CheckUse& w : detect::check_use_windows(recs, order)) {
+    const trace::SyscallRecord& check = recs[w.check];
+    const trace::SyscallRecord& use = recs[w.use];
+    out.push_back(DetectedPair{check.name, use.name, std::string(w.name),
+                               check.exit, use.enter});
   }
   return out;
 }

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <map>
+#include <string>
 
 namespace tocttou::detect {
 namespace {
@@ -82,6 +84,41 @@ void mutated_names(const trace::SyscallRecord& r,
     return;
   }
   if (!r.path.empty()) out->push_back(r.path);
+}
+
+std::vector<CheckUse> check_use_windows(
+    const std::vector<trace::SyscallRecord>& records,
+    const std::vector<std::size_t>& order) {
+  std::vector<CheckUse> out;
+  std::map<std::string, std::size_t, std::less<>> last_check;
+  std::vector<std::string_view> names;
+  for (const std::size_t r : order) {
+    const trace::SyscallRecord& rec = records[r];
+    if (is_use_name(rec.name)) {
+      acted_names(rec, &names);
+      for (const std::string_view n : names) {
+        const auto it = last_check.find(n);
+        if (it != last_check.end() && rec.enter > records[it->second].exit) {
+          out.push_back({it->second, r, n});
+        }
+      }
+    }
+    if (rec.result == Errno::ok) {
+      // The process's own rename or unlink retires the old name's
+      // invariant (rename before establishing its new name); a failed
+      // call retires and establishes nothing.
+      if (rec.name == "rename" || rec.name == "unlink") {
+        last_check.erase(rec.path);
+      }
+      if (is_check_name(rec.name)) {
+        established_names(rec, &names);
+        for (const std::string_view n : names) {
+          last_check.insert_or_assign(std::string(n), r);
+        }
+      }
+    }
+  }
+  return out;
 }
 
 }  // namespace tocttou::detect

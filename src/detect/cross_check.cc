@@ -40,7 +40,7 @@ CrossCheckResult cross_check(const core::ScenarioConfig& cfg,
     LeafFacts f;
     f.landed = r.success;
     for (const RaceFinding& fd : r.detect.findings) {
-      if (fd.path == dcfg.watched_path) f.flagged = true;
+      if (fd.path == core::kWatchedPath) f.flagged = true;
     }
     f.report = r.detect;
     std::lock_guard<std::mutex> lock(mu);
@@ -65,7 +65,7 @@ CrossCheckResult cross_check(const core::ScenarioConfig& cfg,
     } else if (f.flagged) {
       ++out.flagged_not_landed;
       for (const RaceFinding& fd : f.report.findings) {
-        if (fd.path != dcfg.watched_path) continue;
+        if (fd.path != core::kWatchedPath) continue;
         ++out.fp_justifications[fd.pair_key() + "|" + fd.justification()];
       }
     }

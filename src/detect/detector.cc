@@ -158,44 +158,16 @@ DetectReport analyze_round(const SyncLog& sync,
   }
   rep.mutations = mutations.size();
 
-  // Rediscover windows per process: a use pairs with the latest
-  // still-valid check of any name it acts on. A re-check overwrites the
-  // entry (window reset); the process's own unlink/rename retires the
-  // name's invariant.
-  struct Check {
-    std::size_t rec = 0;
-    std::size_t call = 0;
-  };
+  // Rediscover windows per process (detect/classify.h).
   std::vector<Window> windows;
-  std::vector<std::string_view> names;
   for (std::size_t i = 0; i < by_pid.size(); ++i) {
-    std::map<std::string, Check, std::less<>> last_check;
-    for (std::size_t r : by_pid[i]) {
-      const trace::SyscallRecord& rec = recs[r];
-      if (is_use_name(rec.name)) {
-        acted_names(rec, &names);
-        for (std::string_view n : names) {
-          auto it = last_check.find(n);
-          if (it == last_check.end()) continue;
-          if (rec.enter <= recs[it->second.rec].exit) continue;
-          windows.push_back({i, it->second.rec, r, it->second.call,
-                             call_of[r], std::string(n)});
-        }
-      }
-      if (rec.result == Errno::ok) {
-        if (rec.name == "rename" || rec.name == "unlink") {
-          last_check.erase(rec.path);
-        }
-        if (is_check_name(rec.name)) {
-          established_names(rec, &names);
-          for (std::string_view n : names) {
-            last_check[std::string(n)] = Check{r, call_of[r]};
-          }
-        }
-      }
+    for (const CheckUse& w : check_use_windows(recs, by_pid[i])) {
+      windows.push_back({i, w.check, w.use, call_of[w.check],
+                         call_of[w.use], std::string(w.name)});
     }
   }
 
+  std::vector<std::string_view> names;
   for (const Window& w : windows) {
     const trace::SyscallRecord& crec = recs[w.check_rec];
     const trace::SyscallRecord& urec = recs[w.use_rec];

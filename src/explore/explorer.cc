@@ -284,9 +284,8 @@ std::string schedule_key(int bucket, const std::vector<Choice>& choices,
 /// One exploration worker: a ScenarioConfig copied ONCE (the per-leaf
 /// cost is an optional<Duration> write and a ChoiceSource pointer swap —
 /// not a full config copy with its strings and fault plan) plus a
-/// RoundContext whose staged template tree and recycled Kernel every
-/// leaf starts from. Pinned in memory: the scheduler factory captures
-/// `this`.
+/// RoundContext whose staged template tree every leaf starts from.
+/// Pinned in memory: the scheduler factory captures `this`.
 class Worker {
  public:
   Worker(const core::ScenarioConfig& base, const ExploreConfig& ecfg,
@@ -353,13 +352,14 @@ class Worker {
   }
 
   /// Leaf fault containment (DESIGN.md §8): runs the leaf and, if it
-  /// throws, discards the worker's reused RoundContext (a fault mid-round
-  /// may leave the recycled Kernel inconsistent) and retries ONCE in a fresh
-  /// one; a second throw quarantines the schedule — the stand-in outcome
-  /// carries the ErrorKind and the forced prefix (the schedule's
-  /// identity, from which a reproducing replay token is minted), with no
-  /// sites (no expansion) and no mass. `attempts` lets the fork path
-  /// charge an already-failed forked execution as the first try.
+  /// throws, retries it ONCE (the retry builds a fresh kernel and copies
+  /// the template again, like every round, so nothing of the throwing
+  /// run survives into it); a second throw quarantines the schedule —
+  /// the stand-in outcome carries the ErrorKind and the forced prefix
+  /// (the schedule's identity, from which a reproducing replay token is
+  /// minted), with no sites (no expansion) and no mass. `attempts` lets
+  /// the fork path charge an already-failed forked execution as the
+  /// first try.
   LeafOutcome run_contained(Duration think, std::vector<Choice> prefix,
                             bool stepped, LeafSide* side, int bucket = 0,
                             bool allow_merge = false, int attempts = 2) {
@@ -372,7 +372,6 @@ class Worker {
       } catch (const std::exception& e) {
         src_ = nullptr;  // the throwing run's GuidedSource is gone
         if (side != nullptr) *side = LeafSide{};  // drop partial records
-        reset_context();
         if (--attempts <= 0) {
           LeafOutcome out;
           out.prefix_ok = true;
@@ -468,7 +467,6 @@ class Worker {
         // fault is charged to the children that actually hit it.
         src_ = nullptr;
         local_parent.reset();
-        reset_context();
         parent_ok = false;
       }
     }
@@ -540,13 +538,12 @@ class Worker {
           local_parent.reset();  // free ctx_ for the full replays
         } catch (const std::exception&) {
           // The fork — or the parent replay feeding it — threw. The
-          // parent's mid-round state is suspect: drop it, discard the
-          // context, and charge this child its first attempt (the retry
-          // below is its second and last before quarantine).
+          // parent's mid-round state is suspect: drop it, and charge this
+          // child its first attempt (the retry below is its second and
+          // last before quarantine).
           parent_ok = false;
           src_ = nullptr;
           local_parent.reset();
-          reset_context();
           attempts = 1;
         }
       }
@@ -592,7 +589,6 @@ class Worker {
         r = core::run_round(cfg_, ctx());
       } catch (const std::exception& e) {
         src_ = nullptr;
-        reset_context();
         if (--attempts > 0) continue;
         // Quarantined: the choices recorded up to the throw replay the
         // identical deterministic execution, so the minted token
@@ -619,7 +615,7 @@ class Worker {
     }
   }
 
-  std::uint64_t ctx_reuses() const { return ctx_->reuses(); }
+  std::uint64_t ctx_reuses() const { return ctx_.reuses(); }
 
  private:
   /// The prefix replays choices an earlier run actually made, so a
@@ -761,14 +757,7 @@ class Worker {
     ecfg_->leaf_observer(tok.serialize(), r);
   }
 
-  core::RoundContext* ctx() { return &*ctx_; }
-
-  /// Discards the reusable context after a leaf threw out of a round: a
-  /// fault mid-simulation can leave the recycled Kernel in a state no
-  /// later leaf should inherit. The next round restages the template
-  /// and rebuilds the kernel (the reuse counter restarts — a throughput
-  /// metric outside the determinism contract).
-  void reset_context() { ctx_.emplace(); }
+  core::RoundContext* ctx() { return &ctx_; }
 
   core::ScenarioConfig cfg_;
   const ExploreConfig* ecfg_;
@@ -784,7 +773,7 @@ class Worker {
   /// into the group's leaves vector, reserved up front so they stay put.
   std::unordered_map<std::string, DonorPoint> group_donors_;
   ChoiceSource* src_ = nullptr;
-  std::optional<core::RoundContext> ctx_{std::in_place};
+  core::RoundContext ctx_;
 };
 
 /// Work-stealing pool over canonically indexed leaves. Each worker owns

@@ -11,7 +11,6 @@
 #include "tocttou/fs/vfs.h"
 #include "tocttou/metrics/metrics.h"
 #include "tocttou/sim/clone.h"
-#include "tocttou/sim/faults.h"
 #include "tocttou/sim/fields.h"
 #include "tocttou/sim/kernel.h"
 #include "tocttou/trace/journal.h"
@@ -129,7 +128,6 @@ bool Walker::lookup_final() {
 }
 
 std::optional<Step> Walker::advance(ServiceContext& ctx) {
-  (void)ctx;
   while (true) {
     switch (st_) {
       case St::init: {
@@ -150,7 +148,7 @@ std::optional<Step> Walker::advance(ServiceContext& ctx) {
           st_ = St::done;
           return std::nullopt;
         }
-        if (metrics::Registry* m = vfs_->metrics()) {
+        if (metrics::Registry* m = ctx.kernel.metrics()) {
           // One observation per resolution leg; symlink restarts show up
           // as extra legs, which is exactly the work the walk performs.
           m->observe("fs.path_walk_components",
@@ -195,7 +193,7 @@ std::optional<Step> Walker::advance(ServiceContext& ctx) {
           return std::nullopt;
         }
         slow_path_ = true;
-        if (metrics::Registry* m = vfs_->metrics()) {
+        if (metrics::Registry* m = ctx.kernel.metrics()) {
           m->count("fs.lockless_slow_paths");
         }
         st_ = St::locked;
@@ -244,6 +242,9 @@ class FsOp : public ServiceOp {
                     self.phase_);
   }
 
+  std::string_view path() const override { return path_; }
+  Step fail_at_entry(Errno e) override { return finish(e); }
+
   void fill_record(trace::SyscallRecord& rec) const override {
     rec.path = path_;
   }
@@ -279,6 +280,8 @@ class FdOp : public ServiceOp {
   static auto fields(auto& self) {
     return std::tie(self.vfs_, self.fd_, self.err_out_, self.phase_);
   }
+
+  Step fail_at_entry(Errno e) override { return finish(e); }
 
  protected:
   Step finish(Errno e) {
@@ -396,6 +399,7 @@ class OpenOp final : public Listed<OpenOp, FsOp> {
 
   std::string_view name() const override { return "open"; }
   int libc_page() const override { return kPageOpenClose; }
+  Step fail_at_entry(Errno e) override { return done_err(e); }
 
   Step advance(ServiceContext& ctx) override {
     switch (phase_) {
@@ -1219,219 +1223,103 @@ class ChownOp final : public Listed<ChownOp, SetAttrOp> {
   sim::Gid gid_;
 };
 
-// ---------------------------------------------------------------------------
-// Fault wrapper
-// ---------------------------------------------------------------------------
-
-/// Consults the round's FaultInjector on first advance; on injection the
-/// syscall fails at entry (out-slots written, Step::done) and the inner
-/// op never runs — no semaphores were touched, so nothing needs undoing.
-/// Otherwise delegates to the inner op entirely. Owns the inner op, so it
-/// keeps a hand-written clone; rounds with an injector are unhashable, so
-/// it needs no digest.
-class FaultableOp final : public ServiceOp {
- public:
-  FaultableOp(sim::FaultInjector* faults, std::unique_ptr<ServiceOp> inner,
-              std::string path, Errno* err_out, OpenResult* open_out)
-      : faults_(faults),
-        inner_(std::move(inner)),
-        path_(std::move(path)),
-        err_out_(err_out),
-        open_out_(open_out) {}
-
-  std::string_view name() const override { return inner_->name(); }
-  int libc_page() const override { return inner_->libc_page(); }
-  void fill_record(trace::SyscallRecord& rec) const override {
-    inner_->fill_record(rec);
-  }
-
-  Step advance(ServiceContext& ctx) override {
-    if (!decided_) {
-      decided_ = true;
-      if (const auto e =
-              faults_->syscall_error(inner_->name(), path_, ctx.proc.pid())) {
-        if (open_out_ != nullptr) {
-          open_out_->fd = -1;
-          open_out_->err = *e;
-        }
-        if (err_out_ != nullptr) *err_out_ = *e;
-        return Step::done(*e);
-      }
-    }
-    return inner_->advance(ctx);
-  }
-
-  std::unique_ptr<ServiceOp> clone(sim::CloneMap& m) const override {
-    return std::unique_ptr<ServiceOp>(new FaultableOp(*this, m));
-  }
-
- private:
-  FaultableOp(const FaultableOp& o, sim::CloneMap& m)
-      : faults_(m.remap(o.faults_)), inner_(o.inner_->clone(m)),
-        path_(o.path_), err_out_(m.remap(o.err_out_)),
-        open_out_(m.remap(o.open_out_)), decided_(o.decided_) {}
-
-  sim::FaultInjector* faults_;
-  std::unique_ptr<ServiceOp> inner_;
-  std::string path_;  // for path-prefix filters ("" for fd-based ops)
-  Errno* err_out_;
-  OpenResult* open_out_;
-  bool decided_ = false;
-};
-
-/// Wraps `inner` when the attached injector carries syscall_error specs;
-/// otherwise returns it untouched (the common, no-fault case).
-std::unique_ptr<ServiceOp> maybe_fault(Vfs& vfs, std::string path,
-                                       Errno* err_out, OpenResult* open_out,
-                                       std::unique_ptr<ServiceOp> inner) {
-  sim::FaultInjector* f = vfs.fault_injector();
-  if (f == nullptr || !f->wants_syscall_errors()) return inner;
-  return std::make_unique<FaultableOp>(f, std::move(inner), std::move(path),
-                                       err_out, open_out);
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
 // Factory methods
 // ---------------------------------------------------------------------------
 
-// Path-taking factories copy the path before moving it into the op so
-// the fault wrapper can apply path-prefix filters; fd-based factories
-// pass "" (they carry no path, by design — see vfs.h).
-
 std::unique_ptr<ServiceOp> Vfs::stat_op(std::string path, StatBuf* out,
                                         Errno* err_out) {
-  std::string p = path;
-  return maybe_fault(
-      *this, std::move(p), err_out, nullptr,
-      std::make_unique<StatOp>(*this, std::move(path), true, out, err_out));
+  return std::make_unique<StatOp>(*this, std::move(path), true, out, err_out);
 }
 
 std::unique_ptr<ServiceOp> Vfs::lstat_op(std::string path, StatBuf* out,
                                          Errno* err_out) {
-  std::string p = path;
-  return maybe_fault(
-      *this, std::move(p), err_out, nullptr,
-      std::make_unique<StatOp>(*this, std::move(path), false, out, err_out));
+  return std::make_unique<StatOp>(*this, std::move(path), false, out,
+                                  err_out);
 }
 
 std::unique_ptr<ServiceOp> Vfs::access_op(std::string path, Errno* err_out) {
-  std::string p = path;
-  return maybe_fault(
-      *this, std::move(p), err_out, nullptr,
-      std::make_unique<AccessOp>(*this, std::move(path), err_out));
+  return std::make_unique<AccessOp>(*this, std::move(path), err_out);
 }
 
 std::unique_ptr<ServiceOp> Vfs::open_op(std::string path, OpenFlags flags,
                                         Mode mode, OpenResult* out) {
-  std::string p = path;
-  return maybe_fault(
-      *this, std::move(p), nullptr, out,
-      std::make_unique<OpenOp>(*this, std::move(path), flags, mode, out));
+  return std::make_unique<OpenOp>(*this, std::move(path), flags, mode, out);
 }
 
 std::unique_ptr<ServiceOp> Vfs::close_op(int fd, Errno* err_out) {
-  return maybe_fault(*this, "", err_out, nullptr,
-                     std::make_unique<CloseOp>(*this, fd, err_out));
+  return std::make_unique<CloseOp>(*this, fd, err_out);
 }
 
 std::unique_ptr<ServiceOp> Vfs::write_op(int fd, std::uint64_t bytes,
                                          Errno* err_out) {
-  return maybe_fault(*this, "", err_out, nullptr,
-                     std::make_unique<WriteOp>(*this, fd, bytes, err_out));
+  return std::make_unique<WriteOp>(*this, fd, bytes, err_out);
 }
 
 std::unique_ptr<ServiceOp> Vfs::read_op(int fd, std::uint64_t bytes,
                                         Errno* err_out) {
-  return maybe_fault(*this, "", err_out, nullptr,
-                     std::make_unique<ReadOp>(*this, fd, bytes, err_out));
+  return std::make_unique<ReadOp>(*this, fd, bytes, err_out);
 }
 
 std::unique_ptr<ServiceOp> Vfs::rename_op(std::string oldpath,
                                           std::string newpath,
                                           Errno* err_out) {
-  std::string p = oldpath;
-  return maybe_fault(
-      *this, std::move(p), err_out, nullptr,
-      std::make_unique<RenameOp>(*this, std::move(oldpath),
-                                 std::move(newpath), err_out));
+  return std::make_unique<RenameOp>(*this, std::move(oldpath),
+                                    std::move(newpath), err_out);
 }
 
 std::unique_ptr<ServiceOp> Vfs::unlink_op(std::string path, Errno* err_out) {
-  std::string p = path;
-  return maybe_fault(
-      *this, std::move(p), err_out, nullptr,
-      std::make_unique<UnlinkOp>(*this, std::move(path), err_out));
+  return std::make_unique<UnlinkOp>(*this, std::move(path), err_out);
 }
 
 std::unique_ptr<ServiceOp> Vfs::symlink_op(std::string target,
                                            std::string linkpath,
                                            Errno* err_out) {
-  std::string p = linkpath;
-  return maybe_fault(
-      *this, std::move(p), err_out, nullptr,
-      std::make_unique<SymlinkOp>(*this, std::move(target),
-                                  std::move(linkpath), err_out));
+  return std::make_unique<SymlinkOp>(*this, std::move(target),
+                                     std::move(linkpath), err_out);
 }
 
 std::unique_ptr<ServiceOp> Vfs::chmod_op(std::string path, Mode mode,
                                          Errno* err_out) {
-  std::string p = path;
-  return maybe_fault(
-      *this, std::move(p), err_out, nullptr,
-      std::make_unique<ChmodOp>(*this, std::move(path), mode, err_out));
+  return std::make_unique<ChmodOp>(*this, std::move(path), mode, err_out);
 }
 
 std::unique_ptr<ServiceOp> Vfs::chown_op(std::string path, sim::Uid uid,
                                          sim::Gid gid, Errno* err_out) {
-  std::string p = path;
-  return maybe_fault(
-      *this, std::move(p), err_out, nullptr,
-      std::make_unique<ChownOp>(*this, std::move(path), uid, gid, err_out));
+  return std::make_unique<ChownOp>(*this, std::move(path), uid, gid, err_out);
 }
 
 std::unique_ptr<ServiceOp> Vfs::mkdir_op(std::string path, Mode mode,
                                          Errno* err_out) {
-  std::string p = path;
-  return maybe_fault(
-      *this, std::move(p), err_out, nullptr,
-      std::make_unique<MkdirOp>(*this, std::move(path), mode, err_out));
+  return std::make_unique<MkdirOp>(*this, std::move(path), mode, err_out);
 }
 
 std::unique_ptr<ServiceOp> Vfs::readlink_op(std::string path,
                                             std::string* out,
                                             Errno* err_out) {
-  std::string p = path;
-  return maybe_fault(
-      *this, std::move(p), err_out, nullptr,
-      std::make_unique<ReadlinkOp>(*this, std::move(path), out, err_out));
+  return std::make_unique<ReadlinkOp>(*this, std::move(path), out, err_out);
 }
 
 std::unique_ptr<ServiceOp> Vfs::link_op(std::string oldpath,
                                         std::string newpath, Errno* err_out) {
-  std::string p = oldpath;
-  return maybe_fault(
-      *this, std::move(p), err_out, nullptr,
-      std::make_unique<LinkOp>(*this, std::move(oldpath),
-                               std::move(newpath), err_out));
+  return std::make_unique<LinkOp>(*this, std::move(oldpath),
+                                  std::move(newpath), err_out);
 }
 
 std::unique_ptr<ServiceOp> Vfs::fstat_op(int fd, StatBuf* out,
                                          Errno* err_out) {
-  return maybe_fault(*this, "", err_out, nullptr,
-                     std::make_unique<FstatOp>(*this, fd, out, err_out));
+  return std::make_unique<FstatOp>(*this, fd, out, err_out);
 }
 
 std::unique_ptr<ServiceOp> Vfs::fchmod_op(int fd, Mode mode, Errno* err_out) {
-  return maybe_fault(*this, "", err_out, nullptr,
-                     std::make_unique<FchmodOp>(*this, fd, mode, err_out));
+  return std::make_unique<FchmodOp>(*this, fd, mode, err_out);
 }
 
 std::unique_ptr<ServiceOp> Vfs::fchown_op(int fd, sim::Uid uid, sim::Gid gid,
                                           Errno* err_out) {
-  return maybe_fault(*this, "", err_out, nullptr,
-                     std::make_unique<FchownOp>(*this, fd, uid, gid, err_out));
+  return std::make_unique<FchownOp>(*this, fd, uid, gid, err_out);
 }
 
 }  // namespace tocttou::fs

@@ -31,15 +31,11 @@ Vfs& Vfs::operator=(const Vfs& o) {
   root_ = o.root_;
   fd_tables_ = o.fd_tables_;
   touched_tables_ = o.touched_tables_;
-  faults_ = nullptr;
-  metrics_ = nullptr;
   return *this;
 }
 
 Vfs::Vfs(const Vfs& o, sim::CloneMap& m) : Vfs(o) {
   m.add_range(&o, this, sizeof(Vfs));
-  faults_ = m.remap(o.faults_);
-  metrics_ = m.remap(o.metrics_);
 }
 
 Vfs::~Vfs() = default;

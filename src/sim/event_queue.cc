@@ -9,13 +9,6 @@ namespace tocttou::sim {
 
 EventQueue::EventQueue() { heap_.reserve(64); }
 
-void EventQueue::reset() {
-  heap_.clear();  // keeps capacity — the point of reusing the queue
-  now_ = SimTime::origin();
-  next_seq_ = 0;
-  executed_ = 0;
-}
-
 void EventQueue::sift_up(std::size_t i) {
   while (i > 0) {
     const std::size_t parent = (i - 1) / 2;

@@ -288,16 +288,13 @@ bool FaultInjector::decide(std::size_t idx) {
 }
 
 std::optional<Errno> FaultInjector::syscall_error(std::string_view op,
-                                                  const std::string& path,
+                                                  std::string_view path,
                                                   Pid pid) {
   for (std::size_t i = 0; i < plan_.specs.size(); ++i) {
     const FaultSpec& s = plan_.specs[i];
     if (s.kind != FaultKind::syscall_error) continue;
     if (!s.op.empty() && s.op != op) continue;
-    if (!s.path_prefix.empty() &&
-        path.compare(0, s.path_prefix.size(), s.path_prefix) != 0) {
-      continue;
-    }
+    if (!path.starts_with(s.path_prefix)) continue;
     if (!role_matches(s, pid)) continue;
     if (decide(i)) {
       ++stats_.errors_injected;

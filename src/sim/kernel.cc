@@ -59,26 +59,6 @@ Kernel::Kernel(MachineSpec spec, std::unique_ptr<Scheduler> sched,
   idle_scratch_.reserve(static_cast<std::size_t>(spec_.n_cpus));
 }
 
-void Kernel::reset(MachineSpec spec, std::unique_ptr<Scheduler> sched,
-                   std::uint64_t seed, trace::RoundTrace* trace) {
-  TOCTTOU_CHECK(spec.n_cpus >= 1, "machine needs at least one CPU");
-  TOCTTOU_CHECK(sched != nullptr, "kernel needs a scheduler");
-  spec_ = std::move(spec);
-  sched_ = std::move(sched);
-  rng_ = Rng(seed);
-  trace_ = trace;
-  faults_ = nullptr;
-  metrics_ = nullptr;
-  sync_ = nullptr;
-  queue_.reset();
-  procs_.clear();  // keeps the table's vector capacity
-  cpus_.assign(static_cast<std::size_t>(spec_.n_cpus), CpuState{});
-  background_started_ = false;
-  sched_->init(spec_.n_cpus);
-  allowed_scratch_.reserve(static_cast<std::size_t>(spec_.n_cpus));
-  idle_scratch_.reserve(static_cast<std::size_t>(spec_.n_cpus));
-}
-
 Kernel::~Kernel() = default;
 
 Kernel::Kernel(const Kernel& o, CloneMap& m)
@@ -124,6 +104,7 @@ Kernel::Kernel(const Kernel& o, CloneMap& m)
     p.mapped_libc_pages_ = q.mapped_libc_pages_;
     p.seg_gen_ = q.seg_gen_;
     p.pending_result_ = q.pending_result_;
+    p.entry_checked_ = q.entry_checked_;
     p.seg_start_ = q.seg_start_;
     p.seg_kind_ = q.seg_kind_;
     p.seg_len_ = q.seg_len_;
@@ -473,6 +454,9 @@ void Kernel::start_next_action(Process& p) {
       }
       case Action::Kind::service: {
         p.op_ = std::move(a.op);
+        if (faults_ != nullptr && faults_->wants_syscall_errors()) {
+          p.entry_checked_ = false;
+        }
         const int page = p.op_->libc_page();
         if (page != ServiceOp::kNoLibcPage &&
             !p.mapped_libc_pages_.contains(page)) {
@@ -549,7 +533,8 @@ void Kernel::advance_service(Process& p) {
   while (true) {
     if (p.state_ != ProcState::running) return;
     ServiceContext ctx{*this, p, rng_, now()};
-    const Step step = p.op_->advance(ctx);
+    const Step step =
+        p.entry_checked_ ? p.op_->advance(ctx) : first_advance(p, ctx);
     switch (step.kind) {
       case Step::Kind::work: {
         begin_segment(p, Process::SegKind::kernel_work,
@@ -607,6 +592,17 @@ void Kernel::advance_service(Process& p) {
       }
     }
   }
+}
+
+Step Kernel::first_advance(Process& p, ServiceContext& ctx) {
+  p.entry_checked_ = true;
+  if (const auto e =
+          faults_->syscall_error(p.op_->name(), p.op_->path(), p.pid_)) {
+    // The call fails before it touches a semaphore; it then returns
+    // through the done path like any other (spike, journal, kill).
+    return p.op_->fail_at_entry(*e);
+  }
+  return p.op_->advance(ctx);
 }
 
 void Kernel::finish_syscall(Process& p, Errno result) {

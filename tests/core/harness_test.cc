@@ -210,7 +210,6 @@ TEST(HarnessTest, SendmailScenario) {
   c.profile = programs::testbed_smp_dual_xeon();
   c.victim = VictimKind::sendmail;
   c.attacker = AttackerKind::naive;
-  c.watched_path = "/home/alice/report.txt";
   c.seed = 7;
   // The sendmail victim appends through the swapped symlink only if the
   // attacker wins; either way the round must complete cleanly.

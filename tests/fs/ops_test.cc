@@ -4,6 +4,7 @@
 #include "../testing/programs.h"
 #include "tocttou/fs/vfs.h"
 #include "tocttou/sched/linux_sched.h"
+#include "tocttou/sim/faults.h"
 #include "tocttou/sim/kernel.h"
 
 namespace tocttou::fs {
@@ -200,6 +201,47 @@ TEST_F(OpsTest, WriteOnReadOnlyFdRejected) {
   spawn(std::move(a));
   run();
   EXPECT_EQ(err, Errno::ebadf);
+}
+
+TEST_F(OpsTest, EntryFaultWritesTheCallsOwnSlots) {
+  // Every call under /home/alice fails at entry with EIO, before it
+  // touches the tree: the errno slot, or open's fd/err pair, reads as a
+  // failed call. A write carries no path, so the path filter skips it.
+  sim::FaultPlan plan;
+  std::string perr;
+  ASSERT_TRUE(
+      sim::FaultPlan::parse("error:1:errno=eio:path=/home/alice", &plan, &perr))
+      << perr;
+  sim::FaultInjector faults(plan, 1);
+  kernel_->set_fault_injector(&faults);
+  const int fd = vfs_.fd_alloc(1, file_, OpenFlags::write_create_trunc());
+  StatBuf st;
+  st.uid = 77;
+  Errno stat_err = Errno::ok, unlink_err = Errno::ok;
+  Errno write_err = Errno::einval;
+  OpenResult opened;
+  opened.fd = 9;
+  std::vector<Action> a;
+  a.push_back(Action::service(vfs_.stat_op("/home/alice/f.txt", &st,
+                                           &stat_err)));
+  a.push_back(Action::service(vfs_.open_op("/home/alice/new.txt",
+                                           OpenFlags::write_create_trunc(),
+                                           0644, &opened)));
+  a.push_back(Action::service(vfs_.unlink_op("/home/alice/f.txt",
+                                             &unlink_err)));
+  a.push_back(Action::service(vfs_.write_op(fd, 100, &write_err)));
+  spawn(std::move(a));
+  run();
+  EXPECT_EQ(stat_err, Errno::eio);
+  EXPECT_EQ(st.uid, 77u);  // no snapshot was taken
+  EXPECT_EQ(opened.fd, -1);
+  EXPECT_EQ(opened.err, Errno::eio);
+  EXPECT_FALSE(vfs_.exists("/home/alice/new.txt"));
+  EXPECT_EQ(unlink_err, Errno::eio);
+  EXPECT_TRUE(vfs_.exists("/home/alice/f.txt"));
+  EXPECT_EQ(write_err, Errno::ok);
+  EXPECT_EQ(vfs_.inode(file_).size_bytes(), 4096u + 100u);
+  EXPECT_EQ(faults.stats().errors_injected, 3u);
 }
 
 TEST_F(OpsTest, RenameMovesAndReplaces) {

@@ -4,6 +4,7 @@
 
 #include "../testing/programs.h"
 #include "tocttou/sched/linux_sched.h"
+#include "tocttou/sim/faults.h"
 
 namespace tocttou::sim {
 namespace {
@@ -260,6 +261,47 @@ TEST(KernelTest, TrapCostSeparateFromSyscallEnter) {
   // The journal's enter time is *after* the 6us trap.
   EXPECT_EQ(tr.journal.records()[0].enter, SimTime::origin() + 6_us);
   EXPECT_EQ(tr.journal.records()[0].exit, SimTime::origin() + 10_us);
+}
+
+TEST(KernelTest, EntryFaultIsDecidedAtTheFirstAdvance) {
+  // The kernel asks the injector whether a syscall fails at entry at the
+  // op's first advance: after its libc trap, and after a preemption the
+  // trap deferred. The injector counts its queries, so an nth=1 spec
+  // fails whichever call the kernel asks about first. "lo" traps for 6us
+  // on its call's libc page; "hi" arrives during the trap and preempts
+  // lo at the trap's end, after lo's syscall entry but before its first
+  // advance — so hi's call is asked about first and fails.
+  trace::RoundTrace tr;
+  Kernel k(quiet_machine(1), make_sched(), 1, &tr);
+  FaultPlan plan;
+  std::string err;
+  ASSERT_TRUE(FaultPlan::parse("error:0:errno=eio:nth=1", &plan, &err))
+      << err;
+  FaultInjector faults(plan, 1);
+  k.set_fault_injector(&faults);
+  const auto call = [](const char* name, int page) {
+    return Action::service(std::make_unique<ScriptOp>(
+        name, std::vector<Step>{Step::work(4_us), Step::done()}, page));
+  };
+  std::vector<Action> lo, hi;
+  lo.push_back(call("slow", 1));
+  hi.push_back(call("fast", ServiceOp::kNoLibcPage));
+  const Pid l = k.spawn(std::make_unique<ScriptProgram>(std::move(lo)),
+                        {.name = "lo", .priority = 0});
+  const Pid h = k.spawn(std::make_unique<ScriptProgram>(std::move(hi)),
+                        {.name = "hi", .priority = 10});
+  EXPECT_TRUE(k.run_to_exit());
+  ASSERT_EQ(tr.journal.records().size(), 2u);
+  const trace::SyscallRecord& first = tr.journal.records()[0];
+  const trace::SyscallRecord& second = tr.journal.records()[1];
+  EXPECT_EQ(first.pid, h);
+  EXPECT_EQ(first.result, Errno::eio);
+  EXPECT_EQ(first.enter, first.exit);  // failed before any work
+  EXPECT_EQ(second.pid, l);
+  EXPECT_EQ(second.result, Errno::ok);
+  EXPECT_EQ(second.enter, SimTime::origin() + 6_us);  // after the trap
+  EXPECT_EQ(k.process(l).preemptions(), 1u);
+  EXPECT_EQ(faults.stats().errors_injected, 1u);
 }
 
 TEST(KernelTest, HigherPriorityWakeupPreemptsUserCompute) {
