@@ -17,7 +17,8 @@
 // per-event cost is event-loop time over events, and per-round set-up
 // and audit time are reported beside it rather than folded into it.
 // Set-up is amortised over the cell's rounds: the first round stages
-// the template tree, every round copies it.
+// the template tree and audits it once, every round copies it. A
+// round's audit time is its delta audit against that template.
 //
 // Hard CHECK: per-event event-loop cost at SCALE procs <= 2.5x the cost
 // at SCALE/10 (flat within cache noise; an O(P) structure on the hot

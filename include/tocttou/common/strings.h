@@ -13,14 +13,29 @@ namespace tocttou {
 /// the VFS walk).
 std::vector<std::string> split_path(std::string_view path);
 
-/// split_path without materializing a std::string per component: the
-/// returned views alias `path`, which must outlive them. This is the
-/// VFS walk's form — path resolution runs on every simulated syscall,
-/// so the per-component copies were pure allocator churn.
-std::vector<std::string_view> split_path_views(std::string_view path);
+/// Component cursor: returns the first component split_path would keep
+/// at or after offset `pos` of `path`, and moves `pos` past it; returns
+/// an empty view (kept components are never empty) once none is left.
+/// The view aliases `path`, which must outlive it. This is the VFS
+/// walk's form: path resolution runs on every simulated syscall, and
+/// the cursor walks a path with no allocation at all.
+///
+///   std::size_t pos = 0;
+///   for (std::string_view c = next_path_component(path, pos); !c.empty();
+///        c = next_path_component(path, pos)) { ... }
+inline std::string_view next_path_component(std::string_view path,
+                                            std::size_t& pos) {
+  while (pos < path.size()) {
+    while (pos < path.size() && path[pos] == '/') ++pos;
+    const std::size_t begin = pos;
+    while (pos < path.size() && path[pos] != '/') ++pos;
+    const std::string_view comp = path.substr(begin, pos - begin);
+    if (!comp.empty() && comp != ".") return comp;
+  }
+  return {};
+}
 
-/// Number of components split_path would return, with no allocation at
-/// all (not even the vector).
+/// Number of components split_path would return, with no allocation.
 std::size_t count_path_components(std::string_view path);
 
 bool is_absolute_path(std::string_view path);

@@ -220,7 +220,9 @@ RoundResult run_round(const ScenarioConfig& cfg);
 /// restaged whenever a round's inputs differ. Every round builds its own
 /// kernel, so a round that ends abnormally (killed, or thrown out of
 /// step()) leaves nothing behind that the next round's copy does not
-/// overwrite.
+/// overwrite. Staging audits the template once; a round copied from a
+/// clean template audits only what it changed (fs::Vfs::audit_since),
+/// which reports exactly the lines the full audit would.
 ///
 /// A round run in a reused context is observationally identical to one
 /// run fresh: same RoundResult, same journal/event trace, same schedule

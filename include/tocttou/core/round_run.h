@@ -10,7 +10,9 @@
 // Constructed in a RoundContext, a round starts from a copy-on-write copy
 // of the context's staged template tree instead of staging its own; with
 // no context it stages the tree itself. Either way it builds and owns its
-// kernel.
+// kernel. The template is audited once when it is staged; a round copied
+// from a clean template audits only the inodes and references it changed
+// (fs::Vfs::audit_since), every other round audits its whole tree.
 //
 // The copy constructor is a CHECKPOINT FORK: it copies the entire
 // mid-round simulation — the VFS's inode table (pointers to inodes it
@@ -146,7 +148,11 @@ class RoundRun {
   std::unique_ptr<programs::PipelinedAttackState> pipeline_state_;
   std::optional<sim::Kernel> kernel_;
 
-  // Staged handles the judge/audit phase reads.
+  // Staged handles the judge/audit phase reads. audit_base_ is the
+  // context's template when it audited clean: finish() then audits only
+  // what the round changed. Rounds staged here and checkpoint forks
+  // (which can outlive the template) keep it null and audit every inode.
+  const fs::Vfs* audit_base_ = nullptr;
   fs::Ino passwd_ = 0;
   sim::Pid victim_pid_ = 0;
   const programs::NaiveAttacker* naive_ = nullptr;

@@ -201,6 +201,8 @@ class InodeRef {
 
   const Inode& operator*() const { return *n_; }
   const Inode* operator->() const { return n_; }
+  /// The shared inode: equal across two handles iff they share it.
+  const Inode* get() const { return n_; }
 
   /// True when no other handle shares the inode, so writing through
   /// mut() is invisible to every other Vfs.

@@ -172,8 +172,8 @@ class Vfs {
 
   /// Pure lookup of the prefix (all but the final component), following
   /// intermediate symlinks. Does NOT look up the final component.
-  /// Components are walked as std::string_view slices of `path` — no
-  /// temporary std::string is minted per component.
+  /// Components are walked in place with next_path_component: the walk
+  /// allocates nothing but the returned final_name.
   WalkResult walk_prefix(const std::string& path) const;
 
   /// Looks up `name` in directory `parent` (no cost, no perm checks).
@@ -210,8 +210,20 @@ class Vfs {
   /// against the directory entries referencing it, open_refs against the
   /// fd tables, entry targets against the inode table, and symlink
   /// well-formedness. Returns one human-readable line per violation
-  /// (empty = healthy).
+  /// (empty = healthy). It reads every inode; it is the reference that
+  /// audit_since() must match.
   std::vector<std::string> audit() const;
+
+  /// audit() of a copy of `base`, given that base.audit() came back
+  /// empty: the same lines in the same order, read only where this Vfs
+  /// differs from `base` — the slots whose inode is no longer shared
+  /// with `base` or lies past its end, the entries of those directories
+  /// in both trees, both trees' fd tables, and the inodes whose entry or
+  /// fd reference count changed. Exact because inode_mut copies a shared
+  /// inode before writing it, so a slot still shared with `base` holds
+  /// `base`'s inode as `base` audited it. A Vfs with fewer inodes than
+  /// `base` is no copy of it and gets the full audit().
+  std::vector<std::string> audit_since(const Vfs& base) const;
 
  private:
   void init_root();

@@ -17,10 +17,15 @@ namespace tocttou::metrics {
 /// would interleave the phase brackets anyway).
 struct WallProfile {
   std::uint64_t rounds = 0;
-  std::uint64_t setup_ns = 0;    // VFS tree + program staging
+  /// VFS tree + program staging; in a RoundContext, the one full audit
+  /// of a freshly staged template counts here too.
+  std::uint64_t setup_ns = 0;
   std::uint64_t sim_ns = 0;      // kernel event loop (run_until)
   std::uint64_t analyze_ns = 0;  // judging + window analysis
-  std::uint64_t audit_ns = 0;    // post-round VFS invariant audit
+  /// Post-round VFS invariant audit: the delta audit against the
+  /// template (Vfs::audit_since) for a round copied from a clean one,
+  /// the full audit otherwise.
+  std::uint64_t audit_ns = 0;
   std::uint64_t total_ns = 0;
 
   void add(const WallProfile& other) {

@@ -5,45 +5,20 @@
 
 namespace tocttou {
 
-namespace {
-
-/// Shared component scanner: calls `sink(component)` for every component
-/// split_path would keep. Templated so the three public entry points
-/// stay byte-for-byte consistent on the drop rules (empty and ".").
-template <typename Sink>
-void for_each_component(std::string_view path, Sink&& sink) {
-  std::size_t i = 0;
-  while (i < path.size()) {
-    while (i < path.size() && path[i] == '/') ++i;
-    std::size_t j = i;
-    while (j < path.size() && path[j] != '/') ++j;
-    if (j > i) {
-      std::string_view comp = path.substr(i, j - i);
-      if (comp != ".") sink(comp);
-    }
-    i = j;
-  }
-}
-
-}  // namespace
-
 std::vector<std::string> split_path(std::string_view path) {
   std::vector<std::string> parts;
-  for_each_component(path,
-                     [&parts](std::string_view c) { parts.emplace_back(c); });
-  return parts;
-}
-
-std::vector<std::string_view> split_path_views(std::string_view path) {
-  std::vector<std::string_view> parts;
-  for_each_component(path,
-                     [&parts](std::string_view c) { parts.push_back(c); });
+  std::size_t pos = 0;
+  for (std::string_view c = next_path_component(path, pos); !c.empty();
+       c = next_path_component(path, pos)) {
+    parts.emplace_back(c);
+  }
   return parts;
 }
 
 std::size_t count_path_components(std::string_view path) {
   std::size_t n = 0;
-  for_each_component(path, [&n](std::string_view) { ++n; });
+  std::size_t pos = 0;
+  while (!next_path_component(path, pos).empty()) ++n;
   return n;
 }
 

@@ -200,13 +200,17 @@ struct TreeInputs {
 }  // namespace
 
 /// A staged tree no round writes: rounds start from copies of `vfs`.
+/// It is audited once, here, so that a round copied from a clean
+/// template audits only what it changed (Vfs::audit_since).
 struct RoundContext::Template {
   explicit Template(TreeInputs in)
-      : inputs(std::move(in)), vfs(inputs.costs), passwd(inputs.stage(vfs)) {}
+      : inputs(std::move(in)), vfs(inputs.costs), passwd(inputs.stage(vfs)),
+        clean(vfs.audit().empty()) {}
 
   TreeInputs inputs;
   fs::Vfs vfs;
   fs::Ino passwd;
+  bool clean;
 };
 
 RoundContext::RoundContext() = default;
@@ -242,6 +246,7 @@ RoundRun::RoundRun(const ScenarioConfig& cfg, RoundContext* ctx)
     }
     vfs_ = ctx->vfs_.get();
     passwd_ = ctx->template_->passwd;
+    if (ctx->template_->clean) audit_base_ = &ctx->template_->vfs;
   } else {
     local_vfs_.emplace(tree.costs);
     vfs_ = &*local_vfs_;
@@ -591,7 +596,9 @@ RoundResult RoundRun::finish() {
 
   // --- post-round robustness accounting ---
   timer_.lap(&metrics::WallProfile::analyze_ns);
-  res.audit_violations = vfs_->audit();
+  res.audit_violations = audit_base_ != nullptr
+                             ? vfs_->audit_since(*audit_base_)
+                             : vfs_->audit();
   timer_.lap(&metrics::WallProfile::audit_ns);
   if (injector_) {
     res.faults = injector_->stats();

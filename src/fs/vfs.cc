@@ -1,5 +1,7 @@
 #include "tocttou/fs/vfs.h"
 
+#include <algorithm>
+
 #include "tocttou/common/strings.h"
 #include "tocttou/sim/clone.h"
 
@@ -89,23 +91,26 @@ struct ResolveOutcome {
 }  // namespace
 
 // Recursive resolution helper; `follow_final` resolves a final symlink.
-// `path` is walked as string_view slices; it must stay alive for the
-// duration of the call (symlink targets recursed into live in their
-// inodes, which outlive the walk).
+// `path` is walked with the component cursor, one component ahead so
+// the walk knows the last one; it must stay alive for the duration of
+// the call (symlink targets recursed into live in their inodes, which
+// outlive the walk).
 static ResolveOutcome resolve_rec(const Vfs& vfs, std::string_view path,
                                   bool follow_final, int depth) {
   if (depth > Vfs::kMaxSymlinkDepth) return {Errno::eloop, kNoIno};
   if (!is_absolute_path(path)) return {Errno::einval, kNoIno};
-  const auto parts = split_path_views(path);
   Ino cur = vfs.root();
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (parts[i] == "..") return {Errno::einval, kNoIno};  // not modeled
+  std::size_t pos = 0;
+  std::string_view part = next_path_component(path, pos);
+  while (!part.empty()) {
+    const std::string_view next = next_path_component(path, pos);
+    if (part == "..") return {Errno::einval, kNoIno};  // not modeled
     const Inode& dir = vfs.inode(cur);
     if (!dir.is_dir()) return {Errno::enotdir, kNoIno};
-    const Ino child = vfs.lookup_in(cur, parts[i]);
+    const Ino child = vfs.lookup_in(cur, part);
     if (child == kNoIno) return {Errno::enoent, kNoIno};
     const Inode& cn = vfs.inode(child);
-    const bool last = (i + 1 == parts.size());
+    const bool last = next.empty();
     if (cn.is_symlink() && (!last || follow_final)) {
       const auto sub =
           resolve_rec(vfs, cn.symlink_target(), true, depth + 1);
@@ -117,6 +122,7 @@ static ResolveOutcome resolve_rec(const Vfs& vfs, std::string_view path,
     } else {
       cur = child;
     }
+    part = next;
   }
   return {Errno::ok, cur};
 }
@@ -133,14 +139,17 @@ Vfs::WalkResult Vfs::walk_prefix(const std::string& path) const {
     res.err = Errno::einval;
     return res;
   }
-  const auto parts = split_path_views(path);
-  if (parts.empty()) {
+  std::size_t pos = 0;
+  std::string_view part = next_path_component(path, pos);
+  if (part.empty()) {
     res.err = Errno::einval;  // operating on "/" itself is not modeled
     return res;
   }
   Ino cur = root_;
-  for (std::size_t i = 0; i + 1 < parts.size(); ++i) {
-    if (parts[i] == "..") {
+  // Every component but the last names a directory to descend into.
+  for (std::string_view next = next_path_component(path, pos);
+       !next.empty(); part = next, next = next_path_component(path, pos)) {
+    if (part == "..") {
       res.err = Errno::einval;
       return res;
     }
@@ -149,7 +158,7 @@ Vfs::WalkResult Vfs::walk_prefix(const std::string& path) const {
       res.err = Errno::enotdir;
       return res;
     }
-    Ino child = lookup_in(cur, parts[i]);
+    Ino child = lookup_in(cur, part);
     if (child == kNoIno) {
       res.err = Errno::enoent;
       return res;
@@ -169,7 +178,7 @@ Vfs::WalkResult Vfs::walk_prefix(const std::string& path) const {
     }
     cur = child;
   }
-  const std::string_view final = parts.back();
+  const std::string_view final = part;
   if (final == "..") {
     res.err = Errno::einval;
     return res;
@@ -188,12 +197,14 @@ Ino Vfs::mkdir_p(const std::string& path, sim::Uid uid, sim::Gid gid,
                  Mode mode) {
   TOCTTOU_CHECK(is_absolute_path(path), "mkdir_p requires an absolute path");
   Ino cur = root_;
-  for (const auto& part : split_path(path)) {
+  std::size_t pos = 0;
+  for (std::string_view part = next_path_component(path, pos);
+       !part.empty(); part = next_path_component(path, pos)) {
     TOCTTOU_CHECK(part != "..", "'..' is not modeled");
     Ino child = lookup_in(cur, part);
     if (child == kNoIno) {
       Inode& n = alloc_inode(FileType::directory, uid, gid, mode);
-      link_entry(cur, part, n.ino());
+      link_entry(cur, std::string(part), n.ino());
       child = n.ino();
     }
     TOCTTOU_CHECK(inode(child).is_dir(), "mkdir_p path crosses a non-dir");
@@ -363,11 +374,55 @@ void Vfs::hash_state(StateHasher& h) const {
   }
 }
 
+namespace {
+
+/// The per-inode half of the audit, shared by audit() and audit_since():
+/// checks one inode against the directory entries (`entry_refs`) and
+/// fd-table slots (`fd_refs`) that reference it.
+void audit_inode(Ino ino, const Inode& node, int entry_refs, int fd_refs,
+                 std::vector<std::string>& violations) {
+  const auto id = static_cast<unsigned long long>(ino);
+  if (node.nlink() != entry_refs) {
+    violations.push_back(strfmt("nlink mismatch: inode %llu has nlink %d but "
+                                "%d directory entr%s reference it",
+                                id, node.nlink(), entry_refs,
+                                entry_refs == 1 ? "y" : "ies"));
+  }
+  if (node.open_refs() != fd_refs) {
+    violations.push_back(strfmt("open_refs mismatch: inode %llu has "
+                                "open_refs %d but %d fd-table entr%s "
+                                "reference it",
+                                id, node.open_refs(), fd_refs,
+                                fd_refs == 1 ? "y" : "ies"));
+  }
+  if (node.nlink() < 0) {
+    violations.push_back(strfmt("negative nlink on inode %llu", id));
+  }
+  if (node.open_refs() < 0) {
+    violations.push_back(strfmt("negative open_refs on inode %llu", id));
+  }
+  if (node.is_symlink() && node.symlink_target().empty()) {
+    violations.push_back(
+        strfmt("symlink inode %llu has an empty target", id));
+  }
+}
+
+std::string dangling_entry(Ino dir, const std::string& name, Ino target) {
+  return strfmt("dangling entry: dir %llu '%s' -> unknown inode %llu",
+                static_cast<unsigned long long>(dir), name.c_str(),
+                static_cast<unsigned long long>(target));
+}
+
+std::string dangling_fd(std::size_t pid_index, std::size_t fd, Ino ino) {
+  return strfmt("dangling fd: pid %d fd %d -> unknown inode %llu",
+                static_cast<int>(pid_index + 1), static_cast<int>(fd),
+                static_cast<unsigned long long>(ino));
+}
+
+}  // namespace
+
 std::vector<std::string> Vfs::audit() const {
   std::vector<std::string> violations;
-  const auto report = [&violations](std::string msg) {
-    violations.push_back(std::move(msg));
-  };
 
   // Reference counts observed by walking every structure. Inos are dense,
   // so the counters are flat arrays sized once up front — a 10^5-inode
@@ -380,14 +435,11 @@ std::vector<std::string> Vfs::audit() const {
   entry_refs[root_] = 1;  // the root is self-anchored (nlink 1, no entry)
 
   for (std::size_t i = 0; i < inodes_.size(); ++i) {
-    const Ino ino = i + 1;
     const Inode& node = *inodes_[i];
     if (!node.is_dir()) continue;
     for (const auto& [name, target] : node.entries()) {
       if (!known(target)) {
-        report(strfmt("dangling entry: dir %llu '%s' -> unknown inode %llu",
-                      static_cast<unsigned long long>(ino), name.c_str(),
-                      static_cast<unsigned long long>(target)));
+        violations.push_back(dangling_entry(i + 1, name, target));
         continue;
       }
       ++entry_refs[target];
@@ -400,9 +452,7 @@ std::vector<std::string> Vfs::audit() const {
       const OpenFile& file = t.slots[fd];
       if (file.ino == kNoIno) continue;
       if (!known(file.ino)) {
-        report(strfmt("dangling fd: pid %d fd %d -> unknown inode %llu",
-                      static_cast<int>(i + 1), static_cast<int>(fd),
-                      static_cast<unsigned long long>(file.ino)));
+        violations.push_back(dangling_fd(i, fd, file.ino));
         continue;
       }
       ++fd_refs[file.ino];
@@ -410,34 +460,90 @@ std::vector<std::string> Vfs::audit() const {
   }
 
   for (std::size_t i = 0; i < inodes_.size(); ++i) {
-    const Ino ino = i + 1;
-    const Inode& node = *inodes_[i];
-    const int expect_nlink = entry_refs[ino];
-    if (node.nlink() != expect_nlink) {
-      report(strfmt("nlink mismatch: inode %llu has nlink %d but %d "
-                    "directory entr%s reference it",
-                    static_cast<unsigned long long>(ino), node.nlink(),
-                    expect_nlink, expect_nlink == 1 ? "y" : "ies"));
+    audit_inode(i + 1, *inodes_[i], entry_refs[i + 1], fd_refs[i + 1],
+                violations);
+  }
+  return violations;
+}
+
+std::vector<std::string> Vfs::audit_since(const Vfs& base) const {
+  // Fewer inodes than `base`: not a copy of it (reset, say), and base's
+  // entries would index past our table. Audit it whole.
+  if (inodes_.size() < base.inodes_.size()) return audit();
+  std::vector<std::string> violations;
+  const auto known = [this](Ino ino) {
+    return ino != kNoIno && ino <= inodes_.size();
+  };
+
+  // One record per reference that differs from `base` (+1 here, -1 in
+  // base) and one per changed inode; summed per inode below. A slot that
+  // still shares base's inode holds exactly base's inode, because
+  // inode_mut copies a shared inode before writing it. So only the
+  // entries of changed directories can differ, and every entry of an
+  // unchanged directory has a target known to base, hence to us.
+  struct Delta {
+    Ino ino;
+    int entries;
+    int fds;
+  };
+  std::vector<Delta> deltas;
+  for (std::size_t i = 0; i < inodes_.size(); ++i) {
+    const Inode* before =
+        i < base.inodes_.size() ? base.inodes_[i].get() : nullptr;
+    const Inode& now = *inodes_[i];
+    if (before == &now) continue;
+    deltas.push_back({i + 1, 0, 0});
+    if (before != nullptr && before->is_dir()) {
+      for (const auto& entry : before->entries()) {
+        deltas.push_back({entry.second, -1, 0});
+      }
     }
-    const int expect_refs = fd_refs[ino];
-    if (node.open_refs() != expect_refs) {
-      report(strfmt("open_refs mismatch: inode %llu has open_refs %d but "
-                    "%d fd-table entr%s reference it",
-                    static_cast<unsigned long long>(ino), node.open_refs(),
-                    expect_refs, expect_refs == 1 ? "y" : "ies"));
+    if (!now.is_dir()) continue;
+    for (const auto& [name, target] : now.entries()) {
+      if (!known(target)) {
+        violations.push_back(dangling_entry(i + 1, name, target));
+        continue;
+      }
+      deltas.push_back({target, 1, 0});
     }
-    if (node.nlink() < 0) {
-      report(strfmt("negative nlink on inode %llu",
-                    static_cast<unsigned long long>(ino)));
+  }
+  // The fd tables are small (one slot per open file): read both whole.
+  for (const FdTable& t : base.fd_tables_) {
+    for (const OpenFile& file : t.slots) {
+      if (file.ino != kNoIno) deltas.push_back({file.ino, 0, -1});
     }
-    if (node.open_refs() < 0) {
-      report(strfmt("negative open_refs on inode %llu",
-                    static_cast<unsigned long long>(ino)));
+  }
+  for (std::size_t i = 0; i < fd_tables_.size(); ++i) {
+    const FdTable& t = fd_tables_[i];
+    if (!t.touched) continue;
+    for (std::size_t fd = 0; fd < t.slots.size(); ++fd) {
+      const OpenFile& file = t.slots[fd];
+      if (file.ino == kNoIno) continue;
+      if (!known(file.ino)) {
+        violations.push_back(dangling_fd(i, fd, file.ino));
+        continue;
+      }
+      deltas.push_back({file.ino, 0, 1});
     }
-    if (node.is_symlink() && node.symlink_target().empty()) {
-      report(strfmt("symlink inode %llu has an empty target",
-                    static_cast<unsigned long long>(ino)));
+  }
+
+  // base's audit was clean, so each of its inodes' nlink and open_refs
+  // equal the references base holds to it; add what changed since.
+  std::sort(deltas.begin(), deltas.end(),
+            [](const Delta& a, const Delta& b) { return a.ino < b.ino; });
+  for (std::size_t k = 0; k < deltas.size();) {
+    const Ino ino = deltas[k].ino;
+    int entry_refs = 0;
+    int fd_refs = 0;
+    if (ino <= base.inodes_.size()) {
+      entry_refs = base.inodes_[ino - 1]->nlink();
+      fd_refs = base.inodes_[ino - 1]->open_refs();
     }
+    for (; k < deltas.size() && deltas[k].ino == ino; ++k) {
+      entry_refs += deltas[k].entries;
+      fd_refs += deltas[k].fds;
+    }
+    audit_inode(ino, *inodes_[ino - 1], entry_refs, fd_refs, violations);
   }
   return violations;
 }

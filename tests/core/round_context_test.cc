@@ -11,8 +11,10 @@
 #include <utility>
 #include <vector>
 
+#include "../testing/programs.h"
 #include "tocttou/common/error.h"
 #include "tocttou/common/state_hash.h"
+#include "tocttou/common/strings.h"
 #include "tocttou/core/harness.h"
 #include "tocttou/core/round_run.h"
 
@@ -253,6 +255,97 @@ TEST(RoundContextTest, TemplateIsRestagedWhenAnyStagingInputChanges) {
     SCOPED_TRACE(input);
     change(cfg);
     expect_matches_fresh(cfg);
+  }
+}
+
+// Plants one kind of damage, picked by `seed`, in a round's tree: the
+// seven kinds of the fs differential test, and none for one seed in
+// eight. Kind 0 damages a docroot file the web tenants open and close,
+// so the round copies that inode as well.
+void plant_damage(fs::Vfs& vfs, std::uint64_t seed, sim::Pid pid) {
+  const std::string dir = strfmt("/srv/data/t0/s0/u%d/v%d",
+                                 static_cast<int>(seed % 7),
+                                 static_cast<int>(seed / 8 % 8));
+  const fs::Ino file = vfs.lookup(dir + "/f0").value();
+  switch (seed % 8) {
+    case 0:
+      vfs.inode_mut(vfs.lookup(strfmt("/srv/www/f%d",
+                                      static_cast<int>(seed / 8 % 32)))
+                        .value())
+          .set_nlink(3);
+      break;
+    case 1:
+      vfs.fd_alloc(pid, file, fs::OpenFlags::read_only());
+      vfs.release_ref(file);
+      break;
+    case 2:
+      vfs.inode_mut(vfs.create_symlink(dir + "/ln", "/srv/data", 0, 0))
+          .set_symlink_target("");
+      break;
+    case 3:
+      vfs.unlink_entry(vfs.lookup(dir).value(), "f0");
+      vfs.inode_mut(file).set_nlink(1);
+      break;
+    case 4:
+      vfs.link_entry(vfs.lookup("/tmp").value(), "hard", file);
+      vfs.inode_mut(file).set_nlink(1);
+      break;
+    case 5:
+      vfs.inode_mut(file).set_nlink(-1);
+      break;
+    case 6:
+      vfs.alloc_inode(fs::FileType::regular, 0, 0, 0644).set_nlink(2);
+      break;
+    default:
+      break;
+  }
+}
+
+TEST(RoundContextTest, DeltaAuditOfReusedRoundsMatchesFullAuditOfFresh) {
+  // A round copied from the context's clean template audits only what
+  // it changed; a fresh round audits every inode. An extra program
+  // damages each round's tree mid-round, while the tenants run, and
+  // both audits must report the same lines, with and without kills.
+  programs::BackgroundSpec tenants;
+  sim::FaultPlan kills;
+  std::string err;
+  ASSERT_TRUE(programs::BackgroundSpec::parse("procs=32,inodes=2000",
+                                              &tenants, &err))
+      << err;
+  ASSERT_TRUE(sim::FaultPlan::parse("kill:0.002,error:0.02:errno=eintr",
+                                    &kills, &err))
+      << err;
+  for (const bool with_kills : {false, true}) {
+    SCOPED_TRACE(with_kills ? "kills" : "no faults");
+    RoundContext ctx;
+    std::size_t violations = 0;
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+      SCOPED_TRACE(seed);
+      ScenarioConfig cfg = smp_vi(seed);
+      cfg.background = tenants;
+      if (with_kills) cfg.faults = kills;
+      cfg.extra_programs.push_back(
+          {"vandal", 0, 0, [seed](fs::Vfs& vfs) {
+             bool waited = false;
+             return std::make_unique<testing::LambdaProgram>(
+                 [&vfs, seed, waited](sim::ProgramContext& pc) mutable {
+                   if (!waited) {
+                     waited = true;
+                     return sim::Action::compute(
+                         Duration::micros(40 * static_cast<std::int64_t>(
+                                                   seed % 5 + 1)));
+                   }
+                   plant_damage(vfs, seed, pc.self.pid());
+                   return sim::Action::exit_proc();
+                 });
+           }});
+      const RoundResult fresh = run_round(cfg);
+      const RoundResult reused = run_round(cfg, &ctx);
+      expect_identical(fresh, reused);
+      violations += reused.audit_violations.size();
+    }
+    EXPECT_EQ(ctx.reuses(), 15u);
+    EXPECT_GE(violations, 14u);  // every seed but the two undamaged ones
   }
 }
 

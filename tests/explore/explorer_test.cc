@@ -109,7 +109,9 @@ TEST(ExplorerTest, PctModeIsSeededAndBounded) {
   EXPECT_EQ(a.successes, b.successes);
   EXPECT_EQ(a.schedules_to_first_hit, b.schedules_to_first_hit);
   ASSERT_EQ(a.witness.has_value(), b.witness.has_value());
-  if (a.witness) EXPECT_EQ(a.witness->serialize(), b.witness->serialize());
+  if (a.witness) {
+    EXPECT_EQ(a.witness->serialize(), b.witness->serialize());
+  }
   // SMP gedit succeeds on essentially every schedule.
   EXPECT_GT(a.successes, 0);
 }

@@ -79,7 +79,9 @@ void expect_same_result(const ExploreResult& a, const ExploreResult& b) {
   EXPECT_EQ(a.total_mass, b.total_mass);
   EXPECT_EQ(a.successes, b.successes);
   ASSERT_EQ(a.witness.has_value(), b.witness.has_value());
-  if (a.witness) EXPECT_EQ(a.witness->serialize(), b.witness->serialize());
+  if (a.witness) {
+    EXPECT_EQ(a.witness->serialize(), b.witness->serialize());
+  }
   EXPECT_EQ(a.witness_divergences, b.witness_divergences);
   EXPECT_EQ(a.schedules_to_first_hit, b.schedules_to_first_hit);
   EXPECT_EQ(a.window_us.count(), b.window_us.count());

@@ -1,7 +1,7 @@
-// Regression pins for the string_view path walker: split_path_views /
-// count_path_components must agree with split_path exactly, and the
-// Vfs lookup/walk_prefix behaviour (normalization, symlink following,
-// error codes) must be unchanged by the no-copy component scan.
+// Regression pins for the in-place path walker: the next_path_component
+// cursor and count_path_components must agree with split_path exactly,
+// and the Vfs lookup/walk_prefix behaviour (normalization, symlink
+// following, error codes) must be unchanged by the allocation-free walk.
 #include <gtest/gtest.h>
 
 #include "tocttou/common/strings.h"
@@ -10,9 +10,19 @@
 namespace tocttou::fs {
 namespace {
 
+std::vector<std::string_view> cursor_views(std::string_view path) {
+  std::vector<std::string_view> out;
+  std::size_t pos = 0;
+  for (std::string_view c = next_path_component(path, pos); !c.empty();
+       c = next_path_component(path, pos)) {
+    out.push_back(c);
+  }
+  return out;
+}
+
 std::vector<std::string> views_as_strings(std::string_view path) {
   std::vector<std::string> out;
-  for (std::string_view v : split_path_views(path)) out.emplace_back(v);
+  for (std::string_view v : cursor_views(path)) out.emplace_back(v);
   return out;
 }
 
@@ -32,7 +42,7 @@ TEST(PathViewTest, ViewSplitMatchesStringSplit) {
 
 TEST(PathViewTest, ViewsAliasTheInputBuffer) {
   const std::string path = "/etc/passwd";
-  const auto parts = split_path_views(path);
+  const auto parts = cursor_views(path);
   ASSERT_EQ(parts.size(), 2u);
   // Zero-copy: each view must point into the original string.
   for (std::string_view v : parts) {

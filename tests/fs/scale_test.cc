@@ -4,10 +4,13 @@
 // which is exactly where an accidental O(n log n) in the audit or a
 // broken hashed-directory index would hide. These tests pin the
 // auditor's verdicts on a 10^4-inode tree and check that reset()
-// returns a staged tree to a fresh one.
+// returns a staged tree to a fresh one. The delta audit (audit_since)
+// must report exactly the full audit's lines on a damaged copy of it.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "tocttou/common/strings.h"
@@ -56,6 +59,85 @@ TEST(VfsScaleTest, AuditFlagsPlantedCorruptionIn10kInodeTree) {
   const auto v = vfs.audit();
   ASSERT_EQ(v.size(), 1u);
   EXPECT_TRUE(any_line_contains(v, "nlink mismatch")) << v.front();
+}
+
+TEST(VfsScaleTest, AuditSinceFlagsPlantedCorruptionInACopyOf10kInodeTree) {
+  // The twin of the test above, on a copy of the staged tree: the delta
+  // audit against the clean original must find the same one needle.
+  Vfs base(SyscallCosts::xeon());
+  programs::stage_background_tree(base, scale_spec());
+  ASSERT_TRUE(base.audit().empty());
+  Vfs copy = base;
+  const auto victim = copy.lookup("/srv/data/t0/s0/u0/v0/f0");
+  ASSERT_TRUE(victim.ok());
+  copy.inode_mut(victim.value()).set_nlink(7);
+  const auto v = copy.audit_since(base);
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_TRUE(any_line_contains(v, "nlink mismatch")) << v.front();
+}
+
+TEST(VfsScaleTest, AuditSinceMatchesAuditOnEachPlantedFault) {
+  // Each fault is planted in a copy of the clean staged tree, in a leaf
+  // directory of its own; audit_since(base) must return audit()'s lines
+  // exactly, one fault at a time and all seven in one copy. The base
+  // holds an open fd, so both trees' fd tables count.
+  Vfs base(SyscallCosts::xeon());
+  programs::stage_background_tree(base, scale_spec());
+  base.fd_alloc(7, base.lookup("/srv/data/t0/s0/u0/v1/f0").value(),
+                OpenFlags::read_only());
+  ASSERT_TRUE(base.audit().empty());
+  const auto dir = [&base](int k) {
+    return base.lookup(strfmt("/srv/data/t0/s0/u0/v%d", k)).value();
+  };
+  const auto file = [&base](int k) {
+    return base.lookup(strfmt("/srv/data/t0/s0/u0/v%d/f0", k)).value();
+  };
+  const Ino spare_dir = base.lookup("/srv/data/t0/s0/u1/v0").value();
+  const std::vector<std::pair<const char*, std::function<void(Vfs&)>>>
+      faults = {
+          {"nlink change on a shared inode",
+           [&](Vfs& v) { v.inode_mut(file(0)).set_nlink(3); }},
+          {"fd whose open ref was dropped",
+           [&](Vfs& v) {
+             v.fd_alloc(7, file(1), OpenFlags::read_only());
+             v.release_ref(file(1));
+           }},
+          {"empty symlink target",
+           [&](Vfs& v) {
+             const Ino link = v.create_symlink("/srv/data/t0/s0/u0/v2/ln",
+                                               "/srv/data", 0, 0);
+             v.inode_mut(link).set_symlink_target("");
+           }},
+          {"entry unlinked with a stale nlink",
+           [&](Vfs& v) {
+             v.unlink_entry(dir(3), "f0");
+             v.inode_mut(file(3)).set_nlink(1);
+           }},
+          {"extra hard link",
+           [&](Vfs& v) {
+             v.link_entry(spare_dir, "hard", file(4));
+             v.inode_mut(file(4)).set_nlink(1);
+           }},
+          {"negative nlink",
+           [&](Vfs& v) { v.inode_mut(file(5)).set_nlink(-1); }},
+          {"fresh inode",
+           [&](Vfs& v) {
+             v.alloc_inode(FileType::regular, 0, 0, 0644).set_nlink(2);
+           }},
+      };
+  Vfs all = base;
+  for (const auto& [name, plant] : faults) {
+    SCOPED_TRACE(name);
+    Vfs copy = base;
+    plant(copy);
+    plant(all);
+    const auto full = copy.audit();
+    EXPECT_FALSE(full.empty());
+    EXPECT_EQ(copy.audit_since(base), full);
+  }
+  const auto full = all.audit();
+  EXPECT_GE(full.size(), faults.size());
+  EXPECT_EQ(all.audit_since(base), full);
 }
 
 StateHasher::Digest digest_of(const Vfs& vfs) {
