@@ -100,32 +100,29 @@ std::vector<Workload> workloads() {
   return out;
 }
 
-/// Raw queue throughput: push/pop churn with a live heap, mimicking the
-/// kernel's schedule-then-fire pattern.
+/// Raw queue throughput: push/pop churn of typed events with a live
+/// heap, mimicking the kernel's schedule-then-fire pattern.
 double queue_ops_per_sec() {
   constexpr int kEvents = 2'000'000;
   sim::EventQueue q;
   long long fired = 0;
-  struct Tick {
-    sim::EventQueue* q;
-    long long* fired;
-    int left;
-    void operator()() const {
-      ++*fired;
-      if (left > 0) {
-        // Two children per event keep ~32 events pending, like a busy
-        // round; times interleave so pops hit the sift-down path.
-        q->schedule_after(Duration::nanos(37), Tick{q, fired, left - 2});
-        q->schedule_after(Duration::nanos(91), Tick{q, fired, left - 2});
-      }
-    }
-  };
+  sim::Event ev{};
   const auto t0 = Clock::now();
   while (fired < kEvents) {
     if (q.empty()) {
-      q.schedule_after(Duration::nanos(13), Tick{&q, &fired, 10});
+      q.schedule_at(q.now() + Duration::nanos(13),
+                    {sim::EventKind::segment_end, 1, 10});
     }
-    q.run_next();
+    q.pop(&ev);
+    ++fired;
+    if (ev.arg > 0) {
+      // Two children per event keep ~32 events pending, like a busy
+      // round; times interleave so pops hit the sift-down path.
+      q.schedule_at(q.now() + Duration::nanos(37),
+                    {ev.kind, ev.pid, ev.arg - 2});
+      q.schedule_at(q.now() + Duration::nanos(91),
+                    {ev.kind, ev.pid, ev.arg - 2});
+    }
   }
   return static_cast<double>(fired) / seconds_since(t0);
 }

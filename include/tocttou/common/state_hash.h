@@ -7,8 +7,8 @@
 // the same policy. Each simulation component implements a
 // `hash_state(StateHasher&)` visitor that feeds its fields in a fixed
 // canonical order; components that cannot promise completeness (unknown
-// Program subclasses, untagged pending events, rounds with fault injectors)
-// call mark_unhashable() and the explorer simply never merges them —
+// Program subclasses, rounds with fault injectors) call
+// mark_unhashable() and the explorer simply never merges them —
 // unhashable is always safe, a wrong hash never is.
 //
 // The digest is 128 bits: two FNV-1a-shaped 64-bit streams over the same

@@ -32,10 +32,6 @@
 #include "tocttou/explore/token.h"
 #include "tocttou/sim/ids.h"
 
-namespace tocttou::sim {
-class Process;
-}
-
 namespace tocttou::explore {
 
 /// Everything known at a choice site when it must be resolved.
@@ -43,10 +39,10 @@ struct ChoiceContext {
   ChoiceKind kind = ChoiceKind::pick;
   int n = 0;       // number of options (always >= 2 at a site)
   int policy = 0;  // the option the underlying scheduling policy takes
-  /// pick: the candidate process per option, in option order.
+  /// pick: the candidate pid per option, in option order.
   /// preempt: {woken, running} (options are 0 = don't preempt, 1 = do).
   /// place: empty (options are idle CPUs, see `cpus`).
-  std::vector<const sim::Process*> procs;
+  std::vector<sim::Pid> procs;
   std::vector<sim::CpuId> cpus;  // place: the idle CPU per option
 };
 

@@ -42,7 +42,7 @@ class ExploringScheduler final : public sim::Scheduler {
   ExploringScheduler(sched::LinuxSchedParams params,
                      ChoiceSource* const* slot);
 
-  std::unique_ptr<sim::Scheduler> clone(sim::CloneMap& m) const override;
+  std::unique_ptr<sim::Scheduler> clone() const override;
 
   /// Re-points choice reads at another worker's slot. A checkpoint seed
   /// cloned by one worker and adopted by another must read the adopting
@@ -53,10 +53,10 @@ class ExploringScheduler final : public sim::Scheduler {
   sim::CpuId place(const sim::Process& p,
                    const std::vector<sim::CpuId>& idle_cpus,
                    const std::vector<sim::CpuId>& allowed_cpus) override;
-  void enqueue(sim::Process& p, sim::CpuId cpu, bool front) override;
-  sim::Process* pick_next(sim::CpuId cpu) override;
-  sim::Process* steal(sim::CpuId thief) override;
-  void remove(const sim::Process& p) override;
+  void enqueue(const sim::Process& p, sim::CpuId cpu, bool front) override;
+  sim::Pid pick_next(sim::CpuId cpu) override;
+  sim::Pid steal(sim::CpuId thief) override;
+  void remove(sim::Pid pid) override;
   bool should_preempt(const sim::Process& woken,
                       const sim::Process& running) const override;
   bool should_yield_on_expiry(const sim::Process& running,
@@ -69,16 +69,17 @@ class ExploringScheduler final : public sim::Scheduler {
   void hash_state(StateHasher& h) const override { inner_.hash_state(h); }
 
  private:
-  ExploringScheduler(const ExploringScheduler& o, sim::CloneMap& m);
+  ChoiceSource& source() const {
+    return slot_ != nullptr ? **slot_ : *direct_;
+  }
 
   sched::LinuxLikeScheduler inner_;
   bool wake_preempts_equal_priority_;
-  /// Direct-ctor storage; unused (nullptr) in slot mode.
+  /// The direct ctor's source; unused (nullptr) in slot mode.
   ChoiceSource* direct_ = nullptr;
-  /// Where choices are read from: &direct_ (direct ctor) or the caller's
-  /// external slot. A clone of a direct-mode scheduler re-points at its
-  /// own direct_; a clone of a slot-mode scheduler shares the slot.
-  ChoiceSource* const* slot_;
+  /// The caller's external slot; nullptr in direct mode. A copy shares
+  /// the slot, or the source in direct mode.
+  ChoiceSource* const* slot_ = nullptr;
 };
 
 }  // namespace tocttou::explore

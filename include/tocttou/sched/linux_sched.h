@@ -16,10 +16,11 @@
 // Run queues: a 512-level priority bitmap per CPU with an intrusive
 // pid-linked FIFO per level. enqueue/pick/take/remove are O(1) (pick is
 // O(words) over 8 bitmap words), so a run queue holding thousands of
-// tenant processes costs the same per event as one holding three. Links
-// are stored as Pids, which are stable across checkpoint clones — only
-// the cached Process* needs remapping. tests/sched/ checks the queue
-// against a plain reference queue on randomized operation traces.
+// tenant processes costs the same per event as one holding three. The
+// queues are pids and plain data only — each node keeps the affinity
+// mask idle balancing reads — so a checkpoint clone is a plain copy.
+// tests/sched/ checks the queue against a plain reference queue on
+// randomized operation traces.
 #pragma once
 
 #include <array>
@@ -50,10 +51,10 @@ class LinuxLikeScheduler final : public sim::Scheduler {
   sim::CpuId place(const sim::Process& p,
                    const std::vector<sim::CpuId>& idle_cpus,
                    const std::vector<sim::CpuId>& allowed_cpus) override;
-  void enqueue(sim::Process& p, sim::CpuId cpu, bool front) override;
-  sim::Process* pick_next(sim::CpuId cpu) override;
-  sim::Process* steal(sim::CpuId thief) override;
-  void remove(const sim::Process& p) override;
+  void enqueue(const sim::Process& p, sim::CpuId cpu, bool front) override;
+  sim::Pid pick_next(sim::CpuId cpu) override;
+  sim::Pid steal(sim::CpuId thief) override;
+  void remove(sim::Pid pid) override;
   bool should_preempt(const sim::Process& woken,
                       const sim::Process& running) const override;
   bool should_yield_on_expiry(const sim::Process& running,
@@ -61,24 +62,20 @@ class LinuxLikeScheduler final : public sim::Scheduler {
   Duration fresh_slice(const sim::Process& p) const override;
   std::size_t queue_depth(sim::CpuId cpu) const override;
 
-  /// The processes pick_next would choose among: the ready tasks of the
+  /// The processes pick_next would choose among: the tasks of the
   /// highest non-empty priority level on `cpu`, in FIFO order (index 0 is
   /// what pick_next itself would return). Used by the explore subsystem
   /// to branch the run-queue order at a genuine choice point.
-  std::vector<sim::Process*> pick_candidates(sim::CpuId cpu) const;
+  std::vector<sim::Pid> pick_candidates(sim::CpuId cpu) const;
 
   /// Dequeues a specific process previously returned by pick_candidates.
-  /// Returns false if `p` is not queued on `cpu` (the queue is unchanged).
-  bool take(sim::Process& p, sim::CpuId cpu);
+  /// Returns false if `pid` is not queued on `cpu` (the queue is
+  /// unchanged).
+  bool take(sim::Pid pid, sim::CpuId cpu);
 
-  std::unique_ptr<sim::Scheduler> clone(sim::CloneMap& m) const override;
+  std::unique_ptr<sim::Scheduler> clone() const override;
 
   void hash_state(StateHasher& h) const override;
-
-  /// Rebind copy for checkpoint clones: copies the queues, remapping each
-  /// queued Process* through `m`. Public so wrappers that embed this
-  /// policy by value (ExploringScheduler) can clone their member.
-  LinuxLikeScheduler(const LinuxLikeScheduler& o, sim::CloneMap& m);
 
  private:
   // Priorities are mapped to levels [0, kLevels) with level = prio +
@@ -90,10 +87,10 @@ class LinuxLikeScheduler final : public sim::Scheduler {
 
   /// Per-process queue node, indexed by pid-1. A process is on at most
   /// one run queue (the kernel dequeues before any state change), so the
-  /// FIFO links can live in the node. Links are Pids — clone-stable —
-  /// and `proc` caches the Process* while queued (remapped on clone).
+  /// FIFO links can live in the node. `affinity` is the process's mask,
+  /// copied at enqueue for steal().
   struct Node {
-    sim::Process* proc = nullptr;
+    std::uint64_t affinity = 0;
     sim::Pid prev = sim::kNoPid;
     sim::Pid next = sim::kNoPid;
     sim::CpuId cpu = sim::kNoCpu;  // kNoCpu = not queued
@@ -111,8 +108,8 @@ class LinuxLikeScheduler final : public sim::Scheduler {
   const BitmapQueue& bq(sim::CpuId cpu) const;
   Node& node(sim::Pid pid);
   static int level_of(const sim::Process& p);
-  void bq_link(BitmapQueue& q, sim::Process& p, bool front);
-  void bq_unlink(BitmapQueue& q, Node& n);
+  void bq_link(BitmapQueue& q, const sim::Process& p, bool front);
+  void bq_unlink(BitmapQueue& q, sim::Pid pid);
   /// Highest set level with a non-empty FIFO, or -1.
   static int highest_level(const BitmapQueue& q);
 

@@ -4,8 +4,9 @@
 // Kernel, processes, programs, service ops, fault injector, trace and
 // metrics sinks. Those objects hold raw pointers into each other
 // (syscall output slots into programs, the `Vfs*` of programs and ops,
-// `Process*` in run queues, observer pointers into programs); nothing
-// points into an inode, which ops name by number. CloneMap translates
+// observer pointers into programs); nothing points into an inode, which
+// ops name by number, or into a process, which pending events, run
+// queues, semaphores and flags name by pid. CloneMap translates
 // old-graph pointers to their new-graph equivalents: each cloned object
 // registers the byte range it replaces, and interior pointers resolve
 // by offset within a registered range. Ops and programs rebind their
@@ -39,9 +40,9 @@ class CloneMap {
   void* remap_raw(const void* old_ptr) const {
     if (old_ptr == nullptr) return nullptr;
     const auto p = reinterpret_cast<std::uintptr_t>(old_ptr);
-    // Linear scan: a round registers one range per process and per
-    // program plus a few sinks, and most remaps hit the recently added
-    // ones — search newest-first.
+    // Linear scan: a round registers one range per program plus a few
+    // sinks, and most remaps hit the recently added ones — search
+    // newest-first.
     for (auto it = ranges_.rbegin(); it != ranges_.rend(); ++it) {
       if (p >= it->old_base && p < it->old_base + it->bytes) {
         return reinterpret_cast<void*>(it->new_base + (p - it->old_base));

@@ -3,7 +3,10 @@
 // runs on; see DESIGN.md §4 for the architecture. A round's observers
 // and fault injector attach here and nowhere else: the kernel makes
 // every fault decision and produces every simulation-time metric (ops
-// report theirs through metrics()).
+// report theirs through metrics()). Its pending work is typed events
+// (sim/event_queue.h) that step() dispatches through one switch, and its
+// run queues hold pids: what a checkpoint fork copies and the state
+// digest hashes is plain data, exactly as the kernel will run it.
 #pragma once
 
 #include <functional>
@@ -47,10 +50,11 @@ class Kernel {
   /// Checkpoint support: deep-copies a mid-round kernel. The caller must
   /// have registered the surrounding round state (the Vfs,
   /// trace/metrics/fault sinks, shared attack state) in `m` first; this
-  /// ctor registers the process table, then clones the scheduler,
-  /// programs, and in-flight service ops against the new addresses.
-  /// Pending events carry only stable pids, so the copied queue replays
-  /// identically against the clone (see EventQueue).
+  /// ctor copies the process table, then clones the programs and
+  /// in-flight service ops against the new addresses. Its own state —
+  /// pending events, run queues, CPU occupancy — names processes by pid
+  /// only, so it is copied as it is: nothing in it is remapped, and no
+  /// process registers a range in `m`.
   Kernel(const Kernel& o, CloneMap& m);
 
   /// Creates a process; it becomes runnable immediately (dispatch happens
@@ -66,10 +70,11 @@ class Kernel {
   /// Runs until every non-kernel process has exited (or limit).
   bool run_to_exit(SimTime limit = SimTime::never());
 
-  /// Single-step: executes exactly one pending event. Returns false (and
-  /// does nothing) when the queue is empty. The checkpoint/fork explorer
-  /// drives rounds event-by-event so it can stop at a fork boundary.
-  bool step() { return queue_.run_next(this); }
+  /// Single-step: pops exactly one pending event and dispatches it by
+  /// kind. Returns false (and does nothing) when the queue is empty. The
+  /// checkpoint/fork explorer drives rounds event-by-event so it can stop
+  /// at a fork boundary.
+  bool step();
 
   /// Timestamp of the next pending event (SimTime::never() when idle).
   SimTime next_event_time() const { return queue_.peek_time(); }
@@ -123,11 +128,12 @@ class Kernel {
   void set_metrics(metrics::Registry* metrics) { metrics_ = metrics; }
   metrics::Registry* metrics() const { return metrics_; }
 
-  /// Canonical state digest contribution (DESIGN.md §10): event queue,
-  /// rng, process table (including program/op state machines), CPU
-  /// occupancy, and scheduler run queues. Rounds with a fault injector
-  /// attached are unhashable — the injector's trigger counters are
-  /// future-relevant state the kernel cannot see.
+  /// Canonical state digest contribution (DESIGN.md §10): pending
+  /// events (a segment end only while it can still fire), rng, process
+  /// table (including program/op state machines), CPU occupancy, and
+  /// scheduler run queues. Rounds with a fault injector attached are
+  /// unhashable — the injector's trigger counters are future-relevant
+  /// state the kernel cannot see.
   void hash_state(StateHasher& h) const;
 
   /// Attaches a synchronization-event sink for this round (nullptr =
@@ -142,7 +148,6 @@ class Kernel {
  private:
   struct CpuState {
     Pid running = kNoPid;
-    SimTime busy_since;
   };
 
   // --- dispatch & execution machinery ---

@@ -2,8 +2,10 @@
 //
 // The kernel owns the mechanism (dispatching, preemption plumbing, time
 // accounting); a Scheduler supplies the policy: run-queue order, CPU
-// placement, wakeup preemption, and slice sizing. tocttou/sched provides
-// the Linux-2.6-flavored implementation used by all experiments.
+// placement, wakeup preemption, and slice sizing. Run queues name
+// processes by pid and hold no pointer, so a checkpoint's copy of a
+// scheduler is a plain copy. tocttou/sched provides the
+// Linux-2.6-flavored implementation used by all experiments.
 #pragma once
 
 #include <memory>
@@ -16,7 +18,6 @@
 
 namespace tocttou::sim {
 
-class CloneMap;
 class Process;
 
 class Scheduler {
@@ -37,20 +38,22 @@ class Scheduler {
   /// wakeup, which must resume before their round-robin peers (as in the
   /// Linux O(1) scheduler, where a preempted task never left the head of
   /// its list).
-  virtual void enqueue(Process& p, CpuId cpu, bool front) = 0;
+  /// A queued process is always ready: the kernel enqueues only ready
+  /// processes and changes a process's state only once it is dequeued.
+  virtual void enqueue(const Process& p, CpuId cpu, bool front) = 0;
 
-  /// Pops the next process to run on `cpu`; nullptr if the queue is empty.
-  virtual Process* pick_next(CpuId cpu) = 0;
+  /// Pops the next process to run on `cpu`; kNoPid if the queue is empty.
+  virtual Pid pick_next(CpuId cpu) = 0;
 
-  /// Idle balancing: `thief` has an empty queue; pull a runnable process
-  /// whose affinity allows `thief` from another CPU's queue (nullptr if
+  /// Idle balancing: `thief` has an empty queue; pull a queued process
+  /// whose affinity allows `thief` from another CPU's queue (kNoPid if
   /// nothing can be migrated). Mirrors the Linux idle-pull path — without
   /// it, a third process can starve behind a spinner while another CPU
   /// idles.
-  virtual Process* steal(CpuId thief) = 0;
+  virtual Pid steal(CpuId thief) = 0;
 
-  /// Removes an exited or migrating process from any queue.
-  virtual void remove(const Process& p) = 0;
+  /// Removes a process from whichever queue holds it, if any.
+  virtual void remove(Pid pid) = 0;
 
   /// True if `woken` (just enqueued on `cpu`) should preempt `running`.
   virtual bool should_preempt(const Process& woken,
@@ -67,12 +70,9 @@ class Scheduler {
   /// Number of queued (not running) processes on `cpu`.
   virtual std::size_t queue_depth(CpuId cpu) const = 0;
 
-  /// Checkpoint support: deep-copies the run-queue state for a cloned
-  /// kernel, remapping queued `Process*` through `m` (the clone's
-  /// process table must already be registered). Fails hard by default
-  /// (see Program::clone).
-  virtual std::unique_ptr<Scheduler> clone(CloneMap& m) const {
-    (void)m;
+  /// Checkpoint support: a copy of the run-queue state for a cloned
+  /// kernel. Fails hard by default (see Program::clone).
+  virtual std::unique_ptr<Scheduler> clone() const {
     TOCTTOU_CHECK(false, "scheduler does not support checkpoint clone");
     return nullptr;
   }

@@ -5,16 +5,6 @@
 
 namespace tocttou {
 
-std::vector<std::string> split_path(std::string_view path) {
-  std::vector<std::string> parts;
-  std::size_t pos = 0;
-  for (std::string_view c = next_path_component(path, pos); !c.empty();
-       c = next_path_component(path, pos)) {
-    parts.emplace_back(c);
-  }
-  return parts;
-}
-
 std::size_t count_path_components(std::string_view path) {
   std::size_t n = 0;
   std::size_t pos = 0;
@@ -24,16 +14,6 @@ std::size_t count_path_components(std::string_view path) {
 
 bool is_absolute_path(std::string_view path) {
   return !path.empty() && path.front() == '/';
-}
-
-std::string join_path(const std::vector<std::string>& components) {
-  if (components.empty()) return "/";
-  std::string out;
-  for (const auto& c : components) {
-    out += '/';
-    out += c;
-  }
-  return out;
 }
 
 std::string strfmt(const char* fmt, ...) {
@@ -65,11 +45,6 @@ std::string csv_escape(std::string_view field) {
   }
   out += '"';
   return out;
-}
-
-std::string pad_left(std::string_view s, std::size_t width) {
-  if (s.size() >= width) return std::string(s);
-  return std::string(width - s.size(), ' ') + std::string(s);
 }
 
 std::string pad_right(std::string_view s, std::size_t width) {

@@ -2,7 +2,6 @@
 
 #include "tocttou/common/error.h"
 #include "tocttou/common/strings.h"
-#include "tocttou/sim/process.h"
 
 namespace tocttou::explore {
 
@@ -14,10 +13,7 @@ SiteRecord make_record(const ChoiceContext& ctx, int chosen) {
   rec.choice.chosen = static_cast<std::uint16_t>(chosen);
   rec.choice.n = static_cast<std::uint16_t>(ctx.n);
   rec.policy = static_cast<std::uint16_t>(ctx.policy);
-  if (ctx.kind == ChoiceKind::pick) {
-    rec.options.reserve(ctx.procs.size());
-    for (const sim::Process* p : ctx.procs) rec.options.push_back(p->pid());
-  }
+  if (ctx.kind == ChoiceKind::pick) rec.options = ctx.procs;
   return rec;
 }
 
@@ -103,18 +99,18 @@ int PctSource::choose(const ChoiceContext& ctx) {
     case ChoiceKind::pick: {
       Pri best{};
       for (int i = 0; i < ctx.n; ++i) {
-        const Pri p = priority_of(ctx.procs[static_cast<std::size_t>(i)]->pid());
+        const Pri p = priority_of(ctx.procs[static_cast<std::size_t>(i)]);
         if (i == 0 || best < p) {
           best = p;
           chosen = i;
         }
       }
-      winner = ctx.procs[static_cast<std::size_t>(chosen)]->pid();
+      winner = ctx.procs[static_cast<std::size_t>(chosen)];
       break;
     }
     case ChoiceKind::preempt: {
-      const sim::Pid woken = ctx.procs[0]->pid();
-      const sim::Pid running = ctx.procs[1]->pid();
+      const sim::Pid woken = ctx.procs[0];
+      const sim::Pid running = ctx.procs[1];
       const bool preempts = priority_of(running) < priority_of(woken);
       chosen = preempts ? 1 : 0;
       winner = preempts ? woken : running;

@@ -8,14 +8,14 @@
 namespace tocttou::explore {
 
 using sim::CpuId;
+using sim::Pid;
 using sim::Process;
 
 ExploringScheduler::ExploringScheduler(sched::LinuxSchedParams params,
                                        ChoiceSource* source)
     : inner_(params),
       wake_preempts_equal_priority_(params.wake_preempts_equal_priority),
-      direct_(source),
-      slot_(&direct_) {
+      direct_(source) {
   TOCTTOU_CHECK(source != nullptr, "exploring scheduler needs a source");
 }
 
@@ -27,16 +27,8 @@ ExploringScheduler::ExploringScheduler(sched::LinuxSchedParams params,
   TOCTTOU_CHECK(slot != nullptr, "exploring scheduler needs a source slot");
 }
 
-ExploringScheduler::ExploringScheduler(const ExploringScheduler& o,
-                                       sim::CloneMap& m)
-    : inner_(o.inner_, m),
-      wake_preempts_equal_priority_(o.wake_preempts_equal_priority_),
-      direct_(o.direct_),
-      slot_(o.slot_ == &o.direct_ ? &direct_ : o.slot_) {}
-
-std::unique_ptr<sim::Scheduler> ExploringScheduler::clone(
-    sim::CloneMap& m) const {
-  return std::unique_ptr<sim::Scheduler>(new ExploringScheduler(*this, m));
+std::unique_ptr<sim::Scheduler> ExploringScheduler::clone() const {
+  return std::make_unique<ExploringScheduler>(*this);
 }
 
 void ExploringScheduler::init(int n_cpus) { inner_.init(n_cpus); }
@@ -54,29 +46,29 @@ CpuId ExploringScheduler::place(const Process& p,
   ctx.n = static_cast<int>(idle_cpus.size());
   ctx.policy = static_cast<int>(it - idle_cpus.begin());
   ctx.cpus = idle_cpus;
-  return idle_cpus[static_cast<std::size_t>((*slot_)->choose(ctx))];
+  return idle_cpus[static_cast<std::size_t>(source().choose(ctx))];
 }
 
-void ExploringScheduler::enqueue(Process& p, CpuId cpu, bool front) {
+void ExploringScheduler::enqueue(const Process& p, CpuId cpu, bool front) {
   inner_.enqueue(p, cpu, front);
 }
 
-Process* ExploringScheduler::pick_next(CpuId cpu) {
-  const std::vector<Process*> cand = inner_.pick_candidates(cpu);
-  if (cand.size() < 2) return inner_.pick_next(cpu);
+Pid ExploringScheduler::pick_next(CpuId cpu) {
   ChoiceContext ctx;
+  ctx.procs = inner_.pick_candidates(cpu);
+  if (ctx.procs.size() < 2) return inner_.pick_next(cpu);
   ctx.kind = ChoiceKind::pick;
-  ctx.n = static_cast<int>(cand.size());
+  ctx.n = static_cast<int>(ctx.procs.size());
   ctx.policy = 0;  // FIFO order: the policy runs the head
-  ctx.procs.assign(cand.begin(), cand.end());
-  Process* chosen = cand[static_cast<std::size_t>((*slot_)->choose(ctx))];
-  TOCTTOU_CHECK(inner_.take(*chosen, cpu), "chosen candidate left the queue");
+  const auto option = static_cast<std::size_t>(source().choose(ctx));
+  const Pid chosen = ctx.procs[option];
+  TOCTTOU_CHECK(inner_.take(chosen, cpu), "chosen candidate left the queue");
   return chosen;
 }
 
-Process* ExploringScheduler::steal(CpuId thief) { return inner_.steal(thief); }
+Pid ExploringScheduler::steal(CpuId thief) { return inner_.steal(thief); }
 
-void ExploringScheduler::remove(const Process& p) { inner_.remove(p); }
+void ExploringScheduler::remove(Pid pid) { inner_.remove(pid); }
 
 bool ExploringScheduler::should_preempt(const Process& woken,
                                         const Process& running) const {
@@ -94,8 +86,8 @@ bool ExploringScheduler::should_preempt(const Process& woken,
   ctx.kind = ChoiceKind::preempt;
   ctx.n = 2;  // 0 = don't preempt, 1 = preempt
   ctx.policy = wake_preempts_equal_priority_ ? 1 : 0;
-  ctx.procs = {&woken, &running};
-  return (*slot_)->choose(ctx) == 1;
+  ctx.procs = {woken.pid(), running.pid()};
+  return source().choose(ctx) == 1;
 }
 
 bool ExploringScheduler::should_yield_on_expiry(const Process& running,

@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "tocttou/common/error.h"
-#include "tocttou/sim/clone.h"
 
 namespace tocttou::sched {
 
@@ -20,19 +19,8 @@ void LinuxLikeScheduler::init(int n_cpus) {
   nodes_.clear();
 }
 
-LinuxLikeScheduler::LinuxLikeScheduler(const LinuxLikeScheduler& o,
-                                       sim::CloneMap& m)
-    : params_(o.params_), bqueues_(o.bqueues_), nodes_(o.nodes_) {
-  // Links are Pids — stable across the clone (the process table is copied
-  // index-for-index); only the cached Process* of queued nodes remaps.
-  for (Node& n : nodes_) {
-    if (n.cpu != sim::kNoCpu) n.proc = m.remap(n.proc);
-  }
-}
-
-std::unique_ptr<sim::Scheduler> LinuxLikeScheduler::clone(
-    sim::CloneMap& m) const {
-  return std::unique_ptr<sim::Scheduler>(new LinuxLikeScheduler(*this, m));
+std::unique_ptr<sim::Scheduler> LinuxLikeScheduler::clone() const {
+  return std::make_unique<LinuxLikeScheduler>(*this);
 }
 
 // ---------------------------------------------------------------------------
@@ -65,12 +53,13 @@ int LinuxLikeScheduler::level_of(const Process& p) {
   return level;
 }
 
-void LinuxLikeScheduler::bq_link(BitmapQueue& q, Process& p, bool front) {
+void LinuxLikeScheduler::bq_link(BitmapQueue& q, const Process& p,
+                                 bool front) {
   const Pid pid = p.pid();
   Node& n = node(pid);
   TOCTTOU_CHECK(n.cpu == sim::kNoCpu, "process enqueued twice");
   const int level = level_of(p);
-  n.proc = &p;
+  n.affinity = p.affinity_mask();
   n.level = level;
   const auto li = static_cast<std::size_t>(level);
   if (q.head[li] == sim::kNoPid) {
@@ -91,9 +80,9 @@ void LinuxLikeScheduler::bq_link(BitmapQueue& q, Process& p, bool front) {
   ++q.size;
 }
 
-void LinuxLikeScheduler::bq_unlink(BitmapQueue& q, Node& n) {
+void LinuxLikeScheduler::bq_unlink(BitmapQueue& q, Pid pid) {
+  Node& n = nodes_[pid - 1];
   const auto li = static_cast<std::size_t>(n.level);
-  const Pid pid = n.proc->pid();
   if (n.prev != sim::kNoPid) {
     nodes_[n.prev - 1].next = n.next;
   } else {
@@ -109,7 +98,6 @@ void LinuxLikeScheduler::bq_unlink(BitmapQueue& q, Node& n) {
   if (q.head[li] == sim::kNoPid) {
     q.words[li / 64] &= ~(1ull << (n.level % 64));
   }
-  n.proc = nullptr;
   n.prev = n.next = sim::kNoPid;
   n.cpu = sim::kNoCpu;
   --q.size;
@@ -155,26 +143,22 @@ CpuId LinuxLikeScheduler::place(const Process& p,
   return best;
 }
 
-void LinuxLikeScheduler::enqueue(Process& p, CpuId cpu, bool front) {
+void LinuxLikeScheduler::enqueue(const Process& p, CpuId cpu, bool front) {
   BitmapQueue& q = bq(cpu);
   bq_link(q, p, front);
   node(p.pid()).cpu = cpu;
 }
 
-Process* LinuxLikeScheduler::pick_next(CpuId cpu) {
+Pid LinuxLikeScheduler::pick_next(CpuId cpu) {
   BitmapQueue& q = bq(cpu);
-  int level;
-  while ((level = highest_level(q)) >= 0) {
-    Node& n = nodes_[q.head[static_cast<std::size_t>(level)] - 1];
-    Process* p = n.proc;
-    bq_unlink(q, n);
-    if (p->state() == sim::ProcState::ready) return p;
-    // Stale entry (e.g. removed process); skip it.
-  }
-  return nullptr;
+  const int level = highest_level(q);
+  if (level < 0) return sim::kNoPid;
+  const Pid pid = q.head[static_cast<std::size_t>(level)];
+  bq_unlink(q, pid);
+  return pid;
 }
 
-Process* LinuxLikeScheduler::steal(CpuId thief) {
+Pid LinuxLikeScheduler::steal(CpuId thief) {
   // Pull from the most loaded queue; take the TAIL of its lowest
   // priority level (the task that would otherwise wait longest), if its
   // affinity allows the thief CPU.
@@ -189,7 +173,7 @@ Process* LinuxLikeScheduler::steal(CpuId thief) {
       victim_cpu = static_cast<CpuId>(c);
     }
   }
-  if (victim_cpu == sim::kNoCpu) return nullptr;
+  if (victim_cpu == sim::kNoCpu) return sim::kNoPid;
   BitmapQueue& q = bq(victim_cpu);
   for (int w = 0; w < kWords; ++w) {
     std::uint64_t word = q.words[static_cast<std::size_t>(w)];
@@ -197,54 +181,41 @@ Process* LinuxLikeScheduler::steal(CpuId thief) {
       const int level = w * 64 + std::countr_zero(word);
       word &= word - 1;  // clear the lowest set bit
       for (Pid pid = q.tail[static_cast<std::size_t>(level)];
-           pid != sim::kNoPid;) {
-        Node& n = nodes_[pid - 1];
-        const Pid prev = n.prev;
-        Process* p = n.proc;
-        if (p->state() == sim::ProcState::ready &&
-            (p->affinity_mask() & (1ull << thief))) {
-          bq_unlink(q, n);
-          return p;
+           pid != sim::kNoPid; pid = nodes_[pid - 1].prev) {
+        if (nodes_[pid - 1].affinity & (1ull << thief)) {
+          bq_unlink(q, pid);
+          return pid;
         }
-        pid = prev;
       }
     }
   }
-  return nullptr;
+  return sim::kNoPid;
 }
 
-std::vector<Process*> LinuxLikeScheduler::pick_candidates(CpuId cpu) const {
-  std::vector<Process*> out;
+std::vector<Pid> LinuxLikeScheduler::pick_candidates(CpuId cpu) const {
+  std::vector<Pid> out;
   const BitmapQueue& q = bq(cpu);
-  for (int w = kWords - 1; w >= 0; --w) {
-    std::uint64_t word = q.words[static_cast<std::size_t>(w)];
-    while (word != 0) {
-      const int level = w * 64 + 63 - std::countl_zero(word);
-      word &= ~(1ull << (level % 64));
-      for (Pid pid = q.head[static_cast<std::size_t>(level)];
-           pid != sim::kNoPid; pid = nodes_[pid - 1].next) {
-        Process* p = nodes_[pid - 1].proc;
-        if (p->state() == sim::ProcState::ready) out.push_back(p);
-      }
-      if (!out.empty()) return out;  // highest level with a ready task
-    }
+  const int level = highest_level(q);
+  if (level < 0) return out;
+  for (Pid pid = q.head[static_cast<std::size_t>(level)]; pid != sim::kNoPid;
+       pid = nodes_[pid - 1].next) {
+    out.push_back(pid);
   }
   return out;
 }
 
-bool LinuxLikeScheduler::take(Process& p, CpuId cpu) {
-  if (p.pid() == sim::kNoPid || nodes_.size() < p.pid()) return false;
-  Node& n = nodes_[p.pid() - 1];
-  if (n.cpu != cpu) return false;
-  bq_unlink(bq(cpu), n);
+bool LinuxLikeScheduler::take(Pid pid, CpuId cpu) {
+  if (pid == sim::kNoPid || nodes_.size() < pid) return false;
+  if (nodes_[pid - 1].cpu != cpu) return false;
+  bq_unlink(bq(cpu), pid);
   return true;
 }
 
-void LinuxLikeScheduler::remove(const Process& p) {
-  if (p.pid() == sim::kNoPid || nodes_.size() < p.pid()) return;
-  Node& n = nodes_[p.pid() - 1];
-  if (n.cpu == sim::kNoCpu) return;
-  bq_unlink(bq(n.cpu), n);
+void LinuxLikeScheduler::remove(Pid pid) {
+  if (pid == sim::kNoPid || nodes_.size() < pid) return;
+  const CpuId cpu = nodes_[pid - 1].cpu;
+  if (cpu == sim::kNoCpu) return;
+  bq_unlink(bq(cpu), pid);
 }
 
 bool LinuxLikeScheduler::should_preempt(const Process& woken,
@@ -259,23 +230,13 @@ bool LinuxLikeScheduler::should_preempt(const Process& woken,
 
 bool LinuxLikeScheduler::should_yield_on_expiry(const Process& running,
                                                 CpuId cpu) const {
+  // Someone is queued at the running task's level or above: a set bit.
   const BitmapQueue& q = bq(cpu);
   const int floor = running.priority() + kPrioBias;
   for (int w = kWords - 1; w >= floor / 64; --w) {
     std::uint64_t word = q.words[static_cast<std::size_t>(w)];
-    if (w == floor / 64 && floor % 64 != 0) {
-      word &= ~0ull << (floor % 64);
-    }
-    while (word != 0) {
-      const int level = w * 64 + 63 - std::countl_zero(word);
-      word &= ~(1ull << (level % 64));
-      for (Pid pid = q.head[static_cast<std::size_t>(level)];
-           pid != sim::kNoPid; pid = nodes_[pid - 1].next) {
-        if (nodes_[pid - 1].proc->state() == sim::ProcState::ready) {
-          return true;
-        }
-      }
-    }
+    if (w == floor / 64) word &= ~0ull << (floor % 64);
+    if (word != 0) return true;
   }
   return false;
 }

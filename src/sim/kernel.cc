@@ -63,6 +63,7 @@ Kernel::~Kernel() = default;
 
 Kernel::Kernel(const Kernel& o, CloneMap& m)
     : spec_(o.spec_),
+      sched_(o.sched_->clone()),
       rng_(o.rng_),
       trace_(m.remap(o.trace_)),
       faults_(m.remap(o.faults_)),
@@ -74,15 +75,14 @@ Kernel::Kernel(const Kernel& o, CloneMap& m)
       cpus_(o.cpus_),
       background_started_(o.background_started_) {
   m.add_range(&o, this, sizeof(Kernel));
-  // Pass 1: build the process table and register every Process range, so
-  // scheduler queues and program/op internals can remap Process* (and
-  // pointers into programs) afterwards.
+  // Pass 1: copy the process table. Nothing points into a Process (the
+  // queues, semaphores and flags name processes by pid), so no range is
+  // registered for one.
   procs_.reserve(o.procs_.size());
   for (const auto& src : o.procs_) {
     const Process& q = *src;
     auto proc = std::unique_ptr<Process>(new Process());
     Process& p = *proc;
-    m.add_range(&q, &p, sizeof(Process));
     p.pid_ = q.pid_;
     p.name_ = q.name_;
     p.priority_ = q.priority_;
@@ -114,7 +114,6 @@ Kernel::Kernel(const Kernel& o, CloneMap& m)
     p.wake_pending_ = q.wake_pending_;
     procs_.push_back(std::move(proc));
   }
-  sched_ = o.sched_->clone(m);
   // Pass 2: clone every program first (each registers its own range, so
   // service-op output slots pointing into ANY program resolve), then the
   // in-flight ops.
@@ -152,19 +151,7 @@ Pid Kernel::spawn(std::unique_ptr<Program> program, SpawnOptions opts) {
   }
   if (trace_) trace_->log.set_process_name(p.pid_, p.name_);
   // Enqueue via an event so that spawning inside program code is safe.
-  // Event callbacks capture stable ids only and receive the owning
-  // kernel via run_next(this): pending events stay valid across a deep
-  // clone of the kernel (the clone replays them against itself).
-  queue_.schedule_at(
-      now(),
-      [pid = p.pid_](void* ctx) {
-        auto* k = static_cast<Kernel*>(ctx);
-        Process& q = k->process(pid);
-        if (q.state_ == ProcState::ready && q.cpu_ == kNoCpu) {
-          k->make_ready(q, /*just_woken=*/false);
-        }
-      },
-      EventTag{1, static_cast<std::int64_t>(p.pid_), 0});
+  queue_.schedule_at(now(), {EventKind::spawn, p.pid_});
   return p.pid_;
 }
 
@@ -175,37 +162,18 @@ Process& Kernel::process(Pid pid) {
 
 void Kernel::hash_state(StateHasher& h) const {
   if (faults_ != nullptr) h.mark_unhashable();
-  // Canonicalize pending events against current process state: a
-  // segment-end event (kind 7) is live only while its generation
-  // matches the process's seg_gen_ and the process is still running —
-  // otherwise on_segment_end drops it on delivery, so the entry is a
-  // timestamped no-op and must not distinguish states. The generation
-  // counter's absolute value is scheduling history (it drifts when one
-  // schedule splits a segment another didn't), so live entries hash as
-  // (kind, pid) with validity implied rather than the raw counter.
-  queue_.hash_state(h, [this](StateHasher& hh, const sim::EventTag& tag) {
-    if (tag.kind == 7) {
-      const auto& p = *procs_[static_cast<std::size_t>(tag.a) - 1];
-      if (p.state_ != ProcState::running ||
-          static_cast<std::uint64_t>(tag.b) != p.seg_gen_) {
-        return false;
-      }
-      hh.u32(tag.kind);
-      hh.i64(tag.a);
-      return true;
-    }
-    hh.u32(tag.kind);
-    hh.i64(tag.a);
-    hh.i64(tag.b);
-    return true;
+  // A segment end is live only while its generation matches the
+  // process's seg_gen_ and the process is still running; otherwise
+  // on_segment_end drops it when it fires.
+  queue_.hash_state(h, [this](const Event& ev) {
+    if (ev.kind != EventKind::segment_end) return true;
+    const Process& p = *procs_[ev.pid - 1];
+    return p.state_ == ProcState::running && ev.arg == p.seg_gen_;
   });
   rng_.hash_state(h);
   h.u64(procs_.size());
   for (const auto& p : procs_) p->hash_state(h);
   h.u64(cpus_.size());
-  // busy_since is accounting only (written at dispatch, read by
-  // nothing); like Process::cpu_time_ it would pin transient history
-  // into the digest forever, so it is excluded.
   for (const CpuState& c : cpus_) h.u64(c.running);
   h.boolean(background_started_);
   sched_->hash_state(h);
@@ -229,12 +197,41 @@ Pid Kernel::running_on(CpuId cpu) const {
   return cpus_[static_cast<std::size_t>(cpu)].running;
 }
 
+bool Kernel::step() {
+  Event ev{};
+  if (!queue_.pop(&ev)) return false;
+  switch (ev.kind) {
+    case EventKind::spawn: {
+      Process& p = process(ev.pid);
+      if (p.state_ == ProcState::ready && p.cpu_ == kNoCpu) {
+        make_ready(p, /*just_woken=*/false);
+      }
+      break;
+    }
+    case EventKind::sleep_wake:
+    case EventKind::flag_wake:
+    case EventKind::sem_wake:
+      wake(ev.pid, /*from_io=*/false);
+      break;
+    case EventKind::io_wake:
+      wake(ev.pid, /*from_io=*/true);
+      break;
+    case EventKind::delayed_wake:
+      wake(ev.pid, /*from_io=*/ev.arg != 0, /*faultable=*/false);
+      break;
+    case EventKind::segment_end:
+      on_segment_end(ev.pid, ev.arg);
+      break;
+  }
+  return true;
+}
+
 bool Kernel::run_until(const std::function<bool()>& stop, SimTime limit) {
   while (true) {
     if (stop()) return true;
     if (queue_.empty()) return false;
     if (queue_.peek_time() > limit) return false;
-    queue_.run_next(this);
+    step();
   }
 }
 
@@ -342,38 +339,38 @@ void Kernel::make_ready(Process& p, bool just_woken) {
 void Kernel::dispatch(CpuId cpu) {
   auto& cs = cpus_[static_cast<std::size_t>(cpu)];
   if (cs.running != kNoPid) return;
-  Process* p = sched_->pick_next(cpu);
+  Pid pid = sched_->pick_next(cpu);
   bool stolen = false;
-  if (p == nullptr) {
-    p = sched_->steal(cpu);  // idle balancing
-    stolen = (p != nullptr);
+  if (pid == kNoPid) {
+    pid = sched_->steal(cpu);  // idle balancing
+    stolen = (pid != kNoPid);
   }
-  if (p == nullptr) return;
-  TOCTTOU_CHECK(p->state_ == ProcState::ready, "picked a non-ready process");
+  if (pid == kNoPid) return;
+  Process& p = process(pid);
+  TOCTTOU_CHECK(p.state_ == ProcState::ready, "picked a non-ready process");
   if (metrics_ != nullptr) {
     metrics_->count("sched.context_switches");
     if (stolen) metrics_->count("sched.steals");
   }
-  if (p->wake_pending_) {
-    p->wake_pending_ = false;
+  if (p.wake_pending_) {
+    p.wake_pending_ = false;
     if (metrics_ != nullptr) {
       metrics_->observe("kernel.wakeup_latency_ns",
-                        (now() - p->wake_time_).ns());
+                        (now() - p.wake_time_).ns());
     }
   }
-  p->state_ = ProcState::running;
-  p->cpu_ = cpu;
-  p->last_cpu_ = cpu;
-  cs.running = p->pid_;
-  cs.busy_since = now();
-  if (p->slice_left_ <= Duration::zero()) {
-    p->slice_left_ = sched_->fresh_slice(*p);
+  p.state_ = ProcState::running;
+  p.cpu_ = cpu;
+  p.last_cpu_ = cpu;
+  cs.running = p.pid_;
+  if (p.slice_left_ <= Duration::zero()) {
+    p.slice_left_ = sched_->fresh_slice(p);
   }
   if (spec_.context_switch_cost > Duration::zero()) {
-    begin_segment(*p, Process::SegKind::ctxsw,
+    begin_segment(p, Process::SegKind::ctxsw,
                   spec_.effective(spec_.context_switch_cost, rng_), "ctxsw");
   } else {
-    continue_process(*p);
+    continue_process(p);
   }
 }
 
@@ -473,13 +470,7 @@ void Kernel::start_next_action(Process& p) {
       case Action::Kind::sleep_for: {
         p.state_ = ProcState::sleeping;
         p.block_start_ = now();
-        const Pid pid = p.pid_;
-        queue_.schedule_at(
-            now() + a.dur,
-            [pid](void* k) {
-              static_cast<Kernel*>(k)->wake(pid, /*from_io=*/false);
-            },
-            EventTag{2, static_cast<std::int64_t>(pid), 0});
+        queue_.schedule_at(now() + a.dur, {EventKind::sleep_wake, p.pid_});
         free_cpu(p);
         return;
       }
@@ -506,12 +497,8 @@ void Kernel::start_next_action(Process& p) {
           // perform no events before their wakeup runs, so logging the
           // wake here keeps the append order causal.
           if (sync_ != nullptr) sync_->flag_wake(w, a.flag->name());
-          queue_.schedule_at(
-              now() + spec_.wakeup_latency,
-              [w](void* k) {
-                static_cast<Kernel*>(k)->wake(w, /*from_io=*/false);
-              },
-              EventTag{3, static_cast<std::int64_t>(w), 0});
+          queue_.schedule_at(now() + spec_.wakeup_latency,
+                             {EventKind::flag_wake, w});
         }
         a.flag->waiters_.clear();
         continue;
@@ -564,13 +551,7 @@ void Kernel::advance_service(Process& p) {
         p.state_ = ProcState::blocked_io;
         p.block_start_ = now();
         p.block_label_ = std::string(p.op_->name());
-        const Pid pid = p.pid_;
-        queue_.schedule_at(
-            now() + step.dur,
-            [pid](void* k) {
-              static_cast<Kernel*>(k)->wake(pid, /*from_io=*/true);
-            },
-            EventTag{4, static_cast<std::int64_t>(pid), 0});
+        queue_.schedule_at(now() + step.dur, {EventKind::io_wake, p.pid_});
         free_cpu(p);
         return;
       }
@@ -663,12 +644,8 @@ void Kernel::release_sem(Process& p, Semaphore& sem) {
   // The handoff is the happens-before edge: next owns the semaphore
   // from this instant, so its acquire is ordered here, not at wakeup.
   if (sync_ != nullptr) sync_->sem_acquire(next, sem.name_);
-  queue_.schedule_at(
-      now() + spec_.wakeup_latency,
-      [next](void* k) {
-        static_cast<Kernel*>(k)->wake(next, /*from_io=*/false);
-      },
-      EventTag{5, static_cast<std::int64_t>(next), 0});
+  queue_.schedule_at(now() + spec_.wakeup_latency,
+                     {EventKind::sem_wake, next});
 }
 
 void Kernel::wake(Pid pid, bool from_io, bool faultable) {
@@ -685,12 +662,8 @@ void Kernel::wake(Pid pid, bool from_io, bool faultable) {
       case FaultInjector::WakeFault::delay:
         // Redeliver later; faultable=false so the late wake cannot be
         // re-faulted into an unbounded delay chain.
-        queue_.schedule_at(
-            now() + delay,
-            [pid, from_io](void* k) {
-              static_cast<Kernel*>(k)->wake(pid, from_io, /*faultable=*/false);
-            },
-            EventTag{6, static_cast<std::int64_t>(pid), from_io ? 1 : 0});
+        queue_.schedule_at(now() + delay, {EventKind::delayed_wake, pid,
+                                           from_io ? 1u : 0u});
         return;
       case FaultInjector::WakeFault::none:
         break;
@@ -772,15 +745,8 @@ void Kernel::begin_segment(Process& p, Process::SegKind kind,
   p.compute_label_ =
       (kind == Process::SegKind::user_compute) ? label : p.compute_label_;
   if (kind != Process::SegKind::user_compute) p.block_label_ = label;
-  const std::uint64_t gen = ++p.seg_gen_;
-  const Pid pid = p.pid_;
-  queue_.schedule_at(
-      now() + effective,
-      [pid, gen](void* k) {
-        static_cast<Kernel*>(k)->on_segment_end(pid, gen);
-      },
-      EventTag{7, static_cast<std::int64_t>(pid),
-               static_cast<std::int64_t>(gen)});
+  queue_.schedule_at(now() + effective,
+                     {EventKind::segment_end, p.pid_, ++p.seg_gen_});
 }
 
 void Kernel::on_segment_end(Pid pid, std::uint64_t gen) {

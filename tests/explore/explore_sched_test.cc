@@ -7,16 +7,12 @@
 #include <memory>
 #include <vector>
 
-#include "../testing/programs.h"
 #include "tocttou/core/harness.h"
 #include "tocttou/explore/choice_source.h"
 #include "tocttou/explore/exploring_scheduler.h"
-#include "tocttou/sim/kernel.h"
 
 namespace tocttou::explore {
 namespace {
-
-using namespace tocttou::literals;
 
 core::ScenarioConfig smp_vi() {
   core::ScenarioConfig c;
@@ -112,23 +108,7 @@ TEST(ExploringSchedulerTest, MatchingPrefixIsConsumedVerbatim) {
 }
 
 TEST(PctSourceTest, SameSeedSameChoices) {
-  sim::MachineSpec m;
-  m.n_cpus = 1;
-  m.noise = sim::NoiseModel::none();
-  m.background.enabled = false;
-  sim::Kernel k(m,
-                std::make_unique<sched::LinuxLikeScheduler>(
-                    sched::LinuxSchedParams{}),
-                1);
-  auto prog = [] {
-    std::vector<sim::Action> a;
-    a.push_back(sim::Action::compute(1_us));
-    return std::make_unique<testing::ScriptProgram>(std::move(a));
-  };
-  std::vector<const sim::Process*> procs;
-  for (int i = 0; i < 3; ++i) {
-    procs.push_back(&k.process(k.spawn(prog(), {.name = "p"})));
-  }
+  const std::vector<sim::Pid> procs = {1, 2, 3};
 
   ChoiceContext pick;
   pick.kind = ChoiceKind::pick;

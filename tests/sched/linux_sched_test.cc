@@ -238,16 +238,16 @@ TEST(LinuxSchedTest, PickCandidatesReturnsHighestReadyLevelInFifoOrder) {
   s.enqueue(k.process(p2), 0, false);
   auto cand = s.pick_candidates(0);
   ASSERT_EQ(cand.size(), 2u);
-  EXPECT_EQ(cand[0]->pid(), p1);  // FIFO: index 0 is pick_next's choice
-  EXPECT_EQ(cand[1]->pid(), p2);
+  EXPECT_EQ(cand[0], p1);  // FIFO: index 0 is pick_next's choice
+  EXPECT_EQ(cand[1], p2);
 
   // enqueue(front=true) puts a peer at the head of its level...
   s.enqueue(k.process(hi), 0, true);
   cand = s.pick_candidates(0);
   // ...but a higher priority level hides the lower one entirely.
   ASSERT_EQ(cand.size(), 1u);
-  EXPECT_EQ(cand[0]->pid(), hi);
-  EXPECT_EQ(s.pick_next(0), &k.process(hi));
+  EXPECT_EQ(cand[0], hi);
+  EXPECT_EQ(s.pick_next(0), hi);
 }
 
 TEST(LinuxSchedTest, TakeDequeuesSpecificCandidate) {
@@ -267,10 +267,10 @@ TEST(LinuxSchedTest, TakeDequeuesSpecificCandidate) {
   s.enqueue(k.process(p2), 0, false);
   // Take the non-head candidate: exactly what the explore shim does
   // when a choice point diverges from the policy.
-  EXPECT_TRUE(s.take(k.process(p2), 0));
+  EXPECT_TRUE(s.take(p2, 0));
   EXPECT_EQ(s.queue_depth(0), 1u);
-  EXPECT_FALSE(s.take(k.process(p2), 0));  // already gone
-  EXPECT_EQ(s.pick_next(0), &k.process(p1));
+  EXPECT_FALSE(s.take(p2, 0));  // already gone
+  EXPECT_EQ(s.pick_next(0), p1);
   EXPECT_EQ(s.queue_depth(0), 0u);
 }
 

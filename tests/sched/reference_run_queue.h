@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <iterator>
 #include <vector>
 
@@ -24,68 +25,65 @@ class ReferenceRunQueue {
 
   /// Back: behind every queued task of equal or higher priority.
   /// Front: ahead of every queued task of equal or lower priority.
-  void enqueue(sim::Process& p, sim::CpuId cpu, bool front) {
+  void enqueue(const sim::Process& p, sim::CpuId cpu, bool front) {
     List& q = at(cpu);
     const int prio = p.priority();
-    const auto pos = std::find_if(q.begin(), q.end(), [&](sim::Process* o) {
-      return front ? o->priority() <= prio : o->priority() < prio;
+    const auto pos = std::find_if(q.begin(), q.end(), [&](const Queued& o) {
+      return front ? o.priority <= prio : o.priority < prio;
     });
-    q.insert(pos, &p);
+    q.insert(pos, Queued{p.pid(), prio, p.affinity_mask()});
   }
 
-  /// Pops from the head, dropping tasks that are no longer ready.
-  sim::Process* pick_next(sim::CpuId cpu) {
+  /// Pops from the head.
+  sim::Pid pick_next(sim::CpuId cpu) {
     List& q = at(cpu);
-    while (!q.empty()) {
-      sim::Process* p = q.front();
-      q.erase(q.begin());
-      if (p->state() == sim::ProcState::ready) return p;
-    }
-    return nullptr;
+    if (q.empty()) return sim::kNoPid;
+    const sim::Pid pid = q.front().pid;
+    q.erase(q.begin());
+    return pid;
   }
 
   /// From the deepest other CPU (the lowest-numbered one on a tie), the
-  /// ready task nearest the tail whose affinity admits `thief`.
-  sim::Process* steal(sim::CpuId thief) {
+  /// task nearest the tail whose affinity admits `thief`.
+  sim::Pid steal(sim::CpuId thief) {
     List* victim = nullptr;
     for (std::size_t c = 0; c < cpus_.size(); ++c) {
       if (static_cast<sim::CpuId>(c) == thief) continue;
       if (cpus_[c].size() > (victim ? victim->size() : 0)) victim = &cpus_[c];
     }
-    if (victim == nullptr) return nullptr;
+    if (victim == nullptr) return sim::kNoPid;
     for (auto it = victim->rbegin(); it != victim->rend(); ++it) {
-      sim::Process* p = *it;
-      if (p->state() == sim::ProcState::ready &&
-          (p->affinity_mask() >> thief & 1) != 0) {
+      if ((it->affinity >> thief & 1) != 0) {
+        const sim::Pid pid = it->pid;
         victim->erase(std::next(it).base());
-        return p;
+        return pid;
       }
     }
-    return nullptr;
+    return sim::kNoPid;
   }
 
-  /// The ready tasks of the highest priority that has one, in FIFO order.
-  std::vector<sim::Process*> pick_candidates(sim::CpuId cpu) const {
-    std::vector<sim::Process*> out;
-    for (sim::Process* p : at(cpu)) {
-      if (p->state() != sim::ProcState::ready) continue;
-      if (!out.empty() && p->priority() != out.front()->priority()) break;
-      out.push_back(p);
+  /// The tasks of the highest queued priority, in FIFO order.
+  std::vector<sim::Pid> pick_candidates(sim::CpuId cpu) const {
+    std::vector<sim::Pid> out;
+    const List& q = at(cpu);
+    for (const Queued& e : q) {
+      if (e.priority != q.front().priority) break;
+      out.push_back(e.pid);
     }
     return out;
   }
 
-  bool take(sim::Process& p, sim::CpuId cpu) {
+  bool take(sim::Pid pid, sim::CpuId cpu) {
     List& q = at(cpu);
-    const auto it = std::find(q.begin(), q.end(), &p);
+    const auto it = find(q, pid);
     if (it == q.end()) return false;
     q.erase(it);
     return true;
   }
 
-  void remove(const sim::Process& p) {
+  void remove(sim::Pid pid) {
     for (List& q : cpus_) {
-      const auto it = std::find(q.begin(), q.end(), &p);
+      const auto it = find(q, pid);
       if (it != q.end()) {
         q.erase(it);
         return;
@@ -96,8 +94,17 @@ class ReferenceRunQueue {
   std::size_t queue_depth(sim::CpuId cpu) const { return at(cpu).size(); }
 
  private:
-  using List = std::vector<sim::Process*>;
+  struct Queued {
+    sim::Pid pid;
+    int priority;
+    std::uint64_t affinity;
+  };
+  using List = std::vector<Queued>;
 
+  static List::iterator find(List& q, sim::Pid pid) {
+    return std::find_if(q.begin(), q.end(),
+                        [&](const Queued& e) { return e.pid == pid; });
+  }
   List& at(sim::CpuId cpu) { return cpus_.at(static_cast<std::size_t>(cpu)); }
   const List& at(sim::CpuId cpu) const {
     return cpus_.at(static_cast<std::size_t>(cpu));

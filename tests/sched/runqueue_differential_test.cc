@@ -100,31 +100,29 @@ TEST(RunQueueDifferentialTest, RandomizedTraceAgreesAcrossImpls) {
       queued[p] = cpu;
     } else if (kind == 4 || kind == 5) {
       const auto cpu = static_cast<sim::CpuId>(rng.uniform_int(0, kCpus - 1));
-      sim::Process* a = bitmap.pick_next(cpu);
-      sim::Process* b = reference.pick_next(cpu);
-      ASSERT_EQ(a == nullptr, b == nullptr) << "op " << op;
-      if (a != nullptr) {
-        ASSERT_EQ(a->pid(), b->pid()) << "op " << op;
-        queued.erase(a->pid());
-        unqueued.push_back(a->pid());
+      const Pid a = bitmap.pick_next(cpu);
+      const Pid b = reference.pick_next(cpu);
+      ASSERT_EQ(a, b) << "op " << op;
+      if (a != sim::kNoPid) {
+        queued.erase(a);
+        unqueued.push_back(a);
       }
     } else if (kind == 6) {
       const auto thief = static_cast<sim::CpuId>(rng.uniform_int(0, kCpus - 1));
-      sim::Process* a = bitmap.steal(thief);
-      sim::Process* b = reference.steal(thief);
-      ASSERT_EQ(a == nullptr, b == nullptr) << "op " << op;
-      if (a != nullptr) {
-        ASSERT_EQ(a->pid(), b->pid()) << "op " << op;
-        queued.erase(a->pid());
-        unqueued.push_back(a->pid());
+      const Pid a = bitmap.steal(thief);
+      const Pid b = reference.steal(thief);
+      ASSERT_EQ(a, b) << "op " << op;
+      if (a != sim::kNoPid) {
+        queued.erase(a);
+        unqueued.push_back(a);
       }
     } else if (kind == 7 && !queued.empty()) {
       auto it = queued.begin();
       std::advance(it, rng.uniform_int(
                            0, static_cast<std::int64_t>(queued.size()) - 1));
       const Pid p = it->first;
-      bitmap.remove(k.process(p));
-      reference.remove(k.process(p));
+      bitmap.remove(p);
+      reference.remove(p);
       queued.erase(it);
       unqueued.push_back(p);
     } else if (kind == 8 && !queued.empty()) {
@@ -133,11 +131,11 @@ TEST(RunQueueDifferentialTest, RandomizedTraceAgreesAcrossImpls) {
                            0, static_cast<std::int64_t>(queued.size()) - 1));
       const Pid p = it->first;
       const sim::CpuId cpu = it->second;
-      ASSERT_TRUE(bitmap.take(k.process(p), cpu)) << "op " << op;
-      ASSERT_TRUE(reference.take(k.process(p), cpu)) << "op " << op;
+      ASSERT_TRUE(bitmap.take(p, cpu)) << "op " << op;
+      ASSERT_TRUE(reference.take(p, cpu)) << "op " << op;
       // A second take of the same process must fail on both.
-      ASSERT_FALSE(bitmap.take(k.process(p), cpu)) << "op " << op;
-      ASSERT_FALSE(reference.take(k.process(p), cpu)) << "op " << op;
+      ASSERT_FALSE(bitmap.take(p, cpu)) << "op " << op;
+      ASSERT_FALSE(reference.take(p, cpu)) << "op " << op;
       queued.erase(it);
       unqueued.push_back(p);
     } else {
@@ -146,7 +144,7 @@ TEST(RunQueueDifferentialTest, RandomizedTraceAgreesAcrossImpls) {
       const auto cb = reference.pick_candidates(cpu);
       ASSERT_EQ(ca.size(), cb.size()) << "op " << op;
       for (std::size_t i = 0; i < ca.size(); ++i) {
-        ASSERT_EQ(ca[i]->pid(), cb[i]->pid()) << "op " << op << " cand " << i;
+        ASSERT_EQ(ca[i], cb[i]) << "op " << op << " cand " << i;
       }
     }
     // Depth agreement and conservation after EVERY operation: nothing
