@@ -2,11 +2,12 @@
 //
 // analyze_round() replays one round's SyncLog through per-process
 // vector clocks (exp-drd style), positions every journaled syscall
-// inside the resulting causal order via its sc_enter/sc_exit bracket,
-// rediscovers <check, use> windows per process from the classification
-// tables in classify.h, and flags every window that is CONCURRENT with
-// an attacker-writable mutation of the same resolved pathname (or of
-// the inode the check observed, catching symlink-aliased paths).
+// inside the resulting causal order via the sc_enter/sc_exit bracket
+// whose exit names it, rediscovers <check, use> windows per process
+// from the classification tables in classify.h, and flags every window
+// that is CONCURRENT with an attacker-writable mutation of the same
+// resolved pathname (or of the inode the check observed, catching
+// symlink-aliased paths).
 //
 // Race predicate: window <C, U> of victim P races mutation M of
 // attacker Q iff NOT (M happens-before C) and NOT (U happens-before M).
@@ -96,8 +97,8 @@ struct DetectReport {
 };
 
 /// Replays one round. `journal` must have been recorded alongside
-/// `sync` in the same round: per pid, completed sc_enter/sc_exit
-/// brackets in the log pair 1:1 with journal records (checked).
+/// `sync` in the same round: every record must be named by exactly one
+/// sc_exit of its own process (checked).
 DetectReport analyze_round(const SyncLog& sync,
                            const trace::SyscallJournal& journal);
 

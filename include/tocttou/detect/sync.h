@@ -8,7 +8,10 @@
 // interleaved with syscall enter/exit markers so the detector can
 // position each journal record inside that order. The log is the
 // detector's ONLY view of ordering — it never consults simulated
-// timestamps, which overlap freely across CPUs.
+// timestamps, which overlap freely across CPUs. Its events are plain
+// 16-byte records: semaphores are named by inode number, flags by an
+// index into the log's interned names, and each syscall exit by the
+// index of its journal record.
 //
 // Emission contract (DESIGN.md §9): the kernel writes through a single
 // `sync_` pointer guarded by one null check per site, mirroring the
@@ -16,8 +19,10 @@
 // branch per event and allocates nothing.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "tocttou/trace/trace.h"
@@ -25,10 +30,9 @@
 namespace tocttou::detect {
 
 /// One kernel ordering action. `sc_enter`/`sc_exit` bracket the service
-/// of one syscall; per pid, the i-th completed bracket corresponds to
-/// the i-th SyscallRecord the kernel journals for that pid (the journal
-/// appends exactly one record per completed syscall, in completion
-/// order, which per process is program order).
+/// of one syscall, and the `sc_exit` names the SyscallRecord the kernel
+/// journaled for it, so the detector attaches the call's clocks to its
+/// record by index.
 enum class SyncKind : std::uint8_t {
   proc_start,   // process admitted to the run queue
   proc_exit,    // process finished its program
@@ -42,17 +46,17 @@ enum class SyncKind : std::uint8_t {
 
 const char* to_string(SyncKind k);
 
+/// A 16-byte plain record. `arg` holds, by kind: proc_start the uid (the
+/// detector treats uid != 0 as attacker-writable); sem_* the inode
+/// number; flag_* the flag's index in SyncLog::flags(); sc_exit the
+/// index of the call's journal record; 0 otherwise.
 struct SyncEvent {
   SyncKind kind{};
   trace::Pid pid = 0;
-  /// proc_start only: credentials of the new process. The detector uses
-  /// this to decide which mutations are attacker-writable (uid != 0).
-  std::uint32_t uid = 0;
-  /// sem_*/flag_* only: the synchronization object's name. Semaphores
-  /// are named per inode, flags per handoff channel, so the name is a
-  /// stable identity across the round.
-  std::string obj;
+  std::uint64_t arg = 0;
 };
+static_assert(sizeof(SyncEvent) == 16);
+static_assert(std::is_trivially_copyable_v<SyncEvent>);
 
 /// Append-only sink the kernel emits into when detection is on. Owned
 /// by core::RoundResult so checkpoint forks deep-copy it with the rest
@@ -60,37 +64,50 @@ struct SyncEvent {
 class SyncLog {
  public:
   void proc_start(trace::Pid pid, std::uint32_t uid) {
-    events_.push_back({SyncKind::proc_start, pid, uid, {}});
+    events_.push_back({SyncKind::proc_start, pid, uid});
   }
   void proc_exit(trace::Pid pid) {
-    events_.push_back({SyncKind::proc_exit, pid, 0, {}});
+    events_.push_back({SyncKind::proc_exit, pid, 0});
   }
-  void sem_acquire(trace::Pid pid, const std::string& obj) {
-    events_.push_back({SyncKind::sem_acquire, pid, 0, obj});
+  void sem_acquire(trace::Pid pid, std::uint64_t ino) {
+    events_.push_back({SyncKind::sem_acquire, pid, ino});
   }
-  void sem_release(trace::Pid pid, const std::string& obj) {
-    events_.push_back({SyncKind::sem_release, pid, 0, obj});
+  void sem_release(trace::Pid pid, std::uint64_t ino) {
+    events_.push_back({SyncKind::sem_release, pid, ino});
   }
-  void flag_set(trace::Pid pid, const std::string& obj) {
-    events_.push_back({SyncKind::flag_set, pid, 0, obj});
+  /// `flag` must outlive the log (flags are named by string literals).
+  void flag_set(trace::Pid pid, std::string_view flag) {
+    events_.push_back({SyncKind::flag_set, pid, intern(flag)});
   }
-  void flag_wake(trace::Pid pid, const std::string& obj) {
-    events_.push_back({SyncKind::flag_wake, pid, 0, obj});
+  void flag_wake(trace::Pid pid, std::string_view flag) {
+    events_.push_back({SyncKind::flag_wake, pid, intern(flag)});
   }
 
   void sc_enter(trace::Pid pid) {
-    events_.push_back({SyncKind::sc_enter, pid, 0, {}});
+    events_.push_back({SyncKind::sc_enter, pid, 0});
   }
-  void sc_exit(trace::Pid pid) {
-    events_.push_back({SyncKind::sc_exit, pid, 0, {}});
+  /// `record` indexes the call's SyscallRecord in the round's journal.
+  void sc_exit(trace::Pid pid, std::size_t record) {
+    events_.push_back({SyncKind::sc_exit, pid, record});
   }
 
   const std::vector<SyncEvent>& events() const { return events_; }
+  /// The flags the log has seen, in first-seen order: a flag event's
+  /// arg indexes this.
+  const std::vector<std::string_view>& flags() const { return flags_; }
   bool empty() const { return events_.empty(); }
-  void clear() { events_.clear(); }
 
  private:
+  std::uint64_t intern(std::string_view flag) {
+    for (std::size_t i = 0; i < flags_.size(); ++i) {
+      if (flags_[i] == flag) return i;
+    }
+    flags_.push_back(flag);
+    return flags_.size() - 1;
+  }
+
   std::vector<SyncEvent> events_;
+  std::vector<std::string_view> flags_;
 };
 
 }  // namespace tocttou::detect

@@ -56,7 +56,6 @@ class ExploringScheduler final : public sim::Scheduler {
   void enqueue(const sim::Process& p, sim::CpuId cpu, bool front) override;
   sim::Pid pick_next(sim::CpuId cpu) override;
   sim::Pid steal(sim::CpuId thief) override;
-  void remove(sim::Pid pid) override;
   bool should_preempt(const sim::Process& woken,
                       const sim::Process& running) const override;
   bool should_yield_on_expiry(const sim::Process& running,

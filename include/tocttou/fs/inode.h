@@ -4,7 +4,8 @@
 // (i_mutex): namespace operations hold the parent directory's semaphore,
 // attribute operations hold the target's. The FIFO hand-off of these
 // semaphores is what arbitrates the paper's races (Section 3.4: "the race
-// is reduced to the competition for the semaphore").
+// is reduced to the competition for the semaphore"). The semaphore is
+// named by the inode's number: an inode formats no name.
 //
 // Inodes are shared copy-on-write between Vfs copies: a RoundContext's
 // staged template, the rounds cloned from it and every checkpoint fork
@@ -28,10 +29,9 @@ namespace tocttou::fs {
 
 class Inode {
  public:
-  Inode(Ino ino, FileType type, sim::Uid uid, sim::Gid gid, Mode mode,
-        std::string sem_name)
+  Inode(Ino ino, FileType type, sim::Uid uid, sim::Gid gid, Mode mode)
       : ino_(ino), type_(type), uid_(uid), gid_(gid), mode_(mode),
-        sem_(std::move(sem_name)) {}
+        sem_(ino) {}
 
   /// Copy-on-write copy: the inode and its embedded semaphore, as they
   /// are, unshared (no handle references it yet). Nothing outside the

@@ -14,7 +14,7 @@
 //    someone of equal or higher priority is queued on that CPU.
 //
 // Run queues: a 512-level priority bitmap per CPU with an intrusive
-// pid-linked FIFO per level. enqueue/pick/take/remove are O(1) (pick is
+// pid-linked FIFO per level. enqueue/pick/take are O(1) (pick is
 // O(words) over 8 bitmap words), so a run queue holding thousands of
 // tenant processes costs the same per event as one holding three. The
 // queues are pids and plain data only — each node keeps the affinity
@@ -54,7 +54,6 @@ class LinuxLikeScheduler final : public sim::Scheduler {
   void enqueue(const sim::Process& p, sim::CpuId cpu, bool front) override;
   sim::Pid pick_next(sim::CpuId cpu) override;
   sim::Pid steal(sim::CpuId thief) override;
-  void remove(sim::Pid pid) override;
   bool should_preempt(const sim::Process& woken,
                       const sim::Process& running) const override;
   bool should_yield_on_expiry(const sim::Process& running,

@@ -29,19 +29,19 @@
 namespace tocttou::sim {
 
 /// What a pending event does when it fires. The values are digest bytes
-/// (DESIGN.md §10.2): renumbering one changes every state digest.
+/// (DESIGN.md §10.2): renumbering one changes every state digest. One
+/// kind serves every wakeup — a timer sleep ending, a flag set, device
+/// I/O completing, a semaphore handed off — since what the wake ends
+/// follows from the process's own state.
 enum class EventKind : std::uint32_t {
   spawn = 1,         // put a newly spawned process on a run queue
-  sleep_wake = 2,    // a timer sleep ends
-  flag_wake = 3,     // an event flag this process waited on was set
-  io_wake = 4,       // this process's device I/O completes
-  sem_wake = 5,      // a semaphore was handed off to this process
-  delayed_wake = 6,  // an injected wakeup delay ends; arg = 1 if from I/O
-  segment_end = 7,   // a CPU segment ends; arg = the segment's generation
+  wake = 2,          // end this process's sleep or wait
+  delayed_wake = 3,  // an injected wakeup delay ends (cannot be re-faulted)
+  segment_end = 4,   // a CPU segment ends; arg = the segment's generation
 };
 
 /// A pending event: what fires, for which process, and the one operand
-/// its kind takes (0 for the kinds that take none).
+/// its kind takes (a segment end's generation; 0 for the other kinds).
 struct Event {
   EventKind kind;
   Pid pid;
@@ -72,13 +72,13 @@ class EventQueue {
   /// event `live` accepts, in firing order — (t, seq), since the heap
   /// layout is scheduling history; sequence numbers themselves are not
   /// hashed, their order at equal times is captured by position. Each
-  /// hashes its time, kind, pid and arg, except that a segment end's
-  /// arg is its generation counter, whose absolute value is scheduling
+  /// hashes its time, kind and pid. The only operand, a segment end's
+  /// generation counter, is left out: its absolute value is scheduling
   /// history too (it drifts when one schedule splits a segment another
-  /// did not), so it is left out. An event `live` rejects is a
-  /// timestamped no-op the kernel will drop when it fires; its only
-  /// effect on the run is an event-count tick, so it is skipped, time
-  /// included, and does not distinguish otherwise equal states.
+  /// did not). An event `live` rejects is a timestamped no-op the kernel
+  /// will drop when it fires; its only effect on the run is an
+  /// event-count tick, so it is skipped, time included, and does not
+  /// distinguish otherwise equal states.
   template <typename Live>
   void hash_state(StateHasher& h, Live live) const;
 
@@ -115,9 +115,6 @@ void EventQueue::hash_state(StateHasher& h, Live live) const {
     h.time(e.t);
     h.u32(static_cast<std::uint32_t>(e.ev.kind));
     h.i64(static_cast<std::int64_t>(e.ev.pid));
-    if (e.ev.kind != EventKind::segment_end) {
-      h.i64(static_cast<std::int64_t>(e.ev.arg));
-    }
   }
 }
 

@@ -6,13 +6,17 @@
 // report theirs through metrics()). Its pending work is typed events
 // (sim/event_queue.h) that step() dispatches through one switch, and its
 // run queues hold pids: what a checkpoint fork copies and the state
-// digest hashes is plain data, exactly as the kernel will run it.
+// digest hashes is plain data, exactly as the kernel will run it. So is
+// what a process waits on: it becomes text only for a trace or metrics.
 #pragma once
 
 #include <functional>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "tocttou/common/error.h"
 #include "tocttou/common/rng.h"
 #include "tocttou/common/time.h"
 #include "tocttou/sim/event_queue.h"
@@ -142,8 +146,14 @@ class Kernel {
   /// transfers, event-flag set/wake handoffs, syscall enter/exit — for
   /// the happens-before detector (detect/detector.h). Every emission
   /// site is a single null check when disabled, keeping the detect-off
-  /// path byte-identical. Must outlive the kernel.
-  void set_sync_log(detect::SyncLog* sync) { sync_ = sync; }
+  /// path byte-identical. A sink needs a trace (CHECKed): each sc_exit
+  /// names the journal record the kernel has just appended. Must
+  /// outlive the kernel.
+  void set_sync_log(detect::SyncLog* sync) {
+    TOCTTOU_CHECK(sync == nullptr || trace_ != nullptr,
+                  "a sync log needs a trace to index its journal records");
+    sync_ = sync;
+  }
 
  private:
   struct CpuState {
@@ -153,21 +163,22 @@ class Kernel {
   // --- dispatch & execution machinery ---
   void make_ready(Process& p, bool just_woken);
   void dispatch(CpuId cpu);
-  void maybe_dispatch_idle_cpus();
   void continue_process(Process& p);
   void start_next_action(Process& p);
   void advance_service(Process& p);
   /// An op's first advance in a round that injects syscall errors: the
   /// injector's verdict, or the op's own first step.
   Step first_advance(Process& p, ServiceContext& ctx);
-  void begin_segment(Process& p, Process::SegKind kind, Duration effective,
-                     std::string label);
+  void begin_segment(Process& p, Process::SegKind kind, Duration effective);
   void on_segment_end(Pid pid, std::uint64_t gen);
   void finish_segment(Process& p, Duration ran);
   void preempt(Process& p, bool requeue_front);
   void block_on_sem(Process& p, Semaphore& sem);
   void release_sem(Process& p, Semaphore& sem);
-  void wake(Pid pid, bool from_io, bool faultable = true);
+  void wake(Pid pid, bool faultable = true);
+  /// Traces the wait `p` is woken from, labelled "sem:i_sem:<ino>",
+  /// "flag:<name>" or, for device I/O, the op in service's name.
+  void trace_wait(const Process& p);
   void handle_exit(Process& p);
   void complete_service(Process& p, Errno result);
   /// Journals the completed syscall, then either kills the process (an
@@ -176,7 +187,7 @@ class Kernel {
   void free_cpu(Process& p);
   void charge(Process& p, Duration ran);
   void trace_segment(const Process& p, trace::Category cat,
-                     const std::string& label, SimTime begin, SimTime end);
+                     std::string_view label, SimTime begin, SimTime end);
   void fill_allowed_cpus(const Process& p, std::vector<CpuId>* out) const;
   void fill_idle_allowed_cpus(const Process& p, std::vector<CpuId>* out) const;
 

@@ -9,6 +9,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 
 #include "tocttou/common/time.h"
 #include "tocttou/sim/ids.h"
@@ -112,9 +113,11 @@ class Process {
                        fault_spike };
   SegKind seg_kind_ = SegKind::none;
   Duration seg_len_ = Duration::zero();
-  // Blocked-span bookkeeping (semaphore / I/O / flag waits).
+  // Blocked-span bookkeeping for the trace and metrics: when the wait
+  // began, and the semaphore's inode or the flag it waits on.
   SimTime block_start_;
-  std::string block_label_;
+  std::uint64_t wait_ino_ = 0;
+  std::string_view wait_flag_;
   // Wakeup-latency bookkeeping (metrics only; wake_pending_ is set only
   // when a metrics registry is attached).
   SimTime wake_time_;

@@ -52,9 +52,6 @@ class Scheduler {
   /// idles.
   virtual Pid steal(CpuId thief) = 0;
 
-  /// Removes a process from whichever queue holds it, if any.
-  virtual void remove(Pid pid) = 0;
-
   /// True if `woken` (just enqueued on `cpu`) should preempt `running`.
   virtual bool should_preempt(const Process& woken,
                               const Process& running) const = 0;

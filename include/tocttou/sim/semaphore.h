@@ -5,10 +5,16 @@
 //
 // Semaphores are passive data owned by their creator (the VFS attaches
 // one to every inode); all state transitions are performed by the Kernel.
+// Both kinds of sync object are plain data: a semaphore is named by its
+// inode's number and a flag by a view of the string literal it is built
+// from, so neither owns a string; sem_label writes a semaphore's name
+// only where a trace label or a metrics key prints it.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tocttou/common/state_hash.h"
@@ -52,7 +58,8 @@ class PidQueue {
 
 class Semaphore {
  public:
-  explicit Semaphore(std::string name) : name_(std::move(name)) {}
+  /// The semaphore of inode `ino`.
+  explicit Semaphore(std::uint64_t ino) : ino_(ino) {}
 
   /// A checkpoint copies a semaphore as it is: its owner and waiters are
   /// Pids, stable across a clone (the process table is copied
@@ -62,16 +69,14 @@ class Semaphore {
   Semaphore(const Semaphore&) = default;
   Semaphore& operator=(const Semaphore&) = delete;
 
-  const std::string& name() const { return name_; }
+  std::uint64_t ino() const { return ino_; }
   bool held() const { return owner_ != kNoPid; }
   Pid owner() const { return owner_; }
   std::size_t waiters() const { return waiters_.size(); }
 
-  /// Canonical state digest (DESIGN.md §10). The name doubles as the
-  /// semaphore's identity: inode semaphores are named "i_sem:<ino>", so
-  /// hashing by name is consistent with the raw-ino hashing of the Vfs.
+  /// Canonical state digest (DESIGN.md §10): the owner and the waiters.
+  /// The inode number is left out: the owning inode hashes it.
   void hash_state(StateHasher& h) const {
-    h.str(name_);
     h.u64(owner_);
     h.u64(waiters_.size());
     for (Pid p : waiters_) h.u64(p);
@@ -79,28 +84,36 @@ class Semaphore {
 
  private:
   friend class Kernel;
-  std::string name_;
+  std::uint64_t ino_;
   Pid owner_ = kNoPid;
   PidQueue waiters_;
 };
+
+/// "i_sem:<ino>", the name trace labels and metrics keys give the
+/// semaphore of inode `ino`.
+inline std::string sem_label(std::uint64_t ino) {
+  return "i_sem:" + std::to_string(ino);
+}
 
 /// A one-shot user-level event flag (futex-like), used by multithreaded
 /// attack programs to hand work between threads (Section 7's pipelined
 /// attacker). set() wakes all waiters; the flag stays set.
 class EventFlag {
  public:
-  explicit EventFlag(std::string name) : name_(std::move(name)) {}
+  /// `name` must have static storage — build it from a string literal:
+  /// processes, sync logs and checkpoint copies keep views of it.
+  explicit EventFlag(std::string_view name) : name_(name) {}
 
   /// Copied as it is by a checkpoint (see Semaphore): Pids are
-  /// clone-stable.
+  /// clone-stable, and the name views static storage.
   EventFlag(const EventFlag&) = default;
   EventFlag& operator=(const EventFlag&) = delete;
 
-  const std::string& name() const { return name_; }
+  std::string_view name() const { return name_; }
   bool is_set() const { return set_; }
   void reset() { set_ = false; }
 
-  /// Canonical state digest (DESIGN.md §10); see Semaphore::hash_state.
+  /// Canonical state digest (DESIGN.md §10).
   void hash_state(StateHasher& h) const {
     h.str(name_);
     h.boolean(set_);
@@ -110,7 +123,7 @@ class EventFlag {
 
  private:
   friend class Kernel;
-  std::string name_;
+  std::string_view name_;
   bool set_ = false;
   PidQueue waiters_;
 };

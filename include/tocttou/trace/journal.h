@@ -61,7 +61,6 @@ class SyscallJournal {
   void add(SyscallRecord rec) { records_.push_back(std::move(rec)); }
   const std::vector<SyscallRecord>& records() const { return records_; }
   bool empty() const { return records_.empty(); }
-  void clear() { records_.clear(); }
 
   /// CSV export (enter_us,exit_us,pid,name,result,path,path2,st_uid,
   /// st_gid,st_ino,applied_ino) for offline analysis/plotting.
@@ -92,10 +91,6 @@ struct RoundTrace {
   TraceLog log;
   SyscallJournal journal;
   bool log_events = true;
-  void clear() {
-    log.clear();
-    journal.clear();
-  }
 };
 
 }  // namespace tocttou::trace

@@ -73,7 +73,6 @@ class TraceLog {
   SimTime end_time() const;
   bool empty() const { return events_.empty(); }
   std::size_t size() const { return events_.size(); }
-  void clear();
 
   /// CSV export: begin_us,end_us,pid,name,cpu,category,label,detail
   std::string to_csv() const;

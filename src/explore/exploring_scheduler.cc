@@ -68,8 +68,6 @@ Pid ExploringScheduler::pick_next(CpuId cpu) {
 
 Pid ExploringScheduler::steal(CpuId thief) { return inner_.steal(thief); }
 
-void ExploringScheduler::remove(Pid pid) { inner_.remove(pid); }
-
 bool ExploringScheduler::should_preempt(const Process& woken,
                                         const Process& running) const {
   // Strict-priority preemption (e.g. a kernel thread over a user task)

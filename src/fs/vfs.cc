@@ -55,9 +55,7 @@ Inode& Vfs::alloc_inode(FileType type, sim::Uid uid, sim::Gid gid,
                         Mode mode) {
   const Ino ino = next_ino_++;
   TOCTTOU_CHECK(ino == inodes_.size() + 1, "non-dense inode allocation");
-  inodes_.emplace_back(
-      new Inode(ino, type, uid, gid, mode,
-                strfmt("i_sem:%llu", static_cast<unsigned long long>(ino))));
+  inodes_.emplace_back(new Inode(ino, type, uid, gid, mode));
   return inodes_.back().mut();
 }
 

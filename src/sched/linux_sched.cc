@@ -211,13 +211,6 @@ bool LinuxLikeScheduler::take(Pid pid, CpuId cpu) {
   return true;
 }
 
-void LinuxLikeScheduler::remove(Pid pid) {
-  if (pid == sim::kNoPid || nodes_.size() < pid) return;
-  const CpuId cpu = nodes_[pid - 1].cpu;
-  if (cpu == sim::kNoCpu) return;
-  bq_unlink(bq(cpu), pid);
-}
-
 bool LinuxLikeScheduler::should_preempt(const Process& woken,
                                         const Process& running) const {
   if (woken.priority() > running.priority()) return true;

@@ -109,7 +109,8 @@ Kernel::Kernel(const Kernel& o, CloneMap& m)
     p.seg_kind_ = q.seg_kind_;
     p.seg_len_ = q.seg_len_;
     p.block_start_ = q.block_start_;
-    p.block_label_ = q.block_label_;
+    p.wait_ino_ = q.wait_ino_;
+    p.wait_flag_ = q.wait_flag_;
     p.wake_time_ = q.wake_time_;
     p.wake_pending_ = q.wake_pending_;
     procs_.push_back(std::move(proc));
@@ -208,16 +209,11 @@ bool Kernel::step() {
       }
       break;
     }
-    case EventKind::sleep_wake:
-    case EventKind::flag_wake:
-    case EventKind::sem_wake:
-      wake(ev.pid, /*from_io=*/false);
-      break;
-    case EventKind::io_wake:
-      wake(ev.pid, /*from_io=*/true);
+    case EventKind::wake:
+      wake(ev.pid);
       break;
     case EventKind::delayed_wake:
-      wake(ev.pid, /*from_io=*/ev.arg != 0, /*faultable=*/false);
+      wake(ev.pid, /*faultable=*/false);
       break;
     case EventKind::segment_end:
       on_segment_end(ev.pid, ev.arg);
@@ -368,7 +364,7 @@ void Kernel::dispatch(CpuId cpu) {
   }
   if (spec_.context_switch_cost > Duration::zero()) {
     begin_segment(p, Process::SegKind::ctxsw,
-                  spec_.effective(spec_.context_switch_cost, rng_), "ctxsw");
+                  spec_.effective(spec_.context_switch_cost, rng_));
   } else {
     continue_process(p);
   }
@@ -422,7 +418,7 @@ void Kernel::continue_process(Process& p) {
     const Duration seg = (p.slice_left_ > Duration::zero())
                              ? min(p.compute_left_, p.slice_left_)
                              : p.compute_left_;
-    begin_segment(p, Process::SegKind::user_compute, seg, p.compute_label_);
+    begin_segment(p, Process::SegKind::user_compute, seg);
     return;
   }
   start_next_action(p);
@@ -445,8 +441,7 @@ void Kernel::start_next_action(Process& p) {
         const Duration seg = (p.slice_left_ > Duration::zero())
                                  ? min(p.compute_left_, p.slice_left_)
                                  : p.compute_left_;
-        begin_segment(p, Process::SegKind::user_compute, seg,
-                      p.compute_label_);
+        begin_segment(p, Process::SegKind::user_compute, seg);
         return;
       }
       case Action::Kind::service: {
@@ -459,7 +454,7 @@ void Kernel::start_next_action(Process& p) {
             !p.mapped_libc_pages_.contains(page)) {
           p.mapped_libc_pages_.insert(page);
           begin_segment(p, Process::SegKind::trap,
-                        spec_.effective(spec_.libc_fault_cost, rng_), "trap");
+                        spec_.effective(spec_.libc_fault_cost, rng_));
           return;
         }
         p.op_enter_ = now();
@@ -470,7 +465,7 @@ void Kernel::start_next_action(Process& p) {
       case Action::Kind::sleep_for: {
         p.state_ = ProcState::sleeping;
         p.block_start_ = now();
-        queue_.schedule_at(now() + a.dur, {EventKind::sleep_wake, p.pid_});
+        queue_.schedule_at(now() + a.dur, {EventKind::wake, p.pid_});
         free_cpu(p);
         return;
       }
@@ -483,7 +478,7 @@ void Kernel::start_next_action(Process& p) {
         }
         p.state_ = ProcState::blocked_flag;
         p.block_start_ = now();
-        p.block_label_ = "flag:" + a.flag->name();
+        p.wait_flag_ = a.flag->name_;
         a.flag->waiters_.push_back(p.pid_);
         free_cpu(p);
         return;
@@ -498,7 +493,7 @@ void Kernel::start_next_action(Process& p) {
           // wake here keeps the append order causal.
           if (sync_ != nullptr) sync_->flag_wake(w, a.flag->name());
           queue_.schedule_at(now() + spec_.wakeup_latency,
-                             {EventKind::flag_wake, w});
+                             {EventKind::wake, w});
         }
         a.flag->waiters_.clear();
         continue;
@@ -525,8 +520,7 @@ void Kernel::advance_service(Process& p) {
     switch (step.kind) {
       case Step::Kind::work: {
         begin_segment(p, Process::SegKind::kernel_work,
-                      spec_.effective(step.dur, rng_),
-                      std::string(p.op_->name()));
+                      spec_.effective(step.dur, rng_));
         return;
       }
       case Step::Kind::acquire: {
@@ -535,7 +529,7 @@ void Kernel::advance_service(Process& p) {
         if (sem.owner_ == kNoPid) {
           sem.owner_ = p.pid_;
           ++p.sems_held_;
-          if (sync_ != nullptr) sync_->sem_acquire(p.pid_, sem.name_);
+          if (sync_ != nullptr) sync_->sem_acquire(p.pid_, sem.ino_);
           continue;  // acquired without blocking
         }
         TOCTTOU_CHECK(sem.owner_ != p.pid_, "semaphore is not recursive");
@@ -550,8 +544,7 @@ void Kernel::advance_service(Process& p) {
       case Step::Kind::block_io: {
         p.state_ = ProcState::blocked_io;
         p.block_start_ = now();
-        p.block_label_ = std::string(p.op_->name());
-        queue_.schedule_at(now() + step.dur, {EventKind::io_wake, p.pid_});
+        queue_.schedule_at(now() + step.dur, {EventKind::wake, p.pid_});
         free_cpu(p);
         return;
       }
@@ -563,8 +556,7 @@ void Kernel::advance_service(Process& p) {
             // Hold the result; the syscall returns only after the spike,
             // so the journal exit time reflects the injected latency.
             p.pending_result_ = step.result;
-            begin_segment(p, Process::SegKind::fault_spike, spike,
-                          "fault-spike");
+            begin_segment(p, Process::SegKind::fault_spike, spike);
             return;
           }
         }
@@ -613,14 +605,18 @@ void Kernel::complete_service(Process& p, Errno result) {
     metrics_->count("kernel.syscalls." + std::string(p.op_->name()));
     metrics_->observe("kernel.syscall_ns", (now() - p.op_enter_).ns());
   }
-  if (sync_ != nullptr) sync_->sc_exit(p.pid_);
+  // A sync log implies a trace (set_sync_log checks): the bracket names
+  // the record just appended.
+  if (sync_ != nullptr) {
+    sync_->sc_exit(p.pid_, trace_->journal.records().size() - 1);
+  }
   p.op_.reset();
 }
 
 void Kernel::block_on_sem(Process& p, Semaphore& sem) {
   p.state_ = ProcState::blocked_sem;
   p.block_start_ = now();
-  p.block_label_ = "sem:" + sem.name_;
+  p.wait_ino_ = sem.ino_;
   p.need_resched_ = false;
   sem.waiters_.push_back(p.pid_);
   free_cpu(p);
@@ -629,7 +625,7 @@ void Kernel::block_on_sem(Process& p, Semaphore& sem) {
 void Kernel::release_sem(Process& p, Semaphore& sem) {
   TOCTTOU_CHECK(sem.owner_ == p.pid_, "releasing a semaphore not held");
   --p.sems_held_;
-  if (sync_ != nullptr) sync_->sem_release(p.pid_, sem.name_);
+  if (sync_ != nullptr) sync_->sem_release(p.pid_, sem.ino_);
   if (sem.waiters_.empty()) {
     sem.owner_ = kNoPid;
     return;
@@ -643,12 +639,11 @@ void Kernel::release_sem(Process& p, Semaphore& sem) {
   ++process(next).sems_held_;
   // The handoff is the happens-before edge: next owns the semaphore
   // from this instant, so its acquire is ordered here, not at wakeup.
-  if (sync_ != nullptr) sync_->sem_acquire(next, sem.name_);
-  queue_.schedule_at(now() + spec_.wakeup_latency,
-                     {EventKind::sem_wake, next});
+  if (sync_ != nullptr) sync_->sem_acquire(next, sem.ino_);
+  queue_.schedule_at(now() + spec_.wakeup_latency, {EventKind::wake, next});
 }
 
-void Kernel::wake(Pid pid, bool from_io, bool faultable) {
+void Kernel::wake(Pid pid, bool faultable) {
   Process& p = process(pid);
   if (p.state_ == ProcState::exited) return;
   if (faultable && faults_ != nullptr) {
@@ -662,50 +657,24 @@ void Kernel::wake(Pid pid, bool from_io, bool faultable) {
       case FaultInjector::WakeFault::delay:
         // Redeliver later; faultable=false so the late wake cannot be
         // re-faulted into an unbounded delay chain.
-        queue_.schedule_at(now() + delay, {EventKind::delayed_wake, pid,
-                                           from_io ? 1u : 0u});
+        queue_.schedule_at(now() + delay, {EventKind::delayed_wake, pid});
         return;
       case FaultInjector::WakeFault::none:
         break;
     }
   }
-  trace::Category cat = trace::Category::sem_wait;
-  bool traced = true;
-  switch (p.state_) {
-    case ProcState::blocked_sem:
-      cat = trace::Category::sem_wait;
-      break;
-    case ProcState::blocked_io:
-      cat = trace::Category::io_wait;
-      break;
-    case ProcState::blocked_flag:
-      cat = trace::Category::sem_wait;
-      break;
-    case ProcState::sleeping:
-      traced = false;
-      break;
-    default:
-      TOCTTOU_CHECK(false, "wake on a process that is not blocked");
-  }
-  (void)from_io;
-  if (traced && trace_ && trace_->log_events) {
-    trace::TraceEvent ev;
-    ev.begin = p.block_start_;
-    ev.end = now();
-    ev.pid = p.pid_;
-    ev.cpu = kNoCpu;
-    ev.category = cat;
-    ev.label = p.block_label_;
-    trace_->log.add(std::move(ev));
+  TOCTTOU_CHECK(p.state_ != ProcState::ready && p.state_ != ProcState::running,
+                "wake on a process that is not blocked");
+  // A sleep is a timer, not a wait the paper's tracer drew.
+  if (p.state_ != ProcState::sleeping && trace_ && trace_->log_events) {
+    trace_wait(p);
   }
   if (metrics_ != nullptr) {
     const std::int64_t waited = (now() - p.block_start_).ns();
     switch (p.state_) {
       case ProcState::blocked_sem:
-        // block_label_ is "sem:<name>"; keyed per inode semaphore.
         metrics_->observe("fs.sem_wait_ns", waited);
-        metrics_->observe("fs.sem_wait_ns." + p.block_label_.substr(4),
-                          waited);
+        metrics_->observe("fs.sem_wait_ns." + sem_label(p.wait_ino_), waited);
         break;
       case ProcState::blocked_io:
         metrics_->observe("kernel.io_wait_ns", waited);
@@ -723,6 +692,29 @@ void Kernel::wake(Pid pid, bool from_io, bool faultable) {
   make_ready(p, /*just_woken=*/true);
 }
 
+void Kernel::trace_wait(const Process& p) {
+  trace::TraceEvent ev;
+  ev.begin = p.block_start_;
+  ev.end = now();
+  ev.pid = p.pid_;
+  ev.cpu = kNoCpu;
+  switch (p.state_) {
+    case ProcState::blocked_sem:
+      ev.category = trace::Category::sem_wait;
+      ev.label = "sem:" + sem_label(p.wait_ino_);
+      break;
+    case ProcState::blocked_flag:
+      ev.category = trace::Category::sem_wait;
+      ev.label = "flag:" + std::string(p.wait_flag_);
+      break;
+    default:  // blocked_io: the op in service stalls on its device
+      ev.category = trace::Category::io_wait;
+      ev.label = p.op_->name();
+      break;
+  }
+  trace_->log.add(std::move(ev));
+}
+
 void Kernel::handle_exit(Process& p) {
   TOCTTOU_CHECK(p.sems_held_ == 0,
                 "process exited while holding a semaphore");
@@ -737,14 +729,11 @@ void Kernel::handle_exit(Process& p) {
 // ---------------------------------------------------------------------------
 
 void Kernel::begin_segment(Process& p, Process::SegKind kind,
-                           Duration effective, std::string label) {
+                           Duration effective) {
   if (effective < Duration::zero()) effective = Duration::zero();
   p.seg_kind_ = kind;
   p.seg_start_ = now();
   p.seg_len_ = effective;
-  p.compute_label_ =
-      (kind == Process::SegKind::user_compute) ? label : p.compute_label_;
-  if (kind != Process::SegKind::user_compute) p.block_label_ = label;
   queue_.schedule_at(now() + effective,
                      {EventKind::segment_end, p.pid_, ++p.seg_gen_});
 }
@@ -791,7 +780,7 @@ void Kernel::finish_segment(Process& p, Duration ran) {
       return;
     }
     case Process::SegKind::kernel_work: {
-      trace_segment(p, trace::Category::syscall, p.block_label_, p.seg_start_,
+      trace_segment(p, trace::Category::syscall, p.op_->name(), p.seg_start_,
                     now());
       // Kernel work steps are non-preemptible; honor deferred preemption
       // and slice expiry at this safe point.
@@ -830,7 +819,7 @@ void Kernel::charge(Process& p, Duration ran) {
 }
 
 void Kernel::trace_segment(const Process& p, trace::Category cat,
-                           const std::string& label, SimTime begin,
+                           std::string_view label, SimTime begin,
                            SimTime end) {
   if (!trace_ || !trace_->log_events || end == begin) return;
   trace::TraceEvent ev;

@@ -58,9 +58,9 @@ void Process::hash_state(StateHasher& h) const {
   //    queue's canonical hash captures that validity bit instead.
   //  - op_enter_: read when the in-flight op completes (journal enter
   //    timestamp, service-time metric); stale once op_ is null.
-  //  - block_start_/block_label_/wake_time_: read only by metrics and
-  //    trace-event emission, both disabled in explorer leaves
-  //    (canonical_explore_config), which is the only context that
+  //  - block_start_/wait_ino_/wait_flag_/wake_time_: read only by
+  //    metrics and trace-event emission, both disabled in explorer
+  //    leaves (canonical_explore_config), which is the only context that
   //    consumes these digests.
   if (state_ == ProcState::running) {
     h.i64(cpu_);

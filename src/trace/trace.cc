@@ -106,11 +106,6 @@ SimTime TraceLog::end_time() const {
   return t;
 }
 
-void TraceLog::clear() {
-  events_.clear();
-  names_.clear();
-}
-
 std::string TraceLog::to_csv() const {
   std::string out = "begin_us,end_us,pid,name,cpu,category,label,detail\n";
   // ~80 bytes covers a typical row; reserve once so a 10^5-event trace

@@ -14,8 +14,9 @@ using namespace tocttou::literals;
 
 // Builds one round's worth of paired SyncLog + SyscallJournal. Every
 // syscall goes through call(): it brackets the record with
-// sc_enter/sc_exit in the log and appends the record to the journal in
-// completion order, which is exactly the kernel's contract.
+// sc_enter/sc_exit in the log, the exit naming the record's index, and
+// appends the record to the journal in completion order, which is
+// exactly the kernel's contract.
 class RoundBuilder {
  public:
   void start(trace::Pid pid, std::uint32_t uid) { sync.proc_start(pid, uid); }
@@ -23,7 +24,7 @@ class RoundBuilder {
   trace::SyscallRecord& call(trace::Pid pid, std::string name,
                              std::string path, std::string path2 = {}) {
     sync.sc_enter(pid);
-    sync.sc_exit(pid);
+    sync.sc_exit(pid, journal.records().size());
     trace::SyscallRecord r;
     r.pid = pid;
     r.name = std::move(name);
@@ -108,9 +109,9 @@ TEST(DetectorTest, SemOrderedMutationBeforeCheckIsSuppressed) {
   b.start(1, 0);
   b.start(2, 500);
   b.call(2, "unlink", "/h/f");
-  b.sync.sem_acquire(2, "i:7");
-  b.sync.sem_release(2, "i:7");
-  b.sync.sem_acquire(1, "i:7");  // joins the attacker's history
+  b.sync.sem_acquire(2, 7);
+  b.sync.sem_release(2, 7);
+  b.sync.sem_acquire(1, 7);  // joins the attacker's history
   b.call(1, "stat", "/h/f");
   b.call(1, "chown", "/h/f");
 
@@ -130,9 +131,9 @@ TEST(DetectorTest, UseBeforeMutationIsSuppressed) {
   b.start(2, 500);
   b.call(1, "stat", "/h/f");
   b.call(1, "chown", "/h/f");
-  b.sync.sem_acquire(1, "i:7");
-  b.sync.sem_release(1, "i:7");
-  b.sync.sem_acquire(2, "i:7");
+  b.sync.sem_acquire(1, 7);
+  b.sync.sem_release(1, 7);
+  b.sync.sem_acquire(2, 7);
   b.call(2, "unlink", "/h/f");
 
   const DetectReport rep = analyze_round(b.sync, b.journal);
@@ -149,12 +150,12 @@ TEST(DetectorTest, MutationSerializedInsideWindowStillRaces) {
   b.start(1, 0);
   b.start(2, 500);
   b.call(1, "stat", "/h/f");
-  b.sync.sem_acquire(1, "i:7");
-  b.sync.sem_release(1, "i:7");
-  b.sync.sem_acquire(2, "i:7");
+  b.sync.sem_acquire(1, 7);
+  b.sync.sem_release(1, 7);
+  b.sync.sem_acquire(2, 7);
   b.call(2, "unlink", "/h/f");
-  b.sync.sem_release(2, "i:7");
-  b.sync.sem_acquire(1, "i:7");
+  b.sync.sem_release(2, 7);
+  b.sync.sem_acquire(1, 7);
   b.call(1, "chown", "/h/f");
 
   const DetectReport rep = analyze_round(b.sync, b.journal);
@@ -201,9 +202,9 @@ TEST(DetectorTest, RecheckResetsTheWindow) {
   b.start(2, 500);
   b.call(1, "stat", "/h/f");
   b.call(2, "unlink", "/h/f");
-  b.sync.sem_acquire(2, "i:7");
-  b.sync.sem_release(2, "i:7");
-  b.sync.sem_acquire(1, "i:7");
+  b.sync.sem_acquire(2, 7);
+  b.sync.sem_release(2, 7);
+  b.sync.sem_acquire(1, 7);
   b.call(1, "stat", "/h/f");  // re-check, ordered after the unlink
   b.call(1, "chown", "/h/f");
 
@@ -230,8 +231,8 @@ TEST(DetectorTest, OwnRenameRetiresTheCheckedName) {
 
 TEST(DetectorTest, InFlightCallAtRoundEndIsDropped) {
   // A round can end with a syscall still in service: sc_enter with no
-  // sc_exit and no journal record. The dangling bracket must not break
-  // the 1:1 pairing.
+  // sc_exit and no journal record. The dangling bracket names no record
+  // and is dropped.
   RoundBuilder b;
   b.start(1, 0);
   b.call(1, "stat", "/h/f");
@@ -258,8 +259,17 @@ TEST(DetectorTest, OutOfStepLogAndJournalThrows) {
   RoundBuilder c;
   c.start(1, 0);
   c.sync.sc_enter(1);
-  c.sync.sc_exit(1);
+  c.sync.sc_exit(1, 0);
   EXPECT_THROW(analyze_round(c.sync, c.journal), SimError);
+
+  // Each record has exactly one call: a second bracket naming the same
+  // record is the same bug again.
+  RoundBuilder d;
+  d.start(1, 0);
+  d.call(1, "stat", "/h/f");
+  d.sync.sc_enter(1);
+  d.sync.sc_exit(1, 0);
+  EXPECT_THROW(analyze_round(d.sync, d.journal), SimError);
 }
 
 TEST(DetectorTest, EmptyRound) {

@@ -81,16 +81,6 @@ class ReferenceRunQueue {
     return true;
   }
 
-  void remove(sim::Pid pid) {
-    for (List& q : cpus_) {
-      const auto it = find(q, pid);
-      if (it != q.end()) {
-        q.erase(it);
-        return;
-      }
-    }
-  }
-
   std::size_t queue_depth(sim::CpuId cpu) const { return at(cpu).size(); }
 
  private:

@@ -121,8 +121,8 @@ TEST(RunQueueDifferentialTest, RandomizedTraceAgreesAcrossImpls) {
       std::advance(it, rng.uniform_int(
                            0, static_cast<std::int64_t>(queued.size()) - 1));
       const Pid p = it->first;
-      bitmap.remove(p);
-      reference.remove(p);
+      ASSERT_TRUE(bitmap.take(p, it->second)) << "op " << op;
+      ASSERT_TRUE(reference.take(p, it->second)) << "op " << op;
       queued.erase(it);
       unqueued.push_back(p);
     } else if (kind == 8 && !queued.empty()) {

@@ -13,7 +13,7 @@ namespace {
 
 using namespace tocttou::literals;
 
-Event ev(std::uint64_t arg) { return Event{EventKind::sleep_wake, 1, arg}; }
+Event ev(std::uint64_t arg) { return Event{EventKind::wake, 1, arg}; }
 
 /// Pops every pending event, returning their args in firing order.
 std::vector<std::uint64_t> drain(EventQueue& q) {

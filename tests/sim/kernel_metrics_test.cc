@@ -95,7 +95,7 @@ TEST(KernelMetricsTest, SemWaitHistogramMatchesContention) {
   Kernel k(quiet_machine(2), make_sched(), 1);
   metrics::Registry reg;
   k.set_metrics(&reg);
-  Semaphore sem("i_sem:42");
+  Semaphore sem(42);
   auto holder = [&](Duration lead, Duration hold) {
     std::vector<Action> s;
     if (lead > Duration::zero()) s.push_back(Action::compute(lead));
@@ -111,7 +111,7 @@ TEST(KernelMetricsTest, SemWaitHistogramMatchesContention) {
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count(), 1u);
   EXPECT_EQ(h->sum(), (90_us).ns());
-  // The per-semaphore key strips the "sem:" label prefix.
+  // The per-semaphore key names the semaphore by its inode.
   const metrics::Histogram* per = reg.histogram("fs.sem_wait_ns.i_sem:42");
   ASSERT_NE(per, nullptr);
   EXPECT_EQ(per->count(), 1u);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "../testing/programs.h"
 #include "tocttou/sched/linux_sched.h"
 #include "tocttou/sim/faults.h"
@@ -108,7 +111,7 @@ TEST(KernelTest, AffinityPinsProcess) {
 
 TEST(KernelTest, SemaphoreBlocksAndHandsOffFifo) {
   Kernel k(quiet_machine(2), make_sched(), 1);
-  Semaphore sem("s");
+  Semaphore sem(1);
   std::vector<int> order;
 
   auto holder = [&](int id, Duration hold) {
@@ -140,9 +143,73 @@ TEST(KernelTest, SemaphoreBlocksAndHandsOffFifo) {
   EXPECT_EQ(k2.now(), SimTime::origin() + 40_us);
 }
 
+TEST(KernelTest, WaitAndKernelWorkSpansCarryTheirLabels) {
+  // One traced round with each kind of wait: "taker" blocks on the
+  // semaphore "holder" holds, "flagger" waits on a flag "taker" sets, and
+  // "holder" stalls on device I/O inside its call. A semaphore wait is
+  // labelled "sem:i_sem:<ino>", a flag wait "flag:<name>", an I/O wait
+  // and every kernel-work segment the name of the op in service.
+  trace::RoundTrace tr;
+  Kernel k(quiet_machine(2), make_sched(), 1, &tr);
+  Semaphore sem(7);
+  EventFlag flag("go");
+  std::vector<Action> holder, taker, flagger;
+  holder.push_back(Action::service(std::make_unique<ScriptOp>(
+      "hold", std::vector<Step>{Step::acquire(&sem), Step::work(30_us),
+                                Step::release(&sem), Step::block_io(20_us),
+                                Step::work(5_us), Step::done()})));
+  taker.push_back(Action::compute(10_us));
+  taker.push_back(Action::service(std::make_unique<ScriptOp>(
+      "take", std::vector<Step>{Step::acquire(&sem), Step::work(4_us),
+                                Step::release(&sem), Step::done()})));
+  taker.push_back(Action::set_flag(&flag));
+  flagger.push_back(Action::wait_flag(&flag));
+  flagger.push_back(Action::compute(1_us));
+  const Pid h = k.spawn(std::make_unique<ScriptProgram>(std::move(holder)),
+                        {.name = "holder"});
+  const Pid t = k.spawn(std::make_unique<ScriptProgram>(std::move(taker)),
+                        {.name = "taker"});
+  const Pid f = k.spawn(std::make_unique<ScriptProgram>(std::move(flagger)),
+                        {.name = "flagger"});
+  EXPECT_TRUE(k.run_to_exit());
+
+  const std::map<Pid, std::string> op_of = {{h, "hold"}, {t, "take"}};
+  int sem_waits = 0, flag_waits = 0, io_waits = 0, work = 0;
+  for (const trace::TraceEvent& ev : tr.log.events()) {
+    switch (ev.category) {
+      case trace::Category::sem_wait:
+        if (ev.pid == t) {
+          EXPECT_EQ(ev.label, "sem:i_sem:7");
+          ++sem_waits;
+        } else {
+          EXPECT_EQ(ev.pid, f);
+          EXPECT_EQ(ev.label, "flag:go");
+          ++flag_waits;
+        }
+        break;
+      case trace::Category::io_wait:
+        EXPECT_EQ(ev.pid, h);
+        EXPECT_EQ(ev.label, "hold");
+        ++io_waits;
+        break;
+      case trace::Category::syscall:
+        ASSERT_TRUE(op_of.contains(ev.pid)) << ev.label;
+        EXPECT_EQ(ev.label, op_of.at(ev.pid));
+        ++work;
+        break;
+      default:
+        break;
+    }
+  }
+  EXPECT_EQ(sem_waits, 1);
+  EXPECT_EQ(flag_waits, 1);
+  EXPECT_EQ(io_waits, 1);
+  EXPECT_EQ(work, 3);  // hold's two work steps and take's one
+}
+
 TEST(KernelTest, SemaphoreIsNotRecursive) {
   Kernel k(quiet_machine(1), make_sched(), 1);
-  Semaphore sem("s");
+  Semaphore sem(1);
   std::vector<Step> steps;
   steps.push_back(Step::acquire(&sem));
   steps.push_back(Step::acquire(&sem));  // invalid
@@ -154,7 +221,7 @@ TEST(KernelTest, SemaphoreIsNotRecursive) {
 
 TEST(KernelTest, ExitWhileHoldingSemaphoreThrows) {
   Kernel k(quiet_machine(1), make_sched(), 1);
-  Semaphore sem("s");
+  Semaphore sem(1);
   std::vector<Step> steps;
   steps.push_back(Step::acquire(&sem));
   steps.push_back(Step::done());  // never released
@@ -403,7 +470,7 @@ TEST(KernelTest, SemaphoreHandoffIncludesWakeupLatency) {
   MachineSpec m = quiet_machine(2);
   m.wakeup_latency = 5_us;
   Kernel k(m, make_sched(), 1);
-  Semaphore sem("s");
+  Semaphore sem(1);
   auto holder = [&](Duration hold) {
     std::vector<Step> steps;
     steps.push_back(Step::acquire(&sem));

@@ -18,7 +18,7 @@ TEST(StepTest, WorkCarriesDurationOnly) {
 }
 
 TEST(StepTest, AcquireAndReleaseCarryTheSemaphore) {
-  Semaphore sem("i_sem:1");
+  Semaphore sem(1);
   const Step a = Step::acquire(&sem);
   EXPECT_EQ(a.kind, Step::Kind::acquire);
   EXPECT_EQ(a.sem, &sem);
@@ -84,8 +84,9 @@ TEST(ServiceOpTest, DefaultFillRecordLeavesRecordUntouched) {
 }
 
 TEST(SemaphoreTest, StartsFreeWithNoWaiters) {
-  Semaphore sem("i_sem:9");
-  EXPECT_EQ(sem.name(), "i_sem:9");
+  Semaphore sem(9);
+  EXPECT_EQ(sem.ino(), 9u);
+  EXPECT_EQ(sem_label(sem.ino()), "i_sem:9");
   EXPECT_FALSE(sem.held());
   EXPECT_EQ(sem.owner(), kNoPid);
   EXPECT_EQ(sem.waiters(), 0u);
