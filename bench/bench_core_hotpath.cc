@@ -5,19 +5,26 @@
 //
 //   ./bench_core_hotpath [output.json]
 //
-// Defaults to BENCH_core_hotpath.json in the working directory; round
-// counts scale with TOCTTOU_ROUNDS (default 200 per workload). The
-// figures from before the event-queue hot-path work are recorded in
-// DESIGN.md §7.
+// A campaign pass of a few hundred rounds lasts tens of milliseconds,
+// so one timing measures the host as much as the code. Each timed unit
+// (the three campaigns and the raw queue loop) instead sizes its pass to
+// about a second from a warm-up, then runs kPasses passes, the units
+// interleaved pass by pass, and reports the median and quartiles of its
+// rate. TOCTTOU_ROUNDS=<n> fixes the rounds per campaign pass instead of
+// sizing it. The figures from before the event-queue hot-path work are
+// recorded in DESIGN.md §7.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "tocttou/common/stats.h"
 #include "tocttou/common/strings.h"
 #include "tocttou/core/harness.h"
 #include "tocttou/metrics/profile.h"
@@ -28,87 +35,65 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+constexpr int kPasses = 5;
+constexpr double kPassSeconds = 1.0;
+
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-int rounds_or(int dflt) {
+int fixed_rounds() {
   if (const char* env = std::getenv("TOCTTOU_ROUNDS")) {
     const int v = std::atoi(env);
     if (v > 0) return v;
   }
-  return dflt;
+  return 0;
 }
 
 struct Workload {
   const char* name;
   core::ScenarioConfig cfg;
-  int rounds;
   bool measure_ld;
 };
-
-struct WorkloadReport {
-  std::string name;
-  int rounds = 0;
-  double rps = 0.0;
-};
-
-/// One timed serial campaign; returns rounds/sec.
-double timed_campaign(const Workload& w) {
-  const auto t0 = Clock::now();
-  core::run_campaign(w.cfg, w.rounds, w.measure_ld, /*jobs=*/1);
-  return static_cast<double>(w.rounds) / seconds_since(t0);
-}
 
 std::vector<Workload> workloads() {
   std::vector<Workload> out;
   {
     // The bench_model_sweep shape: SMP vi with the journal on (L/D
     // measurement) at the sweep's 4KB point.
-    Workload w;
-    w.name = "smp_vi_measure_ld";
+    Workload w{"smp_vi_measure_ld", {}, true};
     w.cfg.profile = programs::testbed_smp_dual_xeon();
     w.cfg.victim = core::VictimKind::vi;
     w.cfg.file_bytes = 4096;
     w.cfg.seed = 42;
-    w.rounds = rounds_or(200) * 4;  // fast rounds; larger count steadies it
-    w.measure_ld = true;
     out.push_back(w);
   }
   {
     // Uniprocessor vi: long rounds dominated by kernel event dispatch.
-    Workload w;
-    w.name = "up_vi";
+    Workload w{"up_vi", {}, false};
     w.cfg.profile = programs::testbed_uniprocessor_xeon();
     w.cfg.victim = core::VictimKind::vi;
     w.cfg.seed = 42;
-    w.rounds = rounds_or(200);
-    w.measure_ld = false;
     out.push_back(w);
   }
   {
     // Multicore gedit: deepest scheduler involvement (4 CPUs + steals).
-    Workload w;
-    w.name = "multicore_gedit";
+    Workload w{"multicore_gedit", {}, false};
     w.cfg.profile = programs::testbed_multicore_pentium_d();
     w.cfg.victim = core::VictimKind::gedit;
     w.cfg.seed = 42;
-    w.rounds = rounds_or(200);
-    w.measure_ld = false;
     out.push_back(w);
   }
   return out;
 }
 
-/// Raw queue throughput: push/pop churn of typed events with a live
-/// heap, mimicking the kernel's schedule-then-fire pattern.
-double queue_ops_per_sec() {
-  constexpr int kEvents = 2'000'000;
+/// Raw queue churn: fires `events` typed events with a live heap,
+/// mimicking the kernel's schedule-then-fire pattern.
+void queue_churn(long long events) {
   sim::EventQueue q;
   long long fired = 0;
   sim::Event ev{};
-  const auto t0 = Clock::now();
-  while (fired < kEvents) {
+  while (fired < events) {
     if (q.empty()) {
       q.schedule_at(q.now() + Duration::nanos(13),
                     {sim::EventKind::segment_end, 1, 10});
@@ -124,7 +109,38 @@ double queue_ops_per_sec() {
                     {ev.kind, ev.pid, ev.arg - 2});
     }
   }
-  return static_cast<double>(fired) / seconds_since(t0);
+}
+
+/// One timed unit: `run(n)` does n rounds or events.
+struct Unit {
+  std::string name;
+  std::function<void(long long)> run;
+  long long per_pass = 0;
+  Samples rate;  // units per second, one sample per pass
+};
+
+/// Units per pass: doubles a pass from `start` until it lasts a tenth of
+/// kPassSeconds, then scales it to kPassSeconds (a multiple of `start`,
+/// which for campaigns is the engine's 8-round block). The doubling
+/// doubles as the warm-up.
+long long size_pass(const Unit& u, long long start) {
+  long long n = start;
+  while (true) {
+    const auto t0 = Clock::now();
+    u.run(n);
+    const double sec = seconds_since(t0);
+    if (sec >= kPassSeconds / 10) {
+      const auto want = static_cast<long long>(n * kPassSeconds / sec);
+      return std::max(start, want / start * start);
+    }
+    n *= 2;
+  }
+}
+
+std::string quartiles(const Samples& s, int decimals) {
+  return strfmt("{\"median\": %.*f, \"p25\": %.*f, \"p75\": %.*f}",
+                decimals, s.median(), decimals, s.quantile(0.25), decimals,
+                s.quantile(0.75));
 }
 
 }  // namespace
@@ -137,41 +153,64 @@ int main(int argc, char** argv) {
       argc > 1 ? argv[1] : "BENCH_core_hotpath.json";
   const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
 
-  std::vector<WorkloadReport> reports;
-  metrics::WallProfile wall;
-  for (const Workload& w : workloads()) {
-    WorkloadReport r;
-    r.name = w.name;
-    r.rounds = w.rounds;
-    // Warm-up pass (allocator + page cache), then the timed pass.
-    timed_campaign({w.name, w.cfg, std::max(8, w.rounds / 8), w.measure_ld});
-    r.rps = timed_campaign(w);
-    // Per-subsystem wall time, accumulated across workloads.
-    Workload prof = w;
-    prof.rounds = std::max(8, w.rounds / 8);
-    prof.cfg.wall_profile = &wall;
-    timed_campaign(prof);
-    std::printf("%-20s %6d rounds   %9.1f r/s\n", r.name.c_str(), r.rounds,
-                r.rps);
-    reports.push_back(r);
+  const std::vector<Workload> campaigns = workloads();
+  std::vector<Unit> units;
+  for (const Workload& w : campaigns) {
+    Unit u{w.name,
+           [&w](long long rounds) {
+             core::run_campaign(w.cfg, static_cast<int>(rounds),
+                                w.measure_ld, /*jobs=*/1);
+           },
+           fixed_rounds(), {}};
+    if (u.per_pass == 0) u.per_pass = size_pass(u, 8);
+    units.push_back(std::move(u));
+  }
+  Unit queue{"event_queue", queue_churn, 0, {}};
+  queue.per_pass = size_pass(queue, 1 << 16);
+  units.push_back(std::move(queue));
+
+  for (int pass = 0; pass < kPasses; ++pass) {
+    for (Unit& u : units) {
+      const auto t0 = Clock::now();
+      u.run(u.per_pass);
+      u.rate.add(static_cast<double>(u.per_pass) / seconds_since(t0));
+    }
+  }
+  for (const Unit& u : units) {
+    std::printf("%-20s %9lld per pass   %12.1f /s (median; p25 %.1f, "
+                "p75 %.1f)\n",
+                u.name.c_str(), u.per_pass, u.rate.median(),
+                u.rate.quantile(0.25), u.rate.quantile(0.75));
   }
 
-  const double q_ops = queue_ops_per_sec();
-  std::printf("event_queue raw       %.2fM ev/s\n", q_ops / 1e6);
+  // Per-subsystem wall time, accumulated across the campaigns, each run
+  // for an eighth of its pass.
+  metrics::WallProfile wall;
+  for (std::size_t i = 0; i < campaigns.size(); ++i) {
+    core::ScenarioConfig prof = campaigns[i].cfg;
+    prof.wall_profile = &wall;
+    core::run_campaign(
+        prof, static_cast<int>(std::max(8LL, units[i].per_pass / 8)),
+        campaigns[i].measure_ld, /*jobs=*/1);
+  }
 
   std::string json = "{\n";
   json += "  \"bench\": \"core_hotpath\",\n";
   json += strfmt("  \"hardware_threads\": %u,\n", hw_threads);
+  json += strfmt("  \"passes\": %d,\n", kPasses);
   json += "  \"workloads\": [\n";
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const WorkloadReport& r = reports[i];
+  for (std::size_t i = 0; i < campaigns.size(); ++i) {
     json += strfmt(
-        "    {\"name\": \"%s\", \"rounds\": %d, "
-        "\"rounds_per_sec\": %.2f}%s\n",
-        r.name.c_str(), r.rounds, r.rps, i + 1 < reports.size() ? "," : "");
+        "    {\"name\": \"%s\", \"rounds_per_pass\": %lld, "
+        "\"rounds_per_sec\": %s}%s\n",
+        units[i].name.c_str(), units[i].per_pass,
+        quartiles(units[i].rate, 1).c_str(),
+        i + 1 < campaigns.size() ? "," : "");
   }
   json += "  ],\n";
-  json += strfmt("  \"event_queue_ops_per_sec\": %.0f,\n", q_ops);
+  json += strfmt(
+      "  \"event_queue\": {\"events_per_pass\": %lld, \"ops_per_sec\": %s},\n",
+      units.back().per_pass, quartiles(units.back().rate, 0).c_str());
   const double total = static_cast<double>(wall.total_ns);
   json += strfmt(
       "  \"subsystem_wall\": {\"rounds\": %llu, \"setup_ns\": %llu, "

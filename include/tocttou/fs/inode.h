@@ -7,20 +7,22 @@
 // is reduced to the competition for the semaphore"). The semaphore is
 // named by the inode's number: an inode formats no name.
 //
+// A directory's entries are one vector sorted by name bytes, searched in
+// O(log width); a copy-on-write copy copies it as it is.
+//
 // Inodes are shared copy-on-write between Vfs copies: a RoundContext's
 // staged template, the rounds cloned from it and every checkpoint fork
 // hold InodeRef handles to the same objects, and Vfs::inode_mut copies
 // an inode only when another Vfs still references it.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "tocttou/fs/types.h"
 #include "tocttou/sim/semaphore.h"
@@ -42,9 +44,7 @@ class Inode {
         mode_(o.mode_), size_bytes_(o.size_bytes_), nlink_(o.nlink_),
         open_refs_(o.open_refs_), symlink_target_(o.symlink_target_),
         entries_(o.entries_), sem_(o.sem_),
-        rename_in_progress_(o.rename_in_progress_) {
-    rebuild_index();  // the index views must point into OUR entry keys
-  }
+        rename_in_progress_(o.rename_in_progress_) {}
 
   Inode& operator=(const Inode&) = delete;
 
@@ -61,18 +61,16 @@ class Inode {
   int open_refs() const { return open_refs_; }
   const std::string& symlink_target() const { return symlink_target_; }
 
-  /// Directory entries (name -> inode). Only valid for directories.
-  /// The ordered map is the source of truth (audit and hash_state need
-  /// deterministic name-order iteration); `index_` shadows it with a
-  /// hashed name -> ino index so lookup costs O(1) instead of O(log n)
-  /// string comparisons in a wide directory.
-  using EntryMap = std::map<std::string, Ino, std::less<>>;
-  const EntryMap& entries() const { return entries_; }
+  /// Directory entries (name, inode), sorted by the names' unsigned
+  /// bytes, the order hash_state and the audits read. Only valid for
+  /// directories.
+  using Entry = std::pair<std::string, Ino>;
+  const std::vector<Entry>& entries() const { return entries_; }
 
-  /// O(1) child lookup through the hashed index (kNoIno when absent).
+  /// Child lookup by binary search (kNoIno when absent).
   Ino lookup(std::string_view name) const {
-    const auto it = index_.find(name);
-    return it == index_.end() ? kNoIno : it->second;
+    const auto it = slot(name);
+    return it != entries_.end() && it->first == name ? it->second : kNoIno;
   }
 
   sim::Semaphore& sem() { return sem_; }
@@ -135,23 +133,10 @@ class Inode {
   friend class Vfs;
   friend class InodeRef;
 
-  /// Entry mutators keeping `index_` in lockstep. The index keys are
-  /// string_views into the EntryMap's keys — node-stable, so only the
-  /// erased name's view ever dangles, and it is dropped from the index
-  /// BEFORE the map node goes away.
-  void add_entry(const std::string& name, Ino target) {
-    const auto [it, inserted] = entries_.emplace(name, target);
-    if (inserted) index_.emplace(std::string_view(it->first), target);
-  }
-  void remove_entry(EntryMap::iterator it) {
-    index_.erase(std::string_view(it->first));
-    entries_.erase(it);
-  }
-  void rebuild_index() {
-    index_.clear();
-    for (const auto& [name, target] : entries_) {
-      index_.emplace(std::string_view(name), target);
-    }
+  /// The first entry whose name is not below `name`: where `name` is,
+  /// or where Vfs::link_entry inserts it.
+  std::vector<Entry>::const_iterator slot(std::string_view name) const {
+    return std::ranges::lower_bound(entries_, name, {}, &Entry::first);
   }
 
   Ino ino_;
@@ -163,8 +148,7 @@ class Inode {
   int nlink_ = 0;
   int open_refs_ = 0;
   std::string symlink_target_;
-  EntryMap entries_;
-  std::unordered_map<std::string_view, Ino> index_;
+  std::vector<Entry> entries_;
   sim::Semaphore sem_;
   bool rename_in_progress_ = false;
   /// InodeRef handles sharing this inode. Kept inside the inode, so an

@@ -18,6 +18,9 @@
 //
 // Setup methods (mkdir_p, create_file, ...) are instantaneous and meant
 // for arranging the experiment's initial tree; they bypass permissions.
+// create_in makes an inode by name in a directory the caller already
+// holds, such as the one mkdir_p returned; the path-taking methods walk
+// to the parent, then call it.
 #pragma once
 
 #include <cstdint>
@@ -83,6 +86,10 @@ class Vfs {
   /// Creates a regular file (parent directories must exist).
   Ino create_file(const std::string& path, sim::Uid uid, sim::Gid gid,
                   Mode mode = kModeDefaultFile, std::uint64_t size_bytes = 0);
+  /// Creates an inode named `name` in directory `dir`, walking no path.
+  /// A fresh inode is unshared, so the result may be written.
+  Inode& create_in(Ino dir, std::string_view name, FileType type,
+                   sim::Uid uid, sim::Gid gid, Mode mode);
 
   /// Creates a symlink at `path` pointing to `target`.
   Ino create_symlink(const std::string& path, const std::string& target,
@@ -185,8 +192,8 @@ class Vfs {
 
   Inode& alloc_inode(FileType type, sim::Uid uid, sim::Gid gid, Mode mode);
   /// Commits a directory-entry insertion/removal (instantaneous).
-  void link_entry(Ino dir, const std::string& name, Ino target);
-  void unlink_entry(Ino dir, const std::string& name);
+  void link_entry(Ino dir, std::string_view name, Ino target);
+  void unlink_entry(Ino dir, std::string_view name);
   /// Drops an open reference. Inodes are never physically erased within
   /// a round (orphans are modeled behaviour and tombstones keep in-flight
   /// Ino references valid); "freed" means nlink==0 && open_refs==0.

@@ -94,9 +94,9 @@ class Walker {
     done,
   };
 
-  // Looks up the final component and snapshots it; returns true if the
-  // walk must restart through a symlink.
-  bool lookup_final();
+  // Takes the final component's inode, just looked up in parent_, and
+  // snapshots it; returns true if the walk must restart through a link.
+  bool take_final(Ino target);
 
   Vfs* vfs_;
   std::string path_;
@@ -113,8 +113,8 @@ class Walker {
   bool slow_path_ = false;
 };
 
-bool Walker::lookup_final() {
-  target_ = vfs_->lookup_in(parent_, final_name_);
+bool Walker::take_final(Ino target) {
+  target_ = target;
   if (target_ != kNoIno) {
     const Inode& t = vfs_->inode(target_);
     snapshot_ = t.to_stat();
@@ -185,7 +185,7 @@ std::optional<Step> Walker::advance(ServiceContext& ctx) {
             parent_inode.rename_in_progress() ||
             (parent_inode.sem().held() && walk.target == kNoIno);
         if (!must_block) {
-          if (lookup_final()) {
+          if (take_final(walk.target)) {
             st_ = St::init;
             continue;
           }
@@ -200,7 +200,8 @@ std::optional<Step> Walker::advance(ServiceContext& ctx) {
         return Step::acquire(&vfs_->inode_mut(parent_).sem());
       }
       case St::locked: {
-        const bool restart = lookup_final();
+        // Look up again: the semaphore's last holder may have changed it.
+        const bool restart = take_final(vfs_->lookup_in(parent_, final_name_));
         if (policy_ == SemPolicy::lockless_if_free) {
           st_ = restart ? St::release_then_restart : St::locked_tail;
           return Step::work(vfs_->costs().stat_locked_tail);

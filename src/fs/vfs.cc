@@ -201,9 +201,7 @@ Ino Vfs::mkdir_p(const std::string& path, sim::Uid uid, sim::Gid gid,
     TOCTTOU_CHECK(part != "..", "'..' is not modeled");
     Ino child = lookup_in(cur, part);
     if (child == kNoIno) {
-      Inode& n = alloc_inode(FileType::directory, uid, gid, mode);
-      link_entry(cur, std::string(part), n.ino());
-      child = n.ino();
+      child = create_in(cur, part, FileType::directory, uid, gid, mode).ino();
     }
     TOCTTOU_CHECK(inode(child).is_dir(), "mkdir_p path crosses a non-dir");
     cur = child;
@@ -211,14 +209,20 @@ Ino Vfs::mkdir_p(const std::string& path, sim::Uid uid, sim::Gid gid,
   return cur;
 }
 
+Inode& Vfs::create_in(Ino dir, std::string_view name, FileType type,
+                      sim::Uid uid, sim::Gid gid, Mode mode) {
+  Inode& n = alloc_inode(type, uid, gid, mode);
+  link_entry(dir, name, n.ino());
+  return n;
+}
+
 Ino Vfs::create_file(const std::string& path, sim::Uid uid, sim::Gid gid,
                      Mode mode, std::uint64_t size_bytes) {
   const auto walk = walk_prefix(path);
   TOCTTOU_CHECK(walk.err == Errno::ok, "create_file: bad parent path");
-  TOCTTOU_CHECK(walk.target == kNoIno, "create_file: path already exists");
-  Inode& n = alloc_inode(FileType::regular, uid, gid, mode);
+  Inode& n = create_in(walk.parent, walk.final_name, FileType::regular, uid,
+                       gid, mode);
   n.size_bytes_ = size_bytes;
-  link_entry(walk.parent, walk.final_name, n.ino());
   return n.ino();
 }
 
@@ -226,29 +230,31 @@ Ino Vfs::create_symlink(const std::string& path, const std::string& target,
                         sim::Uid uid, sim::Gid gid) {
   const auto walk = walk_prefix(path);
   TOCTTOU_CHECK(walk.err == Errno::ok, "create_symlink: bad parent path");
-  TOCTTOU_CHECK(walk.target == kNoIno, "create_symlink: path already exists");
-  Inode& n = alloc_inode(FileType::symlink, uid, gid, 0777);
+  Inode& n = create_in(walk.parent, walk.final_name, FileType::symlink, uid,
+                       gid, 0777);
   n.symlink_target_ = target;
-  link_entry(walk.parent, walk.final_name, n.ino());
   return n.ino();
 }
 
-void Vfs::link_entry(Ino dir, const std::string& name, Ino target) {
+void Vfs::link_entry(Ino dir, std::string_view name, Ino target) {
   Inode& d = inode_mut(dir);
   TOCTTOU_CHECK(d.is_dir(), "link_entry target is not a directory");
-  TOCTTOU_CHECK(d.lookup(name) == kNoIno, "link_entry: name exists");
-  d.add_entry(name, target);
+  const auto at = d.slot(name);
+  TOCTTOU_CHECK(at == d.entries_.end() || at->first != name,
+                "link_entry: name exists");
+  d.entries_.emplace(at, name, target);
   ++inode_mut(target).nlink_;
 }
 
-void Vfs::unlink_entry(Ino dir, const std::string& name) {
+void Vfs::unlink_entry(Ino dir, std::string_view name) {
   Inode& d = inode_mut(dir);
-  auto it = d.entries_.find(name);
-  TOCTTOU_CHECK(it != d.entries_.end(), "unlink_entry: no such name");
+  const auto it = d.slot(name);
+  TOCTTOU_CHECK(it != d.entries_.end() && it->first == name,
+                "unlink_entry: no such name");
   Inode& t = inode_mut(it->second);
   --t.nlink_;
   TOCTTOU_CHECK(t.nlink_ >= 0, "negative nlink");
-  d.remove_entry(it);
+  d.entries_.erase(it);
   // Inodes are never physically erased within a round: orphan inodes
   // (nlink 0 with open fds) are a modeled behaviour, and keeping
   // tombstones keeps Ino references held by in-flight ops valid.

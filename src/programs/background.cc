@@ -99,10 +99,11 @@ constexpr const char* kCrontab = "/etc/crontab";
 void stage_background_tree(fs::Vfs& vfs, const BackgroundSpec& spec) {
   if (spec.empty()) return;
   if (spec.web_servers > 0) {
-    vfs.mkdir_p("/srv/www", sim::kRootUid, sim::kRootGid);
+    const fs::Ino www = vfs.mkdir_p("/srv/www", sim::kRootUid, sim::kRootGid);
     for (int k = 0; k < spec.docroot_files; ++k) {
-      vfs.create_file(docroot_file(k), sim::kRootUid, sim::kRootGid,
-                      fs::kModeDefaultFile, 4096);
+      vfs.create_in(www, "f" + std::to_string(k), fs::FileType::regular,
+                    sim::kRootUid, sim::kRootGid, fs::kModeDefaultFile)
+          .set_size_bytes(4096);
     }
   }
   if (spec.cron_daemons > 0) {
@@ -118,38 +119,37 @@ void stage_background_tree(fs::Vfs& vfs, const BackgroundSpec& spec) {
     vfs.mkdir_p("/tmp/build", sim::kRootUid, sim::kRootGid, 0777);
   }
   if (spec.log_writers > 0) {
-    vfs.mkdir_p("/var/log", sim::kRootUid, sim::kRootGid);
+    const fs::Ino log = vfs.mkdir_p("/var/log", sim::kRootUid, sim::kRootGid);
     for (int k = 0; k < spec.log_writers; ++k) {
       // 0666 so the (non-root) writer tenant may append without owning
       // the file — the classic syslog arrangement.
-      vfs.create_file(strfmt("/var/log/app%d.log", k), sim::kRootUid,
-                      sim::kRootGid, 0666);
+      vfs.create_in(log, "app" + std::to_string(k) + ".log",
+                    fs::FileType::regular, sim::kRootUid, sim::kRootGid, 0666);
     }
   }
   if (spec.prestage_inodes > 0) {
     // Bring the tree to machine scale without per-round tenant work.
     // The layout mirrors a sharded object store (git's objects/, a CAS
     // cache, a maildir farm): an 8-way fan at four directory levels, at
-    // most 4096 leaf directories, every file at production path depth.
-    // No single EntryMap becomes the whole machine, and staging walks
-    // the same multi-component paths a real host's tree would.
+    // most 4096 leaf directories, every file at production path depth,
+    // so no single directory becomes the whole machine. Only mkdir_p
+    // walks a path: each leaf's, once.
     vfs.mkdir_p("/srv/data", sim::kRootUid, sim::kRootGid);
     std::uint64_t remaining = spec.prestage_inodes;
     const std::uint64_t want_per_leaf = (spec.prestage_inodes + 4095) / 4096;
     const std::uint64_t per_leaf = want_per_leaf < 32 ? 32 : want_per_leaf;
     for (std::uint64_t leaf = 0; remaining > 0; ++leaf) {
-      const std::string dir =
+      const fs::Ino dir = vfs.mkdir_p(
           strfmt("/srv/data/t%llu/s%llu/u%llu/v%llu",
                  static_cast<unsigned long long>(leaf / 512),
                  static_cast<unsigned long long>((leaf / 64) % 8),
                  static_cast<unsigned long long>((leaf / 8) % 8),
-                 static_cast<unsigned long long>(leaf % 8));
-      vfs.mkdir_p(dir, sim::kRootUid, sim::kRootGid);
+                 static_cast<unsigned long long>(leaf % 8)),
+          sim::kRootUid, sim::kRootGid);
       const std::uint64_t here = remaining < per_leaf ? remaining : per_leaf;
       for (std::uint64_t k = 0; k < here; ++k) {
-        vfs.create_file(
-            strfmt("%s/f%llu", dir.c_str(), static_cast<unsigned long long>(k)),
-            sim::kRootUid, sim::kRootGid);
+        vfs.create_in(dir, "f" + std::to_string(k), fs::FileType::regular,
+                      sim::kRootUid, sim::kRootGid, fs::kModeDefaultFile);
       }
       remaining -= here;
     }

@@ -2,10 +2,11 @@
 //
 // The multi-tenant scale model stages O(10^4)-O(10^5) inode trees,
 // which is exactly where an accidental O(n log n) in the audit or a
-// broken hashed-directory index would hide. These tests pin the
-// auditor's verdicts on a 10^4-inode tree and check that reset()
-// returns a staged tree to a fresh one. The delta audit (audit_since)
-// must report exactly the full audit's lines on a damaged copy of it.
+// broken directory lookup would hide. These tests pin the auditor's
+// verdicts on a 10^4-inode tree, pin the digest of each staged tree and
+// check that reset() returns a staged tree to a fresh one. The delta
+// audit (audit_since) must report exactly the full audit's lines on a
+// damaged copy of it.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -144,6 +145,41 @@ StateHasher::Digest digest_of(const Vfs& vfs) {
   StateHasher h;
   vfs.hash_state(h);
   return h.digest();
+}
+
+TEST(VfsScaleTest, StagedTreesKeepTheirInodeCountAndDigest) {
+  // What staging builds, pinned: each tree's inode count and digest,
+  // which covers the allocation order, every inode's fields and each
+  // directory's entries in name order. How directories store entries
+  // and how staging links files may change; these trees may not.
+  struct Pin {
+    const char* spec;
+    std::size_t inodes;
+    std::uint64_t hi;
+    std::uint64_t lo;
+  };
+  const Pin pins[] = {
+      {"procs=32,inodes=10000", 10409, 0x2b357c95202e6449ull,
+       0x45db0517d39e80f2ull},
+      {"procs=256,inodes=25600", 26621, 0xf00c73c88cb7ed38ull,
+       0xcc16e51280fb19c5ull},
+      {"web=2,cron=1,build=1,log=3,docroot=5", 17, 0xf332652643275b54ull,
+       0x8b83930c54e559a5ull},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.spec);
+    programs::BackgroundSpec spec;
+    std::string err;
+    ASSERT_TRUE(programs::BackgroundSpec::parse(pin.spec, &spec, &err))
+        << err;
+    Vfs vfs(SyscallCosts::xeon());
+    programs::stage_background_tree(vfs, spec);
+    EXPECT_EQ(vfs.inode_count(), pin.inodes);
+    const StateHasher::Digest d = digest_of(vfs);
+    EXPECT_EQ(d.hi, pin.hi);
+    EXPECT_EQ(d.lo, pin.lo);
+    EXPECT_TRUE(vfs.audit().empty());
+  }
 }
 
 TEST(VfsScaleTest, ResetTreeHashesLikeAFreshOne) {
