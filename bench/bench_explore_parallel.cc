@@ -83,7 +83,7 @@ bool same_result(const explore::ExploreResult& a,
 }
 
 /// Context-reuse vs fresh construction, on the explorer's per-leaf round
-/// shape (canonical config, journal on — setup-heavy relative to the
+/// shape (canonical config, no journal — setup-heavy relative to the
 /// short 4KB simulation).
 struct ReuseReport {
   int rounds = 0;
@@ -94,7 +94,6 @@ struct ReuseReport {
 
 ReuseReport bench_context_reuse(int rounds) {
   core::ScenarioConfig cfg = explore::canonical_explore_config(smp_vi());
-  cfg.record_journal = true;
   ReuseReport r;
   r.rounds = rounds;
 

@@ -17,19 +17,31 @@
 //      schedules), hashing off and on, interleaved, kTimedReps runs
 //      each at 1 job. Legs 1 and 2 run in a fraction of a second, inside
 //      their own run-to-run spread, so only their counts are reported.
-//   4. Fork and digest cost: along the canonical up/vi 100 KB round and
-//      an smp/vi round with 256 tenants and 25,600 staged inodes, the
-//      wall time of one RoundRun copy (a checkpoint fork) and of one
-//      RoundRun::hash_state, at kSamples evenly spaced events.
+//      The sweep's peak RSS is the VmHWM of a child process (this
+//      binary re-run with --sweep-rss) that runs only the hashing-on
+//      sweep, once.
+//   4. Fork and digest cost: along the up/vi 100 KB round and an smp/vi
+//      round with 256 tenants and 25,600 staged inodes, each shaped as
+//      an explorer leaf runs it (canonical config, no journal), the wall
+//      time of one RoundRun copy (a checkpoint fork) and of one
+//      RoundRun::hash_state, at kSamples evenly spaced events. The up/vi
+//      round is also sampled with the journal on, the shape of a leaf
+//      that a leaf_observer or the detector reads. A counting operator
+//      new gives the bytes and allocations of one fork at event 6,000 in
+//      both shapes.
 //
 //   ./bench_explore_reduction [output.json]
 //
 // Defaults to BENCH_explore_reduction.json in the working directory.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <memory>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,6 +53,27 @@
 #include "tocttou/core/round_run.h"
 #include "tocttou/explore/explorer.h"
 #include "tocttou/sim/fields.h"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
+
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(n, std::memory_order_relaxed);
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+
+// Out of line, so that GCC does not pair an inlined free() with the
+// new-expression and warn (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace tocttou {
 namespace {
@@ -69,6 +102,14 @@ core::ScenarioConfig up_vi_100k() {
   c.file_bytes = 102400;
   c.seed = 1;
   return c;
+}
+
+/// The round an explorer leaf runs for `cfg`: canonical config, and no
+/// journal unless a leaf_observer or the detector reads one.
+core::ScenarioConfig leaf_shape(core::ScenarioConfig cfg, bool journal) {
+  cfg = explore::canonical_explore_config(cfg);
+  cfg.record_journal = journal;
+  return cfg;
 }
 
 core::ScenarioConfig smp_vi_machine() {
@@ -145,17 +186,22 @@ struct LegReport {
   std::vector<double> on_secs;
 };
 
-/// Runs the sweep with hashing off and on, alternating, `reps` times
-/// each; every pair must agree on every result field.
-LegReport run_leg(const core::ScenarioConfig& cfg, int buckets, int bound,
-                  int reps) {
+/// An exhaustive sweep at 1 job, checkpointing and hashing on.
+explore::ExploreConfig sweep_config(int buckets, int bound) {
   explore::ExploreConfig ecfg;
   ecfg.mode = explore::ExploreMode::exhaustive;
   ecfg.think_buckets = buckets;
   ecfg.preemption_bound = bound;
   ecfg.max_schedules = 200000;
   ecfg.jobs = 1;
-  ecfg.checkpoint = true;
+  return ecfg;
+}
+
+/// Runs the sweep with hashing off and on, alternating, `reps` times
+/// each; every pair must agree on every result field.
+LegReport run_leg(const core::ScenarioConfig& cfg, int buckets, int bound,
+                  int reps) {
+  explore::ExploreConfig ecfg = sweep_config(buckets, bound);
 
   LegReport r;
   for (int rep = 0; rep < reps; ++rep) {
@@ -190,11 +236,8 @@ struct ForkHashReport {
 };
 
 /// Times one checkpoint fork (the RoundRun copy, not its destruction)
-/// and one state digest at kSamples evenly spaced events of the round
-/// an explorer leaf would run for `cfg`.
-ForkHashReport sample_fork_and_hash(core::ScenarioConfig cfg) {
-  cfg = explore::canonical_explore_config(cfg);
-  cfg.record_journal = true;
+/// and one state digest at kSamples evenly spaced events of `cfg`.
+ForkHashReport sample_fork_and_hash(const core::ScenarioConfig& cfg) {
   ForkHashReport r;
   r.events = core::RoundRun(cfg).finish().events;
   const std::uint64_t every = std::max<std::uint64_t>(1, r.events / kSamples);
@@ -221,6 +264,51 @@ ForkHashReport sample_fork_and_hash(core::ScenarioConfig cfg) {
   return r;
 }
 
+struct ForkCopy {
+  std::uint64_t event = 0;
+  std::uint64_t bytes = 0;
+  std::uint64_t allocations = 0;
+};
+
+/// What one checkpoint fork of `cfg`'s round at `event` allocates.
+ForkCopy fork_copy_at(const core::ScenarioConfig& cfg, std::uint64_t event) {
+  core::RoundRun run(cfg);
+  while (run.events_executed() < event && run.step()) {
+  }
+  ForkCopy c;
+  c.event = run.events_executed();
+  const std::uint64_t n0 = g_allocations.load();
+  const std::uint64_t b0 = g_allocated_bytes.load();
+  auto fork = std::make_unique<core::RoundRun>(run);
+  c.allocations = g_allocations.load() - n0;
+  c.bytes = g_allocated_bytes.load() - b0;
+  return c;
+}
+
+/// Peak resident set (VmHWM) of this process, in MB.
+double peak_rss_mb() {
+  std::ifstream f("/proc/self/status");
+  std::string line;
+  while (std::getline(f, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+    }
+  }
+  return 0.0;
+}
+
+/// Runs the timed sweep (hashing on) once in a child process that does
+/// nothing else, and returns the child's peak RSS in MB.
+double sweep_peak_rss_mb(const char* self) {
+  const std::string cmd = std::string(self) + " --sweep-rss";
+  FILE* p = popen(cmd.c_str(), "r");
+  TOCTTOU_CHECK(p != nullptr, "cannot run " + cmd);
+  double mb = 0.0;
+  const int got = std::fscanf(p, "%lf", &mb);
+  TOCTTOU_CHECK(pclose(p) == 0 && got == 1, cmd + " failed");
+  return mb;
+}
+
 std::string spread_json(const Spread& s, const char* unit) {
   return strfmt("{\"median_%s\": %.4f, \"p25_%s\": %.4f, \"p75_%s\": %.4f}",
                 unit, s.median, unit, s.p25, unit, s.p75);
@@ -243,6 +331,15 @@ std::string fork_hash_json(const char* round, const ForkHashReport& r) {
       round, static_cast<unsigned long long>(r.events), r.samples,
       spread_json(r.fork_ms, "ms").c_str(),
       spread_json(r.hash_ms, "ms").c_str());
+}
+
+std::string fork_copy_json(const char* round, const ForkCopy& c) {
+  return strfmt(
+      "    {\"round\": \"%s\", \"event\": %llu, \"bytes\": %llu, "
+      "\"allocations\": %llu}",
+      round, static_cast<unsigned long long>(c.event),
+      static_cast<unsigned long long>(c.bytes),
+      static_cast<unsigned long long>(c.allocations));
 }
 
 void print_counts(const char* label, const LegReport& r) {
@@ -268,6 +365,13 @@ void print_fork_hash(const char* label, const ForkHashReport& r) {
 int main(int argc, char** argv) {
   using namespace tocttou;
 
+  if (argc > 1 && std::strcmp(argv[1], "--sweep-rss") == 0) {
+    const explore::ExploreResult res =
+        explore::explore(up_vi_100k(), sweep_config(64, 3));
+    TOCTTOU_CHECK(res.schedules == 611, "the timed sweep has 611 schedules");
+    std::printf("%.1f\n", peak_rss_mb());
+    return 0;
+  }
   const char* out_path = argc > 1 ? argv[1] : "BENCH_explore_reduction.json";
 
   // Leg 1: the acceptance ratio. up/vi bound 5.
@@ -304,12 +408,29 @@ int main(int argc, char** argv) {
   std::printf("  hashing off %.3fs (p25 %.3f, p75 %.3f)   on %.3fs (p25 %.3f, "
               "p75 %.3f)\n",
               off.median, off.p25, off.p75, on.median, on.p25, on.p75);
+  const double rss_mb = sweep_peak_rss_mb(argv[0]);
+  std::printf("  hashing on, alone in a process: peak RSS %.1f MB\n", rss_mb);
 
   // Leg 4: what one fork and one digest cost along a round.
-  const ForkHashReport up_round = sample_fork_and_hash(up_vi_100k());
+  const ForkHashReport up_round =
+      sample_fork_and_hash(leaf_shape(up_vi_100k(), false));
   print_fork_hash("up/vi 100KB round", up_round);
-  const ForkHashReport machine = sample_fork_and_hash(smp_vi_machine());
+  const ForkHashReport up_journal =
+      sample_fork_and_hash(leaf_shape(up_vi_100k(), true));
+  print_fork_hash("  the same, journal on", up_journal);
+  const ForkHashReport machine =
+      sample_fork_and_hash(leaf_shape(smp_vi_machine(), false));
   print_fork_hash("smp/vi 256 tenants", machine);
+  const ForkCopy copy = fork_copy_at(leaf_shape(up_vi_100k(), false), 6000);
+  const ForkCopy copy_journal =
+      fork_copy_at(leaf_shape(up_vi_100k(), true), 6000);
+  std::printf("up/vi 100KB fork at event %llu: %llu bytes in %llu "
+              "allocations (journal on: %llu bytes in %llu)\n",
+              static_cast<unsigned long long>(copy.event),
+              static_cast<unsigned long long>(copy.bytes),
+              static_cast<unsigned long long>(copy.allocations),
+              static_cast<unsigned long long>(copy_journal.bytes),
+              static_cast<unsigned long long>(copy_journal.allocations));
 
   std::string json = "{\n";
   json += "  \"bench\": \"explore_reduction\",\n";
@@ -326,14 +447,25 @@ int main(int argc, char** argv) {
   json += strfmt("    \"reps\": %d,\n", kTimedReps);
   json += counts_json("counts", timed) + ",\n";
   json += "    \"hashing_off\": " + spread_json(off, "s") + ",\n";
-  json += "    \"hashing_on\": " + spread_json(on, "s") + "\n";
+  json += "    \"hashing_on\": " + spread_json(on, "s") + ",\n";
+  json += strfmt("    \"hashing_on_peak_rss_mb\": %.1f\n", rss_mb);
   json += "  },\n";
   json += "  \"fork_and_hash\": [\n";
-  json += fork_hash_json("up/vi 100KB, canonical explore config", up_round) +
+  json += fork_hash_json("up/vi 100KB, explore leaf (no journal)", up_round) +
+          ",\n";
+  json += fork_hash_json("up/vi 100KB, explore leaf with the journal on",
+                         up_journal) +
           ",\n";
   json += fork_hash_json(
-              "smp/vi 4KB, procs=256,inodes=25600, canonical explore config",
+              "smp/vi 4KB, procs=256,inodes=25600, explore leaf (no journal)",
               machine) +
+          "\n";
+  json += "  ],\n";
+  json += "  \"fork_copy\": [\n";
+  json += fork_copy_json("up/vi 100KB, explore leaf (no journal)", copy) +
+          ",\n";
+  json += fork_copy_json("up/vi 100KB, explore leaf with the journal on",
+                         copy_journal) +
           "\n";
   json += "  ],\n";
   json += "  \"identical_results\": true\n";

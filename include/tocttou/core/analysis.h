@@ -19,30 +19,18 @@
 #pragma once
 
 #include <optional>
-#include <string>
 
 #include "tocttou/common/time.h"
 #include "tocttou/trace/journal.h"
+#include "tocttou/trace/window.h"
 
 namespace tocttou::core {
 
 enum class DConvention { loop_iteration, stat_to_unlink };
 
-/// How to locate the victim's window in a journal.
-struct WindowSpec {
-  /// The check-side call. For vi: "open"; for gedit: "rename".
-  std::string check_call;
-  /// Whether the watched path appears as the call's path2 (rename's new
-  /// name) rather than its primary path.
-  bool check_on_path2 = false;
-  /// The use-side call defining t3. vi: "chown"; gedit: "chmod".
-  std::string use_call;
-  /// The watched path (wfname / real_filename).
-  std::string path;
-
-  static WindowSpec vi(std::string wfname);
-  static WindowSpec gedit(std::string real_filename);
-};
+/// Which calls bound the victim's window (trace/window.h: the strings
+/// are views that must outlive the trackers built from the spec).
+using WindowSpec = trace::WindowSpec;
 
 struct WindowMeasurement {
   bool window_found = false;        // victim executed check and use
@@ -59,7 +47,9 @@ struct WindowMeasurement {
   std::optional<double> predicted_rate() const;
 };
 
-/// Analyzes one round. `victim`/`attacker` are the journal pids.
+/// Analyzes one round. `victim`/`attacker` are the journal pids. The
+/// victim side is the journal's victim records passed through a
+/// trace::WindowTracker, the one place the window is found.
 WindowMeasurement analyze_window(const trace::SyscallJournal& journal,
                                  trace::Pid victim, trace::Pid attacker,
                                  const WindowSpec& spec,

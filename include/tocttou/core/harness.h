@@ -23,6 +23,7 @@
 #include "tocttou/sim/faults.h"
 #include "tocttou/sim/ids.h"
 #include "tocttou/trace/journal.h"
+#include "tocttou/trace/window.h"
 
 namespace tocttou::fs {
 class Vfs;
@@ -59,7 +60,9 @@ struct ScenarioConfig {
   std::uint64_t seed = 1;
 
   /// Record the syscall journal (needed for L/D analysis). Full event
-  /// logs (Gantt) additionally require `record_events`.
+  /// logs (Gantt) additionally require `record_events`. The victim's
+  /// window needs neither: RoundResult::window_tracker follows it in
+  /// every round.
   bool record_journal = false;
   bool record_events = false;
 
@@ -167,8 +170,15 @@ struct RoundResult {
   std::uint64_t events = 0;
   SimTime end_time;
 
-  /// Filled when record_journal was set.
+  /// Filled when record_journal was set, in rounds with an attacker.
   std::optional<WindowMeasurement> window;
+  /// The victim's window, tracked live in every round: the kernel feeds
+  /// the tracker each completed syscall of the victim, journal or not
+  /// (trace/window.h). On a round that records a journal it equals
+  /// `window`'s victim side, which analyze_window finds with the same
+  /// tracker type. Explore leaves read it and keep no journal. Like the
+  /// journal, it is kept out of RoundRun::hash_state.
+  trace::WindowTracker window_tracker;
   /// Filled when record_journal/record_events were set.
   trace::RoundTrace trace;
 

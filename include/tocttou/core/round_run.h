@@ -18,9 +18,13 @@
 // mid-round simulation — the VFS's inode table (pointers to inodes it
 // shares copy-on-write with the parent) and fd tables, kernel run
 // queues and in-flight syscall state machines, pending events, program
-// state, fault injector, journal and metrics streams — rebinding every
-// cross-object pointer through a CloneMap (ops and programs through
-// their field lists, sim/fields.h; inodes and semaphores hold none). The
+// state, fault injector, the victim-window tracker, and the journal and
+// metrics streams of a round that records them (an explore leaf records
+// no journal unless an observer or the detector reads it) — rebinding
+// every cross-object pointer through a CloneMap (ops and programs
+// through their field lists, sim/fields.h; inodes and semaphores hold
+// none; the kernel's tracker and stream pointers point into the
+// RoundResult, whose range the fork registers first). The
 // clone is self-owning (never tied to a RoundContext) and stepping it is
 // byte-identical to re-running the prefix that produced the original.
 // The explore subsystem forks thousands of children off shared schedule

@@ -146,7 +146,10 @@ struct ExploreConfig {
   /// on or off. May be called concurrently from worker threads when
   /// jobs > 1 — the callback must synchronize itself. The
   /// fork_equals_replay ctest uses this to compare journals/metrics
-  /// leaf-by-leaf across checkpoint on/off and jobs values.
+  /// leaf-by-leaf across checkpoint on/off and jobs values. Leaves keep
+  /// their syscall journal only while an observer is attached (or the
+  /// scenario runs the detector): an unobserved leaf takes its window
+  /// from RoundResult::window_tracker, and its forks copy no journal.
   std::function<void(const std::string& leaf_key,
                      const core::RoundResult& r)>
       leaf_observer;

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -57,7 +58,9 @@ class Histogram {
 /// treats a filled registry as the round's immutable snapshot and folds
 /// it through CampaignStats with merge(), exactly like the other
 /// campaign accumulators. Keys live in sorted std::maps, so JSON and CSV
-/// exports are deterministic byte-for-byte.
+/// exports are deterministic byte-for-byte. The maps look keys up by
+/// view, so an update to an existing key allocates nothing; only a new
+/// key copies its name.
 class Registry {
  public:
   /// Adds `delta` to counter `name` (creating it at zero).
@@ -81,13 +84,9 @@ class Registry {
   std::int64_t gauge(const std::string& name) const;
   const Histogram* histogram(const std::string& name) const;
 
-  const std::map<std::string, std::uint64_t>& counters() const {
-    return counters_;
-  }
-  const std::map<std::string, std::int64_t>& gauges() const { return gauges_; }
-  const std::map<std::string, Histogram>& histograms() const {
-    return histograms_;
-  }
+  const auto& counters() const { return counters_; }
+  const auto& gauges() const { return gauges_; }
+  const auto& histograms() const { return histograms_; }
 
   /// JSON export: {"counters":{...},"gauges":{...},"histograms":{...}}
   /// with keys in sorted order and histogram buckets as sparse
@@ -101,9 +100,12 @@ class Registry {
   std::string to_csv() const;
 
  private:
-  std::map<std::string, std::uint64_t> counters_;
-  std::map<std::string, std::int64_t> gauges_;
-  std::map<std::string, Histogram> histograms_;
+  template <typename T>
+  using Map = std::map<std::string, T, std::less<>>;
+
+  Map<std::uint64_t> counters_;
+  Map<std::int64_t> gauges_;
+  Map<Histogram> histograms_;
 };
 
 }  // namespace tocttou::metrics

@@ -26,6 +26,7 @@
 #include "tocttou/sim/scheduler.h"
 #include "tocttou/sim/semaphore.h"
 #include "tocttou/trace/journal.h"
+#include "tocttou/trace/window.h"
 
 namespace tocttou::metrics {
 class Registry;
@@ -140,6 +141,15 @@ class Kernel {
   /// state the kernel cannot see.
   void hash_state(StateHasher& h) const;
 
+  /// Attaches the round's victim-window tracker (nullptr = none). The
+  /// kernel feeds it each completed syscall of the process it tracks,
+  /// where the journal appends the call's record, so it sees exactly the
+  /// calls and times the journal would hold — a call failed at entry, one
+  /// held by a completion spike, one whose process is killed as it
+  /// returns — without a journal. A single null check when detached.
+  /// Must outlive the kernel.
+  void set_window_tracker(trace::WindowTracker* window) { window_ = window; }
+
   /// Attaches a synchronization-event sink for this round (nullptr =
   /// none; the default). With a sink attached the kernel appends its
   /// ordering actions — process spawn/exit, inode-semaphore ownership
@@ -198,6 +208,7 @@ class Kernel {
   FaultInjector* faults_ = nullptr;
   metrics::Registry* metrics_ = nullptr;
   detect::SyncLog* sync_ = nullptr;
+  trace::WindowTracker* window_ = nullptr;
   // Scratch for make_ready placement; avoids two vector allocations per
   // wakeup on the hot path. Safe because placement fully consumes the
   // lists before anything re-entrant runs.

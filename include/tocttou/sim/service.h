@@ -83,6 +83,10 @@ class ServiceOp {
   /// filter matches; "" for calls that take no path (fd-based calls).
   virtual std::string_view path() const { return {}; }
 
+  /// The call's second name, "" for calls with one: rename's and link's
+  /// new path, symlink's target string.
+  virtual std::string_view path2() const { return {}; }
+
   /// Advances the state machine; called once at syscall entry and again
   /// after each non-done step completes.
   virtual Step advance(ServiceContext& ctx) = 0;
@@ -101,7 +105,8 @@ class ServiceOp {
   virtual int libc_page() const { return kNoLibcPage; }
 
   /// Called once when the op completes so the op can attach structured
-  /// results (observed uid/gid, paths) to the trace journal.
+  /// results (observed uid/gid and inode, the inode it applied to) to
+  /// the trace journal; the kernel fills the name, times and paths.
   virtual void fill_record(trace::SyscallRecord& rec) const { (void)rec; }
 
   /// Checkpoint support: deep-copies the in-flight syscall state machine

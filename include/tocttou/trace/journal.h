@@ -5,7 +5,10 @@
 // (how the attacker's detection loop sees the world), and which inode an
 // operation was finally applied to (how we judge attack success, and how
 // the window analyzer finds t1/t2/t3). The kernel appends one record per
-// completed syscall.
+// completed syscall, when the round records a journal. At the same point
+// it feeds the round's WindowTracker (window.h), which finds the victim's
+// window without one: explore leaves keep no journal, and any leaf's
+// journal can be rebuilt by replaying its schedule token.
 #pragma once
 
 #include <cstdint>

@@ -6,24 +6,6 @@
 
 namespace tocttou::core {
 
-WindowSpec WindowSpec::vi(std::string wfname) {
-  WindowSpec s;
-  s.check_call = "open";
-  s.check_on_path2 = false;
-  s.use_call = "chown";
-  s.path = std::move(wfname);
-  return s;
-}
-
-WindowSpec WindowSpec::gedit(std::string real_filename) {
-  WindowSpec s;
-  s.check_call = "rename";
-  s.check_on_path2 = true;  // rename(temp -> real): real is path2
-  s.use_call = "chmod";
-  s.path = std::move(real_filename);
-  return s;
-}
-
 std::optional<double> WindowMeasurement::predicted_rate() const {
   if (!laxity || !d || *d <= Duration::zero()) return std::nullopt;
   return laxity_success_rate(*laxity, *d);
@@ -36,48 +18,12 @@ WindowMeasurement analyze_window(const trace::SyscallJournal& journal,
   WindowMeasurement m;
 
   // --- victim side: window_open (check exit) and t3 (use enter) ---
-  // The victim may issue the check call several times on the watched
-  // path (e.g. vi opens the file read-only at startup and again, with
-  // O_CREAT, during the save). The vulnerability window is the TIGHTEST
-  // <check, use> pair: for each successful check, find the first use
-  // after it and keep the pair with the smallest gap.
-  // Filter by pointer: a journal holds thousands of records (each with
-  // heap-allocated path strings), and this analysis runs once per
-  // explored schedule — copying the filtered records dominated its cost.
-  std::vector<const trace::SyscallRecord*> checks;
-  for (const auto& r : journal.records()) {
-    if (r.pid != victim || r.name != spec.check_call) continue;
-    if (r.result != Errno::ok) continue;
-    const std::string& p = spec.check_on_path2 ? r.path2 : r.path;
-    if (p != spec.path) continue;
-    checks.push_back(&r);
-  }
-  if (checks.empty()) return m;
-  std::vector<const trace::SyscallRecord*> uses;
-  for (const auto& r : journal.records()) {
-    if (r.pid == victim && r.name == spec.use_call && r.path == spec.path) {
-      uses.push_back(&r);
-    }
-  }
-  std::optional<Duration> best_gap;
-  for (const trace::SyscallRecord* c : checks) {
-    const trace::SyscallRecord* first_use = nullptr;
-    for (const trace::SyscallRecord* u : uses) {
-      if (u->enter >= c->exit &&
-          (first_use == nullptr || u->enter < first_use->enter)) {
-        first_use = u;
-      }
-    }
-    if (first_use == nullptr) continue;
-    const Duration gap = first_use->enter - c->exit;
-    if (!best_gap || gap < *best_gap) {
-      best_gap = gap;
-      m.window_found = true;
-      m.window_open = c->exit;
-      m.t3 = first_use->enter;
-    }
-  }
-  if (!m.window_found) return m;
+  trace::WindowTracker window(victim, spec);
+  for (const auto& r : journal.records()) window.add(r);
+  if (!window.found()) return m;
+  m.window_found = true;
+  m.window_open = window.open();
+  m.t3 = window.use();
 
   // --- attacker side: detection stats on the watched path ---
   std::vector<const trace::SyscallRecord*> stats;

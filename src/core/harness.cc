@@ -400,6 +400,8 @@ RoundRun::RoundRun(const ScenarioConfig& cfg, RoundContext* ctx)
   }
   victim_pid_ = kernel.spawn(std::move(vic), vopts);
   res.victim_pid = victim_pid_;
+  res.window_tracker = trace::WindowTracker(victim_pid_, window_spec_for(cfg));
+  kernel.set_window_tracker(&res.window_tracker);
   if (injector) injector->set_role(victim_pid_, sim::FaultRole::victim);
 
   // --- multi-tenant background load: spawned after the victim so

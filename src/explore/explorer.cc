@@ -112,7 +112,7 @@ std::string donor_key(int bucket, const StateHasher::Digest& d) {
 /// later leaves simply stop donating once the table is full.
 constexpr std::size_t kDonorCap = std::size_t{1} << 20;
 
-/// Live mid-round checkpoints (full VFS/kernel/journal clones) the fork
+/// Live mid-round checkpoints (full VFS/kernel clones) the fork
 /// path may retain at once; the cap bounds resident memory. A group
 /// whose checkpoint was crowded out replays its parent's prefix from
 /// the start of the round instead (explore.degraded_groups) — wall time
@@ -605,9 +605,7 @@ class Worker {
       LeafOutcome out;
       out.prefix_ok = true;
       out.success = r.success;
-      if (r.window && r.window->window_found) {
-        out.window_us = r.window->victim_window().us();
-      }
+      out.window_us = window_us(cfg_, r);
       out.choices = src.token_choices();
       out.pct_procs = src.procs_seen();
       out.pct_steps = src.steps();
@@ -618,19 +616,26 @@ class Worker {
   std::uint64_t ctx_reuses() const { return ctx_.reuses(); }
 
  private:
+  /// A leaf's victim window, from the round's live tracker: the leaf
+  /// keeps no journal. Like RoundResult::window, only rounds with an
+  /// attacker report one.
+  static std::optional<double> window_us(const core::ScenarioConfig& cfg,
+                                         const core::RoundResult& r) {
+    if (cfg.attacker == core::AttackerKind::none) return std::nullopt;
+    if (!r.window_tracker.found()) return std::nullopt;
+    return r.window_tracker.length().us();
+  }
+
   /// The prefix replays choices an earlier run actually made, so a
   /// deterministic kernel must reach every forced site with matching
   /// shape. Anything else means nondeterminism crept in.
-  static LeafOutcome make_outcome(const GuidedSource& src,
-                                  std::size_t prefix_len,
-                                  const core::RoundResult& r,
-                                  std::vector<std::uint64_t> site_events) {
+  LeafOutcome make_outcome(const GuidedSource& src, std::size_t prefix_len,
+                           const core::RoundResult& r,
+                           std::vector<std::uint64_t> site_events) const {
     LeafOutcome out;
     out.prefix_ok = src.ok() && src.consumed() == prefix_len;
     out.success = r.success;
-    if (r.window && r.window->window_found) {
-      out.window_us = r.window->victim_window().us();
-    }
+    out.window_us = window_us(cfg_, r);
     out.sites = src.sites();
     out.choices = src.token_choices();
     out.site_events = std::move(site_events);
@@ -1344,7 +1349,10 @@ core::ScenarioConfig canonical_explore_config(core::ScenarioConfig cfg) {
 ExploreResult explore(const core::ScenarioConfig& cfg,
                       const ExploreConfig& ecfg) {
   core::ScenarioConfig base = canonical_explore_config(cfg);
-  base.record_journal = true;
+  // A leaf's outcome reads its window from the round's live tracker; a
+  // journal is recorded only for an observer that reads it (a detect
+  // sweep records one regardless: the detector replays it).
+  base.record_journal = static_cast<bool>(ecfg.leaf_observer);
   base.record_events = false;
   // Worker rounds run concurrently; the wall profile is serial-only.
   base.wall_profile = nullptr;

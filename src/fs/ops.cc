@@ -246,10 +246,6 @@ class FsOp : public ServiceOp {
   std::string_view path() const override { return path_; }
   Step fail_at_entry(Errno e) override { return finish(e); }
 
-  void fill_record(trace::SyscallRecord& rec) const override {
-    rec.path = path_;
-  }
-
  protected:
   Step finish(Errno e) {
     if (err_out_ != nullptr) *err_out_ = e;
@@ -334,7 +330,6 @@ class StatOp final : public Listed<StatOp, FsOp> {
   }
 
   void fill_record(trace::SyscallRecord& rec) const override {
-    FsOp::fill_record(rec);
     if (ok_) {
       const auto& s = walker_->snapshot();
       rec.st_uid = s.uid;
@@ -458,7 +453,6 @@ class OpenOp final : public Listed<OpenOp, FsOp> {
   }
 
   void fill_record(trace::SyscallRecord& rec) const override {
-    FsOp::fill_record(rec);
     if (ino_ != kNoIno) rec.applied_ino = ino_;
   }
 
@@ -604,6 +598,7 @@ class RenameOp final : public Listed<RenameOp, FsOp> {
   }
 
   std::string_view name() const override { return "rename"; }
+  std::string_view path2() const override { return newpath_; }
   int libc_page() const override { return kPageRename; }
 
   Step advance(ServiceContext& ctx) override {
@@ -651,8 +646,6 @@ class RenameOp final : public Listed<RenameOp, FsOp> {
   }
 
   void fill_record(trace::SyscallRecord& rec) const override {
-    FsOp::fill_record(rec);
-    rec.path2 = newpath_;
     if (applied_ != kNoIno) rec.applied_ino = applied_;
   }
 
@@ -734,7 +727,6 @@ class UnlinkOp final : public Listed<UnlinkOp, FsOp> {
   }
 
   void fill_record(trace::SyscallRecord& rec) const override {
-    FsOp::fill_record(rec);
     if (ino_ != kNoIno) rec.applied_ino = ino_;
   }
 
@@ -763,6 +755,7 @@ class SymlinkOp final : public Listed<SymlinkOp, FsOp> {
   }
 
   std::string_view name() const override { return "symlink"; }
+  std::string_view path2() const override { return target_; }
   int libc_page() const override { return kPageUnlinkSymlink; }
 
   Step advance(ServiceContext& ctx) override {
@@ -794,8 +787,6 @@ class SymlinkOp final : public Listed<SymlinkOp, FsOp> {
   }
 
   void fill_record(trace::SyscallRecord& rec) const override {
-    FsOp::fill_record(rec);
-    rec.path2 = target_;
     if (applied_ != kNoIno) rec.applied_ino = applied_;
   }
 
@@ -911,6 +902,7 @@ class LinkOp final : public Listed<LinkOp, FsOp> {
   }
 
   std::string_view name() const override { return "link"; }
+  std::string_view path2() const override { return newpath_; }
   int libc_page() const override { return kPageUnlinkSymlink; }
 
   Step advance(ServiceContext& ctx) override {
@@ -956,8 +948,6 @@ class LinkOp final : public Listed<LinkOp, FsOp> {
   }
 
   void fill_record(trace::SyscallRecord& rec) const override {
-    FsOp::fill_record(rec);
-    rec.path2 = newpath_;
     if (target_ino_ != kNoIno) rec.applied_ino = target_ino_;
   }
 
@@ -1163,7 +1153,6 @@ class SetAttrOp : public FsOp {
   }
 
   void fill_record(trace::SyscallRecord& rec) const override {
-    FsOp::fill_record(rec);
     if (ino_ != kNoIno) rec.applied_ino = ino_;
   }
 

@@ -57,17 +57,33 @@ double Histogram::mean() const {
                      : static_cast<double>(sum_) / static_cast<double>(count_);
 }
 
+namespace {
+
+/// The value of `name` in `m`, inserted as `init` when absent; an
+/// existing key is found by view, without building a string.
+template <typename Map>
+typename Map::mapped_type& slot(Map& m, std::string_view name,
+                                typename Map::mapped_type init = {}) {
+  auto it = m.lower_bound(name);
+  if (it == m.end() || it->first != name) {
+    it = m.emplace_hint(it, std::string(name), std::move(init));
+  }
+  return it->second;
+}
+
+}  // namespace
+
 void Registry::count(std::string_view name, std::uint64_t delta) {
-  counters_[std::string(name)] += delta;
+  slot(counters_, name) += delta;
 }
 
 void Registry::gauge_max(std::string_view name, std::int64_t v) {
-  auto [it, inserted] = gauges_.emplace(std::string(name), v);
-  if (!inserted && v > it->second) it->second = v;
+  std::int64_t& g = slot(gauges_, name, v);
+  if (v > g) g = v;
 }
 
 void Registry::observe(std::string_view name, std::int64_t v) {
-  histograms_[std::string(name)].observe(v);
+  slot(histograms_, name).observe(v);
 }
 
 void Registry::merge(const Registry& other) {

@@ -1,5 +1,7 @@
 #include "tocttou/sim/kernel.h"
 
+#include <cstring>
+
 #include "tocttou/common/error.h"
 #include "tocttou/common/strings.h"
 #include "tocttou/detect/sync.h"
@@ -43,6 +45,17 @@ class BackgroundDaemon : public Listed<BackgroundDaemon, Program> {
   bool sleeping_next_ = true;
 };
 
+/// Writes "<prefix><name>" into `buf` and views it: a per-call metrics
+/// key that costs no heap string.
+template <std::size_t N>
+std::string_view join_key(char (&buf)[N], std::string_view prefix,
+                          std::string_view name) {
+  TOCTTOU_CHECK(prefix.size() + name.size() <= N, "metrics key too long");
+  std::memcpy(buf, prefix.data(), prefix.size());
+  std::memcpy(buf + prefix.size(), name.data(), name.size());
+  return {buf, prefix.size() + name.size()};
+}
+
 }  // namespace
 
 Kernel::Kernel(MachineSpec spec, std::unique_ptr<Scheduler> sched,
@@ -69,6 +82,7 @@ Kernel::Kernel(const Kernel& o, CloneMap& m)
       faults_(m.remap(o.faults_)),
       metrics_(m.remap(o.metrics_)),
       sync_(m.remap(o.sync_)),
+      window_(m.remap(o.window_)),
       allowed_scratch_(o.allowed_scratch_),
       idle_scratch_(o.idle_scratch_),
       queue_(o.queue_),
@@ -590,19 +604,27 @@ void Kernel::finish_syscall(Process& p, Errno result) {
 }
 
 void Kernel::complete_service(Process& p, Errno result) {
+  const ServiceOp& op = *p.op_;
+  if (window_ != nullptr && window_->tracks(p.pid_)) {
+    window_->add(op.name(), result, op.path(), op.path2(), p.op_enter_,
+                 now());
+  }
   if (trace_) {
     trace::SyscallRecord rec;
     rec.pid = p.pid_;
-    rec.name = std::string(p.op_->name());
+    rec.name = std::string(op.name());
     rec.enter = p.op_enter_;
     rec.exit = now();
     rec.result = result;
-    p.op_->fill_record(rec);
+    rec.path = op.path();
+    rec.path2 = op.path2();
+    op.fill_record(rec);
     trace_->journal.add(std::move(rec));
   }
   if (metrics_ != nullptr) {
     metrics_->count("kernel.syscalls");
-    metrics_->count("kernel.syscalls." + std::string(p.op_->name()));
+    char key[48];
+    metrics_->count(join_key(key, "kernel.syscalls.", op.name()));
     metrics_->observe("kernel.syscall_ns", (now() - p.op_enter_).ns());
   }
   // A sync log implies a trace (set_sync_log checks): the bracket names

@@ -21,6 +21,9 @@
 #               around it
 #   EXPECT_OUT_FILE (pair mode with OUT_FILE) the file the second run
 #               writes
+#   COPY_FROM, COPY_TO (optional) a checked-in file copied to COPY_TO
+#               before the run, for an input the run rewrites (a sweep
+#               journal that --resume appends to)
 #
 # With neither GOLDEN nor EXPECT_ARGS, only the exit code is checked.
 # On a golden mismatch the actual output is left in the build tree
@@ -49,6 +52,10 @@ function(run_cli out_var args out_file)
   endif()
   set(${out_var} "${output}" PARENT_SCOPE)
 endfunction()
+
+if(COPY_FROM)
+  file(COPY_FILE "${COPY_FROM}" "${COPY_TO}")
+endif()
 
 run_cli(actual "${ARGS}" "${OUT_FILE}")
 
