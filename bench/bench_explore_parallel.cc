@@ -1,15 +1,29 @@
 // Profiles the parallel schedule-space explorer (not the paper's
-// attack): exhaustive-exploration leaves/sec at 1/2/4/8 worker threads,
-// plus the per-round setup win from RoundContext reuse (a staged
-// template tree each round copies). Seeds the bench trajectory's
-// BENCH_explore_parallel.json artifact:
+// attack) and writes BENCH_explore_parallel.json:
 //
 //   ./bench_explore_parallel [output.json]
 //
-// Defaults to BENCH_explore_parallel.json in the working directory; the
-// exploration size scales with TOCTTOU_ROUNDS (think buckets, default
-// 48). Every job count runs the identical deterministic enumeration,
-// and the bench CHECKs the results match before reporting speedups.
+// Three parts, each CHECKing that what it times computes the same
+// result on every side:
+//
+//  * jobs — the 611-schedule up/vi sweep (100 KB file, 64 think buckets,
+//    preemption bound 3, seed 1) at 1, 2 and 4 workers. The sweep lasts
+//    about 1.2 s at one worker and reduces in batches of 4 executed
+//    leaves, which is what bounds its parallel speedup. kPasses passes;
+//    within a pass each job count runs once, in an order that rotates
+//    from pass to pass. Reports the median and quartiles of each job
+//    count's sweep time.
+//  * context_reuse — the explorer's per-leaf round shape (canonical
+//    config, no journal), built from scratch against started from a
+//    worker's RoundContext template. Each pass is sized to about a
+//    second; kPasses pairs, the side that goes first alternating.
+//    Reports both sides' rounds/s and the per-pair speedup (medians and
+//    quartiles).
+//  * checkpoint_ablation — the up/vi 4 KB sweep at bound 5 (1,024
+//    schedules, one worker) with checkpoint forks off, then on.
+//
+// The whole run takes about half a minute on a 4-thread host.
+// TOCTTOU_ROUNDS sets the think buckets of the timed sweeps (default 64).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -20,6 +34,7 @@
 #include <vector>
 
 #include "tocttou/common/error.h"
+#include "tocttou/common/stats.h"
 #include "tocttou/common/strings.h"
 #include "tocttou/core/harness.h"
 #include "tocttou/explore/explorer.h"
@@ -28,6 +43,9 @@ namespace tocttou {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+constexpr int kPasses = 5;
+constexpr double kPassSeconds = 1.0;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -51,22 +69,24 @@ core::ScenarioConfig smp_vi() {
   return c;
 }
 
-core::ScenarioConfig up_vi() {
+core::ScenarioConfig up_vi(int file_bytes, std::uint64_t seed) {
   core::ScenarioConfig c;
   c.profile = programs::testbed_uniprocessor_xeon();
   c.victim = core::VictimKind::vi;
   c.attacker = core::AttackerKind::naive;
-  c.file_bytes = 4096;
-  c.seed = 42;
+  c.file_bytes = file_bytes;
+  c.seed = seed;
   return c;
 }
 
-struct JobsReport {
-  int jobs = 0;
-  int leaves = 0;
-  double leaves_per_sec = 0.0;
-  double speedup = 0.0;  // vs jobs=1
-};
+explore::ExploreConfig exhaustive(int buckets, int bound) {
+  explore::ExploreConfig ecfg;
+  ecfg.mode = explore::ExploreMode::exhaustive;
+  ecfg.think_buckets = buckets;
+  ecfg.preemption_bound = bound;
+  ecfg.max_schedules = 200000;
+  return ecfg;
+}
 
 bool same_result(const explore::ExploreResult& a,
                  const explore::ExploreResult& b) {
@@ -82,22 +102,73 @@ bool same_result(const explore::ExploreResult& a,
   return ok;
 }
 
-/// Context-reuse vs fresh construction, on the explorer's per-leaf round
-/// shape (canonical config, no journal — setup-heavy relative to the
-/// short 4KB simulation).
-struct ReuseReport {
-  int rounds = 0;
-  double fresh_rps = 0.0;
-  double reuse_rps = 0.0;
-  double speedup = 0.0;
+std::string quartiles(const Samples& s, int decimals) {
+  return strfmt("{\"median\": %.*f, \"p25\": %.*f, \"p75\": %.*f}",
+                decimals, s.median(), decimals, s.quantile(0.25), decimals,
+                s.quantile(0.75));
+}
+
+/// One job count's sweep times over the passes.
+struct JobsReport {
+  int jobs = 0;
+  Samples secs;
 };
 
-ReuseReport bench_context_reuse(int rounds) {
-  core::ScenarioConfig cfg = explore::canonical_explore_config(smp_vi());
-  ReuseReport r;
-  r.rounds = rounds;
+struct JobsSweep {
+  int think_buckets = 0;
+  int schedules = 0;
+  std::uint64_t leaves_executed = 0;
+  std::vector<JobsReport> reports;
+};
 
-  const auto run_all = [&](core::RoundContext* ctx) {
+JobsSweep bench_jobs(int buckets) {
+  const core::ScenarioConfig cfg = up_vi(100 * 1024, 1);
+  const explore::ExploreConfig ecfg = exhaustive(buckets, 3);
+  JobsSweep s;
+  s.think_buckets = buckets;
+  for (const int jobs : {1, 2, 4}) s.reports.push_back({jobs, {}});
+  // Warm-up (allocator, page cache) on a smaller sweep.
+  {
+    explore::ExploreConfig warm = exhaustive(std::max(4, buckets / 8), 3);
+    warm.jobs = 2;
+    (void)explore::explore(cfg, warm);
+  }
+  explore::ExploreResult baseline;
+  const int n = static_cast<int>(s.reports.size());
+  for (int pass = 0; pass < kPasses; ++pass) {
+    for (int k = 0; k < n; ++k) {
+      JobsReport& r = s.reports[static_cast<std::size_t>((pass + k) % n)];
+      explore::ExploreConfig run = ecfg;
+      run.jobs = r.jobs;
+      const auto t0 = Clock::now();
+      const explore::ExploreResult res = explore::explore(cfg, run);
+      r.secs.add(seconds_since(t0));
+      if (s.schedules == 0) {
+        baseline = res;
+        s.schedules = res.schedules;
+        s.leaves_executed = res.metrics.counter("explore.leaves_executed");
+      } else {
+        TOCTTOU_CHECK(same_result(baseline, res),
+                      "the sweep must give the same result at any job count");
+      }
+    }
+  }
+  return s;
+}
+
+/// Context reuse against fresh construction, on the explorer's per-leaf
+/// round shape (canonical config, no journal — setup-heavy relative to
+/// the short 4 KB simulation).
+struct ReuseReport {
+  int rounds = 0;  // per pass
+  Samples fresh_rps;
+  Samples reuse_rps;
+  Samples speedup;  // reuse / fresh, per pair
+};
+
+ReuseReport bench_context_reuse() {
+  core::ScenarioConfig cfg = explore::canonical_explore_config(smp_vi());
+  const auto run_all = [&cfg](int rounds, core::RoundContext* ctx) {
     std::uint64_t events = 0;
     const auto t0 = Clock::now();
     for (int i = 0; i < rounds; ++i) {
@@ -106,28 +177,50 @@ ReuseReport bench_context_reuse(int rounds) {
     }
     const double secs = seconds_since(t0);
     TOCTTOU_CHECK(events > 0, "rounds must simulate");
-    return static_cast<double>(rounds) / secs;
+    return secs;
   };
 
-  // Warm-up, then fresh-construction and context-reuse passes.
-  run_all(nullptr);
-  r.fresh_rps = run_all(nullptr);
-  core::RoundContext ctx;
-  r.reuse_rps = run_all(&ctx);
-  r.speedup = r.reuse_rps / r.fresh_rps;
-  TOCTTOU_CHECK(ctx.reuses() == static_cast<std::uint64_t>(rounds) - 1,
-                "every round after the first must reuse the template");
+  // Rounds per pass: double a fresh pass until it lasts a tenth of
+  // kPassSeconds, then scale it to kPassSeconds. The doubling doubles as
+  // the warm-up.
+  ReuseReport r;
+  int n = 64;
+  for (;;) {
+    const double sec = run_all(n, nullptr);
+    if (sec >= kPassSeconds / 10) {
+      r.rounds = std::max(64, static_cast<int>(n * kPassSeconds / sec));
+      break;
+    }
+    n *= 2;
+  }
+  for (int pair = 0; pair < kPasses; ++pair) {
+    double fresh = 0.0, reuse = 0.0;
+    for (int side = 0; side < 2; ++side) {
+      if ((side == 0) == (pair % 2 == 0)) {
+        fresh = run_all(r.rounds, nullptr);
+      } else {
+        core::RoundContext ctx;
+        reuse = run_all(r.rounds, &ctx);
+        TOCTTOU_CHECK(
+            ctx.reuses() == static_cast<std::uint64_t>(r.rounds) - 1,
+            "every round after the first must reuse the template");
+      }
+    }
+    r.fresh_rps.add(r.rounds / fresh);
+    r.reuse_rps.add(r.rounds / reuse);
+    r.speedup.add(fresh / reuse);
+  }
   return r;
 }
 
 /// Checkpoint/fork ablation: the up/vi exhaustive sweep run twice —
-/// checkpointing ON (fork leaves off mid-round parent clones) vs OFF
-/// (re-simulate every leaf's full schedule prefix). Both modes reduce
-/// schedules re-enumerated by deeper iterations from the outcome store,
-/// so the ratio measures forking alone. Results are bit-identical by
-/// contract; only wall time and the checkpoint counters differ. leaves/sec uses the
-/// enumerated schedule count (the logical work, identical either way)
-/// so the speedup is the wall-clock ratio.
+/// checkpointing OFF (re-simulate every leaf's full schedule prefix),
+/// then ON (fork leaves off mid-round parent clones). Either way each
+/// schedule executes once, so the ratio measures forking alone. Results
+/// are bit-identical by contract; only wall time and the checkpoint
+/// counters differ. leaves/sec uses the enumerated schedule count (the
+/// logical work, identical either way), so the speedup is the
+/// wall-clock ratio.
 struct AblationReport {
   int think_buckets = 0;
   int bound = 0;
@@ -144,12 +237,8 @@ struct AblationReport {
 };
 
 AblationReport bench_checkpoint_ablation(int buckets, int bound) {
-  const core::ScenarioConfig cfg = up_vi();
-  explore::ExploreConfig ecfg;
-  ecfg.mode = explore::ExploreMode::exhaustive;
-  ecfg.think_buckets = buckets;
-  ecfg.preemption_bound = bound;
-  ecfg.max_schedules = 200000;
+  const core::ScenarioConfig cfg = up_vi(4096, 42);
+  explore::ExploreConfig ecfg = exhaustive(buckets, bound);
   ecfg.jobs = 1;
 
   AblationReport r;
@@ -188,64 +277,30 @@ int main(int argc, char** argv) {
   const char* out_path =
       argc > 1 ? argv[1] : "BENCH_explore_parallel.json";
 
-  explore::ExploreConfig ecfg;
-  ecfg.mode = explore::ExploreMode::exhaustive;
-  ecfg.think_buckets = buckets_or(48);
-  ecfg.preemption_bound = 1;
-  ecfg.max_schedules = 4000;
-
-  const core::ScenarioConfig cfg = smp_vi();
-
   // Thread-level speedup is bounded by the host's core count; record it
   // so the jobs sweep is interpretable (on a 1-core machine every
   // multi-worker run is pure overhead, by construction).
   const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
   std::printf("hardware threads: %u\n", hw_threads);
 
-  // Warm-up (allocator + page cache), then the timed jobs sweep.
-  {
-    explore::ExploreConfig warm = ecfg;
-    warm.think_buckets = std::max(4, ecfg.think_buckets / 8);
-    warm.jobs = 2;
-    (void)explore::explore(cfg, warm);
+  const JobsSweep sweep = bench_jobs(buckets_or(64));
+  std::printf("up/vi 100KB buckets=%d bound=3   %d schedules (%llu "
+              "executed)\n",
+              sweep.think_buckets, sweep.schedules,
+              static_cast<unsigned long long>(sweep.leaves_executed));
+  const double serial = sweep.reports.front().secs.median();
+  for (const JobsReport& r : sweep.reports) {
+    std::printf("  jobs=%d   %7.3fs median (p25 %.3f, p75 %.3f)   "
+                "speedup %.2fx\n",
+                r.jobs, r.secs.median(), r.secs.quantile(0.25),
+                r.secs.quantile(0.75), serial / r.secs.median());
   }
 
-  std::vector<JobsReport> reports;
-  explore::ExploreResult baseline;
-  for (const int jobs : {1, 2, 4, 8}) {
-    explore::ExploreConfig run = ecfg;
-    run.jobs = jobs;
-    const auto t0 = Clock::now();
-    const explore::ExploreResult res = explore::explore(cfg, run);
-    const double secs = seconds_since(t0);
-    if (jobs == 1) {
-      baseline = res;
-    } else {
-      TOCTTOU_CHECK(same_result(baseline, res),
-                    "parallel exploration must match serial bit-for-bit");
-    }
-    JobsReport r;
-    r.jobs = jobs;
-    r.leaves = res.rounds_executed;
-    r.leaves_per_sec = static_cast<double>(res.rounds_executed) / secs;
-    r.speedup = reports.empty()
-                    ? 1.0
-                    : r.leaves_per_sec / reports.front().leaves_per_sec;
-    std::printf("explore jobs=%d   %6d leaves   %9.1f leaves/s   "
-                "speedup %.2fx   (steals=%llu ctx_reuses=%llu)\n",
-                r.jobs, r.leaves, r.leaves_per_sec, r.speedup,
-                static_cast<unsigned long long>(
-                    res.metrics.counter("explore.steals")),
-                static_cast<unsigned long long>(
-                    res.metrics.counter("explore.ctx_reuses")));
-    reports.push_back(r);
-  }
-
-  const ReuseReport reuse = bench_context_reuse(
-      std::max(64, ecfg.think_buckets * 8));
-  std::printf("round context         fresh %9.1f r/s   reuse %9.1f r/s   "
-              "speedup %.2fx\n",
-              reuse.fresh_rps, reuse.reuse_rps, reuse.speedup);
+  const ReuseReport reuse = bench_context_reuse();
+  std::printf("round context   %d rounds/pass   fresh %9.1f r/s   reuse "
+              "%9.1f r/s   speedup %.2fx (medians)\n",
+              reuse.rounds, reuse.fresh_rps.median(),
+              reuse.reuse_rps.median(), reuse.speedup.median());
 
   // Checkpoint/fork ablation on the up/vi exhaustive sweep. The deep
   // bound is where prefix re-simulation dominates (each leaf shares a
@@ -273,21 +328,28 @@ int main(int argc, char** argv) {
       "  \"optimization\": \"canonical wave-front enumeration on a "
       "work-stealing pool + RoundContext template reuse\",\n";
   json += strfmt("  \"hardware_threads\": %u,\n", hw_threads);
-  json += strfmt("  \"think_buckets\": %d,\n", ecfg.think_buckets);
+  json += strfmt("  \"passes\": %d,\n", kPasses);
+  json += strfmt(
+      "  \"sweep\": {\"scenario\": \"up/vi 100KB exhaustive, seed 1\", "
+      "\"think_buckets\": %d, \"preemption_bound\": 3, \"schedules\": %d, "
+      "\"leaves_executed\": %llu},\n",
+      sweep.think_buckets, sweep.schedules,
+      static_cast<unsigned long long>(sweep.leaves_executed));
   json += "  \"jobs\": [\n";
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    const JobsReport& r = reports[i];
-    json += strfmt(
-        "    {\"jobs\": %d, \"leaves\": %d, \"leaves_per_sec\": %.2f, "
-        "\"speedup\": %.4f}%s\n",
-        r.jobs, r.leaves, r.leaves_per_sec, r.speedup,
-        i + 1 < reports.size() ? "," : "");
+  for (std::size_t i = 0; i < sweep.reports.size(); ++i) {
+    const JobsReport& r = sweep.reports[i];
+    json += strfmt("    {\"jobs\": %d, \"secs\": %s, \"speedup\": %.4f}%s\n",
+                   r.jobs, quartiles(r.secs, 4).c_str(),
+                   serial / r.secs.median(),
+                   i + 1 < sweep.reports.size() ? "," : "");
   }
   json += "  ],\n";
   json += strfmt(
-      "  \"context_reuse\": {\"rounds\": %d, \"fresh_rounds_per_sec\": %.2f, "
-      "\"reuse_rounds_per_sec\": %.2f, \"speedup\": %.4f},\n",
-      reuse.rounds, reuse.fresh_rps, reuse.reuse_rps, reuse.speedup);
+      "  \"context_reuse\": {\"rounds\": %d, \"fresh_rounds_per_sec\": %s, "
+      "\"reuse_rounds_per_sec\": %s, \"speedup\": %s},\n",
+      reuse.rounds, quartiles(reuse.fresh_rps, 1).c_str(),
+      quartiles(reuse.reuse_rps, 1).c_str(),
+      quartiles(reuse.speedup, 4).c_str());
   json += strfmt(
       "  \"checkpoint_ablation\": {\"scenario\": \"up/vi exhaustive\", "
       "\"think_buckets\": %d, \"preemption_bound\": %d, \"jobs\": 1, "

@@ -7,13 +7,15 @@
 //
 //  * exhaustive — the victim think time, the only stochastic input the
 //    harness draws, is quantized into `think_buckets` midpoint-quadrature
-//    buckets of mass 1/K over victim_think_range(); per bucket, a DFS
-//    with iterative preemption bounding (c = 0, 1, 2, ...) enumerates
-//    every schedule reachable with at most c non-policy choices.
-//    The policy schedule of each bucket carries the bucket's mass, so
-//    summing mass * success over buckets yields the EXACT attack success
-//    probability under the calibrated think distribution — the number a
-//    Monte Carlo campaign and the paper's Equation 1 only estimate.
+//    buckets of mass 1/K over victim_think_range(); one pass over
+//    divergence waves (wave d = every schedule with exactly d non-policy
+//    choices) enumerates, per bucket, every schedule reachable with at
+//    most `preemption_bound` of them. When wave d closes, the result is
+//    exactly that of a sweep bounded at d. The policy schedule of each
+//    bucket carries the bucket's mass, so summing mass * success over
+//    buckets yields the EXACT attack success probability under the
+//    calibrated think distribution — the number a Monte Carlo campaign
+//    and the paper's Equation 1 only estimate.
 //    Divergent schedules carry zero mass (they need jitter the canonical
 //    config turns off); they provide coverage and witnesses.
 //  * pct — PCT-style randomized priorities: each schedule draws a think
@@ -65,15 +67,17 @@ struct ExploreConfig {
   /// buckets = finer exact probability; cost scales linearly.
   int think_buckets = 64;
 
-  /// Highest preemption bound the iterative deepening tries; -1 = keep
-  /// deepening until the space is fully enumerated or the round budget
-  /// runs out (on most scenarios every divergence exposes fresh wakeup
-  /// sites, so the space is unbounded in depth — expect the budget).
+  /// Highest preemption bound: the sweep enumerates divergence waves
+  /// 0..bound. -1 = go deeper until the space is fully enumerated or the
+  /// round budget runs out (on most scenarios every divergence exposes
+  /// fresh wakeup sites, so the space is unbounded in depth — expect the
+  /// budget).
   int preemption_bound = 2;
 
-  /// Cap on schedules per deepening iteration AND on total rounds
-  /// executed across iterations (the deepening stops once the running
-  /// total crosses it).
+  /// Schedule cap: the wave that would take the schedules enumerated
+  /// past it is truncated in canonical order, and the sweep ends there.
+  /// Also the round budget: the sweep goes no deeper once
+  /// ExploreResult::rounds_executed reaches it.
   int max_schedules = 200000;
 
   /// PCT mode knobs: bug depth d, schedules to run, expected choice
@@ -95,8 +99,8 @@ struct ExploreConfig {
   /// re-simulating the shared schedule prefix from scratch — the
   /// default, and about a 2x leaves/sec win on deep waves.
   /// Off = full prefix replay per leaf. Either way every schedule
-  /// executes at most once: the explorer's outcome store hands deeper
-  /// deepening iterations (and resumed sweeps) the stored outcome.
+  /// executes at most once (a resumed sweep reduces its journaled
+  /// schedules from the explorer's outcome store instead).
   /// Every ExploreResult field is byte-identical either way;
   /// checkpointing additionally reports the explore.checkpoints /
   /// explore.forks / explore.prefix_ns_saved / explore.cache_hits /
@@ -162,9 +166,14 @@ inline constexpr int kMaxQuarantineTokens = 8;
 struct ExploreResult {
   ExploreMode mode = ExploreMode::exhaustive;
 
-  /// Distinct schedules enumerated (final deepening iteration).
+  /// Distinct schedules enumerated (divergence waves 0..bound_reached).
   int schedules = 0;
-  /// Rounds actually executed, including iterative-deepening re-runs.
+  /// Exhaustive mode: the sum, over bounds 0..bound_reached, of the
+  /// schedules a sweep bounded there enumerates — what a bound-by-bound
+  /// enumeration would reduce. Each schedule executes at most once;
+  /// explore.leaves_executed and explore.hash_merges count what ran.
+  /// The round budget (max_schedules) is measured in it. PCT mode: the
+  /// schedules enumerated.
   int rounds_executed = 0;
   /// Schedules that followed the policy at every choice point (one per
   /// think bucket when complete).
@@ -173,7 +182,8 @@ struct ExploreResult {
   /// completeness; no schedule-cap truncation). When bound_cutoffs is
   /// also zero the bound covers the entire schedule space.
   bool complete = false;
-  /// Final preemption bound the deepening reached.
+  /// The deepest divergence wave the sweep enumerated: the preemption
+  /// bound the result belongs to.
   int bound_reached = 0;
   /// Always 0: the explorer prunes no sibling as commuting (DESIGN.md
   /// §10.1). Kept because the report prints it ("0 sleep-set-pruned").
@@ -206,8 +216,9 @@ struct ExploreResult {
   int pct_max_steps = 0;
   double pct_bound = 0.0;
 
-  /// Rounds where a forced prefix failed to match the sites the kernel
-  /// reached (should stay 0; nonzero means nondeterminism crept in).
+  /// Schedules whose forced prefix failed to match the sites the kernel
+  /// reached, each counted once (should stay 0; nonzero means
+  /// nondeterminism crept in).
   int divergence_errors = 0;
 
   /// The sweep stopped early via ExploreConfig::should_stop (signal or
@@ -233,8 +244,8 @@ struct ExploreResult {
   int journal_leaves_loaded = 0;
   std::string journal_error;
 
-  /// Exploration throughput counters: explore.leaves (leaf rounds
-  /// executed — deterministic), explore.steals (work-stealing events)
+  /// Exploration throughput counters: explore.leaves (rounds_executed —
+  /// deterministic), explore.steals (work-stealing events)
   /// and explore.ctx_reuses (rounds starting from a worker's
   /// already-staged template, RoundContext::reuses()).
   /// The latter two depend on thread timing and worker count and are

@@ -75,11 +75,6 @@ class SyscallJournal {
   std::vector<const SyscallRecord*> for_pid(Pid pid,
                                             std::string_view name) const;
 
-  /// First record of `pid` named `name` entering at or after `from`;
-  /// nullptr when there is none. Same aliasing contract as for_pid().
-  const SyscallRecord* first(Pid pid, std::string_view name,
-                             SimTime from = SimTime::origin()) const;
-
  private:
   std::vector<SyscallRecord> records_;
 };

@@ -61,16 +61,6 @@ class TraceLog {
   /// global time order per process).
   std::vector<TraceEvent> for_pid(Pid pid) const;
 
-  /// First event of `pid` matching category+label at or after `from`.
-  std::optional<TraceEvent> find_first(Pid pid, Category cat,
-                                       std::string_view label,
-                                       SimTime from = SimTime::origin()) const;
-
-  /// All events of `pid` matching category+label.
-  std::vector<TraceEvent> find_all(Pid pid, Category cat,
-                                   std::string_view label) const;
-
-  SimTime end_time() const;
   bool empty() const { return events_.empty(); }
   std::size_t size() const { return events_.size(); }
 

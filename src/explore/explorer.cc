@@ -120,9 +120,10 @@ constexpr std::size_t kDonorCap = std::size_t{1} << 20;
 constexpr int kSeedBudget = 512;
 
 /// A retained mid-round checkpoint: the parent round advanced to (one of)
-/// its fork boundaries, kept so the group that later expands that leaf
-/// can resume from the boundary instead of replaying the whole prefix.
-/// Destruction returns the budget slot.
+/// its fork boundaries, kept so the group that expands the leaf forked
+/// there can resume from the boundary instead of replaying the whole
+/// prefix. It moves from the group that minted it straight to that
+/// group. Destruction returns the budget slot.
 struct Seed {
   std::unique_ptr<core::RoundRun> run;
   std::size_t sites_at = 0;  // choice sites already resolved at this state
@@ -135,33 +136,21 @@ struct Seed {
   ~Seed() { slots->fetch_add(1, std::memory_order_relaxed); }
 };
 
-/// Every outcome the explorer reuses, in one place. Each reduced leaf —
-/// executed, merged, reduced again by a deeper deepening iteration, or
-/// loaded from a resumed journal, in exhaustive and PCT mode alike — is
-/// interned once under its canonical schedule id, next to the leaf's
-/// retained checkpoint when it has one, and the state-hash donor index
-/// points into the same entries. So "has this schedule run?", "is a
-/// checkpoint of it kept?" and "has this state been reached before?"
-/// are each answered here.
+/// Every outcome the explorer has reduced, and the state-hash donor
+/// index into them. Each reduced leaf — executed, merged, or loaded from
+/// a resumed journal, in exhaustive and PCT mode alike — is interned once
+/// under its canonical schedule id, so "is this schedule's outcome
+/// already known?" and "has this state been reached before?" are both
+/// answered here.
 ///
 /// Only the serial canonical reduction mutates the store; workers read
 /// it lock-free while a batch executes (it is frozen then), so which
 /// outcomes are reused and which merges happen never depend on worker
-/// count or timing. The one exception is the atomic checkpoint budget,
-/// which workers claim concurrently.
+/// count or timing.
 class OutcomeStore {
  public:
-  struct Entry {
-    LeafOutcome outcome;
-    /// The parent's run paused just before this leaf's divergence site
-    /// resolved: the leaf's own group resumes there instead of replaying
-    /// the shared prefix. Kept while a deeper iteration may still expand
-    /// the leaf.
-    std::unique_ptr<Seed> seed;
-  };
-
-  /// The schedule's interned entry, or null when it has not run.
-  Entry* find(const std::string& key) {
+  /// The schedule's interned outcome, or null when it is not known.
+  const LeafOutcome* find(const std::string& key) const {
     const auto f = entries_.find(key);
     return f != entries_.end() ? &f->second : nullptr;
   }
@@ -169,13 +158,11 @@ class OutcomeStore {
     return entries_.count(key) != 0;
   }
 
-  /// Interns a leaf the store does not hold yet. Entry addresses are
-  /// stable, so the journal batch, parent groups and donor points can
-  /// all point here.
-  Entry& intern(const std::string& key, LeafOutcome&& o,
-                std::unique_ptr<Seed> seed = nullptr) {
-    const auto [f, inserted] =
-        entries_.try_emplace(key, Entry{std::move(o), std::move(seed)});
+  /// Interns a leaf the store does not hold yet. Addresses are stable,
+  /// so the journal batch, parent groups and donor points can all point
+  /// here.
+  const LeafOutcome& intern(const std::string& key, LeafOutcome&& o) {
+    const auto [f, inserted] = entries_.try_emplace(key, std::move(o));
     TOCTTOU_CHECK(inserted, "schedule interned twice");
     return f->second;
   }
@@ -198,23 +185,8 @@ class OutcomeStore {
     }
   }
 
-  /// Clones `run` into a checkpoint that resumes after `sites_at`
-  /// resolved sites, or returns null when kSeedBudget checkpoints are
-  /// already live. Safe to call from concurrent workers.
-  std::unique_ptr<Seed> retain(const core::RoundRun& run,
-                               std::size_t sites_at) const {
-    if (seed_slots_.fetch_sub(1, std::memory_order_relaxed) <= 0) {
-      seed_slots_.fetch_add(1, std::memory_order_relaxed);
-      return nullptr;
-    }
-    return std::make_unique<Seed>(std::make_unique<core::RoundRun>(run),
-                                  sites_at, &seed_slots_);
-  }
-
  private:
-  // Declared first so it outlives the seeds that return slots to it.
-  mutable std::atomic<int> seed_slots_{kSeedBudget};
-  std::unordered_map<std::string, Entry> entries_;
+  std::unordered_map<std::string, LeafOutcome> entries_;
   std::unordered_map<std::string, DonorPoint> donors_;
 };
 
@@ -225,7 +197,9 @@ class OutcomeStore {
 /// at its divergence site.
 struct ParentGroup {
   int bucket = 0;
-  /// The parent's outcome, interned in the store (stable address).
+  /// The parent's outcome, interned in the store (stable address). Null
+  /// in wave 0, where the group's one child is the bucket's policy
+  /// schedule.
   const LeafOutcome* parent = nullptr;
   /// Mid-round checkpoint of the parent, when one was retained.
   std::unique_ptr<Seed> seed;
@@ -281,6 +255,14 @@ std::string schedule_key(int bucket, const std::vector<Choice>& choices,
   return key;
 }
 
+/// Canonical schedule id of one child of a group.
+std::string child_key(const ParentGroup& g, const ParentGroup::Child& c) {
+  if (g.parent == nullptr) return schedule_key(g.bucket, {}, 0, nullptr);
+  Choice alt = g.parent->choices[c.site];
+  alt.chosen = c.alt;
+  return schedule_key(g.bucket, g.parent->choices, c.site, &alt);
+}
+
 /// One exploration worker: a ScenarioConfig copied ONCE (the per-leaf
 /// cost is an optional<Duration> write and a ChoiceSource pointer swap —
 /// not a full config copy with its strings and fault plan) plus a
@@ -289,8 +271,13 @@ std::string schedule_key(int bucket, const std::vector<Choice>& choices,
 class Worker {
  public:
   Worker(const core::ScenarioConfig& base, const ExploreConfig& ecfg,
-         std::uint32_t fingerprint, const OutcomeStore* store)
-      : cfg_(base), ecfg_(&ecfg), fingerprint_(fingerprint), store_(store) {
+         std::uint32_t fingerprint, const OutcomeStore* store,
+         std::atomic<int>* seed_slots)
+      : cfg_(base),
+        ecfg_(&ecfg),
+        fingerprint_(fingerprint),
+        store_(store),
+        seed_slots_(seed_slots) {
     // Slot form: the scheduler — and every checkpoint clone of it —
     // reads the worker's CURRENT source at each decision, so a worker
     // can swap between a parent's source and a forked child's mid-round.
@@ -383,6 +370,19 @@ class Worker {
     }
   }
 
+  /// A bucket's policy schedule, wave 0's only kind of leaf: there is no
+  /// parent to fork from. Stepped with checkpointing on, it donates
+  /// state digests but never probes the table (the policy schedules are
+  /// the baseline every child diverges from).
+  GroupOutcome run_policy(Duration think, int bucket, bool stepped) {
+    GroupOutcome out;
+    out.sides.emplace_back();
+    out.leaves.push_back(run_contained(think, {}, stepped, &out.sides[0],
+                                       bucket, /*allow_merge=*/false));
+    out.seeds.push_back(nullptr);
+    return out;
+  }
+
   /// Checkpoint/fork execution of one parent's children: replay the
   /// parent ONCE — resuming its retained seed when one exists, instead
   /// of re-simulating the round from the start — and for each child
@@ -392,12 +392,12 @@ class Worker {
   /// site order, so the parent replay only ever moves forward; children
   /// already in the store are skipped entirely. With `mint_seeds`, each
   /// executed child also mints a budget-capped seed of the parent at its
-  /// boundary, so the child's OWN eventual group can resume there (the
-  /// caller turns this off in the final deepening iteration, whose seeds
-  /// could never be consumed). If the parent replay diverges
-  /// from its recorded sites (deterministic kernels never do), the
-  /// remaining children fall back to full stepped replay — every result
-  /// field, including divergence accounting, then matches
+  /// boundary, so the child's OWN group in the next wave can resume
+  /// there (the caller turns this off in the wave at the preemption
+  /// bound, whose leaves are never expanded). If the parent replay
+  /// diverges from its recorded sites (deterministic kernels never do),
+  /// the remaining children fall back to full stepped replay — every
+  /// result field, including divergence accounting, then matches
   /// checkpoint-off.
   GroupOutcome run_group(Duration think, ParentGroup& g, bool mint_seeds) {
     const std::vector<Choice>& choices = g.parent->choices;
@@ -499,7 +499,7 @@ class Worker {
             out.prefix_ns_saved +=
                 static_cast<std::uint64_t>(parent->now().ns());
             std::unique_ptr<Seed> seed =
-                mint_seeds ? store_->retain(*parent, s) : nullptr;
+                mint_seeds ? retain(*parent, s) : nullptr;
             core::RoundRun child(*parent);
             LeafSide cside;
             GuidedSource csrc(child_prefix,
@@ -616,6 +616,19 @@ class Worker {
   std::uint64_t ctx_reuses() const { return ctx_.reuses(); }
 
  private:
+  /// Clones `run` into a checkpoint that resumes after `sites_at`
+  /// resolved sites, or returns null when kSeedBudget checkpoints are
+  /// already live. The slots are shared by every worker of the pool.
+  std::unique_ptr<Seed> retain(const core::RoundRun& run,
+                               std::size_t sites_at) const {
+    if (seed_slots_->fetch_sub(1, std::memory_order_relaxed) <= 0) {
+      seed_slots_->fetch_add(1, std::memory_order_relaxed);
+      return nullptr;
+    }
+    return std::make_unique<Seed>(std::make_unique<core::RoundRun>(run),
+                                  sites_at, seed_slots_);
+  }
+
   /// A leaf's victim window, from the round's live tracker: the leaf
   /// keeps no journal. Like RoundResult::window, only rounds with an
   /// attacker report one.
@@ -770,6 +783,8 @@ class Worker {
   /// The explore-level outcome store, read lock-free during batch
   /// execution (frozen then; mutated only between batches).
   const OutcomeStore* store_;
+  /// The pool's checkpoint budget, claimed concurrently by every worker.
+  std::atomic<int>* seed_slots_;
   /// Per-group sibling overlay: donor points of EARLIER children of the
   /// group this worker is currently running, visible to later children
   /// before the serial reduction publishes them to the store. A group
@@ -794,8 +809,8 @@ class WorkerPool {
     TOCTTOU_CHECK(jobs >= 1, "worker pool needs at least one worker");
     workers_.reserve(static_cast<std::size_t>(jobs));
     for (int w = 0; w < jobs; ++w) {
-      workers_.push_back(
-          std::make_unique<Worker>(base, ecfg, fingerprint, store));
+      workers_.push_back(std::make_unique<Worker>(base, ecfg, fingerprint,
+                                                  store, &seed_slots_));
     }
   }
 
@@ -848,6 +863,8 @@ class WorkerPool {
   }
 
  private:
+  // Declared first so it outlives every checkpoint the workers mint.
+  std::atomic<int> seed_slots_{kSeedBudget};
   std::vector<std::unique_ptr<Worker>> workers_;
   std::uint64_t steals_ = 0;
 };
@@ -880,7 +897,6 @@ ExploreResult explore_pct(const core::ScenarioConfig& base,
                           WorkerPool* pool, SweepJournal* journal,
                           OutcomeStore* store) {
   ExploreResult res;
-  res.mode = ExploreMode::pct;
   const auto [lo, hi] = core::victim_think_range(base);
   const auto think_for = [&](int i) {
     const std::uint64_t stream =
@@ -924,11 +940,11 @@ ExploreResult explore_pct(const core::ScenarioConfig& base,
       const std::string& key = keys[static_cast<std::size_t>(i)];
       const LeafOutcome* o;
       if (t < todo.size() && todo[t] == i) {
-        o = &store->intern(key, std::move(out[t])).outcome;
+        o = &store->intern(key, std::move(out[t]));
         if (journal != nullptr) fresh.emplace_back(key, o);
         ++t;
       } else {
-        o = &store->find(key)->outcome;
+        o = store->find(key);
       }
       ++res.schedules;
       ++res.rounds_executed;
@@ -977,48 +993,10 @@ ExploreResult explore_pct(const core::ScenarioConfig& base,
   return res;
 }
 
-/// Accumulator for one deepening iteration.
-struct Iteration {
-  int schedules = 0;
-  int policy_schedules = 0;
-  int successes = 0;
-  int schedules_to_first_hit = -1;
-  int divergence_errors = 0;
-  double exact = 0.0;
-  double mass = 0.0;
-  std::uint64_t cutoffs = 0;
-  bool capped = false;
-  std::optional<ScheduleToken> witness;
-  std::string witness_key;  // serialized form, for the lexicographic tie
-  int witness_divergences = -1;
-  RunningStats window_us;
-  // Checkpoint/fork accounting (all zero when checkpointing is off).
-  std::uint64_t checkpoints = 0;
-  std::uint64_t forks = 0;
-  std::uint64_t prefix_ns_saved = 0;
-  // State-hash accounting: leaves synthesized from a donor match vs
-  // fresh completed executions (DESIGN.md §10).
-  std::uint64_t hash_merges = 0;
-  std::uint64_t leaves_executed = 0;
-  // Schedules reduced from the store instead of executing.
-  std::uint64_t cache_hits = 0;
-  // Fault containment: schedules whose execution threw twice, with a
-  // capped token list in canonical order (resilience.h).
-  int quarantined = 0;
-  std::vector<QuarantineRecord> quarantine;
-  // Parent groups that fell back from checkpoint-fork to prefix replay
-  // (seed crowded out by the budget, or a journaled parent without fork
-  // boundaries).
-  std::uint64_t degraded = 0;
-  // ExploreConfig::should_stop fired between batches: the iteration is
-  // a valid canonical prefix of itself, nothing beyond it ran.
-  bool stopped = false;
-};
-
-/// One iteration of the preemption-bounded enumeration as a wave-front
-/// sweep: wave d holds every schedule with exactly d divergences, in a
+/// The preemption-bounded enumeration as ONE pass over divergence
+/// waves: wave d holds every schedule with exactly d divergences, in a
 /// CANONICAL order — wave 0 is the per-bucket policy schedules in bucket
-/// order; each child wave appends alternatives in (parent index, choice
+/// order; each later wave appends alternatives in (parent index, choice
 /// site, option) order, grouped under their parent so the shared prefix
 /// is paid once (checkpoint fork) or per child (full replay), with
 /// identical outcomes. Leaves execute in parallel keyed by canonical
@@ -1027,107 +1005,127 @@ struct Iteration {
 /// and schedules_to_first_hit are all independent of worker count and
 /// completion order — and of the checkpoint flag.
 ///
-/// Every reduced leaf is interned in `store`: a schedule re-enumerated
-/// by a deeper iteration (or loaded from a resumed journal) reduces from
-/// its stored outcome instead of re-running — arithmetic and order are
-/// untouched because a deterministic leaf re-run would reproduce the
-/// stored outcome exactly.
-void run_iteration(const core::ScenarioConfig& base,
-                   const std::vector<ThinkBucket>& buckets,
-                   const ExploreConfig& ecfg, int bound,
-                   std::uint32_t fingerprint, WorkerPool* pool,
-                   SweepJournal* journal, OutcomeStore* store,
-                   Iteration* it) {
+/// A bound-d sweep enumerates exactly waves 0..d, so when wave d closes
+/// the result already is the bound-d result. The pass stops at the first
+/// wave that reaches the preemption bound, the schedule cap or the round
+/// budget, leaves nothing to expand, or sees a stop request. Every
+/// schedule executes at most once; only those loaded from a resumed
+/// journal reduce from the store.
+ExploreResult explore_exhaustive(const core::ScenarioConfig& base,
+                                 const ExploreConfig& ecfg,
+                                 std::uint32_t fingerprint, WorkerPool* pool,
+                                 SweepJournal* journal, OutcomeStore* store) {
+  ExploreResult res;
+  const std::vector<ThinkBucket> buckets =
+      make_buckets(base, ecfg.think_buckets);
   const bool ckpt = ecfg.checkpoint;
-  const auto stop = [&ecfg] {
-    return ecfg.should_stop && ecfg.should_stop();
-  };
+  // Checkpoint/fork accounting (all zero when checkpointing is off).
+  std::uint64_t checkpoints = 0;
+  std::uint64_t forks = 0;
+  std::uint64_t prefix_ns_saved = 0;
+  // Parent groups that fell back from checkpoint-fork to prefix replay
+  // (seed crowded out by the budget, or a journaled parent without fork
+  // boundaries).
+  std::uint64_t degraded = 0;
+  // State-hash accounting: leaves synthesized from a donor match vs
+  // fresh completed executions (DESIGN.md §10).
+  std::uint64_t hash_merges = 0;
+  std::uint64_t leaves_executed = 0;
+  // Schedules reduced from the store: resumed leaves, plus every
+  // schedule of waves 0..d once per deeper bound the sweep reaches (a
+  // bound-by-bound enumeration reduces them again from the store).
+  std::uint64_t cache_hits = 0;
+  std::string witness_key;  // serialized witness, for the lexicographic tie
+  bool capped = false;
+  int level = 0;
+  // Past the preemption bound a wave's leaves are not expanded: their
+  // alternatives are only counted (bound_cutoffs).
+  bool expand = false;
+  // Wave 0: one group per bucket whose one child is the policy schedule.
+  std::vector<ParentGroup> wave(buckets.size());
+  for (std::size_t b = 0; b < buckets.size(); ++b) {
+    wave[b].bucket = static_cast<int>(b);
+    wave[b].children.push_back(
+        {0, 0, !store->contains(child_key(wave[b], {}))});
+  }
+  std::vector<ParentGroup> next;
+  std::vector<GroupOutcome> out;
   // Executed leaves of the batch in flight, journaled after the batch's
   // reduction (pointers are interned store entries — stable).
   std::vector<std::pair<std::string, const LeafRecord*>> fresh;
-  // Seeds minted during the FINAL deepening iteration can never be
-  // consumed (there is no deeper iteration to expand this iteration's
-  // frontier); skip the clone when the bound pins the last iteration.
-  const bool mint_seeds =
-      ckpt && (ecfg.preemption_bound < 0 || bound < ecfg.preemption_bound);
-  std::vector<ParentGroup> next;
 
-  // Serial reduction + sibling expansion for one leaf, called strictly
-  // in canonical leaf order. A leaf with children to explore becomes a
-  // ParentGroup of the next wave. `e` is the leaf's store entry; `side`
-  // is the executing worker's side data (null for leaves reduced from
-  // the store, which were accounted when first executed).
-  const auto reduce_leaf = [&](int level, int bucket,
-                               std::size_t prefix_len, OutcomeStore::Entry& e,
-                               LeafSide* side) {
-    const LeafOutcome& o = e.outcome;
+  // Serial reduction + sibling expansion for one leaf of wave `level`,
+  // called strictly in canonical leaf order. A leaf with children becomes
+  // a ParentGroup of the next wave and hands it `seed`, the checkpoint
+  // minted at the leaf's own fork boundary. `side` is the executing
+  // worker's side data (null for a resumed leaf: nothing executed).
+  const auto reduce_leaf = [&](int bucket, std::size_t prefix_len,
+                               const LeafOutcome& o, const LeafSide* side,
+                               std::unique_ptr<Seed> seed) {
     const ThinkBucket& bkt = buckets[static_cast<std::size_t>(bucket)];
-    ++it->schedules;
+    ++res.schedules;
     if (o.error != ErrorKind::none) {
       // Quarantined: enumerated and counted, but it carries no mass, no
       // window sample, and no children. The capped token list follows
       // canonical order, so it is jobs-invariant and resume-stable.
-      ++it->quarantined;
-      if (static_cast<int>(it->quarantine.size()) < kMaxQuarantineTokens) {
+      ++res.quarantined;
+      if (static_cast<int>(res.quarantine.size()) < kMaxQuarantineTokens) {
         ScheduleToken tok;
         tok.fingerprint = fingerprint;
         tok.seed = base.seed;
         tok.think_ns = bkt.think.ns();
         tok.choices = o.choices;
-        it->quarantine.push_back(
+        res.quarantine.push_back(
             QuarantineRecord{tok.serialize(), o.error, level});
       }
-      e.seed.reset();
       return;
     }
     if (!o.prefix_ok) {
-      ++it->divergence_errors;
-      e.seed.reset();
+      ++res.divergence_errors;
       return;
     }
     if (side != nullptr) {
       if (side->merged) {
-        ++it->hash_merges;
+        ++hash_merges;
       } else {
-        ++it->leaves_executed;
+        ++leaves_executed;
         store->donate(bucket, *side, o);
       }
     }
     if (level == 0) {
-      ++it->policy_schedules;
-      it->mass += bkt.mass;
-      if (o.success) it->exact += bkt.mass;
-      if (o.window_us) it->window_us.add(*o.window_us);
+      ++res.policy_schedules;
+      res.total_mass += bkt.mass;
+      if (o.success) res.exact_success += bkt.mass;
+      if (o.window_us) res.window_us.add(*o.window_us);
     }
     if (o.success) {
-      ++it->successes;
-      if (it->schedules_to_first_hit < 0) {
-        it->schedules_to_first_hit = it->schedules;
+      ++res.successes;
+      if (res.schedules_to_first_hit < 0) {
+        res.schedules_to_first_hit = res.schedules;
       }
-      // Witness: fewest divergences, then the lexicographically
-      // least serialized token — an order-independent total order.
-      // Waves ascend in divergence count, so only the first wave
-      // with a success ever competes.
-      if (!it->witness || level < it->witness_divergences ||
-          (level == it->witness_divergences)) {
+      // Witness: fewest divergences, then the lexicographically least
+      // serialized token — an order-independent total order. Waves
+      // ascend in divergence count, so only the first wave with a
+      // success ever competes.
+      if (!res.witness || level == res.witness_divergences) {
         ScheduleToken tok;
         tok.fingerprint = fingerprint;
         tok.seed = base.seed;
         tok.think_ns = bkt.think.ns();
         tok.choices = o.choices;
         std::string wkey = tok.serialize();
-        if (!it->witness || level < it->witness_divergences ||
-            wkey < it->witness_key) {
-          it->witness = std::move(tok);
-          it->witness_key = std::move(wkey);
-          it->witness_divergences = level;
+        if (!res.witness || wkey < witness_key) {
+          res.witness = std::move(tok);
+          witness_key = std::move(wkey);
+          res.witness_divergences = level;
         }
       }
     }
-    // Expand siblings at every site this run resolved beyond the
-    // forced prefix (earlier sites were expanded by ancestors). The
-    // child will replay this run's choices up to site j, then force
-    // the alternative.
+    // Expand siblings at every site this run resolved beyond the forced
+    // prefix (earlier sites were expanded by ancestors). The child will
+    // replay this run's choices up to site j, then force the
+    // alternative. Each alternative is one schedule of the next wave,
+    // which a sweep bounded here cuts off.
     ParentGroup g;
     g.bucket = bucket;
     bool any_run = false;
@@ -1135,10 +1133,8 @@ void run_iteration(const core::ScenarioConfig& base,
       const SiteRecord& site = o.sites[j];
       for (int opt = 0; opt < static_cast<int>(site.choice.n); ++opt) {
         if (opt == static_cast<int>(site.choice.chosen)) continue;
-        if (level + 1 > bound) {
-          ++it->cutoffs;
-          continue;
-        }
+        ++res.bound_cutoffs;
+        if (!expand) continue;
         Choice alt = o.choices[j];
         alt.chosen = static_cast<std::uint16_t>(opt);
         const bool run =
@@ -1147,93 +1143,24 @@ void run_iteration(const core::ScenarioConfig& base,
         g.children.push_back({j, static_cast<std::uint16_t>(opt), run});
       }
     }
-    if (!g.children.empty()) {
-      g.parent = &o;
-      // The leaf's retained checkpoint moves to the group that expands
-      // it. If every child is already in the store, no group will ever
-      // fork from it: release it.
-      if (any_run) {
-        g.seed = std::move(e.seed);
-      } else {
-        e.seed.reset();
-      }
-      next.push_back(std::move(g));
-    } else if (o.sites.size() <= prefix_len) {
-      // Nothing past the forced prefix, so no deeper iteration expands
-      // this leaf. A leaf cut only by this iteration's bound keeps its
-      // checkpoint for the iteration that will.
-      e.seed.reset();
-    }
+    if (g.children.empty()) return;
+    g.parent = &o;
+    // If every child is already in the store, no group will fork from
+    // the checkpoint: it is released here.
+    if (any_run) g.seed = std::move(seed);
+    next.push_back(std::move(g));
   };
 
-  // Wave 0: the per-bucket policy schedules, in bucket order.
-  {
-    int count0 = static_cast<int>(buckets.size());
-    const int allowed = ecfg.max_schedules - it->schedules;
-    if (count0 > allowed) {
-      count0 = std::max(allowed, 0);
-      it->capped = true;
-    }
-    std::vector<std::string> keys;
-    std::vector<int> todo;
-    std::vector<LeafOutcome> out;
-    for (int begin = 0; begin < count0; begin += kWaveBatch) {
-      if (stop()) {
-        it->stopped = true;
-        return;
-      }
-      const int count = std::min(kWaveBatch, count0 - begin);
-      keys.assign(static_cast<std::size_t>(count), {});
-      todo.clear();
-      for (int i = 0; i < count; ++i) {
-        keys[static_cast<std::size_t>(i)] =
-            schedule_key(begin + i, {}, 0, nullptr);
-        if (store->contains(keys[static_cast<std::size_t>(i)])) continue;
-        todo.push_back(i);
-      }
-      out.assign(todo.size(), {});
-      std::vector<LeafSide> sides(todo.size());
-      pool->run(static_cast<int>(todo.size()), [&](Worker& w, int t) {
-        const int i = todo[static_cast<std::size_t>(t)];
-        const Duration think =
-            buckets[static_cast<std::size_t>(begin + i)].think;
-        // Wave-0 leaves donate state digests but never probe the table
-        // (allow_merge off): the per-bucket policy schedules are the
-        // baseline every child diverges from.
-        out[static_cast<std::size_t>(t)] = w.run_contained(
-            think, {}, /*stepped=*/ckpt, &sides[static_cast<std::size_t>(t)],
-            begin + i, /*allow_merge=*/false);
-      });
-      std::size_t t = 0;
-      for (int i = 0; i < count; ++i) {
-        const std::string& key = keys[static_cast<std::size_t>(i)];
-        if (t < todo.size() && todo[t] == i) {
-          OutcomeStore::Entry& e = store->intern(key, std::move(out[t]));
-          if (journal != nullptr) fresh.emplace_back(key, &e.outcome);
-          reduce_leaf(0, begin + i, 0, e, &sides[t]);
-          ++t;
-        } else {
-          // An earlier iteration ran this bucket's policy schedule, or a
-          // resumed journal loaded it.
-          ++it->cache_hits;
-          reduce_leaf(0, begin + i, 0, *store->find(key), nullptr);
-        }
-      }
-      if (journal != nullptr) {
-        journal->append_batch(fresh);
-        fresh.clear();
-      }
-    }
-    if (it->capped) return;
-  }
-
-  for (int level = 1; !next.empty(); ++level) {
-    std::vector<ParentGroup> wave = std::move(next);
-    next.clear();
+  for (;; ++level) {
+    res.bound_reached = level;
+    res.bound_cutoffs = 0;
+    expand = ecfg.preemption_bound < 0 || level < ecfg.preemption_bound;
+    // Seeds minted at the preemption bound could never be consumed.
+    const bool mint_seeds = ckpt && expand;
     // Schedule cap: truncate the wave's LEAVES in canonical order. The
     // dropped tail (and all its descendants) is exactly what a serial
     // enumerator hitting the cap would never reach.
-    const int allowed = ecfg.max_schedules - it->schedules;
+    const int allowed = ecfg.max_schedules - res.schedules;
     int total = 0;
     for (std::size_t gi = 0; gi < wave.size(); ++gi) {
       const int n = static_cast<int>(wave[gi].children.size());
@@ -1241,7 +1168,7 @@ void run_iteration(const core::ScenarioConfig& base,
         wave[gi].children.resize(
             static_cast<std::size_t>(std::max(allowed - total, 0)));
         wave.resize(wave[gi].children.empty() ? gi : gi + 1);
-        it->capped = true;
+        capped = true;
         break;
       }
       total += n;
@@ -1249,12 +1176,13 @@ void run_iteration(const core::ScenarioConfig& base,
     // Batch groups so at most ~kWaveBatch executed leaf outcomes are
     // alive at once (a single oversized group still runs whole; groups
     // whose children are all in the store ride along for free).
-    std::vector<GroupOutcome> out;
     std::size_t gbegin = 0;
     while (gbegin < wave.size()) {
-      if (stop()) {
-        it->stopped = true;
-        return;
+      if (ecfg.should_stop && ecfg.should_stop()) {
+        // Graceful stop: everything reduced so far is a valid canonical
+        // prefix; the journal (when active) resumes exactly here.
+        res.interrupted = true;
+        break;
       }
       std::size_t gend = gbegin;
       int batch_leaves = 0;
@@ -1266,16 +1194,16 @@ void run_iteration(const core::ScenarioConfig& base,
       }
       // Graceful degradation accounting: groups whose children pay the
       // full prefix replay instead of forking — the parent's seed was
-      // crowded out by the budget (level-1 parents never mint seeds, so
+      // crowded out by the budget (wave-1 parents never mint seeds, so
       // they are the baseline, not degradation), or a journaled parent
       // resumed without fork boundaries.
-      if (ckpt) {
+      if (ckpt && level >= 1) {
         for (std::size_t i = gbegin; i < gend; ++i) {
           const ParentGroup& g = wave[i];
           if (g.exec_count() == 0) continue;
           if (g.parent->site_events.size() != g.parent->sites.size() ||
               (level >= 2 && g.seed == nullptr)) {
-            ++it->degraded;
+            ++degraded;
           }
         }
       }
@@ -1287,31 +1215,30 @@ void run_iteration(const core::ScenarioConfig& base,
         const Duration think =
             buckets[static_cast<std::size_t>(g.bucket)].think;
         out[static_cast<std::size_t>(i)] =
-            ckpt ? w.run_group(think, g, mint_seeds)
-                 : w.run_group_replay(think, g);
+            g.parent == nullptr ? w.run_policy(think, g.bucket, ckpt)
+            : ckpt              ? w.run_group(think, g, mint_seeds)
+                                : w.run_group_replay(think, g);
       });
       for (std::size_t i = 0; i < gend - gbegin; ++i) {
         GroupOutcome& go = out[i];
-        ParentGroup& g = wave[gbegin + i];
-        it->checkpoints += go.checkpoints;
-        it->forks += go.forks;
-        it->prefix_ns_saved += go.prefix_ns_saved;
+        const ParentGroup& g = wave[gbegin + i];
+        checkpoints += go.checkpoints;
+        forks += go.forks;
+        prefix_ns_saved += go.prefix_ns_saved;
         std::size_t x = 0;  // next executed leaf of the group
         for (const ParentGroup::Child& c : g.children) {
-          Choice alt = g.parent->choices[c.site];
-          alt.chosen = c.alt;
-          const std::string ckey =
-              schedule_key(g.bucket, g.parent->choices, c.site, &alt);
+          const std::string key = child_key(g, c);
+          const std::size_t prefix_len = g.parent != nullptr ? c.site + 1 : 0;
           if (!c.run) {
-            ++it->cache_hits;
-            reduce_leaf(level, g.bucket, c.site + 1, *store->find(ckey),
+            ++cache_hits;
+            reduce_leaf(g.bucket, prefix_len, *store->find(key), nullptr,
                         nullptr);
             continue;
           }
-          OutcomeStore::Entry& e = store->intern(
-              ckey, std::move(go.leaves[x]), std::move(go.seeds[x]));
-          if (journal != nullptr) fresh.emplace_back(ckey, &e.outcome);
-          reduce_leaf(level, g.bucket, c.site + 1, e, &go.sides[x]);
+          const LeafOutcome& o = store->intern(key, std::move(go.leaves[x]));
+          if (journal != nullptr) fresh.emplace_back(key, &o);
+          reduce_leaf(g.bucket, prefix_len, o, &go.sides[x],
+                      std::move(go.seeds[x]));
           ++x;
         }
       }
@@ -1321,8 +1248,49 @@ void run_iteration(const core::ScenarioConfig& base,
       }
       gbegin = gend;
     }
-    if (it->capped) return;
+    // The wave closed: a bound-`level` sweep ends here, and its
+    // schedules count as rounds executed.
+    res.rounds_executed += res.schedules;
+    // "complete" = every schedule within the final bound was enumerated
+    // (bounded completeness, as in context-bounded model checking). With
+    // nothing to expand the bound covers the whole space; on scenarios
+    // where every divergence exposes fresh wakeup sites the space is
+    // unbounded in depth and the preemption bound / round budget is the
+    // only exit.
+    if (res.interrupted || capped || next.empty() ||
+        res.rounds_executed >= ecfg.max_schedules) {
+      break;
+    }
+    // Going deeper: a bound-by-bound enumeration would reduce every
+    // schedule so far again from the store.
+    cache_hits += static_cast<std::uint64_t>(res.schedules);
+    wave = std::move(next);
+    next.clear();
   }
+  res.complete = !capped && !res.interrupted;
+  // Checkpoint accounting — deterministic (jobs-invariant) but only
+  // emitted when checkpointing is on, keeping the off-mode metrics
+  // byte-identical to a build without the fork machinery.
+  // explore.degraded_groups is the exception: like explore.steals it
+  // depends on timing (seed-slot contention), so it sits outside the
+  // jobs-invariance contract.
+  if (ckpt) {
+    res.metrics.count("explore.checkpoints", checkpoints);
+    res.metrics.count("explore.forks", forks);
+    res.metrics.count("explore.prefix_ns_saved", prefix_ns_saved);
+    res.metrics.count("explore.cache_hits", cache_hits);
+    res.metrics.count("explore.degraded_groups", degraded);
+  }
+  // State-hash accounting: deterministic (jobs-invariant), scoped to
+  // fresh executions, and emitted only when the feature is on so the
+  // off-mode metrics stay byte-identical to a build without it. With
+  // checkpointing off no leaf is stepped, so the counters honestly
+  // report zero merges there.
+  if (ecfg.state_hash) {
+    res.metrics.count("explore.hash_merges", hash_merges);
+    res.metrics.count("explore.leaves_executed", leaves_executed);
+  }
+  return res;
 }
 
 }  // namespace
@@ -1406,89 +1374,13 @@ ExploreResult explore(const core::ScenarioConfig& cfg,
     if (!store.contains(key)) store.intern(key, std::move(rec));
   }
 
-  if (ecfg.mode == ExploreMode::pct) {
-    ExploreResult res =
-        explore_pct(base, ecfg, fingerprint, &pool, journal.get(), &store);
-    res.journal_leaves_loaded = static_cast<int>(loaded.size());
-    if (res.interrupted && journal != nullptr && journal->ok()) {
-      journal->append_stop(static_cast<std::uint64_t>(res.rounds_executed));
-    }
-    if (journal != nullptr && !journal->ok()) {
-      res.journal_error = journal->error();
-    }
-    res.metrics.count("explore.leaves",
-                      static_cast<std::uint64_t>(res.rounds_executed));
-    res.metrics.count("explore.steals", pool.steals());
-    res.metrics.count("explore.ctx_reuses", pool.ctx_reuses());
-    if (res.quarantined > 0) {
-      res.metrics.count("explore.quarantined",
-                        static_cast<std::uint64_t>(res.quarantined));
-    }
-    return res;
-  }
-
-  ExploreResult res;
-  res.mode = ExploreMode::exhaustive;
-  const std::vector<ThinkBucket> buckets =
-      make_buckets(base, ecfg.think_buckets);
-
+  ExploreResult res =
+      ecfg.mode == ExploreMode::pct
+          ? explore_pct(base, ecfg, fingerprint, &pool, journal.get(), &store)
+          : explore_exhaustive(base, ecfg, fingerprint, &pool, journal.get(),
+                               &store);
+  res.mode = ecfg.mode;
   res.journal_leaves_loaded = static_cast<int>(loaded.size());
-
-  // Iterative preemption bounding: enumerate with bound c = 0, 1, 2, ...
-  // Each iteration subsumes the previous one, so the last iteration's
-  // per-schedule statistics stand alone; rounds_executed keeps the
-  // cumulative cost honest.
-  std::uint64_t checkpoints = 0;
-  std::uint64_t forks = 0;
-  std::uint64_t prefix_ns_saved = 0;
-  std::uint64_t degraded = 0;
-  std::uint64_t hash_merges = 0;
-  std::uint64_t leaves_executed = 0;
-  std::uint64_t cache_hits = 0;
-  for (int c = 0;; ++c) {
-    Iteration it;
-    run_iteration(base, buckets, ecfg, c, fingerprint, &pool, journal.get(),
-                  &store, &it);
-    checkpoints += it.checkpoints;
-    forks += it.forks;
-    prefix_ns_saved += it.prefix_ns_saved;
-    degraded += it.degraded;
-    hash_merges += it.hash_merges;
-    leaves_executed += it.leaves_executed;
-    cache_hits += it.cache_hits;
-    res.rounds_executed += it.schedules;
-    res.schedules = it.schedules;
-    res.policy_schedules = it.policy_schedules;
-    res.successes = it.successes;
-    res.schedules_to_first_hit = it.schedules_to_first_hit;
-    res.divergence_errors += it.divergence_errors;
-    res.exact_success = it.exact;
-    res.total_mass = it.mass;
-    res.bound_cutoffs = it.cutoffs;
-    res.witness = it.witness;
-    res.witness_divergences = it.witness_divergences;
-    res.window_us = it.window_us;
-    res.quarantined = it.quarantined;
-    res.quarantine = std::move(it.quarantine);
-    res.bound_reached = c;
-    // "complete" = every schedule within the final bound was enumerated
-    // (bounded completeness, as in context-bounded model checking). When
-    // the cutoff count also drops to zero the bound covers the whole
-    // space and deepening stops on its own; on scenarios where every
-    // divergence exposes fresh wakeup sites the space is unbounded in
-    // depth and the preemption bound / round budget is the only exit.
-    res.complete = !it.capped && !it.stopped;
-    if (it.stopped) {
-      // Graceful stop: everything reduced so far is a valid canonical
-      // prefix; the journal (when active) resumes exactly here.
-      res.interrupted = true;
-      break;
-    }
-    if (it.capped) break;
-    if (it.cutoffs == 0) break;  // nothing beyond this bound exists
-    if (ecfg.preemption_bound >= 0 && c >= ecfg.preemption_bound) break;
-    if (res.rounds_executed >= ecfg.max_schedules) break;  // total budget
-  }
   if (res.interrupted && journal != nullptr && journal->ok()) {
     journal->append_stop(static_cast<std::uint64_t>(res.rounds_executed));
   }
@@ -1502,28 +1394,6 @@ ExploreResult explore(const core::ScenarioConfig& cfg,
   if (res.quarantined > 0) {
     res.metrics.count("explore.quarantined",
                       static_cast<std::uint64_t>(res.quarantined));
-  }
-  // Checkpoint accounting — deterministic (jobs-invariant) but only
-  // emitted when checkpointing is on, keeping the off-mode metrics
-  // byte-identical to a build without the fork machinery.
-  // explore.degraded_groups is the exception: like explore.steals it
-  // depends on timing (seed-slot contention), so it sits outside the
-  // jobs-invariance contract.
-  if (ecfg.checkpoint) {
-    res.metrics.count("explore.checkpoints", checkpoints);
-    res.metrics.count("explore.forks", forks);
-    res.metrics.count("explore.prefix_ns_saved", prefix_ns_saved);
-    res.metrics.count("explore.cache_hits", cache_hits);
-    res.metrics.count("explore.degraded_groups", degraded);
-  }
-  // State-hash accounting: deterministic (jobs-invariant), scoped to
-  // fresh executions, and emitted only when the feature is on so the
-  // off-mode metrics stay byte-identical to a build without it. With
-  // checkpointing off no leaf is stepped, so the counters honestly
-  // report zero merges there.
-  if (ecfg.state_hash) {
-    res.metrics.count("explore.hash_merges", hash_merges);
-    res.metrics.count("explore.leaves_executed", leaves_executed);
   }
   return res;
 }

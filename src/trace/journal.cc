@@ -47,15 +47,4 @@ std::vector<const SyscallRecord*> SyscallJournal::for_pid(
   return out;
 }
 
-const SyscallRecord* SyscallJournal::first(Pid pid, std::string_view name,
-                                           SimTime from) const {
-  const SyscallRecord* best = nullptr;
-  for (const auto& r : records_) {
-    if (r.pid == pid && r.name == name && r.enter >= from) {
-      if (best == nullptr || r.enter < best->enter) best = &r;
-    }
-  }
-  return best;
-}
-
 }  // namespace tocttou::trace

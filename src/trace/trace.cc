@@ -72,40 +72,6 @@ std::vector<TraceEvent> TraceLog::for_pid(Pid pid) const {
   return out;
 }
 
-std::optional<TraceEvent> TraceLog::find_first(Pid pid, Category cat,
-                                               std::string_view label,
-                                               SimTime from) const {
-  std::optional<TraceEvent> best;
-  for (const auto& ev : events_) {
-    if (ev.pid == pid && ev.category == cat && ev.label == label &&
-        ev.begin >= from) {
-      if (!best || ev.begin < best->begin) best = ev;
-    }
-  }
-  return best;
-}
-
-std::vector<TraceEvent> TraceLog::find_all(Pid pid, Category cat,
-                                           std::string_view label) const {
-  std::vector<TraceEvent> out;
-  for (const auto& ev : events_) {
-    if (ev.pid == pid && ev.category == cat && ev.label == label) {
-      out.push_back(ev);
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
-              return a.begin < b.begin;
-            });
-  return out;
-}
-
-SimTime TraceLog::end_time() const {
-  SimTime t = SimTime::origin();
-  for (const auto& ev : events_) t = max(t, ev.end);
-  return t;
-}
-
 std::string TraceLog::to_csv() const {
   std::string out = "begin_us,end_us,pid,name,cpu,category,label,detail\n";
   // ~80 bytes covers a typical row; reserve once so a 10^5-event trace

@@ -24,6 +24,9 @@
 #   COPY_FROM, COPY_TO (optional) a checked-in file copied to COPY_TO
 #               before the run, for an input the run rewrites (a sweep
 #               journal that --resume appends to)
+#   BINARY      (optional) compare OUT_FILE and GOLDEN as hex dumps, for
+#               a binary file (a sweep journal): plain file(READ) stops
+#               at the first NUL byte
 #
 # With neither GOLDEN nor EXPECT_ARGS, only the exit code is checked.
 # On a golden mismatch the actual output is left in the build tree
@@ -48,7 +51,11 @@ function(run_cli out_var args out_file)
     if(NOT EXISTS "${out_file}")
       message(FATAL_ERROR "run did not write ${out_file}: ${CLI} ${args}")
     endif()
-    file(READ "${out_file}" output)
+    if(BINARY)
+      file(READ "${out_file}" output HEX)
+    else()
+      file(READ "${out_file}" output)
+    endif()
   endif()
   set(${out_var} "${output}" PARENT_SCOPE)
 endfunction()
@@ -60,10 +67,18 @@ endif()
 run_cli(actual "${ARGS}" "${OUT_FILE}")
 
 if(GOLDEN)
-  file(READ "${GOLDEN}" expected)
+  if(BINARY)
+    file(READ "${GOLDEN}" expected HEX)
+  else()
+    file(READ "${GOLDEN}" expected)
+  endif()
   if(NOT actual STREQUAL expected)
     get_filename_component(name "${GOLDEN}" NAME_WE)
-    file(WRITE "${name}.actual" "${actual}")
+    if(BINARY)
+      file(COPY_FILE "${OUT_FILE}" "${name}.actual")
+    else()
+      file(WRITE "${name}.actual" "${actual}")
+    endif()
     message(FATAL_ERROR
             "output differs from ${GOLDEN}\n"
             "actual saved to ${name}.actual -- if the change is intended, "

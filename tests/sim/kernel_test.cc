@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 
@@ -406,8 +407,13 @@ TEST(KernelTest, MarksAppearInTrace) {
   s.push_back(Action::mark("hello"));
   k.spawn(std::make_unique<ScriptProgram>(std::move(s)), {.name = "p"});
   EXPECT_TRUE(k.run_to_exit());
-  EXPECT_TRUE(tr.log.find_first(1, trace::Category::marker, "hello")
-                  .has_value());
+  const auto& events = tr.log.events();
+  EXPECT_TRUE(std::any_of(events.begin(), events.end(),
+                          [](const trace::TraceEvent& ev) {
+                            return ev.pid == 1 &&
+                                   ev.category == trace::Category::marker &&
+                                   ev.label == "hello";
+                          }));
 }
 
 TEST(KernelTest, JournalOnlyModeSkipsEvents) {

@@ -33,37 +33,11 @@ TEST(TraceLogTest, AddAndQuery) {
   EXPECT_EQ(log.process_name(2), "pid2");  // unnamed fallback
   EXPECT_EQ(log.pids(), (std::vector<Pid>{1, 2}));
   EXPECT_EQ(log.for_pid(1).size(), 2u);
-  EXPECT_EQ(log.end_time(), SimTime::origin() + 12_us);
 }
 
 TEST(TraceLogTest, RejectsNegativeSpan) {
   TraceLog log;
   EXPECT_THROW(log.add(ev(1, 10, 5, Category::compute, "x")), SimError);
-}
-
-TEST(TraceLogTest, FindFirstRespectsFromAndLabel) {
-  TraceLog log;
-  log.add(ev(1, 0, 4, Category::syscall, "stat"));
-  log.add(ev(1, 10, 14, Category::syscall, "stat"));
-  log.add(ev(1, 20, 24, Category::syscall, "unlink"));
-  const auto first = log.find_first(1, Category::syscall, "stat");
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->begin, SimTime::origin());
-  const auto later = log.find_first(1, Category::syscall, "stat",
-                                    SimTime::origin() + 5_us);
-  ASSERT_TRUE(later.has_value());
-  EXPECT_EQ(later->begin, SimTime::origin() + 10_us);
-  EXPECT_FALSE(
-      log.find_first(1, Category::syscall, "chown").has_value());
-}
-
-TEST(TraceLogTest, FindAllSorted) {
-  TraceLog log;
-  log.add(ev(1, 10, 14, Category::syscall, "stat"));
-  log.add(ev(1, 0, 4, Category::syscall, "stat"));
-  const auto all = log.find_all(1, Category::syscall, "stat");
-  ASSERT_EQ(all.size(), 2u);
-  EXPECT_LT(all[0].begin, all[1].begin);
 }
 
 TEST(TraceLogTest, CsvContainsHeaderAndRows) {
@@ -159,9 +133,9 @@ TEST(JournalTest, ForPidSortsAndFilters) {
 }
 
 TEST(JournalTest, ForPidAndFirstAliasJournalStorage) {
-  // for_pid/first hand out pointers INTO records() — no record copies
-  // on the analysis path. Pin the aliasing so a regression back to
-  // by-value returns fails loudly.
+  // for_pid hands out pointers INTO records() — no record copies on the
+  // analysis path. Pin the aliasing so a regression back to by-value
+  // returns fails loudly.
   SyscallJournal j;
   SyscallRecord a;
   a.pid = 1;
@@ -177,8 +151,6 @@ TEST(JournalTest, ForPidAndFirstAliasJournalStorage) {
   ASSERT_EQ(recs.size(), 2u);
   EXPECT_EQ(recs[0], &j.records()[1]);  // earlier enter sorts first
   EXPECT_EQ(recs[1], &j.records()[0]);
-  EXPECT_EQ(j.first(1, "stat"), &j.records()[1]);
-  EXPECT_EQ(j.first(1, "stat", SimTime::origin() + 10_us), &j.records()[0]);
 }
 
 TEST(JournalTest, CsvExport) {
@@ -195,19 +167,6 @@ TEST(JournalTest, CsvExport) {
   EXPECT_NE(csv.find("enter_us,exit_us,pid,name"), std::string::npos);
   EXPECT_NE(csv.find("10.000,12.000,3,chown,OK,/h/f,,,,,42"),
             std::string::npos);
-}
-
-TEST(JournalTest, FirstAfter) {
-  SyscallJournal j;
-  SyscallRecord a;
-  a.pid = 1;
-  a.name = "chown";
-  a.enter = SimTime::origin() + 10_us;
-  a.exit = SimTime::origin() + 12_us;
-  j.add(a);
-  EXPECT_NE(j.first(1, "chown"), nullptr);
-  EXPECT_EQ(j.first(1, "chown", SimTime::origin() + 11_us), nullptr);
-  EXPECT_EQ(j.first(2, "chown"), nullptr);
 }
 
 }  // namespace

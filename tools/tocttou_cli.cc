@@ -85,10 +85,15 @@ void on_stop_signal(int) { g_stop = 1; }
       "  --explore=exhaustive|pct     enumerate the schedule space instead\n"
       "                               of sampling it (noise/background off)\n"
       "  --explore-buckets=N          think-time quantization (default 64)\n"
-      "  --explore-bound=N            max preemption bound for the\n"
-      "                               iterative deepening; -1 = until the\n"
-      "                               space is complete (default 2)\n"
-      "  --explore-max=N              schedule cap per iteration\n"
+      "  --explore-bound=N            max preemption bound: enumerate the\n"
+      "                               schedules with 0..N divergences from\n"
+      "                               policy; -1 = until the space is\n"
+      "                               complete or --explore-max runs out\n"
+      "                               (default 2)\n"
+      "  --explore-max=N              schedule cap (default 200000); also\n"
+      "                               the budget for \"rounds executed\",\n"
+      "                               the schedules within each bound\n"
+      "                               reached, summed over those bounds\n"
       "  --explore-jobs=N             exploration worker threads (default:\n"
       "                               $TOCTTOU_JOBS, else all cores; 1 =\n"
       "                               serial; results are bit-identical at\n"
@@ -504,7 +509,7 @@ int main(int argc, char** argv) {
       std::printf("first hit: schedule %d\n", res.schedules_to_first_hit);
     }
     if (res.divergence_errors > 0) {
-      std::printf("WARNING: %d rounds diverged from their forced prefix\n",
+      std::printf("WARNING: %d schedules diverged from their forced prefix\n",
                   res.divergence_errors);
     }
     // Quarantined schedules (a leaf threw twice — livelock watchdog,
