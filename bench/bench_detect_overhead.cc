@@ -10,7 +10,9 @@
 // workload instead sizes its pass to about a second, then runs kPairs
 // pairs of passes, off and on alternating (the side that goes first
 // alternates too), and reports the median and quartiles of each side's
-// rounds/s and of the per-pair overhead (on time / off time - 1).
+// rounds/s and of the per-pair overhead (on time / off time - 1). A
+// metrics::WallProfile attached to each detect-on pass splits out its
+// analyze phase (the detector's replay and window matching) per round.
 //
 //   ./bench_detect_overhead [output.json]
 //
@@ -29,6 +31,7 @@
 #include "tocttou/common/stats.h"
 #include "tocttou/common/strings.h"
 #include "tocttou/core/harness.h"
+#include "tocttou/metrics/profile.h"
 #include "tocttou/programs/testbeds.h"
 
 namespace tocttou {
@@ -127,11 +130,13 @@ int main(int argc, char** argv) {
     on.detect = true;
     const int rounds = size_pass(off);
 
-    Samples rps_off, rps_on, overhead;
+    Samples rps_off, rps_on, overhead, analyze_us;
     std::uint64_t windows = 0, races = 0;
     for (int pair = 0; pair < kPairs; ++pair) {
       double sec_off = 0.0, sec_on = 0.0;
       core::CampaignStats s_off, s_on;
+      metrics::WallProfile profile;
+      on.wall_profile = &profile;
       for (int side = 0; side < 2; ++side) {
         const bool run_on = (side == 0) == (pair % 2 == 1);
         const auto t0 = Clock::now();
@@ -140,6 +145,9 @@ int main(int argc, char** argv) {
         (run_on ? sec_on : sec_off) = seconds_since(t0);
         (run_on ? s_on : s_off) = std::move(s);
       }
+      TOCTTOU_CHECK(profile.rounds == static_cast<std::uint64_t>(rounds),
+                    "the wall profile must cover every detect-on round");
+      analyze_us.add(static_cast<double>(profile.analyze_ns) / 1e3 / rounds);
       // Detection observes; it must not change what the campaign measures.
       TOCTTOU_CHECK(s_off.summary() == s_on.summary(),
                     "detect-on campaign diverged from detect-off");
@@ -154,9 +162,11 @@ int main(int argc, char** argv) {
 
     std::printf(
         "%-28s %6d rounds/pass  off: %8.0f  on: %8.0f rounds/s (medians)  "
-        "overhead: %5.1f%% (p25 %5.1f%%, p75 %5.1f%%)\n",
+        "overhead: %5.1f%% (p25 %5.1f%%, p75 %5.1f%%)  analyze: %6.1f "
+        "us/round\n",
         w.name, rounds, rps_off.median(), rps_on.median(), overhead.median(),
-        overhead.quantile(0.25), overhead.quantile(0.75));
+        overhead.quantile(0.25), overhead.quantile(0.75),
+        analyze_us.median());
 
     if (!first) json += ",\n";
     first = false;
@@ -164,9 +174,11 @@ int main(int argc, char** argv) {
         "    {\"name\": \"%s\", \"rounds_per_pass\": %d, "
         "\"rounds_per_sec_detect_off\": %s, "
         "\"rounds_per_sec_detect_on\": %s, \"overhead_pct\": %s, "
+        "\"analyze_us_per_round_detect_on\": %s, "
         "\"windows\": %llu, \"races\": %llu}",
         w.name, rounds, quartiles(rps_off, 1).c_str(),
         quartiles(rps_on, 1).c_str(), quartiles(overhead, 2).c_str(),
+        quartiles(analyze_us, 2).c_str(),
         static_cast<unsigned long long>(windows),
         static_cast<unsigned long long>(races));
   }

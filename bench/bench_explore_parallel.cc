@@ -20,9 +20,11 @@
 //    Reports both sides' rounds/s and the per-pair speedup (medians and
 //    quartiles).
 //  * checkpoint_ablation — the up/vi 4 KB sweep at bound 5 (1,024
-//    schedules, one worker) with checkpoint forks off, then on.
+//    schedules, one worker) with checkpoint forks off and on, kPasses
+//    pairs, the side that goes first alternating. Reports both sides'
+//    sweep time and the per-pair speedup (medians and quartiles).
 //
-// The whole run takes about half a minute on a 4-thread host.
+// The whole run takes about a minute and a half on a 4-thread host.
 // TOCTTOU_ROUNDS sets the think buckets of the timed sweeps (default 64).
 #include <algorithm>
 #include <chrono>
@@ -213,23 +215,19 @@ ReuseReport bench_context_reuse() {
   return r;
 }
 
-/// Checkpoint/fork ablation: the up/vi exhaustive sweep run twice —
-/// checkpointing OFF (re-simulate every leaf's full schedule prefix),
-/// then ON (fork leaves off mid-round parent clones). Either way each
-/// schedule executes once, so the ratio measures forking alone. Results
-/// are bit-identical by contract; only wall time and the checkpoint
-/// counters differ. leaves/sec uses the enumerated schedule count (the
-/// logical work, identical either way), so the speedup is the
-/// wall-clock ratio.
+/// Checkpoint/fork ablation: the up/vi exhaustive sweep with
+/// checkpointing OFF (re-simulate every leaf's full schedule prefix) and
+/// ON (fork leaves off mid-round parent clones), in kPasses pairs whose
+/// first side alternates. Either way each schedule executes once, so the
+/// ratio measures forking alone. Results are bit-identical by contract;
+/// only wall time and the checkpoint counters differ.
 struct AblationReport {
   int think_buckets = 0;
   int bound = 0;
   int schedules = 0;
-  double on_secs = 0.0;
-  double off_secs = 0.0;
-  double on_leaves_per_sec = 0.0;
-  double off_leaves_per_sec = 0.0;
-  double speedup = 0.0;  // on vs off
+  Samples off_secs;
+  Samples on_secs;
+  Samples speedup;  // off / on, per pair
   std::uint64_t checkpoints = 0;
   std::uint64_t forks = 0;
   std::uint64_t prefix_ns_saved = 0;
@@ -244,27 +242,27 @@ AblationReport bench_checkpoint_ablation(int buckets, int bound) {
   AblationReport r;
   r.think_buckets = buckets;
   r.bound = bound;
-
-  ecfg.checkpoint = false;
-  const auto t_off = Clock::now();
-  const explore::ExploreResult off = explore::explore(cfg, ecfg);
-  r.off_secs = seconds_since(t_off);
-
-  ecfg.checkpoint = true;
-  const auto t_on = Clock::now();
-  const explore::ExploreResult on = explore::explore(cfg, ecfg);
-  r.on_secs = seconds_since(t_on);
-
-  TOCTTOU_CHECK(same_result(off, on),
-                "checkpoint ablation must not change exploration results");
-  r.schedules = on.schedules;
-  r.on_leaves_per_sec = static_cast<double>(on.schedules) / r.on_secs;
-  r.off_leaves_per_sec = static_cast<double>(off.schedules) / r.off_secs;
-  r.speedup = r.on_leaves_per_sec / r.off_leaves_per_sec;
-  r.checkpoints = on.metrics.counter("explore.checkpoints");
-  r.forks = on.metrics.counter("explore.forks");
-  r.prefix_ns_saved = on.metrics.counter("explore.prefix_ns_saved");
-  r.cache_hits = on.metrics.counter("explore.cache_hits");
+  for (int pair = 0; pair < kPasses; ++pair) {
+    double secs[2] = {0.0, 0.0};  // off, on
+    explore::ExploreResult res[2];
+    for (int side = 0; side < 2; ++side) {
+      const int on = (side == 0) == (pair % 2 == 1) ? 1 : 0;
+      ecfg.checkpoint = on == 1;
+      const auto t0 = Clock::now();
+      res[on] = explore::explore(cfg, ecfg);
+      secs[on] = seconds_since(t0);
+    }
+    TOCTTOU_CHECK(same_result(res[0], res[1]),
+                  "checkpoint ablation must not change exploration results");
+    r.off_secs.add(secs[0]);
+    r.on_secs.add(secs[1]);
+    r.speedup.add(secs[0] / secs[1]);
+    r.schedules = res[1].schedules;
+    r.checkpoints = res[1].metrics.counter("explore.checkpoints");
+    r.forks = res[1].metrics.counter("explore.forks");
+    r.prefix_ns_saved = res[1].metrics.counter("explore.prefix_ns_saved");
+    r.cache_hits = res[1].metrics.counter("explore.cache_hits");
+  }
   return r;
 }
 
@@ -311,12 +309,15 @@ int main(int argc, char** argv) {
   std::printf("checkpoint ablation   up/vi buckets=%d bound=%d   "
               "%d schedules\n",
               abl.think_buckets, abl.bound, abl.schedules);
-  std::printf("  checkpoint=off  %7.2fs   %9.1f leaves/s\n", abl.off_secs,
-              abl.off_leaves_per_sec);
-  std::printf("  checkpoint=on   %7.2fs   %9.1f leaves/s   speedup %.2fx   "
-              "(checkpoints=%llu forks=%llu cache_hits=%llu "
-              "prefix_saved=%.2fs)\n",
-              abl.on_secs, abl.on_leaves_per_sec, abl.speedup,
+  std::printf("  checkpoint=off  %7.2fs median (p25 %.2f, p75 %.2f)\n",
+              abl.off_secs.median(), abl.off_secs.quantile(0.25),
+              abl.off_secs.quantile(0.75));
+  std::printf("  checkpoint=on   %7.2fs median (p25 %.2f, p75 %.2f)   "
+              "speedup %.2fx (p25 %.2f, p75 %.2f)   (checkpoints=%llu "
+              "forks=%llu cache_hits=%llu prefix_saved=%.2fs)\n",
+              abl.on_secs.median(), abl.on_secs.quantile(0.25),
+              abl.on_secs.quantile(0.75), abl.speedup.median(),
+              abl.speedup.quantile(0.25), abl.speedup.quantile(0.75),
               static_cast<unsigned long long>(abl.checkpoints),
               static_cast<unsigned long long>(abl.forks),
               static_cast<unsigned long long>(abl.cache_hits),
@@ -355,19 +356,17 @@ int main(int argc, char** argv) {
       "\"think_buckets\": %d, \"preemption_bound\": %d, \"jobs\": 1, "
       "\"schedules\": %d,\n",
       abl.think_buckets, abl.bound, abl.schedules);
+  json += strfmt("    \"off_secs\": %s, \"on_secs\": %s, \"speedup\": %s,\n",
+                 quartiles(abl.off_secs, 3).c_str(),
+                 quartiles(abl.on_secs, 3).c_str(),
+                 quartiles(abl.speedup, 4).c_str());
   json += strfmt(
-      "    \"off\": {\"secs\": %.3f, \"leaves_per_sec\": %.2f},\n",
-      abl.off_secs, abl.off_leaves_per_sec);
-  json += strfmt(
-      "    \"on\": {\"secs\": %.3f, \"leaves_per_sec\": %.2f, "
-      "\"checkpoints\": %llu, \"forks\": %llu, \"cache_hits\": %llu, "
+      "    \"checkpoints\": %llu, \"forks\": %llu, \"cache_hits\": %llu, "
       "\"prefix_ns_saved\": %llu},\n",
-      abl.on_secs, abl.on_leaves_per_sec,
       static_cast<unsigned long long>(abl.checkpoints),
       static_cast<unsigned long long>(abl.forks),
       static_cast<unsigned long long>(abl.cache_hits),
       static_cast<unsigned long long>(abl.prefix_ns_saved));
-  json += strfmt("    \"speedup\": %.4f},\n", abl.speedup);
   json += "  \"identical_results\": true\n";
   json += "}\n";
 

@@ -64,7 +64,7 @@ void BM_Fig10(benchmark::State& state) {
       const trace::SyscallRecord* unlink = nullptr;
       for (const auto* u : j.for_pid(rep.attacker_pid, "unlink")) {
         if (u->enter >= detect->exit &&
-            u->path != std::string("/tmp/dummy")) {
+            j.path(*u) != "/tmp/dummy") {
           unlink = u;
           break;
         }

@@ -53,7 +53,7 @@ struct DetectedPair {
 /// every check call is paired with each later use call on that path up
 /// to (and including) the next check of the same path. Records are
 /// processed in program order — journal order, so calls entering at the
-/// same instant keep the order they ran in (detect::check_use_windows,
+/// same instant keep the order they ran in (detect::WindowFinder,
 /// the detector's own window finder).
 std::vector<DetectedPair> find_pairs(const trace::SyscallJournal& journal,
                                      trace::Pid pid);

@@ -1,13 +1,18 @@
 // Online happens-before TOCTTOU race detector.
 //
 // analyze_round() replays one round's SyncLog through per-process
-// vector clocks (exp-drd style), positions every journaled syscall
-// inside the resulting causal order via the sc_enter/sc_exit bracket
-// whose exit names it, rediscovers <check, use> windows per process
-// from the classification tables in classify.h, and flags every window
-// that is CONCURRENT with an attacker-writable mutation of the same
-// resolved pathname (or of the inode the check observed, catching
-// symlink-aliased paths).
+// vector clocks (exp-drd style) — flat rows of counters as wide as the
+// round's process count — and positions every journaled syscall inside
+// the resulting causal order via the sc_enter/sc_exit bracket whose exit
+// names it. It rediscovers <check, use> windows per process with the
+// window finder in classify.h, and flags every window that is CONCURRENT
+// with an attacker-writable mutation of the same resolved pathname (or
+// of the inode the check observed, catching symlink-aliased paths).
+// Names are matched by the journal's string ids (trace/journal.h), and
+// the mutations are indexed by name and by inode, so a window visits
+// only the other processes' mutations that can match it, in journal
+// order. Text is made only for the report: one key per pair shape and
+// the findings' fields.
 //
 // Race predicate: window <C, U> of victim P races mutation M of
 // attacker Q iff NOT (M happens-before C) and NOT (U happens-before M).

@@ -129,8 +129,9 @@ class SweepJournal {
   void append_batch(
       const std::vector<std::pair<std::string, const LeafRecord*>>& leaves);
 
-  /// Appends the graceful-stop marker (SIGINT/SIGTERM/deadline path).
-  void append_stop(std::uint64_t schedules_reduced);
+  /// Appends the graceful-stop marker (SIGINT/SIGTERM/deadline path):
+  /// 'S' and the sweep's rounds executed so far, which resume skips.
+  void append_stop(std::uint64_t rounds_executed);
 
   bool ok() const { return error_.empty(); }
   const std::string& error() const { return error_; }

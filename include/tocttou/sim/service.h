@@ -106,7 +106,8 @@ class ServiceOp {
 
   /// Called once when the op completes so the op can attach structured
   /// results (observed uid/gid and inode, the inode it applied to) to
-  /// the trace journal; the kernel fills the name, times and paths.
+  /// the trace journal; the kernel's append fills the name, times and
+  /// paths.
   virtual void fill_record(trace::SyscallRecord& rec) const { (void)rec; }
 
   /// Checkpoint support: deep-copies the in-flight syscall state machine

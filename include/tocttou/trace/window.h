@@ -64,9 +64,13 @@ class WindowTracker {
   /// in the order they completed.
   void add(std::string_view name, Errno result, std::string_view path,
            std::string_view path2, SimTime enter, SimTime exit);
-  /// Feeds a journal record; records of other processes are skipped.
-  void add(const SyscallRecord& r) {
-    if (tracks(r.pid)) add(r.name, r.result, r.path, r.path2, r.enter, r.exit);
+  /// Feeds a record of `journal`; records of other processes are
+  /// skipped.
+  void add(const SyscallJournal& journal, const SyscallRecord& r) {
+    if (tracks(r.pid)) {
+      add(journal.name(r), r.result, journal.path(r), journal.path2(r),
+          r.enter, r.exit);
+    }
   }
 
   /// Whether a check was followed by a use.

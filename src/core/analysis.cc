@@ -19,20 +19,22 @@ WindowMeasurement analyze_window(const trace::SyscallJournal& journal,
 
   // --- victim side: window_open (check exit) and t3 (use enter) ---
   trace::WindowTracker window(victim, spec);
-  for (const auto& r : journal.records()) window.add(r);
+  for (const auto& r : journal.records()) window.add(journal, r);
   if (!window.found()) return m;
   m.window_found = true;
   m.window_open = window.open();
   m.t3 = window.use();
 
   // --- attacker side: detection stats on the watched path ---
+  const std::optional<trace::StrId> watched = journal.find(spec.path);
+  const std::optional<trace::StrId> stat_id = journal.find("stat");
   std::vector<const trace::SyscallRecord*> stats;
   for (const auto& r : journal.records()) {
-    if (r.pid == attacker && r.name == "stat") stats.push_back(&r);
+    if (r.pid == attacker && r.name == stat_id) stats.push_back(&r);
   }
   const trace::SyscallRecord* detect = nullptr;
   for (const trace::SyscallRecord* r : stats) {
-    if (r->path != spec.path) continue;
+    if (r->path != watched) continue;
     if (r->result == Errno::ok && r->st_uid && *r->st_uid == 0 &&
         r->st_gid && *r->st_gid == 0) {
       if (detect == nullptr || r->enter < detect->enter) detect = r;
@@ -58,7 +60,7 @@ WindowMeasurement analyze_window(const trace::SyscallJournal& journal,
       int gaps = 0;
       std::optional<SimTime> prev;
       for (const trace::SyscallRecord* r : stats) {
-        if (r->path != spec.path) continue;
+        if (r->path != watched) continue;
         if (r->enter > detect->enter) break;
         if (prev) {
           total += r->enter - *prev;
@@ -73,9 +75,10 @@ WindowMeasurement analyze_window(const trace::SyscallJournal& journal,
       // Interval from the detecting stat's start to the unlink's start
       // (includes post-detection computation and any libc trap).
       const trace::SyscallRecord* unlink = nullptr;
+      const std::optional<trace::StrId> unlink_id = journal.find("unlink");
       for (const auto& r : journal.records()) {
-        if (r.pid != attacker || r.name != "unlink") continue;
-        if (r.path == spec.path && r.enter >= detect->enter) {
+        if (r.pid != attacker || r.name != unlink_id) continue;
+        if (r.path == watched && r.enter >= detect->enter) {
           if (unlink == nullptr || r.enter < unlink->enter) unlink = &r;
         }
       }

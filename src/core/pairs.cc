@@ -50,16 +50,20 @@ const std::vector<PairShape>& known_pair_shapes() {
 std::vector<DetectedPair> find_pairs(const trace::SyscallJournal& journal,
                                      trace::Pid pid) {
   const auto& recs = journal.records();
-  std::vector<std::size_t> order;
+  std::vector<std::uint32_t> order;
   for (std::size_t r = 0; r < recs.size(); ++r) {
-    if (recs[r].pid == pid) order.push_back(r);
+    if (recs[r].pid == pid) order.push_back(static_cast<std::uint32_t>(r));
   }
+  std::vector<detect::CheckUse> windows;
+  detect::WindowFinder(journal).check_use_windows(order, &windows);
   std::vector<DetectedPair> out;
-  for (const detect::CheckUse& w : detect::check_use_windows(recs, order)) {
+  for (const detect::CheckUse& w : windows) {
     const trace::SyscallRecord& check = recs[w.check];
     const trace::SyscallRecord& use = recs[w.use];
-    out.push_back(DetectedPair{check.name, use.name, std::string(w.name),
-                               check.exit, use.enter});
+    out.push_back(DetectedPair{std::string(journal.name(check)),
+                               std::string(journal.name(use)),
+                               std::string(journal.text(w.name)), check.exit,
+                               use.enter});
   }
   return out;
 }
@@ -80,24 +84,27 @@ std::vector<Interference> find_interference(
     const trace::SyscallJournal& journal, trace::Pid victim) {
   const auto windows = find_pairs(journal, victim);
   std::vector<Interference> out;
-  std::vector<std::string_view> names;
   for (const auto& r : journal.records()) {
     if (r.pid == victim || r.result != Errno::ok) continue;
     // Namespace mutations only: attribute changes (chown/chmod) do not
     // remap a name, so they cannot redirect the victim's use.
-    if (!(r.name == "unlink" || r.name == "symlink" || r.name == "rename" ||
-          r.name == "link" || r.name == "mkdir")) {
+    const std::string_view name = journal.name(r);
+    if (!(name == "unlink" || name == "symlink" || name == "rename" ||
+          name == "link" || name == "mkdir")) {
       continue;
     }
     // mutated_names resolves the secondary path per call: rename remaps
     // both ends, link binds its newpath (path2) — previously invisible.
-    detect::mutated_names(r, &names);
+    const detect::NameIds names =
+        detect::mutated_names(r, detect::call_kind(name));
     for (const auto& w : windows) {
       bool on_path = false;
-      for (std::string_view n : names) on_path = on_path || n == w.path;
+      for (const trace::StrId n : names) {
+        on_path = on_path || journal.text(n) == w.path;
+      }
       if (!on_path) continue;
       if (r.enter >= w.check_exit && r.enter < w.use_enter) {
-        out.push_back(Interference{w, r.pid, r.name, r.enter});
+        out.push_back(Interference{w, r.pid, std::string(name), r.enter});
       }
     }
   }

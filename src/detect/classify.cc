@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
-#include <string>
 
 namespace tocttou::detect {
 namespace {
@@ -12,7 +10,7 @@ namespace {
 // close, fchown, fchmod) bind to an inode the process already holds, so
 // no pathname invariant is involved; they classify as none of the
 // three. Kept sorted for readability, matched linearly — the tables are
-// tiny and this is not the hot path.
+// tiny, and a journal classifies each of its op names once.
 constexpr std::array<std::string_view, 9> kChecks = {
     "access", "link",     "lstat", "mkdir", "open",
     "readlink", "rename", "stat",  "symlink"};
@@ -38,68 +36,100 @@ bool is_mutator_name(std::string_view name) {
   return contains(kMutators, name);
 }
 
-void acted_names(const trace::SyscallRecord& r,
-                 std::vector<std::string_view>* out) {
-  out->clear();
-  if (!r.path.empty()) out->push_back(r.path);
+CallKind call_kind(std::string_view name) {
+  CallKind k;
+  k.check = is_check_name(name);
+  k.use = is_use_name(name);
+  k.mutator = is_mutator_name(name);
+  if (name == "rename") {
+    k.op = CallKind::Op::rename;
+  } else if (name == "link") {
+    k.op = CallKind::Op::link;
+  } else if (name == "unlink") {
+    k.op = CallKind::Op::unlink;
+  }
+  return k;
+}
+
+namespace {
+
+void push(NameIds* out, trace::StrId id) {
+  if (id != trace::kEmptyStr) out->ids[out->size++] = id;
+}
+
+}  // namespace
+
+NameIds acted_names(const trace::SyscallRecord& r, CallKind kind) {
+  NameIds out;
+  push(&out, r.path);
   // rename(old, new) depends on both name bindings; link(old, new)
   // dereferences oldpath and creates newpath. symlink(target, linkpath)
   // journals the TARGET as path2 — a string stored in the new link, not
   // a name the call resolves — so it is excluded.
-  if ((r.name == "rename" || r.name == "link") && !r.path2.empty()) {
-    out->push_back(r.path2);
+  if (kind.op == CallKind::Op::rename || kind.op == CallKind::Op::link) {
+    push(&out, r.path2);
   }
+  return out;
 }
 
-void established_names(const trace::SyscallRecord& r,
-                       std::vector<std::string_view>* out) {
-  out->clear();
-  if (r.name == "rename") {
+NameIds established_names(const trace::SyscallRecord& r, CallKind kind) {
+  NameIds out;
+  if (kind.op == CallKind::Op::rename) {
     // The object now lives at newpath; oldpath's binding is gone.
-    if (!r.path2.empty()) out->push_back(r.path2);
-    return;
-  }
-  if (r.name == "link") {
+    push(&out, r.path2);
+  } else if (kind.op == CallKind::Op::link) {
     // Vouches both for the oldpath it dereferenced and the newpath it
     // created.
-    if (!r.path.empty()) out->push_back(r.path);
-    if (!r.path2.empty()) out->push_back(r.path2);
-    return;
+    push(&out, r.path);
+    push(&out, r.path2);
+  } else {
+    push(&out, r.path);
   }
-  if (!r.path.empty()) out->push_back(r.path);
+  return out;
 }
 
-void mutated_names(const trace::SyscallRecord& r,
-                   std::vector<std::string_view>* out) {
-  out->clear();
-  if (r.name == "rename") {
+NameIds mutated_names(const trace::SyscallRecord& r, CallKind kind) {
+  NameIds out;
+  if (kind.op == CallKind::Op::rename) {
     // Both ends change: oldpath disappears, newpath is rebound.
-    if (!r.path.empty()) out->push_back(r.path);
-    if (!r.path2.empty()) out->push_back(r.path2);
-    return;
-  }
-  if (r.name == "link") {
+    push(&out, r.path);
+    push(&out, r.path2);
+  } else if (kind.op == CallKind::Op::link) {
     // Only the created newpath gains a binding; oldpath is untouched.
-    if (!r.path2.empty()) out->push_back(r.path2);
-    return;
+    push(&out, r.path2);
+  } else {
+    push(&out, r.path);
   }
-  if (!r.path.empty()) out->push_back(r.path);
+  return out;
 }
 
-std::vector<CheckUse> check_use_windows(
-    const std::vector<trace::SyscallRecord>& records,
-    const std::vector<std::size_t>& order) {
-  std::vector<CheckUse> out;
-  std::map<std::string, std::size_t, std::less<>> last_check;
-  std::vector<std::string_view> names;
-  for (const std::size_t r : order) {
+WindowFinder::WindowFinder(const trace::SyscallJournal& journal)
+    : journal_(&journal),
+      kinds_(journal.string_count()),
+      last_check_(journal.string_count()) {
+  // Only op names are looked up; each is classified once.
+  std::vector<char> seen(journal.string_count(), 0);
+  for (const trace::SyscallRecord& r : journal.records()) {
+    if (!seen[r.name]) {
+      seen[r.name] = 1;
+      kinds_[r.name] = call_kind(journal.name(r));
+    }
+  }
+}
+
+void WindowFinder::check_use_windows(std::span<const std::uint32_t> order,
+                                     std::vector<CheckUse>* out) {
+  const std::vector<trace::SyscallRecord>& records = journal_->records();
+  // Entries stamped by an earlier search read as empty.
+  ++search_;
+  for (const std::uint32_t r : order) {
     const trace::SyscallRecord& rec = records[r];
-    if (is_use_name(rec.name)) {
-      acted_names(rec, &names);
-      for (const std::string_view n : names) {
-        const auto it = last_check.find(n);
-        if (it != last_check.end() && rec.enter > records[it->second].exit) {
-          out.push_back({it->second, r, n});
+    const CallKind k = kinds_[rec.name];
+    if (k.use) {
+      for (const trace::StrId n : acted_names(rec, k)) {
+        const Check& c = last_check_[n];
+        if (c.search == search_ && rec.enter > records[c.rec].exit) {
+          out->push_back({c.rec, r, n});
         }
       }
     }
@@ -107,18 +137,16 @@ std::vector<CheckUse> check_use_windows(
       // The process's own rename or unlink retires the old name's
       // invariant (rename before establishing its new name); a failed
       // call retires and establishes nothing.
-      if (rec.name == "rename" || rec.name == "unlink") {
-        last_check.erase(rec.path);
+      if (k.op == CallKind::Op::rename || k.op == CallKind::Op::unlink) {
+        last_check_[rec.path].search = 0;
       }
-      if (is_check_name(rec.name)) {
-        established_names(rec, &names);
-        for (const std::string_view n : names) {
-          last_check.insert_or_assign(std::string(n), r);
+      if (k.check) {
+        for (const trace::StrId n : established_names(rec, k)) {
+          last_check_[n] = {search_, r};
         }
       }
     }
   }
-  return out;
 }
 
 }  // namespace tocttou::detect

@@ -163,10 +163,10 @@ void SweepJournal::append_batch(
   if (error_.empty()) ++batches_;
 }
 
-void SweepJournal::append_stop(std::uint64_t schedules_reduced) {
+void SweepJournal::append_stop(std::uint64_t rounds_executed) {
   ByteWriter w;
   w.u8('S');
-  w.u64(schedules_reduced);
+  w.u64(rounds_executed);
   append_record(w.data());
 }
 

@@ -610,16 +610,9 @@ void Kernel::complete_service(Process& p, Errno result) {
                  now());
   }
   if (trace_) {
-    trace::SyscallRecord rec;
-    rec.pid = p.pid_;
-    rec.name = std::string(op.name());
-    rec.enter = p.op_enter_;
-    rec.exit = now();
-    rec.result = result;
-    rec.path = op.path();
-    rec.path2 = op.path2();
-    op.fill_record(rec);
-    trace_->journal.add(std::move(rec));
+    op.fill_record(trace_->journal.append(p.pid_, op.name(), p.op_enter_,
+                                          now(), result, op.path(),
+                                          op.path2()));
   }
   if (metrics_ != nullptr) {
     metrics_->count("kernel.syscalls");

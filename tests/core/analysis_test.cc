@@ -14,19 +14,14 @@ class AnalysisTest : public ::testing::Test {
   void add(trace::Pid pid, const char* name, std::int64_t enter_us,
            std::int64_t exit_us, const char* path, const char* path2 = "",
            std::optional<std::uint32_t> uid = std::nullopt) {
-    trace::SyscallRecord r;
-    r.pid = pid;
-    r.name = name;
-    r.enter = SimTime::origin() + Duration::micros(enter_us);
-    r.exit = SimTime::origin() + Duration::micros(exit_us);
-    r.path = path;
-    r.path2 = path2;
-    r.result = Errno::ok;
+    trace::SyscallRecord& r = journal_.append(
+        pid, name, SimTime::origin() + Duration::micros(enter_us),
+        SimTime::origin() + Duration::micros(exit_us), Errno::ok, path,
+        path2);
     if (uid) {
       r.st_uid = *uid;
       r.st_gid = (*uid == 0) ? 0 : *uid;
     }
-    journal_.add(std::move(r));
   }
 
   trace::SyscallJournal journal_;

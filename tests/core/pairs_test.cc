@@ -40,15 +40,9 @@ class PairDetectTest : public ::testing::Test {
   void add(trace::Pid pid, const char* name, std::int64_t enter_us,
            std::int64_t exit_us, const char* path, const char* path2 = "",
            Errno result = Errno::ok) {
-    trace::SyscallRecord r;
-    r.pid = pid;
-    r.name = name;
-    r.enter = SimTime::origin() + Duration::micros(enter_us);
-    r.exit = SimTime::origin() + Duration::micros(exit_us);
-    r.path = path;
-    r.path2 = path2;
-    r.result = result;
-    journal_.add(std::move(r));
+    journal_.append(pid, name, SimTime::origin() + Duration::micros(enter_us),
+                    SimTime::origin() + Duration::micros(exit_us), result,
+                    path, path2);
   }
 
   trace::SyscallJournal journal_;

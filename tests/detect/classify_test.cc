@@ -10,22 +10,23 @@
 namespace tocttou::detect {
 namespace {
 
-trace::SyscallRecord rec(std::string name, std::string path,
-                         std::string path2 = {}) {
-  trace::SyscallRecord r;
-  r.pid = 1;
-  r.name = std::move(name);
-  r.path = std::move(path);
-  r.path2 = std::move(path2);
-  return r;
+// A journal holding the one record.
+trace::SyscallJournal rec(std::string name, std::string path,
+                          std::string path2 = {}) {
+  trace::SyscallJournal j;
+  j.append(1, name, SimTime{}, SimTime{}, Errno::ok, path, path2);
+  return j;
 }
 
-std::vector<std::string> names_of(void (*fn)(const trace::SyscallRecord&,
-                                             std::vector<std::string_view>*),
-                                  const trace::SyscallRecord& r) {
-  std::vector<std::string_view> views;
-  fn(r, &views);
-  return {views.begin(), views.end()};
+std::vector<std::string> names_of(NameIds (*fn)(const trace::SyscallRecord&,
+                                                CallKind),
+                                  const trace::SyscallJournal& j) {
+  const trace::SyscallRecord& r = j.records().front();
+  std::vector<std::string> out;
+  for (const trace::StrId id : fn(r, call_kind(j.name(r)))) {
+    out.emplace_back(j.text(id));
+  }
+  return out;
 }
 
 TEST(ClassifyTest, ChecksUsesMutatorsTruthTables) {

@@ -25,15 +25,11 @@ class RoundBuilder {
                              std::string path, std::string path2 = {}) {
     sync.sc_enter(pid);
     sync.sc_exit(pid, journal.records().size());
-    trace::SyscallRecord r;
-    r.pid = pid;
-    r.name = std::move(name);
-    r.enter = SimTime::origin() + Duration::micros(static_cast<int>(t_));
-    r.exit = SimTime::origin() + Duration::micros(static_cast<int>(t_ + 1));
+    journal.append(
+        pid, name, SimTime::origin() + Duration::micros(static_cast<int>(t_)),
+        SimTime::origin() + Duration::micros(static_cast<int>(t_ + 1)),
+        Errno::ok, path, path2);
     t_ += 2;
-    r.path = std::move(path);
-    r.path2 = std::move(path2);
-    journal.add(std::move(r));
     return last();
   }
 
@@ -247,11 +243,7 @@ TEST(DetectorTest, OutOfStepLogAndJournalThrows) {
   // recoverable input.
   RoundBuilder b;
   b.start(1, 0);
-  trace::SyscallRecord r;
-  r.pid = 1;
-  r.name = "stat";
-  r.path = "/h/f";
-  b.journal.add(r);
+  b.journal.append(1, "stat", SimTime{}, SimTime{}, Errno::ok, "/h/f");
   EXPECT_THROW(analyze_round(b.sync, b.journal), SimError);
 
   // And a completed bracket with no journal record is the same bug in

@@ -8,10 +8,14 @@
 // sweeps fork every program kind: the pipelined attacker's two threads
 // and their shared state, and a round with 16 tenant processes — a fork
 // that kept a pointer into a checkpoint another worker adopts races
-// there. Exits non-zero on divergence.
+// there. A checkpointed sweep with the detector on forks every leaf's
+// syscall journal, string table included, and its sync log, so a worker
+// that adopts another's checkpoint reads both; its cross-check report
+// must match too. Exits non-zero on divergence.
 #include <cstdio>
 #include <string>
 
+#include "tocttou/detect/cross_check.h"
 #include "tocttou/explore/explorer.h"
 
 namespace {
@@ -56,6 +60,26 @@ bool check_pair(const core::ScenarioConfig& cfg,
   return ok;
 }
 
+bool check_detect_pair(const core::ScenarioConfig& cfg,
+                       const explore::ExploreConfig& base_ecfg,
+                       const char* label) {
+  explore::ExploreConfig serial_cfg = base_ecfg;
+  serial_cfg.jobs = 1;
+  explore::ExploreConfig par_cfg = base_ecfg;
+  par_cfg.jobs = 4;
+  const detect::CrossCheckResult a = detect::cross_check(cfg, serial_cfg);
+  const detect::CrossCheckResult b = detect::cross_check(cfg, par_cfg);
+  std::printf("[%s] jobs=1: %s\n", label, a.report.summary().c_str());
+  std::printf("[%s] jobs=4: %s\n", label, b.report.summary().c_str());
+  const bool ok = a.summary() == b.summary() &&
+                  a.report.summary() == b.report.summary() &&
+                  a.report.to_csv() == b.report.to_csv() &&
+                  a.explore.schedules == b.explore.schedules &&
+                  a.explore.exact_success == b.explore.exact_success;
+  if (!ok) std::printf("[%s] DIVERGED\n", label);
+  return ok;
+}
+
 }  // namespace
 
 int main() {
@@ -84,6 +108,10 @@ int main() {
   ex.state_hash = false;
   ok = check_pair(cfg, ex, "exhaustive-checkpoint-reduction-off") && ok;
   ex.state_hash = true;
+  explore::ExploreConfig detect_ex = ex;
+  detect_ex.think_buckets = 16;
+  detect_ex.preemption_bound = 2;
+  ok = check_detect_pair(cfg, detect_ex, "exhaustive-checkpoint-detect") && ok;
   ex.checkpoint = false;
   ok = check_pair(cfg, ex, "exhaustive-replay") && ok;
 

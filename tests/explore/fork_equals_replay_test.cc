@@ -6,11 +6,10 @@
 // fault stats byte-identical across checkpoint on/off and job counts.
 //
 // The leaf_observer keys leaves by replay token. In both modes each
-// schedule executes once: the iterative deepening re-enumerates shallow
-// schedules on every iteration, but later iterations reduce them from
-// the explorer's outcome store. So each key must fire exactly once. The
-// comparison runs over keyed maps, never firing sequences, because
-// worker completion order varies with jobs.
+// schedule executes once: the sweep is one pass over the divergence
+// waves, which enumerates and reduces each schedule once. So each key
+// must fire exactly once. The comparison runs over keyed maps, never
+// firing sequences, because worker completion order varies with jobs.
 #include <gtest/gtest.h>
 
 #include <map>

@@ -455,7 +455,7 @@ TEST_F(OpsTest, JournalRecordsStatObservations) {
   ASSERT_TRUE(kernel_->run_to_exit());
   const auto recs = tr.journal.for_pid(1, "stat");
   ASSERT_EQ(recs.size(), 1u);
-  EXPECT_EQ(recs[0]->path, "/etc/passwd");
+  EXPECT_EQ(tr.journal.path(*recs[0]), "/etc/passwd");
   ASSERT_TRUE(recs[0]->st_uid.has_value());
   EXPECT_EQ(*recs[0]->st_uid, 0u);
   EXPECT_EQ(*recs[0]->st_ino, passwd_);

@@ -102,13 +102,14 @@ TEST_P(ConservationTest, VictimSyscallsAppearInBothViews) {
     bool found = false;
     for (const auto& ev : r.trace.log.events()) {
       if (ev.pid == rec.pid && ev.category == trace::Category::syscall &&
-          ev.label == rec.name && ev.begin >= rec.enter &&
+          ev.label == r.trace.journal.name(rec) && ev.begin >= rec.enter &&
           ev.end <= rec.exit) {
         found = true;
         break;
       }
     }
-    EXPECT_TRUE(found) << rec.name << " @" << rec.enter.us() << "us";
+    EXPECT_TRUE(found) << r.trace.journal.name(rec) << " @" << rec.enter.us()
+                       << "us";
   }
   EXPECT_GT(checked, 0);
 }

@@ -85,7 +85,7 @@ TEST(MetricsConservationTest, SyscallCountersMatchJournal) {
 
   std::map<std::string, std::uint64_t> journal_counts;
   for (const auto& rec : r.trace.journal.records()) {
-    ++journal_counts[rec.name];
+    ++journal_counts[std::string(r.trace.journal.name(rec))];
   }
   ASSERT_FALSE(journal_counts.empty());
 

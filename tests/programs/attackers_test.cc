@@ -130,7 +130,7 @@ TEST_F(AttackerTest, PrefaultedAttackerHasNoTrapInWindow) {
   const auto unlinks = trace_.journal.for_pid(pid, "unlink");
   const trace::SyscallRecord* real_unlink = nullptr;
   for (const auto* u : unlinks) {
-    if (u->path == "/home/alice/f.txt") real_unlink = u;
+    if (trace_.journal.path(*u) == "/home/alice/f.txt") real_unlink = u;
   }
   ASSERT_NE(real_unlink, nullptr);
   const trace::SyscallRecord* detect = nullptr;

@@ -31,7 +31,7 @@ class VictimTest : public ::testing::Test {
   std::vector<std::string> syscall_sequence(Pid pid) const {
     std::vector<std::string> out;
     for (const auto& r : trace_.journal.records()) {
-      if (r.pid == pid) out.push_back(r.name);
+      if (r.pid == pid) out.emplace_back(trace_.journal.name(r));
     }
     return out;
   }

@@ -71,12 +71,12 @@ TEST(ServiceOpTest, DefaultLibcPageOptsOut) {
 
 TEST(ServiceOpTest, DefaultFillRecordLeavesRecordUntouched) {
   NopOp op;
-  trace::SyscallRecord rec;
-  rec.pid = 3;
-  rec.name = "nop";
+  trace::SyscallJournal journal;
+  trace::SyscallRecord& rec = journal.append(
+      3, "nop", SimTime::origin(), SimTime::origin(), Errno::ok);
   op.fill_record(rec);
   EXPECT_EQ(rec.pid, 3);
-  EXPECT_EQ(rec.name, "nop");
+  EXPECT_EQ(journal.name(rec), "nop");
   EXPECT_FALSE(rec.st_uid.has_value());
   EXPECT_FALSE(rec.st_gid.has_value());
   EXPECT_FALSE(rec.st_ino.has_value());

@@ -42,14 +42,8 @@ std::vector<std::string> split_csv_line(const std::string& line) {
 
 TEST(CsvRegressionTest, JournalPathWithCommaStaysOneField) {
   SyscallJournal j;
-  SyscallRecord r;
-  r.pid = 7;
-  r.name = "rename";
-  r.enter = SimTime::from_ns(1000);
-  r.exit = SimTime::from_ns(2000);
-  r.path = "/tmp/evil,with comma";
-  r.path2 = "/tmp/say \"hi\"";
-  j.add(r);
+  j.append(7, "rename", SimTime::from_ns(1000), SimTime::from_ns(2000),
+           Errno::ok, "/tmp/evil,with comma", "/tmp/say \"hi\"");
 
   const std::string csv = j.to_csv();
   const auto nl = csv.find('\n');
@@ -121,11 +115,8 @@ TEST(CsvRegressionTest, PlainRecordsUnchangedByEscaping) {
   // No special characters -> the exporter output must not grow quotes
   // (keeps existing CSV consumers and golden files stable).
   SyscallJournal j;
-  SyscallRecord r;
-  r.pid = 1;
-  r.name = "stat";
-  r.path = "/home/alice/report.txt";
-  j.add(r);
+  j.append(1, "stat", SimTime{}, SimTime{}, Errno::ok,
+           "/home/alice/report.txt");
   EXPECT_EQ(j.to_csv().find('"'), std::string::npos);
 }
 

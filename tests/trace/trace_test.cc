@@ -113,19 +113,12 @@ TEST(GanttTest, WindowClipping) {
 
 TEST(JournalTest, ForPidSortsAndFilters) {
   SyscallJournal j;
-  SyscallRecord a;
-  a.pid = 1;
-  a.name = "stat";
-  a.enter = SimTime::origin() + 10_us;
-  a.exit = SimTime::origin() + 14_us;
-  SyscallRecord b = a;
-  b.enter = SimTime::origin() + 2_us;
-  b.exit = SimTime::origin() + 6_us;
-  SyscallRecord c = a;
-  c.pid = 2;
-  j.add(a);
-  j.add(b);
-  j.add(c);
+  j.append(1, "stat", SimTime::origin() + 10_us, SimTime::origin() + 14_us,
+           Errno::ok);
+  j.append(1, "stat", SimTime::origin() + 2_us, SimTime::origin() + 6_us,
+           Errno::ok);
+  j.append(2, "stat", SimTime::origin() + 10_us, SimTime::origin() + 14_us,
+           Errno::ok);
   const auto recs = j.for_pid(1, "stat");
   ASSERT_EQ(recs.size(), 2u);
   EXPECT_LT(recs[0]->enter, recs[1]->enter);
@@ -137,16 +130,10 @@ TEST(JournalTest, ForPidAndFirstAliasJournalStorage) {
   // analysis path. Pin the aliasing so a regression back to by-value
   // returns fails loudly.
   SyscallJournal j;
-  SyscallRecord a;
-  a.pid = 1;
-  a.name = "stat";
-  a.enter = SimTime::origin() + 20_us;
-  a.exit = SimTime::origin() + 21_us;
-  SyscallRecord b = a;
-  b.enter = SimTime::origin() + 5_us;
-  b.exit = SimTime::origin() + 6_us;
-  j.add(a);
-  j.add(b);
+  j.append(1, "stat", SimTime::origin() + 20_us, SimTime::origin() + 21_us,
+           Errno::ok);
+  j.append(1, "stat", SimTime::origin() + 5_us, SimTime::origin() + 6_us,
+           Errno::ok);
   const auto recs = j.for_pid(1, "stat");
   ASSERT_EQ(recs.size(), 2u);
   EXPECT_EQ(recs[0], &j.records()[1]);  // earlier enter sorts first
@@ -155,14 +142,9 @@ TEST(JournalTest, ForPidAndFirstAliasJournalStorage) {
 
 TEST(JournalTest, CsvExport) {
   SyscallJournal j;
-  SyscallRecord a;
-  a.pid = 3;
-  a.name = "chown";
-  a.enter = SimTime::origin() + 10_us;
-  a.exit = SimTime::origin() + 12_us;
-  a.path = "/h/f";
-  a.applied_ino = 42;
-  j.add(a);
+  j.append(3, "chown", SimTime::origin() + 10_us, SimTime::origin() + 12_us,
+           Errno::ok, "/h/f")
+      .applied_ino = 42;
   const std::string csv = j.to_csv();
   EXPECT_NE(csv.find("enter_us,exit_us,pid,name"), std::string::npos);
   EXPECT_NE(csv.find("10.000,12.000,3,chown,OK,/h/f,,,,,42"),

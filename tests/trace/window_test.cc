@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string_view>
 #include <vector>
 
 #include "tocttou/common/rng.h"
@@ -20,19 +21,23 @@ using namespace tocttou::literals;
 
 constexpr Pid kVictim = 3;
 
-SyscallRecord call(const char* name, std::int64_t enter_us,
-                   std::int64_t exit_us, const char* path,
-                   const char* path2 = "", Errno result = Errno::ok,
-                   Pid pid = kVictim) {
-  SyscallRecord r;
-  r.pid = pid;
-  r.name = name;
-  r.enter = SimTime::origin() + Duration::micros(enter_us);
-  r.exit = SimTime::origin() + Duration::micros(exit_us);
-  r.result = result;
-  r.path = path;
-  r.path2 = path2;
-  return r;
+// One completed call, as text.
+struct Call {
+  Pid pid = 0;
+  std::string_view name;
+  SimTime enter;
+  SimTime exit;
+  Errno result = Errno::ok;
+  std::string_view path;
+  std::string_view path2;
+};
+
+Call call(const char* name, std::int64_t enter_us, std::int64_t exit_us,
+          const char* path, const char* path2 = "", Errno result = Errno::ok,
+          Pid pid = kVictim) {
+  return {pid,    name, SimTime::origin() + Duration::micros(enter_us),
+          SimTime::origin() + Duration::micros(exit_us),
+          result, path, path2};
 }
 
 struct Window {
@@ -42,25 +47,27 @@ struct Window {
   bool operator==(const Window&) const = default;
 };
 
-Window tracked(const std::vector<SyscallRecord>& calls,
-               const WindowSpec& spec) {
+Window tracked(const std::vector<Call>& calls, const WindowSpec& spec) {
+  SyscallJournal journal;
+  for (const Call& c : calls) {
+    journal.append(c.pid, c.name, c.enter, c.exit, c.result, c.path, c.path2);
+  }
   WindowTracker t(kVictim, spec);
-  for (const SyscallRecord& r : calls) t.add(r);
+  for (const SyscallRecord& r : journal.records()) t.add(journal, r);
   if (!t.found()) return {};
   return {true, t.open(), t.use()};
 }
 
 /// The batch rule over the whole list.
-Window reference(const std::vector<SyscallRecord>& calls,
-                 const WindowSpec& spec) {
+Window reference(const std::vector<Call>& calls, const WindowSpec& spec) {
   Window w;
   std::optional<Duration> best;
-  for (const SyscallRecord& c : calls) {
+  for (const Call& c : calls) {
     if (c.pid != kVictim || c.name != spec.check_call) continue;
     if (c.result != Errno::ok) continue;
     if ((spec.check_on_path2 ? c.path2 : c.path) != spec.path) continue;
-    const SyscallRecord* first = nullptr;
-    for (const SyscallRecord& u : calls) {
+    const Call* first = nullptr;
+    for (const Call& u : calls) {
       if (u.pid != kVictim || u.name != spec.use_call || u.path != spec.path) {
         continue;
       }
@@ -79,7 +86,7 @@ Window reference(const std::vector<SyscallRecord>& calls,
 }
 
 TEST(WindowTrackerTest, KeepsTheTightestPair) {
-  const std::vector<SyscallRecord> calls = {
+  const std::vector<Call> calls = {
       call("open", 0, 10, "/h/f"),
       call("open", 100, 120, "/h/f"),
       call("chown", 220, 230, "/h/f"),
@@ -90,7 +97,7 @@ TEST(WindowTrackerTest, KeepsTheTightestPair) {
 }
 
 TEST(WindowTrackerTest, FailedChecksDoNotOpenAndFailedUsesClose) {
-  const std::vector<SyscallRecord> calls = {
+  const std::vector<Call> calls = {
       call("open", 0, 10, "/h/f"),
       call("open", 20, 20, "/h/f", "", Errno::eintr),  // failed at entry
       call("chown", 30, 30, "/h/f", "", Errno::eintr),
@@ -102,7 +109,7 @@ TEST(WindowTrackerTest, FailedChecksDoNotOpenAndFailedUsesClose) {
 }
 
 TEST(WindowTrackerTest, GeditChecksTheRenameTarget) {
-  const std::vector<SyscallRecord> calls = {
+  const std::vector<Call> calls = {
       call("rename", 0, 10, "/h/f", "/h/f~"),  // backup: f is path
       call("rename", 20, 30, "/h/.tmp", "/h/f"),
       call("chmod", 47, 55, "/h/f"),
@@ -113,7 +120,7 @@ TEST(WindowTrackerTest, GeditChecksTheRenameTarget) {
 }
 
 TEST(WindowTrackerTest, IgnoresOtherProcessesAndPaths) {
-  const std::vector<SyscallRecord> calls = {
+  const std::vector<Call> calls = {
       call("open", 0, 10, "/h/f", "", Errno::ok, kVictim + 1),
       call("open", 0, 10, "/h/g"),
       call("chown", 20, 30, "/h/f"),
@@ -125,7 +132,7 @@ TEST(WindowTrackerTest, IgnoresOtherProcessesAndPaths) {
 TEST(WindowTrackerTest, ZeroLengthCallsAtOneInstant) {
   // A use, then a check, both failing or finishing at the same instant:
   // the use enters at the check's exit, so it closes that check.
-  const std::vector<SyscallRecord> calls = {
+  const std::vector<Call> calls = {
       call("chown", 10, 10, "/h/f", "", Errno::eintr),
       call("open", 10, 10, "/h/f"),
       call("chown", 20, 25, "/h/f"),
@@ -151,7 +158,7 @@ TEST(WindowTrackerTest, MatchesTheBatchRuleOnSeededSequences) {
   int found = 0;
   for (std::uint64_t seed = 1; seed <= 2000; ++seed) {
     Rng rng(seed);
-    std::vector<SyscallRecord> calls;
+    std::vector<Call> calls;
     std::int64_t t = 0;
     const int n = static_cast<int>(rng.uniform_int(0, 14));
     for (int i = 0; i < n; ++i) {
