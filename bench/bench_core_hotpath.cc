@@ -24,6 +24,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_timing.h"
 #include "tocttou/common/stats.h"
 #include "tocttou/common/strings.h"
 #include "tocttou/core/harness.h"
@@ -119,29 +120,7 @@ struct Unit {
   Samples rate;  // units per second, one sample per pass
 };
 
-/// Units per pass: doubles a pass from `start` until it lasts a tenth of
-/// kPassSeconds, then scales it to kPassSeconds (a multiple of `start`,
-/// which for campaigns is the engine's 8-round block). The doubling
-/// doubles as the warm-up.
-long long size_pass(const Unit& u, long long start) {
-  long long n = start;
-  while (true) {
-    const auto t0 = Clock::now();
-    u.run(n);
-    const double sec = seconds_since(t0);
-    if (sec >= kPassSeconds / 10) {
-      const auto want = static_cast<long long>(n * kPassSeconds / sec);
-      return std::max(start, want / start * start);
-    }
-    n *= 2;
-  }
-}
-
-std::string quartiles(const Samples& s, int decimals) {
-  return strfmt("{\"median\": %.*f, \"p25\": %.*f, \"p75\": %.*f}",
-                decimals, s.median(), decimals, s.quantile(0.25), decimals,
-                s.quantile(0.75));
-}
+using bench::quartiles;
 
 }  // namespace
 }  // namespace tocttou
@@ -162,11 +141,13 @@ int main(int argc, char** argv) {
                                 w.measure_ld, /*jobs=*/1);
            },
            fixed_rounds(), {}};
-    if (u.per_pass == 0) u.per_pass = size_pass(u, 8);
+    if (u.per_pass == 0) {
+      u.per_pass = bench::size_pass(u.run, 8, kPassSeconds);
+    }
     units.push_back(std::move(u));
   }
   Unit queue{"event_queue", queue_churn, 0, {}};
-  queue.per_pass = size_pass(queue, 1 << 16);
+  queue.per_pass = bench::size_pass(queue.run, 1 << 16, kPassSeconds);
   units.push_back(std::move(queue));
 
   for (int pass = 0; pass < kPasses; ++pass) {

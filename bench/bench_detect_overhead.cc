@@ -27,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_timing.h"
 #include "tocttou/common/error.h"
 #include "tocttou/common/stats.h"
 #include "tocttou/common/strings.h"
@@ -104,11 +105,7 @@ int size_pass(const core::ScenarioConfig& off) {
   }
 }
 
-std::string quartiles(const Samples& s, int decimals) {
-  return strfmt("{\"median\": %.*f, \"p25\": %.*f, \"p75\": %.*f}",
-                decimals, s.median(), decimals, s.quantile(0.25), decimals,
-                s.quantile(0.75));
-}
+using bench::quartiles;
 
 }  // namespace
 }  // namespace tocttou

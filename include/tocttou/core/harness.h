@@ -259,6 +259,10 @@ class RoundContext {
   /// The current round's copy of the template, reassigned every round.
   std::unique_ptr<fs::Vfs> vfs_;
   std::uint64_t reuses_ = 0;
+  /// The last round's journal records and sync events: the next round
+  /// reserves them up front instead of growing from empty by doubling.
+  std::size_t journal_records_ = 0;
+  std::size_t sync_events_ = 0;
 };
 
 /// run_round executing inside a caller-provided reusable context

@@ -152,6 +152,10 @@ class RoundRun {
   std::unique_ptr<programs::PipelinedAttackState> pipeline_state_;
   std::optional<sim::Kernel> kernel_;
 
+  // The context the round runs in, told the round's journal and sync
+  // log sizes at finish() (null for fresh rounds and every clone).
+  RoundContext* ctx_ = nullptr;
+
   // Staged handles the judge/audit phase reads. audit_base_ is the
   // context's template when it audited clean: finish() then audits only
   // what the round changed. Rounds staged here and checkpoint forks

@@ -91,6 +91,9 @@ class SyncLog {
     events_.push_back({SyncKind::sc_exit, pid, record});
   }
 
+  /// Reserves room for `n` events (appends then reallocate nothing).
+  void reserve(std::size_t n) { events_.reserve(n); }
+
   const std::vector<SyncEvent>& events() const { return events_; }
   /// The flags the log has seen, in first-seen order: a flag event's
   /// arg indexes this.

@@ -245,6 +245,7 @@ RoundRun::RoundRun(const ScenarioConfig& cfg, RoundContext* ctx)
       *ctx->vfs_ = ctx->template_->vfs;
     }
     vfs_ = ctx->vfs_.get();
+    ctx_ = ctx;
     passwd_ = ctx->template_->passwd;
     if (ctx->template_->clean) audit_base_ = &ctx->template_->vfs;
   } else {
@@ -278,6 +279,10 @@ RoundRun::RoundRun(const ScenarioConfig& cfg, RoundContext* ctx)
   sim::Kernel& kernel = *kernel_;
   if (cfg.collect_metrics) kernel.set_metrics(&res.metrics);
   if (cfg.detect) kernel.set_sync_log(&res.sync);
+  if (ctx != nullptr) {
+    if (tracing) res.trace.journal.reserve(ctx->journal_records_);
+    if (cfg.detect) res.sync.reserve(ctx->sync_events_);
+  }
   if (injector) kernel.set_fault_injector(&*injector);
   if (cfg.background_load) kernel.start_background_load();
 
@@ -555,6 +560,10 @@ RoundResult RoundRun::finish() {
   }
   RoundResult& res = res_;
   const ScenarioConfig& cfg = cfg_;
+  if (ctx_ != nullptr) {
+    ctx_->journal_records_ = res.trace.journal.records().size();
+    ctx_->sync_events_ = res.sync.events().size();
+  }
 
   // --- judge ---
   const fs::Inode& pw = vfs_->inode(passwd_);

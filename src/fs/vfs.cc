@@ -19,6 +19,18 @@ const char* to_string(FileType t) {
   return "?";
 }
 
+namespace {
+
+/// Calls f(inode) for every inode of the table, in ino order.
+template <class F>
+void for_each_inode(const std::vector<InodeChunk>& chunks, F&& f) {
+  for (const InodeChunk& chunk : chunks) {
+    for (std::size_t k = 0; k < chunk.size(); ++k) f(chunk[k]);
+  }
+}
+
+}  // namespace
+
 Vfs::Vfs(SyscallCosts costs) : costs_(costs) { init_root(); }
 
 Vfs::Vfs(const Vfs& o) : costs_(o.costs_) { *this = o; }
@@ -26,10 +38,10 @@ Vfs::Vfs(const Vfs& o) : costs_(o.costs_) { *this = o; }
 Vfs& Vfs::operator=(const Vfs& o) {
   next_ino_ = o.next_ino_;
   costs_ = o.costs_;
-  // Keep the source's spare capacity, so that the first inode a round or
-  // fork creates does not reallocate (and double) a machine-scale table.
-  inodes_.reserve(o.inodes_.capacity());
-  inodes_ = o.inodes_;
+  // Keep the source's spare capacity, so that the first chunk a round or
+  // fork starts does not reallocate (and double) a machine-scale table.
+  chunks_.reserve(o.chunks_.capacity());
+  chunks_ = o.chunks_;
   root_ = o.root_;
   fd_tables_ = o.fd_tables_;
   touched_tables_ = o.touched_tables_;
@@ -53,22 +65,18 @@ void Vfs::reset(SyscallCosts costs) { *this = Vfs(costs); }
 
 Inode& Vfs::alloc_inode(FileType type, sim::Uid uid, sim::Gid gid,
                         Mode mode) {
-  const Ino ino = next_ino_++;
-  TOCTTOU_CHECK(ino == inodes_.size() + 1, "non-dense inode allocation");
-  inodes_.emplace_back(new Inode(ino, type, uid, gid, mode));
-  return inodes_.back().mut();
+  if (chunks_.empty() || chunks_.back().full()) chunks_.emplace_back();
+  return chunks_.back().emplace_back(next_ino_++, type, uid, gid, mode);
 }
 
 const Inode& Vfs::inode(Ino ino) const {
-  TOCTTOU_CHECK(ino != kNoIno && ino <= inodes_.size(), "unknown inode");
-  return *inodes_[ino - 1];
+  TOCTTOU_CHECK(ino != kNoIno && ino < next_ino_, "unknown inode");
+  return chunks_[(ino - 1) / kChunkInodes][(ino - 1) % kChunkInodes];
 }
 
 Inode& Vfs::inode_mut(Ino ino) {
-  TOCTTOU_CHECK(ino != kNoIno && ino <= inodes_.size(), "unknown inode");
-  InodeRef& slot = inodes_[ino - 1];
-  if (!slot.unique()) slot = InodeRef(new Inode(*slot));
-  return slot.mut();
+  TOCTTOU_CHECK(ino != kNoIno && ino < next_ino_, "unknown inode");
+  return chunks_[(ino - 1) / kChunkInodes].mut((ino - 1) % kChunkInodes);
 }
 
 Ino Vfs::lookup_in(Ino parent, std::string_view name) const {
@@ -211,8 +219,11 @@ Ino Vfs::mkdir_p(const std::string& path, sim::Uid uid, sim::Gid gid,
 
 Inode& Vfs::create_in(Ino dir, std::string_view name, FileType type,
                       sim::Uid uid, sim::Gid gid, Mode mode) {
+  // Allocating first leaves the new inode's chunk private, so writing
+  // `dir` (copying its chunk if shared) cannot move `n`.
   Inode& n = alloc_inode(type, uid, gid, mode);
-  link_entry(dir, name, n.ino());
+  insert_entry(inode_mut(dir), name, n.ino());
+  n.nlink_ = 1;
   return n;
 }
 
@@ -236,13 +247,19 @@ Ino Vfs::create_symlink(const std::string& path, const std::string& target,
   return n.ino();
 }
 
-void Vfs::link_entry(Ino dir, std::string_view name, Ino target) {
-  Inode& d = inode_mut(dir);
+void Vfs::insert_entry(Inode& d, std::string_view name, Ino target) {
   TOCTTOU_CHECK(d.is_dir(), "link_entry target is not a directory");
-  const auto at = d.slot(name);
+  // A name above every entry appends without a search.
+  const auto at = d.entries_.empty() || d.entries_.back().first < name
+                      ? d.entries_.cend()
+                      : d.slot(name);
   TOCTTOU_CHECK(at == d.entries_.end() || at->first != name,
                 "link_entry: name exists");
   d.entries_.emplace(at, name, target);
+}
+
+void Vfs::link_entry(Ino dir, std::string_view name, Ino target) {
+  insert_entry(inode_mut(dir), name, target);
   ++inode_mut(target).nlink_;
 }
 
@@ -251,6 +268,7 @@ void Vfs::unlink_entry(Ino dir, std::string_view name) {
   const auto it = d.slot(name);
   TOCTTOU_CHECK(it != d.entries_.end() && it->first == name,
                 "unlink_entry: no such name");
+  // `d`'s chunk is private now, so this write cannot move `d`.
   Inode& t = inode_mut(it->second);
   --t.nlink_;
   TOCTTOU_CHECK(t.nlink_ >= 0, "negative nlink");
@@ -351,8 +369,8 @@ std::size_t Vfs::open_fd_count(sim::Pid pid) const {
 void Vfs::hash_state(StateHasher& h) const {
   h.u64(next_ino_);
   h.u64(root_);
-  h.u64(inodes_.size());
-  for (const auto& node : inodes_) node->hash_state(h);
+  h.u64(inode_count());
+  for_each_inode(chunks_, [&h](const Inode& node) { node.hash_state(h); });
   // fd tables: the domain (which pids have tables, which fds are open,
   // what they point at) is sim state. Two trees that are equal but whose
   // open-fd tables differ MUST hash differently — a later write/fchown
@@ -428,27 +446,37 @@ std::string dangling_fd(std::size_t pid_index, std::size_t fd, Ino ino) {
 std::vector<std::string> Vfs::audit() const {
   std::vector<std::string> violations;
 
-  // Reference counts observed by walking every structure. Inos are dense,
-  // so the counters are flat arrays sized once up front — a 10^5-inode
-  // round audits without a single mid-walk allocation.
-  const auto known = [this](Ino ino) {
-    return ino != kNoIno && ino <= inodes_.size();
+  // One pass over the inodes and the fd tables leaves each inode's
+  // balance: its nlink and open_refs less the directory entries and
+  // fd-table slots found to reference it. Inos are dense, so the
+  // balances are flat arrays sized once up front — a 10^5-inode round
+  // audits without a single mid-walk allocation — and only an inode
+  // whose balance is off, or a symlink with an empty target, is read
+  // again for its lines.
+  const std::size_t count = inode_count();
+  const auto known = [count](Ino ino) {
+    return ino != kNoIno && ino <= count;
   };
-  std::vector<int> entry_refs(inodes_.size() + 1, 0);
-  std::vector<int> fd_refs(inodes_.size() + 1, 0);
-  entry_refs[root_] = 1;  // the root is self-anchored (nlink 1, no entry)
+  std::vector<int> nlink_left(count + 1, 0);
+  std::vector<int> open_left(count + 1, 0);
+  std::vector<Ino> empty_links;
+  nlink_left[root_] = -1;  // the root is self-anchored (nlink 1, no entry)
 
-  for (std::size_t i = 0; i < inodes_.size(); ++i) {
-    const Inode& node = *inodes_[i];
-    if (!node.is_dir()) continue;
+  for_each_inode(chunks_, [&](const Inode& node) {
+    nlink_left[node.ino()] += node.nlink();
+    open_left[node.ino()] += node.open_refs();
+    if (node.is_symlink() && node.symlink_target().empty()) {
+      empty_links.push_back(node.ino());
+    }
+    if (!node.is_dir()) return;
     for (const auto& [name, target] : node.entries()) {
       if (!known(target)) {
-        violations.push_back(dangling_entry(i + 1, name, target));
+        violations.push_back(dangling_entry(node.ino(), name, target));
         continue;
       }
-      ++entry_refs[target];
+      --nlink_left[target];
     }
-  }
+  });
   for (std::size_t i = 0; i < fd_tables_.size(); ++i) {
     const FdTable& t = fd_tables_[i];
     if (!t.touched) continue;
@@ -459,13 +487,22 @@ std::vector<std::string> Vfs::audit() const {
         violations.push_back(dangling_fd(i, fd, file.ino));
         continue;
       }
-      ++fd_refs[file.ino];
+      --open_left[file.ino];
     }
   }
 
-  for (std::size_t i = 0; i < inodes_.size(); ++i) {
-    audit_inode(i + 1, *inodes_[i], entry_refs[i + 1], fd_refs[i + 1],
-                violations);
+  // A negative nlink or open_refs never balances (references count at
+  // least zero), so the balances and the empty links find every inode
+  // audit_inode has lines for.
+  auto empty_link = empty_links.begin();
+  for (Ino ino = 1; ino <= count; ++ino) {
+    const bool empty =
+        empty_link != empty_links.end() && *empty_link == ino;
+    if (nlink_left[ino] == 0 && open_left[ino] == 0 && !empty) continue;
+    if (empty) ++empty_link;
+    const Inode& node = inode(ino);
+    audit_inode(ino, node, node.nlink() - nlink_left[ino],
+                node.open_refs() - open_left[ino], violations);
   }
   return violations;
 }
@@ -473,42 +510,51 @@ std::vector<std::string> Vfs::audit() const {
 std::vector<std::string> Vfs::audit_since(const Vfs& base) const {
   // Fewer inodes than `base`: not a copy of it (reset, say), and base's
   // entries would index past our table. Audit it whole.
-  if (inodes_.size() < base.inodes_.size()) return audit();
+  if (inode_count() < base.inode_count()) return audit();
   std::vector<std::string> violations;
-  const auto known = [this](Ino ino) {
-    return ino != kNoIno && ino <= inodes_.size();
+  const std::size_t count = inode_count();
+  const auto known = [count](Ino ino) {
+    return ino != kNoIno && ino <= count;
   };
 
   // One record per reference that differs from `base` (+1 here, -1 in
-  // base) and one per changed inode; summed per inode below. A slot that
-  // still shares base's inode holds exactly base's inode, because
-  // inode_mut copies a shared inode before writing it. So only the
-  // entries of changed directories can differ, and every entry of an
-  // unchanged directory has a target known to base, hence to us.
+  // base) and one per inode that may have changed; summed per inode
+  // below. A chunk still shared with base holds exactly base's inodes,
+  // because inode_mut and alloc_inode copy a shared chunk before
+  // writing it. So only the entries of directories in copied chunks can
+  // differ, and every entry of a directory in a shared chunk has a
+  // target known to base, hence to us. Every inode of a copied chunk
+  // counts as changed: an unchanged one adds equal records to both
+  // sides, so a directory whose entries equal base's adds none.
   struct Delta {
     Ino ino;
     int entries;
     int fds;
   };
   std::vector<Delta> deltas;
-  for (std::size_t i = 0; i < inodes_.size(); ++i) {
-    const Inode* before =
-        i < base.inodes_.size() ? base.inodes_[i].get() : nullptr;
-    const Inode& now = *inodes_[i];
-    if (before == &now) continue;
-    deltas.push_back({i + 1, 0, 0});
-    if (before != nullptr && before->is_dir()) {
-      for (const auto& entry : before->entries()) {
-        deltas.push_back({entry.second, -1, 0});
+  for (std::size_t c = 0; c < chunks_.size(); ++c) {
+    const InodeChunk& chunk = chunks_[c];
+    if (c < base.chunks_.size() && chunk.shares(base.chunks_[c])) continue;
+    for (std::size_t k = 0; k < chunk.size(); ++k) {
+      const Inode& now = chunk[k];
+      deltas.push_back({now.ino(), 0, 0});
+      if (now.ino() <= base.inode_count()) {
+        // Entries equal to base's would add equal records to both sides
+        // (and their targets are known to base).
+        const Inode& before = base.inode(now.ino());
+        if (before.entries() == now.entries()) continue;
+        for (const auto& entry : before.entries()) {
+          deltas.push_back({entry.second, -1, 0});
+        }
       }
-    }
-    if (!now.is_dir()) continue;
-    for (const auto& [name, target] : now.entries()) {
-      if (!known(target)) {
-        violations.push_back(dangling_entry(i + 1, name, target));
-        continue;
+      if (!now.is_dir()) continue;
+      for (const auto& [name, target] : now.entries()) {
+        if (!known(target)) {
+          violations.push_back(dangling_entry(now.ino(), name, target));
+          continue;
+        }
+        deltas.push_back({target, 1, 0});
       }
-      deltas.push_back({target, 1, 0});
     }
   }
   // The fd tables are small (one slot per open file): read both whole.
@@ -539,15 +585,15 @@ std::vector<std::string> Vfs::audit_since(const Vfs& base) const {
     const Ino ino = deltas[k].ino;
     int entry_refs = 0;
     int fd_refs = 0;
-    if (ino <= base.inodes_.size()) {
-      entry_refs = base.inodes_[ino - 1]->nlink();
-      fd_refs = base.inodes_[ino - 1]->open_refs();
+    if (ino <= base.inode_count()) {
+      entry_refs = base.inode(ino).nlink();
+      fd_refs = base.inode(ino).open_refs();
     }
     for (; k < deltas.size() && deltas[k].ino == ino; ++k) {
       entry_refs += deltas[k].entries;
       fd_refs += deltas[k].fds;
     }
-    audit_inode(ino, *inodes_[ino - 1], entry_refs, fd_refs, violations);
+    audit_inode(ino, inode(ino), entry_refs, fd_refs, violations);
   }
   return violations;
 }

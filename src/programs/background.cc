@@ -1,6 +1,11 @@
 #include "tocttou/programs/background.h"
 
+#include <algorithm>
 #include <cstdlib>
+#include <numeric>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "tocttou/common/strings.h"
 #include "tocttou/sim/kernel.h"
@@ -133,11 +138,27 @@ void stage_background_tree(fs::Vfs& vfs, const BackgroundSpec& spec) {
     // cache, a maildir farm): an 8-way fan at four directory levels, at
     // most 4096 leaf directories, every file at production path depth,
     // so no single directory becomes the whole machine. Only mkdir_p
-    // walks a path: each leaf's, once.
+    // walks a path: each leaf's, once. Every leaf names its files f0,
+    // f1, ..., so the names are formatted once. A leaf allocates its
+    // files in that order, so each keeps its inode number, and then
+    // links them in name order (f0, f1, f10, ...), so each link appends
+    // to the directory's sorted entries instead of moving the names
+    // above it.
     vfs.mkdir_p("/srv/data", sim::kRootUid, sim::kRootGid);
     std::uint64_t remaining = spec.prestage_inodes;
     const std::uint64_t want_per_leaf = (spec.prestage_inodes + 4095) / 4096;
     const std::uint64_t per_leaf = want_per_leaf < 32 ? 32 : want_per_leaf;
+    const std::uint64_t named = remaining < per_leaf ? remaining : per_leaf;
+    std::vector<std::string> names;
+    names.reserve(named);
+    for (std::uint64_t k = 0; k < named; ++k) {
+      names.push_back("f" + std::to_string(k));
+    }
+    std::vector<std::uint64_t> by_name(named);
+    std::iota(by_name.begin(), by_name.end(), 0);
+    std::ranges::sort(by_name, {}, [&names](std::uint64_t k) {
+      return std::string_view(names[k]);
+    });
     for (std::uint64_t leaf = 0; remaining > 0; ++leaf) {
       const fs::Ino dir = vfs.mkdir_p(
           strfmt("/srv/data/t%llu/s%llu/u%llu/v%llu",
@@ -147,9 +168,13 @@ void stage_background_tree(fs::Vfs& vfs, const BackgroundSpec& spec) {
                  static_cast<unsigned long long>(leaf % 8)),
           sim::kRootUid, sim::kRootGid);
       const std::uint64_t here = remaining < per_leaf ? remaining : per_leaf;
+      const fs::Ino first = vfs.inode_count() + 1;
       for (std::uint64_t k = 0; k < here; ++k) {
-        vfs.create_in(dir, "f" + std::to_string(k), fs::FileType::regular,
-                      sim::kRootUid, sim::kRootGid, fs::kModeDefaultFile);
+        vfs.alloc_inode(fs::FileType::regular, sim::kRootUid, sim::kRootGid,
+                        fs::kModeDefaultFile);
+      }
+      for (const std::uint64_t k : by_name) {
+        if (k < here) vfs.link_entry(dir, names[k], first + k);
       }
       remaining -= here;
     }

@@ -164,7 +164,11 @@ Pid Kernel::spawn(std::unique_ptr<Program> program, SpawnOptions opts) {
     metrics_->gauge_max("kernel.processes_max",
                         static_cast<std::int64_t>(procs_.size()));
   }
-  if (trace_) trace_->log.set_process_name(p.pid_, p.name_);
+  // Only the event log's readers (the Gantt and events-CSV writers) name
+  // processes; a journal-only round copies no name.
+  if (trace_ && trace_->log_events) {
+    trace_->log.set_process_name(p.pid_, p.name_);
+  }
   // Enqueue via an event so that spawning inside program code is safe.
   queue_.schedule_at(now(), {EventKind::spawn, p.pid_});
   return p.pid_;
