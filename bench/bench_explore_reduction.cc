@@ -31,8 +31,12 @@
 //      both shapes.
 //
 //   ./bench_explore_reduction [output.json]
+//   ./bench_explore_reduction --smoke
 //
 // Defaults to BENCH_explore_reduction.json in the working directory.
+// --smoke runs legs 1 and 2 with their CHECKs and the journal-off fork
+// at event 6,000, prints their figures, and times nothing and writes no
+// JSON (a tier-1 ctest).
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -372,7 +376,9 @@ int main(int argc, char** argv) {
     std::printf("%.1f\n", peak_rss_mb());
     return 0;
   }
-  const char* out_path = argc > 1 ? argv[1] : "BENCH_explore_reduction.json";
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  const char* out_path =
+      argc > 1 && !smoke ? argv[1] : "BENCH_explore_reduction.json";
 
   // Leg 1: the acceptance ratio. up/vi bound 5.
   const LegReport up = run_leg(up_vi(), /*buckets=*/2, /*bound=*/5, 1);
@@ -398,6 +404,17 @@ int main(int argc, char** argv) {
                 "three-process sweep must complete within the budget");
   TOCTTOU_CHECK(tp.hash_merges > 0,
                 "the bystander's redundant interleavings must merge");
+
+  if (smoke) {
+    const ForkCopy copy = fork_copy_at(leaf_shape(up_vi_100k(), false), 6000);
+    std::printf("up/vi 100KB fork at event %llu: %llu bytes in %llu "
+                "allocations\n",
+                static_cast<unsigned long long>(copy.event),
+                static_cast<unsigned long long>(copy.bytes),
+                static_cast<unsigned long long>(copy.allocations));
+    std::printf("smoke: every check held; no JSON written\n");
+    return 0;
+  }
 
   // Leg 3: the timed sweep.
   const LegReport timed =

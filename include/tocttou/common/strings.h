@@ -11,9 +11,10 @@ namespace tocttou {
 /// it; returns an empty view (kept components are never empty) once none
 /// is left. Empty components and "." are skipped, ".." is kept (resolved
 /// by the VFS walk); whether the path is absolute is is_absolute_path's
-/// question. The view aliases `path`, which must outlive it. Path
-/// resolution runs on every simulated syscall, and the cursor walks a
-/// path with no allocation at all.
+/// question. The view aliases `path`, which must outlive it. No syscall
+/// runs the cursor: a Path (common/path.h) runs it once, when it is
+/// built, and walks read the components it stored. Setup helpers such as
+/// Vfs::mkdir_p run it over a text directly, allocating nothing.
 ///
 ///   std::size_t pos = 0;
 ///   for (std::string_view c = next_path_component(path, pos); !c.empty();
@@ -30,7 +31,8 @@ inline std::string_view next_path_component(std::string_view path,
   return {};
 }
 
-/// Number of components the cursor yields, with no allocation.
+/// Number of components the cursor yields, with no allocation
+/// (Path::size() for a parsed path).
 std::size_t count_path_components(std::string_view path);
 
 bool is_absolute_path(std::string_view path);

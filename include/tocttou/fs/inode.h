@@ -8,7 +8,9 @@
 // named by the inode's number: an inode formats no name.
 //
 // A directory's entries are one vector sorted by name bytes, searched in
-// O(log width); a copy-on-write copy copies it as it is.
+// O(log width); a copy-on-write copy copies it as it is. A symlink holds
+// its target as a shared Path, so following the link copies a handle and
+// the walk reads the components parsed when the link was made.
 //
 // Inodes are stored and shared in chunks: an InodeChunk holds up to
 // kChunkInodes consecutive inodes inline, in one allocation under one
@@ -28,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "tocttou/common/path.h"
 #include "tocttou/fs/types.h"
 #include "tocttou/sim/semaphore.h"
 
@@ -57,7 +60,7 @@ class Inode {
   std::uint64_t size_bytes() const { return size_bytes_; }
   int nlink() const { return nlink_; }
   int open_refs() const { return open_refs_; }
-  const std::string& symlink_target() const { return symlink_target_; }
+  const Path& symlink_target() const { return symlink_target_; }
 
   /// Directory entries (name, inode), sorted by the names' unsigned
   /// bytes, the order hash_state and the audits read. Only valid for
@@ -89,7 +92,7 @@ class Inode {
   }
   void set_size_bytes(std::uint64_t n) { size_bytes_ = n; }
   void add_size_bytes(std::uint64_t n) { size_bytes_ += n; }
-  void set_symlink_target(std::string t) { symlink_target_ = std::move(t); }
+  void set_symlink_target(Path t) { symlink_target_ = std::move(t); }
   /// Test-only back door: plants link-count corruption so the VFS audit
   /// fixture can prove the auditor detects it. Never used by ops.
   void set_nlink(int n) { nlink_ = n; }
@@ -106,7 +109,7 @@ class Inode {
     h.u64(size_bytes_);
     h.i64(nlink_);
     h.i64(open_refs_);
-    h.str(symlink_target_);
+    h.str(symlink_target_.str());
     h.u64(entries_.size());
     for (const auto& [name, target] : entries_) {
       h.str(name);
@@ -144,7 +147,7 @@ class Inode {
   std::uint64_t size_bytes_ = 0;
   int nlink_ = 0;
   int open_refs_ = 0;
-  std::string symlink_target_;
+  Path symlink_target_;
   std::vector<Entry> entries_;
   sim::Semaphore sem_;
   bool rename_in_progress_ = false;
@@ -152,7 +155,7 @@ class Inode {
 
 /// Inodes per chunk. A Vfs copy holds one handle per chunk, and a write
 /// to a shared chunk copies all of its inodes: at 16, a private copy is
-/// one 2,440-byte block, and the 26,621 inodes of a
+/// one 2,056-byte block, and the 26,621 inodes of a
 /// `procs=256,inodes=25600` tree take 1,664 handles.
 inline constexpr std::size_t kChunkInodes = 16;
 

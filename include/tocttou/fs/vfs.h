@@ -23,6 +23,14 @@
 // create_in makes an inode by name in a directory the caller already
 // holds, such as the one mkdir_p returned; the path-taking methods walk
 // to the parent, then call it.
+//
+// Every path a syscall names is a Path (common/path.h), parsed once when
+// its program was built: the op factories take one, the op and its
+// walker hold handles to it, and the walk reads its stored components
+// and count. A symlink's target is a Path too, so following a link
+// copies a handle. No syscall copies, counts or re-parses a path; only
+// Path's constructor and setup helpers such as mkdir_p run the component
+// cursor.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +40,7 @@
 #include <vector>
 
 #include "tocttou/common/error.h"
+#include "tocttou/common/path.h"
 #include "tocttou/fs/costs.h"
 #include "tocttou/fs/inode.h"
 #include "tocttou/fs/types.h"
@@ -83,11 +92,12 @@ class Vfs {
   Ino root() const { return root_; }
 
   /// Creates every missing directory along `path`; returns the deepest.
-  Ino mkdir_p(const std::string& path, sim::Uid uid, sim::Gid gid,
+  /// Walks the text with the component cursor, parsing no Path.
+  Ino mkdir_p(std::string_view path, sim::Uid uid, sim::Gid gid,
               Mode mode = kModeDefaultDir);
 
   /// Creates a regular file (parent directories must exist).
-  Ino create_file(const std::string& path, sim::Uid uid, sim::Gid gid,
+  Ino create_file(const Path& path, sim::Uid uid, sim::Gid gid,
                   Mode mode = kModeDefaultFile, std::uint64_t size_bytes = 0);
   /// Creates an inode named `name` in directory `dir`, walking no path,
   /// and links it (nlink 1) in the same step. A fresh inode's chunk is
@@ -96,12 +106,12 @@ class Vfs {
                    sim::Uid uid, sim::Gid gid, Mode mode);
 
   /// Creates a symlink at `path` pointing to `target`.
-  Ino create_symlink(const std::string& path, const std::string& target,
-                     sim::Uid uid, sim::Gid gid);
+  Ino create_symlink(const Path& path, Path target, sim::Uid uid,
+                     sim::Gid gid);
 
   /// Resolves a path without simulation cost (for assertions/harness).
   /// follow: resolve a final symlink to its target.
-  Result<Ino> lookup(const std::string& path, bool follow = true) const;
+  Result<Ino> lookup(const Path& path, bool follow = true) const;
 
   /// Reads an inode, which may be shared with other Vfs copies.
   const Inode& inode(Ino ino) const;
@@ -113,7 +123,7 @@ class Vfs {
   /// later writes of this Vfs (its chunk is private now), until the Vfs
   /// is copied.
   Inode& inode_mut(Ino ino);
-  bool exists(const std::string& path) const { return lookup(path, false).ok(); }
+  bool exists(const Path& path) const { return lookup(path, false).ok(); }
 
   /// Number of live inodes (for invariant tests).
   std::size_t inode_count() const { return next_ino_ - 1; }
@@ -125,41 +135,39 @@ class Vfs {
 
   // ---- syscall op factories (used by programs; costs apply) ----
   // Output slots (`out`) must outlive the returned op; they are written
-  // when the syscall completes. All paths must be absolute.
+  // when the syscall completes. All paths must be absolute. A factory
+  // keeps a handle to its Path (a count bump, no copy of the text): pass
+  // a program's prebuilt Path, not a text to parse per call.
 
-  std::unique_ptr<sim::ServiceOp> stat_op(std::string path, StatBuf* out,
+  std::unique_ptr<sim::ServiceOp> stat_op(Path path, StatBuf* out,
                                           Errno* err_out = nullptr);
-  std::unique_ptr<sim::ServiceOp> lstat_op(std::string path, StatBuf* out,
+  std::unique_ptr<sim::ServiceOp> lstat_op(Path path, StatBuf* out,
                                            Errno* err_out = nullptr);
-  std::unique_ptr<sim::ServiceOp> access_op(std::string path,
+  std::unique_ptr<sim::ServiceOp> access_op(Path path,
                                             Errno* err_out = nullptr);
-  std::unique_ptr<sim::ServiceOp> open_op(std::string path, OpenFlags flags,
+  std::unique_ptr<sim::ServiceOp> open_op(Path path, OpenFlags flags,
                                           Mode mode, OpenResult* out);
   std::unique_ptr<sim::ServiceOp> close_op(int fd, Errno* err_out = nullptr);
   std::unique_ptr<sim::ServiceOp> write_op(int fd, std::uint64_t bytes,
                                            Errno* err_out = nullptr);
   std::unique_ptr<sim::ServiceOp> read_op(int fd, std::uint64_t bytes,
                                           Errno* err_out = nullptr);
-  std::unique_ptr<sim::ServiceOp> rename_op(std::string oldpath,
-                                            std::string newpath,
+  std::unique_ptr<sim::ServiceOp> rename_op(Path oldpath, Path newpath,
                                             Errno* err_out = nullptr);
-  std::unique_ptr<sim::ServiceOp> unlink_op(std::string path,
+  std::unique_ptr<sim::ServiceOp> unlink_op(Path path,
                                             Errno* err_out = nullptr);
-  std::unique_ptr<sim::ServiceOp> symlink_op(std::string target,
-                                             std::string linkpath,
+  std::unique_ptr<sim::ServiceOp> symlink_op(Path target, Path linkpath,
                                              Errno* err_out = nullptr);
-  std::unique_ptr<sim::ServiceOp> chmod_op(std::string path, Mode mode,
+  std::unique_ptr<sim::ServiceOp> chmod_op(Path path, Mode mode,
                                            Errno* err_out = nullptr);
-  std::unique_ptr<sim::ServiceOp> chown_op(std::string path, sim::Uid uid,
+  std::unique_ptr<sim::ServiceOp> chown_op(Path path, sim::Uid uid,
                                            sim::Gid gid,
                                            Errno* err_out = nullptr);
-  std::unique_ptr<sim::ServiceOp> mkdir_op(std::string path, Mode mode,
+  std::unique_ptr<sim::ServiceOp> mkdir_op(Path path, Mode mode,
                                            Errno* err_out = nullptr);
-  std::unique_ptr<sim::ServiceOp> readlink_op(std::string path,
-                                              std::string* out,
+  std::unique_ptr<sim::ServiceOp> readlink_op(Path path, std::string* out,
                                               Errno* err_out = nullptr);
-  std::unique_ptr<sim::ServiceOp> link_op(std::string oldpath,
-                                          std::string newpath,
+  std::unique_ptr<sim::ServiceOp> link_op(Path oldpath, Path newpath,
                                           Errno* err_out = nullptr);
 
   // fd-based variants: they operate on the open file description and do
@@ -179,23 +187,26 @@ class Vfs {
 
   struct WalkResult {
     Errno err = Errno::ok;
-    Ino parent = kNoIno;       // directory holding the final component
-    std::string final_name;    // final component name
-    Ino target = kNoIno;       // resolved inode (kNoIno if absent)
+    Ino parent = kNoIno;          // directory holding the final component
+    std::string_view final_name;  // final component: a view into `path`
+    Ino target = kNoIno;          // resolved inode (kNoIno if absent)
+    /// The walked path, held so that final_name outlives the argument
+    /// (a Path built from a literal for the call, say); set with it.
+    Path path;
   };
 
   /// Pure lookup of the prefix (all but the final component), following
-  /// intermediate symlinks. Does NOT look up the final component.
-  /// Components are walked in place with next_path_component: the walk
-  /// allocates nothing but the returned final_name.
-  WalkResult walk_prefix(const std::string& path) const;
+  /// intermediate symlinks. Does NOT look up the final component. Reads
+  /// the components `path` stored when it was parsed, and the symlink
+  /// targets' own: the walk allocates nothing.
+  WalkResult walk_prefix(Path path) const;
 
   /// Looks up `name` in directory `parent` (no cost, no perm checks).
   Ino lookup_in(Ino parent, std::string_view name) const;
 
   /// Number of path components after normalization (for cost
-  /// computation). Allocation-free.
-  static std::size_t component_count(const std::string& path);
+  /// computation): the count `path` stored when it was parsed.
+  static std::size_t component_count(const Path& path) { return path.size(); }
 
   /// Constructs the next inode in place in the last chunk (copying that
   /// chunk first if it is shared, and starting a chunk when it is full).

@@ -17,8 +17,8 @@
 #pragma once
 
 #include <optional>
-#include <string>
 
+#include "tocttou/common/path.h"
 #include "tocttou/fs/vfs.h"
 #include "tocttou/programs/timings.h"
 #include "tocttou/sim/fields.h"
@@ -26,11 +26,12 @@
 
 namespace tocttou::programs {
 
-/// What the attacker watches and where it points the name.
+/// What the attacker watches and where it points the name: Paths built
+/// once, with the program, and shared by every op it issues.
 struct AttackTarget {
-  std::string watched_path;           // wfname / real_filename
-  std::string evil_target = "/etc/passwd";
-  std::string dummy_path;             // v2 only; in an attacker-owned dir
+  Path watched_path;  // wfname / real_filename
+  Path evil_target = "/etc/passwd";
+  Path dummy_path;    // v2 only; in an attacker-owned dir
 
   /// Field list (sim/fields.h).
   static auto fields(auto& t) {
@@ -120,7 +121,7 @@ class PrefaultedAttacker final
   RetryPolicy retry_;
   Phase phase_ = Phase::stat;
   bool window_now_ = false;
-  std::string fname_;
+  Path fname_;  // the watched path or the dummy: a handle to either
   fs::StatBuf stat_out_;
   Errno stat_err_ = Errno::ok;
   AttackerStatus status_;

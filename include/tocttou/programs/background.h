@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <string>
 
+#include "tocttou/common/path.h"
 #include "tocttou/common/time.h"
 #include "tocttou/fs/types.h"
 #include "tocttou/fs/vfs.h"
@@ -150,7 +151,7 @@ class BuildJob final : public sim::Listed<BuildJob, sim::Program> {
 
  private:
   enum class Phase { compile, open, write, close, unlink, idle };
-  std::string object_path() const;
+  Path object_path() const;
   fs::Vfs* vfs_;
   int slot_;
   int intensity_;
@@ -174,7 +175,7 @@ class LogWriter final : public sim::Listed<LogWriter, sim::Program> {
 
  private:
   enum class Phase { sleep, open, write, close };
-  std::string log_path() const;
+  Path log_path() const;
   fs::Vfs* vfs_;
   int slot_;
   int intensity_;

@@ -3,13 +3,15 @@
 // Each victim reproduces the exact syscall sequence of its real
 // counterpart's save path, with calibrated compute gaps between the
 // calls (ProgramTimings). The victims run as root editing a file owned
-// by the attacker — the paper's precondition list (Section 2.3).
+// by the attacker — the paper's precondition list (Section 2.3). Their
+// configs hold Paths, parsed once when the config is built and shared
+// by every op the victim issues.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <string>
 
+#include "tocttou/common/path.h"
 #include "tocttou/fs/vfs.h"
 #include "tocttou/programs/timings.h"
 #include "tocttou/sim/fields.h"
@@ -26,8 +28,8 @@ namespace tocttou::programs {
 ///   close(fd)
 ///   chown(wfname, st_old.st_uid, st_old.st_gid)   <- window closes
 struct ViVictimConfig {
-  std::string wfname;
-  std::string backup_name;
+  Path wfname;
+  Path backup_name;
   std::uint64_t file_bytes = 100 * 1024;
   sim::Uid owner_uid = 500;  // the original owner (the attacker)
   sim::Gid owner_gid = 500;
@@ -97,9 +99,9 @@ class ViVictim final : public sim::Listed<ViVictim, sim::Program> {
 ///   chmod(real, st.st_mode)
 ///   chown(real, st.st_uid, st.st_gid)         <- window closes
 struct GeditVictimConfig {
-  std::string real_filename;
-  std::string temp_filename;
-  std::string backup_name;
+  Path real_filename;
+  Path temp_filename;
+  Path backup_name;
   std::uint64_t file_bytes = 16 * 1024;
   sim::Uid owner_uid = 500;
   sim::Gid owner_gid = 500;
@@ -167,7 +169,7 @@ class GeditVictim final : public sim::Listed<GeditVictim, sim::Program> {
 ///   close(fd)
 ///   chown(path, owner)                <- use
 struct SuspendingVictimConfig {
-  std::string path;
+  Path path;
   sim::Uid owner_uid = 500;
   sim::Gid owner_gid = 500;
   Duration io_time = Duration::millis(5);
@@ -208,7 +210,7 @@ class SuspendingVictim final
 ///   lstat(mbox)  -> must not be a symlink   <- check
 ///   fd = open(mbox, O_WRONLY); write(fd); close(fd)  <- use
 struct SendmailVictimConfig {
-  std::string mailbox;
+  Path mailbox;
   std::uint64_t message_bytes = 2 * 1024;
   Duration check_use_gap = Duration::micros(60);
   Duration think_time = Duration::zero();

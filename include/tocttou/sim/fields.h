@@ -9,9 +9,13 @@
 // only) and the clone (pointers rewritten). A type that derives from a
 // listed base prepends the base's list with std::tuple_cat. Supported
 // member kinds: integers, enums, bool, double, Duration, SimTime,
-// std::string, std::optional, nested listed types, and raw pointers. A
-// raw pointer is rebound through the CloneMap and never hashed — the
-// pointee's owner hashes the pointee.
+// std::string, Path, std::optional, nested listed types, and raw
+// pointers. A Path (common/path.h) hashes as its text, the bytes a
+// std::string holding that text feeds, and its copy shares the parse
+// with nothing to rebind; so does any type whose str() returns the text
+// it stands for, such as a walker's final name, a handle to the walked
+// Path read as its last component. A raw pointer is rebound through the
+// CloneMap and never hashed — the pointee's owner hashes the pointee.
 //
 // sim::Listed<Derived, Base> gives a ServiceOp or Program subclass its
 // clone (copy-construct; for a program, register its range so that the
@@ -22,14 +26,17 @@
 // but not rebound.
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <type_traits>
 #include <typeinfo>
 
+#include "tocttou/common/path.h"
 #include "tocttou/common/state_hash.h"
 #include "tocttou/common/time.h"
 #include "tocttou/sim/clone.h"
@@ -40,6 +47,12 @@ namespace tocttou::sim {
 
 template <typename T>
 concept HasFields = requires(T& t) { T::fields(t); };
+
+/// A field that hashes as the text its str() returns (Path and the like).
+template <typename T>
+concept HashedAsText = requires(const T& t) {
+  { t.str() } -> std::convertible_to<std::string_view>;
+};
 
 namespace detail {
 template <typename T>
@@ -73,6 +86,8 @@ void hash_field(StateHasher& h, const T& v) {
     h.time(v);
   } else if constexpr (std::is_same_v<T, std::string>) {
     h.str(v);
+  } else if constexpr (HashedAsText<T>) {
+    h.str(v.str());
   } else {
     static_assert(detail::kUnsupported<T>, "unsupported field kind");
   }

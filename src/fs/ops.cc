@@ -5,9 +5,15 @@
 // for which operation holds which semaphore. Every op, and the walker
 // inside it, names its members once in a field list (sim/fields.h); the
 // checkpoint clone and the state digest are derived from it.
+//
+// Paths are shared Paths (common/path.h): a factory moves its argument
+// into the op, the walker copies the op's handle, a symlink follow
+// copies the link inode's, and the final name a walk finds is a
+// component of the walked Path. So the only allocation a path-taking
+// syscall makes is its op, and its walk reads the component count and
+// spans parsed when the program built the Path.
 #include <optional>
 
-#include "tocttou/common/strings.h"
 #include "tocttou/fs/vfs.h"
 #include "tocttou/metrics/metrics.h"
 #include "tocttou/sim/clone.h"
@@ -42,6 +48,23 @@ Creds creds_of(const ServiceContext& ctx) {
   return Creds{ctx.proc.uid(), ctx.proc.gid()};
 }
 
+/// The final name a prefix walk found: the last component of the walked
+/// path, through a handle to that Path ("" before any walk succeeds). A
+/// restart through a symlink walks a new path and keeps the old name
+/// until that walk succeeds. Hashed as the name's text (sim/fields.h).
+class FinalName {
+ public:
+  FinalName() = default;
+  explicit FinalName(Path walked) : walked_(std::move(walked)) {}
+
+  std::string_view str() const {
+    return walked_.empty() ? std::string_view() : walked_.back();
+  }
+
+ private:
+  Path walked_;
+};
+
 /// Path resolution driver shared by all ops.
 ///
 /// Policy `hold`: the final directory's semaphore is acquired and LEFT
@@ -56,7 +79,7 @@ class Walker {
   enum class SemPolicy { lockless_if_free, hold };
   enum class Follow { yes, no };
 
-  Walker(Vfs& vfs, std::string path, SemPolicy policy, Follow follow)
+  Walker(Vfs& vfs, Path path, SemPolicy policy, Follow follow)
       : vfs_(&vfs), path_(std::move(path)), policy_(policy), follow_(follow) {}
 
   static auto fields(auto& self) {
@@ -71,7 +94,7 @@ class Walker {
 
   Errno error() const { return err_; }  // prefix/symlink errors; ok otherwise
   Ino parent() const { return parent_; }
-  const std::string& final_name() const { return final_name_; }
+  std::string_view final_name() const { return final_name_.str(); }
   Ino target() const { return target_; }
   bool target_exists() const { return target_ != kNoIno; }
   const StatBuf& snapshot() const { return snapshot_; }
@@ -99,14 +122,14 @@ class Walker {
   bool take_final(Ino target);
 
   Vfs* vfs_;
-  std::string path_;
+  Path path_;  // this leg's path: the op's, then each link target's
   SemPolicy policy_;
   Follow follow_;
   St st_ = St::init;
   int depth_ = 0;
   Errno err_ = Errno::ok;
   Ino parent_ = kNoIno;
-  std::string final_name_;
+  FinalName final_name_;
   Ino target_ = kNoIno;
   StatBuf snapshot_;
   bool held_ = false;  // a hold walk left parent_'s semaphore to the op
@@ -136,13 +159,13 @@ std::optional<Step> Walker::advance(ServiceContext& ctx) {
           st_ = St::done;
           return std::nullopt;
         }
-        if (!is_absolute_path(path_)) {
+        if (!path_.absolute()) {
           err_ = Errno::einval;
           st_ = St::done;
           return std::nullopt;
         }
         st_ = St::prefix_done;
-        const auto n = Vfs::component_count(path_);
+        const std::size_t n = path_.size();
         if (n == 0) {
           err_ = Errno::einval;
           st_ = St::done;
@@ -159,14 +182,14 @@ std::optional<Step> Walker::advance(ServiceContext& ctx) {
                           static_cast<std::int64_t>(n));
       }
       case St::prefix_done: {
-        const auto walk = vfs_->walk_prefix(path_);
+        auto walk = vfs_->walk_prefix(path_);
         if (walk.err != Errno::ok) {
           err_ = walk.err;
           st_ = St::done;
           return std::nullopt;
         }
         parent_ = walk.parent;
-        final_name_ = walk.final_name;
+        final_name_ = FinalName(std::move(walk.path));
         if (policy_ == SemPolicy::hold) {
           st_ = St::locked;
           return Step::acquire(&vfs_->inode_mut(parent_).sem());
@@ -201,7 +224,8 @@ std::optional<Step> Walker::advance(ServiceContext& ctx) {
       }
       case St::locked: {
         // Look up again: the semaphore's last holder may have changed it.
-        const bool restart = take_final(vfs_->lookup_in(parent_, final_name_));
+        const bool restart =
+            take_final(vfs_->lookup_in(parent_, final_name_.str()));
         if (policy_ == SemPolicy::lockless_if_free) {
           st_ = restart ? St::release_then_restart : St::locked_tail;
           return Step::work(vfs_->costs().stat_locked_tail);
@@ -232,7 +256,7 @@ std::optional<Step> Walker::advance(ServiceContext& ctx) {
 /// and the phase counter every such op steps through.
 class FsOp : public ServiceOp {
  public:
-  FsOp(Vfs& vfs, std::string path, Errno* err_out)
+  FsOp(Vfs& vfs, Path path, Errno* err_out)
       : vfs_(&vfs), path_(std::move(path)), err_out_(err_out) {}
 
   /// Output slots (err_out_ and friends) are pointers, so they are
@@ -243,7 +267,7 @@ class FsOp : public ServiceOp {
                     self.phase_);
   }
 
-  std::string_view path() const override { return path_; }
+  std::string_view path() const override { return path_.str(); }
   Step fail_at_entry(Errno e) override { return finish(e); }
 
  protected:
@@ -261,7 +285,7 @@ class FsOp : public ServiceOp {
   }
 
   Vfs* vfs_;
-  std::string path_;
+  Path path_;
   Errno* err_out_;
   std::optional<Walker> walker_;
   int phase_ = 0;
@@ -298,7 +322,7 @@ class FdOp : public ServiceOp {
 
 class StatOp final : public Listed<StatOp, FsOp> {
  public:
-  StatOp(Vfs& vfs, std::string path, bool follow, StatBuf* out, Errno* err_out)
+  StatOp(Vfs& vfs, Path path, bool follow, StatBuf* out, Errno* err_out)
       : Listed(vfs, std::move(path), err_out), follow_(follow), out_(out) {}
 
   static auto fields(auto& self) {
@@ -380,8 +404,7 @@ class AccessOp final : public Listed<AccessOp, FsOp> {
 
 class OpenOp final : public Listed<OpenOp, FsOp> {
  public:
-  OpenOp(Vfs& vfs, std::string path, OpenFlags flags, Mode mode,
-         OpenResult* out)
+  OpenOp(Vfs& vfs, Path path, OpenFlags flags, Mode mode, OpenResult* out)
       : Listed(vfs, std::move(path), nullptr),
         flags_(flags),
         mode_(mode),
@@ -587,7 +610,7 @@ class ReadOp final : public Listed<ReadOp, FdOp> {
 
 class RenameOp final : public Listed<RenameOp, FsOp> {
  public:
-  RenameOp(Vfs& vfs, std::string oldpath, std::string newpath, Errno* err_out)
+  RenameOp(Vfs& vfs, Path oldpath, Path newpath, Errno* err_out)
       : Listed(vfs, std::move(oldpath), err_out),
         newpath_(std::move(newpath)) {}
 
@@ -598,7 +621,7 @@ class RenameOp final : public Listed<RenameOp, FsOp> {
   }
 
   std::string_view name() const override { return "rename"; }
-  std::string_view path2() const override { return newpath_; }
+  std::string_view path2() const override { return newpath_.str(); }
   int libc_page() const override { return kPageRename; }
 
   Step advance(ServiceContext& ctx) override {
@@ -609,11 +632,13 @@ class RenameOp final : public Listed<RenameOp, FsOp> {
         }
         if (walker_->error() != Errno::ok) return finish(walker_->error());
         if (!walker_->target_exists()) return fail(Errno::enoent);
-        const auto nw = vfs_->walk_prefix(newpath_);
+        auto nw = vfs_->walk_prefix(newpath_);
         if (nw.err != Errno::ok) return fail(nw.err);
         if (nw.parent != walker_->parent()) return fail(Errno::exdev);
-        new_final_ = nw.final_name;
-        if (new_final_ == walker_->final_name()) return fail(Errno::einval);
+        new_final_ = FinalName(std::move(nw.path));
+        if (new_final_.str() == walker_->final_name()) {
+          return fail(Errno::einval);
+        }
         if (!Vfs::may_write(vfs_->inode(walker_->parent()), creds_of(ctx))) {
           return fail(Errno::eacces);
         }
@@ -627,10 +652,10 @@ class RenameOp final : public Listed<RenameOp, FsOp> {
         const Ino dir = walker_->parent();
         const Ino tgt = walker_->target();
         vfs_->unlink_entry(dir, walker_->final_name());
-        if (vfs_->lookup_in(dir, new_final_) != kNoIno) {
-          vfs_->unlink_entry(dir, new_final_);
+        if (vfs_->lookup_in(dir, new_final_.str()) != kNoIno) {
+          vfs_->unlink_entry(dir, new_final_.str());
         }
-        vfs_->link_entry(dir, new_final_, tgt);
+        vfs_->link_entry(dir, new_final_.str(), tgt);
         applied_ = tgt;
         vfs_->inode_mut(dir).set_rename_in_progress(false);
         phase_ = 2;
@@ -656,8 +681,8 @@ class RenameOp final : public Listed<RenameOp, FsOp> {
     return Step::release(walker_->held_dir_sem());
   }
 
-  std::string newpath_;
-  std::string new_final_;
+  Path newpath_;
+  FinalName new_final_;
   Ino applied_ = kNoIno;
   Errno pending_err_ = Errno::ok;
 };
@@ -744,8 +769,7 @@ class UnlinkOp final : public Listed<UnlinkOp, FsOp> {
 
 class SymlinkOp final : public Listed<SymlinkOp, FsOp> {
  public:
-  SymlinkOp(Vfs& vfs, std::string target, std::string linkpath,
-            Errno* err_out)
+  SymlinkOp(Vfs& vfs, Path target, Path linkpath, Errno* err_out)
       : Listed(vfs, std::move(linkpath), err_out), target_(std::move(target)) {}
 
   static auto fields(auto& self) {
@@ -755,7 +779,7 @@ class SymlinkOp final : public Listed<SymlinkOp, FsOp> {
   }
 
   std::string_view name() const override { return "symlink"; }
-  std::string_view path2() const override { return target_; }
+  std::string_view path2() const override { return target_.str(); }
   int libc_page() const override { return kPageUnlinkSymlink; }
 
   Step advance(ServiceContext& ctx) override {
@@ -797,14 +821,14 @@ class SymlinkOp final : public Listed<SymlinkOp, FsOp> {
     return Step::release(walker_->held_dir_sem());
   }
 
-  std::string target_;
+  Path target_;
   Ino applied_ = kNoIno;
   Errno pending_err_ = Errno::ok;
 };
 
 class MkdirOp final : public Listed<MkdirOp, FsOp> {
  public:
-  MkdirOp(Vfs& vfs, std::string path, Mode mode, Errno* err_out)
+  MkdirOp(Vfs& vfs, Path path, Mode mode, Errno* err_out)
       : Listed(vfs, std::move(path), err_out), mode_(mode) {}
 
   static auto fields(auto& self) {
@@ -854,7 +878,7 @@ class MkdirOp final : public Listed<MkdirOp, FsOp> {
 
 class ReadlinkOp final : public Listed<ReadlinkOp, FsOp> {
  public:
-  ReadlinkOp(Vfs& vfs, std::string path, std::string* out, Errno* err_out)
+  ReadlinkOp(Vfs& vfs, Path path, std::string* out, Errno* err_out)
       : Listed(vfs, std::move(path), err_out), out_(out) {}
 
   static auto fields(auto& self) {
@@ -879,7 +903,7 @@ class ReadlinkOp final : public Listed<ReadlinkOp, FsOp> {
         if (!walker_->target_exists()) return finish(Errno::enoent);
         const Inode& t = vfs_->inode(walker_->target());
         if (!t.is_symlink()) return finish(Errno::einval);
-        if (out_ != nullptr) *out_ = t.symlink_target();
+        if (out_ != nullptr) *out_ = t.symlink_target().str();
         return finish(Errno::ok);
       }
     }
@@ -891,7 +915,7 @@ class ReadlinkOp final : public Listed<ReadlinkOp, FsOp> {
 
 class LinkOp final : public Listed<LinkOp, FsOp> {
  public:
-  LinkOp(Vfs& vfs, std::string oldpath, std::string newpath, Errno* err_out)
+  LinkOp(Vfs& vfs, Path oldpath, Path newpath, Errno* err_out)
       : Listed(vfs, std::move(oldpath), err_out),
         newpath_(std::move(newpath)) {}
 
@@ -902,7 +926,7 @@ class LinkOp final : public Listed<LinkOp, FsOp> {
   }
 
   std::string_view name() const override { return "link"; }
-  std::string_view path2() const override { return newpath_; }
+  std::string_view path2() const override { return newpath_.str(); }
   int libc_page() const override { return kPageUnlinkSymlink; }
 
   Step advance(ServiceContext& ctx) override {
@@ -958,7 +982,7 @@ class LinkOp final : public Listed<LinkOp, FsOp> {
     return Step::release(new_walker_->held_dir_sem());
   }
 
-  std::string newpath_;
+  Path newpath_;
   std::optional<Walker> new_walker_;
   Ino target_ino_ = kNoIno;
   Errno pending_err_ = Errno::ok;
@@ -1167,7 +1191,7 @@ class SetAttrOp : public FsOp {
 
 class ChmodOp final : public Listed<ChmodOp, SetAttrOp> {
  public:
-  ChmodOp(Vfs& vfs, std::string path, Mode mode, Errno* err_out)
+  ChmodOp(Vfs& vfs, Path path, Mode mode, Errno* err_out)
       : Listed(vfs, std::move(path), err_out), mode_(mode) {}
 
   static auto fields(auto& self) {
@@ -1189,8 +1213,7 @@ class ChmodOp final : public Listed<ChmodOp, SetAttrOp> {
 
 class ChownOp final : public Listed<ChownOp, SetAttrOp> {
  public:
-  ChownOp(Vfs& vfs, std::string path, sim::Uid uid, sim::Gid gid,
-          Errno* err_out)
+  ChownOp(Vfs& vfs, Path path, sim::Uid uid, sim::Gid gid, Errno* err_out)
       : Listed(vfs, std::move(path), err_out), uid_(uid), gid_(gid) {}
 
   static auto fields(auto& self) {
@@ -1219,23 +1242,23 @@ class ChownOp final : public Listed<ChownOp, SetAttrOp> {
 // Factory methods
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<ServiceOp> Vfs::stat_op(std::string path, StatBuf* out,
+std::unique_ptr<ServiceOp> Vfs::stat_op(Path path, StatBuf* out,
                                         Errno* err_out) {
   return std::make_unique<StatOp>(*this, std::move(path), true, out, err_out);
 }
 
-std::unique_ptr<ServiceOp> Vfs::lstat_op(std::string path, StatBuf* out,
+std::unique_ptr<ServiceOp> Vfs::lstat_op(Path path, StatBuf* out,
                                          Errno* err_out) {
   return std::make_unique<StatOp>(*this, std::move(path), false, out,
                                   err_out);
 }
 
-std::unique_ptr<ServiceOp> Vfs::access_op(std::string path, Errno* err_out) {
+std::unique_ptr<ServiceOp> Vfs::access_op(Path path, Errno* err_out) {
   return std::make_unique<AccessOp>(*this, std::move(path), err_out);
 }
 
-std::unique_ptr<ServiceOp> Vfs::open_op(std::string path, OpenFlags flags,
-                                        Mode mode, OpenResult* out) {
+std::unique_ptr<ServiceOp> Vfs::open_op(Path path, OpenFlags flags, Mode mode,
+                                        OpenResult* out) {
   return std::make_unique<OpenOp>(*this, std::move(path), flags, mode, out);
 }
 
@@ -1253,47 +1276,44 @@ std::unique_ptr<ServiceOp> Vfs::read_op(int fd, std::uint64_t bytes,
   return std::make_unique<ReadOp>(*this, fd, bytes, err_out);
 }
 
-std::unique_ptr<ServiceOp> Vfs::rename_op(std::string oldpath,
-                                          std::string newpath,
+std::unique_ptr<ServiceOp> Vfs::rename_op(Path oldpath, Path newpath,
                                           Errno* err_out) {
   return std::make_unique<RenameOp>(*this, std::move(oldpath),
                                     std::move(newpath), err_out);
 }
 
-std::unique_ptr<ServiceOp> Vfs::unlink_op(std::string path, Errno* err_out) {
+std::unique_ptr<ServiceOp> Vfs::unlink_op(Path path, Errno* err_out) {
   return std::make_unique<UnlinkOp>(*this, std::move(path), err_out);
 }
 
-std::unique_ptr<ServiceOp> Vfs::symlink_op(std::string target,
-                                           std::string linkpath,
+std::unique_ptr<ServiceOp> Vfs::symlink_op(Path target, Path linkpath,
                                            Errno* err_out) {
   return std::make_unique<SymlinkOp>(*this, std::move(target),
                                      std::move(linkpath), err_out);
 }
 
-std::unique_ptr<ServiceOp> Vfs::chmod_op(std::string path, Mode mode,
+std::unique_ptr<ServiceOp> Vfs::chmod_op(Path path, Mode mode,
                                          Errno* err_out) {
   return std::make_unique<ChmodOp>(*this, std::move(path), mode, err_out);
 }
 
-std::unique_ptr<ServiceOp> Vfs::chown_op(std::string path, sim::Uid uid,
+std::unique_ptr<ServiceOp> Vfs::chown_op(Path path, sim::Uid uid,
                                          sim::Gid gid, Errno* err_out) {
   return std::make_unique<ChownOp>(*this, std::move(path), uid, gid, err_out);
 }
 
-std::unique_ptr<ServiceOp> Vfs::mkdir_op(std::string path, Mode mode,
+std::unique_ptr<ServiceOp> Vfs::mkdir_op(Path path, Mode mode,
                                          Errno* err_out) {
   return std::make_unique<MkdirOp>(*this, std::move(path), mode, err_out);
 }
 
-std::unique_ptr<ServiceOp> Vfs::readlink_op(std::string path,
-                                            std::string* out,
+std::unique_ptr<ServiceOp> Vfs::readlink_op(Path path, std::string* out,
                                             Errno* err_out) {
   return std::make_unique<ReadlinkOp>(*this, std::move(path), out, err_out);
 }
 
-std::unique_ptr<ServiceOp> Vfs::link_op(std::string oldpath,
-                                        std::string newpath, Errno* err_out) {
+std::unique_ptr<ServiceOp> Vfs::link_op(Path oldpath, Path newpath,
+                                        Errno* err_out) {
   return std::make_unique<LinkOp>(*this, std::move(oldpath),
                                   std::move(newpath), err_out);
 }

@@ -85,10 +85,6 @@ Ino Vfs::lookup_in(Ino parent, std::string_view name) const {
   return dir.lookup(name);
 }
 
-std::size_t Vfs::component_count(const std::string& path) {
-  return count_path_components(path);
-}
-
 namespace {
 struct ResolveOutcome {
   Errno err = Errno::ok;
@@ -97,26 +93,23 @@ struct ResolveOutcome {
 }  // namespace
 
 // Recursive resolution helper; `follow_final` resolves a final symlink.
-// `path` is walked with the component cursor, one component ahead so
-// the walk knows the last one; it must stay alive for the duration of
-// the call (symlink targets recursed into live in their inodes, which
-// outlive the walk).
-static ResolveOutcome resolve_rec(const Vfs& vfs, std::string_view path,
+// Reads the components `path` stored when it was parsed; a symlink's
+// target is a Path of its own, recursed into where its inode holds it.
+static ResolveOutcome resolve_rec(const Vfs& vfs, const Path& path,
                                   bool follow_final, int depth) {
   if (depth > Vfs::kMaxSymlinkDepth) return {Errno::eloop, kNoIno};
-  if (!is_absolute_path(path)) return {Errno::einval, kNoIno};
+  if (!path.absolute()) return {Errno::einval, kNoIno};
   Ino cur = vfs.root();
-  std::size_t pos = 0;
-  std::string_view part = next_path_component(path, pos);
-  while (!part.empty()) {
-    const std::string_view next = next_path_component(path, pos);
+  const std::size_t n = path.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::string_view part = path[i];
     if (part == "..") return {Errno::einval, kNoIno};  // not modeled
     const Inode& dir = vfs.inode(cur);
     if (!dir.is_dir()) return {Errno::enotdir, kNoIno};
     const Ino child = vfs.lookup_in(cur, part);
     if (child == kNoIno) return {Errno::enoent, kNoIno};
     const Inode& cn = vfs.inode(child);
-    const bool last = next.empty();
+    const bool last = i + 1 == n;
     if (cn.is_symlink() && (!last || follow_final)) {
       const auto sub =
           resolve_rec(vfs, cn.symlink_target(), true, depth + 1);
@@ -128,78 +121,74 @@ static ResolveOutcome resolve_rec(const Vfs& vfs, std::string_view path,
     } else {
       cur = child;
     }
-    part = next;
   }
   return {Errno::ok, cur};
 }
 
-Result<Ino> Vfs::lookup(const std::string& path, bool follow) const {
+Result<Ino> Vfs::lookup(const Path& path, bool follow) const {
   const auto out = resolve_rec(*this, path, follow, 0);
   if (out.err != Errno::ok) return out.err;
   return out.ino;
 }
 
-Vfs::WalkResult Vfs::walk_prefix(const std::string& path) const {
+Vfs::WalkResult Vfs::walk_prefix(Path path) const {
   WalkResult res;
-  if (!is_absolute_path(path)) {
-    res.err = Errno::einval;
-    return res;
-  }
-  std::size_t pos = 0;
-  std::string_view part = next_path_component(path, pos);
-  if (part.empty()) {
+  const std::size_t n = path.size();
+  if (!path.absolute() || n == 0) {
     res.err = Errno::einval;  // operating on "/" itself is not modeled
     return res;
   }
   Ino cur = root_;
+  const Inode* dir = &inode(cur);
   // Every component but the last names a directory to descend into.
-  for (std::string_view next = next_path_component(path, pos);
-       !next.empty(); part = next, next = next_path_component(path, pos)) {
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    const std::string_view part = path[i];
     if (part == "..") {
       res.err = Errno::einval;
       return res;
     }
-    const Inode& dir = inode(cur);
-    if (!dir.is_dir()) {
+    if (!dir->is_dir()) {
       res.err = Errno::enotdir;
       return res;
     }
-    Ino child = lookup_in(cur, part);
+    Ino child = dir->lookup(part);
     if (child == kNoIno) {
       res.err = Errno::enoent;
       return res;
     }
-    const Inode& cn = inode(child);
-    if (cn.is_symlink()) {
-      const auto sub = resolve_rec(*this, cn.symlink_target(), true, 1);
+    dir = &inode(child);
+    if (dir->is_symlink()) {
+      const auto sub = resolve_rec(*this, dir->symlink_target(), true, 1);
       if (sub.err != Errno::ok) {
         res.err = sub.err;
         return res;
       }
       child = sub.ino;
+      dir = &inode(child);
     }
-    if (!inode(child).is_dir()) {
+    if (!dir->is_dir()) {
       res.err = Errno::enotdir;
       return res;
     }
     cur = child;
   }
-  const std::string_view final = part;
+  const std::string_view final = path.back();
   if (final == "..") {
     res.err = Errno::einval;
     return res;
   }
-  if (!inode(cur).is_dir()) {
+  if (!dir->is_dir()) {
     res.err = Errno::enotdir;
     return res;
   }
   res.parent = cur;
-  res.final_name = std::string(final);
-  res.target = lookup_in(cur, final);
+  res.final_name = final;
+  res.target = dir->lookup(final);
+  res.path = std::move(path);  // keeps final_name's block
   return res;
 }
 
-Ino Vfs::mkdir_p(const std::string& path, sim::Uid uid, sim::Gid gid,
+Ino Vfs::mkdir_p(std::string_view path, sim::Uid uid, sim::Gid gid,
                  Mode mode) {
   TOCTTOU_CHECK(is_absolute_path(path), "mkdir_p requires an absolute path");
   Ino cur = root_;
@@ -227,7 +216,7 @@ Inode& Vfs::create_in(Ino dir, std::string_view name, FileType type,
   return n;
 }
 
-Ino Vfs::create_file(const std::string& path, sim::Uid uid, sim::Gid gid,
+Ino Vfs::create_file(const Path& path, sim::Uid uid, sim::Gid gid,
                      Mode mode, std::uint64_t size_bytes) {
   const auto walk = walk_prefix(path);
   TOCTTOU_CHECK(walk.err == Errno::ok, "create_file: bad parent path");
@@ -237,13 +226,13 @@ Ino Vfs::create_file(const std::string& path, sim::Uid uid, sim::Gid gid,
   return n.ino();
 }
 
-Ino Vfs::create_symlink(const std::string& path, const std::string& target,
-                        sim::Uid uid, sim::Gid gid) {
+Ino Vfs::create_symlink(const Path& path, Path target, sim::Uid uid,
+                        sim::Gid gid) {
   const auto walk = walk_prefix(path);
   TOCTTOU_CHECK(walk.err == Errno::ok, "create_symlink: bad parent path");
   Inode& n = create_in(walk.parent, walk.final_name, FileType::symlink, uid,
                        gid, 0777);
-  n.symlink_target_ = target;
+  n.symlink_target_ = std::move(target);
   return n.ino();
 }
 

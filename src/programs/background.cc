@@ -1,12 +1,15 @@
 #include "tocttou/programs/background.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <numeric>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
+#include "tocttou/common/error.h"
 #include "tocttou/common/strings.h"
 #include "tocttou/sim/kernel.h"
 #include "tocttou/sim/process.h"
@@ -95,7 +98,40 @@ bool BackgroundSpec::parse(const std::string& spec, BackgroundSpec* out,
 
 namespace {
 
-std::string docroot_file(int k) { return strfmt("/srv/www/f%d", k); }
+/// A short text built in place by concatenation, byte for byte what
+/// strfmt's "%s", "%d" and "%llu" would print, without vsnprintf and
+/// without an allocation: tenant names, staged leaf paths and
+/// per-request paths.
+class TextBuf {
+ public:
+  TextBuf& operator<<(std::string_view s) {
+    TOCTTOU_CHECK(s.size() <= sizeof(buf_) - size_, "text too long");
+    s.copy(buf_ + size_, s.size());
+    size_ += s.size();
+    return *this;
+  }
+  template <class N>
+    requires std::is_integral_v<N>
+  TextBuf& operator<<(N n) {
+    const auto [end, ec] = std::to_chars(buf_ + size_, buf_ + sizeof(buf_), n);
+    TOCTTOU_CHECK(ec == std::errc(), "text too long");
+    size_ = static_cast<std::size_t>(end - buf_);
+    return *this;
+  }
+  std::string_view view() const { return {buf_, size_}; }
+
+ private:
+  char buf_[64];
+  std::size_t size_ = 0;
+};
+
+/// A request's path, built when the request is issued: the Path's block
+/// is its one allocation. Building every tenant's paths at spawn would
+/// cost more: a machine-scale round spawns 256 tenants and issues about
+/// 105 syscalls among them.
+Path docroot_file(int k) {
+  return Path((TextBuf() << "/srv/www/f" << k).view());
+}
 
 constexpr const char* kCrontab = "/etc/crontab";
 
@@ -161,11 +197,9 @@ void stage_background_tree(fs::Vfs& vfs, const BackgroundSpec& spec) {
     });
     for (std::uint64_t leaf = 0; remaining > 0; ++leaf) {
       const fs::Ino dir = vfs.mkdir_p(
-          strfmt("/srv/data/t%llu/s%llu/u%llu/v%llu",
-                 static_cast<unsigned long long>(leaf / 512),
-                 static_cast<unsigned long long>((leaf / 64) % 8),
-                 static_cast<unsigned long long>((leaf / 8) % 8),
-                 static_cast<unsigned long long>(leaf % 8)),
+          (TextBuf() << "/srv/data/t" << leaf / 512 << "/s" << (leaf / 64) % 8
+                     << "/u" << (leaf / 8) % 8 << "/v" << leaf % 8)
+              .view(),
           sim::kRootUid, sim::kRootGid);
       const std::uint64_t here = remaining < per_leaf ? remaining : per_leaf;
       const fs::Ino first = vfs.inode_count() + 1;
@@ -186,7 +220,7 @@ void spawn_background_tenants(sim::Kernel& kernel, fs::Vfs& vfs,
   int idx = 0;
   auto opts = [&idx](const char* kind, int k) {
     sim::SpawnOptions o;
-    o.name = strfmt("%s/%d", kind, k);
+    o.name = (TextBuf() << kind << "/" << k).view();
     o.uid = static_cast<sim::Uid>(10000 + idx);
     o.gid = static_cast<sim::Gid>(10000 + idx);
     ++idx;
@@ -311,8 +345,8 @@ Action CronDaemon::next(ProgramContext& ctx) {
 BuildJob::BuildJob(fs::Vfs& vfs, int slot, int intensity)
     : vfs_(&vfs), slot_(slot), intensity_(intensity) {}
 
-std::string BuildJob::object_path() const {
-  return strfmt("/tmp/build/obj_%d.o", slot_);
+Path BuildJob::object_path() const {
+  return Path((TextBuf() << "/tmp/build/obj_" << slot_ << ".o").view());
 }
 
 Action BuildJob::next(ProgramContext& ctx) {
@@ -363,8 +397,8 @@ Action BuildJob::next(ProgramContext& ctx) {
 LogWriter::LogWriter(fs::Vfs& vfs, int slot, int intensity)
     : vfs_(&vfs), slot_(slot), intensity_(intensity) {}
 
-std::string LogWriter::log_path() const {
-  return strfmt("/var/log/app%d.log", slot_);
+Path LogWriter::log_path() const {
+  return Path((TextBuf() << "/var/log/app" << slot_ << ".log").view());
 }
 
 Action LogWriter::next(ProgramContext& ctx) {

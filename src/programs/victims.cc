@@ -1,6 +1,7 @@
 #include "tocttou/programs/victims.h"
 
 #include <algorithm>
+#include <string>
 
 namespace tocttou::programs {
 
@@ -297,7 +298,8 @@ Action SuspendingVictim::next(ProgramContext& ctx) {
       // fresh (root-owned) inode under the watched name.
       phase_ = Phase::check;
       return Action::service(
-          vfs_->rename_op(cfg_.path, cfg_.path + ".bak", &err_));
+          vfs_->rename_op(cfg_.path, std::string(cfg_.path.str()) + ".bak",
+                          &err_));
     case Phase::check:
       phase_ = Phase::io;
       return Action::service(vfs_->open_op(

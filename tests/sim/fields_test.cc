@@ -36,13 +36,14 @@ struct AllKinds {
   Duration dur = Duration::micros(3);
   SimTime at = SimTime::origin() + Duration::micros(5);
   std::string name = "x";
+  Path path = "/a/b";
   std::optional<Inner> maybe;
   Inner inner;
   int* slot = nullptr;
 
   static auto fields(auto& s) {
     return std::tie(s.u, s.i, s.color, s.flag, s.ratio, s.dur, s.at, s.name,
-                    s.maybe, s.inner, s.slot);
+                    s.path, s.maybe, s.inner, s.slot);
   }
 };
 
@@ -63,6 +64,7 @@ TEST(FieldsTest, ChangingAnyMemberChangesTheDigest) {
       [](AllKinds& v) { v.dur = Duration::micros(4); },
       [](AllKinds& v) { v.at = SimTime::origin() + Duration::micros(6); },
       [](AllKinds& v) { v.name = "y"; },
+      [](AllKinds& v) { v.path = "/a/c"; },
       [](AllKinds& v) { v.maybe.emplace(); },
       [](AllKinds& v) { v.inner.a = 7; },
   };
