@@ -15,13 +15,17 @@
 // analyze phase (the detector's replay and window matching) per round.
 //
 //   ./bench_detect_overhead [output.json]
+//   ./bench_detect_overhead --smoke
 //
 // Writes BENCH_detect_overhead.json by default. TOCTTOU_ROUNDS=<n> fixes
-// the rounds per pass instead of sizing it to a second.
+// the rounds per pass instead of sizing it to a second. --smoke runs one
+// off/on pair of 64 rounds per workload with the three CHECKs, and
+// prints no timing table and writes no JSON.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -42,6 +46,7 @@ using Clock = std::chrono::steady_clock;
 
 constexpr int kPairs = 7;
 constexpr double kPassSeconds = 1.0;
+constexpr int kSmokeRounds = 64;
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -112,8 +117,9 @@ using bench::quartiles;
 
 int main(int argc, char** argv) {
   using namespace tocttou;
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   const std::string out_path =
-      argc > 1 ? argv[1] : "BENCH_detect_overhead.json";
+      argc > 1 && !smoke ? argv[1] : "BENCH_detect_overhead.json";
   const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
 
   std::string json = "{\n  \"bench\": \"detect_overhead\",\n";
@@ -125,11 +131,11 @@ int main(int argc, char** argv) {
     off.detect = false;
     core::ScenarioConfig on = w.cfg;
     on.detect = true;
-    const int rounds = size_pass(off);
+    const int rounds = smoke ? kSmokeRounds : size_pass(off);
 
     Samples rps_off, rps_on, overhead, analyze_us;
     std::uint64_t windows = 0, races = 0;
-    for (int pair = 0; pair < kPairs; ++pair) {
+    for (int pair = 0; pair < (smoke ? 1 : kPairs); ++pair) {
       double sec_off = 0.0, sec_on = 0.0;
       core::CampaignStats s_off, s_on;
       metrics::WallProfile profile;
@@ -156,6 +162,12 @@ int main(int argc, char** argv) {
       windows = s_on.detect.windows;
       races = s_on.detect.races;
     }
+    if (smoke) {
+      std::printf("%-28s %6d rounds off and on: %llu windows, %llu races\n",
+                  w.name, rounds, static_cast<unsigned long long>(windows),
+                  static_cast<unsigned long long>(races));
+      continue;
+    }
 
     std::printf(
         "%-28s %6d rounds/pass  off: %8.0f  on: %8.0f rounds/s (medians)  "
@@ -180,6 +192,10 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(races));
   }
   json += "\n  ]\n}\n";
+  if (smoke) {
+    std::printf("smoke: every check held; no JSON written\n");
+    return 0;
+  }
 
   std::ofstream f(out_path);
   f << json;

@@ -2,6 +2,7 @@
 // attack) and writes BENCH_explore_parallel.json:
 //
 //   ./bench_explore_parallel [output.json]
+//   ./bench_explore_parallel --smoke
 //
 // Three parts, each CHECKing that what it times computes the same
 // result on every side:
@@ -26,10 +27,16 @@
 //
 // The whole run takes about a minute and a half on a 4-thread host.
 // TOCTTOU_ROUNDS sets the think buckets of the timed sweeps (default 64).
+//
+// --smoke runs one short pass of every part with every CHECK and prints
+// no timing table and writes no JSON: the jobs sweep at 1 and 4 workers
+// on 8 buckets, one context-reuse pair of 64 rounds a side, and the
+// checkpoint ablation on 8 buckets at bound 5.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -120,21 +127,24 @@ struct JobsSweep {
   std::vector<JobsReport> reports;
 };
 
-JobsSweep bench_jobs(int buckets) {
+JobsSweep bench_jobs(int buckets, bool smoke) {
   const core::ScenarioConfig cfg = up_vi(100 * 1024, 1);
   const explore::ExploreConfig ecfg = exhaustive(buckets, 3);
   JobsSweep s;
   s.think_buckets = buckets;
-  for (const int jobs : {1, 2, 4}) s.reports.push_back({jobs, {}});
+  for (const int jobs : smoke ? std::vector<int>{1, 4}
+                              : std::vector<int>{1, 2, 4}) {
+    s.reports.push_back({jobs, {}});
+  }
   // Warm-up (allocator, page cache) on a smaller sweep.
-  {
+  if (!smoke) {
     explore::ExploreConfig warm = exhaustive(std::max(4, buckets / 8), 3);
     warm.jobs = 2;
     (void)explore::explore(cfg, warm);
   }
   explore::ExploreResult baseline;
   const int n = static_cast<int>(s.reports.size());
-  for (int pass = 0; pass < kPasses; ++pass) {
+  for (int pass = 0; pass < (smoke ? 1 : kPasses); ++pass) {
     for (int k = 0; k < n; ++k) {
       JobsReport& r = s.reports[static_cast<std::size_t>((pass + k) % n)];
       explore::ExploreConfig run = ecfg;
@@ -165,7 +175,7 @@ struct ReuseReport {
   Samples speedup;  // reuse / fresh, per pair
 };
 
-ReuseReport bench_context_reuse() {
+ReuseReport bench_context_reuse(bool smoke) {
   core::ScenarioConfig cfg = explore::canonical_explore_config(smp_vi());
   const auto run_all = [&cfg](int rounds, core::RoundContext* ctx) {
     std::uint64_t events = 0;
@@ -181,10 +191,10 @@ ReuseReport bench_context_reuse() {
 
   // Rounds per pass: double a fresh pass until it lasts a tenth of
   // kPassSeconds, then scale it to kPassSeconds. The doubling doubles as
-  // the warm-up.
+  // the warm-up. A smoke run times one pair of 64 rounds a side.
   ReuseReport r;
   int n = 64;
-  for (;;) {
+  while (!smoke) {
     const double sec = run_all(n, nullptr);
     if (sec >= kPassSeconds / 10) {
       r.rounds = std::max(64, static_cast<int>(n * kPassSeconds / sec));
@@ -192,7 +202,8 @@ ReuseReport bench_context_reuse() {
     }
     n *= 2;
   }
-  for (int pair = 0; pair < kPasses; ++pair) {
+  if (smoke) r.rounds = n;
+  for (int pair = 0; pair < (smoke ? 1 : kPasses); ++pair) {
     double fresh = 0.0, reuse = 0.0;
     for (int side = 0; side < 2; ++side) {
       if ((side == 0) == (pair % 2 == 0)) {
@@ -231,7 +242,8 @@ struct AblationReport {
   std::uint64_t cache_hits = 0;
 };
 
-AblationReport bench_checkpoint_ablation(int buckets, int bound) {
+AblationReport bench_checkpoint_ablation(int buckets, int bound,
+                                         int passes) {
   const core::ScenarioConfig cfg = up_vi(4096, 42);
   explore::ExploreConfig ecfg = exhaustive(buckets, bound);
   ecfg.jobs = 1;
@@ -239,7 +251,7 @@ AblationReport bench_checkpoint_ablation(int buckets, int bound) {
   AblationReport r;
   r.think_buckets = buckets;
   r.bound = bound;
-  for (int pair = 0; pair < kPasses; ++pair) {
+  for (int pair = 0; pair < passes; ++pair) {
     double secs[2] = {0.0, 0.0};  // off, on
     explore::ExploreResult res[2];
     for (int side = 0; side < 2; ++side) {
@@ -269,6 +281,21 @@ AblationReport bench_checkpoint_ablation(int buckets, int bound) {
 int main(int argc, char** argv) {
   using namespace tocttou;
 
+  const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
+  if (smoke) {
+    const JobsSweep sweep = bench_jobs(8, true);
+    std::printf("up/vi 100KB buckets=8 bound=3   %d schedules at 1 and 4 "
+                "jobs\n",
+                sweep.schedules);
+    const ReuseReport reuse = bench_context_reuse(true);
+    std::printf("round context   %d rounds fresh and reused\n", reuse.rounds);
+    const AblationReport abl = bench_checkpoint_ablation(8, /*bound=*/5, 1);
+    std::printf("checkpoint ablation   up/vi buckets=8 bound=5   %d "
+                "schedules, checkpoint off and on\n",
+                abl.schedules);
+    std::printf("smoke: every check held; no JSON written\n");
+    return 0;
+  }
   const char* out_path =
       argc > 1 ? argv[1] : "BENCH_explore_parallel.json";
 
@@ -278,7 +305,7 @@ int main(int argc, char** argv) {
   const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
   std::printf("hardware threads: %u\n", hw_threads);
 
-  const JobsSweep sweep = bench_jobs(buckets_or(64));
+  const JobsSweep sweep = bench_jobs(buckets_or(64), false);
   std::printf("up/vi 100KB buckets=%d bound=3   %d schedules (%llu "
               "executed)\n",
               sweep.think_buckets, sweep.schedules,
@@ -291,7 +318,7 @@ int main(int argc, char** argv) {
                 r.secs.quantile(0.75), serial / r.secs.median());
   }
 
-  const ReuseReport reuse = bench_context_reuse();
+  const ReuseReport reuse = bench_context_reuse(false);
   std::printf("round context   %d rounds/pass   fresh %9.1f r/s   reuse "
               "%9.1f r/s   speedup %.2fx (medians)\n",
               reuse.rounds, reuse.fresh_rps.median(),
@@ -302,7 +329,7 @@ int main(int argc, char** argv) {
   // long prefix with its parent), so it is the honest shape for the
   // headline speedup.
   const AblationReport abl =
-      bench_checkpoint_ablation(buckets_or(64), /*bound=*/5);
+      bench_checkpoint_ablation(buckets_or(64), /*bound=*/5, kPasses);
   std::printf("checkpoint ablation   up/vi buckets=%d bound=%d   "
               "%d schedules\n",
               abl.think_buckets, abl.bound, abl.schedules);

@@ -37,6 +37,7 @@ StepTimes run_one(bool parallel, std::uint64_t bytes, std::uint64_t seed) {
   m.background.enabled = false;  // isolate the attack-step timing
   sim::Kernel kernel(m, std::make_unique<sched::LinuxLikeScheduler>(), seed,
                      &trace);
+  kernel.set_vfs(&vfs);
   programs::AttackTarget target{"/home/alice/f.txt", "/etc/passwd",
                                 "/tmp/dummy"};
   sim::SpawnOptions opts;
@@ -46,22 +47,22 @@ StepTimes run_one(bool parallel, std::uint64_t bytes, std::uint64_t seed) {
   const auto& t = profile.timings;
 
   sim::Pid main_pid = 0, sym_pid = 0;
-  auto pstate = std::make_unique<programs::PipelinedAttackState>();
   if (parallel) {
+    const sim::FlagId found = kernel.add_flag("window_found");
     main_pid = kernel.spawn(std::make_unique<programs::PipelinedAttackerMain>(
-                                vfs, target, t.atk_loop_comp_gedit,
-                                t.atk_thread_handoff, pstate.get()),
+                                target, t.atk_loop_comp_gedit,
+                                t.atk_thread_handoff, found),
                             opts);
     sim::SpawnOptions h = opts;
     h.name = "attacker/symlink";
     sym_pid = kernel.spawn(
         std::make_unique<programs::PipelinedAttackerSymlinker>(
-            vfs, target, t.atk_thread_handoff, pstate.get()),
+            target, t.atk_thread_handoff, found),
         h);
   } else {
     main_pid = kernel.spawn(
         std::make_unique<programs::NaiveAttacker>(
-            vfs, target, t.atk_loop_comp_gedit, t.atk_post_detect_comp),
+            target, t.atk_loop_comp_gedit, t.atk_post_detect_comp),
         opts);
     sym_pid = main_pid;
   }

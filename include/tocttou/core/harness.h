@@ -147,8 +147,10 @@ struct ScenarioConfig {
   /// and attacker pids — and thus journals, traces, and tokens — are
   /// untouched when the list is empty). Test hook for fault/livelock
   /// scenarios; excluded from scenario_fingerprint() like
-  /// scheduler_factory. Programs that should survive checkpoint forking
-  /// must implement sim::Program::clone().
+  /// scheduler_factory. `make` receives the round's tree. Programs that
+  /// should survive checkpoint forking must implement
+  /// sim::Program::clone() and must not keep that reference: a fork runs
+  /// on its own copy of the tree.
   struct ExtraProgram {
     std::string name = "extra";
     sim::Uid uid = 0;
@@ -202,8 +204,8 @@ struct RoundResult {
 
   /// Kernel synchronization-event stream and the happens-before
   /// detector's verdicts for the round (both empty unless cfg.detect).
-  /// The stream lives here so checkpoint forks deep-copy it with the
-  /// rest of the round state (sim::CloneMap remaps the kernel's sink).
+  /// The stream lives here so checkpoint forks copy it with the rest of
+  /// the round state (the fork re-attaches the kernel to its own copy).
   detect::SyncLog sync;
   detect::DetectReport detect;
 

@@ -14,18 +14,16 @@
 // from a clean template audits only the inodes and references it changed
 // (fs::Vfs::audit_since), every other round audits its whole tree.
 //
-// The copy constructor is a CHECKPOINT FORK: it copies the entire
-// mid-round simulation — the VFS's inode table (pointers to inodes it
-// shares copy-on-write with the parent) and fd tables, kernel run
-// queues and in-flight syscall state machines, pending events, program
-// state, fault injector, the victim-window tracker, and the journal and
-// metrics streams of a round that records them (an explore leaf records
-// no journal unless an observer or the detector reads it) — rebinding
-// every cross-object pointer through a CloneMap (ops and programs
-// through their field lists, sim/fields.h; inodes and semaphores hold
-// none; the kernel's tracker and stream pointers point into the
-// RoundResult, whose range the fork registers first). The
-// clone is self-owning (never tied to a RoundContext) and stepping it is
+// The copy constructor is a CHECKPOINT FORK: a member-wise copy of the
+// entire mid-round simulation — the VFS's inode table (handles to chunks
+// it shares copy-on-write with the parent) and fd tables, kernel run
+// queues, flags and in-flight syscall state machines, pending events,
+// program state, fault injector, the victim-window tracker, and the
+// journal and metrics streams of a round that records them (an explore
+// leaf records no journal unless an observer or the detector reads it).
+// No simulation object points into another; the copied kernel's sinks
+// start detached and the fork attaches its own (attach_sinks). The clone
+// is self-owning (never tied to a RoundContext) and stepping it is
 // byte-identical to re-running the prefix that produced the original.
 // The explore subsystem forks thousands of children off shared schedule
 // prefixes this way instead of re-simulating each prefix from scratch;
@@ -39,14 +37,6 @@
 #include "tocttou/core/harness.h"
 #include "tocttou/fs/vfs.h"
 #include "tocttou/sim/kernel.h"
-
-namespace tocttou::programs {
-class NaiveAttacker;
-class PrefaultedAttacker;
-class ViVictim;
-class GeditVictim;
-struct PipelinedAttackState;
-}
 
 namespace tocttou::core {
 
@@ -89,9 +79,9 @@ class RoundRun {
   sim::Kernel& kernel() { return *kernel_; }
 
   /// Canonical digest of the full simulation state (DESIGN.md §10):
-  /// round phase, Vfs, kernel (event queue, rng, processes, scheduler),
-  /// and the pipelined attackers' shared state. Rounds with fault
-  /// injection are unhashable (h.hashable() comes back false). Two
+  /// round phase, Vfs and kernel (event queue, rng, processes with their
+  /// programs, flags, scheduler). Rounds with fault injection are
+  /// unhashable (h.hashable() comes back false). Two
   /// RoundRuns with equal hashable digests step identically from here on
   /// under the same policy.
   void hash_state(StateHasher& h) const;
@@ -135,6 +125,9 @@ class RoundRun {
 
   enum class Phase { victim, drain, sim_over };
 
+  /// Points the kernel at this round's tree, fault injector and result
+  /// streams; the staging constructor and a fork both call it.
+  void attach_sinks();
   bool attackers_exited() const;
   void end_victim_phase(bool victim_done);
   void end_sim();
@@ -144,12 +137,11 @@ class RoundRun {
   PhaseTimer timer_;
 
   // Simulation state. vfs_ targets either the RoundContext's round Vfs
-  // or local_vfs_ (fresh rounds and every clone). The kernel, declared
-  // last, is destroyed first: its programs hold pointers into the rest.
+  // or local_vfs_ (fresh rounds and every clone). The kernel points at
+  // the tree, the injector and res_'s streams (attach_sinks).
   std::optional<fs::Vfs> local_vfs_;
   fs::Vfs* vfs_ = nullptr;
   std::optional<sim::FaultInjector> injector_;
-  std::unique_ptr<programs::PipelinedAttackState> pipeline_state_;
   std::optional<sim::Kernel> kernel_;
 
   // The context the round runs in, told the round's journal and sync
@@ -160,13 +152,10 @@ class RoundRun {
   // context's template when it audited clean: finish() then audits only
   // what the round changed. Rounds staged here and checkpoint forks
   // (which can outlive the template) keep it null and audit every inode.
+  // The judge reads the attackers' and victim's programs by pid.
   const fs::Vfs* audit_base_ = nullptr;
   fs::Ino passwd_ = 0;
   sim::Pid victim_pid_ = 0;
-  const programs::NaiveAttacker* naive_ = nullptr;
-  const programs::PrefaultedAttacker* prefaulted_ = nullptr;
-  const programs::ViVictim* vi_vic_ = nullptr;
-  const programs::GeditVictim* gedit_vic_ = nullptr;
 
   // Phase machine.
   Phase phase_ = Phase::victim;

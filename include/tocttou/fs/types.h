@@ -59,7 +59,7 @@ struct OpenFlags {
   }
 };
 
-/// Output slot for open(): the file descriptor (-1 until success).
+/// What a program keeps of an open(): the fd (-1 when it failed).
 struct OpenResult {
   int fd = -1;
   Errno err = Errno::ok;

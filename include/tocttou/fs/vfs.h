@@ -1,10 +1,12 @@
 // The in-memory Unix-style virtual file system.
 //
-// Vfs owns the inode table, the per-process file-descriptor tables, and
-// the factories producing syscall ServiceOps. Metadata mutations are
-// instantaneous at their commit point inside a semaphore-protected
-// section; the cost model (SyscallCosts) spreads CPU time around those
-// commit points so the races play out exactly as in DESIGN.md §4.
+// Vfs owns the inode table and the per-process file-descriptor tables.
+// The syscall ops (fs/ops.h) reach it through their context, so no op
+// or program holds a pointer to it: a checkpoint copies the Vfs and
+// points its kernel at the copy. Metadata mutations are instantaneous at
+// their commit point inside a semaphore-protected section; the cost
+// model (SyscallCosts) spreads CPU time around those commit points so
+// the races play out exactly as in DESIGN.md §4.
 //
 // The inode table holds shared chunk handles (InodeChunk, kChunkInodes
 // inodes each): copying a Vfs copies one handle per chunk, not the
@@ -25,9 +27,9 @@
 // to the parent, then call it.
 //
 // Every path a syscall names is a Path (common/path.h), parsed once when
-// its program was built: the op factories take one, the op and its
-// walker hold handles to it, and the walk reads its stored components
-// and count. A symlink's target is a Path too, so following a link
+// its program was built: the op factories (fs/ops.h) take one, the op
+// and its walker hold handles to it, and the walk reads its stored
+// components and count. A symlink's target is a Path too, so following a link
 // copies a handle. No syscall copies, counts or re-parses a path; only
 // Path's constructor and setup helpers such as mkdir_p run the component
 // cursor.
@@ -45,7 +47,6 @@
 #include "tocttou/fs/inode.h"
 #include "tocttou/fs/types.h"
 #include "tocttou/sim/ids.h"
-#include "tocttou/sim/service.h"
 
 namespace tocttou::fs {
 
@@ -73,12 +74,6 @@ class Vfs {
   /// a RoundContext copies its template into one Vfs every round, and
   /// a chunk the last round left shared costs nothing.
   Vfs& operator=(const Vfs& o);
-
-  /// Checkpoint clone: the copy above, plus registering the Vfs object —
-  /// one range — with `m`, so the `Vfs*` held by programs and in-flight
-  /// ops remap to the clone. Nothing points into an inode: ops reach a
-  /// semaphore through its inode's number.
-  Vfs(const Vfs& o, sim::CloneMap& m);
 
   const SyscallCosts& costs() const { return costs_; }
 
@@ -132,56 +127,6 @@ class Vfs {
   static bool may_read(const Inode& n, const Creds& c);
   static bool may_write(const Inode& n, const Creds& c);
   static bool may_exec(const Inode& n, const Creds& c);
-
-  // ---- syscall op factories (used by programs; costs apply) ----
-  // Output slots (`out`) must outlive the returned op; they are written
-  // when the syscall completes. All paths must be absolute. A factory
-  // keeps a handle to its Path (a count bump, no copy of the text): pass
-  // a program's prebuilt Path, not a text to parse per call.
-
-  std::unique_ptr<sim::ServiceOp> stat_op(Path path, StatBuf* out,
-                                          Errno* err_out = nullptr);
-  std::unique_ptr<sim::ServiceOp> lstat_op(Path path, StatBuf* out,
-                                           Errno* err_out = nullptr);
-  std::unique_ptr<sim::ServiceOp> access_op(Path path,
-                                            Errno* err_out = nullptr);
-  std::unique_ptr<sim::ServiceOp> open_op(Path path, OpenFlags flags,
-                                          Mode mode, OpenResult* out);
-  std::unique_ptr<sim::ServiceOp> close_op(int fd, Errno* err_out = nullptr);
-  std::unique_ptr<sim::ServiceOp> write_op(int fd, std::uint64_t bytes,
-                                           Errno* err_out = nullptr);
-  std::unique_ptr<sim::ServiceOp> read_op(int fd, std::uint64_t bytes,
-                                          Errno* err_out = nullptr);
-  std::unique_ptr<sim::ServiceOp> rename_op(Path oldpath, Path newpath,
-                                            Errno* err_out = nullptr);
-  std::unique_ptr<sim::ServiceOp> unlink_op(Path path,
-                                            Errno* err_out = nullptr);
-  std::unique_ptr<sim::ServiceOp> symlink_op(Path target, Path linkpath,
-                                             Errno* err_out = nullptr);
-  std::unique_ptr<sim::ServiceOp> chmod_op(Path path, Mode mode,
-                                           Errno* err_out = nullptr);
-  std::unique_ptr<sim::ServiceOp> chown_op(Path path, sim::Uid uid,
-                                           sim::Gid gid,
-                                           Errno* err_out = nullptr);
-  std::unique_ptr<sim::ServiceOp> mkdir_op(Path path, Mode mode,
-                                           Errno* err_out = nullptr);
-  std::unique_ptr<sim::ServiceOp> readlink_op(Path path, std::string* out,
-                                              Errno* err_out = nullptr);
-  std::unique_ptr<sim::ServiceOp> link_op(Path oldpath, Path newpath,
-                                          Errno* err_out = nullptr);
-
-  // fd-based variants: they operate on the open file description and do
-  // NO path resolution, so a concurrent rename/unlink/symlink of the
-  // name cannot redirect them — the classic TOCTTOU remedy (replace
-  // chown(path) with fchown(fd); see the defended victims in
-  // tocttou/programs and the defense bench).
-  std::unique_ptr<sim::ServiceOp> fstat_op(int fd, StatBuf* out,
-                                           Errno* err_out = nullptr);
-  std::unique_ptr<sim::ServiceOp> fchmod_op(int fd, Mode mode,
-                                            Errno* err_out = nullptr);
-  std::unique_ptr<sim::ServiceOp> fchown_op(int fd, sim::Uid uid,
-                                            sim::Gid gid,
-                                            Errno* err_out = nullptr);
 
   // ---- used by the op implementations ----
 

@@ -14,15 +14,17 @@
 //    name is switched when the window appears.
 //  * PipelinedAttacker (Section 7): two threads; the symlink is issued
 //    asynchronously so it can overlap unlink's truncate phase.
+// Each keeps its calls' results (take()) and its AttackerStatus, which
+// the harness reads by pid; the pipelined threads share a kernel flag.
 #pragma once
 
 #include <optional>
 
 #include "tocttou/common/path.h"
-#include "tocttou/fs/vfs.h"
+#include "tocttou/fs/ops.h"
 #include "tocttou/programs/timings.h"
 #include "tocttou/sim/fields.h"
-#include "tocttou/sim/semaphore.h"
+#include "tocttou/sim/process.h"
 
 namespace tocttou::programs {
 
@@ -39,7 +41,8 @@ struct AttackTarget {
   }
 };
 
-/// Common observable state, for tests and the harness.
+/// Common observable state, for tests and the harness. Each pipelined
+/// thread fills its own part.
 struct AttackerStatus {
   bool detected = false;    // saw st_uid==0 && st_gid==0
   bool attack_done = false; // issued unlink+symlink on the watched path
@@ -54,57 +57,79 @@ struct AttackerStatus {
   }
 };
 
+/// Base of the attacker programs: the status the harness reads, and the
+/// bounded EINTR retry they share.
+class Attacker : public sim::Program {
+ public:
+  explicit Attacker(RetryPolicy retry = {}) : retry_(retry) {}
+
+  const AttackerStatus& status() const { return status_; }
+
+ protected:
+  /// EINTR retry with busy-wait backoff (attackers spin, they never
+  /// yield the CPU inside the window): on EINTR within the budget, counts
+  /// the retry, sets `phase` to `redo` and returns the backoff; otherwise
+  /// resets the attempt count.
+  template <class Phase>
+  std::optional<sim::Action> retry_eintr(Errno e, Phase& phase, Phase redo) {
+    if (e != Errno::eintr || attempt_ + 1 >= retry_.max_attempts) {
+      attempt_ = 0;
+      return std::nullopt;
+    }
+    ++attempt_;
+    ++status_.retries;
+    phase = redo;
+    return sim::Action::compute(retry_.backoff_for(attempt_), "retry");
+  }
+
+  AttackerStatus status_;
+  RetryPolicy retry_;
+  int attempt_ = 0;
+};
+
 /// Figure 2 / Figure 4: the straightforward detection loop.
-class NaiveAttacker final : public sim::Listed<NaiveAttacker, sim::Program> {
+class NaiveAttacker final : public sim::Listed<NaiveAttacker, Attacker> {
  public:
   /// `loop_comp` is the per-iteration computation (scenario-dependent);
   /// `post_detect_comp` the computation between the positive stat and
   /// the unlink call.
-  NaiveAttacker(fs::Vfs& vfs, AttackTarget target, Duration loop_comp,
+  NaiveAttacker(AttackTarget target, Duration loop_comp,
                 Duration post_detect_comp, RetryPolicy retry = {});
 
   sim::Action next(sim::ProgramContext& ctx) override;
-  const AttackerStatus& status() const { return status_; }
 
   static auto fields(auto& self) {
-    return std::tie(self.vfs_, self.target_, self.loop_comp_,
-                    self.post_detect_comp_, self.retry_, self.phase_,
-                    self.stat_out_, self.stat_err_, self.status_,
-                    self.attempt_);
+    return std::tie(self.target_, self.loop_comp_, self.post_detect_comp_,
+                    self.retry_, self.phase_, self.stat_out_, self.stat_err_,
+                    self.status_, self.attempt_);
   }
 
  private:
   enum class Phase { stat, judge, post_detect, unlink, symlink, done };
 
-  /// EINTR retry with busy-wait backoff (attackers spin, they never
-  /// yield the CPU inside the window).
-  std::optional<sim::Action> retry_eintr(Errno e, Phase redo);
+  /// Keeps the result of the call that left the program in phase_.
+  void take(const sim::SyscallResult& r);
 
-  fs::Vfs* vfs_;
   AttackTarget target_;
   Duration loop_comp_;
   Duration post_detect_comp_;
-  RetryPolicy retry_;
   Phase phase_ = Phase::stat;
   fs::StatBuf stat_out_;
   Errno stat_err_ = Errno::ok;
-  AttackerStatus status_;
-  int attempt_ = 0;
 };
 
 /// Figure 9: unlink/symlink run every iteration (on a dummy when the
 /// window is closed), removing the in-window page-fault trap.
 class PrefaultedAttacker final
-    : public sim::Listed<PrefaultedAttacker, sim::Program> {
+    : public sim::Listed<PrefaultedAttacker, Attacker> {
  public:
-  PrefaultedAttacker(fs::Vfs& vfs, AttackTarget target, Duration select_comp,
+  PrefaultedAttacker(AttackTarget target, Duration select_comp,
                      RetryPolicy retry = {});
 
   sim::Action next(sim::ProgramContext& ctx) override;
-  const AttackerStatus& status() const { return status_; }
 
   static auto fields(auto& self) {
-    return std::tie(self.vfs_, self.target_, self.select_comp_, self.retry_,
+    return std::tie(self.target_, self.select_comp_, self.retry_,
                     self.phase_, self.window_now_, self.fname_,
                     self.stat_out_, self.stat_err_, self.status_,
                     self.attempt_);
@@ -113,89 +138,76 @@ class PrefaultedAttacker final
  private:
   enum class Phase { stat, select, unlink, symlink, maybe_exit, done };
 
-  std::optional<sim::Action> retry_eintr(Errno e, Phase redo);
+  void take(const sim::SyscallResult& r);
 
-  fs::Vfs* vfs_;
   AttackTarget target_;
   Duration select_comp_;
-  RetryPolicy retry_;
   Phase phase_ = Phase::stat;
   bool window_now_ = false;
   Path fname_;  // the watched path or the dummy: a handle to either
   fs::StatBuf stat_out_;
   Errno stat_err_ = Errno::ok;
-  AttackerStatus status_;
-  int attempt_ = 0;
-};
-
-/// Section 7: shared state of the two pipelined attack threads.
-/// A checkpoint copies it as it is (the flag's wait queue carries pids
-/// only); RoundRun registers its range, since both threads point at it.
-struct PipelinedAttackState {
-  sim::EventFlag window_found{"window_found"};
-  AttackerStatus status;
 };
 
 /// Thread 1 of the pipelined attacker: detection loop + unlink. On
 /// detection it sets the flag (waking thread 2) *before* unlinking, so
 /// the symlink request races into the semaphore queue right behind the
 /// unlink and completes during unlink's truncate phase (Figure 11).
+/// Its status holds detected, iterations, its retries and unlink_err.
 class PipelinedAttackerMain final
-    : public sim::Listed<PipelinedAttackerMain, sim::Program> {
+    : public sim::Listed<PipelinedAttackerMain, Attacker> {
  public:
-  PipelinedAttackerMain(fs::Vfs& vfs, AttackTarget target, Duration loop_comp,
-                        Duration handoff_comp, PipelinedAttackState* state,
+  /// `window_found` is the kernel flag (Kernel::add_flag) thread 2 waits
+  /// on.
+  PipelinedAttackerMain(AttackTarget target, Duration loop_comp,
+                        Duration handoff_comp, sim::FlagId window_found,
                         RetryPolicy retry = {});
 
   sim::Action next(sim::ProgramContext& ctx) override;
 
-  /// `state_` is a pointer, so the digest skips the shared
-  /// PipelinedAttackState (flag + status); RoundRun hashes it once.
   static auto fields(auto& self) {
-    return std::tie(self.vfs_, self.target_, self.loop_comp_,
-                    self.handoff_comp_, self.state_, self.retry_, self.phase_,
-                    self.stat_out_, self.stat_err_, self.attempt_);
+    return std::tie(self.target_, self.loop_comp_, self.handoff_comp_,
+                    self.window_found_, self.retry_, self.phase_,
+                    self.stat_out_, self.stat_err_, self.status_,
+                    self.attempt_);
   }
 
  private:
   enum class Phase { stat, judge, signal, unlink, done };
 
-  std::optional<sim::Action> retry_eintr(Errno e, Phase redo);
+  void take(const sim::SyscallResult& r);
 
-  fs::Vfs* vfs_;
   AttackTarget target_;
   Duration loop_comp_;
   Duration handoff_comp_;
-  PipelinedAttackState* state_;
-  RetryPolicy retry_;
+  sim::FlagId window_found_;
   Phase phase_ = Phase::stat;
   fs::StatBuf stat_out_;
   Errno stat_err_ = Errno::ok;
-  int attempt_ = 0;
 };
 
 /// Thread 2: waits for the flag, then issues the symlink, retrying on
-/// EEXIST (it may beat the unlink into the directory).
+/// EEXIST (it may beat the unlink into the directory). Its status holds
+/// attack_done, symlink_err and its retries.
 class PipelinedAttackerSymlinker final
-    : public sim::Listed<PipelinedAttackerSymlinker, sim::Program> {
+    : public sim::Listed<PipelinedAttackerSymlinker, Attacker> {
  public:
-  PipelinedAttackerSymlinker(fs::Vfs& vfs, AttackTarget target,
-                             Duration retry_comp, PipelinedAttackState* state);
+  PipelinedAttackerSymlinker(AttackTarget target, Duration retry_comp,
+                             sim::FlagId window_found);
 
   sim::Action next(sim::ProgramContext& ctx) override;
 
-  /// Shared state hashed by RoundRun (see PipelinedAttackerMain).
   static auto fields(auto& self) {
-    return std::tie(self.vfs_, self.target_, self.retry_comp_, self.state_,
-                    self.phase_, self.symlink_err_, self.attempts_);
+    return std::tie(self.target_, self.retry_comp_, self.window_found_,
+                    self.phase_, self.symlink_err_, self.attempts_,
+                    self.status_);
   }
 
  private:
   enum class Phase { wait, symlink, judge, retry, done };
-  fs::Vfs* vfs_;
   AttackTarget target_;
   Duration retry_comp_;
-  PipelinedAttackState* state_;
+  sim::FlagId window_found_;
   Phase phase_ = Phase::wait;
   Errno symlink_err_ = Errno::ok;
   int attempts_ = 0;

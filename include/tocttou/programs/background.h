@@ -22,8 +22,12 @@
 #include "tocttou/common/path.h"
 #include "tocttou/common/time.h"
 #include "tocttou/fs/types.h"
-#include "tocttou/fs/vfs.h"
 #include "tocttou/sim/fields.h"
+#include "tocttou/sim/process.h"
+
+namespace tocttou::fs {
+class Vfs;
+}
 
 namespace tocttou::sim {
 class Kernel;
@@ -79,8 +83,7 @@ void stage_background_tree(fs::Vfs& vfs, const BackgroundSpec& spec);
 /// Spawns spec.total_processes() tenants into the kernel, uids 10000+i,
 /// names "www/N", "cron/N", "build/N", "log/N". Call after the victim so
 /// victim/attacker pids stay stable.
-void spawn_background_tenants(sim::Kernel& kernel, fs::Vfs& vfs,
-                              const BackgroundSpec& spec);
+void spawn_background_tenants(sim::Kernel& kernel, const BackgroundSpec& spec);
 
 /// Web server tenant: think, then serve one request — stat a docroot
 /// file, open, read, close, parse (compute). Request targets and think
@@ -88,23 +91,24 @@ void spawn_background_tenants(sim::Kernel& kernel, fs::Vfs& vfs,
 class WebServerTenant final
     : public sim::Listed<WebServerTenant, sim::Program> {
  public:
-  WebServerTenant(fs::Vfs& vfs, int docroot_files, int intensity);
+  WebServerTenant(int docroot_files, int intensity);
 
   sim::Action next(sim::ProgramContext& ctx) override;
 
   static auto fields(auto& self) {
-    return std::tie(self.vfs_, self.docroot_files_, self.intensity_,
-                    self.phase_, self.target_, self.stat_out_, self.stat_err_,
-                    self.open_out_, self.io_err_);
+    return std::tie(self.docroot_files_, self.intensity_, self.phase_,
+                    self.target_, self.request_, self.stat_out_,
+                    self.stat_err_, self.open_out_, self.io_err_);
   }
 
  private:
   enum class Phase { think, stat, open, read, close, parse };
-  fs::Vfs* vfs_;
+  void take(const sim::SyscallResult& r);
   int docroot_files_;
   int intensity_;
   Phase phase_ = Phase::think;
   int target_ = 0;
+  Path request_;  // /srv/www/f<target_>, from the stat to the open
   fs::StatBuf stat_out_;
   Errno stat_err_ = Errno::ok;
   fs::OpenResult open_out_;
@@ -115,20 +119,22 @@ class WebServerTenant final
 /// intensity-scaled compute burst (the "job").
 class CronDaemon final : public sim::Listed<CronDaemon, sim::Program> {
  public:
-  CronDaemon(fs::Vfs& vfs, int intensity);
+  explicit CronDaemon(int intensity);
 
   sim::Action next(sim::ProgramContext& ctx) override;
 
   static auto fields(auto& self) {
-    return std::tie(self.vfs_, self.intensity_, self.phase_, self.stat_out_,
-                    self.stat_err_, self.open_out_, self.io_err_);
+    return std::tie(self.intensity_, self.phase_, self.crontab_,
+                    self.stat_out_, self.stat_err_, self.open_out_,
+                    self.io_err_);
   }
 
  private:
   enum class Phase { sleep, stat, open, read, close, job };
-  fs::Vfs* vfs_;
+  void take(const sim::SyscallResult& r);
   int intensity_;
   Phase phase_ = Phase::sleep;
+  Path crontab_;  // from the stat to the open that moves it away
   fs::StatBuf stat_out_;
   Errno stat_err_ = Errno::ok;
   fs::OpenResult open_out_;
@@ -140,22 +146,25 @@ class CronDaemon final : public sim::Listed<CronDaemon, sim::Program> {
 /// shared directory's entries and i_sem.
 class BuildJob final : public sim::Listed<BuildJob, sim::Program> {
  public:
-  BuildJob(fs::Vfs& vfs, int slot, int intensity);
+  BuildJob(int slot, int intensity);
 
   sim::Action next(sim::ProgramContext& ctx) override;
 
   static auto fields(auto& self) {
-    return std::tie(self.vfs_, self.slot_, self.intensity_, self.phase_,
+    return std::tie(self.slot_, self.intensity_, self.phase_, self.object_,
                     self.open_out_, self.io_err_);
   }
 
  private:
   enum class Phase { compile, open, write, close, unlink, idle };
+  void take(const sim::SyscallResult& r);
   Path object_path() const;
-  fs::Vfs* vfs_;
   int slot_;
   int intensity_;
   Phase phase_ = Phase::compile;
+  /// The object file, from the open to the unlink that moves it away;
+  /// dropped when the open fails.
+  Path object_;
   fs::OpenResult open_out_;
   Errno io_err_ = Errno::ok;
 };
@@ -164,19 +173,19 @@ class BuildJob final : public sim::Listed<BuildJob, sim::Program> {
 /// its /var/log file, repeat.
 class LogWriter final : public sim::Listed<LogWriter, sim::Program> {
  public:
-  LogWriter(fs::Vfs& vfs, int slot, int intensity);
+  LogWriter(int slot, int intensity);
 
   sim::Action next(sim::ProgramContext& ctx) override;
 
   static auto fields(auto& self) {
-    return std::tie(self.vfs_, self.slot_, self.intensity_, self.phase_,
-                    self.open_out_, self.io_err_);
+    return std::tie(self.slot_, self.intensity_, self.phase_, self.open_out_,
+                    self.io_err_);
   }
 
  private:
   enum class Phase { sleep, open, write, close };
+  void take(const sim::SyscallResult& r);
   Path log_path() const;
-  fs::Vfs* vfs_;
   int slot_;
   int intensity_;
   Phase phase_ = Phase::sleep;

@@ -5,16 +5,17 @@
 // calls (ProgramTimings). The victims run as root editing a file owned
 // by the attacker — the paper's precondition list (Section 2.3). Their
 // configs hold Paths, parsed once when the config is built and shared
-// by every op the victim issues.
+// by every op the victim issues. take() keeps each call's result.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 
 #include "tocttou/common/path.h"
-#include "tocttou/fs/vfs.h"
+#include "tocttou/fs/ops.h"
 #include "tocttou/programs/timings.h"
 #include "tocttou/sim/fields.h"
+#include "tocttou/sim/process.h"
 
 namespace tocttou::programs {
 
@@ -51,11 +52,11 @@ struct ViVictimConfig {
 
 class ViVictim final : public sim::Listed<ViVictim, sim::Program> {
  public:
-  ViVictim(fs::Vfs& vfs, ViVictimConfig cfg);
+  explicit ViVictim(ViVictimConfig cfg);
   sim::Action next(sim::ProgramContext& ctx) override;
 
   static auto fields(auto& self) {
-    return std::tie(self.vfs_, self.cfg_, self.phase_, self.written_,
+    return std::tie(self.cfg_, self.phase_, self.written_,
                     self.pending_chunk_, self.open_out_, self.load_out_,
                     self.err_, self.attempt_, self.retries_);
   }
@@ -71,12 +72,13 @@ class ViVictim final : public sim::Listed<ViVictim, sim::Program> {
     pre_close, fchown_fd, close, pre_chown, chown, chown_ret, done,
   };
 
+  /// Keeps the result of the call that left the victim in phase_.
+  void take(const sim::SyscallResult& r);
   /// If `e` is EINTR and the retry budget allows, backs off (sleep) and
   /// redoes phase `redo`; otherwise resets the attempt counter and lets
   /// the caller proceed (success, hard error, or budget exhausted).
   std::optional<sim::Action> retry_eintr(Errno e, Phase redo);
 
-  fs::Vfs* vfs_;
   ViVictimConfig cfg_;
   Phase phase_ = Phase::load_open;
   std::uint64_t written_ = 0;
@@ -122,11 +124,11 @@ struct GeditVictimConfig {
 
 class GeditVictim final : public sim::Listed<GeditVictim, sim::Program> {
  public:
-  GeditVictim(fs::Vfs& vfs, GeditVictimConfig cfg);
+  explicit GeditVictim(GeditVictimConfig cfg);
   sim::Action next(sim::ProgramContext& ctx) override;
 
   static auto fields(auto& self) {
-    return std::tie(self.vfs_, self.cfg_, self.phase_, self.written_,
+    return std::tie(self.cfg_, self.phase_, self.written_,
                     self.pending_chunk_, self.open_out_, self.load_out_,
                     self.err_, self.attempt_, self.retries_);
   }
@@ -143,10 +145,10 @@ class GeditVictim final : public sim::Listed<GeditVictim, sim::Program> {
     comp_gap, chmod, chmod_chown_gap, chown, chown_ret, done,
   };
 
+  void take(const sim::SyscallResult& r);
   /// Same contract as ViVictim::retry_eintr.
   std::optional<sim::Action> retry_eintr(Errno e, Phase redo);
 
-  fs::Vfs* vfs_;
   GeditVictimConfig cfg_;
   Phase phase_ = Phase::load_open;
   std::uint64_t written_ = 0;
@@ -184,17 +186,16 @@ struct SuspendingVictimConfig {
 class SuspendingVictim final
     : public sim::Listed<SuspendingVictim, sim::Program> {
  public:
-  SuspendingVictim(fs::Vfs& vfs, SuspendingVictimConfig cfg);
+  explicit SuspendingVictim(SuspendingVictimConfig cfg);
   sim::Action next(sim::ProgramContext& ctx) override;
 
   static auto fields(auto& self) {
-    return std::tie(self.vfs_, self.cfg_, self.phase_, self.open_out_,
-                    self.err_);
+    return std::tie(self.cfg_, self.phase_, self.open_out_, self.err_);
   }
 
  private:
   enum class Phase { think, rename_away, check, io, close, use, done };
-  fs::Vfs* vfs_;
+  void take(const sim::SyscallResult& r);
   SuspendingVictimConfig cfg_;
   Phase phase_ = Phase::think;
   fs::OpenResult open_out_;
@@ -223,12 +224,12 @@ struct SendmailVictimConfig {
 
 class SendmailVictim final : public sim::Listed<SendmailVictim, sim::Program> {
  public:
-  SendmailVictim(fs::Vfs& vfs, SendmailVictimConfig cfg);
+  explicit SendmailVictim(SendmailVictimConfig cfg);
   sim::Action next(sim::ProgramContext& ctx) override;
 
   static auto fields(auto& self) {
-    return std::tie(self.vfs_, self.cfg_, self.phase_, self.stat_out_,
-                    self.open_out_, self.err_, self.rejected_);
+    return std::tie(self.cfg_, self.phase_, self.stat_out_, self.open_out_,
+                    self.err_, self.rejected_);
   }
 
   /// True if the check step rejected the mailbox (symlink found in time).
@@ -236,7 +237,7 @@ class SendmailVictim final : public sim::Listed<SendmailVictim, sim::Program> {
 
  private:
   enum class Phase { think, check, gap, open, write, close, done };
-  fs::Vfs* vfs_;
+  void take(const sim::SyscallResult& r);
   SendmailVictimConfig cfg_;
   Phase phase_ = Phase::think;
   fs::StatBuf stat_out_;

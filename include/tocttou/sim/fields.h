@@ -1,29 +1,24 @@
-// One field list per state type: the checkpoint clone and the canonical
-// state digest (DESIGN.md §6, §10) are both derived from it.
+// One field list per state type: the canonical state digest (DESIGN.md
+// §10) is derived from it.
 //
 // A listed type names every data member once, in a static function
 //
 //   static auto fields(auto& self) { return std::tie(self.a_, self.b_); }
 //
-// `self` may be const or not, so the one list serves the digest (read
-// only) and the clone (pointers rewritten). A type that derives from a
-// listed base prepends the base's list with std::tuple_cat. Supported
-// member kinds: integers, enums, bool, double, Duration, SimTime,
-// std::string, Path, std::optional, nested listed types, and raw
-// pointers. A Path (common/path.h) hashes as its text, the bytes a
-// std::string holding that text feeds, and its copy shares the parse
-// with nothing to rebind; so does any type whose str() returns the text
-// it stands for, such as a walker's final name, a handle to the walked
-// Path read as its last component. A raw pointer is rebound through the
-// CloneMap and never hashed — the pointee's owner hashes the pointee.
+// `self` may be const or not. A type that derives from a listed base
+// prepends the base's list with std::tuple_cat. Supported member kinds:
+// integers, enums, bool, double, Duration, SimTime, std::string, Path,
+// std::optional and nested listed types. A Path (common/path.h) hashes
+// as its text, the bytes a std::string holding that text feeds; so does
+// any type whose str() returns the text it stands for, such as a
+// walker's final name, a handle to the walked Path read as its last
+// component. A raw pointer is rejected at compile time: a listed program
+// or op points at nothing, so a plain copy is its checkpoint copy.
 //
 // sim::Listed<Derived, Base> gives a ServiceOp or Program subclass its
-// clone (copy-construct; for a program, register its range so that the
-// output slots of in-flight ops resolve; then rebind every pointer) and
-// its hash_state (the concrete type's name, then the fields in list
-// order). Every listed field is both hashed and rebound, so while the
-// list names every member nothing is copied but not hashed, or hashed
-// but not rebound.
+// clone (a plain copy-construct) and its hash_state (the concrete type's
+// name, then the fields in list order). While the list names every
+// member, nothing is copied but not hashed.
 #pragma once
 
 #include <concepts>
@@ -39,7 +34,6 @@
 #include "tocttou/common/path.h"
 #include "tocttou/common/state_hash.h"
 #include "tocttou/common/time.h"
-#include "tocttou/sim/clone.h"
 #include "tocttou/sim/program.h"
 #include "tocttou/sim/service.h"
 
@@ -66,9 +60,7 @@ inline constexpr bool kUnsupported = false;
 /// Feeds one field into the digest (see the file comment for the kinds).
 template <typename T>
 void hash_field(StateHasher& h, const T& v) {
-  if constexpr (std::is_pointer_v<T>) {
-    (void)h;  // rebound, never hashed: the pointee's owner hashes it
-  } else if constexpr (HasFields<T>) {
+  if constexpr (HasFields<T>) {
     std::apply([&h](const auto&... f) { (hash_field(h, f), ...); },
                T::fields(v));
   } else if constexpr (detail::kIsOptional<T>) {
@@ -89,41 +81,25 @@ void hash_field(StateHasher& h, const T& v) {
   } else if constexpr (HashedAsText<T>) {
     h.str(v.str());
   } else {
+    // Pointers land here too: a copy of their owner would share the
+    // pointee (DESIGN.md §10.2).
     static_assert(detail::kUnsupported<T>, "unsupported field kind");
   }
 }
 
-/// Rewrites every raw pointer reachable through one field of a fresh
-/// copy to its clone; fails hard on a pointer into unregistered state.
-template <typename T>
-void rebind_field(T& v, const CloneMap& m) {
-  if constexpr (std::is_pointer_v<T>) {
-    v = m.remap(v);
-  } else if constexpr (HasFields<T>) {
-    std::apply([&m](auto&... f) { (rebind_field(f, m), ...); },
-               T::fields(v));
-  } else if constexpr (detail::kIsOptional<T>) {
-    if (v) rebind_field(*v, m);
-  }
-}
-
 /// CRTP base of a listed ServiceOp or Program (`Base` is either, or one
-/// of their subclasses): derives clone and hash_state from
-/// Derived::fields, as the file comment describes.
+/// of their subclasses): derives clone and hash_state, as the file
+/// comment describes.
 template <typename Derived, typename Base>
 class Listed : public Base {
-  static constexpr bool kProgram = std::is_base_of_v<Program, Base>;
-  using Root = std::conditional_t<kProgram, Program, ServiceOp>;
+  using Root = std::conditional_t<std::is_base_of_v<Program, Base>, Program,
+                                  ServiceOp>;
 
  public:
   using Base::Base;
 
-  std::unique_ptr<Root> clone(CloneMap& m) const override {
-    const auto& self = static_cast<const Derived&>(*this);
-    auto copy = std::make_unique<Derived>(self);
-    if constexpr (kProgram) m.add_range(&self, copy.get(), sizeof(Derived));
-    rebind_field(*copy, m);
-    return copy;
+  std::unique_ptr<Root> clone() const override {
+    return std::make_unique<Derived>(static_cast<const Derived&>(*this));
   }
 
   void hash_state(StateHasher& h) const override {

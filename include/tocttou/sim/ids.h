@@ -19,4 +19,7 @@ using Gid = std::uint32_t;
 inline constexpr Uid kRootUid = 0;
 inline constexpr Gid kRootGid = 0;
 
+/// An event flag: its index in the kernel's flag table (Kernel::add_flag).
+using FlagId = std::uint32_t;
+
 }  // namespace tocttou::sim

@@ -1,13 +1,17 @@
 // The simulated kernel: event loop, CPUs, dispatching, blocking,
-// semaphores, traps, and tracing. This is the substrate every experiment
-// runs on; see DESIGN.md §4 for the architecture. A round's observers
-// and fault injector attach here and nowhere else: the kernel makes
-// every fault decision and produces every simulation-time metric (ops
-// report theirs through metrics()). Its pending work is typed events
-// (sim/event_queue.h) that step() dispatches through one switch, and its
-// run queues hold pids: what a checkpoint fork copies and the state
-// digest hashes is plain data, exactly as the kernel will run it. So is
-// what a process waits on: it becomes text only for a trace or metrics.
+// semaphores, flags, traps, and tracing. This is the substrate every
+// experiment runs on; see DESIGN.md §4 for the architecture. A round's
+// file system, observers and fault injector attach here and nowhere
+// else: the kernel makes every fault decision, produces every
+// simulation-time metric (ops report theirs through metrics()) and hands
+// every op the Vfs through its context. Its pending work is typed events
+// (sim/event_queue.h) that step() dispatches through one switch, its run
+// queues hold pids, and it owns the event flags programs name by index:
+// what a checkpoint fork copies and the state digest hashes is plain
+// data, exactly as the kernel will run it. So is what a process waits
+// on: it becomes text only for a trace or metrics.
+// A copy is member by member with every sink detached (SinkPtr), so a
+// fork never writes into its parent's tree or streams.
 #pragma once
 
 #include <functional>
@@ -22,6 +26,7 @@
 #include "tocttou/sim/event_queue.h"
 #include "tocttou/sim/ids.h"
 #include "tocttou/sim/machine.h"
+#include "tocttou/sim/owned.h"
 #include "tocttou/sim/process.h"
 #include "tocttou/sim/scheduler.h"
 #include "tocttou/sim/semaphore.h"
@@ -36,10 +41,35 @@ namespace tocttou::detect {
 class SyncLog;
 }
 
+namespace tocttou::fs {
+class Vfs;
+}
+
 namespace tocttou::sim {
 
-class CloneMap;
 class FaultInjector;
+
+/// A pointer to one of the round's sinks (its file system, an observer or
+/// the fault injector). A copy starts detached (null) until its owner
+/// attaches its own.
+template <typename T>
+class SinkPtr {
+ public:
+  SinkPtr() = default;
+  explicit SinkPtr(T* p) : p_(p) {}
+  SinkPtr(const SinkPtr&) {}
+  SinkPtr& operator=(const SinkPtr&) = delete;
+  SinkPtr& operator=(T* p) {
+    p_ = p;
+    return *this;
+  }
+
+  operator T*() const { return p_; }
+  T* operator->() const { return p_; }
+
+ private:
+  T* p_ = nullptr;
+};
 
 class Kernel {
  public:
@@ -49,18 +79,24 @@ class Kernel {
          std::uint64_t seed, trace::RoundTrace* trace = nullptr);
   ~Kernel();
 
-  Kernel(const Kernel&) = delete;
+  /// Checkpoint support: a member-wise copy of a mid-round kernel (it
+  /// names processes by pid, semaphores by inode and flags by index),
+  /// with every sink detached.
+  Kernel(const Kernel&) = default;
   Kernel& operator=(const Kernel&) = delete;
 
-  /// Checkpoint support: deep-copies a mid-round kernel. The caller must
-  /// have registered the surrounding round state (the Vfs,
-  /// trace/metrics/fault sinks, shared attack state) in `m` first; this
-  /// ctor copies the process table, then clones the programs and
-  /// in-flight service ops against the new addresses. Its own state —
-  /// pending events, run queues, CPU occupancy — names processes by pid
-  /// only, so it is copied as it is: nothing in it is remapped, and no
-  /// process registers a range in `m`.
-  Kernel(const Kernel& o, CloneMap& m);
+  /// Attaches the round's file system, which ops reach through
+  /// ServiceContext::vfs() (nullptr = none). Must outlive the kernel.
+  void set_vfs(fs::Vfs* vfs) { vfs_ = vfs; }
+
+  /// Attaches the round's trace (nullptr = none; campaign mode records
+  /// journals only when one is attached). Must outlive the kernel.
+  void set_trace(trace::RoundTrace* trace) { trace_ = trace; }
+
+  /// Adds an unset event flag and returns the index actions name it by.
+  /// `name` must have static storage (a string literal).
+  FlagId add_flag(std::string_view name);
+  const EventFlag& flag(FlagId id) const;
 
   /// Creates a process; it becomes runnable immediately (dispatch happens
   /// when the event loop next runs).
@@ -135,10 +171,10 @@ class Kernel {
 
   /// Canonical state digest contribution (DESIGN.md §10): pending
   /// events (a segment end only while it can still fire), rng, process
-  /// table (including program/op state machines), CPU occupancy, and
-  /// scheduler run queues. Rounds with a fault injector attached are
-  /// unhashable — the injector's trigger counters are future-relevant
-  /// state the kernel cannot see.
+  /// table (including program/op state machines), CPU occupancy, the
+  /// flag table and scheduler run queues. Rounds with a fault injector
+  /// attached are unhashable — the injector's trigger counters are
+  /// future-relevant state the kernel cannot see.
   void hash_state(StateHasher& h) const;
 
   /// Attaches the round's victim-window tracker (nullptr = none). The
@@ -190,10 +226,11 @@ class Kernel {
   /// "flag:<name>" or, for device I/O, the op in service's name.
   void trace_wait(const Process& p);
   void handle_exit(Process& p);
-  void complete_service(Process& p, Errno result);
-  /// Journals the completed syscall, then either kills the process (an
-  /// injected mid-round death) or lets it pick its next action.
-  void finish_syscall(Process& p, Errno result);
+  /// Hands the op's result to its process and journals the call.
+  void complete_service(Process& p);
+  /// Completes the syscall, then either kills the process (an injected
+  /// mid-round death) or lets it pick its next action.
+  void finish_syscall(Process& p);
   void free_cpu(Process& p);
   void charge(Process& p, Duration ran);
   void trace_segment(const Process& p, trace::Category cat,
@@ -202,13 +239,14 @@ class Kernel {
   void fill_idle_allowed_cpus(const Process& p, std::vector<CpuId>* out) const;
 
   MachineSpec spec_;
-  std::unique_ptr<Scheduler> sched_;
+  Owned<Scheduler> sched_;
   Rng rng_;
-  trace::RoundTrace* trace_ = nullptr;
-  FaultInjector* faults_ = nullptr;
-  metrics::Registry* metrics_ = nullptr;
-  detect::SyncLog* sync_ = nullptr;
-  trace::WindowTracker* window_ = nullptr;
+  SinkPtr<fs::Vfs> vfs_;
+  SinkPtr<trace::RoundTrace> trace_;
+  SinkPtr<FaultInjector> faults_;
+  SinkPtr<metrics::Registry> metrics_;
+  SinkPtr<detect::SyncLog> sync_;
+  SinkPtr<trace::WindowTracker> window_;
   // Scratch for make_ready placement; avoids two vector allocations per
   // wakeup on the hot path. Safe because placement fully consumes the
   // lists before anything re-entrant runs.
@@ -216,8 +254,9 @@ class Kernel {
   std::vector<CpuId> idle_scratch_;
 
   EventQueue queue_;
-  std::vector<std::unique_ptr<Process>> procs_;  // index = pid - 1
+  std::vector<Owned<Process>> procs_;  // index = pid - 1
   std::vector<CpuState> cpus_;
+  std::vector<EventFlag> flags_;  // index = FlagId
   bool background_started_ = false;
 };
 

@@ -1,18 +1,21 @@
 // Simulated process (task) state.
 //
 // All mutation happens inside the Kernel; programs and analysis code see
-// read-only accessors.
+// read-only accessors. A Process points at nothing (it owns its program
+// and op through sim::Owned, and holds its syscall result by value), so a
+// checkpoint copies it member by member.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
-#include <string_view>
 
+#include "tocttou/common/path.h"
 #include "tocttou/common/time.h"
+#include "tocttou/fs/types.h"
 #include "tocttou/sim/ids.h"
+#include "tocttou/sim/owned.h"
 #include "tocttou/sim/program.h"
 
 namespace tocttou::sim {
@@ -42,6 +45,17 @@ struct SpawnOptions {
   std::optional<Duration> initial_slice;
 };
 
+/// What a syscall returns, read as ctx.result() in the next() after the
+/// call. The kernel resets it when it installs the op, the op writes its
+/// fd, StatBuf or link target in its final advance and the kernel the
+/// errno, so a failed call leaves fd -1, a default StatBuf and no link.
+struct SyscallResult {
+  Errno err = Errno::ok;
+  int fd = -1;       // open
+  fs::StatBuf stat;  // stat, lstat, fstat
+  Path link;         // readlink's target
+};
+
 class Process {
  public:
   Pid pid() const { return pid_; }
@@ -59,14 +73,18 @@ class Process {
   Duration cpu_time() const { return cpu_time_; }
   /// Number of involuntary preemptions suffered so far.
   std::uint64_t preemptions() const { return preemptions_; }
+  /// The program the process runs; an exited process keeps it, so a
+  /// round's judge reads its attackers' and victim's state by pid.
+  const Program& program() const { return *program_; }
 
-  /// Canonical state digest (DESIGN.md §10): every field the kernel's
-  /// clone ctor copies — identity, scheduling state, the in-flight
-  /// action, and the owned program/op state machines.
+  /// Canonical state digest (DESIGN.md §10): identity, scheduling state,
+  /// the in-flight action, a pending syscall result, and the owned
+  /// program/op state machines.
   void hash_state(StateHasher& h) const;
 
  private:
   friend class Kernel;
+  friend struct ProgramContext;
   Process() = default;
 
   Pid pid_ = kNoPid;
@@ -77,7 +95,7 @@ class Process {
   std::uint64_t affinity_mask_ = ~0ull;
   bool kernel_thread_ = false;
 
-  std::unique_ptr<Program> program_;
+  Owned<Program> program_;
   ProcState state_ = ProcState::ready;
   CpuId cpu_ = kNoCpu;
   CpuId last_cpu_ = kNoCpu;
@@ -90,7 +108,7 @@ class Process {
   Duration compute_left_ = Duration::zero();
   std::string compute_label_;
   // In-flight service op, if any.
-  std::unique_ptr<ServiceOp> op_;
+  Owned<ServiceOp> op_;
   SimTime op_enter_;           // syscall entry time (for the journal)
   bool need_resched_ = false;  // preemption requested at next safe point
   // Number of semaphores held (release-on-exit check). Which ones is
@@ -100,8 +118,10 @@ class Process {
   std::set<int> mapped_libc_pages_;
   // Generation counter to invalidate stale scheduled segment events.
   std::uint64_t seg_gen_ = 0;
-  // Syscall result held across an injected completion latency spike.
-  Errno pending_result_ = Errno::ok;
+  // The in-flight or last syscall's result (its errno written at
+  // Step::done), pending from its completion until next() returns.
+  SyscallResult result_;
+  bool result_pending_ = false;
   // False from the installation of an op to its first advance, and only
   // in rounds whose fault injector can fail a syscall at entry: the
   // kernel asks the injector at that first advance. Rounds with an
@@ -117,11 +137,18 @@ class Process {
   // began, and the semaphore's inode or the flag it waits on.
   SimTime block_start_;
   std::uint64_t wait_ino_ = 0;
-  std::string_view wait_flag_;
+  FlagId wait_flag_ = 0;
   // Wakeup-latency bookkeeping (metrics only; wake_pending_ is set only
   // when a metrics registry is attached).
   SimTime wake_time_;
   bool wake_pending_ = false;
 };
+
+inline bool ProgramContext::has_result() const { return self.result_pending_; }
+
+inline const SyscallResult& ProgramContext::result() const {
+  TOCTTOU_CHECK(self.result_pending_, "no syscall has just completed");
+  return self.result_;
+}
 
 }  // namespace tocttou::sim

@@ -1,9 +1,10 @@
 // Programs: the user-mode side of a simulated process.
 //
 // A Program is a state machine that yields Actions. The kernel executes
-// one action at a time and calls next() again when it completes; syscall
-// results flow back through program-owned output slots that the service
-// ops write into (the program outlives every op it issues).
+// one action at a time and calls next() again when it completes. The
+// next() after a syscall reads its result by value (ctx.result()) and
+// keeps what it needs in its own fields; flags are indices into the
+// kernel's table. So a program points at nothing outside itself.
 #pragma once
 
 #include <memory>
@@ -13,14 +14,13 @@
 #include "tocttou/common/rng.h"
 #include "tocttou/common/time.h"
 #include "tocttou/sim/ids.h"
-#include "tocttou/sim/semaphore.h"
 #include "tocttou/sim/service.h"
 
 namespace tocttou::sim {
 
-class CloneMap;
 class Kernel;
 class Process;
+struct SyscallResult;
 
 /// What a program asks the kernel to do next.
 struct Action {
@@ -38,7 +38,7 @@ struct Action {
   Duration dur = Duration::zero();
   std::string label;  // compute/mark trace label
   std::unique_ptr<ServiceOp> op;
-  EventFlag* flag = nullptr;
+  FlagId flag = 0;  // an index into the kernel's flag table
 
   static Action compute(Duration d, std::string label = "comp") {
     Action a;
@@ -59,13 +59,13 @@ struct Action {
     a.dur = d;
     return a;
   }
-  static Action wait_flag(EventFlag* f) {
+  static Action wait_flag(FlagId f) {
     Action a;
     a.kind = Kind::wait_flag;
     a.flag = f;
     return a;
   }
-  static Action set_flag(EventFlag* f) {
+  static Action set_flag(FlagId f) {
     Action a;
     a.kind = Kind::set_flag;
     a.flag = f;
@@ -86,6 +86,12 @@ struct ProgramContext {
   Process& self;
   Rng& rng;
   SimTime now;
+
+  /// True in the next() that follows a syscall.
+  bool has_result() const;
+  /// The result of the syscall that has just completed; CHECKs that this
+  /// next() follows one (the kernel consumes it when next() returns).
+  const SyscallResult& result() const;
 };
 
 class Program {
@@ -93,27 +99,25 @@ class Program {
   virtual ~Program() = default;
 
   /// Returns the next action. Called when the previous action completed
-  /// (for services: after the syscall returned and wrote its outputs).
+  /// (for services: after the syscall returned; ctx.result() holds what
+  /// it returned).
   virtual Action next(ProgramContext& ctx) = 0;
 
-  /// Checkpoint support: deep-copies the program's state machine for a
-  /// cloned round, remapping any pointers into simulation state (the
-  /// Vfs, shared attack state) through `m`, and registers the copy's
-  /// range so that in-flight ops' output slots resolve. Programs derive
-  /// it, with hash_state, from their field list (sim::Listed,
-  /// sim/fields.h). The default fails hard rather than being pure so
-  /// programs that never run under the checkpointing explorer (test
-  /// doubles, one-off experiment programs) need not implement it.
-  virtual std::unique_ptr<Program> clone(CloneMap& m) const {
-    (void)m;
+  /// Checkpoint support: a copy of the program's state machine for a
+  /// forked round. Programs derive it, with hash_state, from their field
+  /// list (sim::Listed, sim/fields.h). The default fails hard rather
+  /// than being pure so programs that never run under the checkpointing
+  /// explorer (test doubles, one-off experiment programs) need not
+  /// implement it.
+  virtual std::unique_ptr<Program> clone() const {
     TOCTTOU_CHECK(false, "program does not support checkpoint clone");
     return nullptr;
   }
 
   /// Canonical state digest contribution (DESIGN.md §10): every field of
   /// the program's state machine that can influence its future actions,
-  /// including the values in its output slots. Programs that do not
-  /// implement it are unhashable — the explorer never merges their
+  /// including what it kept of its syscalls' results. Programs that do
+  /// not implement it are unhashable — the explorer never merges their
   /// rounds, which is safe (never merging is always correct).
   virtual void hash_state(StateHasher& h) const { h.mark_unhashable(); }
 };

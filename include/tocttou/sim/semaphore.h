@@ -97,11 +97,13 @@ inline std::string sem_label(std::uint64_t ino) {
 
 /// A one-shot user-level event flag (futex-like), used by multithreaded
 /// attack programs to hand work between threads (Section 7's pipelined
-/// attacker). set() wakes all waiters; the flag stays set.
+/// attacker). The kernel owns every flag, in a table that programs name
+/// by index (Kernel::add_flag). Setting it wakes all waiters; the flag
+/// stays set.
 class EventFlag {
  public:
   /// `name` must have static storage — build it from a string literal:
-  /// processes, sync logs and checkpoint copies keep views of it.
+  /// sync logs and checkpoint copies keep views of it.
   explicit EventFlag(std::string_view name) : name_(name) {}
 
   /// Copied as it is by a checkpoint (see Semaphore): Pids are

@@ -1,11 +1,11 @@
 // Service operations: kernel-side state machines for syscalls.
 //
 // A `ServiceOp` is the simulated analogue of a syscall implementation.
-// The process's program constructs one (the VFS provides factories for
-// every file-system call) and yields it as an Action; the kernel then
+// The process's program constructs one (fs/ops.h has a factory for every
+// file-system call) and yields it as an Action; the kernel then
 // repeatedly calls advance(), honoring each returned Step (in a round
 // that injects syscall errors, the kernel may instead end the call at
-// its first advance through fail_at_entry()):
+// its first advance, before the op has run):
 //
 //   work(d)        consume d of CPU time in kernel mode (non-preemptible;
 //                  the time is still charged against the time slice)
@@ -18,6 +18,11 @@
 // instantaneous at the current virtual time, which is exactly the
 // linearization-point semantics the paper's analysis assumes (a rename is
 // visible the moment it happens inside the semaphore-protected section).
+//
+// A call returns its result by value: the op writes its fd, StatBuf or
+// link target into its process's result record (SyscallResult) in its
+// final advance, and the kernel the errno. An op reaches the round's Vfs
+// through its context, so it points at nothing.
 #pragma once
 
 #include <memory>
@@ -31,15 +36,19 @@
 #include "tocttou/sim/ids.h"
 #include "tocttou/sim/semaphore.h"
 
+namespace tocttou::fs {
+class Vfs;
+}
+
 namespace tocttou::trace {
 struct SyscallRecord;
 }
 
 namespace tocttou::sim {
 
-class CloneMap;
 class Kernel;
 class Process;
+struct SyscallResult;
 
 struct Step {
   enum class Kind { work, acquire, release, block_io, done };
@@ -64,12 +73,22 @@ struct Step {
 };
 
 /// Execution context handed to ServiceOp::advance. Ops reach the
-/// round's metrics registry through `kernel` (Kernel::metrics()).
+/// round's metrics registry through `kernel` (Kernel::metrics()) and its
+/// file system through vfs().
 struct ServiceContext {
   Kernel& kernel;
   Process& proc;
   Rng& rng;
   SimTime now;
+  fs::Vfs* file_system;  // Kernel::set_vfs; null in kernels with no Vfs
+  /// The call's result record, which the op fills in its final advance.
+  SyscallResult& result;
+
+  fs::Vfs& vfs() const {
+    if (file_system == nullptr) [[unlikely]] no_vfs();
+    return *file_system;
+  }
+  [[noreturn]] static void no_vfs();
 };
 
 class ServiceOp {
@@ -91,12 +110,6 @@ class ServiceOp {
   /// after each non-done step completes.
   virtual Step advance(ServiceContext& ctx) = 0;
 
-  /// Fails the call at entry with `e`, in place of its first advance()
-  /// (the kernel's syscall-error injection, sim/faults.h): writes the
-  /// call's output slots as a failed call would and returns done(e).
-  /// Nothing has run yet, so there is nothing to undo.
-  virtual Step fail_at_entry(Errno e) { return Step::done(e); }
-
   /// Identifier of the libc page holding this call's user-space wrapper.
   /// The kernel injects a page-fault trap the first time a process issues
   /// a call from a page it has not touched yet — the effect that dooms
@@ -110,13 +123,11 @@ class ServiceOp {
   /// paths.
   virtual void fill_record(trace::SyscallRecord& rec) const { (void)rec; }
 
-  /// Checkpoint support: deep-copies the in-flight syscall state machine
-  /// for a cloned round, remapping its `Vfs*` and output slots through
-  /// `m`. Ops derive it, with hash_state, from their field list
-  /// (sim::Listed, sim/fields.h). Fails hard by default (see
+  /// Checkpoint support: a copy of the in-flight syscall state machine
+  /// for a forked round. Ops derive it, with hash_state, from their
+  /// field list (sim::Listed, sim/fields.h). Fails hard by default (see
   /// Program::clone).
-  virtual std::unique_ptr<ServiceOp> clone(CloneMap& m) const {
-    (void)m;
+  virtual std::unique_ptr<ServiceOp> clone() const {
     TOCTTOU_CHECK(false, "service op does not support checkpoint clone");
     return nullptr;
   }

@@ -15,8 +15,6 @@
 #include "tocttou/programs/attackers.h"
 #include "tocttou/programs/victims.h"
 #include "tocttou/sched/linux_sched.h"
-#include "tocttou/sim/clone.h"
-#include "tocttou/sim/fields.h"
 #include "tocttou/sim/kernel.h"
 
 namespace tocttou::core {
@@ -101,6 +99,12 @@ Duration default_think(const ScenarioConfig& cfg, Rng& rng) {
   if (cfg.victim_think) return *cfg.victim_think;
   const auto [lo, hi] = victim_think_range(cfg);
   return rng.uniform_duration(lo, hi);
+}
+
+/// The program `pid` runs (an exited process keeps it), as type P.
+template <class P>
+const P& program_of(const sim::Kernel& kernel, sim::Pid pid) {
+  return static_cast<const P&>(kernel.process(pid).program());
 }
 
 /// FNV-1a (32-bit) accumulator.
@@ -262,10 +266,6 @@ RoundRun::RoundRun(const ScenarioConfig& cfg, RoundContext* ctx)
   }
 
   // --- kernel ---
-  // Detection replays the journal against the sync stream, so it needs
-  // the records even when the caller did not ask for them.
-  const bool tracing =
-      cfg.record_journal || cfg.record_events || cfg.detect;
   res.trace.log_events = cfg.record_events;
   std::unique_ptr<sim::Scheduler> sched;
   if (cfg.scheduler_factory) {
@@ -275,15 +275,15 @@ RoundRun::RoundRun(const ScenarioConfig& cfg, RoundContext* ctx)
         std::make_unique<sched::LinuxLikeScheduler>(default_sched_params(cfg));
   }
   kernel_.emplace(cfg.profile.machine, std::move(sched),
-                  mix_seed(cfg.seed, 0x5EED), tracing ? &res.trace : nullptr);
+                  mix_seed(cfg.seed, 0x5EED));
   sim::Kernel& kernel = *kernel_;
-  if (cfg.collect_metrics) kernel.set_metrics(&res.metrics);
-  if (cfg.detect) kernel.set_sync_log(&res.sync);
+  attach_sinks();
   if (ctx != nullptr) {
-    if (tracing) res.trace.journal.reserve(ctx->journal_records_);
+    if (kernel.trace() != nullptr) {
+      res.trace.journal.reserve(ctx->journal_records_);
+    }
     if (cfg.detect) res.sync.reserve(ctx->sync_events_);
   }
-  if (injector) kernel.set_fault_injector(&*injector);
   if (cfg.background_load) kernel.start_background_load();
 
   // --- attacker(s): spawned first — they are waiting for the admin ---
@@ -297,28 +297,25 @@ RoundRun::RoundRun(const ScenarioConfig& cfg, RoundContext* ctx)
   aopts.uid = kAttackerUid;
   aopts.gid = kAttackerGid;
 
-  pipeline_state_ = std::make_unique<programs::PipelinedAttackState>();
   switch (cfg.attacker) {
-    case AttackerKind::naive: {
-      auto prog = std::make_unique<programs::NaiveAttacker>(
-          vfs, target, loop_comp, t.atk_post_detect_comp, t.retry);
-      naive_ = prog.get();
-      res.attacker_pid = kernel.spawn(std::move(prog), aopts);
+    case AttackerKind::naive:
+      res.attacker_pid =
+          kernel.spawn(std::make_unique<programs::NaiveAttacker>(
+                           target, loop_comp, t.atk_post_detect_comp, t.retry),
+                       aopts);
       break;
-    }
-    case AttackerKind::prefaulted: {
-      auto prog = std::make_unique<programs::PrefaultedAttacker>(
-          vfs, target, t.atk_v2_comp, t.retry);
-      prefaulted_ = prog.get();
-      res.attacker_pid = kernel.spawn(std::move(prog), aopts);
+    case AttackerKind::prefaulted:
+      res.attacker_pid =
+          kernel.spawn(std::make_unique<programs::PrefaultedAttacker>(
+                           target, t.atk_v2_comp, t.retry),
+                       aopts);
       break;
-    }
     case AttackerKind::pipelined: {
+      const sim::FlagId found = kernel.add_flag("window_found");
       auto main = std::make_unique<programs::PipelinedAttackerMain>(
-          vfs, target, loop_comp, t.atk_thread_handoff, pipeline_state_.get(),
-          t.retry);
+          target, loop_comp, t.atk_thread_handoff, found, t.retry);
       auto helper = std::make_unique<programs::PipelinedAttackerSymlinker>(
-          vfs, target, t.atk_thread_handoff, pipeline_state_.get());
+          target, t.atk_thread_handoff, found);
       res.attacker_pid = kernel.spawn(std::move(main), aopts);
       sim::SpawnOptions hopts = aopts;
       hopts.name = "attacker/symlink";
@@ -365,9 +362,7 @@ RoundRun::RoundRun(const ScenarioConfig& cfg, RoundContext* ctx)
       vc.think_time = think;
       vc.fd_attr_remedy = cfg.defended_victim;
       vc.t = t;
-      auto prog = std::make_unique<programs::ViVictim>(vfs, vc);
-      vi_vic_ = prog.get();
-      vic = std::move(prog);
+      vic = std::make_unique<programs::ViVictim>(vc);
       break;
     }
     case VictimKind::gedit: {
@@ -381,9 +376,7 @@ RoundRun::RoundRun(const ScenarioConfig& cfg, RoundContext* ctx)
       gc.think_time = think;
       gc.fd_attr_remedy = cfg.defended_victim;
       gc.t = t;
-      auto prog = std::make_unique<programs::GeditVictim>(vfs, gc);
-      gedit_vic_ = prog.get();
-      vic = std::move(prog);
+      vic = std::make_unique<programs::GeditVictim>(gc);
       break;
     }
     case VictimKind::suspending: {
@@ -392,28 +385,27 @@ RoundRun::RoundRun(const ScenarioConfig& cfg, RoundContext* ctx)
       sc.owner_uid = kAttackerUid;
       sc.owner_gid = kAttackerGid;
       sc.think_time = think;
-      vic = std::make_unique<programs::SuspendingVictim>(vfs, sc);
+      vic = std::make_unique<programs::SuspendingVictim>(sc);
       break;
     }
     case VictimKind::sendmail: {
       programs::SendmailVictimConfig mc;
       mc.mailbox = kWatchedPath;
       mc.think_time = think;
-      vic = std::make_unique<programs::SendmailVictim>(vfs, mc);
+      vic = std::make_unique<programs::SendmailVictim>(mc);
       break;
     }
   }
   victim_pid_ = kernel.spawn(std::move(vic), vopts);
   res.victim_pid = victim_pid_;
   res.window_tracker = trace::WindowTracker(victim_pid_, window_spec_for(cfg));
-  kernel.set_window_tracker(&res.window_tracker);
   if (injector) injector->set_role(victim_pid_, sim::FaultRole::victim);
 
   // --- multi-tenant background load: spawned after the victim so
   // victim/attacker pids (and thus journals, traces, and tokens) match
   // the tenant-free scenario exactly when the spec is empty. Tenants
   // loop forever; the round still ends when the victim exits. ---
-  programs::spawn_background_tenants(kernel, vfs, cfg.background);
+  programs::spawn_background_tenants(kernel, cfg.background);
 
   // --- extra programs (test hook): spawned last so victim/attacker pids
   // match the plain scenario exactly ---
@@ -434,39 +426,33 @@ RoundRun::RoundRun(const RoundRun& o)
     : cfg_(o.cfg_),
       res_(o.res_),
       timer_(nullptr),  // the parent keeps the wall profile
+      local_vfs_(*o.vfs_),
+      vfs_(&*local_vfs_),
+      injector_(o.injector_),
+      kernel_(o.kernel_),
       passwd_(o.passwd_),
       victim_pid_(o.victim_pid_),
       phase_(o.phase_),
       limit_(o.limit_),
       drain_limit_(o.drain_limit_) {
-  sim::CloneMap m;
-  // Registration order matters: sinks the kernel and programs point
-  // into (result streams, injector, shared attack state) first, then the
-  // VFS (one range: nothing points into an inode, which the clone shares
-  // copy-on-write), then the kernel (process table, scheduler queues,
-  // programs, in-flight ops), then the observer pointers into the
-  // now-registered programs.
-  m.add_range(&o.res_, &res_, sizeof(RoundResult));
-  if (o.injector_) {
-    injector_.emplace(*o.injector_);
-    m.add_range(&*o.injector_, &*injector_, sizeof(sim::FaultInjector));
-  }
-  if (o.pipeline_state_ != nullptr) {
-    pipeline_state_ = std::make_unique<programs::PipelinedAttackState>(
-        *o.pipeline_state_);
-    m.add_range(o.pipeline_state_.get(), pipeline_state_.get(),
-                sizeof(programs::PipelinedAttackState));
-  }
-  local_vfs_.emplace(*o.vfs_, m);
-  vfs_ = &*local_vfs_;
-  kernel_.emplace(*o.kernel_, m);
-  naive_ = m.remap(o.naive_);
-  prefaulted_ = m.remap(o.prefaulted_);
-  vi_vic_ = m.remap(o.vi_vic_);
-  gedit_vic_ = m.remap(o.gedit_vic_);
+  attach_sinks();
 }
 
 RoundRun::~RoundRun() = default;
+
+void RoundRun::attach_sinks() {
+  sim::Kernel& kernel = *kernel_;
+  // Detection replays the journal against the sync stream, so it needs
+  // the records even when the caller did not ask for them.
+  const bool tracing =
+      cfg_.record_journal || cfg_.record_events || cfg_.detect;
+  kernel.set_vfs(vfs_);
+  kernel.set_trace(tracing ? &res_.trace : nullptr);
+  kernel.set_metrics(cfg_.collect_metrics ? &res_.metrics : nullptr);
+  kernel.set_sync_log(cfg_.detect ? &res_.sync : nullptr);
+  kernel.set_window_tracker(&res_.window_tracker);
+  kernel.set_fault_injector(injector_ ? &*injector_ : nullptr);
+}
 
 bool RoundRun::attackers_exited() const {
   if (!kernel_->process(res_.attacker_pid).exited()) return false;
@@ -548,11 +534,6 @@ void RoundRun::hash_state(StateHasher& h) const {
   h.time(drain_limit_);
   vfs_->hash_state(h);
   kernel_->hash_state(h);
-  h.boolean(pipeline_state_ != nullptr);
-  if (pipeline_state_ != nullptr) {
-    pipeline_state_->window_found.hash_state(h);
-    sim::hash_field(h, pipeline_state_->status);
-  }
 }
 
 RoundResult RoundRun::finish() {
@@ -572,15 +553,22 @@ RoundResult RoundRun::finish() {
     // sendmail success = the message bytes were appended to /etc/passwd.
     res.success = (pw.size_bytes() > 1536);
   }
-  if (naive_ != nullptr) {
-    res.attacker_finished = naive_->status().attack_done;
-    res.attacker_iterations = naive_->status().iterations;
-  } else if (prefaulted_ != nullptr) {
-    res.attacker_finished = prefaulted_->status().attack_done;
-    res.attacker_iterations = prefaulted_->status().iterations;
-  } else if (cfg.attacker == AttackerKind::pipelined) {
-    res.attacker_finished = pipeline_state_->status.attack_done;
-    res.attacker_iterations = pipeline_state_->status.iterations;
+  // The attackers' statuses: each pipelined thread holds its part (the
+  // helper sets attack_done, the main thread counts iterations).
+  int retries = 0;  // the programs' EINTR retries, for the fault stats
+  for (const sim::Pid pid : {res.attacker_pid, res.attacker_pid2}) {
+    if (pid == 0) continue;
+    const programs::AttackerStatus& st =
+        program_of<programs::Attacker>(*kernel_, pid).status();
+    res.attacker_finished = res.attacker_finished || st.attack_done;
+    res.attacker_iterations += st.iterations;
+    retries += st.retries;
+  }
+  if (cfg.victim == VictimKind::vi) {
+    retries += program_of<programs::ViVictim>(*kernel_, victim_pid_).retries();
+  } else if (cfg.victim == VictimKind::gedit) {
+    retries +=
+        program_of<programs::GeditVictim>(*kernel_, victim_pid_).retries();
   }
 
   if (cfg.record_journal && cfg.attacker != AttackerKind::none) {
@@ -613,16 +601,6 @@ RoundResult RoundRun::finish() {
   timer_.lap(&metrics::WallProfile::audit_ns);
   if (injector_) {
     res.faults = injector_->stats();
-    int retries = 0;
-    if (vi_vic_ != nullptr) retries += vi_vic_->retries();
-    if (gedit_vic_ != nullptr) retries += gedit_vic_->retries();
-    if (naive_ != nullptr) {
-      retries += naive_->status().retries;
-    } else if (prefaulted_ != nullptr) {
-      retries += prefaulted_->status().retries;
-    } else if (cfg.attacker == AttackerKind::pipelined) {
-      retries += pipeline_state_->status.retries;
-    }
     res.faults.retries += static_cast<std::uint64_t>(retries);
     // A fault-killed victim also "exits", but it did not survive: keep
     // it out of the survived-the-fault accounting.

@@ -3,8 +3,10 @@
 // Each op is a small state machine driven by Kernel::advance_service; see
 // include/tocttou/sim/service.h for the step protocol and DESIGN.md §4
 // for which operation holds which semaphore. Every op, and the walker
-// inside it, names its members once in a field list (sim/fields.h); the
-// checkpoint clone and the state digest are derived from it.
+// inside it, names its members once in a field list (sim/fields.h), from
+// which its state digest is derived. An op holds its operands and phase
+// only: it reaches the Vfs through its context and writes its result
+// into the context's result record, so its clone is a plain copy.
 //
 // Paths are shared Paths (common/path.h): a factory moves its argument
 // into the op, the walker copies the op's handle, a symlink follow
@@ -14,9 +16,10 @@
 // spans parsed when the program built the Path.
 #include <optional>
 
+#include "tocttou/fs/ops.h"
+
 #include "tocttou/fs/vfs.h"
 #include "tocttou/metrics/metrics.h"
-#include "tocttou/sim/clone.h"
 #include "tocttou/sim/fields.h"
 #include "tocttou/sim/kernel.h"
 #include "tocttou/trace/journal.h"
@@ -68,7 +71,7 @@ class FinalName {
 /// Path resolution driver shared by all ops.
 ///
 /// Policy `hold`: the final directory's semaphore is acquired and LEFT
-/// HELD when resolution completes; the op must release held_dir_sem().
+/// HELD when resolution completes; the op must release held_dir_sem(ctx).
 /// Policy `lockless_if_free`: the fast path reads the directory without
 /// the semaphore when it is free; when a writer holds it the walk takes
 /// the slow path (acquire, look up, pay stat_locked_tail, release) — this
@@ -79,11 +82,11 @@ class Walker {
   enum class SemPolicy { lockless_if_free, hold };
   enum class Follow { yes, no };
 
-  Walker(Vfs& vfs, Path path, SemPolicy policy, Follow follow)
-      : vfs_(&vfs), path_(std::move(path)), policy_(policy), follow_(follow) {}
+  Walker(Path path, SemPolicy policy, Follow follow)
+      : path_(std::move(path)), policy_(policy), follow_(follow) {}
 
   static auto fields(auto& self) {
-    return std::tie(self.vfs_, self.path_, self.policy_, self.follow_,
+    return std::tie(self.path_, self.policy_, self.follow_,
                     self.st_, self.depth_, self.err_, self.parent_,
                     self.final_name_, self.target_, self.snapshot_,
                     self.held_, self.slow_path_);
@@ -102,8 +105,8 @@ class Walker {
   /// held for the op, for the op to release; null before that. Reached
   /// through the directory's inode number, so a checkpoint copies no
   /// pointer into an inode.
-  sim::Semaphore* held_dir_sem() const {
-    return held_ ? &vfs_->inode_mut(parent_).sem() : nullptr;
+  sim::Semaphore* held_dir_sem(ServiceContext& ctx) const {
+    return held_ ? &ctx.vfs().inode_mut(parent_).sem() : nullptr;
   }
   bool took_slow_path() const { return slow_path_; }
 
@@ -119,9 +122,8 @@ class Walker {
 
   // Takes the final component's inode, just looked up in parent_, and
   // snapshots it; returns true if the walk must restart through a link.
-  bool take_final(Ino target);
+  bool take_final(const Vfs& vfs, Ino target);
 
-  Vfs* vfs_;
   Path path_;  // this leg's path: the op's, then each link target's
   SemPolicy policy_;
   Follow follow_;
@@ -136,10 +138,10 @@ class Walker {
   bool slow_path_ = false;
 };
 
-bool Walker::take_final(Ino target) {
+bool Walker::take_final(const Vfs& vfs, Ino target) {
   target_ = target;
   if (target_ != kNoIno) {
-    const Inode& t = vfs_->inode(target_);
+    const Inode& t = vfs.inode(target_);
     snapshot_ = t.to_stat();
     if (t.is_symlink() && follow_ == Follow::yes) {
       path_ = t.symlink_target();
@@ -151,6 +153,7 @@ bool Walker::take_final(Ino target) {
 }
 
 std::optional<Step> Walker::advance(ServiceContext& ctx) {
+  Vfs& vfs = ctx.vfs();
   while (true) {
     switch (st_) {
       case St::init: {
@@ -178,11 +181,11 @@ std::optional<Step> Walker::advance(ServiceContext& ctx) {
                      static_cast<std::int64_t>(n));
           if (depth_ > 0) m->count("fs.symlink_restarts");
         }
-        return Step::work(vfs_->costs().path_component *
+        return Step::work(vfs.costs().path_component *
                           static_cast<std::int64_t>(n));
       }
       case St::prefix_done: {
-        auto walk = vfs_->walk_prefix(path_);
+        auto walk = vfs.walk_prefix(path_);
         if (walk.err != Errno::ok) {
           err_ = walk.err;
           st_ = St::done;
@@ -192,7 +195,7 @@ std::optional<Step> Walker::advance(ServiceContext& ctx) {
         final_name_ = FinalName(std::move(walk.path));
         if (policy_ == SemPolicy::hold) {
           st_ = St::locked;
-          return Step::acquire(&vfs_->inode_mut(parent_).sem());
+          return Step::acquire(&vfs.inode_mut(parent_).sem());
         }
         // dcache semantics for lockless (RCU-style) lookups:
         //  * a directory being renamed-into forces the slow path (the
@@ -203,12 +206,12 @@ std::optional<Step> Walker::advance(ServiceContext& ctx) {
         //  * a negative result is only trustworthy when no writer holds
         //    the semaphore — otherwise take the slow path and wait.
         // Read-only: a lockless walk leaves a shared directory shared.
-        const Inode& parent_inode = vfs_->inode(parent_);
+        const Inode& parent_inode = vfs.inode(parent_);
         const bool must_block =
             parent_inode.rename_in_progress() ||
             (parent_inode.sem().held() && walk.target == kNoIno);
         if (!must_block) {
-          if (take_final(walk.target)) {
+          if (take_final(vfs, walk.target)) {
             st_ = St::init;
             continue;
           }
@@ -220,19 +223,19 @@ std::optional<Step> Walker::advance(ServiceContext& ctx) {
           m->count("fs.lockless_slow_paths");
         }
         st_ = St::locked;
-        return Step::acquire(&vfs_->inode_mut(parent_).sem());
+        return Step::acquire(&vfs.inode_mut(parent_).sem());
       }
       case St::locked: {
         // Look up again: the semaphore's last holder may have changed it.
         const bool restart =
-            take_final(vfs_->lookup_in(parent_, final_name_.str()));
+            take_final(vfs, vfs.lookup_in(parent_, final_name_.str()));
         if (policy_ == SemPolicy::lockless_if_free) {
           st_ = restart ? St::release_then_restart : St::locked_tail;
-          return Step::work(vfs_->costs().stat_locked_tail);
+          return Step::work(vfs.costs().stat_locked_tail);
         }
         if (restart) {
           st_ = St::init;
-          return Step::release(&vfs_->inode_mut(parent_).sem());
+          return Step::release(&vfs.inode_mut(parent_).sem());
         }
         held_ = true;  // caller releases
         st_ = St::done;
@@ -240,11 +243,11 @@ std::optional<Step> Walker::advance(ServiceContext& ctx) {
       }
       case St::locked_tail: {
         st_ = St::done;
-        return Step::release(&vfs_->inode_mut(parent_).sem());
+        return Step::release(&vfs.inode_mut(parent_).sem());
       }
       case St::release_then_restart: {
         st_ = St::init;
-        return Step::release(&vfs_->inode_mut(parent_).sem());
+        return Step::release(&vfs.inode_mut(parent_).sem());
       }
       case St::done:
         return std::nullopt;
@@ -252,41 +255,28 @@ std::optional<Step> Walker::advance(ServiceContext& ctx) {
   }
 }
 
-/// Base of the path-taking ops: the path, its walker, the errno slot
-/// and the phase counter every such op steps through.
+/// Base of the path-taking ops: the path, its walker and the phase
+/// counter every such op steps through.
 class FsOp : public ServiceOp {
  public:
-  FsOp(Vfs& vfs, Path path, Errno* err_out)
-      : vfs_(&vfs), path_(std::move(path)), err_out_(err_out) {}
+  explicit FsOp(Path path) : path_(std::move(path)) {}
 
-  /// Output slots (err_out_ and friends) are pointers, so they are
-  /// rebound but never hashed: the program that owns a slot hashes its
-  /// value.
   static auto fields(auto& self) {
-    return std::tie(self.vfs_, self.path_, self.err_out_, self.walker_,
-                    self.phase_);
+    return std::tie(self.path_, self.walker_, self.phase_);
   }
 
   std::string_view path() const override { return path_.str(); }
-  Step fail_at_entry(Errno e) override { return finish(e); }
 
  protected:
-  Step finish(Errno e) {
-    if (err_out_ != nullptr) *err_out_ = e;
-    return Step::done(e);
-  }
-
   /// Starts (on first call) and advances the walk of path_; nullopt once
   /// the walk is done.
   std::optional<Step> walk(ServiceContext& ctx, Walker::SemPolicy policy,
                            Walker::Follow follow) {
-    if (!walker_) walker_.emplace(*vfs_, path_, policy, follow);
+    if (!walker_) walker_.emplace(path_, policy, follow);
     return walker_->advance(ctx);
   }
 
-  Vfs* vfs_;
   Path path_;
-  Errno* err_out_;
   std::optional<Walker> walker_;
   int phase_ = 0;
 };
@@ -295,24 +285,12 @@ class FsOp : public ServiceOp {
 /// redirection).
 class FdOp : public ServiceOp {
  public:
-  FdOp(Vfs& vfs, int fd, Errno* err_out)
-      : vfs_(&vfs), fd_(fd), err_out_(err_out) {}
+  explicit FdOp(int fd) : fd_(fd) {}
 
-  static auto fields(auto& self) {
-    return std::tie(self.vfs_, self.fd_, self.err_out_, self.phase_);
-  }
-
-  Step fail_at_entry(Errno e) override { return finish(e); }
+  static auto fields(auto& self) { return std::tie(self.fd_, self.phase_); }
 
  protected:
-  Step finish(Errno e) {
-    if (err_out_ != nullptr) *err_out_ = e;
-    return Step::done(e);
-  }
-
-  Vfs* vfs_;
   int fd_;
-  Errno* err_out_;
   int phase_ = 0;
 };
 
@@ -322,18 +300,17 @@ class FdOp : public ServiceOp {
 
 class StatOp final : public Listed<StatOp, FsOp> {
  public:
-  StatOp(Vfs& vfs, Path path, bool follow, StatBuf* out, Errno* err_out)
-      : Listed(vfs, std::move(path), err_out), follow_(follow), out_(out) {}
+  StatOp(Path path, bool follow) : Listed(std::move(path)), follow_(follow) {}
 
   static auto fields(auto& self) {
-    return std::tuple_cat(FsOp::fields(self),
-                          std::tie(self.follow_, self.out_, self.ok_));
+    return std::tuple_cat(FsOp::fields(self), std::tie(self.follow_, self.ok_));
   }
 
   std::string_view name() const override { return follow_ ? "stat" : "lstat"; }
   int libc_page() const override { return kPageStat; }
 
   Step advance(ServiceContext& ctx) override {
+    Vfs& vfs = ctx.vfs();
     switch (phase_) {
       case 0: {
         if (auto s = walk(ctx, Walker::SemPolicy::lockless_if_free,
@@ -341,14 +318,14 @@ class StatOp final : public Listed<StatOp, FsOp> {
           return *s;
         }
         phase_ = 1;
-        return Step::work(vfs_->costs().stat_base);
+        return Step::work(vfs.costs().stat_base);
       }
       default: {
-        if (walker_->error() != Errno::ok) return finish(walker_->error());
-        if (!walker_->target_exists()) return finish(Errno::enoent);
+        if (walker_->error() != Errno::ok) return Step::done(walker_->error());
+        if (!walker_->target_exists()) return Step::done(Errno::enoent);
         ok_ = true;
-        if (out_ != nullptr) *out_ = walker_->snapshot();
-        return finish(Errno::ok);
+        ctx.result.stat = walker_->snapshot();
+        return Step::done(Errno::ok);
       }
     }
   }
@@ -364,7 +341,6 @@ class StatOp final : public Listed<StatOp, FsOp> {
 
  private:
   bool follow_;
-  StatBuf* out_;
   bool ok_ = false;
 };
 
@@ -378,6 +354,7 @@ class AccessOp final : public Listed<AccessOp, FsOp> {
   int libc_page() const override { return kPageStat; }
 
   Step advance(ServiceContext& ctx) override {
+    Vfs& vfs = ctx.vfs();
     switch (phase_) {
       case 0: {
         if (auto s = walk(ctx, Walker::SemPolicy::lockless_if_free,
@@ -385,14 +362,14 @@ class AccessOp final : public Listed<AccessOp, FsOp> {
           return *s;
         }
         phase_ = 1;
-        return Step::work(vfs_->costs().access_base);
+        return Step::work(vfs.costs().access_base);
       }
       default: {
-        if (walker_->error() != Errno::ok) return finish(walker_->error());
-        if (!walker_->target_exists()) return finish(Errno::enoent);
-        const Inode& t = vfs_->inode(walker_->target());
-        return finish(Vfs::may_read(t, creds_of(ctx)) ? Errno::ok
-                                                      : Errno::eacces);
+        if (walker_->error() != Errno::ok) return Step::done(walker_->error());
+        if (!walker_->target_exists()) return Step::done(Errno::enoent);
+        const Inode& t = vfs.inode(walker_->target());
+        return Step::done(Vfs::may_read(t, creds_of(ctx)) ? Errno::ok
+                                                          : Errno::eacces);
       }
     }
   }
@@ -404,73 +381,66 @@ class AccessOp final : public Listed<AccessOp, FsOp> {
 
 class OpenOp final : public Listed<OpenOp, FsOp> {
  public:
-  OpenOp(Vfs& vfs, Path path, OpenFlags flags, Mode mode, OpenResult* out)
-      : Listed(vfs, std::move(path), nullptr),
-        flags_(flags),
-        mode_(mode),
-        out_(out) {}
+  OpenOp(Path path, OpenFlags flags, Mode mode)
+      : Listed(std::move(path)), flags_(flags), mode_(mode) {}
 
   static auto fields(auto& self) {
     return std::tuple_cat(FsOp::fields(self),
-                          std::tie(self.flags_, self.mode_, self.out_,
-                                   self.ino_, self.pending_err_));
+                          std::tie(self.flags_, self.mode_, self.ino_,
+                                   self.pending_err_));
   }
 
   std::string_view name() const override { return "open"; }
   int libc_page() const override { return kPageOpenClose; }
-  Step fail_at_entry(Errno e) override { return done_err(e); }
 
   Step advance(ServiceContext& ctx) override {
+    Vfs& vfs = ctx.vfs();
     switch (phase_) {
       case 0: {  // resolve, holding the directory semaphore
         if (auto s = walk(ctx, Walker::SemPolicy::hold, Walker::Follow::yes)) {
           return *s;
         }
-        if (walker_->error() != Errno::ok) return done_err(walker_->error());
+        if (walker_->error() != Errno::ok) return Step::done(walker_->error());
         if (walker_->target_exists()) {
-          const Inode& t = vfs_->inode(walker_->target());
-          if (flags_.create && flags_.excl) return fail(Errno::eexist);
-          if (t.is_dir() && flags_.write) return fail(Errno::eisdir);
+          const Inode& t = vfs.inode(walker_->target());
+          if (flags_.create && flags_.excl) return fail(ctx, Errno::eexist);
+          if (t.is_dir() && flags_.write) return fail(ctx, Errno::eisdir);
           const auto creds = creds_of(ctx);
           const bool perm = flags_.write ? Vfs::may_write(t, creds)
                                          : Vfs::may_read(t, creds);
-          if (!perm) return fail(Errno::eacces);
+          if (!perm) return fail(ctx, Errno::eacces);
           ino_ = walker_->target();
           if (flags_.truncate && flags_.write) {
-            vfs_->inode_mut(ino_).set_size_bytes(0);
+            vfs.inode_mut(ino_).set_size_bytes(0);
           }
           phase_ = 2;
-          return Step::release(walker_->held_dir_sem());
+          return Step::release(walker_->held_dir_sem(ctx));
         }
-        if (!flags_.create) return fail(Errno::enoent);
-        if (!Vfs::may_write(vfs_->inode(walker_->parent()), creds_of(ctx))) {
-          return fail(Errno::eacces);
+        if (!flags_.create) return fail(ctx, Errno::enoent);
+        if (!Vfs::may_write(vfs.inode(walker_->parent()), creds_of(ctx))) {
+          return fail(ctx, Errno::eacces);
         }
         phase_ = 1;
-        return Step::work(vfs_->costs().create_extra);
+        return Step::work(vfs.costs().create_extra);
       }
       case 1: {  // commit the newly created inode (still under the sem)
-        Inode& n = vfs_->alloc_inode(FileType::regular, ctx.proc.uid(),
-                                     ctx.proc.gid(), mode_);
+        Inode& n = vfs.alloc_inode(FileType::regular, ctx.proc.uid(),
+                                   ctx.proc.gid(), mode_);
         ino_ = n.ino();
-        vfs_->link_entry(walker_->parent(), walker_->final_name(), ino_);
+        vfs.link_entry(walker_->parent(), walker_->final_name(), ino_);
         phase_ = 2;
-        return Step::release(walker_->held_dir_sem());
+        return Step::release(walker_->held_dir_sem(ctx));
       }
       case 2: {  // fd setup after releasing the namespace lock
         phase_ = 3;
-        return Step::work(vfs_->costs().open_base);
+        return Step::work(vfs.costs().open_base);
       }
       case 3: {
-        const int fd = vfs_->fd_alloc(ctx.proc.pid(), ino_, flags_);
-        if (out_ != nullptr) {
-          out_->fd = fd;
-          out_->err = Errno::ok;
-        }
+        ctx.result.fd = vfs.fd_alloc(ctx.proc.pid(), ino_, flags_);
         return Step::done(Errno::ok);
       }
       default: {  // phase 9: error path, semaphore already released
-        return done_err(pending_err_);
+        return Step::done(pending_err_);
       }
     }
   }
@@ -480,23 +450,14 @@ class OpenOp final : public Listed<OpenOp, FsOp> {
   }
 
  private:
-  Step done_err(Errno e) {
-    if (out_ != nullptr) {
-      out_->fd = -1;
-      out_->err = e;
-    }
-    return Step::done(e);
-  }
-
-  Step fail(Errno e) {
+  Step fail(ServiceContext& ctx, Errno e) {
     pending_err_ = e;
     phase_ = 9;
-    return Step::release(walker_->held_dir_sem());
+    return Step::release(walker_->held_dir_sem(ctx));
   }
 
   OpenFlags flags_;
   Mode mode_;
-  OpenResult* out_;
   Ino ino_ = kNoIno;
   Errno pending_err_ = Errno::ok;
 };
@@ -511,18 +472,18 @@ class CloseOp final : public Listed<CloseOp, FdOp> {
   int libc_page() const override { return kPageOpenClose; }
 
   Step advance(ServiceContext& ctx) override {
+    Vfs& vfs = ctx.vfs();
     if (phase_ == 0) {
       phase_ = 1;
-      return Step::work(vfs_->costs().close_base);
+      return Step::work(vfs.costs().close_base);
     }
-    return finish(vfs_->fd_close(ctx.proc.pid(), fd_));
+    return Step::done(vfs.fd_close(ctx.proc.pid(), fd_));
   }
 };
 
 class WriteOp final : public Listed<WriteOp, FdOp> {
  public:
-  WriteOp(Vfs& vfs, int fd, std::uint64_t bytes, Errno* err_out)
-      : Listed(vfs, fd, err_out), bytes_(bytes) {}
+  WriteOp(int fd, std::uint64_t bytes) : Listed(fd), bytes_(bytes) {}
 
   static auto fields(auto& self) {
     return std::tuple_cat(FdOp::fields(self), std::tie(self.bytes_, self.ino_));
@@ -532,38 +493,39 @@ class WriteOp final : public Listed<WriteOp, FdOp> {
   int libc_page() const override { return kPageReadWrite; }
 
   Step advance(ServiceContext& ctx) override {
+    Vfs& vfs = ctx.vfs();
     switch (phase_) {
       case 0: {
-        const auto f = vfs_->fd_get(ctx.proc.pid(), fd_);
-        if (!f.ok() || !f.value().flags.write) return finish(Errno::ebadf);
+        const auto f = vfs.fd_get(ctx.proc.pid(), fd_);
+        if (!f.ok() || !f.value().flags.write) return Step::done(Errno::ebadf);
         ino_ = f.value().ino;
         phase_ = 1;
-        return Step::acquire(&vfs_->inode_mut(ino_).sem());
+        return Step::acquire(&vfs.inode_mut(ino_).sem());
       }
       case 1: {
         phase_ = 2;
         const double kb = static_cast<double>(bytes_) / 1024.0;
-        return Step::work(vfs_->costs().write_base +
-                          vfs_->costs().write_per_kb * kb);
+        return Step::work(vfs.costs().write_base +
+                          vfs.costs().write_per_kb * kb);
       }
       case 2: {
-        vfs_->inode_mut(ino_).add_size_bytes(bytes_);
+        vfs.inode_mut(ino_).add_size_bytes(bytes_);
         phase_ = 3;
-        return Step::release(&vfs_->inode_mut(ino_).sem());
+        return Step::release(&vfs.inode_mut(ino_).sem());
       }
       case 3: {
         phase_ = 4;
         // Page-cache writeback throttling: occasionally the writer is put
         // to sleep on the device — a uniprocessor suspension source.
-        if (ctx.rng.bernoulli(vfs_->costs().writeback_stall_prob)) {
+        if (ctx.rng.bernoulli(vfs.costs().writeback_stall_prob)) {
           return Step::block_io(ctx.rng.normal_duration(
-              vfs_->costs().writeback_stall_mean,
-              vfs_->costs().writeback_stall_stdev, Duration::micros(200)));
+              vfs.costs().writeback_stall_mean,
+              vfs.costs().writeback_stall_stdev, Duration::micros(200)));
         }
-        return finish(Errno::ok);
+        return Step::done(Errno::ok);
       }
       default:
-        return finish(Errno::ok);
+        return Step::done(Errno::ok);
     }
   }
 
@@ -578,8 +540,7 @@ class WriteOp final : public Listed<WriteOp, FdOp> {
 
 class ReadOp final : public Listed<ReadOp, FdOp> {
  public:
-  ReadOp(Vfs& vfs, int fd, std::uint64_t bytes, Errno* err_out)
-      : Listed(vfs, fd, err_out), bytes_(bytes) {}
+  ReadOp(int fd, std::uint64_t bytes) : Listed(fd), bytes_(bytes) {}
 
   static auto fields(auto& self) {
     return std::tuple_cat(FdOp::fields(self), std::tie(self.bytes_));
@@ -589,15 +550,16 @@ class ReadOp final : public Listed<ReadOp, FdOp> {
   int libc_page() const override { return kPageReadWrite; }
 
   Step advance(ServiceContext& ctx) override {
+    Vfs& vfs = ctx.vfs();
     if (phase_ == 0) {
-      const auto f = vfs_->fd_get(ctx.proc.pid(), fd_);
-      if (!f.ok()) return finish(Errno::ebadf);
+      const auto f = vfs.fd_get(ctx.proc.pid(), fd_);
+      if (!f.ok()) return Step::done(Errno::ebadf);
       phase_ = 1;
       const double kb = static_cast<double>(bytes_) / 1024.0;
-      return Step::work(vfs_->costs().read_base +
-                        vfs_->costs().read_per_kb * kb);
+      return Step::work(vfs.costs().read_base +
+                        vfs.costs().read_per_kb * kb);
     }
-    return finish(Errno::ok);
+    return Step::done(Errno::ok);
   }
 
  private:
@@ -610,9 +572,8 @@ class ReadOp final : public Listed<ReadOp, FdOp> {
 
 class RenameOp final : public Listed<RenameOp, FsOp> {
  public:
-  RenameOp(Vfs& vfs, Path oldpath, Path newpath, Errno* err_out)
-      : Listed(vfs, std::move(oldpath), err_out),
-        newpath_(std::move(newpath)) {}
+  RenameOp(Path oldpath, Path newpath)
+      : Listed(std::move(oldpath)), newpath_(std::move(newpath)) {}
 
   static auto fields(auto& self) {
     return std::tuple_cat(FsOp::fields(self),
@@ -625,48 +586,49 @@ class RenameOp final : public Listed<RenameOp, FsOp> {
   int libc_page() const override { return kPageRename; }
 
   Step advance(ServiceContext& ctx) override {
+    Vfs& vfs = ctx.vfs();
     switch (phase_) {
       case 0: {
         if (auto s = walk(ctx, Walker::SemPolicy::hold, Walker::Follow::no)) {
           return *s;
         }
-        if (walker_->error() != Errno::ok) return finish(walker_->error());
-        if (!walker_->target_exists()) return fail(Errno::enoent);
-        auto nw = vfs_->walk_prefix(newpath_);
-        if (nw.err != Errno::ok) return fail(nw.err);
-        if (nw.parent != walker_->parent()) return fail(Errno::exdev);
+        if (walker_->error() != Errno::ok) return Step::done(walker_->error());
+        if (!walker_->target_exists()) return fail(ctx, Errno::enoent);
+        auto nw = vfs.walk_prefix(newpath_);
+        if (nw.err != Errno::ok) return fail(ctx, nw.err);
+        if (nw.parent != walker_->parent()) return fail(ctx, Errno::exdev);
         new_final_ = FinalName(std::move(nw.path));
         if (new_final_.str() == walker_->final_name()) {
-          return fail(Errno::einval);
+          return fail(ctx, Errno::einval);
         }
-        if (!Vfs::may_write(vfs_->inode(walker_->parent()), creds_of(ctx))) {
-          return fail(Errno::eacces);
+        if (!Vfs::may_write(vfs.inode(walker_->parent()), creds_of(ctx))) {
+          return fail(ctx, Errno::eacces);
         }
         // Models the rename seqlock: lockless lookups in this directory
         // take the slow path until the commit.
-        vfs_->inode_mut(walker_->parent()).set_rename_in_progress(true);
+        vfs.inode_mut(walker_->parent()).set_rename_in_progress(true);
         phase_ = 1;
-        return Step::work(vfs_->costs().rename_work);
+        return Step::work(vfs.costs().rename_work);
       }
       case 1: {  // commit point, still under the directory semaphore
         const Ino dir = walker_->parent();
         const Ino tgt = walker_->target();
-        vfs_->unlink_entry(dir, walker_->final_name());
-        if (vfs_->lookup_in(dir, new_final_.str()) != kNoIno) {
-          vfs_->unlink_entry(dir, new_final_.str());
+        vfs.unlink_entry(dir, walker_->final_name());
+        if (vfs.lookup_in(dir, new_final_.str()) != kNoIno) {
+          vfs.unlink_entry(dir, new_final_.str());
         }
-        vfs_->link_entry(dir, new_final_.str(), tgt);
+        vfs.link_entry(dir, new_final_.str(), tgt);
         applied_ = tgt;
-        vfs_->inode_mut(dir).set_rename_in_progress(false);
+        vfs.inode_mut(dir).set_rename_in_progress(false);
         phase_ = 2;
-        return Step::release(walker_->held_dir_sem());
+        return Step::release(walker_->held_dir_sem(ctx));
       }
       case 2: {
         phase_ = 3;
-        return Step::work(vfs_->costs().rename_tail);
+        return Step::work(vfs.costs().rename_tail);
       }
       default:
-        return finish(pending_err_);
+        return Step::done(pending_err_);
     }
   }
 
@@ -675,10 +637,10 @@ class RenameOp final : public Listed<RenameOp, FsOp> {
   }
 
  private:
-  Step fail(Errno e) {
+  Step fail(ServiceContext& ctx, Errno e) {
     pending_err_ = e;
     phase_ = 3;
-    return Step::release(walker_->held_dir_sem());
+    return Step::release(walker_->held_dir_sem(ctx));
   }
 
   Path newpath_;
@@ -701,35 +663,36 @@ class UnlinkOp final : public Listed<UnlinkOp, FsOp> {
   int libc_page() const override { return kPageUnlinkSymlink; }
 
   Step advance(ServiceContext& ctx) override {
+    Vfs& vfs = ctx.vfs();
     switch (phase_) {
       case 0: {
         if (auto s = walk(ctx, Walker::SemPolicy::hold, Walker::Follow::no)) {
           return *s;
         }
-        if (walker_->error() != Errno::ok) return finish(walker_->error());
-        if (!walker_->target_exists()) return fail(Errno::enoent);
+        if (walker_->error() != Errno::ok) return Step::done(walker_->error());
+        if (!walker_->target_exists()) return fail(ctx, Errno::enoent);
         ino_ = walker_->target();
-        if (vfs_->inode(ino_).is_dir()) return fail(Errno::eisdir);
-        if (!Vfs::may_write(vfs_->inode(walker_->parent()), creds_of(ctx))) {
-          return fail(Errno::eacces);
+        if (vfs.inode(ino_).is_dir()) return fail(ctx, Errno::eisdir);
+        if (!Vfs::may_write(vfs.inode(walker_->parent()), creds_of(ctx))) {
+          return fail(ctx, Errno::eacces);
         }
         phase_ = 1;
         // Lock order everywhere: directory sem, then target inode sem.
-        return Step::acquire(&vfs_->inode_mut(ino_).sem());
+        return Step::acquire(&vfs.inode_mut(ino_).sem());
       }
       case 1: {
         phase_ = 2;
-        return Step::work(vfs_->costs().unlink_detach);
+        return Step::work(vfs.costs().unlink_detach);
       }
       case 2: {  // detach commit: the name disappears from the directory
-        vfs_->unlink_entry(walker_->parent(), walker_->final_name());
+        vfs.unlink_entry(walker_->parent(), walker_->final_name());
         phase_ = 3;
-        return Step::release(walker_->held_dir_sem());
+        return Step::release(walker_->held_dir_sem(ctx));
       }
       case 3: {  // physical truncate happens after the dir sem is free —
                  // this is what lets a parallel symlink overlap (Sec. 7).
         phase_ = 4;
-        const Inode& n = vfs_->inode(ino_);
+        const Inode& n = vfs.inode(ino_);
         // Orphans with open fds keep their data (vi keeps writing through
         // its fd after the attacker's unlink); truncate only when fully
         // unreferenced.
@@ -737,17 +700,17 @@ class UnlinkOp final : public Listed<UnlinkOp, FsOp> {
             n.nlink() == 0 && n.open_refs() == 0 && n.size_bytes() > 0;
         if (truncating_) {
           const double kb = static_cast<double>(n.size_bytes()) / 1024.0;
-          return Step::work(vfs_->costs().truncate_per_kb * kb);
+          return Step::work(vfs.costs().truncate_per_kb * kb);
         }
         return advance(ctx);
       }
       case 4: {
-        if (truncating_) vfs_->inode_mut(ino_).set_size_bytes(0);
+        if (truncating_) vfs.inode_mut(ino_).set_size_bytes(0);
         phase_ = 5;
-        return Step::release(&vfs_->inode_mut(ino_).sem());
+        return Step::release(&vfs.inode_mut(ino_).sem());
       }
       default:
-        return finish(pending_err_);
+        return Step::done(pending_err_);
     }
   }
 
@@ -756,10 +719,10 @@ class UnlinkOp final : public Listed<UnlinkOp, FsOp> {
   }
 
  private:
-  Step fail(Errno e) {
+  Step fail(ServiceContext& ctx, Errno e) {
     pending_err_ = e;
     phase_ = 5;
-    return Step::release(walker_->held_dir_sem());
+    return Step::release(walker_->held_dir_sem(ctx));
   }
 
   Ino ino_ = kNoIno;
@@ -769,8 +732,8 @@ class UnlinkOp final : public Listed<UnlinkOp, FsOp> {
 
 class SymlinkOp final : public Listed<SymlinkOp, FsOp> {
  public:
-  SymlinkOp(Vfs& vfs, Path target, Path linkpath, Errno* err_out)
-      : Listed(vfs, std::move(linkpath), err_out), target_(std::move(target)) {}
+  SymlinkOp(Path target, Path linkpath)
+      : Listed(std::move(linkpath)), target_(std::move(target)) {}
 
   static auto fields(auto& self) {
     return std::tuple_cat(
@@ -783,30 +746,31 @@ class SymlinkOp final : public Listed<SymlinkOp, FsOp> {
   int libc_page() const override { return kPageUnlinkSymlink; }
 
   Step advance(ServiceContext& ctx) override {
+    Vfs& vfs = ctx.vfs();
     switch (phase_) {
       case 0: {
         if (auto s = walk(ctx, Walker::SemPolicy::hold, Walker::Follow::no)) {
           return *s;
         }
-        if (walker_->error() != Errno::ok) return finish(walker_->error());
-        if (walker_->target_exists()) return fail(Errno::eexist);
-        if (!Vfs::may_write(vfs_->inode(walker_->parent()), creds_of(ctx))) {
-          return fail(Errno::eacces);
+        if (walker_->error() != Errno::ok) return Step::done(walker_->error());
+        if (walker_->target_exists()) return fail(ctx, Errno::eexist);
+        if (!Vfs::may_write(vfs.inode(walker_->parent()), creds_of(ctx))) {
+          return fail(ctx, Errno::eacces);
         }
         phase_ = 1;
-        return Step::work(vfs_->costs().symlink_base);
+        return Step::work(vfs.costs().symlink_base);
       }
       case 1: {  // commit
-        Inode& n = vfs_->alloc_inode(FileType::symlink, ctx.proc.uid(),
-                                     ctx.proc.gid(), 0777);
+        Inode& n = vfs.alloc_inode(FileType::symlink, ctx.proc.uid(),
+                                   ctx.proc.gid(), 0777);
         n.set_symlink_target(target_);
-        vfs_->link_entry(walker_->parent(), walker_->final_name(), n.ino());
+        vfs.link_entry(walker_->parent(), walker_->final_name(), n.ino());
         applied_ = n.ino();
         phase_ = 2;
-        return Step::release(walker_->held_dir_sem());
+        return Step::release(walker_->held_dir_sem(ctx));
       }
       default:
-        return finish(pending_err_);
+        return Step::done(pending_err_);
     }
   }
 
@@ -815,10 +779,10 @@ class SymlinkOp final : public Listed<SymlinkOp, FsOp> {
   }
 
  private:
-  Step fail(Errno e) {
+  Step fail(ServiceContext& ctx, Errno e) {
     pending_err_ = e;
     phase_ = 2;
-    return Step::release(walker_->held_dir_sem());
+    return Step::release(walker_->held_dir_sem(ctx));
   }
 
   Path target_;
@@ -828,8 +792,7 @@ class SymlinkOp final : public Listed<SymlinkOp, FsOp> {
 
 class MkdirOp final : public Listed<MkdirOp, FsOp> {
  public:
-  MkdirOp(Vfs& vfs, Path path, Mode mode, Errno* err_out)
-      : Listed(vfs, std::move(path), err_out), mode_(mode) {}
+  MkdirOp(Path path, Mode mode) : Listed(std::move(path)), mode_(mode) {}
 
   static auto fields(auto& self) {
     return std::tuple_cat(FsOp::fields(self),
@@ -840,36 +803,37 @@ class MkdirOp final : public Listed<MkdirOp, FsOp> {
   int libc_page() const override { return kPageMisc; }
 
   Step advance(ServiceContext& ctx) override {
+    Vfs& vfs = ctx.vfs();
     switch (phase_) {
       case 0: {
         if (auto s = walk(ctx, Walker::SemPolicy::hold, Walker::Follow::no)) {
           return *s;
         }
-        if (walker_->error() != Errno::ok) return finish(walker_->error());
-        if (walker_->target_exists()) return fail(Errno::eexist);
-        if (!Vfs::may_write(vfs_->inode(walker_->parent()), creds_of(ctx))) {
-          return fail(Errno::eacces);
+        if (walker_->error() != Errno::ok) return Step::done(walker_->error());
+        if (walker_->target_exists()) return fail(ctx, Errno::eexist);
+        if (!Vfs::may_write(vfs.inode(walker_->parent()), creds_of(ctx))) {
+          return fail(ctx, Errno::eacces);
         }
         phase_ = 1;
-        return Step::work(vfs_->costs().mkdir_base);
+        return Step::work(vfs.costs().mkdir_base);
       }
       case 1: {
-        Inode& n = vfs_->alloc_inode(FileType::directory, ctx.proc.uid(),
-                                     ctx.proc.gid(), mode_);
-        vfs_->link_entry(walker_->parent(), walker_->final_name(), n.ino());
+        Inode& n = vfs.alloc_inode(FileType::directory, ctx.proc.uid(),
+                                   ctx.proc.gid(), mode_);
+        vfs.link_entry(walker_->parent(), walker_->final_name(), n.ino());
         phase_ = 2;
-        return Step::release(walker_->held_dir_sem());
+        return Step::release(walker_->held_dir_sem(ctx));
       }
       default:
-        return finish(pending_err_);
+        return Step::done(pending_err_);
     }
   }
 
  private:
-  Step fail(Errno e) {
+  Step fail(ServiceContext& ctx, Errno e) {
     pending_err_ = e;
     phase_ = 2;
-    return Step::release(walker_->held_dir_sem());
+    return Step::release(walker_->held_dir_sem(ctx));
   }
 
   Mode mode_;
@@ -878,17 +842,15 @@ class MkdirOp final : public Listed<MkdirOp, FsOp> {
 
 class ReadlinkOp final : public Listed<ReadlinkOp, FsOp> {
  public:
-  ReadlinkOp(Vfs& vfs, Path path, std::string* out, Errno* err_out)
-      : Listed(vfs, std::move(path), err_out), out_(out) {}
+  using Listed::Listed;
 
-  static auto fields(auto& self) {
-    return std::tuple_cat(FsOp::fields(self), std::tie(self.out_));
-  }
+  static auto fields(auto& self) { return FsOp::fields(self); }
 
   std::string_view name() const override { return "readlink"; }
   int libc_page() const override { return kPageMisc; }
 
   Step advance(ServiceContext& ctx) override {
+    Vfs& vfs = ctx.vfs();
     switch (phase_) {
       case 0: {
         if (auto s = walk(ctx, Walker::SemPolicy::lockless_if_free,
@@ -896,28 +858,24 @@ class ReadlinkOp final : public Listed<ReadlinkOp, FsOp> {
           return *s;
         }
         phase_ = 1;
-        return Step::work(vfs_->costs().readlink_base);
+        return Step::work(vfs.costs().readlink_base);
       }
       default: {
-        if (walker_->error() != Errno::ok) return finish(walker_->error());
-        if (!walker_->target_exists()) return finish(Errno::enoent);
-        const Inode& t = vfs_->inode(walker_->target());
-        if (!t.is_symlink()) return finish(Errno::einval);
-        if (out_ != nullptr) *out_ = t.symlink_target().str();
-        return finish(Errno::ok);
+        if (walker_->error() != Errno::ok) return Step::done(walker_->error());
+        if (!walker_->target_exists()) return Step::done(Errno::enoent);
+        const Inode& t = vfs.inode(walker_->target());
+        if (!t.is_symlink()) return Step::done(Errno::einval);
+        ctx.result.link = t.symlink_target();
+        return Step::done(Errno::ok);
       }
     }
   }
-
- private:
-  std::string* out_;
 };
 
 class LinkOp final : public Listed<LinkOp, FsOp> {
  public:
-  LinkOp(Vfs& vfs, Path oldpath, Path newpath, Errno* err_out)
-      : Listed(vfs, std::move(oldpath), err_out),
-        newpath_(std::move(newpath)) {}
+  LinkOp(Path oldpath, Path newpath)
+      : Listed(std::move(oldpath)), newpath_(std::move(newpath)) {}
 
   static auto fields(auto& self) {
     return std::tuple_cat(FsOp::fields(self),
@@ -930,44 +888,45 @@ class LinkOp final : public Listed<LinkOp, FsOp> {
   int libc_page() const override { return kPageUnlinkSymlink; }
 
   Step advance(ServiceContext& ctx) override {
+    Vfs& vfs = ctx.vfs();
     switch (phase_) {
       case 0: {  // resolve the existing file (no symlink follow, as link(2))
         if (auto s = walk(ctx, Walker::SemPolicy::lockless_if_free,
                           Walker::Follow::no)) {
           return *s;
         }
-        if (walker_->error() != Errno::ok) return finish(walker_->error());
-        if (!walker_->target_exists()) return finish(Errno::enoent);
-        if (vfs_->inode(walker_->target()).is_dir()) {
-          return finish(Errno::eisdir);
+        if (walker_->error() != Errno::ok) return Step::done(walker_->error());
+        if (!walker_->target_exists()) return Step::done(Errno::enoent);
+        if (vfs.inode(walker_->target()).is_dir()) {
+          return Step::done(Errno::eisdir);
         }
         target_ino_ = walker_->target();
         phase_ = 1;
-        new_walker_.emplace(*vfs_, newpath_, Walker::SemPolicy::hold,
+        new_walker_.emplace(newpath_, Walker::SemPolicy::hold,
                             Walker::Follow::no);
         return advance(ctx);
       }
       case 1: {  // take the destination directory's semaphore
         if (auto s = new_walker_->advance(ctx)) return *s;
         if (new_walker_->error() != Errno::ok) {
-          return finish(new_walker_->error());
+          return Step::done(new_walker_->error());
         }
-        if (new_walker_->target_exists()) return fail(Errno::eexist);
-        if (!Vfs::may_write(vfs_->inode(new_walker_->parent()),
+        if (new_walker_->target_exists()) return fail(ctx, Errno::eexist);
+        if (!Vfs::may_write(vfs.inode(new_walker_->parent()),
                             creds_of(ctx))) {
-          return fail(Errno::eacces);
+          return fail(ctx, Errno::eacces);
         }
         phase_ = 2;
-        return Step::work(vfs_->costs().link_base);
+        return Step::work(vfs.costs().link_base);
       }
       case 2: {  // commit
-        vfs_->link_entry(new_walker_->parent(), new_walker_->final_name(),
-                         target_ino_);
+        vfs.link_entry(new_walker_->parent(), new_walker_->final_name(),
+                       target_ino_);
         phase_ = 3;
-        return Step::release(new_walker_->held_dir_sem());
+        return Step::release(new_walker_->held_dir_sem(ctx));
       }
       default:
-        return finish(pending_err_);
+        return Step::done(pending_err_);
     }
   }
 
@@ -976,10 +935,10 @@ class LinkOp final : public Listed<LinkOp, FsOp> {
   }
 
  private:
-  Step fail(Errno e) {
+  Step fail(ServiceContext& ctx, Errno e) {
     pending_err_ = e;
     phase_ = 3;
-    return Step::release(new_walker_->held_dir_sem());
+    return Step::release(new_walker_->held_dir_sem(ctx));
   }
 
   Path newpath_;
@@ -994,26 +953,26 @@ class LinkOp final : public Listed<LinkOp, FsOp> {
 
 class FstatOp final : public Listed<FstatOp, FdOp> {
  public:
-  FstatOp(Vfs& vfs, int fd, StatBuf* out, Errno* err_out)
-      : Listed(vfs, fd, err_out), out_(out) {}
+  using Listed::Listed;
 
   static auto fields(auto& self) {
-    return std::tuple_cat(FdOp::fields(self), std::tie(self.out_, self.ino_));
+    return std::tuple_cat(FdOp::fields(self), std::tie(self.ino_));
   }
 
   std::string_view name() const override { return "fstat"; }
   int libc_page() const override { return kPageStat; }
 
   Step advance(ServiceContext& ctx) override {
+    Vfs& vfs = ctx.vfs();
     if (phase_ == 0) {
       phase_ = 1;
-      return Step::work(vfs_->costs().stat_base);
+      return Step::work(vfs.costs().stat_base);
     }
-    const auto f = vfs_->fd_get(ctx.proc.pid(), fd_);
-    if (!f.ok()) return finish(Errno::ebadf);
+    const auto f = vfs.fd_get(ctx.proc.pid(), fd_);
+    if (!f.ok()) return Step::done(Errno::ebadf);
     ino_ = f.value().ino;
-    if (out_ != nullptr) *out_ = vfs_->inode(ino_).to_stat();
-    return finish(Errno::ok);
+    ctx.result.stat = vfs.inode(ino_).to_stat();
+    return Step::done(Errno::ok);
   }
 
   void fill_record(trace::SyscallRecord& rec) const override {
@@ -1021,7 +980,6 @@ class FstatOp final : public Listed<FstatOp, FdOp> {
   }
 
  private:
-  StatBuf* out_;
   Ino ino_ = kNoIno;
 };
 
@@ -1039,28 +997,29 @@ class FSetAttrOp : public FdOp {
   int libc_page() const override { return kPageChmodChown; }
 
   Step advance(ServiceContext& ctx) override {
+    Vfs& vfs = ctx.vfs();
     switch (phase_) {
       case 0: {
-        const auto f = vfs_->fd_get(ctx.proc.pid(), fd_);
-        if (!f.ok()) return finish(Errno::ebadf);
+        const auto f = vfs.fd_get(ctx.proc.pid(), fd_);
+        if (!f.ok()) return Step::done(Errno::ebadf);
         ino_ = f.value().ino;
-        if (!permitted(vfs_->inode(ino_), creds_of(ctx))) {
-          return finish(Errno::eperm);
+        if (!permitted(vfs.inode(ino_), creds_of(ctx))) {
+          return Step::done(Errno::eperm);
         }
         phase_ = 1;
-        return Step::acquire(&vfs_->inode_mut(ino_).sem());
+        return Step::acquire(&vfs.inode_mut(ino_).sem());
       }
       case 1: {
         phase_ = 2;
-        return Step::work(work_cost());
+        return Step::work(work_cost(vfs.costs()));
       }
       case 2: {
-        apply(vfs_->inode_mut(ino_));
+        apply(vfs.inode_mut(ino_));
         phase_ = 3;
-        return Step::release(&vfs_->inode_mut(ino_).sem());
+        return Step::release(&vfs.inode_mut(ino_).sem());
       }
       default:
-        return finish(Errno::ok);
+        return Step::done(Errno::ok);
     }
   }
 
@@ -1070,7 +1029,7 @@ class FSetAttrOp : public FdOp {
 
  protected:
   virtual bool permitted(const Inode& target, const Creds& c) const = 0;
-  virtual Duration work_cost() const = 0;
+  virtual Duration work_cost(const SyscallCosts& c) const = 0;
   virtual void apply(Inode& target) = 0;
 
  private:
@@ -1079,8 +1038,7 @@ class FSetAttrOp : public FdOp {
 
 class FchmodOp final : public Listed<FchmodOp, FSetAttrOp> {
  public:
-  FchmodOp(Vfs& vfs, int fd, Mode mode, Errno* err_out)
-      : Listed(vfs, fd, err_out), mode_(mode) {}
+  FchmodOp(int fd, Mode mode) : Listed(fd), mode_(mode) {}
 
   static auto fields(auto& self) {
     return std::tuple_cat(FSetAttrOp::fields(self), std::tie(self.mode_));
@@ -1092,7 +1050,9 @@ class FchmodOp final : public Listed<FchmodOp, FSetAttrOp> {
   bool permitted(const Inode& t, const Creds& c) const override {
     return c.is_root() || t.uid() == c.uid;
   }
-  Duration work_cost() const override { return vfs_->costs().chmod_base; }
+  Duration work_cost(const SyscallCosts& c) const override {
+    return c.chmod_base;
+  }
   void apply(Inode& t) override { t.set_mode(mode_); }
 
  private:
@@ -1101,8 +1061,8 @@ class FchmodOp final : public Listed<FchmodOp, FSetAttrOp> {
 
 class FchownOp final : public Listed<FchownOp, FSetAttrOp> {
  public:
-  FchownOp(Vfs& vfs, int fd, sim::Uid uid, sim::Gid gid, Errno* err_out)
-      : Listed(vfs, fd, err_out), uid_(uid), gid_(gid) {}
+  FchownOp(int fd, sim::Uid uid, sim::Gid gid)
+      : Listed(fd), uid_(uid), gid_(gid) {}
 
   static auto fields(auto& self) {
     return std::tuple_cat(FSetAttrOp::fields(self),
@@ -1116,7 +1076,9 @@ class FchownOp final : public Listed<FchownOp, FSetAttrOp> {
     (void)t;
     return c.is_root();
   }
-  Duration work_cost() const override { return vfs_->costs().chown_base; }
+  Duration work_cost(const SyscallCosts& c) const override {
+    return c.chown_base;
+  }
   void apply(Inode& t) override { t.set_owner(uid_, gid_); }
 
  private:
@@ -1147,32 +1109,33 @@ class SetAttrOp : public FsOp {
   int libc_page() const override { return kPageChmodChown; }
 
   Step advance(ServiceContext& ctx) override {
+    Vfs& vfs = ctx.vfs();
     switch (phase_) {
       case 0: {
         if (auto s = walk(ctx, Walker::SemPolicy::lockless_if_free,
                           Walker::Follow::yes)) {
           return *s;
         }
-        if (walker_->error() != Errno::ok) return finish(walker_->error());
-        if (!walker_->target_exists()) return finish(Errno::enoent);
+        if (walker_->error() != Errno::ok) return Step::done(walker_->error());
+        if (!walker_->target_exists()) return Step::done(Errno::enoent);
         ino_ = walker_->target();
-        if (!permitted(vfs_->inode(ino_), creds_of(ctx))) {
-          return finish(Errno::eperm);
+        if (!permitted(vfs.inode(ino_), creds_of(ctx))) {
+          return Step::done(Errno::eperm);
         }
         phase_ = 1;
-        return Step::acquire(&vfs_->inode_mut(ino_).sem());
+        return Step::acquire(&vfs.inode_mut(ino_).sem());
       }
       case 1: {
         phase_ = 2;
-        return Step::work(work_cost());
+        return Step::work(work_cost(vfs.costs()));
       }
       case 2: {  // commit
-        apply(vfs_->inode_mut(ino_));
+        apply(vfs.inode_mut(ino_));
         phase_ = 3;
-        return Step::release(&vfs_->inode_mut(ino_).sem());
+        return Step::release(&vfs.inode_mut(ino_).sem());
       }
       default:
-        return finish(Errno::ok);
+        return Step::done(Errno::ok);
     }
   }
 
@@ -1182,7 +1145,7 @@ class SetAttrOp : public FsOp {
 
  protected:
   virtual bool permitted(const Inode& target, const Creds& c) const = 0;
-  virtual Duration work_cost() const = 0;
+  virtual Duration work_cost(const SyscallCosts& c) const = 0;
   virtual void apply(Inode& target) = 0;
 
  private:
@@ -1191,8 +1154,7 @@ class SetAttrOp : public FsOp {
 
 class ChmodOp final : public Listed<ChmodOp, SetAttrOp> {
  public:
-  ChmodOp(Vfs& vfs, Path path, Mode mode, Errno* err_out)
-      : Listed(vfs, std::move(path), err_out), mode_(mode) {}
+  ChmodOp(Path path, Mode mode) : Listed(std::move(path)), mode_(mode) {}
 
   static auto fields(auto& self) {
     return std::tuple_cat(SetAttrOp::fields(self), std::tie(self.mode_));
@@ -1204,7 +1166,9 @@ class ChmodOp final : public Listed<ChmodOp, SetAttrOp> {
   bool permitted(const Inode& t, const Creds& c) const override {
     return c.is_root() || t.uid() == c.uid;
   }
-  Duration work_cost() const override { return vfs_->costs().chmod_base; }
+  Duration work_cost(const SyscallCosts& c) const override {
+    return c.chmod_base;
+  }
   void apply(Inode& t) override { t.set_mode(mode_); }
 
  private:
@@ -1213,8 +1177,8 @@ class ChmodOp final : public Listed<ChmodOp, SetAttrOp> {
 
 class ChownOp final : public Listed<ChownOp, SetAttrOp> {
  public:
-  ChownOp(Vfs& vfs, Path path, sim::Uid uid, sim::Gid gid, Errno* err_out)
-      : Listed(vfs, std::move(path), err_out), uid_(uid), gid_(gid) {}
+  ChownOp(Path path, sim::Uid uid, sim::Gid gid)
+      : Listed(std::move(path)), uid_(uid), gid_(gid) {}
 
   static auto fields(auto& self) {
     return std::tuple_cat(SetAttrOp::fields(self),
@@ -1228,7 +1192,9 @@ class ChownOp final : public Listed<ChownOp, SetAttrOp> {
     (void)t;
     return c.is_root();  // only root may give files away
   }
-  Duration work_cost() const override { return vfs_->costs().chown_base; }
+  Duration work_cost(const SyscallCosts& c) const override {
+    return c.chown_base;
+  }
   void apply(Inode& t) override { t.set_owner(uid_, gid_); }
 
  private:
@@ -1239,97 +1205,79 @@ class ChownOp final : public Listed<ChownOp, SetAttrOp> {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Factory methods
+// Factories
 // ---------------------------------------------------------------------------
 
-std::unique_ptr<ServiceOp> Vfs::stat_op(Path path, StatBuf* out,
-                                        Errno* err_out) {
-  return std::make_unique<StatOp>(*this, std::move(path), true, out, err_out);
+std::unique_ptr<ServiceOp> stat_op(Path path) {
+  return std::make_unique<StatOp>(std::move(path), true);
 }
 
-std::unique_ptr<ServiceOp> Vfs::lstat_op(Path path, StatBuf* out,
-                                         Errno* err_out) {
-  return std::make_unique<StatOp>(*this, std::move(path), false, out,
-                                  err_out);
+std::unique_ptr<ServiceOp> lstat_op(Path path) {
+  return std::make_unique<StatOp>(std::move(path), false);
 }
 
-std::unique_ptr<ServiceOp> Vfs::access_op(Path path, Errno* err_out) {
-  return std::make_unique<AccessOp>(*this, std::move(path), err_out);
+std::unique_ptr<ServiceOp> access_op(Path path) {
+  return std::make_unique<AccessOp>(std::move(path));
 }
 
-std::unique_ptr<ServiceOp> Vfs::open_op(Path path, OpenFlags flags, Mode mode,
-                                        OpenResult* out) {
-  return std::make_unique<OpenOp>(*this, std::move(path), flags, mode, out);
+std::unique_ptr<ServiceOp> open_op(Path path, OpenFlags flags, Mode mode) {
+  return std::make_unique<OpenOp>(std::move(path), flags, mode);
 }
 
-std::unique_ptr<ServiceOp> Vfs::close_op(int fd, Errno* err_out) {
-  return std::make_unique<CloseOp>(*this, fd, err_out);
+std::unique_ptr<ServiceOp> rename_op(Path oldpath, Path newpath) {
+  return std::make_unique<RenameOp>(std::move(oldpath), std::move(newpath));
 }
 
-std::unique_ptr<ServiceOp> Vfs::write_op(int fd, std::uint64_t bytes,
-                                         Errno* err_out) {
-  return std::make_unique<WriteOp>(*this, fd, bytes, err_out);
+std::unique_ptr<ServiceOp> unlink_op(Path path) {
+  return std::make_unique<UnlinkOp>(std::move(path));
 }
 
-std::unique_ptr<ServiceOp> Vfs::read_op(int fd, std::uint64_t bytes,
-                                        Errno* err_out) {
-  return std::make_unique<ReadOp>(*this, fd, bytes, err_out);
+std::unique_ptr<ServiceOp> symlink_op(Path target, Path linkpath) {
+  return std::make_unique<SymlinkOp>(std::move(target), std::move(linkpath));
 }
 
-std::unique_ptr<ServiceOp> Vfs::rename_op(Path oldpath, Path newpath,
-                                          Errno* err_out) {
-  return std::make_unique<RenameOp>(*this, std::move(oldpath),
-                                    std::move(newpath), err_out);
+std::unique_ptr<ServiceOp> chmod_op(Path path, Mode mode) {
+  return std::make_unique<ChmodOp>(std::move(path), mode);
 }
 
-std::unique_ptr<ServiceOp> Vfs::unlink_op(Path path, Errno* err_out) {
-  return std::make_unique<UnlinkOp>(*this, std::move(path), err_out);
+std::unique_ptr<ServiceOp> chown_op(Path path, sim::Uid uid, sim::Gid gid) {
+  return std::make_unique<ChownOp>(std::move(path), uid, gid);
 }
 
-std::unique_ptr<ServiceOp> Vfs::symlink_op(Path target, Path linkpath,
-                                           Errno* err_out) {
-  return std::make_unique<SymlinkOp>(*this, std::move(target),
-                                     std::move(linkpath), err_out);
+std::unique_ptr<ServiceOp> mkdir_op(Path path, Mode mode) {
+  return std::make_unique<MkdirOp>(std::move(path), mode);
 }
 
-std::unique_ptr<ServiceOp> Vfs::chmod_op(Path path, Mode mode,
-                                         Errno* err_out) {
-  return std::make_unique<ChmodOp>(*this, std::move(path), mode, err_out);
+std::unique_ptr<ServiceOp> readlink_op(Path path) {
+  return std::make_unique<ReadlinkOp>(std::move(path));
 }
 
-std::unique_ptr<ServiceOp> Vfs::chown_op(Path path, sim::Uid uid,
-                                         sim::Gid gid, Errno* err_out) {
-  return std::make_unique<ChownOp>(*this, std::move(path), uid, gid, err_out);
+std::unique_ptr<ServiceOp> link_op(Path oldpath, Path newpath) {
+  return std::make_unique<LinkOp>(std::move(oldpath), std::move(newpath));
 }
 
-std::unique_ptr<ServiceOp> Vfs::mkdir_op(Path path, Mode mode,
-                                         Errno* err_out) {
-  return std::make_unique<MkdirOp>(*this, std::move(path), mode, err_out);
+std::unique_ptr<ServiceOp> close_op(int fd) {
+  return std::make_unique<CloseOp>(fd);
 }
 
-std::unique_ptr<ServiceOp> Vfs::readlink_op(Path path, std::string* out,
-                                            Errno* err_out) {
-  return std::make_unique<ReadlinkOp>(*this, std::move(path), out, err_out);
+std::unique_ptr<ServiceOp> write_op(int fd, std::uint64_t bytes) {
+  return std::make_unique<WriteOp>(fd, bytes);
 }
 
-std::unique_ptr<ServiceOp> Vfs::link_op(Path oldpath, Path newpath,
-                                        Errno* err_out) {
-  return std::make_unique<LinkOp>(*this, std::move(oldpath),
-                                  std::move(newpath), err_out);
+std::unique_ptr<ServiceOp> read_op(int fd, std::uint64_t bytes) {
+  return std::make_unique<ReadOp>(fd, bytes);
 }
 
-std::unique_ptr<ServiceOp> Vfs::fstat_op(int fd, StatBuf* out,
-                                         Errno* err_out) {
-  return std::make_unique<FstatOp>(*this, fd, out, err_out);
+std::unique_ptr<ServiceOp> fstat_op(int fd) {
+  return std::make_unique<FstatOp>(fd);
 }
 
-std::unique_ptr<ServiceOp> Vfs::fchmod_op(int fd, Mode mode, Errno* err_out) {
-  return std::make_unique<FchmodOp>(*this, fd, mode, err_out);
+std::unique_ptr<ServiceOp> fchmod_op(int fd, Mode mode) {
+  return std::make_unique<FchmodOp>(fd, mode);
 }
 
-std::unique_ptr<ServiceOp> Vfs::fchown_op(int fd, sim::Uid uid, sim::Gid gid,
-                                          Errno* err_out) {
-  return std::make_unique<FchownOp>(*this, fd, uid, gid, err_out);
+std::unique_ptr<ServiceOp> fchown_op(int fd, sim::Uid uid, sim::Gid gid) {
+  return std::make_unique<FchownOp>(fd, uid, gid);
 }
 
 }  // namespace tocttou::fs

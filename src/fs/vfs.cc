@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "tocttou/common/strings.h"
-#include "tocttou/sim/clone.h"
 
 namespace tocttou::fs {
 
@@ -46,10 +45,6 @@ Vfs& Vfs::operator=(const Vfs& o) {
   fd_tables_ = o.fd_tables_;
   touched_tables_ = o.touched_tables_;
   return *this;
-}
-
-Vfs::Vfs(const Vfs& o, sim::CloneMap& m) : Vfs(o) {
-  m.add_range(&o, this, sizeof(Vfs));
 }
 
 Vfs::~Vfs() = default;

@@ -11,8 +11,9 @@
 
 #include "tocttou/common/error.h"
 #include "tocttou/common/strings.h"
+#include "tocttou/fs/ops.h"
+#include "tocttou/fs/vfs.h"
 #include "tocttou/sim/kernel.h"
-#include "tocttou/sim/process.h"
 
 namespace tocttou::programs {
 
@@ -125,10 +126,10 @@ class TextBuf {
   std::size_t size_ = 0;
 };
 
-/// A request's path, built when the request is issued: the Path's block
-/// is its one allocation. Building every tenant's paths at spawn would
-/// cost more: a machine-scale round spawns 256 tenants and issues about
-/// 105 syscalls among them.
+/// A request's path, built at its first call and moved into its second:
+/// one allocation per request. Building paths at spawn or when a web
+/// server draws a target would cost more: a machine-scale round's 256
+/// tenants issue about 105 syscalls, so most targets go unrequested.
 Path docroot_file(int k) {
   return Path((TextBuf() << "/srv/www/f" << k).view());
 }
@@ -215,7 +216,7 @@ void stage_background_tree(fs::Vfs& vfs, const BackgroundSpec& spec) {
   }
 }
 
-void spawn_background_tenants(sim::Kernel& kernel, fs::Vfs& vfs,
+void spawn_background_tenants(sim::Kernel& kernel,
                               const BackgroundSpec& spec) {
   int idx = 0;
   auto opts = [&idx](const char* kind, int k) {
@@ -227,20 +228,20 @@ void spawn_background_tenants(sim::Kernel& kernel, fs::Vfs& vfs,
     return o;
   };
   for (int k = 0; k < spec.web_servers; ++k) {
-    kernel.spawn(std::make_unique<WebServerTenant>(vfs, spec.docroot_files,
-                                                   spec.intensity),
-                 opts("www", k));
+    kernel.spawn(
+        std::make_unique<WebServerTenant>(spec.docroot_files, spec.intensity),
+        opts("www", k));
   }
   for (int k = 0; k < spec.cron_daemons; ++k) {
-    kernel.spawn(std::make_unique<CronDaemon>(vfs, spec.intensity),
+    kernel.spawn(std::make_unique<CronDaemon>(spec.intensity),
                  opts("cron", k));
   }
   for (int k = 0; k < spec.build_jobs; ++k) {
-    kernel.spawn(std::make_unique<BuildJob>(vfs, k, spec.intensity),
+    kernel.spawn(std::make_unique<BuildJob>(k, spec.intensity),
                  opts("build", k));
   }
   for (int k = 0; k < spec.log_writers; ++k) {
-    kernel.spawn(std::make_unique<LogWriter>(vfs, k, spec.intensity),
+    kernel.spawn(std::make_unique<LogWriter>(k, spec.intensity),
                  opts("log", k));
   }
 }
@@ -249,185 +250,233 @@ void spawn_background_tenants(sim::Kernel& kernel, fs::Vfs& vfs,
 // WebServerTenant
 // ---------------------------------------------------------------------------
 
-WebServerTenant::WebServerTenant(fs::Vfs& vfs, int docroot_files,
-                                 int intensity)
-    : vfs_(&vfs), docroot_files_(docroot_files), intensity_(intensity) {}
+WebServerTenant::WebServerTenant(int docroot_files, int intensity)
+    : docroot_files_(docroot_files), intensity_(intensity) {}
+
+void WebServerTenant::take(const sim::SyscallResult& r) {
+  if (phase_ == Phase::open) {
+    stat_err_ = r.err;
+    if (r.err == Errno::ok) stat_out_ = r.stat;
+  } else if (phase_ == Phase::read) {
+    open_out_ = {r.fd, r.err};
+  } else {
+    io_err_ = r.err;
+  }
+}
 
 Action WebServerTenant::next(ProgramContext& ctx) {
-  switch (phase_) {
-    case Phase::think:
-      phase_ = Phase::stat;
-      target_ = static_cast<int>(
-          ctx.rng.uniform_int(0, docroot_files_ > 0 ? docroot_files_ - 1 : 0));
-      // Tenants idle most of the time (sub-percent duty cycle), so a
-      // thousand of them oversubscribe the run queue in bursts without
-      // starving the machine outright — the realistic O(10^3) regime.
-      return Action::sleep_for(ctx.rng.uniform_duration(Duration::millis(10),
-                                                        Duration::millis(100)));
-    case Phase::stat:
-      phase_ = Phase::open;
-      return Action::service(
-          vfs_->stat_op(docroot_file(target_), &stat_out_, &stat_err_));
-    case Phase::open:
-      phase_ = Phase::read;
-      return Action::service(vfs_->open_op(docroot_file(target_),
+  if (ctx.has_result()) take(ctx.result());
+  for (;;) {
+    switch (phase_) {
+      case Phase::think:
+        phase_ = Phase::stat;
+        target_ = static_cast<int>(ctx.rng.uniform_int(
+            0, docroot_files_ > 0 ? docroot_files_ - 1 : 0));
+        // Tenants idle most of the time (sub-percent duty cycle), so a
+        // thousand of them oversubscribe the run queue in bursts without
+        // starving the machine outright — the realistic O(10^3) regime.
+        return Action::sleep_for(ctx.rng.uniform_duration(
+            Duration::millis(10), Duration::millis(100)));
+      case Phase::stat:
+        phase_ = Phase::open;
+        request_ = docroot_file(target_);
+        return Action::service(fs::stat_op(request_));
+      case Phase::open:
+        phase_ = Phase::read;
+        return Action::service(fs::open_op(std::move(request_),
                                            fs::OpenFlags::read_only(),
-                                           fs::kModeDefaultFile, &open_out_));
-    case Phase::read:
-      if (open_out_.err != Errno::ok) {
-        // Request failed (e.g. an injected fault); move on.
+                                           fs::kModeDefaultFile));
+      case Phase::read:
+        if (open_out_.err != Errno::ok) {
+          // Request failed (e.g. an injected fault); move on.
+          phase_ = Phase::think;
+          continue;
+        }
+        phase_ = Phase::close;
+        return Action::service(fs::read_op(
+            open_out_.fd, 4096ull * static_cast<std::uint64_t>(intensity_)));
+      case Phase::close:
+        phase_ = Phase::parse;
+        return Action::service(fs::close_op(open_out_.fd));
+      case Phase::parse:
         phase_ = Phase::think;
-        return next(ctx);
-      }
-      phase_ = Phase::close;
-      return Action::service(vfs_->read_op(
-          open_out_.fd, 4096ull * static_cast<std::uint64_t>(intensity_),
-          &io_err_));
-    case Phase::close:
-      phase_ = Phase::parse;
-      return Action::service(vfs_->close_op(open_out_.fd, &io_err_));
-    case Phase::parse:
-      phase_ = Phase::think;
-      return Action::compute(
-          ctx.rng.normal_duration(Duration::micros(20) * intensity_,
-                                  Duration::micros(5),
-                                  Duration::micros(1)),
-          "serve");
+        return Action::compute(
+            ctx.rng.normal_duration(Duration::micros(20) * intensity_,
+                                    Duration::micros(5),
+                                    Duration::micros(1)),
+            "serve");
+    }
+    return Action::exit_proc();
   }
-  return Action::exit_proc();
 }
 
 // ---------------------------------------------------------------------------
 // CronDaemon
 // ---------------------------------------------------------------------------
 
-CronDaemon::CronDaemon(fs::Vfs& vfs, int intensity)
-    : vfs_(&vfs), intensity_(intensity) {}
+CronDaemon::CronDaemon(int intensity) : intensity_(intensity) {}
+
+void CronDaemon::take(const sim::SyscallResult& r) {
+  if (phase_ == Phase::open) {
+    stat_err_ = r.err;
+    if (r.err == Errno::ok) stat_out_ = r.stat;
+  } else if (phase_ == Phase::read) {
+    open_out_ = {r.fd, r.err};
+  } else {
+    io_err_ = r.err;
+  }
+}
 
 Action CronDaemon::next(ProgramContext& ctx) {
-  switch (phase_) {
-    case Phase::sleep:
-      phase_ = Phase::stat;
-      // Periodic with deterministic jitter so daemons do not phase-lock.
-      return Action::sleep_for(Duration::millis(50) +
-                               ctx.rng.uniform_duration(Duration::zero(),
-                                                        Duration::millis(10)));
-    case Phase::stat:
-      phase_ = Phase::open;
-      return Action::service(vfs_->stat_op(kCrontab, &stat_out_, &stat_err_));
-    case Phase::open:
-      phase_ = Phase::read;
-      return Action::service(vfs_->open_op(kCrontab,
+  if (ctx.has_result()) take(ctx.result());
+  for (;;) {
+    switch (phase_) {
+      case Phase::sleep:
+        phase_ = Phase::stat;
+        // Periodic with deterministic jitter so daemons do not phase-lock.
+        return Action::sleep_for(
+            Duration::millis(50) +
+            ctx.rng.uniform_duration(Duration::zero(), Duration::millis(10)));
+      case Phase::stat:
+        phase_ = Phase::open;
+        crontab_ = Path(kCrontab);
+        return Action::service(fs::stat_op(crontab_));
+      case Phase::open:
+        phase_ = Phase::read;
+        return Action::service(fs::open_op(std::move(crontab_),
                                            fs::OpenFlags::read_only(),
-                                           fs::kModeDefaultFile, &open_out_));
-    case Phase::read:
-      if (open_out_.err != Errno::ok) {
+                                           fs::kModeDefaultFile));
+      case Phase::read:
+        if (open_out_.err != Errno::ok) {
+          phase_ = Phase::sleep;
+          continue;
+        }
+        phase_ = Phase::close;
+        return Action::service(fs::read_op(open_out_.fd, 512));
+      case Phase::close:
+        phase_ = Phase::job;
+        return Action::service(fs::close_op(open_out_.fd));
+      case Phase::job:
         phase_ = Phase::sleep;
-        return next(ctx);
-      }
-      phase_ = Phase::close;
-      return Action::service(vfs_->read_op(open_out_.fd, 512, &io_err_));
-    case Phase::close:
-      phase_ = Phase::job;
-      return Action::service(vfs_->close_op(open_out_.fd, &io_err_));
-    case Phase::job:
-      phase_ = Phase::sleep;
-      // The burst: crontab fired, run the job's computation.
-      return Action::compute(Duration::micros(100) * intensity_, "cronjob");
+        // The burst: crontab fired, run the job's computation.
+        return Action::compute(Duration::micros(100) * intensity_, "cronjob");
+    }
+    return Action::exit_proc();
   }
-  return Action::exit_proc();
 }
 
 // ---------------------------------------------------------------------------
 // BuildJob
 // ---------------------------------------------------------------------------
 
-BuildJob::BuildJob(fs::Vfs& vfs, int slot, int intensity)
-    : vfs_(&vfs), slot_(slot), intensity_(intensity) {}
+BuildJob::BuildJob(int slot, int intensity)
+    : slot_(slot), intensity_(intensity) {}
 
 Path BuildJob::object_path() const {
   return Path((TextBuf() << "/tmp/build/obj_" << slot_ << ".o").view());
 }
 
-Action BuildJob::next(ProgramContext& ctx) {
-  switch (phase_) {
-    case Phase::compile:
-      phase_ = Phase::open;
-      return Action::compute(
-          ctx.rng.normal_duration(Duration::micros(150) * intensity_,
-                                  Duration::micros(40),
-                                  Duration::micros(10)),
-          "compile");
-    case Phase::open:
-      phase_ = Phase::write;
-      return Action::service(vfs_->open_op(object_path(),
-                                           fs::OpenFlags::write_create_trunc(),
-                                           fs::kModeDefaultFile, &open_out_));
-    case Phase::write:
-      if (open_out_.err != Errno::ok) {
-        phase_ = Phase::compile;
-        return next(ctx);
-      }
-      phase_ = Phase::close;
-      return Action::service(vfs_->write_op(
-          open_out_.fd, 8192ull * static_cast<std::uint64_t>(intensity_),
-          &io_err_));
-    case Phase::close:
-      phase_ = Phase::unlink;
-      return Action::service(vfs_->close_op(open_out_.fd, &io_err_));
-    case Phase::unlink:
-      // Clean the object away so the next build re-creates it: sustained
-      // create/unlink churn on the shared directory's i_sem.
-      phase_ = Phase::idle;
-      return Action::service(vfs_->unlink_op(object_path(), &io_err_));
-    case Phase::idle:
-      // Between compilation units: blocked on the (unmodeled) source
-      // fetch. Keeps a fleet of build jobs bursty instead of CPU-bound.
-      phase_ = Phase::compile;
-      return Action::sleep_for(ctx.rng.uniform_duration(Duration::millis(10),
-                                                        Duration::millis(50)));
+void BuildJob::take(const sim::SyscallResult& r) {
+  if (phase_ == Phase::write) {
+    open_out_ = {r.fd, r.err};
+  } else {
+    io_err_ = r.err;
   }
-  return Action::exit_proc();
+}
+
+Action BuildJob::next(ProgramContext& ctx) {
+  if (ctx.has_result()) take(ctx.result());
+  for (;;) {
+    switch (phase_) {
+      case Phase::compile:
+        phase_ = Phase::open;
+        return Action::compute(
+            ctx.rng.normal_duration(Duration::micros(150) * intensity_,
+                                    Duration::micros(40),
+                                    Duration::micros(10)),
+            "compile");
+      case Phase::open:
+        phase_ = Phase::write;
+        object_ = object_path();
+        return Action::service(fs::open_op(object_,
+                                           fs::OpenFlags::write_create_trunc(),
+                                           fs::kModeDefaultFile));
+      case Phase::write:
+        if (open_out_.err != Errno::ok) {
+          object_ = Path();  // no unlink follows
+          phase_ = Phase::compile;
+          continue;
+        }
+        phase_ = Phase::close;
+        return Action::service(fs::write_op(
+            open_out_.fd, 8192ull * static_cast<std::uint64_t>(intensity_)));
+      case Phase::close:
+        phase_ = Phase::unlink;
+        return Action::service(fs::close_op(open_out_.fd));
+      case Phase::unlink:
+        // Clean the object away so the next build re-creates it: sustained
+        // create/unlink churn on the shared directory's i_sem.
+        phase_ = Phase::idle;
+        return Action::service(fs::unlink_op(std::move(object_)));
+      case Phase::idle:
+        // Between compilation units: blocked on the (unmodeled) source
+        // fetch. Keeps a fleet of build jobs bursty instead of CPU-bound.
+        phase_ = Phase::compile;
+        return Action::sleep_for(ctx.rng.uniform_duration(
+            Duration::millis(10), Duration::millis(50)));
+    }
+    return Action::exit_proc();
+  }
 }
 
 // ---------------------------------------------------------------------------
 // LogWriter
 // ---------------------------------------------------------------------------
 
-LogWriter::LogWriter(fs::Vfs& vfs, int slot, int intensity)
-    : vfs_(&vfs), slot_(slot), intensity_(intensity) {}
+LogWriter::LogWriter(int slot, int intensity)
+    : slot_(slot), intensity_(intensity) {}
 
 Path LogWriter::log_path() const {
   return Path((TextBuf() << "/var/log/app" << slot_ << ".log").view());
 }
 
-Action LogWriter::next(ProgramContext& ctx) {
-  switch (phase_) {
-    case Phase::sleep:
-      phase_ = Phase::open;
-      return Action::sleep_for(ctx.rng.uniform_duration(
-          Duration::millis(20), Duration::millis(200)));
-    case Phase::open: {
-      phase_ = Phase::write;
-      fs::OpenFlags flags;  // append-style: write, no create/trunc needed
-      flags.write = true;
-      return Action::service(
-          vfs_->open_op(log_path(), flags, fs::kModeDefaultFile, &open_out_));
-    }
-    case Phase::write:
-      if (open_out_.err != Errno::ok) {
-        phase_ = Phase::sleep;
-        return next(ctx);
-      }
-      phase_ = Phase::close;
-      return Action::service(vfs_->write_op(
-          open_out_.fd, 256ull * static_cast<std::uint64_t>(intensity_),
-          &io_err_));
-    case Phase::close:
-      phase_ = Phase::sleep;
-      return Action::service(vfs_->close_op(open_out_.fd, &io_err_));
+void LogWriter::take(const sim::SyscallResult& r) {
+  if (phase_ == Phase::write) {
+    open_out_ = {r.fd, r.err};
+  } else {
+    io_err_ = r.err;
   }
-  return Action::exit_proc();
+}
+
+Action LogWriter::next(ProgramContext& ctx) {
+  if (ctx.has_result()) take(ctx.result());
+  for (;;) {
+    switch (phase_) {
+      case Phase::sleep:
+        phase_ = Phase::open;
+        return Action::sleep_for(ctx.rng.uniform_duration(
+            Duration::millis(20), Duration::millis(200)));
+      case Phase::open: {
+        phase_ = Phase::write;
+        fs::OpenFlags flags;  // append-style: write, no create/trunc needed
+        flags.write = true;
+        return Action::service(
+            fs::open_op(log_path(), flags, fs::kModeDefaultFile));
+      }
+      case Phase::write:
+        if (open_out_.err != Errno::ok) {
+          phase_ = Phase::sleep;
+          continue;
+        }
+        phase_ = Phase::close;
+        return Action::service(fs::write_op(
+            open_out_.fd, 256ull * static_cast<std::uint64_t>(intensity_)));
+      case Phase::close:
+        phase_ = Phase::sleep;
+        return Action::service(fs::close_op(open_out_.fd));
+    }
+    return Action::exit_proc();
+  }
 }
 
 }  // namespace tocttou::programs

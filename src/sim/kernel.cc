@@ -6,7 +6,6 @@
 #include "tocttou/common/strings.h"
 #include "tocttou/detect/sync.h"
 #include "tocttou/metrics/metrics.h"
-#include "tocttou/sim/clone.h"
 #include "tocttou/sim/faults.h"
 #include "tocttou/sim/fields.h"
 
@@ -65,7 +64,7 @@ Kernel::Kernel(MachineSpec spec, std::unique_ptr<Scheduler> sched,
       rng_(seed),
       trace_(trace) {
   TOCTTOU_CHECK(spec_.n_cpus >= 1, "machine needs at least one CPU");
-  TOCTTOU_CHECK(sched_ != nullptr, "kernel needs a scheduler");
+  TOCTTOU_CHECK(static_cast<bool>(sched_), "kernel needs a scheduler");
   cpus_.resize(static_cast<std::size_t>(spec_.n_cpus));
   sched_->init(spec_.n_cpus);
   allowed_scratch_.reserve(static_cast<std::size_t>(spec_.n_cpus));
@@ -73,75 +72,6 @@ Kernel::Kernel(MachineSpec spec, std::unique_ptr<Scheduler> sched,
 }
 
 Kernel::~Kernel() = default;
-
-Kernel::Kernel(const Kernel& o, CloneMap& m)
-    : spec_(o.spec_),
-      sched_(o.sched_->clone()),
-      rng_(o.rng_),
-      trace_(m.remap(o.trace_)),
-      faults_(m.remap(o.faults_)),
-      metrics_(m.remap(o.metrics_)),
-      sync_(m.remap(o.sync_)),
-      window_(m.remap(o.window_)),
-      allowed_scratch_(o.allowed_scratch_),
-      idle_scratch_(o.idle_scratch_),
-      queue_(o.queue_),
-      cpus_(o.cpus_),
-      background_started_(o.background_started_) {
-  m.add_range(&o, this, sizeof(Kernel));
-  // Pass 1: copy the process table. Nothing points into a Process (the
-  // queues, semaphores and flags name processes by pid), so no range is
-  // registered for one.
-  procs_.reserve(o.procs_.size());
-  for (const auto& src : o.procs_) {
-    const Process& q = *src;
-    auto proc = std::unique_ptr<Process>(new Process());
-    Process& p = *proc;
-    p.pid_ = q.pid_;
-    p.name_ = q.name_;
-    p.priority_ = q.priority_;
-    p.uid_ = q.uid_;
-    p.gid_ = q.gid_;
-    p.affinity_mask_ = q.affinity_mask_;
-    p.kernel_thread_ = q.kernel_thread_;
-    p.state_ = q.state_;
-    p.cpu_ = q.cpu_;
-    p.last_cpu_ = q.last_cpu_;
-    p.slice_left_ = q.slice_left_;
-    p.cpu_time_ = q.cpu_time_;
-    p.preemptions_ = q.preemptions_;
-    p.compute_left_ = q.compute_left_;
-    p.compute_label_ = q.compute_label_;
-    p.op_enter_ = q.op_enter_;
-    p.need_resched_ = q.need_resched_;
-    p.sems_held_ = q.sems_held_;
-    p.mapped_libc_pages_ = q.mapped_libc_pages_;
-    p.seg_gen_ = q.seg_gen_;
-    p.pending_result_ = q.pending_result_;
-    p.entry_checked_ = q.entry_checked_;
-    p.seg_start_ = q.seg_start_;
-    p.seg_kind_ = q.seg_kind_;
-    p.seg_len_ = q.seg_len_;
-    p.block_start_ = q.block_start_;
-    p.wait_ino_ = q.wait_ino_;
-    p.wait_flag_ = q.wait_flag_;
-    p.wake_time_ = q.wake_time_;
-    p.wake_pending_ = q.wake_pending_;
-    procs_.push_back(std::move(proc));
-  }
-  // Pass 2: clone every program first (each registers its own range, so
-  // service-op output slots pointing into ANY program resolve), then the
-  // in-flight ops.
-  for (std::size_t i = 0; i < procs_.size(); ++i) {
-    const Process& q = *o.procs_[i];
-    if (q.program_) procs_[i]->program_ = q.program_->clone(m);
-  }
-  for (std::size_t i = 0; i < procs_.size(); ++i) {
-    const Process& q = *o.procs_[i];
-    Process& p = *procs_[i];
-    if (q.op_) p.op_ = q.op_->clone(m);
-  }
-}
 
 Pid Kernel::spawn(std::unique_ptr<Program> program, SpawnOptions opts) {
   TOCTTOU_CHECK(program != nullptr, "spawn requires a program");
@@ -157,7 +87,7 @@ Pid Kernel::spawn(std::unique_ptr<Program> program, SpawnOptions opts) {
   p.program_ = std::move(program);
   p.slice_left_ = opts.initial_slice.value_or(sched_->fresh_slice(p));
   p.state_ = ProcState::ready;
-  procs_.push_back(std::move(proc));
+  procs_.emplace_back(std::move(proc));
   if (sync_ != nullptr) sync_->proc_start(p.pid_, p.uid_);
   if (metrics_ != nullptr) {
     metrics_->count("kernel.spawns");
@@ -179,6 +109,16 @@ Process& Kernel::process(Pid pid) {
   return *procs_[pid - 1];
 }
 
+FlagId Kernel::add_flag(std::string_view name) {
+  flags_.emplace_back(name);
+  return static_cast<FlagId>(flags_.size() - 1);
+}
+
+const EventFlag& Kernel::flag(FlagId id) const {
+  TOCTTOU_CHECK(id < flags_.size(), "unknown flag");
+  return flags_[id];
+}
+
 void Kernel::hash_state(StateHasher& h) const {
   if (faults_ != nullptr) h.mark_unhashable();
   // A segment end is live only while its generation matches the
@@ -194,6 +134,8 @@ void Kernel::hash_state(StateHasher& h) const {
   for (const auto& p : procs_) p->hash_state(h);
   h.u64(cpus_.size());
   for (const CpuState& c : cpus_) h.u64(c.running);
+  h.u64(flags_.size());
+  for (const EventFlag& f : flags_) f.hash_state(h);
   h.boolean(background_started_);
   sched_->hash_state(h);
 }
@@ -451,6 +393,7 @@ void Kernel::start_next_action(Process& p) {
     }
     ProgramContext ctx{*this, p, rng_, now()};
     Action a = p.program_->next(ctx);
+    p.result_pending_ = false;  // that next() was the one to read it
     switch (a.kind) {
       case Action::Kind::compute: {
         p.compute_left_ = spec_.effective(a.dur, rng_);
@@ -464,6 +407,7 @@ void Kernel::start_next_action(Process& p) {
       }
       case Action::Kind::service: {
         p.op_ = std::move(a.op);
+        p.result_ = {};
         if (faults_ != nullptr && faults_->wants_syscall_errors()) {
           p.entry_checked_ = false;
         }
@@ -488,32 +432,34 @@ void Kernel::start_next_action(Process& p) {
         return;
       }
       case Action::Kind::wait_flag: {
-        TOCTTOU_CHECK(a.flag != nullptr, "wait_flag needs a flag");
-        if (a.flag->set_) {
+        TOCTTOU_CHECK(a.flag < flags_.size(), "wait_flag needs a flag");
+        EventFlag& flag = flags_[a.flag];
+        if (flag.set_) {
           // Fast path still observes the setter's publication.
-          if (sync_ != nullptr) sync_->flag_wake(p.pid_, a.flag->name());
+          if (sync_ != nullptr) sync_->flag_wake(p.pid_, flag.name());
           continue;
         }
         p.state_ = ProcState::blocked_flag;
         p.block_start_ = now();
-        p.wait_flag_ = a.flag->name_;
-        a.flag->waiters_.push_back(p.pid_);
+        p.wait_flag_ = a.flag;
+        flag.waiters_.push_back(p.pid_);
         free_cpu(p);
         return;
       }
       case Action::Kind::set_flag: {
-        TOCTTOU_CHECK(a.flag != nullptr, "set_flag needs a flag");
-        a.flag->set_ = true;
-        if (sync_ != nullptr) sync_->flag_set(p.pid_, a.flag->name());
-        for (Pid w : a.flag->waiters_) {
+        TOCTTOU_CHECK(a.flag < flags_.size(), "set_flag needs a flag");
+        EventFlag& flag = flags_[a.flag];
+        flag.set_ = true;
+        if (sync_ != nullptr) sync_->flag_set(p.pid_, flag.name());
+        for (Pid w : flag.waiters_) {
           // Blocked waiters receive the publication at set time; they
           // perform no events before their wakeup runs, so logging the
           // wake here keeps the append order causal.
-          if (sync_ != nullptr) sync_->flag_wake(w, a.flag->name());
+          if (sync_ != nullptr) sync_->flag_wake(w, flag.name());
           queue_.schedule_at(now() + spec_.wakeup_latency,
                              {EventKind::wake, w});
         }
-        a.flag->waiters_.clear();
+        flag.waiters_.clear();
         continue;
       }
       case Action::Kind::mark: {
@@ -529,10 +475,10 @@ void Kernel::start_next_action(Process& p) {
 }
 
 void Kernel::advance_service(Process& p) {
-  TOCTTOU_CHECK(p.op_ != nullptr, "advance_service without an op");
+  TOCTTOU_CHECK(static_cast<bool>(p.op_), "advance_service without an op");
   while (true) {
     if (p.state_ != ProcState::running) return;
-    ServiceContext ctx{*this, p, rng_, now()};
+    ServiceContext ctx{*this, p, rng_, now(), vfs_, p.result_};
     const Step step =
         p.entry_checked_ ? p.op_->advance(ctx) : first_advance(p, ctx);
     switch (step.kind) {
@@ -567,18 +513,18 @@ void Kernel::advance_service(Process& p) {
         return;
       }
       case Step::Kind::done: {
+        p.result_.err = step.result;
         if (faults_ != nullptr) {
           const Duration spike =
               faults_->completion_spike(p.op_->name(), p.pid_);
           if (spike > Duration::zero()) {
-            // Hold the result; the syscall returns only after the spike,
-            // so the journal exit time reflects the injected latency.
-            p.pending_result_ = step.result;
+            // The syscall returns only after the spike, so the journal
+            // exit time reflects the injected latency.
             begin_segment(p, Process::SegKind::fault_spike, spike);
             return;
           }
         }
-        finish_syscall(p, step.result);
+        finish_syscall(p);
         return;
       }
     }
@@ -589,15 +535,16 @@ Step Kernel::first_advance(Process& p, ServiceContext& ctx) {
   p.entry_checked_ = true;
   if (const auto e =
           faults_->syscall_error(p.op_->name(), p.op_->path(), p.pid_)) {
-    // The call fails before it touches a semaphore; it then returns
-    // through the done path like any other (spike, journal, kill).
-    return p.op_->fail_at_entry(*e);
+    // The call fails before the op runs, so before it touches a
+    // semaphore or its result record; it then returns through the done
+    // path like any other (spike, journal, kill).
+    return Step::done(*e);
   }
   return p.op_->advance(ctx);
 }
 
-void Kernel::finish_syscall(Process& p, Errno result) {
-  complete_service(p, result);
+void Kernel::finish_syscall(Process& p) {
+  complete_service(p);
   if (faults_ != nullptr && faults_->kill_at_syscall_return(p.pid_)) {
     mark(p.pid_, "fault-kill");
     handle_exit(p);
@@ -607,8 +554,10 @@ void Kernel::finish_syscall(Process& p, Errno result) {
   start_next_action(p);
 }
 
-void Kernel::complete_service(Process& p, Errno result) {
+void Kernel::complete_service(Process& p) {
   const ServiceOp& op = *p.op_;
+  const Errno result = p.result_.err;
+  p.result_pending_ = true;
   if (window_ != nullptr && window_->tracks(p.pid_)) {
     window_->add(op.name(), result, op.path(), op.path2(), p.op_enter_,
                  now());
@@ -724,7 +673,7 @@ void Kernel::trace_wait(const Process& p) {
       break;
     case ProcState::blocked_flag:
       ev.category = trace::Category::sem_wait;
-      ev.label = "flag:" + std::string(p.wait_flag_);
+      ev.label = "flag:" + std::string(flags_[p.wait_flag_].name());
       break;
     default:  // blocked_io: the op in service stalls on its device
       ev.category = trace::Category::io_wait;
@@ -788,7 +737,7 @@ void Kernel::finish_segment(Process& p, Duration ran) {
     }
     case Process::SegKind::trap: {
       trace_segment(p, trace::Category::trap, "trap", p.seg_start_, now());
-      TOCTTOU_CHECK(p.op_ != nullptr, "trap must precede a service op");
+      TOCTTOU_CHECK(static_cast<bool>(p.op_), "trap must precede a service op");
       p.op_enter_ = now();
       if (sync_ != nullptr) sync_->sc_enter(p.pid_);
       if (p.need_resched_) {
@@ -824,7 +773,7 @@ void Kernel::finish_segment(Process& p, Duration ran) {
     case Process::SegKind::fault_spike: {
       trace_segment(p, trace::Category::syscall, "fault-spike", p.seg_start_,
                     now());
-      finish_syscall(p, p.pending_result_);
+      finish_syscall(p);
       return;
     }
     case Process::SegKind::none:

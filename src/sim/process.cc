@@ -1,6 +1,12 @@
 #include "tocttou/sim/process.h"
 
+#include "tocttou/sim/fields.h"
+
 namespace tocttou::sim {
+
+void ServiceContext::no_vfs() {
+  throw SimError("check failed: no Vfs is attached to the kernel");
+}
 
 const char* to_string(ProcState s) {
   switch (s) {
@@ -73,17 +79,25 @@ void Process::hash_state(StateHasher& h) const {
   h.boolean(need_resched_);
   h.u64(mapped_libc_pages_.size());
   for (int page : mapped_libc_pages_) h.i64(page);
-  h.u32(static_cast<std::uint32_t>(pending_result_));
+  // Pending only from a call's completion to the next() after it (one
+  // kernel event, unless a fault round's completion spike splits them).
+  h.boolean(result_pending_);
+  if (result_pending_) {
+    h.u32(static_cast<std::uint32_t>(result_.err));
+    h.i64(result_.fd);
+    hash_field(h, result_.stat);
+    h.str(result_.link.str());
+  }
   h.boolean(wake_pending_);
   // Which semaphores are held is each inode semaphore's owner, which
   // the Vfs digest covers.
   h.u64(sems_held_);
-  h.boolean(op_ != nullptr);
+  h.boolean(static_cast<bool>(op_));
   if (op_) {
     h.time(op_enter_);
     op_->hash_state(h);
   }
-  h.boolean(program_ != nullptr);
+  h.boolean(static_cast<bool>(program_));
   if (program_) program_->hash_state(h);
 }
 

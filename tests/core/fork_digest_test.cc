@@ -1,20 +1,24 @@
 // Checkpoint forks and state digests of every op and program kind.
 //
-// The clone and the digest of every syscall op and program are derived
-// from one field list (sim/fields.h). These rounds make a fork at every
-// kernel event and check that its digest is hashable and equals the
-// parent's; at a sample of events they fork a child, fork a grandchild
-// from it, destroy the child and drive the grandchild to the end, whose
-// RoundResult — journal included — must equal an unforked run's. A
-// pointer the clone failed to rebind would point into the destroyed
-// child (or the parent), which ASan reports and the comparison catches.
+// A fork copies the round member by member and re-attaches its own sinks;
+// the digest of every syscall op and program is derived from its field
+// list (sim/fields.h). These rounds make a fork at every kernel event
+// and check that its digest is hashable and equals the parent's; at a
+// sample of events they fork a child, fork a grandchild from it, destroy
+// the child and drive the grandchild to the end, whose RoundResult —
+// journal included — must equal an unforked run's. A fork still tied to
+// the destroyed child (or the parent) would read freed memory, which
+// ASan reports, or write into the wrong streams, which the comparison
+// catches.
 //
 // The rounds cover every victim x attacker pair on the SMP testbed, a
-// round with 16 tenant processes, and two SyscallTour programs that
-// between them issue all 18 Vfs syscall factories in one shared
-// directory, so some of their walks block on a held directory semaphore.
+// round with 16 tenant processes, two SyscallTour programs that between
+// them issue all 18 syscall factories (fs/ops.h) in one shared
+// directory, so some of their walks block on a held directory semaphore,
+// and a round with every sink attached.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -25,29 +29,31 @@
 #include "tocttou/common/strings.h"
 #include "tocttou/core/harness.h"
 #include "tocttou/core/round_run.h"
+#include "tocttou/fs/ops.h"
 #include "tocttou/programs/testbeds.h"
 #include "tocttou/sim/fields.h"
+#include "tocttou/sim/process.h"
 
 namespace tocttou::core {
 namespace {
 
 constexpr const char* kTourDir = "/tmp/tour";
 
-/// Loops three times over every Vfs syscall factory on its own names in
+/// Loops three times over every syscall factory on its own names in
 /// kTourDir, sleeping briefly between calls so that two tours share the
-/// CPUs. Holds one output slot of each kind (errno, stat, open result,
-/// readlink target), so in-flight ops point into it.
+/// CPUs. Keeps one field of each kind of result (errno, stat, open
+/// result, readlink target), filled from each call's result.
 class SyscallTour final : public sim::Listed<SyscallTour, sim::Program> {
  public:
-  SyscallTour(fs::Vfs& vfs, int id) : vfs_(&vfs), id_(id) {}
+  explicit SyscallTour(int id) : id_(id) {}
 
   static auto fields(auto& self) {
-    return std::tie(self.vfs_, self.id_, self.step_, self.laps_, self.gap_,
-                    self.err_, self.st_, self.open_, self.link_);
+    return std::tie(self.id_, self.step_, self.laps_, self.gap_, self.err_,
+                    self.st_, self.open_, self.link_);
   }
 
   sim::Action next(sim::ProgramContext& ctx) override {
-    (void)ctx;
+    if (ctx.has_result()) take(ctx.result());
     gap_ = !gap_;
     if (gap_) return sim::Action::sleep_for(Duration::micros(3));
     if (step_ == kSteps) {
@@ -65,37 +71,56 @@ class SyscallTour final : public sim::Listed<SyscallTour, sim::Program> {
   }
 
   std::unique_ptr<sim::ServiceOp> op(int step) {
-    fs::Vfs& v = *vfs_;
     switch (step) {
-      case 0: return v.mkdir_op(kTourDir, 0777, &err_);
-      case 1: return v.mkdir_op(path("d"), 0755, &err_);
+      case 0: return fs::mkdir_op(kTourDir, 0777);
+      case 1: return fs::mkdir_op(path("d"), 0755);
       case 2:
-        return v.open_op(path("f"), fs::OpenFlags::write_create_trunc(), 0644,
-                         &open_);
-      case 3: return v.write_op(open_.fd, 4096, &err_);
-      case 4: return v.fstat_op(open_.fd, &st_, &err_);
-      case 5: return v.fchmod_op(open_.fd, 0600, &err_);
-      case 6: return v.fchown_op(open_.fd, 0, 0, &err_);
-      case 7: return v.close_op(open_.fd, &err_);
-      case 8:
-        return v.open_op(path("f"), fs::OpenFlags::read_only(), 0, &open_);
-      case 9: return v.read_op(open_.fd, 1024, &err_);
-      case 10: return v.close_op(open_.fd, &err_);
-      case 11: return v.stat_op(path("f"), &st_, &err_);
-      case 12: return v.access_op(path("f"), &err_);
-      case 13: return v.symlink_op(path("f"), path("s"), &err_);
-      case 14: return v.lstat_op(path("s"), &st_, &err_);
-      case 15: return v.readlink_op(path("s"), &link_, &err_);
-      case 16: return v.link_op(path("f"), path("h"), &err_);
-      case 17: return v.rename_op(path("h"), path("r"), &err_);
-      case 18: return v.chmod_op(path("r"), 0644, &err_);
-      case 19: return v.chown_op(path("s"), 0, 0, &err_);
-      case 20: return v.unlink_op(path("r"), &err_);
-      default: return v.unlink_op(path("s"), &err_);
+        return fs::open_op(path("f"), fs::OpenFlags::write_create_trunc(),
+                           0644);
+      case 3: return fs::write_op(open_.fd, 4096);
+      case 4: return fs::fstat_op(open_.fd);
+      case 5: return fs::fchmod_op(open_.fd, 0600);
+      case 6: return fs::fchown_op(open_.fd, 0, 0);
+      case 7: return fs::close_op(open_.fd);
+      case 8: return fs::open_op(path("f"), fs::OpenFlags::read_only(), 0);
+      case 9: return fs::read_op(open_.fd, 1024);
+      case 10: return fs::close_op(open_.fd);
+      case 11: return fs::stat_op(path("f"));
+      case 12: return fs::access_op(path("f"));
+      case 13: return fs::symlink_op(path("f"), path("s"));
+      case 14: return fs::lstat_op(path("s"));
+      case 15: return fs::readlink_op(path("s"));
+      case 16: return fs::link_op(path("f"), path("h"));
+      case 17: return fs::rename_op(path("h"), path("r"));
+      case 18: return fs::chmod_op(path("r"), 0644);
+      case 19: return fs::chown_op(path("s"), 0, 0);
+      case 20: return fs::unlink_op(path("r"));
+      default: return fs::unlink_op(path("s"));
     }
   }
 
-  fs::Vfs* vfs_;
+  /// Keeps the result of the call step_ - 1 issued, in the field of its
+  /// kind: a StatBuf or link target only when the call succeeded.
+  void take(const sim::SyscallResult& r) {
+    switch (step_ - 1) {
+      case 2:
+      case 8:
+        open_ = {r.fd, r.err};
+        return;
+      case 4:
+      case 11:
+      case 14:
+        if (r.err == Errno::ok) st_ = r.stat;
+        break;
+      case 15:
+        if (r.err == Errno::ok) link_ = r.link.str();
+        break;
+      default:
+        break;
+    }
+    err_ = r.err;
+  }
+
   int id_;
   int step_ = 0;
   int laps_ = 0;
@@ -221,9 +246,7 @@ TEST(ForkDigestTest, SyscallToursInOneDirectory) {
   for (int id = 0; id < 2; ++id) {
     ScenarioConfig::ExtraProgram ep;
     ep.name = strfmt("tour/%d", id);
-    ep.make = [id](fs::Vfs& vfs) {
-      return std::make_unique<SyscallTour>(vfs, id);
-    };
+    ep.make = [id](fs::Vfs&) { return std::make_unique<SyscallTour>(id); };
     cfg.extra_programs.push_back(std::move(ep));
   }
   const RoundResult r = RoundRun(cfg).finish();
@@ -238,6 +261,59 @@ TEST(ForkDigestTest, SyscallToursInOneDirectory) {
   ASSERT_NE(waits, nullptr);
   EXPECT_GT(waits->count(), 0u);
   check_forks(cfg);
+}
+
+/// What a round with every sink attached reports beyond Surface: the
+/// detector's report and CSV, the event log's CSV and the fault stats.
+struct SinkSurface {
+  Surface base;
+  std::string detect;
+  std::string detect_csv;
+  std::string events_csv;
+  std::string faults;
+
+  bool operator==(const SinkSurface&) const = default;
+};
+
+SinkSurface sinks_of(const RoundResult& r) {
+  return SinkSurface{surface_of(r), r.detect.summary(), r.detect.to_csv(),
+                     r.trace.log.to_csv(), r.faults.summary()};
+}
+
+TEST(ForkDigestTest, EverySinkSurvivesAFork) {
+  // The sync log (detect), the event log (record_events) and the fault
+  // injector, beside the journal and metrics: a grandchild of a
+  // destroyed child must write into its own copy of each. The spike plan
+  // makes the round unhashable, so no digest is compared. Smp gedit
+  // against the pipelined attacker puts the flag handoff in the sync log.
+  ScenarioConfig cfg = smp(VictimKind::gedit, AttackerKind::pipelined);
+  cfg.detect = true;
+  cfg.record_events = true;
+  std::string err;
+  ASSERT_TRUE(sim::FaultPlan::parse("spike:0.05:us=20", &cfg.faults, &err))
+      << err;
+  const RoundResult whole = RoundRun(cfg).finish();
+  ASSERT_GT(whole.faults.latency_spikes, 0u);
+  ASSERT_TRUE(std::any_of(whole.sync.events().begin(),
+                          whole.sync.events().end(),
+                          [](const detect::SyncEvent& e) {
+                            return e.kind == detect::SyncKind::flag_set;
+                          }));
+  const SinkSurface want = sinks_of(whole);
+  const std::uint64_t every = want.base.events / 8 + 1;
+  RoundRun run(cfg);
+  int grandchildren = 0;
+  do {
+    if (run.events_executed() % every != 0) continue;
+    auto child = std::make_unique<RoundRun>(run);
+    RoundRun grandchild(*child);
+    child.reset();
+    ASSERT_EQ(sinks_of(grandchild.finish()), want)
+        << "grandchild forked at event " << run.events_executed();
+    ++grandchildren;
+  } while (run.step());
+  EXPECT_GE(grandchildren, 8);
+  EXPECT_EQ(sinks_of(run.finish()), want);
 }
 
 TEST(ForkDigestTest, SixteenTenants) {

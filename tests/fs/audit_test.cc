@@ -6,6 +6,7 @@
 #include <string>
 
 #include "../testing/programs.h"
+#include "tocttou/fs/ops.h"
 #include "tocttou/fs/vfs.h"
 #include "tocttou/sched/linux_sched.h"
 #include "tocttou/sim/kernel.h"
@@ -52,23 +53,22 @@ TEST_F(AuditTest, CleanAfterRealWorkload) {
   m.context_switch_cost = Duration::zero();
   m.wakeup_latency = Duration::zero();
   Kernel kernel(m, std::make_unique<sched::LinuxLikeScheduler>(), 1, &trace);
-  OpenResult o1;
-  Errno werr = Errno::einval, rerr = Errno::einval, uerr = Errno::einval;
+  kernel.set_vfs(&vfs_);
   std::vector<Action> a;
   a.push_back(Action::service(
-      vfs_.open_op("/d/f", OpenFlags::write_create_trunc(), 0644, &o1)));
-  a.push_back(Action::service(vfs_.write_op(3, 64, &werr)));
-  a.push_back(Action::service(vfs_.rename_op("/d/f", "/d/g", &rerr)));
+      open_op("/d/f", OpenFlags::write_create_trunc(), 0644)));
+  a.push_back(Action::service(write_op(3, 64)));
+  a.push_back(Action::service(rename_op("/d/f", "/d/g")));
   // Unlink while fd 3 is still open: a live orphan — legal state.
-  a.push_back(Action::service(vfs_.unlink_op("/d/g", &uerr)));
+  a.push_back(Action::service(unlink_op("/d/g")));
   sim::SpawnOptions opts;
   opts.name = "worker";
-  kernel.spawn(std::make_unique<ScriptProgram>(std::move(a)), opts);
+  const sim::Pid pid =
+      kernel.spawn(std::make_unique<ScriptProgram>(std::move(a)), opts);
   ASSERT_TRUE(kernel.run_to_exit());
-  ASSERT_EQ(o1.err, Errno::ok);
-  ASSERT_EQ(werr, Errno::ok);
-  ASSERT_EQ(rerr, Errno::ok);
-  ASSERT_EQ(uerr, Errno::ok);
+  const auto& results = tocttou::testing::script_results(kernel, pid);
+  ASSERT_EQ(results.size(), 4u);
+  for (const sim::SyscallResult& r : results) ASSERT_EQ(r.err, Errno::ok);
   const auto v = vfs_.audit();
   EXPECT_TRUE(v.empty()) << v.front();
 }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "../testing/programs.h"
+#include "tocttou/fs/ops.h"
 #include "tocttou/fs/vfs.h"
 #include "tocttou/sched/linux_sched.h"
 #include "tocttou/sim/kernel.h"
@@ -14,6 +15,7 @@ namespace {
 using namespace tocttou::literals;
 using sim::Action;
 using sim::Kernel;
+using sim::SyscallResult;
 using tocttou::testing::ScriptProgram;
 
 class ContentionTest : public ::testing::Test {
@@ -31,6 +33,7 @@ class ContentionTest : public ::testing::Test {
     m.background.enabled = false;
     kernel_ = std::make_unique<Kernel>(
         m, std::make_unique<sched::LinuxLikeScheduler>(), 1, &trace_);
+    kernel_->set_vfs(&vfs_);
   }
 
   static SyscallCosts make_costs() {
@@ -51,6 +54,11 @@ class ContentionTest : public ::testing::Test {
         std::make_unique<ScriptProgram>(std::move(actions)), opts);
   }
 
+  /// The errno of process `pid`'s k-th call.
+  Errno err(sim::Pid pid, std::size_t k) const {
+    return tocttou::testing::script_results(*kernel_, pid).at(k).err;
+  }
+
   Vfs vfs_;
   Ino file_ = kNoIno;
   trace::RoundTrace trace_;
@@ -63,16 +71,15 @@ TEST_F(ContentionTest, ChmodBlocksBehindUnlinkCascade) {
   // resolves the name — still present until the detach commits — and
   // then stalls on that semaphore through the detach AND the physical
   // truncate (64KB x 10us/KB here), finally applying to the orphan.
-  Errno uerr = Errno::einval, cerr = Errno::einval;
   std::vector<Action> att, vic;
-  att.push_back(Action::service(vfs_.unlink_op("/d/f", &uerr)));
+  att.push_back(Action::service(unlink_op("/d/f")));
   vic.push_back(Action::compute(10_us));
-  vic.push_back(Action::service(vfs_.chmod_op("/d/f", 0222, &cerr)));
+  vic.push_back(Action::service(chmod_op("/d/f", 0222)));
   const auto a = spawn(std::move(att), "attacker", 500);
   const auto v = spawn(std::move(vic), "root", 0);
   ASSERT_TRUE(kernel_->run_to_exit());
-  EXPECT_EQ(uerr, Errno::ok);
-  EXPECT_EQ(cerr, Errno::ok);  // applied -- to the orphaned inode
+  EXPECT_EQ(err(a, 0), Errno::ok);
+  EXPECT_EQ(err(v, 0), Errno::ok);  // applied -- to the orphaned inode
   EXPECT_FALSE(vfs_.exists("/d/f"));
   EXPECT_EQ(vfs_.inode(file_).mode(), 0222);
   EXPECT_EQ(vfs_.inode(file_).nlink(), 0);
@@ -99,18 +106,18 @@ TEST_F(ContentionTest, UnlinkBlocksBehindChmodCascade) {
   // unlink stalls. The chown then resolves the still-present name and
   // queues on the inode semaphore BEHIND the unlink (FIFO), eventually
   // applying to the orphan — but never to /etc/passwd: attack failed.
-  Errno uerr = Errno::einval, cerr = Errno::einval, oerr = Errno::einval;
   std::vector<Action> att, vic;
   att.push_back(Action::compute(2_us));
-  att.push_back(Action::service(vfs_.unlink_op("/d/f", &uerr)));
-  vic.push_back(Action::service(vfs_.chmod_op("/d/f", 0600, &cerr)));
-  vic.push_back(Action::service(vfs_.chown_op("/d/f", 500, 500, &oerr)));
+  att.push_back(Action::service(unlink_op("/d/f")));
+  vic.push_back(Action::service(chmod_op("/d/f", 0600)));
+  vic.push_back(Action::service(chown_op("/d/f", 500, 500)));
   const auto a = spawn(std::move(att), "attacker", 500);
   const auto v = spawn(std::move(vic), "root", 0);
   ASSERT_TRUE(kernel_->run_to_exit());
-  EXPECT_EQ(cerr, Errno::ok);
-  EXPECT_EQ(uerr, Errno::ok);  // unlink eventually proceeds
-  EXPECT_EQ(oerr, Errno::ok);  // applied to the orphan via FIFO hand-off
+  EXPECT_EQ(err(v, 0), Errno::ok);
+  EXPECT_EQ(err(a, 0), Errno::ok);  // unlink eventually proceeds
+  EXPECT_EQ(err(v, 1), Errno::ok);  // applied to the orphan via FIFO
+                                    // hand-off
   EXPECT_EQ(vfs_.inode(file_).mode(), 0600);
   EXPECT_EQ(vfs_.inode(file_).uid(), 500u);  // chown landed on the orphan
   EXPECT_FALSE(vfs_.exists("/d/f"));
@@ -130,19 +137,18 @@ TEST_F(ContentionTest, StatBlocksBehindRename) {
   // slow path and returns only after the rename commits — the "stat
   // lengthened to 26us" effect of Figure 10.
   vfs_.create_file("/d/temp", 0, 0, 0644, 1);
-  Errno rerr = Errno::einval, serr = Errno::einval;
-  StatBuf out;
   std::vector<Action> vic, att;
-  vic.push_back(Action::service(vfs_.rename_op("/d/temp", "/d/g", &rerr)));
+  vic.push_back(Action::service(rename_op("/d/temp", "/d/g")));
   att.push_back(Action::compute(20_us));  // rename holds the sem by now
-  att.push_back(Action::service(vfs_.stat_op("/d/g", &out, &serr)));
-  spawn(std::move(vic), "gedit", 0);
+  att.push_back(Action::service(stat_op("/d/g")));
+  const auto v = spawn(std::move(vic), "gedit", 0);
   const auto a = spawn(std::move(att), "attacker", 500);
   ASSERT_TRUE(kernel_->run_to_exit());
-  EXPECT_EQ(rerr, Errno::ok);
-  EXPECT_EQ(serr, Errno::ok);
+  EXPECT_EQ(err(v, 0), Errno::ok);
+  const SyscallResult& st = tocttou::testing::script_results(*kernel_, a).at(0);
+  EXPECT_EQ(st.err, Errno::ok);
   // The stat observed the POST-commit state (g exists, root-owned).
-  EXPECT_TRUE(out.owned_by_root());
+  EXPECT_TRUE(st.stat.owned_by_root());
   // And it took far longer than an uncontended stat (which is ~10us).
   const auto stats = trace_.journal.for_pid(a, "stat");
   ASSERT_EQ(stats.size(), 1u);
@@ -150,13 +156,11 @@ TEST_F(ContentionTest, StatBlocksBehindRename) {
 }
 
 TEST_F(ContentionTest, StatLocklessWhenFree) {
-  StatBuf out;
-  Errno serr = Errno::einval;
   std::vector<Action> att;
-  att.push_back(Action::service(vfs_.stat_op("/d/f", &out, &serr)));
+  att.push_back(Action::service(stat_op("/d/f")));
   const auto a = spawn(std::move(att), "attacker", 500);
   ASSERT_TRUE(kernel_->run_to_exit());
-  EXPECT_EQ(serr, Errno::ok);
+  EXPECT_EQ(err(a, 0), Errno::ok);
   const auto stats = trace_.journal.for_pid(a, "stat");
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_LT(stats[0]->length(), 12_us);
@@ -166,17 +170,15 @@ TEST_F(ContentionTest, SymlinkOverlapsUnlinkTruncate) {
   // Section 7: unlink releases the directory semaphore after the detach
   // and truncates afterwards, so a symlink issued right behind it
   // completes long before the unlink returns (the pipelined attack).
-  Errno uerr = Errno::einval, serr = Errno::einval;
   std::vector<Action> t1, t2;
-  t1.push_back(Action::service(vfs_.unlink_op("/d/f", &uerr)));
+  t1.push_back(Action::service(unlink_op("/d/f")));
   t2.push_back(Action::compute(5_us));  // arrive during the detach
-  t2.push_back(
-      Action::service(vfs_.symlink_op("/etc/passwd", "/d/f", &serr)));
+  t2.push_back(Action::service(symlink_op("/etc/passwd", "/d/f")));
   const auto u = spawn(std::move(t1), "unlinker", 500);
   const auto s = spawn(std::move(t2), "symlinker", 500);
   ASSERT_TRUE(kernel_->run_to_exit());
-  EXPECT_EQ(uerr, Errno::ok);
-  EXPECT_EQ(serr, Errno::ok);
+  EXPECT_EQ(err(u, 0), Errno::ok);
+  EXPECT_EQ(err(s, 0), Errno::ok);
   const auto unlinks = trace_.journal.for_pid(u, "unlink");
   const auto symlinks = trace_.journal.for_pid(s, "symlink");
   ASSERT_EQ(unlinks.size(), 1u);
@@ -190,21 +192,20 @@ TEST_F(ContentionTest, SymlinkOverlapsUnlinkTruncate) {
 TEST_F(ContentionTest, FifoOrderOnDirectorySemaphore) {
   // Three symlink creators on distinct names contend on /d's semaphore;
   // they must complete in arrival order (FIFO hand-off, no barging).
-  Errno e1 = Errno::einval, e2 = Errno::einval, e3 = Errno::einval;
   std::vector<Action> p1, p2, p3;
-  p1.push_back(Action::service(vfs_.symlink_op("/x", "/d/l1", &e1)));
+  p1.push_back(Action::service(symlink_op("/x", "/d/l1")));
   p2.push_back(Action::compute(1_us));
-  p2.push_back(Action::service(vfs_.symlink_op("/x", "/d/l2", &e2)));
+  p2.push_back(Action::service(symlink_op("/x", "/d/l2")));
   p3.push_back(Action::compute(2_us));
-  p3.push_back(Action::service(vfs_.symlink_op("/x", "/d/l3", &e3)));
+  p3.push_back(Action::service(symlink_op("/x", "/d/l3")));
   // Three processes on two CPUs: plenty of overlap.
   const auto a = spawn(std::move(p1), "p1", 500);
   const auto b = spawn(std::move(p2), "p2", 500);
   const auto c = spawn(std::move(p3), "p3", 500);
   ASSERT_TRUE(kernel_->run_to_exit());
-  EXPECT_EQ(e1, Errno::ok);
-  EXPECT_EQ(e2, Errno::ok);
-  EXPECT_EQ(e3, Errno::ok);
+  EXPECT_EQ(err(a, 0), Errno::ok);
+  EXPECT_EQ(err(b, 0), Errno::ok);
+  EXPECT_EQ(err(c, 0), Errno::ok);
   const auto s1 = trace_.journal.for_pid(a, "symlink");
   const auto s2 = trace_.journal.for_pid(b, "symlink");
   const auto s3 = trace_.journal.for_pid(c, "symlink");

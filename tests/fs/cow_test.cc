@@ -10,6 +10,7 @@
 
 #include "../testing/programs.h"
 #include "tocttou/common/state_hash.h"
+#include "tocttou/fs/ops.h"
 #include "tocttou/fs/vfs.h"
 #include "tocttou/sched/linux_sched.h"
 #include "tocttou/sim/kernel.h"
@@ -26,15 +27,18 @@ StateHasher::Digest digest_of(const Vfs& vfs) {
   return h.digest();
 }
 
-std::unique_ptr<sim::Kernel> quiet_kernel() {
+/// A kernel whose syscalls run on `vfs`.
+std::unique_ptr<sim::Kernel> quiet_kernel(Vfs& vfs) {
   sim::MachineSpec m;
   m.n_cpus = 2;
   m.context_switch_cost = Duration::zero();
   m.wakeup_latency = Duration::zero();
   m.noise = sim::NoiseModel::none();
   m.background.enabled = false;
-  return std::make_unique<sim::Kernel>(
+  auto kernel = std::make_unique<sim::Kernel>(
       m, std::make_unique<sched::LinuxLikeScheduler>(), 1, nullptr);
+  kernel->set_vfs(&vfs);
+  return kernel;
 }
 
 sim::Pid spawn(sim::Kernel& k, std::vector<Action> actions) {
@@ -101,9 +105,9 @@ TEST_F(CopyOnWriteTest, ASemaphoreAcquiredThroughAnOpIsTheCopysOwn) {
   // Step a chmod on the copy until it holds the file's i_sem: the copy's
   // semaphore has an owner, the source's none.
   Vfs copy(src_);
-  auto kernel = quiet_kernel();
+  auto kernel = quiet_kernel(copy);
   std::vector<Action> a;
-  a.push_back(Action::service(copy.chmod_op("/home/alice/f.txt", 0600)));
+  a.push_back(Action::service(chmod_op("/home/alice/f.txt", 0600)));
   const sim::Pid pid = spawn(*kernel, std::move(a));
   while (!copy.inode(file_).sem().held()) ASSERT_TRUE(kernel->step());
   EXPECT_EQ(copy.inode(file_).sem().owner(), pid);
@@ -118,39 +122,32 @@ TEST_F(CopyOnWriteTest, ASemaphoreAcquiredThroughAnOpIsTheCopysOwn) {
 
 TEST_F(CopyOnWriteTest, ReadOnlySyscallsLeaveTheDirectoryShared) {
   Vfs copy(src_);
-  auto kernel = quiet_kernel();
-  StatBuf st;
-  StatBuf lst;
-  Errno stat_err = Errno::einval;
-  Errno lstat_err = Errno::einval;
-  Errno access_err = Errno::einval;
+  auto kernel = quiet_kernel(copy);
   std::vector<Action> a;
-  a.push_back(
-      Action::service(copy.stat_op("/home/alice/f.txt", &st, &stat_err)));
-  a.push_back(
-      Action::service(copy.lstat_op("/home/alice/f.txt", &lst, &lstat_err)));
-  a.push_back(
-      Action::service(copy.access_op("/home/alice/f.txt", &access_err)));
-  spawn(*kernel, std::move(a));
+  a.push_back(Action::service(stat_op("/home/alice/f.txt")));
+  a.push_back(Action::service(lstat_op("/home/alice/f.txt")));
+  a.push_back(Action::service(access_op("/home/alice/f.txt")));
+  const sim::Pid walker = spawn(*kernel, std::move(a));
   ASSERT_TRUE(kernel->run_to_exit());
-  EXPECT_EQ(stat_err, Errno::ok);
-  EXPECT_EQ(lstat_err, Errno::ok);
-  EXPECT_EQ(access_err, Errno::ok);
-  EXPECT_EQ(st.ino, file_);
+  const auto& r = tocttou::testing::script_results(*kernel, walker);
+  ASSERT_EQ(r.size(), 3u);
+  EXPECT_EQ(r[0].err, Errno::ok);
+  EXPECT_EQ(r[1].err, Errno::ok);
+  EXPECT_EQ(r[2].err, Errno::ok);
+  EXPECT_EQ(r[0].stat.ino, file_);
   // The walks read the directory and the file without copying either.
   EXPECT_EQ(&copy.inode(dir_), &src_.inode(dir_));
   EXPECT_EQ(&copy.inode(file_), &src_.inode(file_));
 
   // open(O_CREAT) takes the directory's i_sem and links an entry: the
   // copy gets a private directory; the source keeps the old one.
-  OpenResult created;
   std::vector<Action> b;
-  b.push_back(Action::service(copy.open_op("/home/alice/new",
-                                           OpenFlags::write_create_trunc(),
-                                           kModeDefaultFile, &created)));
-  spawn(*kernel, std::move(b));
+  b.push_back(Action::service(open_op(
+      "/home/alice/new", OpenFlags::write_create_trunc(), kModeDefaultFile)));
+  const sim::Pid creator = spawn(*kernel, std::move(b));
   ASSERT_TRUE(kernel->run_to_exit());
-  EXPECT_EQ(created.err, Errno::ok);
+  EXPECT_EQ(tocttou::testing::script_results(*kernel, creator).at(0).err,
+            Errno::ok);
   EXPECT_NE(&copy.inode(dir_), &src_.inode(dir_));
   EXPECT_NE(copy.lookup_in(dir_, "new"), kNoIno);
   EXPECT_EQ(src_.lookup_in(dir_, "new"), kNoIno);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "../testing/programs.h"
+#include "tocttou/fs/ops.h"
 #include "tocttou/fs/vfs.h"
 #include "tocttou/sched/linux_sched.h"
 #include "tocttou/sim/kernel.h"
@@ -13,6 +14,7 @@ namespace {
 using namespace tocttou::literals;
 using sim::Action;
 using sim::Kernel;
+using sim::SyscallResult;
 using tocttou::testing::ScriptProgram;
 
 class FdOpsTest : public ::testing::Test {
@@ -30,6 +32,7 @@ class FdOpsTest : public ::testing::Test {
     m.wakeup_latency = Duration::zero();
     kernel_ = std::make_unique<Kernel>(
         m, std::make_unique<sched::LinuxLikeScheduler>(), 1, &trace_);
+    kernel_->set_vfs(&vfs_);
   }
 
   sim::Pid spawn(std::vector<Action> actions, sim::Uid uid,
@@ -42,6 +45,11 @@ class FdOpsTest : public ::testing::Test {
         std::make_unique<ScriptProgram>(std::move(actions)), opts);
   }
 
+  /// What process `pid`'s calls returned, in order.
+  const std::vector<SyscallResult>& results(sim::Pid pid) const {
+    return tocttou::testing::script_results(*kernel_, pid);
+  }
+
   Vfs vfs_;
   Ino passwd_ = kNoIno;
   Ino file_ = kNoIno;
@@ -51,24 +59,22 @@ class FdOpsTest : public ::testing::Test {
 
 TEST_F(FdOpsTest, FstatReadsTheOpenInode) {
   const int fd = vfs_.fd_alloc(1, file_, OpenFlags::read_only());
-  StatBuf out;
-  Errno err = Errno::einval;
   std::vector<Action> a;
-  a.push_back(Action::service(vfs_.fstat_op(fd, &out, &err)));
-  spawn(std::move(a), 0);
+  a.push_back(Action::service(fstat_op(fd)));
+  const sim::Pid p = spawn(std::move(a), 0);
   ASSERT_TRUE(kernel_->run_to_exit());
-  EXPECT_EQ(err, Errno::ok);
-  EXPECT_EQ(out.ino, file_);
-  EXPECT_EQ(out.size_bytes, 4096u);
+  const SyscallResult& r = results(p).at(0);
+  EXPECT_EQ(r.err, Errno::ok);
+  EXPECT_EQ(r.stat.ino, file_);
+  EXPECT_EQ(r.stat.size_bytes, 4096u);
 }
 
 TEST_F(FdOpsTest, FstatBadFd) {
-  Errno err = Errno::ok;
   std::vector<Action> a;
-  a.push_back(Action::service(vfs_.fstat_op(99, nullptr, &err)));
-  spawn(std::move(a), 0);
+  a.push_back(Action::service(fstat_op(99)));
+  const sim::Pid p = spawn(std::move(a), 0);
   ASSERT_TRUE(kernel_->run_to_exit());
-  EXPECT_EQ(err, Errno::ebadf);
+  EXPECT_EQ(results(p).at(0).err, Errno::ebadf);
 }
 
 TEST_F(FdOpsTest, FchownImmuneToNameRedirection) {
@@ -76,19 +82,17 @@ TEST_F(FdOpsTest, FchownImmuneToNameRedirection) {
   // swaps the NAME for a symlink to /etc/passwd; fchown still applies to
   // the original inode and the passwd file is untouched.
   const int fd = vfs_.fd_alloc(2, file_, OpenFlags::write_create_trunc());
-  Errno uerr = Errno::einval, serr = Errno::einval, ferr = Errno::einval;
   std::vector<Action> attacker, victim;
-  attacker.push_back(Action::service(vfs_.unlink_op("/d/f", &uerr)));
-  attacker.push_back(
-      Action::service(vfs_.symlink_op("/etc/passwd", "/d/f", &serr)));
+  attacker.push_back(Action::service(unlink_op("/d/f")));
+  attacker.push_back(Action::service(symlink_op("/etc/passwd", "/d/f")));
   victim.push_back(Action::compute(200_us));  // attack completes first
-  victim.push_back(Action::service(vfs_.fchown_op(fd, 500, 500, &ferr)));
-  spawn(std::move(attacker), 500, "attacker");
-  spawn(std::move(victim), 0, "victim");
+  victim.push_back(Action::service(fchown_op(fd, 500, 500)));
+  const sim::Pid a = spawn(std::move(attacker), 500, "attacker");
+  const sim::Pid v = spawn(std::move(victim), 0, "victim");
   ASSERT_TRUE(kernel_->run_to_exit());
-  EXPECT_EQ(uerr, Errno::ok);
-  EXPECT_EQ(serr, Errno::ok);
-  EXPECT_EQ(ferr, Errno::ok);
+  EXPECT_EQ(results(a).at(0).err, Errno::ok);
+  EXPECT_EQ(results(a).at(1).err, Errno::ok);
+  EXPECT_EQ(results(v).at(0).err, Errno::ok);
   EXPECT_EQ(vfs_.inode(file_).uid(), 500u);    // orphan got chowned
   EXPECT_EQ(vfs_.inode(passwd_).uid(), 0u);    // passwd untouched!
 }
@@ -96,32 +100,29 @@ TEST_F(FdOpsTest, FchownImmuneToNameRedirection) {
 TEST_F(FdOpsTest, FchmodByOwnerAndPermissions) {
   const Ino mine = vfs_.create_file("/d/mine", 500, 500, 0600, 1);
   const int fd = vfs_.fd_alloc(1, mine, OpenFlags::read_only());
-  Errno e1 = Errno::einval;
   std::vector<Action> a;
-  a.push_back(Action::service(vfs_.fchmod_op(fd, 0640, &e1)));
-  spawn(std::move(a), 500);
+  a.push_back(Action::service(fchmod_op(fd, 0640)));
+  const sim::Pid p = spawn(std::move(a), 500);
   ASSERT_TRUE(kernel_->run_to_exit());
-  EXPECT_EQ(e1, Errno::ok);
+  EXPECT_EQ(results(p).at(0).err, Errno::ok);
   EXPECT_EQ(vfs_.inode(mine).mode(), 0640);
 
   // A third user may not fchmod someone else's file.
   const int fd2 = vfs_.fd_alloc(2, mine, OpenFlags::read_only());
-  Errno e2 = Errno::ok;
   std::vector<Action> b;
-  b.push_back(Action::service(vfs_.fchmod_op(fd2, 0777, &e2)));
-  spawn(std::move(b), 42, "other");
+  b.push_back(Action::service(fchmod_op(fd2, 0777)));
+  const sim::Pid q = spawn(std::move(b), 42, "other");
   ASSERT_TRUE(kernel_->run_to_exit());
-  EXPECT_EQ(e2, Errno::eperm);
+  EXPECT_EQ(results(q).at(0).err, Errno::eperm);
 }
 
 TEST_F(FdOpsTest, FchownRequiresRoot) {
   const int fd = vfs_.fd_alloc(1, file_, OpenFlags::read_only());
-  Errno err = Errno::ok;
   std::vector<Action> a;
-  a.push_back(Action::service(vfs_.fchown_op(fd, 500, 500, &err)));
-  spawn(std::move(a), 500);
+  a.push_back(Action::service(fchown_op(fd, 500, 500)));
+  const sim::Pid p = spawn(std::move(a), 500);
   ASSERT_TRUE(kernel_->run_to_exit());
-  EXPECT_EQ(err, Errno::eperm);
+  EXPECT_EQ(results(p).at(0).err, Errno::eperm);
 }
 
 TEST_F(FdOpsTest, FdAllocReturnsLowestFreeDescriptor) {
@@ -149,56 +150,53 @@ TEST_F(FdOpsTest, OpenCloseOpenReusesTheFd) {
   // End-to-end through the open/close ops rather than fd_alloc directly.
   // The process has no other descriptors, so the first open must return
   // fd 3 — which lets the script close it by number.
-  OpenResult r1, r2;
-  Errno cerr = Errno::einval;
   std::vector<Action> a;
-  a.push_back(Action::service(
-      vfs_.open_op("/d/f", OpenFlags::read_only(), 0, &r1)));
-  a.push_back(Action::service(vfs_.close_op(3, &cerr)));
-  a.push_back(Action::service(
-      vfs_.open_op("/d/f", OpenFlags::read_only(), 0, &r2)));
-  spawn(std::move(a), 0);
+  a.push_back(Action::service(open_op("/d/f", OpenFlags::read_only(), 0)));
+  a.push_back(Action::service(close_op(3)));
+  a.push_back(Action::service(open_op("/d/f", OpenFlags::read_only(), 0)));
+  const sim::Pid p = spawn(std::move(a), 0);
   ASSERT_TRUE(kernel_->run_to_exit());
-  EXPECT_EQ(r1.err, Errno::ok);
-  EXPECT_EQ(r1.fd, 3);
-  EXPECT_EQ(cerr, Errno::ok);
-  EXPECT_EQ(r2.err, Errno::ok);
-  EXPECT_EQ(r2.fd, 3);
+  const std::vector<SyscallResult>& r = results(p);
+  ASSERT_EQ(r.size(), 3u);
+  EXPECT_EQ(r[0].err, Errno::ok);
+  EXPECT_EQ(r[0].fd, 3);
+  EXPECT_EQ(r[1].err, Errno::ok);
+  EXPECT_EQ(r[2].err, Errno::ok);
+  EXPECT_EQ(r[2].fd, 3);
 }
 
 TEST_F(FdOpsTest, LinkCreatesSecondName) {
-  Errno err = Errno::einval;
   std::vector<Action> a;
-  a.push_back(Action::service(vfs_.link_op("/d/f", "/d/g", &err)));
-  spawn(std::move(a), 500);
+  a.push_back(Action::service(link_op("/d/f", "/d/g")));
+  const sim::Pid p = spawn(std::move(a), 500);
   ASSERT_TRUE(kernel_->run_to_exit());
-  EXPECT_EQ(err, Errno::ok);
+  EXPECT_EQ(results(p).at(0).err, Errno::ok);
   EXPECT_EQ(vfs_.lookup("/d/g").value(), file_);
   EXPECT_EQ(vfs_.inode(file_).nlink(), 2);
 }
 
 TEST_F(FdOpsTest, LinkErrors) {
   vfs_.create_file("/d/exists", 500, 500);
-  Errno e1 = Errno::ok, e2 = Errno::ok, e3 = Errno::ok;
   std::vector<Action> a;
-  a.push_back(Action::service(vfs_.link_op("/d/missing", "/d/x", &e1)));
-  a.push_back(Action::service(vfs_.link_op("/d/f", "/d/exists", &e2)));
-  a.push_back(Action::service(vfs_.link_op("/d", "/d/y", &e3)));
-  spawn(std::move(a), 500);
+  a.push_back(Action::service(link_op("/d/missing", "/d/x")));
+  a.push_back(Action::service(link_op("/d/f", "/d/exists")));
+  a.push_back(Action::service(link_op("/d", "/d/y")));
+  const sim::Pid p = spawn(std::move(a), 500);
   ASSERT_TRUE(kernel_->run_to_exit());
-  EXPECT_EQ(e1, Errno::enoent);
-  EXPECT_EQ(e2, Errno::eexist);
-  EXPECT_EQ(e3, Errno::eisdir);
+  const std::vector<SyscallResult>& r = results(p);
+  ASSERT_EQ(r.size(), 3u);
+  EXPECT_EQ(r[0].err, Errno::enoent);
+  EXPECT_EQ(r[1].err, Errno::eexist);
+  EXPECT_EQ(r[2].err, Errno::eisdir);
 }
 
 TEST_F(FdOpsTest, LinkDoesNotFollowSymlinkFinal) {
   vfs_.create_symlink("/d/sl", "/etc/passwd", 500, 500);
-  Errno err = Errno::einval;
   std::vector<Action> a;
-  a.push_back(Action::service(vfs_.link_op("/d/sl", "/d/sl2", &err)));
-  spawn(std::move(a), 500);
+  a.push_back(Action::service(link_op("/d/sl", "/d/sl2")));
+  const sim::Pid p = spawn(std::move(a), 500);
   ASSERT_TRUE(kernel_->run_to_exit());
-  EXPECT_EQ(err, Errno::ok);
+  EXPECT_EQ(results(p).at(0).err, Errno::ok);
   const auto l = vfs_.lookup("/d/sl2", false);
   ASSERT_TRUE(l.ok());
   EXPECT_TRUE(vfs_.inode(l.value()).is_symlink());  // linked the link

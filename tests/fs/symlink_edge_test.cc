@@ -5,6 +5,7 @@
 #include <string>
 
 #include "../testing/programs.h"
+#include "tocttou/fs/ops.h"
 #include "tocttou/fs/vfs.h"
 #include "tocttou/sched/linux_sched.h"
 #include "tocttou/sim/kernel.h"
@@ -43,15 +44,15 @@ class SymlinkEdgeTest : public ::testing::Test {
     m.wakeup_latency = Duration::zero();
     Kernel kernel(m, std::make_unique<sched::LinuxLikeScheduler>(), 1,
                   &trace);
-    StatBuf out;
-    Errno err = Errno::einval;
+    kernel.set_vfs(&vfs_);
     std::vector<Action> a;
-    a.push_back(Action::service(vfs_.stat_op(path, &out, &err)));
+    a.push_back(Action::service(stat_op(path)));
     sim::SpawnOptions opts;
     opts.name = "stat";
-    kernel.spawn(std::make_unique<ScriptProgram>(std::move(a)), opts);
+    const sim::Pid pid =
+        kernel.spawn(std::make_unique<ScriptProgram>(std::move(a)), opts);
     EXPECT_TRUE(kernel.run_to_exit());
-    return err;
+    return tocttou::testing::script_results(kernel, pid).at(0).err;
   }
 
   Vfs vfs_;

@@ -8,6 +8,7 @@
 
 #include "tocttou/core/harness.h"
 #include "tocttou/core/model.h"
+#include "tocttou/fs/ops.h"
 #include "tocttou/fs/vfs.h"
 #include "tocttou/sched/linux_sched.h"
 #include "tocttou/sim/kernel.h"
@@ -24,16 +25,13 @@ using namespace tocttou::literals;
 /// A program issuing random file-system ops against a shared directory.
 class FsFuzzer final : public sim::Program {
  public:
-  FsFuzzer(fs::Vfs& vfs, std::uint64_t seed, int ops)
-      : vfs_(vfs), rng_(seed), ops_left_(ops) {}
+  FsFuzzer(std::uint64_t seed, int ops) : rng_(seed), ops_left_(ops) {}
 
   sim::Action next(sim::ProgramContext& ctx) override {
-    (void)ctx;
     // Harvest the previous open()'s fd, if any.
     if (pending_open_) {
       pending_open_ = false;
-      if (open_out_.fd >= 0) open_fds_.push_back(open_out_.fd);
-      open_out_.fd = -1;
+      if (ctx.result().fd >= 0) open_fds_.push_back(ctx.result().fd);
     }
     if (ops_left_-- <= 0) {
       // Close any fds we still hold before exiting.
@@ -41,7 +39,7 @@ class FsFuzzer final : public sim::Program {
         const int fd = open_fds_.back();
         open_fds_.pop_back();
         ++ops_left_;  // keep draining
-        return sim::Action::service(vfs_.close_op(fd, &err_));
+        return sim::Action::service(fs::close_op(fd));
       }
       return sim::Action::exit_proc();
     }
@@ -49,35 +47,32 @@ class FsFuzzer final : public sim::Program {
         "/arena/f" + std::to_string(rng_.uniform_int(0, 5));
     switch (rng_.uniform_int(0, 6)) {
       case 0:
-        return sim::Action::service(vfs_.stat_op(name, &stat_out_, &err_));
+        return sim::Action::service(fs::stat_op(name));
       case 1: {
         if (open_fds_.size() > 4) {
           const int fd = open_fds_.back();
           open_fds_.pop_back();
-          return sim::Action::service(vfs_.close_op(fd, &err_));
+          return sim::Action::service(fs::close_op(fd));
         }
         pending_open_ = true;
-        return sim::Action::service(vfs_.open_op(
-            name, fs::OpenFlags::write_create_trunc(), 0644, &open_out_));
+        return sim::Action::service(
+            fs::open_op(name, fs::OpenFlags::write_create_trunc(), 0644));
       }
       case 2:
-        return sim::Action::service(vfs_.unlink_op(name, &err_));
+        return sim::Action::service(fs::unlink_op(name));
       case 3:
-        return sim::Action::service(vfs_.rename_op(
-            name, "/arena/f" + std::to_string(rng_.uniform_int(0, 5)),
-            &err_));
+        return sim::Action::service(fs::rename_op(
+            name, "/arena/f" + std::to_string(rng_.uniform_int(0, 5))));
       case 4:
-        return sim::Action::service(
-            vfs_.symlink_op("/arena/target", name, &err_));
+        return sim::Action::service(fs::symlink_op("/arena/target", name));
       case 5: {
         if (!open_fds_.empty()) {
           const int fd =
               open_fds_[static_cast<std::size_t>(rng_.uniform_int(
                   0, static_cast<std::int64_t>(open_fds_.size()) - 1))];
-          return sim::Action::service(
-              vfs_.write_op(fd, 1024, &err_));
+          return sim::Action::service(fs::write_op(fd, 1024));
         }
-        return sim::Action::service(vfs_.access_op(name, &err_));
+        return sim::Action::service(fs::access_op(name));
       }
       default:
         return sim::Action::compute(rng_.uniform_duration(1_us, 10_us));
@@ -85,14 +80,10 @@ class FsFuzzer final : public sim::Program {
   }
 
  private:
-  fs::Vfs& vfs_;
   Rng rng_;
   int ops_left_;
-  fs::StatBuf stat_out_;
-  fs::OpenResult open_out_;
   std::vector<int> open_fds_;
   bool pending_open_ = false;
-  Errno err_ = Errno::ok;
 };
 
 class FsPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -108,9 +99,10 @@ TEST_P(FsPropertyTest, InvariantsSurviveRandomOpStorm) {
   m.background.enabled = false;
   sim::Kernel kernel(m, std::make_unique<sched::LinuxLikeScheduler>(),
                      GetParam());
+  kernel.set_vfs(&vfs);
   for (int i = 0; i < 3; ++i) {
     auto prog = std::make_unique<FsFuzzer>(
-        vfs, mix_seed(GetParam(), static_cast<std::uint64_t>(i)), 120);
+        mix_seed(GetParam(), static_cast<std::uint64_t>(i)), 120);
     sim::SpawnOptions opts;
     opts.name = "fuzz" + std::to_string(i);
     opts.uid = 500;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tocttou/fs/vfs.h"
 #include "tocttou/sched/linux_sched.h"
 #include "tocttou/sim/kernel.h"
 
@@ -31,6 +32,7 @@ class AttackerTest : public ::testing::Test {
     m.libc_fault_cost = 6_us;
     kernel_ = std::make_unique<Kernel>(
         m, std::make_unique<sched::LinuxLikeScheduler>(), 1, &trace_);
+    kernel_->set_vfs(&vfs_);
   }
 
   AttackTarget target() const {
@@ -53,7 +55,7 @@ class AttackerTest : public ::testing::Test {
 
 TEST_F(AttackerTest, NaiveAttackerRedirectsRootOwnedFile) {
   stage_window_open();
-  auto prog = std::make_unique<NaiveAttacker>(vfs_, target(), 5_us, 11_us);
+  auto prog = std::make_unique<NaiveAttacker>(target(), 5_us, 11_us);
   const auto* view = prog.get();
   kernel_->spawn(std::move(prog), {.name = "attacker", .uid = 500, .gid = 500});
   ASSERT_TRUE(kernel_->run_to_exit());
@@ -71,7 +73,7 @@ TEST_F(AttackerTest, NaiveAttackerRedirectsRootOwnedFile) {
 
 TEST_F(AttackerTest, NaiveAttackerSpinsWhileWindowClosed) {
   stage_window_closed();
-  auto prog = std::make_unique<NaiveAttacker>(vfs_, target(), 5_us, 11_us);
+  auto prog = std::make_unique<NaiveAttacker>(target(), 5_us, 11_us);
   const auto* view = prog.get();
   const Pid pid = kernel_->spawn(std::move(prog),
                                  {.name = "attacker", .uid = 500});
@@ -86,7 +88,7 @@ TEST_F(AttackerTest, NaiveAttackerSpinsWhileWindowClosed) {
 
 TEST_F(AttackerTest, NaiveAttackerTrapsOnFirstUnlink) {
   stage_window_open();
-  auto prog = std::make_unique<NaiveAttacker>(vfs_, target(), 5_us, 11_us);
+  auto prog = std::make_unique<NaiveAttacker>(target(), 5_us, 11_us);
   const Pid pid = kernel_->spawn(std::move(prog),
                                  {.name = "attacker", .uid = 500});
   ASSERT_TRUE(kernel_->run_to_exit());
@@ -111,7 +113,7 @@ TEST_F(AttackerTest, PrefaultedAttackerHasNoTrapInWindow) {
   // unlink/symlink of every iteration pre-faulted the libc page, so the
   // post-detection gap is just the 2us fname selection.
   stage_window_closed();
-  auto prog = std::make_unique<PrefaultedAttacker>(vfs_, target(), 2_us);
+  auto prog = std::make_unique<PrefaultedAttacker>(target(), 2_us);
   const auto* view = prog.get();
   const Pid pid = kernel_->spawn(std::move(prog),
                                  {.name = "attacker", .uid = 500});
@@ -145,7 +147,7 @@ TEST_F(AttackerTest, PrefaultedAttackerHasNoTrapInWindow) {
 
 TEST_F(AttackerTest, PrefaultedAttackerRecreatesDummyEachIteration) {
   stage_window_closed();
-  auto prog = std::make_unique<PrefaultedAttacker>(vfs_, target(), 2_us);
+  auto prog = std::make_unique<PrefaultedAttacker>(target(), 2_us);
   kernel_->spawn(std::move(prog), {.name = "attacker", .uid = 500});
   kernel_->run_until([] { return false; },
                      SimTime::origin() + Duration::millis(1));
@@ -159,17 +161,18 @@ TEST_F(AttackerTest, PipelinedAttackOverlapsSymlinkWithUnlink) {
   // Large file => long truncate; the helper's symlink must complete
   // before the unlink returns (Figure 11's "parallel" bars).
   vfs_.create_file("/home/alice/f.txt", 0, 0, 0644, 500 * 1024);
-  PipelinedAttackState state;
-  auto main = std::make_unique<PipelinedAttackerMain>(vfs_, target(), 5_us,
-                                                      1_us, &state);
-  auto helper = std::make_unique<PipelinedAttackerSymlinker>(vfs_, target(),
-                                                             1_us, &state);
+  const sim::FlagId found = kernel_->add_flag("window_found");
+  auto main =
+      std::make_unique<PipelinedAttackerMain>(target(), 5_us, 1_us, found);
+  auto helper =
+      std::make_unique<PipelinedAttackerSymlinker>(target(), 1_us, found);
+  const auto* helper_view = helper.get();
   const Pid m = kernel_->spawn(std::move(main),
                                {.name = "attacker", .uid = 500});
   const Pid h = kernel_->spawn(std::move(helper),
                                {.name = "attacker/symlink", .uid = 500});
   ASSERT_TRUE(kernel_->run_to_exit(SimTime::origin() + Duration::seconds(1)));
-  EXPECT_TRUE(state.status.attack_done);
+  EXPECT_TRUE(helper_view->status().attack_done);
   EXPECT_EQ(vfs_.lookup("/home/alice/f.txt", true).value(), passwd_);
   const auto unlinks = trace_.journal.for_pid(m, "unlink");
   const auto symlinks = trace_.journal.for_pid(h, "symlink");
@@ -184,18 +187,19 @@ TEST_F(AttackerTest, PipelinedHelperRetriesOnEexist) {
   // the helper's first symlink hits EEXIST (name still present), then it
   // must retry and eventually succeed after the unlink.
   vfs_.create_file("/home/alice/f.txt", 0, 0, 0644, 1024);
-  PipelinedAttackState state;
+  const sim::FlagId found = kernel_->add_flag("window_found");
   // Give the main thread a huge handoff delay so the helper's symlink
   // reliably arrives before the unlink.
   auto main = std::make_unique<PipelinedAttackerMain>(
-      vfs_, target(), 5_us, /*handoff=*/Duration::micros(200), &state);
-  auto helper = std::make_unique<PipelinedAttackerSymlinker>(vfs_, target(),
-                                                             10_us, &state);
+      target(), 5_us, /*handoff=*/Duration::micros(200), found);
+  auto helper =
+      std::make_unique<PipelinedAttackerSymlinker>(target(), 10_us, found);
+  const auto* helper_view = helper.get();
   const Pid h = kernel_->spawn(std::move(helper),
                                {.name = "attacker/symlink", .uid = 500});
   kernel_->spawn(std::move(main), {.name = "attacker", .uid = 500});
   ASSERT_TRUE(kernel_->run_to_exit(SimTime::origin() + Duration::seconds(1)));
-  EXPECT_TRUE(state.status.attack_done);
+  EXPECT_TRUE(helper_view->status().attack_done);
   const auto symlinks = trace_.journal.for_pid(h, "symlink");
   EXPECT_GT(symlinks.size(), 1u);  // at least one EEXIST retry
   EXPECT_EQ(vfs_.lookup("/home/alice/f.txt", true).value(), passwd_);

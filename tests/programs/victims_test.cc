@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tocttou/fs/vfs.h"
 #include "tocttou/sched/linux_sched.h"
 #include "tocttou/sim/kernel.h"
 
@@ -26,6 +27,7 @@ class VictimTest : public ::testing::Test {
     m.wakeup_latency = Duration::zero();
     kernel_ = std::make_unique<Kernel>(
         m, std::make_unique<sched::LinuxLikeScheduler>(), 1, &trace_);
+    kernel_->set_vfs(&vfs_);
   }
 
   std::vector<std::string> syscall_sequence(Pid pid) const {
@@ -47,7 +49,7 @@ TEST_F(VictimTest, ViEmitsFigureOneSequence) {
   cfg.wfname = "/home/alice/f.txt";
   cfg.backup_name = "/home/alice/f.txt~";
   cfg.file_bytes = 20 * 1024;  // 3 chunks of 8KB
-  const Pid pid = kernel_->spawn(std::make_unique<ViVictim>(vfs_, cfg),
+  const Pid pid = kernel_->spawn(std::make_unique<ViVictim>(cfg),
                                  {.name = "vi", .uid = 0});
   ASSERT_TRUE(kernel_->run_to_exit());
   EXPECT_EQ(syscall_sequence(pid),
@@ -64,7 +66,7 @@ TEST_F(VictimTest, ViRestoresOwnershipWhenUnattacked) {
   cfg.file_bytes = 1024;
   cfg.owner_uid = 500;
   cfg.owner_gid = 500;
-  kernel_->spawn(std::make_unique<ViVictim>(vfs_, cfg),
+  kernel_->spawn(std::make_unique<ViVictim>(cfg),
                  {.name = "vi", .uid = 0});
   ASSERT_TRUE(kernel_->run_to_exit());
   const auto ino = vfs_.lookup("/home/alice/f.txt");
@@ -80,7 +82,7 @@ TEST_F(VictimTest, ViWindowSpansWholeWrite) {
   cfg.wfname = "/home/alice/f.txt";
   cfg.backup_name = "/home/alice/f.txt~";
   cfg.file_bytes = 64 * 1024;
-  const Pid pid = kernel_->spawn(std::make_unique<ViVictim>(vfs_, cfg),
+  const Pid pid = kernel_->spawn(std::make_unique<ViVictim>(cfg),
                                  {.name = "vi", .uid = 0});
   ASSERT_TRUE(kernel_->run_to_exit());
   // window = save-open exit .. chown enter must include all the writes.
@@ -99,7 +101,7 @@ TEST_F(VictimTest, GeditEmitsFigureThreeSequence) {
   cfg.temp_filename = "/home/alice/.gedit-tmp";
   cfg.backup_name = "/home/alice/f.txt~";
   cfg.file_bytes = 8 * 1024;
-  const Pid pid = kernel_->spawn(std::make_unique<GeditVictim>(vfs_, cfg),
+  const Pid pid = kernel_->spawn(std::make_unique<GeditVictim>(cfg),
                                  {.name = "gedit", .uid = 0});
   ASSERT_TRUE(kernel_->run_to_exit());
   EXPECT_EQ(syscall_sequence(pid),
@@ -117,7 +119,7 @@ TEST_F(VictimTest, GeditTinyWindowBetweenRenameAndChmod) {
   cfg.temp_filename = "/home/alice/.gedit-tmp";
   cfg.backup_name = "/home/alice/f.txt~";
   cfg.file_bytes = 8 * 1024;
-  const Pid pid = kernel_->spawn(std::make_unique<GeditVictim>(vfs_, cfg),
+  const Pid pid = kernel_->spawn(std::make_unique<GeditVictim>(cfg),
                                  {.name = "gedit", .uid = 0});
   ASSERT_TRUE(kernel_->run_to_exit());
   const auto renames = trace_.journal.for_pid(pid, "rename");
@@ -137,7 +139,7 @@ TEST_F(VictimTest, GeditRestoresModeAndOwnerWhenUnattacked) {
   cfg.temp_filename = "/home/alice/.gedit-tmp";
   cfg.backup_name = "/home/alice/f.txt~";
   cfg.owner_mode = 0640;
-  kernel_->spawn(std::make_unique<GeditVictim>(vfs_, cfg),
+  kernel_->spawn(std::make_unique<GeditVictim>(cfg),
                  {.name = "gedit", .uid = 0});
   ASSERT_TRUE(kernel_->run_to_exit());
   const auto ino = vfs_.lookup("/home/alice/f.txt");
@@ -153,7 +155,7 @@ TEST_F(VictimTest, SuspendingVictimSleepsInsideWindow) {
   cfg.path = "/home/alice/f.txt";
   cfg.io_time = Duration::millis(5);
   const Pid pid =
-      kernel_->spawn(std::make_unique<SuspendingVictim>(vfs_, cfg),
+      kernel_->spawn(std::make_unique<SuspendingVictim>(cfg),
                      {.name = "rpm", .uid = 0});
   ASSERT_TRUE(kernel_->run_to_exit());
   const auto opens = trace_.journal.for_pid(pid, "open");
@@ -170,7 +172,7 @@ TEST_F(VictimTest, SendmailRejectsPreexistingSymlink) {
   vfs_.create_symlink("/var/mail/alice", "/etc/passwd", 500, 500);
   SendmailVictimConfig cfg;
   cfg.mailbox = "/var/mail/alice";
-  auto prog = std::make_unique<SendmailVictim>(vfs_, cfg);
+  auto prog = std::make_unique<SendmailVictim>(cfg);
   const auto* view = prog.get();
   kernel_->spawn(std::move(prog), {.name = "sendmail", .uid = 0});
   ASSERT_TRUE(kernel_->run_to_exit());
@@ -185,7 +187,7 @@ TEST_F(VictimTest, SendmailAppendsToHonestMailbox) {
   SendmailVictimConfig cfg;
   cfg.mailbox = "/var/mail/alice";
   cfg.message_bytes = 2048;
-  kernel_->spawn(std::make_unique<SendmailVictim>(vfs_, cfg),
+  kernel_->spawn(std::make_unique<SendmailVictim>(cfg),
                  {.name = "sendmail", .uid = 0});
   ASSERT_TRUE(kernel_->run_to_exit());
   EXPECT_EQ(

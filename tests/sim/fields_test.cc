@@ -1,6 +1,6 @@
-// The field-list visitor (sim/fields.h) and CloneMap: every supported
-// member kind enters the digest, pointers are rebound and never hashed,
-// and a pointer into unregistered state fails the clone.
+// The field-list visitor (sim/fields.h): every supported member kind
+// enters the digest, and a listed program's clone is a plain copy. (A
+// pointer field does not compile: hash_field rejects it.)
 #include "tocttou/sim/fields.h"
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <tuple>
 #include <vector>
 
-#include "tocttou/common/error.h"
 
 namespace tocttou::sim {
 namespace {
@@ -21,9 +20,8 @@ enum class Color { red, green };
 
 struct Inner {
   int a = 1;
-  const int* p = nullptr;
 
-  static auto fields(auto& s) { return std::tie(s.a, s.p); }
+  static auto fields(auto& s) { return std::tie(s.a); }
 };
 
 /// One member of each supported kind.
@@ -39,11 +37,10 @@ struct AllKinds {
   Path path = "/a/b";
   std::optional<Inner> maybe;
   Inner inner;
-  int* slot = nullptr;
 
   static auto fields(auto& s) {
     return std::tie(s.u, s.i, s.color, s.flag, s.ratio, s.dur, s.at, s.name,
-                    s.path, s.maybe, s.inner, s.slot);
+                    s.path, s.maybe, s.inner);
   }
 };
 
@@ -85,103 +82,52 @@ TEST(FieldsTest, ChangingAnyMemberChangesTheDigest) {
   EXPECT_NE(digest_of(a), digest_of(b));
 }
 
-TEST(FieldsTest, PointersAreReboundNotHashed) {
-  int old_slots[4] = {};
-  int new_slots[4] = {};
-  AllKinds v;
-  v.maybe.emplace();
-  const AllKinds plain = v;
-  v.slot = &old_slots[2];
-  v.inner.p = &old_slots[1];
-  v.maybe->p = &old_slots[3];
-  EXPECT_EQ(digest_of(v), digest_of(plain));
-
-  CloneMap m;
-  m.add_range(old_slots, new_slots, sizeof(old_slots));
-  AllKinds copy = v;
-  rebind_field(copy, m);
-  EXPECT_EQ(copy.slot, &new_slots[2]);
-  EXPECT_EQ(copy.inner.p, &new_slots[1]);
-  EXPECT_EQ(copy.maybe->p, &new_slots[3]);
-  EXPECT_EQ(digest_of(copy), digest_of(v));
-}
-
-TEST(FieldsTest, UnregisteredPointerFailsTheClone) {
-  int stray = 0;
-  AllKinds v;
-  v.slot = &stray;
-  CloneMap m;
-  EXPECT_THROW(rebind_field(v, m), SimError);
-}
-
-/// A program whose output slot lives inside itself, as an in-flight op's
-/// would live inside the program that issued it.
+/// A program with a little state.
 class SlotProgram final : public Listed<SlotProgram, Program> {
  public:
-  explicit SlotProgram(int* outside = nullptr)
-      : slot_(&value_), outside_(outside) {}
+  explicit SlotProgram(int value = 5) : value_(value) {}
 
-  static auto fields(auto& self) {
-    return std::tie(self.value_, self.slot_, self.outside_);
-  }
+  static auto fields(auto& self) { return std::tie(self.value_, self.path_); }
 
   Action next(ProgramContext&) override { return Action::exit_proc(); }
 
-  const int* slot() const { return slot_; }
-  const int* value() const { return &value_; }
-
  private:
-  int value_ = 5;
-  int* slot_;
-  int* outside_;
+  int value_;
+  Path path_ = "/a/b";
 };
 
 /// Same fields as SlotProgram, different type.
 class TwinProgram final : public Listed<TwinProgram, Program> {
  public:
-  TwinProgram() : slot_(&value_) {}
-
-  static auto fields(auto& self) {
-    return std::tie(self.value_, self.slot_, self.outside_);
-  }
+  static auto fields(auto& self) { return std::tie(self.value_, self.path_); }
 
   Action next(ProgramContext&) override { return Action::exit_proc(); }
 
  private:
   int value_ = 5;
-  int* slot_;
-  int* outside_ = nullptr;
+  Path path_ = "/a/b";
 };
 
-TEST(ListedTest, CloneRegistersTheProgramAndRebindsIntoIt) {
-  const SlotProgram p;
-  CloneMap m;
-  const std::unique_ptr<Program> c = p.clone(m);
-  const auto& copy = static_cast<const SlotProgram&>(*c);
-  EXPECT_EQ(copy.slot(), copy.value());
-  // The clone's range is registered, so later pointers into the
-  // program (an op's output slot) resolve to the copy.
-  EXPECT_EQ(m.remap(p.value()), copy.value());
+StateHasher::Digest digest_of(const Program& p) {
+  StateHasher h;
+  p.hash_state(h);
+  EXPECT_TRUE(h.hashable());
+  return h.digest();
 }
 
-TEST(ListedTest, CloneThrowsOnAPointerOutsideEveryRange) {
-  int stray = 0;
-  const SlotProgram p(&stray);
-  CloneMap m;
-  EXPECT_THROW(p.clone(m), SimError);
+TEST(ListedTest, CloneIsAPlainCopy) {
+  const SlotProgram p(7);
+  const std::unique_ptr<Program> c = p.clone();
+  ASSERT_NE(dynamic_cast<const SlotProgram*>(c.get()), nullptr);
+  EXPECT_EQ(digest_of(*c), digest_of(p));
+  EXPECT_NE(digest_of(*c), digest_of(SlotProgram(8)));
 }
 
 TEST(ListedTest, DigestNamesTheConcreteType) {
   const SlotProgram a;
   const TwinProgram b;
-  StateHasher ha, hb;
-  a.hash_state(ha);
-  b.hash_state(hb);
-  EXPECT_TRUE(ha.hashable());
-  EXPECT_NE(ha.digest(), hb.digest());
-  StateHasher again;
-  SlotProgram().hash_state(again);
-  EXPECT_EQ(ha.digest(), again.digest());
+  EXPECT_NE(digest_of(a), digest_of(b));
+  EXPECT_EQ(digest_of(a), digest_of(SlotProgram()));
 }
 
 }  // namespace

@@ -153,7 +153,7 @@ TEST(KernelTest, WaitAndKernelWorkSpansCarryTheirLabels) {
   trace::RoundTrace tr;
   Kernel k(quiet_machine(2), make_sched(), 1, &tr);
   Semaphore sem(7);
-  EventFlag flag("go");
+  const FlagId flag = k.add_flag("go");
   std::vector<Action> holder, taker, flagger;
   holder.push_back(Action::service(std::make_unique<ScriptOp>(
       "hold", std::vector<Step>{Step::acquire(&sem), Step::work(30_us),
@@ -163,8 +163,8 @@ TEST(KernelTest, WaitAndKernelWorkSpansCarryTheirLabels) {
   taker.push_back(Action::service(std::make_unique<ScriptOp>(
       "take", std::vector<Step>{Step::acquire(&sem), Step::work(4_us),
                                 Step::release(&sem), Step::done()})));
-  taker.push_back(Action::set_flag(&flag));
-  flagger.push_back(Action::wait_flag(&flag));
+  taker.push_back(Action::set_flag(flag));
+  flagger.push_back(Action::wait_flag(flag));
   flagger.push_back(Action::compute(1_us));
   const Pid h = k.spawn(std::make_unique<ScriptProgram>(std::move(holder)),
                         {.name = "holder"});
@@ -263,12 +263,12 @@ TEST(KernelTest, SleepWakesAtDeadline) {
 
 TEST(KernelTest, EventFlagHandshake) {
   Kernel k(quiet_machine(2), make_sched(), 1);
-  EventFlag flag("go");
+  const FlagId flag = k.add_flag("go");
   std::vector<Action> waiter, setter;
-  waiter.push_back(Action::wait_flag(&flag));
+  waiter.push_back(Action::wait_flag(flag));
   waiter.push_back(Action::compute(5_us));
   setter.push_back(Action::compute(40_us));
-  setter.push_back(Action::set_flag(&flag));
+  setter.push_back(Action::set_flag(flag));
   const Pid w = k.spawn(std::make_unique<ScriptProgram>(std::move(waiter)),
                         {.name = "w"});
   k.spawn(std::make_unique<ScriptProgram>(std::move(setter)), {.name = "s"});
@@ -279,11 +279,10 @@ TEST(KernelTest, EventFlagHandshake) {
 
 TEST(KernelTest, WaitOnAlreadySetFlagDoesNotBlock) {
   Kernel k(quiet_machine(1), make_sched(), 1);
-  EventFlag flag("go");
-  flag.reset();
+  const FlagId flag = k.add_flag("go");
   std::vector<Action> s;
-  s.push_back(Action::set_flag(&flag));
-  s.push_back(Action::wait_flag(&flag));
+  s.push_back(Action::set_flag(flag));
+  s.push_back(Action::wait_flag(flag));
   s.push_back(Action::compute(1_us));
   k.spawn(std::make_unique<ScriptProgram>(std::move(s)), {.name = "p"});
   EXPECT_TRUE(k.run_to_exit());
@@ -329,6 +328,34 @@ TEST(KernelTest, TrapCostSeparateFromSyscallEnter) {
   // The journal's enter time is *after* the 6us trap.
   EXPECT_EQ(tr.journal.records()[0].enter, SimTime::origin() + 6_us);
   EXPECT_EQ(tr.journal.records()[0].exit, SimTime::origin() + 10_us);
+}
+
+TEST(KernelTest, ResultIsReadableOnlyRightAfterACall) {
+  // A syscall's result reaches the next() that follows the call, and
+  // only that one: reading it in a next() that follows a compute action
+  // is a program bug the kernel reports.
+  Kernel k(quiet_machine(1), make_sched(), 1);
+  int step = 0;
+  Errno seen = Errno::ok;
+  k.spawn(std::make_unique<LambdaProgram>([&](ProgramContext& ctx) {
+            switch (step++) {
+              case 0:
+                return Action::service(std::make_unique<ScriptOp>(
+                    "sys", std::vector<Step>{Step::done(Errno::eexist)}));
+              case 1:
+                EXPECT_TRUE(ctx.has_result());
+                seen = ctx.result().err;
+                return Action::compute(1_us);
+              default:
+                EXPECT_FALSE(ctx.has_result());
+                (void)ctx.result();
+                return Action::exit_proc();
+            }
+          }),
+          {.name = "p"});
+  EXPECT_THROW(k.run_to_exit(), SimError);
+  EXPECT_EQ(seen, Errno::eexist);
+  EXPECT_EQ(step, 3);
 }
 
 TEST(KernelTest, EntryFaultIsDecidedAtTheFirstAdvance) {
@@ -496,11 +523,11 @@ TEST(KernelTest, SemaphoreHandoffIncludesWakeupLatency) {
 
 TEST(KernelTest, EventFlagWakesAllWaiters) {
   Kernel k(quiet_machine(4), make_sched(), 1);
-  EventFlag flag("go");
+  const FlagId flag = k.add_flag("go");
   std::vector<Pid> waiters;
   for (int i = 0; i < 3; ++i) {
     std::vector<Action> s;
-    s.push_back(Action::wait_flag(&flag));
+    s.push_back(Action::wait_flag(flag));
     s.push_back(Action::compute(1_us));
     waiters.push_back(k.spawn(
         std::make_unique<ScriptProgram>(std::move(s)),
@@ -508,12 +535,12 @@ TEST(KernelTest, EventFlagWakesAllWaiters) {
   }
   std::vector<Action> setter;
   setter.push_back(Action::compute(10_us));
-  setter.push_back(Action::set_flag(&flag));
+  setter.push_back(Action::set_flag(flag));
   k.spawn(std::make_unique<ScriptProgram>(std::move(setter)),
           {.name = "setter"});
   EXPECT_TRUE(k.run_to_exit());
   for (Pid w : waiters) EXPECT_TRUE(k.process(w).exited());
-  EXPECT_TRUE(flag.is_set());
+  EXPECT_TRUE(k.flag(flag).is_set());
 }
 
 TEST(KernelTest, IdleCpuStealsFromLoadedQueue) {

@@ -6,25 +6,38 @@
 #include <vector>
 
 #include "tocttou/sim/fields.h"
+#include "tocttou/sim/kernel.h"
 
 namespace tocttou::testing {
 
-/// Runs a fixed list of actions in order, then exits.
+/// Runs a fixed list of actions in order, then exits. Keeps the result
+/// of each syscall it issued, in order.
 class ScriptProgram final : public sim::Program {
  public:
   explicit ScriptProgram(std::vector<sim::Action> actions)
       : actions_(std::move(actions)) {}
 
   sim::Action next(sim::ProgramContext& ctx) override {
-    (void)ctx;
+    if (ctx.has_result()) results_.push_back(ctx.result());
     if (i_ >= actions_.size()) return sim::Action::exit_proc();
     return std::move(actions_[i_++]);
   }
 
+  const std::vector<sim::SyscallResult>& results() const { return results_; }
+
  private:
   std::vector<sim::Action> actions_;
   std::size_t i_ = 0;
+  std::vector<sim::SyscallResult> results_;
 };
+
+/// The results of the syscalls that the ScriptProgram process `pid` runs
+/// has completed, in order.
+inline const std::vector<sim::SyscallResult>& script_results(
+    const sim::Kernel& kernel, sim::Pid pid) {
+  return dynamic_cast<const ScriptProgram&>(kernel.process(pid).program())
+      .results();
+}
 
 /// Delegates to a lambda; the lambda returns exit_proc() to stop.
 class LambdaProgram final : public sim::Program {
