@@ -80,11 +80,9 @@ struct ExploreConfig {
   /// ExploreResult::rounds_executed reaches it.
   int max_schedules = 200000;
 
-  /// PCT mode knobs: bug depth d, schedules to run, expected choice
-  /// sites per schedule (the k the change points are drawn over).
+  /// PCT mode knobs: bug depth d and schedules to run.
   int pct_depth = 3;
   int pct_schedules = 1000;
-  int pct_expected_steps = 64;
   std::uint64_t pct_seed = 1;
 
   /// Worker threads executing leaf rounds: 1 runs everything on the

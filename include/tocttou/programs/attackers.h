@@ -66,20 +66,15 @@ class Attacker : public sim::Program {
   const AttackerStatus& status() const { return status_; }
 
  protected:
-  /// EINTR retry with busy-wait backoff (attackers spin, they never
-  /// yield the CPU inside the window): on EINTR within the budget, counts
-  /// the retry, sets `phase` to `redo` and returns the backoff; otherwise
-  /// resets the attempt count.
+  /// EINTR retry (RetryPolicy::retry_after) with busy-wait backoff:
+  /// attackers spin, they never yield the CPU inside the window. On a
+  /// retry, sets `phase` to `redo` and returns the spin.
   template <class Phase>
   std::optional<sim::Action> retry_eintr(Errno e, Phase& phase, Phase redo) {
-    if (e != Errno::eintr || attempt_ + 1 >= retry_.max_attempts) {
-      attempt_ = 0;
-      return std::nullopt;
-    }
-    ++attempt_;
-    ++status_.retries;
+    const auto backoff = retry_.retry_after(e, attempt_, status_.retries);
+    if (!backoff) return std::nullopt;
     phase = redo;
-    return sim::Action::compute(retry_.backoff_for(attempt_), "retry");
+    return sim::Action::compute(*backoff, "retry");
   }
 
   AttackerStatus status_;

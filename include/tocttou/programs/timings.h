@@ -10,8 +10,10 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <tuple>
 
+#include "tocttou/common/error.h"
 #include "tocttou/common/time.h"
 
 namespace tocttou::programs {
@@ -31,6 +33,21 @@ struct RetryPolicy {
     Duration d = initial_backoff;
     for (int i = 1; i < attempt; ++i) d = d * backoff_mult;
     return d;
+  }
+
+  /// The retry rule, after a call returned `e`: on EINTR with a try left,
+  /// counts the retry in `attempt` and `retries` and returns the backoff
+  /// to wait before trying again (the caller sleeps or spins it off);
+  /// otherwise resets `attempt` and returns nullopt.
+  std::optional<Duration> retry_after(Errno e, int& attempt,
+                                      int& retries) const {
+    if (e != Errno::eintr || attempt + 1 >= max_attempts) {
+      attempt = 0;
+      return std::nullopt;
+    }
+    ++attempt;
+    ++retries;
+    return backoff_for(attempt);
   }
 
   /// Field list (sim/fields.h).

@@ -74,9 +74,9 @@ class ViVictim final : public sim::Listed<ViVictim, sim::Program> {
 
   /// Keeps the result of the call that left the victim in phase_.
   void take(const sim::SyscallResult& r);
-  /// If `e` is EINTR and the retry budget allows, backs off (sleep) and
-  /// redoes phase `redo`; otherwise resets the attempt counter and lets
-  /// the caller proceed (success, hard error, or budget exhausted).
+  /// If RetryPolicy::retry_after grants a retry after `e`, sleeps its
+  /// backoff and redoes phase `redo`; otherwise lets the caller proceed
+  /// (success, hard error, or budget exhausted).
   std::optional<sim::Action> retry_eintr(Errno e, Phase redo);
 
   ViVictimConfig cfg_;
@@ -166,6 +166,7 @@ class GeditVictim final : public sim::Listed<GeditVictim, sim::Program> {
 /// P(victim suspended) ~ 1 and the attack succeeds nearly always — the
 /// upper-bound case of the model.
 ///
+///   rename(path -> path.bak)
 ///   fd = open(path, O_CREAT|O_TRUNC)  <- check (file becomes root-owned)
 ///   [sleeps `io_time` on device I/O]
 ///   close(fd)
@@ -190,13 +191,15 @@ class SuspendingVictim final
   sim::Action next(sim::ProgramContext& ctx) override;
 
   static auto fields(auto& self) {
-    return std::tie(self.cfg_, self.phase_, self.open_out_, self.err_);
+    return std::tie(self.cfg_, self.backup_, self.phase_, self.open_out_,
+                    self.err_);
   }
 
  private:
   enum class Phase { think, rename_away, check, io, close, use, done };
   void take(const sim::SyscallResult& r);
   SuspendingVictimConfig cfg_;
+  Path backup_;  // cfg_.path + ".bak", parsed once
   Phase phase_ = Phase::think;
   fs::OpenResult open_out_;
   Errno err_ = Errno::ok;

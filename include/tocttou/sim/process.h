@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <string>
 
 #include "tocttou/common/path.h"
@@ -114,8 +113,9 @@ class Process {
   // Number of semaphores held (release-on-exit check). Which ones is
   // each semaphore's owner, so a checkpoint copies no pointer here.
   std::uint32_t sems_held_ = 0;
-  // libc pages already mapped into this process (first-touch fault model).
-  std::set<int> mapped_libc_pages_;
+  // libc pages already mapped into this process (first-touch fault
+  // model): bit n is page n, for page ids in [0, 64).
+  std::uint64_t mapped_libc_pages_ = 0;
   // Generation counter to invalidate stale scheduled segment events.
   std::uint64_t seg_gen_ = 0;
   // The in-flight or last syscall's result (its errno written at

@@ -59,14 +59,8 @@ WindowSpec window_spec_for(const ScenarioConfig& cfg) {
     case VictimKind::gedit:
       return WindowSpec::gedit(kWatchedPath);
     case VictimKind::vi:
+    case VictimKind::suspending:  // vi's window: open, then chown
       return WindowSpec::vi(kWatchedPath);
-    case VictimKind::suspending: {
-      WindowSpec s;
-      s.check_call = "open";
-      s.use_call = "chown";
-      s.path = kWatchedPath;
-      return s;
-    }
     case VictimKind::sendmail: {
       WindowSpec s;
       s.check_call = "lstat";

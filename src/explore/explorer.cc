@@ -119,6 +119,10 @@ constexpr std::size_t kDonorCap = std::size_t{1} << 20;
 /// changes, results never do.
 constexpr int kSeedBudget = 512;
 
+/// PCT's estimate of the choice sites per schedule, the k its change
+/// points are drawn over. The sweep journal's header records it.
+constexpr int kPctExpectedSteps = 64;
+
 /// A retained mid-round checkpoint: the parent round advanced to (one of)
 /// its fork boundaries, kept so the group that expands the leaf forked
 /// there can resume from the boundary instead of replaying the whole
@@ -930,7 +934,7 @@ ExploreResult explore_pct(const core::ScenarioConfig& base,
       PctParams pp;
       pp.seed = mix_seed(stream, 0x9C7);
       pp.depth = ecfg.pct_depth;
-      pp.expected_steps = ecfg.pct_expected_steps;
+      pp.expected_steps = kPctExpectedSteps;
       out[static_cast<std::size_t>(t)] = w.run_pct(think_for(sched_i), pp);
     });
     // Serial reduction in schedule-index order: identical arithmetic for
@@ -1351,7 +1355,7 @@ ExploreResult explore(const core::ScenarioConfig& cfg,
     meta.step_budget = base.step_budget;
     meta.pct_depth = ecfg.pct_depth;
     meta.pct_schedules = ecfg.pct_schedules;
-    meta.pct_expected_steps = ecfg.pct_expected_steps;
+    meta.pct_expected_steps = kPctExpectedSteps;
     meta.pct_seed = ecfg.pct_seed;
     std::string err;
     journal = ecfg.resume

@@ -8,6 +8,14 @@
 // only: it reaches the Vfs through its context and writes its result
 // into the context's result record, so its clone is a plain copy.
 //
+// What the ops share is said once, in two bases. FsOp (the path-taking
+// ops) holds the path, its walker, the phase, a failed call's errno with
+// the one failure exit (fail() releases the held directory semaphore and
+// returns the errno from a shared last phase), and the inode the call
+// applied to, which its fill_record journals; FdOp holds the fd, the
+// phase and the applied inode. One op, AttrOp, is the attribute lock
+// rule for chmod, chown, fchmod and fchown alike.
+//
 // Paths are shared Paths (common/path.h): a factory moves its argument
 // into the op, the walker copies the op's handle, a symlink follow
 // copies the link inode's, and the final name a walk finds is a
@@ -255,19 +263,29 @@ std::optional<Step> Walker::advance(ServiceContext& ctx) {
   }
 }
 
-/// Base of the path-taking ops: the path, its walker and the phase
-/// counter every such op steps through.
+/// Base of the path-taking ops: the path, its walker, the phase counter
+/// every such op steps through, the errno a failed call returns and the
+/// inode the call applied to, which its journal record names.
 class FsOp : public ServiceOp {
  public:
   explicit FsOp(Path path) : path_(std::move(path)) {}
 
   static auto fields(auto& self) {
-    return std::tie(self.path_, self.walker_, self.phase_);
+    return std::tie(self.path_, self.walker_, self.phase_, self.err_,
+                    self.applied_);
   }
 
   std::string_view path() const override { return path_.str(); }
 
+  void fill_record(trace::SyscallRecord& rec) const override {
+    if (applied_ != kNoIno) rec.applied_ino = applied_;
+  }
+
  protected:
+  /// The phase a failed call ends in: past every op's last phase, so
+  /// each op's default case returns err_ from it.
+  static constexpr int kFailed = 99;
+
   /// Starts (on first call) and advances the walk of path_; nullopt once
   /// the walk is done.
   std::optional<Step> walk(ServiceContext& ctx, Walker::SemPolicy policy,
@@ -276,22 +294,40 @@ class FsOp : public ServiceOp {
     return walker_->advance(ctx);
   }
 
+  /// Fails the call with `e`: releases the directory semaphore that the
+  /// hold walk `w` left held, then returns `e` from kFailed.
+  Step fail(ServiceContext& ctx, Errno e, const Walker& w) {
+    err_ = e;
+    phase_ = kFailed;
+    return Step::release(w.held_dir_sem(ctx));
+  }
+
   Path path_;
   std::optional<Walker> walker_;
   int phase_ = 0;
+  Errno err_ = Errno::ok;
+  Ino applied_ = kNoIno;
 };
 
 /// Base of the fd-based ops (no path resolution: immune to name
-/// redirection).
+/// redirection): the fd, the phase counter and the inode the call
+/// applied to.
 class FdOp : public ServiceOp {
  public:
   explicit FdOp(int fd) : fd_(fd) {}
 
-  static auto fields(auto& self) { return std::tie(self.fd_, self.phase_); }
+  static auto fields(auto& self) {
+    return std::tie(self.fd_, self.phase_, self.applied_);
+  }
+
+  void fill_record(trace::SyscallRecord& rec) const override {
+    if (applied_ != kNoIno) rec.applied_ino = applied_;
+  }
 
  protected:
   int fd_;
   int phase_ = 0;
+  Ino applied_ = kNoIno;
 };
 
 // ---------------------------------------------------------------------------
@@ -303,7 +339,7 @@ class StatOp final : public Listed<StatOp, FsOp> {
   StatOp(Path path, bool follow) : Listed(std::move(path)), follow_(follow) {}
 
   static auto fields(auto& self) {
-    return std::tuple_cat(FsOp::fields(self), std::tie(self.follow_, self.ok_));
+    return std::tuple_cat(FsOp::fields(self), std::tie(self.follow_));
   }
 
   std::string_view name() const override { return follow_ ? "stat" : "lstat"; }
@@ -323,7 +359,6 @@ class StatOp final : public Listed<StatOp, FsOp> {
       default: {
         if (walker_->error() != Errno::ok) return Step::done(walker_->error());
         if (!walker_->target_exists()) return Step::done(Errno::enoent);
-        ok_ = true;
         ctx.result.stat = walker_->snapshot();
         return Step::done(Errno::ok);
       }
@@ -331,7 +366,7 @@ class StatOp final : public Listed<StatOp, FsOp> {
   }
 
   void fill_record(trace::SyscallRecord& rec) const override {
-    if (ok_) {
+    if (rec.result == Errno::ok) {
       const auto& s = walker_->snapshot();
       rec.st_uid = s.uid;
       rec.st_gid = s.gid;
@@ -341,7 +376,6 @@ class StatOp final : public Listed<StatOp, FsOp> {
 
  private:
   bool follow_;
-  bool ok_ = false;
 };
 
 class AccessOp final : public Listed<AccessOp, FsOp> {
@@ -386,8 +420,7 @@ class OpenOp final : public Listed<OpenOp, FsOp> {
 
   static auto fields(auto& self) {
     return std::tuple_cat(FsOp::fields(self),
-                          std::tie(self.flags_, self.mode_, self.ino_,
-                                   self.pending_err_));
+                          std::tie(self.flags_, self.mode_));
   }
 
   std::string_view name() const override { return "open"; }
@@ -403,22 +436,26 @@ class OpenOp final : public Listed<OpenOp, FsOp> {
         if (walker_->error() != Errno::ok) return Step::done(walker_->error());
         if (walker_->target_exists()) {
           const Inode& t = vfs.inode(walker_->target());
-          if (flags_.create && flags_.excl) return fail(ctx, Errno::eexist);
-          if (t.is_dir() && flags_.write) return fail(ctx, Errno::eisdir);
+          if (flags_.create && flags_.excl) {
+            return fail(ctx, Errno::eexist, *walker_);
+          }
+          if (t.is_dir() && flags_.write) {
+            return fail(ctx, Errno::eisdir, *walker_);
+          }
           const auto creds = creds_of(ctx);
           const bool perm = flags_.write ? Vfs::may_write(t, creds)
                                          : Vfs::may_read(t, creds);
-          if (!perm) return fail(ctx, Errno::eacces);
-          ino_ = walker_->target();
+          if (!perm) return fail(ctx, Errno::eacces, *walker_);
+          applied_ = walker_->target();
           if (flags_.truncate && flags_.write) {
-            vfs.inode_mut(ino_).set_size_bytes(0);
+            vfs.inode_mut(applied_).set_size_bytes(0);
           }
           phase_ = 2;
           return Step::release(walker_->held_dir_sem(ctx));
         }
-        if (!flags_.create) return fail(ctx, Errno::enoent);
+        if (!flags_.create) return fail(ctx, Errno::enoent, *walker_);
         if (!Vfs::may_write(vfs.inode(walker_->parent()), creds_of(ctx))) {
-          return fail(ctx, Errno::eacces);
+          return fail(ctx, Errno::eacces, *walker_);
         }
         phase_ = 1;
         return Step::work(vfs.costs().create_extra);
@@ -426,8 +463,8 @@ class OpenOp final : public Listed<OpenOp, FsOp> {
       case 1: {  // commit the newly created inode (still under the sem)
         Inode& n = vfs.alloc_inode(FileType::regular, ctx.proc.uid(),
                                    ctx.proc.gid(), mode_);
-        ino_ = n.ino();
-        vfs.link_entry(walker_->parent(), walker_->final_name(), ino_);
+        applied_ = n.ino();
+        vfs.link_entry(walker_->parent(), walker_->final_name(), applied_);
         phase_ = 2;
         return Step::release(walker_->held_dir_sem(ctx));
       }
@@ -436,30 +473,17 @@ class OpenOp final : public Listed<OpenOp, FsOp> {
         return Step::work(vfs.costs().open_base);
       }
       case 3: {
-        ctx.result.fd = vfs.fd_alloc(ctx.proc.pid(), ino_, flags_);
+        ctx.result.fd = vfs.fd_alloc(ctx.proc.pid(), applied_, flags_);
         return Step::done(Errno::ok);
       }
-      default: {  // phase 9: error path, semaphore already released
-        return Step::done(pending_err_);
-      }
+      default:  // failed; the semaphore is already released
+        return Step::done(err_);
     }
   }
 
-  void fill_record(trace::SyscallRecord& rec) const override {
-    if (ino_ != kNoIno) rec.applied_ino = ino_;
-  }
-
  private:
-  Step fail(ServiceContext& ctx, Errno e) {
-    pending_err_ = e;
-    phase_ = 9;
-    return Step::release(walker_->held_dir_sem(ctx));
-  }
-
   OpenFlags flags_;
   Mode mode_;
-  Ino ino_ = kNoIno;
-  Errno pending_err_ = Errno::ok;
 };
 
 class CloseOp final : public Listed<CloseOp, FdOp> {
@@ -486,7 +510,7 @@ class WriteOp final : public Listed<WriteOp, FdOp> {
   WriteOp(int fd, std::uint64_t bytes) : Listed(fd), bytes_(bytes) {}
 
   static auto fields(auto& self) {
-    return std::tuple_cat(FdOp::fields(self), std::tie(self.bytes_, self.ino_));
+    return std::tuple_cat(FdOp::fields(self), std::tie(self.bytes_));
   }
 
   std::string_view name() const override { return "write"; }
@@ -498,9 +522,9 @@ class WriteOp final : public Listed<WriteOp, FdOp> {
       case 0: {
         const auto f = vfs.fd_get(ctx.proc.pid(), fd_);
         if (!f.ok() || !f.value().flags.write) return Step::done(Errno::ebadf);
-        ino_ = f.value().ino;
+        applied_ = f.value().ino;
         phase_ = 1;
-        return Step::acquire(&vfs.inode_mut(ino_).sem());
+        return Step::acquire(&vfs.inode_mut(applied_).sem());
       }
       case 1: {
         phase_ = 2;
@@ -509,9 +533,9 @@ class WriteOp final : public Listed<WriteOp, FdOp> {
                           vfs.costs().write_per_kb * kb);
       }
       case 2: {
-        vfs.inode_mut(ino_).add_size_bytes(bytes_);
+        vfs.inode_mut(applied_).add_size_bytes(bytes_);
         phase_ = 3;
-        return Step::release(&vfs.inode_mut(ino_).sem());
+        return Step::release(&vfs.inode_mut(applied_).sem());
       }
       case 3: {
         phase_ = 4;
@@ -529,13 +553,8 @@ class WriteOp final : public Listed<WriteOp, FdOp> {
     }
   }
 
-  void fill_record(trace::SyscallRecord& rec) const override {
-    if (ino_ != kNoIno) rec.applied_ino = ino_;
-  }
-
  private:
   std::uint64_t bytes_;
-  Ino ino_ = kNoIno;
 };
 
 class ReadOp final : public Listed<ReadOp, FdOp> {
@@ -567,7 +586,7 @@ class ReadOp final : public Listed<ReadOp, FdOp> {
 };
 
 // ---------------------------------------------------------------------------
-// rename / unlink / symlink / mkdir / readlink
+// rename / unlink / symlink / mkdir / readlink / link
 // ---------------------------------------------------------------------------
 
 class RenameOp final : public Listed<RenameOp, FsOp> {
@@ -577,8 +596,7 @@ class RenameOp final : public Listed<RenameOp, FsOp> {
 
   static auto fields(auto& self) {
     return std::tuple_cat(FsOp::fields(self),
-                          std::tie(self.newpath_, self.new_final_,
-                                   self.applied_, self.pending_err_));
+                          std::tie(self.newpath_, self.new_final_));
   }
 
   std::string_view name() const override { return "rename"; }
@@ -593,16 +611,20 @@ class RenameOp final : public Listed<RenameOp, FsOp> {
           return *s;
         }
         if (walker_->error() != Errno::ok) return Step::done(walker_->error());
-        if (!walker_->target_exists()) return fail(ctx, Errno::enoent);
+        if (!walker_->target_exists()) {
+          return fail(ctx, Errno::enoent, *walker_);
+        }
         auto nw = vfs.walk_prefix(newpath_);
-        if (nw.err != Errno::ok) return fail(ctx, nw.err);
-        if (nw.parent != walker_->parent()) return fail(ctx, Errno::exdev);
+        if (nw.err != Errno::ok) return fail(ctx, nw.err, *walker_);
+        if (nw.parent != walker_->parent()) {
+          return fail(ctx, Errno::exdev, *walker_);
+        }
         new_final_ = FinalName(std::move(nw.path));
         if (new_final_.str() == walker_->final_name()) {
-          return fail(ctx, Errno::einval);
+          return fail(ctx, Errno::einval, *walker_);
         }
         if (!Vfs::may_write(vfs.inode(walker_->parent()), creds_of(ctx))) {
-          return fail(ctx, Errno::eacces);
+          return fail(ctx, Errno::eacces, *walker_);
         }
         // Models the rename seqlock: lockless lookups in this directory
         // take the slow path until the commit.
@@ -628,25 +650,13 @@ class RenameOp final : public Listed<RenameOp, FsOp> {
         return Step::work(vfs.costs().rename_tail);
       }
       default:
-        return Step::done(pending_err_);
+        return Step::done(err_);
     }
   }
 
-  void fill_record(trace::SyscallRecord& rec) const override {
-    if (applied_ != kNoIno) rec.applied_ino = applied_;
-  }
-
  private:
-  Step fail(ServiceContext& ctx, Errno e) {
-    pending_err_ = e;
-    phase_ = 3;
-    return Step::release(walker_->held_dir_sem(ctx));
-  }
-
   Path newpath_;
   FinalName new_final_;
-  Ino applied_ = kNoIno;
-  Errno pending_err_ = Errno::ok;
 };
 
 class UnlinkOp final : public Listed<UnlinkOp, FsOp> {
@@ -654,9 +664,7 @@ class UnlinkOp final : public Listed<UnlinkOp, FsOp> {
   using Listed::Listed;
 
   static auto fields(auto& self) {
-    return std::tuple_cat(
-        FsOp::fields(self),
-        std::tie(self.ino_, self.pending_err_, self.truncating_));
+    return std::tuple_cat(FsOp::fields(self), std::tie(self.truncating_));
   }
 
   std::string_view name() const override { return "unlink"; }
@@ -670,15 +678,19 @@ class UnlinkOp final : public Listed<UnlinkOp, FsOp> {
           return *s;
         }
         if (walker_->error() != Errno::ok) return Step::done(walker_->error());
-        if (!walker_->target_exists()) return fail(ctx, Errno::enoent);
-        ino_ = walker_->target();
-        if (vfs.inode(ino_).is_dir()) return fail(ctx, Errno::eisdir);
+        if (!walker_->target_exists()) {
+          return fail(ctx, Errno::enoent, *walker_);
+        }
+        applied_ = walker_->target();
+        if (vfs.inode(applied_).is_dir()) {
+          return fail(ctx, Errno::eisdir, *walker_);
+        }
         if (!Vfs::may_write(vfs.inode(walker_->parent()), creds_of(ctx))) {
-          return fail(ctx, Errno::eacces);
+          return fail(ctx, Errno::eacces, *walker_);
         }
         phase_ = 1;
         // Lock order everywhere: directory sem, then target inode sem.
-        return Step::acquire(&vfs.inode_mut(ino_).sem());
+        return Step::acquire(&vfs.inode_mut(applied_).sem());
       }
       case 1: {
         phase_ = 2;
@@ -692,7 +704,7 @@ class UnlinkOp final : public Listed<UnlinkOp, FsOp> {
       case 3: {  // physical truncate happens after the dir sem is free —
                  // this is what lets a parallel symlink overlap (Sec. 7).
         phase_ = 4;
-        const Inode& n = vfs.inode(ino_);
+        const Inode& n = vfs.inode(applied_);
         // Orphans with open fds keep their data (vi keeps writing through
         // its fd after the attacker's unlink); truncate only when fully
         // unreferenced.
@@ -705,28 +717,16 @@ class UnlinkOp final : public Listed<UnlinkOp, FsOp> {
         return advance(ctx);
       }
       case 4: {
-        if (truncating_) vfs.inode_mut(ino_).set_size_bytes(0);
+        if (truncating_) vfs.inode_mut(applied_).set_size_bytes(0);
         phase_ = 5;
-        return Step::release(&vfs.inode_mut(ino_).sem());
+        return Step::release(&vfs.inode_mut(applied_).sem());
       }
       default:
-        return Step::done(pending_err_);
+        return Step::done(err_);
     }
   }
 
-  void fill_record(trace::SyscallRecord& rec) const override {
-    if (ino_ != kNoIno) rec.applied_ino = ino_;
-  }
-
  private:
-  Step fail(ServiceContext& ctx, Errno e) {
-    pending_err_ = e;
-    phase_ = 5;
-    return Step::release(walker_->held_dir_sem(ctx));
-  }
-
-  Ino ino_ = kNoIno;
-  Errno pending_err_ = Errno::ok;
   bool truncating_ = false;
 };
 
@@ -736,9 +736,7 @@ class SymlinkOp final : public Listed<SymlinkOp, FsOp> {
       : Listed(std::move(linkpath)), target_(std::move(target)) {}
 
   static auto fields(auto& self) {
-    return std::tuple_cat(
-        FsOp::fields(self),
-        std::tie(self.target_, self.applied_, self.pending_err_));
+    return std::tuple_cat(FsOp::fields(self), std::tie(self.target_));
   }
 
   std::string_view name() const override { return "symlink"; }
@@ -753,9 +751,11 @@ class SymlinkOp final : public Listed<SymlinkOp, FsOp> {
           return *s;
         }
         if (walker_->error() != Errno::ok) return Step::done(walker_->error());
-        if (walker_->target_exists()) return fail(ctx, Errno::eexist);
+        if (walker_->target_exists()) {
+          return fail(ctx, Errno::eexist, *walker_);
+        }
         if (!Vfs::may_write(vfs.inode(walker_->parent()), creds_of(ctx))) {
-          return fail(ctx, Errno::eacces);
+          return fail(ctx, Errno::eacces, *walker_);
         }
         phase_ = 1;
         return Step::work(vfs.costs().symlink_base);
@@ -770,24 +770,12 @@ class SymlinkOp final : public Listed<SymlinkOp, FsOp> {
         return Step::release(walker_->held_dir_sem(ctx));
       }
       default:
-        return Step::done(pending_err_);
+        return Step::done(err_);
     }
   }
 
-  void fill_record(trace::SyscallRecord& rec) const override {
-    if (applied_ != kNoIno) rec.applied_ino = applied_;
-  }
-
  private:
-  Step fail(ServiceContext& ctx, Errno e) {
-    pending_err_ = e;
-    phase_ = 2;
-    return Step::release(walker_->held_dir_sem(ctx));
-  }
-
   Path target_;
-  Ino applied_ = kNoIno;
-  Errno pending_err_ = Errno::ok;
 };
 
 class MkdirOp final : public Listed<MkdirOp, FsOp> {
@@ -795,8 +783,7 @@ class MkdirOp final : public Listed<MkdirOp, FsOp> {
   MkdirOp(Path path, Mode mode) : Listed(std::move(path)), mode_(mode) {}
 
   static auto fields(auto& self) {
-    return std::tuple_cat(FsOp::fields(self),
-                          std::tie(self.mode_, self.pending_err_));
+    return std::tuple_cat(FsOp::fields(self), std::tie(self.mode_));
   }
 
   std::string_view name() const override { return "mkdir"; }
@@ -810,9 +797,11 @@ class MkdirOp final : public Listed<MkdirOp, FsOp> {
           return *s;
         }
         if (walker_->error() != Errno::ok) return Step::done(walker_->error());
-        if (walker_->target_exists()) return fail(ctx, Errno::eexist);
+        if (walker_->target_exists()) {
+          return fail(ctx, Errno::eexist, *walker_);
+        }
         if (!Vfs::may_write(vfs.inode(walker_->parent()), creds_of(ctx))) {
-          return fail(ctx, Errno::eacces);
+          return fail(ctx, Errno::eacces, *walker_);
         }
         phase_ = 1;
         return Step::work(vfs.costs().mkdir_base);
@@ -825,19 +814,12 @@ class MkdirOp final : public Listed<MkdirOp, FsOp> {
         return Step::release(walker_->held_dir_sem(ctx));
       }
       default:
-        return Step::done(pending_err_);
+        return Step::done(err_);
     }
   }
 
  private:
-  Step fail(ServiceContext& ctx, Errno e) {
-    pending_err_ = e;
-    phase_ = 2;
-    return Step::release(walker_->held_dir_sem(ctx));
-  }
-
   Mode mode_;
-  Errno pending_err_ = Errno::ok;
 };
 
 class ReadlinkOp final : public Listed<ReadlinkOp, FsOp> {
@@ -879,8 +861,7 @@ class LinkOp final : public Listed<LinkOp, FsOp> {
 
   static auto fields(auto& self) {
     return std::tuple_cat(FsOp::fields(self),
-                          std::tie(self.newpath_, self.new_walker_,
-                                   self.target_ino_, self.pending_err_));
+                          std::tie(self.newpath_, self.new_walker_));
   }
 
   std::string_view name() const override { return "link"; }
@@ -900,7 +881,7 @@ class LinkOp final : public Listed<LinkOp, FsOp> {
         if (vfs.inode(walker_->target()).is_dir()) {
           return Step::done(Errno::eisdir);
         }
-        target_ino_ = walker_->target();
+        applied_ = walker_->target();
         phase_ = 1;
         new_walker_.emplace(newpath_, Walker::SemPolicy::hold,
                             Walker::Follow::no);
@@ -911,53 +892,41 @@ class LinkOp final : public Listed<LinkOp, FsOp> {
         if (new_walker_->error() != Errno::ok) {
           return Step::done(new_walker_->error());
         }
-        if (new_walker_->target_exists()) return fail(ctx, Errno::eexist);
+        if (new_walker_->target_exists()) {
+          return fail(ctx, Errno::eexist, *new_walker_);
+        }
         if (!Vfs::may_write(vfs.inode(new_walker_->parent()),
                             creds_of(ctx))) {
-          return fail(ctx, Errno::eacces);
+          return fail(ctx, Errno::eacces, *new_walker_);
         }
         phase_ = 2;
         return Step::work(vfs.costs().link_base);
       }
       case 2: {  // commit
         vfs.link_entry(new_walker_->parent(), new_walker_->final_name(),
-                       target_ino_);
+                       applied_);
         phase_ = 3;
         return Step::release(new_walker_->held_dir_sem(ctx));
       }
       default:
-        return Step::done(pending_err_);
+        return Step::done(err_);
     }
   }
 
-  void fill_record(trace::SyscallRecord& rec) const override {
-    if (target_ino_ != kNoIno) rec.applied_ino = target_ino_;
-  }
-
  private:
-  Step fail(ServiceContext& ctx, Errno e) {
-    pending_err_ = e;
-    phase_ = 3;
-    return Step::release(new_walker_->held_dir_sem(ctx));
-  }
-
   Path newpath_;
   std::optional<Walker> new_walker_;
-  Ino target_ino_ = kNoIno;
-  Errno pending_err_ = Errno::ok;
 };
 
 // ---------------------------------------------------------------------------
-// fd-based operations
+// fstat
 // ---------------------------------------------------------------------------
 
 class FstatOp final : public Listed<FstatOp, FdOp> {
  public:
   using Listed::Listed;
 
-  static auto fields(auto& self) {
-    return std::tuple_cat(FdOp::fields(self), std::tie(self.ino_));
-  }
+  static auto fields(auto& self) { return FdOp::fields(self); }
 
   std::string_view name() const override { return "fstat"; }
   int libc_page() const override { return kPageStat; }
@@ -970,234 +939,97 @@ class FstatOp final : public Listed<FstatOp, FdOp> {
     }
     const auto f = vfs.fd_get(ctx.proc.pid(), fd_);
     if (!f.ok()) return Step::done(Errno::ebadf);
-    ino_ = f.value().ino;
-    ctx.result.stat = vfs.inode(ino_).to_stat();
+    applied_ = f.value().ino;
+    ctx.result.stat = vfs.inode(applied_).to_stat();
     return Step::done(Errno::ok);
   }
-
-  void fill_record(trace::SyscallRecord& rec) const override {
-    if (ino_ != kNoIno) rec.applied_ino = ino_;
-  }
-
- private:
-  Ino ino_ = kNoIno;
 };
 
-/// fchmod/fchown: acquire the open inode's semaphore, apply, release.
-/// The inode was fixed at open() time — the attacker's rename/symlink
-/// games after that are irrelevant.
-class FSetAttrOp : public FdOp {
+// ---------------------------------------------------------------------------
+// chmod / chown / fchmod / fchown
+// ---------------------------------------------------------------------------
+
+/// The attribute calls, one lock rule: resolve the inode, then apply the
+/// change under the TARGET INODE's semaphore. chmod and chown resolve
+/// their path with a lockless dcache walk like stat's that follows
+/// symlinks (the fatal behaviour the attacks exploit); fchmod and fchown
+/// take the inode their fd was opened on, which no later rename or
+/// symlink can redirect. The inode semaphore is the one the paper's
+/// cascade runs through: an unlink holding it through detach+truncate
+/// delays the victim's chmod, which in turn delays the chown past the
+/// attacker's symlink (Section 6.1). As in POSIX, the change applies to
+/// the inode resolved at lookup even if the name is unlinked while the
+/// call waits.
+class AttrOp final : public Listed<AttrOp, FsOp> {
  public:
-  using FdOp::FdOp;
+  /// Names the inode by `path`, or by `fd` when one is given; changes its
+  /// mode when `mode` is given, else its owner to `uid`/`gid`.
+  AttrOp(Path path, std::optional<int> fd, std::optional<Mode> mode,
+         sim::Uid uid = 0, sim::Gid gid = 0)
+      : Listed(std::move(path)), fd_(fd), mode_(mode), uid_(uid), gid_(gid) {}
 
   static auto fields(auto& self) {
-    return std::tuple_cat(FdOp::fields(self), std::tie(self.ino_));
+    return std::tuple_cat(FsOp::fields(self),
+                          std::tie(self.fd_, self.mode_, self.uid_, self.gid_));
   }
 
+  std::string_view name() const override {
+    if (fd_) return mode_ ? "fchmod" : "fchown";
+    return mode_ ? "chmod" : "chown";
+  }
   int libc_page() const override { return kPageChmodChown; }
 
   Step advance(ServiceContext& ctx) override {
     Vfs& vfs = ctx.vfs();
     switch (phase_) {
       case 0: {
-        const auto f = vfs.fd_get(ctx.proc.pid(), fd_);
-        if (!f.ok()) return Step::done(Errno::ebadf);
-        ino_ = f.value().ino;
-        if (!permitted(vfs.inode(ino_), creds_of(ctx))) {
+        if (fd_) {
+          const auto f = vfs.fd_get(ctx.proc.pid(), *fd_);
+          if (!f.ok()) return Step::done(Errno::ebadf);
+          applied_ = f.value().ino;
+        } else {
+          if (auto s = walk(ctx, Walker::SemPolicy::lockless_if_free,
+                            Walker::Follow::yes)) {
+            return *s;
+          }
+          if (walker_->error() != Errno::ok) {
+            return Step::done(walker_->error());
+          }
+          if (!walker_->target_exists()) return Step::done(Errno::enoent);
+          applied_ = walker_->target();
+        }
+        // Only root gives a file away; its owner may change its mode.
+        const Creds c = creds_of(ctx);
+        if (!c.is_root() &&
+            !(mode_ && vfs.inode(applied_).uid() == c.uid)) {
           return Step::done(Errno::eperm);
         }
         phase_ = 1;
-        return Step::acquire(&vfs.inode_mut(ino_).sem());
+        return Step::acquire(&vfs.inode_mut(applied_).sem());
       }
       case 1: {
         phase_ = 2;
-        return Step::work(work_cost(vfs.costs()));
-      }
-      case 2: {
-        apply(vfs.inode_mut(ino_));
-        phase_ = 3;
-        return Step::release(&vfs.inode_mut(ino_).sem());
-      }
-      default:
-        return Step::done(Errno::ok);
-    }
-  }
-
-  void fill_record(trace::SyscallRecord& rec) const override {
-    if (ino_ != kNoIno) rec.applied_ino = ino_;
-  }
-
- protected:
-  virtual bool permitted(const Inode& target, const Creds& c) const = 0;
-  virtual Duration work_cost(const SyscallCosts& c) const = 0;
-  virtual void apply(Inode& target) = 0;
-
- private:
-  Ino ino_ = kNoIno;
-};
-
-class FchmodOp final : public Listed<FchmodOp, FSetAttrOp> {
- public:
-  FchmodOp(int fd, Mode mode) : Listed(fd), mode_(mode) {}
-
-  static auto fields(auto& self) {
-    return std::tuple_cat(FSetAttrOp::fields(self), std::tie(self.mode_));
-  }
-
-  std::string_view name() const override { return "fchmod"; }
-
- protected:
-  bool permitted(const Inode& t, const Creds& c) const override {
-    return c.is_root() || t.uid() == c.uid;
-  }
-  Duration work_cost(const SyscallCosts& c) const override {
-    return c.chmod_base;
-  }
-  void apply(Inode& t) override { t.set_mode(mode_); }
-
- private:
-  Mode mode_;
-};
-
-class FchownOp final : public Listed<FchownOp, FSetAttrOp> {
- public:
-  FchownOp(int fd, sim::Uid uid, sim::Gid gid)
-      : Listed(fd), uid_(uid), gid_(gid) {}
-
-  static auto fields(auto& self) {
-    return std::tuple_cat(FSetAttrOp::fields(self),
-                          std::tie(self.uid_, self.gid_));
-  }
-
-  std::string_view name() const override { return "fchown"; }
-
- protected:
-  bool permitted(const Inode& t, const Creds& c) const override {
-    (void)t;
-    return c.is_root();
-  }
-  Duration work_cost(const SyscallCosts& c) const override {
-    return c.chown_base;
-  }
-  void apply(Inode& t) override { t.set_owner(uid_, gid_); }
-
- private:
-  sim::Uid uid_;
-  sim::Gid gid_;
-};
-
-// ---------------------------------------------------------------------------
-// chmod / chown
-// ---------------------------------------------------------------------------
-
-/// Shared by chmod and chown: resolve the path (following symlinks — the
-/// fatal behaviour the attacks exploit; lockless dcache walk like stat),
-/// then apply under the TARGET INODE's semaphore. This is the semaphore
-/// the paper's cascade runs through: an unlink holding the inode
-/// semaphore through detach+truncate delays the victim's chmod, which in
-/// turn delays the chown past the attacker's symlink (Section 6.1). Note
-/// POSIX semantics: the operation applies to the inode resolved at
-/// lookup time even if the name is unlinked while waiting.
-class SetAttrOp : public FsOp {
- public:
-  using FsOp::FsOp;
-
-  static auto fields(auto& self) {
-    return std::tuple_cat(FsOp::fields(self), std::tie(self.ino_));
-  }
-
-  int libc_page() const override { return kPageChmodChown; }
-
-  Step advance(ServiceContext& ctx) override {
-    Vfs& vfs = ctx.vfs();
-    switch (phase_) {
-      case 0: {
-        if (auto s = walk(ctx, Walker::SemPolicy::lockless_if_free,
-                          Walker::Follow::yes)) {
-          return *s;
-        }
-        if (walker_->error() != Errno::ok) return Step::done(walker_->error());
-        if (!walker_->target_exists()) return Step::done(Errno::enoent);
-        ino_ = walker_->target();
-        if (!permitted(vfs.inode(ino_), creds_of(ctx))) {
-          return Step::done(Errno::eperm);
-        }
-        phase_ = 1;
-        return Step::acquire(&vfs.inode_mut(ino_).sem());
-      }
-      case 1: {
-        phase_ = 2;
-        return Step::work(work_cost(vfs.costs()));
+        return Step::work(mode_ ? vfs.costs().chmod_base
+                                : vfs.costs().chown_base);
       }
       case 2: {  // commit
-        apply(vfs.inode_mut(ino_));
+        Inode& t = vfs.inode_mut(applied_);
+        if (mode_) {
+          t.set_mode(*mode_);
+        } else {
+          t.set_owner(uid_, gid_);
+        }
         phase_ = 3;
-        return Step::release(&vfs.inode_mut(ino_).sem());
+        return Step::release(&t.sem());
       }
       default:
         return Step::done(Errno::ok);
     }
   }
 
-  void fill_record(trace::SyscallRecord& rec) const override {
-    if (ino_ != kNoIno) rec.applied_ino = ino_;
-  }
-
- protected:
-  virtual bool permitted(const Inode& target, const Creds& c) const = 0;
-  virtual Duration work_cost(const SyscallCosts& c) const = 0;
-  virtual void apply(Inode& target) = 0;
-
  private:
-  Ino ino_ = kNoIno;
-};
-
-class ChmodOp final : public Listed<ChmodOp, SetAttrOp> {
- public:
-  ChmodOp(Path path, Mode mode) : Listed(std::move(path)), mode_(mode) {}
-
-  static auto fields(auto& self) {
-    return std::tuple_cat(SetAttrOp::fields(self), std::tie(self.mode_));
-  }
-
-  std::string_view name() const override { return "chmod"; }
-
- protected:
-  bool permitted(const Inode& t, const Creds& c) const override {
-    return c.is_root() || t.uid() == c.uid;
-  }
-  Duration work_cost(const SyscallCosts& c) const override {
-    return c.chmod_base;
-  }
-  void apply(Inode& t) override { t.set_mode(mode_); }
-
- private:
-  Mode mode_;
-};
-
-class ChownOp final : public Listed<ChownOp, SetAttrOp> {
- public:
-  ChownOp(Path path, sim::Uid uid, sim::Gid gid)
-      : Listed(std::move(path)), uid_(uid), gid_(gid) {}
-
-  static auto fields(auto& self) {
-    return std::tuple_cat(SetAttrOp::fields(self),
-                          std::tie(self.uid_, self.gid_));
-  }
-
-  std::string_view name() const override { return "chown"; }
-
- protected:
-  bool permitted(const Inode& t, const Creds& c) const override {
-    (void)t;
-    return c.is_root();  // only root may give files away
-  }
-  Duration work_cost(const SyscallCosts& c) const override {
-    return c.chown_base;
-  }
-  void apply(Inode& t) override { t.set_owner(uid_, gid_); }
-
- private:
+  std::optional<int> fd_;
+  std::optional<Mode> mode_;
   sim::Uid uid_;
   sim::Gid gid_;
 };
@@ -1237,11 +1069,12 @@ std::unique_ptr<ServiceOp> symlink_op(Path target, Path linkpath) {
 }
 
 std::unique_ptr<ServiceOp> chmod_op(Path path, Mode mode) {
-  return std::make_unique<ChmodOp>(std::move(path), mode);
+  return std::make_unique<AttrOp>(std::move(path), std::nullopt, mode);
 }
 
 std::unique_ptr<ServiceOp> chown_op(Path path, sim::Uid uid, sim::Gid gid) {
-  return std::make_unique<ChownOp>(std::move(path), uid, gid);
+  return std::make_unique<AttrOp>(std::move(path), std::nullopt, std::nullopt,
+                                  uid, gid);
 }
 
 std::unique_ptr<ServiceOp> mkdir_op(Path path, Mode mode) {
@@ -1273,11 +1106,11 @@ std::unique_ptr<ServiceOp> fstat_op(int fd) {
 }
 
 std::unique_ptr<ServiceOp> fchmod_op(int fd, Mode mode) {
-  return std::make_unique<FchmodOp>(fd, mode);
+  return std::make_unique<AttrOp>(Path(), fd, mode);
 }
 
 std::unique_ptr<ServiceOp> fchown_op(int fd, sim::Uid uid, sim::Gid gid) {
-  return std::make_unique<FchownOp>(fd, uid, gid);
+  return std::make_unique<AttrOp>(Path(), fd, std::nullopt, uid, gid);
 }
 
 }  // namespace tocttou::fs

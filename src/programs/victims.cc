@@ -25,14 +25,10 @@ void ViVictim::take(const sim::SyscallResult& r) {
 }
 
 std::optional<Action> ViVictim::retry_eintr(Errno e, Phase redo) {
-  if (e != Errno::eintr || attempt_ + 1 >= cfg_.t.retry.max_attempts) {
-    attempt_ = 0;
-    return std::nullopt;
-  }
-  ++attempt_;
-  ++retries_;
+  const auto backoff = cfg_.t.retry.retry_after(e, attempt_, retries_);
+  if (!backoff) return std::nullopt;
   phase_ = redo;
-  return Action::sleep_for(cfg_.t.retry.backoff_for(attempt_));
+  return Action::sleep_for(*backoff);
 }
 
 Action ViVictim::next(ProgramContext& ctx) {
@@ -155,14 +151,10 @@ void GeditVictim::take(const sim::SyscallResult& r) {
 }
 
 std::optional<Action> GeditVictim::retry_eintr(Errno e, Phase redo) {
-  if (e != Errno::eintr || attempt_ + 1 >= cfg_.t.retry.max_attempts) {
-    attempt_ = 0;
-    return std::nullopt;
-  }
-  ++attempt_;
-  ++retries_;
+  const auto backoff = cfg_.t.retry.retry_after(e, attempt_, retries_);
+  if (!backoff) return std::nullopt;
   phase_ = redo;
-  return Action::sleep_for(cfg_.t.retry.backoff_for(attempt_));
+  return Action::sleep_for(*backoff);
 }
 
 Action GeditVictim::next(ProgramContext& ctx) {
@@ -302,7 +294,7 @@ Action GeditVictim::next(ProgramContext& ctx) {
 // ---------------------------------------------------------------------------
 
 SuspendingVictim::SuspendingVictim(SuspendingVictimConfig cfg)
-    : cfg_(std::move(cfg)) {}
+    : cfg_(std::move(cfg)), backup_(std::string(cfg_.path.str()) + ".bak") {}
 
 void SuspendingVictim::take(const sim::SyscallResult& r) {
   if (phase_ == Phase::io) {
@@ -325,8 +317,7 @@ Action SuspendingVictim::next(ProgramContext& ctx) {
       // Like vi: move the old file aside so the open() below creates a
       // fresh (root-owned) inode under the watched name.
       phase_ = Phase::check;
-      return Action::service(
-          fs::rename_op(cfg_.path, std::string(cfg_.path.str()) + ".bak"));
+      return Action::service(fs::rename_op(cfg_.path, backup_));
     case Phase::check:
       phase_ = Phase::io;
       return Action::service(fs::open_op(

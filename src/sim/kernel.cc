@@ -411,13 +411,16 @@ void Kernel::start_next_action(Process& p) {
         if (faults_ != nullptr && faults_->wants_syscall_errors()) {
           p.entry_checked_ = false;
         }
-        const int page = p.op_->libc_page();
-        if (page != ServiceOp::kNoLibcPage &&
-            !p.mapped_libc_pages_.contains(page)) {
-          p.mapped_libc_pages_.insert(page);
-          begin_segment(p, Process::SegKind::trap,
-                        spec_.effective(spec_.libc_fault_cost, rng_));
-          return;
+        if (const int page = p.op_->libc_page();
+            page != ServiceOp::kNoLibcPage) {
+          TOCTTOU_CHECK(page >= 0 && page < 64, "libc page id out of range");
+          const std::uint64_t bit = std::uint64_t{1} << page;
+          if ((p.mapped_libc_pages_ & bit) == 0) {
+            p.mapped_libc_pages_ |= bit;
+            begin_segment(p, Process::SegKind::trap,
+                          spec_.effective(spec_.libc_fault_cost, rng_));
+            return;
+          }
         }
         p.op_enter_ = now();
         if (sync_ != nullptr) sync_->sc_enter(p.pid_);

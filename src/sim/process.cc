@@ -77,8 +77,7 @@ void Process::hash_state(StateHasher& h) const {
   h.dur(compute_left_);
   h.str(compute_label_);
   h.boolean(need_resched_);
-  h.u64(mapped_libc_pages_.size());
-  for (int page : mapped_libc_pages_) h.i64(page);
+  h.u64(mapped_libc_pages_);
   // Pending only from a call's completion to the next() after it (one
   // kernel event, unless a fault round's completion spike splits them).
   h.boolean(result_pending_);

@@ -2,6 +2,11 @@
 // their TOCTTOU immunity.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <ostream>
+#include <string>
+#include <vector>
+
 #include "../testing/programs.h"
 #include "tocttou/fs/ops.h"
 #include "tocttou/fs/vfs.h"
@@ -123,6 +128,73 @@ TEST_F(FdOpsTest, FchownRequiresRoot) {
   const sim::Pid p = spawn(std::move(a), 500);
   ASSERT_TRUE(kernel_->run_to_exit());
   EXPECT_EQ(results(p).at(0).err, Errno::eperm);
+}
+
+/// What the journal keeps of one attribute call.
+struct AttrRecord {
+  std::string name;
+  std::string path;
+  Errno result = Errno::ok;
+  std::optional<std::uint64_t> applied_ino;
+
+  bool operator==(const AttrRecord&) const = default;
+  friend std::ostream& operator<<(std::ostream& os, const AttrRecord& r) {
+    os << r.name << " '" << r.path << "' " << to_string(r.result) << " ino=";
+    if (r.applied_ino) return os << *r.applied_ino;
+    return os << "none";
+  }
+};
+
+TEST_F(FdOpsTest, AttributeCallsJournalTheInodeTheyResolved) {
+  // chmod, chown, fchmod and fchown journal the inode they resolved,
+  // whether the change is granted or refused with EPERM; a bad fd
+  // resolves none, and an fd call names no path.
+  const Ino mine = vfs_.create_file("/d/mine", 500, 500, 0600, 1);
+  vfs_.create_symlink("/d/link", "/d/mine", 500, 500);
+  const int mine_fd = vfs_.fd_alloc(1, mine, OpenFlags::read_only());
+  const int root_fd = vfs_.fd_alloc(1, file_, OpenFlags::read_only());
+  std::vector<Action> owner;
+  owner.push_back(Action::service(chmod_op("/d/link", 0640)));
+  owner.push_back(Action::service(chmod_op("/d/f", 0777)));
+  owner.push_back(Action::service(chown_op("/d/mine", 0, 0)));
+  owner.push_back(Action::service(fchmod_op(mine_fd, 0604)));
+  owner.push_back(Action::service(fchmod_op(root_fd, 0777)));
+  owner.push_back(Action::service(fchown_op(mine_fd, 0, 0)));
+  owner.push_back(Action::service(fchmod_op(99, 0777)));
+  owner.push_back(Action::service(fchown_op(99, 0, 0)));
+  ASSERT_EQ(spawn(std::move(owner), 500, "owner"), 1);
+  ASSERT_TRUE(kernel_->run_to_exit());
+
+  const int root_file_fd = vfs_.fd_alloc(2, file_, OpenFlags::read_only());
+  std::vector<Action> root;
+  root.push_back(Action::service(chown_op("/d/link", 0, 0)));
+  root.push_back(Action::service(fchown_op(root_file_fd, 500, 500)));
+  ASSERT_EQ(spawn(std::move(root), 0, "root"), 2);
+  ASSERT_TRUE(kernel_->run_to_exit());
+
+  std::vector<AttrRecord> got;
+  for (const trace::SyscallRecord& r : trace_.journal.records()) {
+    got.push_back({std::string(trace_.journal.name(r)),
+                   std::string(trace_.journal.path(r)), r.result,
+                   r.applied_ino});
+  }
+  const std::vector<AttrRecord> want = {
+      {"chmod", "/d/link", Errno::ok, mine},
+      {"chmod", "/d/f", Errno::eperm, file_},
+      {"chown", "/d/mine", Errno::eperm, mine},
+      {"fchmod", "", Errno::ok, mine},
+      {"fchmod", "", Errno::eperm, file_},
+      {"fchown", "", Errno::eperm, mine},
+      {"fchmod", "", Errno::ebadf, std::nullopt},
+      {"fchown", "", Errno::ebadf, std::nullopt},
+      {"chown", "/d/link", Errno::ok, mine},
+      {"fchown", "", Errno::ok, file_},
+  };
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(vfs_.inode(mine).mode(), 0604);
+  EXPECT_EQ(vfs_.inode(mine).uid(), 0u);
+  EXPECT_EQ(vfs_.inode(file_).mode(), 0600);
+  EXPECT_EQ(vfs_.inode(file_).uid(), 500u);
 }
 
 TEST_F(FdOpsTest, FdAllocReturnsLowestFreeDescriptor) {

@@ -313,6 +313,24 @@ TEST(KernelTest, LibcPageFaultOnlyOnFirstUse) {
   EXPECT_EQ(k.now(), SimTime::origin() + 24_us);
 }
 
+TEST(KernelTest, LibcPageIdsFitTheProcessMask) {
+  // A process keeps its mapped libc pages in one 64-bit mask: page 63 is
+  // the last it can map, and a call on a page outside [0, 64) is a
+  // program bug the kernel reports.
+  for (const int page : {63, 64, -2}) {
+    Kernel k(quiet_machine(1), make_sched(), 1);
+    std::vector<Action> s;
+    s.push_back(Action::service(std::make_unique<ScriptOp>(
+        "sys", std::vector<Step>{Step::done()}, page)));
+    k.spawn(std::make_unique<ScriptProgram>(std::move(s)), {.name = "p"});
+    if (page == 63) {
+      EXPECT_TRUE(k.run_to_exit());
+    } else {
+      EXPECT_THROW(k.run_to_exit(), SimError) << page;
+    }
+  }
+}
+
 TEST(KernelTest, TrapCostSeparateFromSyscallEnter) {
   trace::RoundTrace tr;
   Kernel k(quiet_machine(1), make_sched(), 1, &tr);
